@@ -494,7 +494,31 @@ impl Dbt {
                 return DbtStep::Exit(t);
             }
         }
-        match m.step_cpu() {
+        let step = m.step_cpu();
+        self.supervise(m, step)
+    }
+
+    /// Executes one block-fused burst ([`Machine::run_burst`]) under DBT
+    /// supervision: at most `max_insts` instructions, ending right after
+    /// `max_branches` branches retire, with the trap that ends a burst
+    /// serviced exactly as [`Dbt::step`] services it. Architecturally
+    /// identical to the equivalent run of single steps (the attached
+    /// tracer, if any, is not fed — traced callers must use
+    /// [`Dbt::step`]).
+    pub fn burst(&mut self, m: &mut Machine, max_insts: u64, max_branches: u64) -> DbtStep {
+        if !self.attached {
+            if let Err(t) = self.attach(m) {
+                return DbtStep::Exit(t);
+            }
+        }
+        let step = m.run_burst(max_insts, max_branches);
+        self.supervise(m, step)
+    }
+
+    /// Turns a raw step or burst result into a supervised one, servicing
+    /// the trap that ended it.
+    fn supervise(&mut self, m: &mut Machine, step: Result<cfed_sim::Step, Trap>) -> DbtStep {
+        match step {
             Ok(cfed_sim::Step::Continue) => DbtStep::Continue,
             Ok(cfed_sim::Step::Halt) => DbtStep::Halted,
             Err(trap) => self.handle_trap(m, trap),
@@ -573,21 +597,7 @@ impl Dbt {
                 self.emit_stats();
                 return DbtExit::StepLimit;
             }
-            let step = if fused {
-                if !self.attached {
-                    if let Err(t) = self.attach(m) {
-                        self.emit_stats();
-                        return DbtExit::Trapped(t);
-                    }
-                }
-                match m.run_burst(max_insts - used) {
-                    Ok(cfed_sim::Step::Continue) => DbtStep::Continue,
-                    Ok(cfed_sim::Step::Halt) => DbtStep::Halted,
-                    Err(trap) => self.handle_trap(m, trap),
-                }
-            } else {
-                self.step(m)
-            };
+            let step = if fused { self.burst(m, max_insts - used, u64::MAX) } else { self.step(m) };
             match step {
                 DbtStep::Continue => {}
                 DbtStep::Halted => {

@@ -616,6 +616,7 @@ mod tests {
         let stats = snaps.stats();
         assert!(stats.restores > 0, "fast path must actually restore checkpoints");
         assert!(stats.branches_fast_forwarded > stats.branches_stepped);
+        assert!(stats.insts_fused > stats.insts_stepped, "trials must run mostly fused");
     }
 
     #[test]

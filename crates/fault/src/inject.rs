@@ -178,43 +178,101 @@ pub fn golden_run(image: &Image, cfg: &RunConfig) -> Result<Golden, WorkloadErro
     golden_inner(image, cfg, None)
 }
 
-/// The golden-run loop, optionally capturing fast-forward checkpoints.
-/// Capture observes the machine without perturbing it, so the returned
-/// golden is identical with or without a builder.
+/// The golden run, optionally capturing fast-forward checkpoints: bursts
+/// from one capture point to the next. Capture observes the machine
+/// without perturbing it, so the returned golden is identical with or
+/// without a builder.
 pub(crate) fn golden_inner(
     image: &Image,
     cfg: &RunConfig,
     mut snapshots: Option<&mut SnapshotBuilder>,
 ) -> Result<Golden, WorkloadError> {
     let (mut m, mut dbt) = build(image, cfg);
-    let mut branches = 0u64;
+    let mut from = 0;
     loop {
-        if m.cpu.stats().insts >= cfg.max_insts {
-            return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts });
-        }
-        if let Ok(inst) = m.peek_inst() {
-            if inst.is_branch() {
-                // About to execute dynamic branch `branches`: the same
-                // instant inject_inner's prefix loop identifies as
-                // `seen_branches == branches`, which is what makes a
-                // restored checkpoint equivalent to stepping here.
-                if let Some(b) = snapshots.as_deref_mut() {
-                    b.observe_branch(branches, &mut m, &dbt);
-                }
-                branches += 1;
+        let target = snapshots.as_deref().map_or(u64::MAX, |b| b.next_capture(from));
+        match advance_to_branch(&mut m, &mut dbt, target, cfg.max_insts, true, &mut 0) {
+            Advance::AtBranch => {
+                // About to execute dynamic branch `target`: the same instant
+                // a trial's prefix identifies as branch `target`, which is
+                // what makes a restored checkpoint equivalent to replaying.
+                let builder = snapshots.as_deref_mut().expect("only capture points stop a run");
+                builder.observe_branch(target, &mut m, &dbt);
+                from = target + 1;
             }
-        }
-        match dbt.step(&mut m) {
-            DbtStep::Continue => {}
-            DbtStep::Halted => {
+            Advance::OutOfBudget => {
+                return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts })
+            }
+            Advance::Halted => {
                 return Ok(Golden {
                     output: m.cpu.take_output(),
                     exit_code: m.cpu.reg(cfed_isa::Reg::R0),
                     insts: m.cpu.stats().insts,
-                    branches,
+                    branches: m.cpu.stats().branches,
                 })
             }
-            DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
+            Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
+        }
+    }
+}
+
+/// Where [`advance_to_branch`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Advance {
+    /// About to execute the target dynamic branch.
+    AtBranch,
+    /// The instruction budget ran out first.
+    OutOfBudget,
+    /// The guest halted first.
+    Halted,
+    /// A program-level trap surfaced first.
+    Trapped(Trap),
+}
+
+/// The one trial driver: runs until the machine is about to execute
+/// dynamic branch `target` (0-based), the run ends, or `budget` total
+/// instructions have retired. Adds the instructions it single-stepped to
+/// `stepped`.
+///
+/// Dynamic branches are indexed by [`cfed_sim::ExecStats::branches`]: in
+/// translated code every branch is a direct `jmp`/`jcc`/`jrz`/`jrnz`
+/// (calls, returns and indirect jumps become pushes, pops and dispatcher
+/// exits), which cannot trap, and the DBT's trap servicing only ever
+/// re-executes non-branch guest instructions, so the retired-branch count
+/// is exactly the index of the next branch about to execute. With `fused`
+/// the driver therefore bursts on the block-fused engine ([`Dbt::burst`])
+/// until `target` branches have retired, then single-steps only the few
+/// non-branch instructions before the next branch. Without it every
+/// instruction goes through [`Dbt::step`] — the reference path, and the
+/// only one that feeds an attached tracer.
+pub fn advance_to_branch(
+    m: &mut Machine,
+    dbt: &mut Dbt,
+    target: u64,
+    budget: u64,
+    fused: bool,
+    stepped: &mut u64,
+) -> Advance {
+    debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
+    loop {
+        let (insts, branches) = (m.cpu.stats().insts, m.cpu.stats().branches);
+        if insts >= budget {
+            return Advance::OutOfBudget;
+        }
+        let step = if fused && branches < target {
+            dbt.burst(m, budget - insts, target - branches)
+        } else {
+            if branches >= target && m.peek_inst().is_ok_and(|i| i.is_branch()) {
+                return Advance::AtBranch;
+            }
+            let step = dbt.step(m);
+            *stepped += m.cpu.stats().insts - insts;
+            step
+        };
+        match step {
+            DbtStep::Continue => {}
+            DbtStep::Halted => return Advance::Halted,
+            DbtStep::Exit(t) => return Advance::Trapped(t),
         }
     }
 }
@@ -255,11 +313,12 @@ pub fn inject(
 }
 
 /// As [`inject`], fast-forwarding through `snapshots` when provided: the
-/// nearest checkpoint at-or-below the target branch is restored and only
-/// the residual prefix is stepped, reusing the checkpoint's translated
-/// code cache. Falls back to from-scratch when the set was captured under
-/// a different configuration or holds no usable checkpoint. The outcome is
-/// bit-identical to the from-scratch path either way.
+/// nearest checkpoint at-or-below the target branch is restored, reusing
+/// its translated code cache, and the residual prefix and the post-fault
+/// suffix run in block-fused bursts ([`advance_to_branch`]). Falls back to
+/// from-scratch when the set was captured under a different configuration
+/// or holds no usable checkpoint. The outcome is bit-identical to the
+/// from-scratch path, which single-steps, either way.
 ///
 /// # Errors
 ///
@@ -362,12 +421,9 @@ pub(crate) fn run_trial_inner(
             None => s.note_miss(nth),
         }
     }
-    let (mut m, mut dbt, mut seen_branches) = match restored {
-        Some(snap) => (snap.machine.restore(), snap.dbt.clone(), snap.branch_index),
-        None => {
-            let (m, dbt) = build(image, cfg);
-            (m, dbt, 0)
-        }
+    let (mut m, mut dbt) = match restored {
+        Some(snap) => (snap.machine.restore(), snap.dbt.clone()),
+        None => build(image, cfg),
     };
     if let Some(capacity) = trace_capacity {
         // From scratch this is a plain fresh tracer (zero retired); from a
@@ -376,25 +432,24 @@ pub(crate) fn run_trial_inner(
         m.attach_tracer_resumed(capacity, m.cpu.stats().insts);
     }
     let budget = golden.insts * 3 + 100_000;
+    // Trials on the fast path burst on the block-fused engine; from-scratch
+    // trials stay on the single-step reference engine that the fast path is
+    // diffed against, and traced runs step to feed the tracer.
+    let fused = usable.is_some() && trace_capacity.is_none();
+    let insts_at_start = m.cpu.stats().insts;
+    let mut stepped = 0;
 
     // Phase 1: run to the injection point.
-    let injected = loop {
-        if m.cpu.stats().insts >= budget {
-            return Ok(None);
+    let injected = match advance_to_branch(&mut m, &mut dbt, nth, budget, fused, &mut stepped) {
+        Advance::AtBranch => {
+            let insts = m.cpu.stats().insts;
+            let applied = apply(&mut m, &mut dbt, image);
+            stepped += m.cpu.stats().insts - insts;
+            applied
         }
-        let at_branch = m.peek_inst().map(|i| i.is_branch()).unwrap_or(false);
-        if at_branch {
-            if seen_branches == nth {
-                break apply(&mut m, &mut dbt, image);
-            }
-            seen_branches += 1;
-        }
-        match dbt.step(&mut m) {
-            DbtStep::Continue => {}
-            // Program ended before the nth branch.
-            DbtStep::Halted => return Ok(None),
-            DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
-        }
+        // Budget exhausted or the program ended before the nth branch.
+        Advance::OutOfBudget | Advance::Halted => None,
+        Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
     };
     let Some((category, site, instrumentation_landing, faulted_step)) = injected else {
         return Ok(None);
@@ -403,10 +458,10 @@ pub(crate) fn run_trial_inner(
 
     // Phase 2: run to an outcome (the faulted step itself may already have
     // produced one). With snapshots available and no tracer attached, the
-    // loop additionally performs convergence pruning: whenever the trial is
-    // about to execute a dynamic branch for which the golden run holds a
-    // checkpoint, and the trial's architectural state is bit-identical to
-    // that checkpoint (CPU including counters and the output stream, every
+    // run additionally performs convergence pruning: it bursts to each
+    // later dynamic branch for which the golden run holds a checkpoint, and
+    // if the trial's architectural state is bit-identical to that
+    // checkpoint (CPU including counters and the output stream, every
     // written page — the code cache among them — and page permissions),
     // the deterministic remainder *is* the golden remainder. The outcome is
     // then provably Benign with exactly the latency the full run would
@@ -416,45 +471,41 @@ pub(crate) fn run_trial_inner(
         None => usable,
         Some(_) => None,
     };
-    let mut boundaries = prune.map(|s| s.after(nth).iter()).into_iter().flatten().peekable();
-    // The faulted step consumed dynamic branch `nth`; later trial branch
-    // indices only stay aligned with golden's while the paths coincide —
-    // exactly the situation state equality certifies, and misaligned
-    // comparisons simply fail (the CPU's retired counters differ).
-    let mut trial_branch = nth;
-    let mut pending = Some(faulted_step);
-    let (outcome, pruned_latency) = loop {
-        if m.cpu.stats().insts >= budget {
-            break (Outcome::Timeout, None);
-        }
-        let step = match pending.take() {
-            Some(DbtStep::Continue) | None => {
-                if boundaries.peek().is_some()
-                    && m.peek_inst().map(|i| i.is_branch()).unwrap_or(false)
-                {
-                    trial_branch += 1;
-                    while boundaries.next_if(|s| s.branch_index < trial_branch).is_some() {}
-                    if let Some(snap) = boundaries.next_if(|s| s.branch_index == trial_branch) {
-                        if snap.machine.matches(&m) {
-                            prune.expect("pruning implies a snapshot set").note_pruned();
-                            break (Outcome::Benign, Some(golden.insts - insts_at_injection));
-                        }
-                    }
+    let mut boundaries = prune.map_or(&[][..], |s| s.after(nth)).iter();
+    let end = match faulted_step {
+        _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
+        DbtStep::Halted => Advance::Halted,
+        DbtStep::Exit(t) => Advance::Trapped(t),
+        DbtStep::Continue => loop {
+            // Checkpoints the trial has already run past cannot match (the
+            // retired-branch counters differ).
+            let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
+            let target = next.map_or(u64::MAX, |s| s.branch_index);
+            match advance_to_branch(&mut m, &mut dbt, target, budget, fused, &mut stepped) {
+                Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
+                    break Advance::AtBranch
                 }
-                dbt.step(&mut m)
+                Advance::AtBranch => {}
+                end => break end,
             }
-            Some(other) => other,
-        };
-        match step {
-            DbtStep::Continue => {}
-            DbtStep::Halted => {
-                let ok = m.cpu.output() == golden.output.as_slice()
-                    && m.cpu.reg(cfed_isa::Reg::R0) == golden.exit_code;
-                break (if ok { Outcome::Benign } else { Outcome::Sdc }, None);
-            }
-            DbtStep::Exit(t) => break (outcome_of_trap(t), None),
-        }
+        },
     };
+    let (outcome, pruned_latency) = match end {
+        Advance::AtBranch => {
+            prune.expect("pruning implies a snapshot set").note_pruned();
+            (Outcome::Benign, Some(golden.insts - insts_at_injection))
+        }
+        Advance::OutOfBudget => (Outcome::Timeout, None),
+        Advance::Halted => {
+            let ok = m.cpu.output() == golden.output.as_slice()
+                && m.cpu.reg(cfed_isa::Reg::R0) == golden.exit_code;
+            (if ok { Outcome::Benign } else { Outcome::Sdc }, None)
+        }
+        Advance::Trapped(t) => (outcome_of_trap(t), None),
+    };
+    if let Some(s) = usable {
+        s.note_insts(m.cpu.stats().insts - insts_at_start - stepped, stepped);
+    }
 
     let result = InjectionResult {
         outcome,

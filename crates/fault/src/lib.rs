@@ -47,7 +47,7 @@ pub use campaign::{
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
 pub use forensics::{AttackForensics, ForensicsBundle, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    golden_run, inject, inject_traced, inject_traced_with, inject_with, FaultSpec, Golden,
-    InjectionResult, Outcome, WorkloadError,
+    advance_to_branch, golden_run, inject, inject_traced, inject_traced_with, inject_with, Advance,
+    FaultSpec, Golden, InjectionResult, Outcome, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

@@ -5,8 +5,8 @@
 //! re-translation per trial. During the golden run this module captures
 //! periodic `(Machine, Dbt)` snapshots keyed by dynamic-branch index;
 //! [`crate::inject::inject_with`] then restores the nearest snapshot
-//! at-or-below the target branch and steps only the residual prefix,
-//! reusing the translated code cache instead of re-translating.
+//! at-or-below the target branch and bursts through only the residual
+//! prefix, reusing the translated code cache instead of re-translating.
 //!
 //! Both halves of a snapshot are captured at the same instant and restored
 //! together: the [`cfed_sim::MachineSnapshot`] holds the architectural
@@ -59,6 +59,8 @@ pub struct SnapshotSet {
     fast_forwarded: Counter,
     stepped: Counter,
     pruned: Counter,
+    insts_fused: Counter,
+    insts_stepped: Counter,
 }
 
 impl std::fmt::Debug for SnapshotSet {
@@ -152,6 +154,13 @@ impl SnapshotSet {
         self.pruned.inc();
     }
 
+    /// Records a trial's instructions: `fused` retired in block-fused
+    /// bursts, `stepped` single-stepped.
+    pub(crate) fn note_insts(&self, fused: u64, stepped: u64) {
+        self.insts_fused.add(fused);
+        self.insts_stepped.add(stepped);
+    }
+
     /// A point-in-time copy of the set's shape and usage counters.
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
@@ -163,6 +172,8 @@ impl SnapshotSet {
             branches_fast_forwarded: self.fast_forwarded.get(),
             branches_stepped: self.stepped.get(),
             benign_pruned: self.pruned.get(),
+            insts_fused: self.insts_fused.get(),
+            insts_stepped: self.insts_stepped.get(),
         }
     }
 }
@@ -185,11 +196,16 @@ pub struct SnapshotStats {
     pub misses: u64,
     /// Prefix branches skipped by restoring instead of stepping.
     pub branches_fast_forwarded: u64,
-    /// Prefix branches stepped after the restore point (or from scratch).
+    /// Prefix branches executed after the restore point (or from scratch).
     pub branches_stepped: u64,
     /// Trials whose post-injection state converged back onto a golden
     /// checkpoint, skipping the (provably benign) remainder of the run.
     pub benign_pruned: u64,
+    /// Trial instructions retired in block-fused bursts.
+    pub insts_fused: u64,
+    /// Trial instructions single-stepped: the faulted instruction, the
+    /// non-branch tail before each stop, and traced runs.
+    pub insts_stepped: u64,
 }
 
 impl SnapshotStats {
@@ -203,6 +219,8 @@ impl SnapshotStats {
         self.branches_fast_forwarded += other.branches_fast_forwarded;
         self.branches_stepped += other.branches_stepped;
         self.benign_pruned += other.benign_pruned;
+        self.insts_fused += other.insts_fused;
+        self.insts_stepped += other.insts_stepped;
     }
 }
 
@@ -223,6 +241,15 @@ impl SnapshotBuilder {
             snapshots: Vec::new(),
             tracker: SnapshotTracker::new(),
         }
+    }
+
+    /// The first dynamic branch at or after `branch_index` that
+    /// [`SnapshotBuilder::observe_branch`] may capture at: the golden run
+    /// bursts from one such point to the next instead of stopping at every
+    /// branch. Thinning only ever lengthens the interval, so no capture
+    /// point is skipped.
+    pub(crate) fn next_capture(&self, branch_index: u64) -> u64 {
+        branch_index.next_multiple_of(self.interval)
     }
 
     /// Called by the golden run when it is about to execute dynamic branch
@@ -267,6 +294,8 @@ impl SnapshotBuilder {
             fast_forwarded: Counter::new(),
             stepped: Counter::new(),
             pruned: Counter::new(),
+            insts_fused: Counter::new(),
+            insts_stepped: Counter::new(),
         }
     }
 }
@@ -359,6 +388,8 @@ mod tests {
             branches_fast_forwarded: 40,
             branches_stepped: 7,
             benign_pruned: 2,
+            insts_fused: 90,
+            insts_stepped: 9,
         };
         let mut b = a;
         b.absorb(&a);
@@ -367,5 +398,7 @@ mod tests {
         assert_eq!(b.bytes, 200);
         assert_eq!(b.branches_fast_forwarded, 80);
         assert_eq!(b.benign_pruned, 4);
+        assert_eq!(b.insts_fused, 180);
+        assert_eq!(b.insts_stepped, 18);
     }
 }

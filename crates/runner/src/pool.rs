@@ -933,6 +933,8 @@ pub fn run_matrix(
             .u64("branches_fast_forwarded", perf.snapshots.branches_fast_forwarded)
             .u64("branches_stepped", perf.snapshots.branches_stepped)
             .u64("benign_pruned", perf.snapshots.benign_pruned)
+            .u64("insts_fused", perf.snapshots.insts_fused)
+            .u64("insts_stepped", perf.snapshots.insts_stepped)
     });
 
     let mut cell_results = Vec::with_capacity(cells.len());

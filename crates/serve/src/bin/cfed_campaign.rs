@@ -1200,6 +1200,8 @@ fn perf_record(perf: &RunPerf) -> Json {
         ("branches_fast_forwarded", Json::UInt(perf.snapshots.branches_fast_forwarded)),
         ("branches_stepped", Json::UInt(perf.snapshots.branches_stepped)),
         ("benign_pruned", Json::UInt(perf.snapshots.benign_pruned)),
+        ("insts_fused", Json::UInt(perf.snapshots.insts_fused)),
+        ("insts_stepped", Json::UInt(perf.snapshots.insts_stepped)),
     ])
 }
 

@@ -538,10 +538,17 @@ impl Cpu {
     /// executing page's write generation, at any transfer off the page or
     /// to an unaligned target, on halt, trap or the budget.
     ///
-    /// Equivalent to calling [`Cpu::step`] `max` times: same architectural
+    /// The burst also ends right after `max_branches` branches retire
+    /// (counted as [`ExecStats::branches`] counts them), so supervisors can
+    /// stop at a chosen dynamic branch without inspecting every
+    /// instruction: the limit is checked only on the branch path, where the
+    /// branch counters are already updated.
+    ///
+    /// Equivalent to calling [`Cpu::step`] up to `max` times, stopping
+    /// after the `max_branches`-th retired branch: same architectural
     /// state, same statistics, and the same trap at the same instruction
     /// (with `traps` advanced and nothing committed). Returns
-    /// `Ok(Step::Continue)` when the budget is exhausted, `Ok(Step::Halt)`
+    /// `Ok(Step::Continue)` when either budget is exhausted, `Ok(Step::Halt)`
     /// when a `halt` retires.
     ///
     /// # Errors
@@ -552,11 +559,12 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        max_branches: u64,
     ) -> Result<Step, Trap> {
         // The scratch profiler is never touched: the `PROF = false`
         // instantiation contains no profiling code, so this path is the
         // exact pre-profiler loop.
-        self.run_fused_impl::<false>(mem, icache, max, &mut ExecProfiler::new())
+        self.run_fused_impl::<false>(mem, icache, max, max_branches, &mut ExecProfiler::new())
     }
 
     /// As [`Cpu::run_fused`], recording every retirement's address and
@@ -573,9 +581,10 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        max_branches: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
-        self.run_fused_impl::<true>(mem, icache, max, prof)
+        self.run_fused_impl::<true>(mem, icache, max, max_branches, prof)
     }
 
     fn run_fused_impl<const PROF: bool>(
@@ -583,6 +592,7 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        max_branches: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
         // Per-class cycle costs under the *current* cost model, so cached
@@ -605,7 +615,7 @@ impl Cpu {
         // `self.ip` (a trapping instruction never commits its successor).
         let mut ip = self.ip;
         let result = 'outer: loop {
-            if retired >= max {
+            if retired >= max || d_branches >= max_branches {
                 break Ok(Step::Continue);
             }
             debug_assert!(!self.halted, "stepping a halted cpu");
@@ -696,6 +706,7 @@ impl Cpu {
                 } else {
                     ip = next;
                     if retired >= max
+                        || d_branches >= max_branches
                         || (line.writes_mem && mem.page_gen(pi) != gen)
                         || !next.is_multiple_of(INST_SIZE_U64)
                         || next < page_base
@@ -727,7 +738,7 @@ impl Cpu {
         icache: &mut DecodedCache,
         max_steps: u64,
     ) -> ExitReason {
-        match self.run_fused(mem, icache, max_steps) {
+        match self.run_fused(mem, icache, max_steps, u64::MAX) {
             Ok(Step::Halt) => ExitReason::Halted { code: self.reg(Reg::R0) },
             Ok(Step::Continue) => ExitReason::StepLimit,
             Err(trap) => ExitReason::Trapped(trap),

@@ -225,24 +225,28 @@ impl Machine {
 
     /// Runs up to `max_steps` instructions through the fused decoded path
     /// (falling back to per-instruction stepping when no decode cache is
-    /// attached), returning the raw supervisor-level step result instead of
-    /// an [`ExitReason`] — the DBT's dispatch loop wants the trap itself.
+    /// attached), stopping early right after `max_branches` branches
+    /// retire. Returns the raw supervisor-level step result instead of an
+    /// [`ExitReason`] — the DBT's dispatch loop wants the trap itself.
     /// The attached tracer, if any, is *not* fed (callers that trace must
     /// use [`Machine::step_cpu`]).
     ///
     /// # Errors
     ///
-    /// The first trap raised, exactly as `max_steps` individual steps.
-    pub fn run_burst(&mut self, max_steps: u64) -> Result<Step, Trap> {
+    /// The first trap raised, exactly as the equivalent individual steps.
+    pub fn run_burst(&mut self, max_steps: u64, max_branches: u64) -> Result<Step, Trap> {
         match (&mut self.icache, &mut self.profiler) {
-            (Some(ic), Some(p)) => self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, p),
-            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps),
+            (Some(ic), Some(p)) => {
+                self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, max_branches, p)
+            }
+            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps, max_branches),
             (None, _) => {
-                let mut used = 0;
-                while used < max_steps {
-                    match self.cpu.step(&mut self.mem)? {
-                        Step::Halt => return Ok(Step::Halt),
-                        Step::Continue => used += 1,
+                let (insts, branches) = (self.cpu.stats().insts, self.cpu.stats().branches);
+                while self.cpu.stats().insts - insts < max_steps
+                    && self.cpu.stats().branches - branches < max_branches
+                {
+                    if self.cpu.step(&mut self.mem)? == Step::Halt {
+                        return Ok(Step::Halt);
                     }
                 }
                 Ok(Step::Continue)
@@ -265,7 +269,7 @@ impl Machine {
     pub fn run(&mut self, max_steps: u64) -> ExitReason {
         match (&mut self.icache, &mut self.profiler) {
             (Some(ic), Some(p)) => {
-                match self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, p) {
+                match self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, u64::MAX, p) {
                     Ok(Step::Halt) => ExitReason::Halted { code: self.cpu.reg(cfed_isa::Reg::R0) },
                     Ok(Step::Continue) => ExitReason::StepLimit,
                     Err(trap) => ExitReason::Trapped(trap),

@@ -75,12 +75,14 @@ fn arb_word() -> impl Strategy<Value = [u8; 8]> {
     })
 }
 
-/// One external event: run up to `steps` instructions, then (maybe) write
-/// `word` into the code region at `slot` — the SMC-from-outside case (DBT
-/// chain patching, fault injection) the cache must observe.
+/// One external event: run up to `steps` instructions — stopping early
+/// right after `max_branches` branches retire, when set — then (maybe)
+/// write `word` into the code region at `slot` — the SMC-from-outside case
+/// (DBT chain patching, fault injection) the cache must observe.
 #[derive(Debug, Clone)]
 struct Op {
     steps: u64,
+    max_branches: Option<u64>,
     write: Option<(u64, [u8; 8])>,
 }
 
@@ -90,7 +92,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..(CODE_PAGES * PAGE_SIZE / INST_SIZE_U64), arb_word())
             .prop_map(|(slot, word)| Some((slot * INST_SIZE_U64, word))),
     ];
-    (0u64..40, write).prop_map(|(steps, write)| Op { steps, write })
+    let max_branches = prop_oneof![Just(None), (0u64..6).prop_map(Some)];
+    (0u64..40, max_branches, write).prop_map(|(steps, max_branches, write)| Op {
+        steps,
+        max_branches,
+        write,
+    })
 }
 
 fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
@@ -133,14 +140,23 @@ fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<
     for op in ops {
         if live {
             let end = match path {
-                Path::Fused => match cpu.run_fused(&mut mem, &mut icache, op.steps) {
+                Path::Fused => match cpu.run_fused(
+                    &mut mem,
+                    &mut icache,
+                    op.steps,
+                    op.max_branches.unwrap_or(u64::MAX),
+                ) {
                     Ok(Step::Continue) => SegEnd::Budget,
                     Ok(Step::Halt) => SegEnd::Halt,
                     Err(t) => SegEnd::Trap(t),
                 },
                 Path::Raw | Path::Stepped => {
                     let mut end = SegEnd::Budget;
+                    let branches = cpu.stats().branches;
                     for _ in 0..op.steps {
+                        if op.max_branches.is_some_and(|n| cpu.stats().branches - branches >= n) {
+                            break;
+                        }
                         let step = match path {
                             Path::Raw => cpu.step(&mut mem),
                             _ => cpu.step_decoded(&mut mem, &mut icache),
@@ -175,8 +191,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random code-page writes interleaved with execution: the decoded
-    /// stepping path and the fused burst path are bit-identical to raw
-    /// decode in results, traps, stats, dirty log and memory.
+    /// stepping path and the fused burst path — branch-budgeted or not —
+    /// are bit-identical to raw decode in results, traps, stats, dirty log
+    /// and memory.
     #[test]
     fn decoded_paths_bit_identical_to_raw(
         words in prop::collection::vec(arb_word(), 1..96),
@@ -196,7 +213,7 @@ proptest! {
         words in prop::collection::vec(arb_word(), 1..96),
         budget in 1u64..600,
     ) {
-        let ops = [Op { steps: budget, write: None }];
+        let ops = [Op { steps: budget, max_branches: None, write: None }];
         let raw = execute(&words, &ops, Path::Raw);
         let stepped = execute(&words, &ops, Path::Stepped);
         let fused = execute(&words, &ops, Path::Fused);
