@@ -4,7 +4,7 @@
 //! behaviours the stack's counters can distinguish: which opcode classes
 //! executed, how the run ended, whether the decode cache hit / missed /
 //! invalidated, which DBT mechanisms fired (SMC flushes, retranslations,
-//! evictions, jump inlining, chaining, dispatch inline-cache hits) and
+//! evictions, chaining, dispatch inline-cache hits) and
 //! log-bucketed magnitudes (blocks translated, output length, retired
 //! instructions). A program is retained in the corpus iff its fingerprint
 //! sets a bit no earlier program set — cheap, deterministic, and directly
@@ -22,7 +22,9 @@ use cfed_sim::{Machine, Step, Trap};
 /// * 32–41: exit kind (halt, step-limit, one bit per trap variant)
 /// * 44–46: decode cache hits / misses / invalidations observed
 /// * 48–54: DBT counters nonzero (smc_flushes, retranslations,
-///   cache_evictions, inlined_jumps, chains, dispatch_ic_hits, dispatches)
+///   cache_evictions, —, chains, dispatch_ic_hits, dispatches); bit 51 is
+///   reserved (it tracked the removed jump inliner, which was never on in
+///   the oracle matrix), so fingerprints keep their layout
 /// * 56–59: log₂ bucket of blocks translated
 /// * 60–63: log₂ bucket of output length
 /// * 64–69: log₂ bucket of retired instructions
@@ -141,20 +143,16 @@ pub fn fingerprint(prog: &GeneratedProgram, report: &OracleReport, max_insts: u6
         report.runs.iter().find(|r| r.id.engine == Engine::DbtFused && r.id.technique.is_none())
     {
         if let Some(s) = &base.dbt {
-            for (i, v) in [
-                s.smc_flushes,
-                s.retranslations,
-                s.cache_evictions,
-                s.inlined_jumps,
-                s.chains,
-                s.dispatch_ic_hits,
-                s.dispatches,
-            ]
-            .iter()
-            .enumerate()
-            {
-                if *v > 0 {
-                    bits |= 1u128 << (48 + i as u32);
+            for (bit, v) in [
+                (48, s.smc_flushes),
+                (49, s.retranslations),
+                (50, s.cache_evictions),
+                (52, s.chains),
+                (53, s.dispatch_ic_hits),
+                (54, s.dispatches),
+            ] {
+                if v > 0 {
+                    bits |= 1u128 << bit;
                 }
             }
             bits |= 1u128 << (56 + log2_bucket(s.blocks));

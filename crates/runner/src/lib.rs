@@ -8,12 +8,16 @@
 //! * [`matrix`] — a campaign matrix (workload × technique × update style ×
 //!   policy) exploded into fixed-size shards whose RNG seeds depend only
 //!   on `(campaign seed, shard index)`;
-//! * [`pool`] — a `std::thread` worker pool executing shards with
-//!   per-worker image/golden caches and panic isolation; merged per-cell
-//!   tallies are bit-identical to the serial [`cfed_fault::Campaign::run`]
-//!   path for any thread count or scheduling order;
-//! * [`retry`] — the bounded-retry/backoff policy for failed shards,
-//!   shared (type and semantics) with the `cfed-serve` campaign service;
+//! * [`scheduler`] — the one unit scheduler: store opening and resume,
+//!   pending queue, leases, retry re-queue, duplicate filtering, the single
+//!   store writer and the per-unit telemetry, over a pluggable transport
+//!   (in-process channels here, TCP in `cfed-serve`);
+//! * [`pool`] — in-process execution: `std::thread` unit executors with
+//!   per-thread image caches, a shared golden cache and panic isolation;
+//!   merged per-cell tallies are bit-identical to the serial
+//!   [`cfed_fault::Campaign::run`] path for any thread count or schedule;
+//! * [`retry`] — the bounded-retry/backoff policy the scheduler applies to
+//!   failed units;
 //! * [`store`] — a checkpointed JSONL result store: every finished shard
 //!   is appended and flushed, so a killed run resumes by skipping
 //!   persisted shards (half-written trailing lines are detected and
@@ -61,6 +65,7 @@ pub mod matrix;
 pub mod pool;
 pub mod report;
 pub mod retry;
+pub mod scheduler;
 pub mod store;
 
 pub use cfed_telemetry::json;

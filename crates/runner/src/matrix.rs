@@ -198,27 +198,6 @@ pub struct CampaignMatrix {
 }
 
 impl CampaignMatrix {
-    /// A matrix over the paper's six coverage configurations (baseline +
-    /// five techniques) for one update style, ALLBB policy.
-    pub fn coverage(
-        workloads: Vec<WorkloadSpec>,
-        style: UpdateStyle,
-        trials: u64,
-        seed: u64,
-    ) -> CampaignMatrix {
-        let mut techniques: Vec<Option<TechniqueKind>> = vec![None];
-        techniques.extend(TechniqueKind::ALL_FIVE.into_iter().map(Some));
-        CampaignMatrix {
-            workloads,
-            techniques,
-            styles: vec![style],
-            policies: vec![CheckPolicy::AllBb],
-            trials,
-            seed,
-            attacks: vec![None],
-        }
-    }
-
     /// The adversarial matrix: every attack archetype against the paper's
     /// six coverage configurations (baseline + five techniques), CMOVcc
     /// style, ALLBB policy — the detection-frontier experiment behind
@@ -293,6 +272,29 @@ impl CampaignMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CampaignMatrix {
+        /// A matrix over the paper's six coverage configurations (baseline
+        /// + five techniques) for one update style, ALLBB policy.
+        fn coverage(
+            workloads: Vec<WorkloadSpec>,
+            style: UpdateStyle,
+            trials: u64,
+            seed: u64,
+        ) -> CampaignMatrix {
+            let mut techniques: Vec<Option<TechniqueKind>> = vec![None];
+            techniques.extend(TechniqueKind::ALL_FIVE.into_iter().map(Some));
+            CampaignMatrix {
+                workloads,
+                techniques,
+                styles: vec![style],
+                policies: vec![CheckPolicy::AllBb],
+                trials,
+                seed,
+                attacks: vec![None],
+            }
+        }
+    }
 
     #[test]
     fn cell_keys_are_unique_and_stable() {

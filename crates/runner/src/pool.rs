@@ -1,40 +1,39 @@
-//! The worker pool: executes a campaign matrix's shards on `std::thread`
-//! workers, checkpointing each finished shard to the JSONL store.
+//! In-process campaign execution: [`run_matrix`] runs a campaign matrix's
+//! shards on `std::thread` [`UnitExecutor`]s, scheduled by the one
+//! [`Scheduler`] over an `mpsc` channel transport.
 //!
-//! Workers pop [`ShardTask`]s from a shared queue and send results over a
-//! channel to the main thread, which is the store's single writer. Each
-//! worker keeps its own compiled-image cache, while golden runs — and the
-//! fast-forward [`SnapshotSet`]s captured alongside them — live in one
-//! pool-wide cache keyed on the cell's golden identity, so every worker
-//! shares a single translated code cache per `(image, config)` instead of
-//! re-golden-running per thread. Shard panics and fault-free-run failures
-//! are caught and recorded as failed shards (retried on a later resume)
-//! instead of taking the pool down.
+//! Each executor keeps its own compiled-image cache; golden runs and their
+//! fast-forward [`SnapshotSet`]s live in one shared [`GoldenCache`], so one
+//! translated code cache per `(image, config)` serves every thread. Shard
+//! panics and fault-free-run failures are caught and reported as failed
+//! attempts instead of taking the pool down.
 //!
 //! Determinism: a shard's tallies depend only on `(cell, shard index)` —
 //! see [`crate::matrix`] — so the merged per-cell reports are bit-identical
 //! to the serial [`cfed_fault::Campaign::run`] path for any thread count.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::IsTerminal as _;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use cfed_asm::Image;
 use cfed_core::{profile_dbt, RunConfig};
 use cfed_fault::{
-    golden_run, AttackForensics, AttackSpec, CampaignReport, FaultSpec, ForensicsBundle, Golden,
-    SnapshotSet, SnapshotStats, WorkloadError, DEFAULT_TRACE_WINDOW,
+    golden_run, AttackForensics, CampaignReport, ForensicsBundle, Golden, SnapshotSet,
+    SnapshotStats, WorkloadError, DEFAULT_TRACE_WINDOW,
 };
-use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
+use cfed_telemetry::{Event, Profile, Telemetry};
 
 use crate::json::Json;
-use crate::matrix::{CampaignMatrix, CellSpec, ShardTask};
+use crate::matrix::{CampaignMatrix, CellSpec};
 use crate::retry::RetryPolicy;
-use crate::store::{CampaignStore, ShardTallies, StoreHeader};
+use crate::scheduler::{Lease, Msg, Scheduler, Transport, UnitDone};
+use crate::store::{CampaignStore, ShardTallies};
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
@@ -61,8 +60,8 @@ pub struct RunnerOptions {
     /// them (the default). Disable to force every trial to replay its
     /// fault-free prefix from scratch — outcomes are identical either way.
     pub snapshots: bool,
-    /// Bounded retry with backoff for failed shards — the same policy (and
-    /// config type) `cfed-serve` applies to expired or failed leases. Each
+    /// Bounded retry with backoff for failed shards: the scheduler
+    /// re-queues a failed attempt until the policy's budget is spent. Each
     /// failed attempt is reported via `shard_failed` telemetry; only the
     /// final outcome reaches the store.
     pub retry: RetryPolicy,
@@ -86,72 +85,6 @@ impl Default for RunnerOptions {
             snapshots: true,
             retry: RetryPolicy::default(),
             profile: false,
-        }
-    }
-}
-
-/// The live stderr status line (`done/total | shards/s | ETA`).
-///
-/// Shown only when stderr is a terminal — redirected runs get the plain
-/// per-shard lines behind `RunnerOptions::progress` instead — and colored
-/// only when `NO_COLOR` is unset (per the no-color convention, any
-/// non-empty value disables color). Progress writes exclusively to stderr;
-/// the result store has its own dedicated file writer, so progress output
-/// can never interleave with store records.
-struct ProgressLine {
-    live: bool,
-    color: bool,
-    start: Instant,
-    open: bool,
-}
-
-impl ProgressLine {
-    fn new(quiet: bool) -> ProgressLine {
-        let live = !quiet && std::io::stderr().is_terminal();
-        let color = live && std::env::var_os("NO_COLOR").is_none_or(|v| v.is_empty());
-        ProgressLine { live, color, start: Instant::now(), open: false }
-    }
-
-    fn update(&mut self, done: usize, failed: usize, total: usize) {
-        if !self.live {
-            return;
-        }
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
-        let eta = if rate > 0.0 {
-            format!("{}s", ((total.saturating_sub(done)) as f64 / rate).round() as u64)
-        } else {
-            "?".to_string()
-        };
-        let failures = if failed > 0 { format!(", {failed} failed") } else { String::new() };
-        let body = format!(
-            "cfed-runner: {done}/{total} shards{failures} | {rate:.1} shards/s | ETA {eta}"
-        );
-        if self.color {
-            eprint!("\r\x1b[2K\x1b[36m{body}\x1b[0m");
-        } else {
-            eprint!("\r{body:<78}");
-        }
-        self.open = true;
-    }
-
-    /// Clears the live line so a regular stderr message starts on a clean
-    /// column.
-    fn clear(&mut self) {
-        if self.open {
-            if self.color {
-                eprint!("\r\x1b[2K");
-            } else {
-                eprint!("\r{:<78}\r", "");
-            }
-            self.open = false;
-        }
-    }
-
-    fn finish(&mut self) {
-        if self.open {
-            eprintln!();
-            self.open = false;
         }
     }
 }
@@ -286,55 +219,6 @@ impl RunSummary {
     pub fn complete(&self) -> bool {
         self.cells.iter().all(CellResult::complete)
     }
-
-    /// Looks up a completed cell's report by workload key and configuration.
-    pub fn report_for(&self, cell_key: &str) -> Option<&CampaignReport> {
-        self.cells.iter().find(|c| c.key == cell_key).and_then(|c| c.report.as_ref())
-    }
-}
-
-enum ShardOutcome {
-    Ok(Box<ShardTallies>),
-    Failed(String),
-}
-
-struct ShardDone {
-    task: ShardTask,
-    key: String,
-    outcome: ShardOutcome,
-    /// Errors of failed attempts that preceded `outcome` (bounded retry).
-    attempt_errors: Vec<String>,
-    /// The cell's golden run, sent with the first shard a worker completes
-    /// for a cell so the main thread can build reports without recomputing.
-    golden: Option<Golden>,
-    /// The cell's execution profile (when profiling is enabled); the main
-    /// thread persists it once per cell.
-    profile: Option<Arc<Profile>>,
-    /// Serialized forensics bundles captured for this shard.
-    forensics: Vec<Json>,
-    /// Trials that warranted a bundle (may exceed `forensics.len()` when
-    /// the per-shard cap truncated the captures).
-    forensics_wanted: u64,
-}
-
-/// Per-worker cache of compiled images, keyed by the workload identity
-/// string (compilation is cheap; sharing it across threads isn't worth a
-/// lock on the hot path).
-#[derive(Default)]
-struct WorkerCache {
-    images: HashMap<String, Arc<Image>>,
-}
-
-impl WorkerCache {
-    fn image(&mut self, cell: &CellSpec) -> Result<Arc<Image>, String> {
-        let key = cell.workload.key();
-        if let Some(img) = self.images.get(&key) {
-            return Ok(Arc::clone(img));
-        }
-        let img = Arc::new(cell.workload.image()?);
-        self.images.insert(key, Arc::clone(&img));
-        Ok(img)
-    }
 }
 
 /// A cell's golden run plus the snapshot set captured alongside it
@@ -402,8 +286,7 @@ impl GoldenCache {
 pub struct UnitRun {
     /// The shard's persisted tallies, or the failure message.
     pub tallies: Result<Box<ShardTallies>, String>,
-    /// The cell's golden run, when it was computable (present even for
-    /// shard-level failures so callers can still assemble partial reports).
+    /// The cell's golden run (`None` when the unit failed).
     pub golden: Option<Golden>,
     /// The cell's execution profile, when the shared cache collects them
     /// (every unit of a cell carries the same `Arc`'d profile; the store
@@ -416,12 +299,14 @@ pub struct UnitRun {
     pub forensics_wanted: u64,
 }
 
-/// Executes single work units against a shared [`GoldenCache`] — the unit
-/// extraction the worker pool and the `cfed-serve` worker processes share.
+/// Executes single work units against a shared [`GoldenCache`] — what the
+/// in-process executor threads and the `cfed-serve` worker processes share.
 /// One executor per thread; the image cache inside is thread-local, the
 /// golden/snapshot cache is whatever the caller shares.
 pub struct UnitExecutor {
-    cache: WorkerCache,
+    /// Compiled images by workload key (compilation is cheap; sharing it
+    /// across threads isn't worth a lock on the hot path).
+    images: HashMap<String, Arc<Image>>,
     goldens: Arc<GoldenCache>,
     forensics: bool,
 }
@@ -430,50 +315,97 @@ impl UnitExecutor {
     /// An executor over `goldens`; `forensics` re-injects interesting
     /// trials with a tracer and captures bundles.
     pub fn new(goldens: Arc<GoldenCache>, forensics: bool) -> UnitExecutor {
-        UnitExecutor { cache: WorkerCache::default(), goldens, forensics }
+        UnitExecutor { images: HashMap::new(), goldens, forensics }
     }
 
     /// Runs shard `shard_index` of `cell`. Deterministic in
     /// `(cell, shard_index)`: any executor on any host produces identical
-    /// tallies. Panics inside the unit are caught and surface as `Err`.
+    /// tallies. Panics anywhere in the unit — compiling the workload,
+    /// the golden run, the trials — are caught and surface as `Err`.
     pub fn run(&mut self, cell: &CellSpec, shard_index: u64) -> UnitRun {
-        let run = run_shard(&mut self.cache, &self.goldens, cell, shard_index, self.forensics);
-        let tallies = match run.outcome {
-            ShardOutcome::Ok(tallies) => Ok(tallies),
-            ShardOutcome::Failed(e) => Err(e),
+        let (images, goldens, forensics) = (&mut self.images, &self.goldens, self.forensics);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let image = match images.entry(cell.workload.key()) {
+                Entry::Occupied(e) => Arc::clone(e.get()),
+                Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(cell.workload.image()?))),
+            };
+            let PreparedGolden { golden, snapshots, profile } = goldens.get(cell, &image)?;
+            let (snaps, config, window) =
+                (snapshots.as_deref(), &cell.config, DEFAULT_TRACE_WINDOW);
+            let shard_failed = |e: WorkloadError| format!("shard failed: {e}");
+            // Forensics re-injects the trials that warranted a bundle (fault
+            // specs for classic cells, attack specs for attack cells) with a
+            // tracer attached.
+            let (report, bundles, wanted) = if let Some(attack) = cell.attack_campaign() {
+                let mut specs = Vec::new();
+                let report = attack
+                    .run_shard_with(&image, &golden, snaps, shard_index, |s, r| {
+                        if forensics && ForensicsBundle::wanted(r) {
+                            specs.push(s);
+                        }
+                    })
+                    .map_err(shard_failed)?;
+                let bundles = specs.iter().take(MAX_FORENSICS_PER_SHARD).filter_map(|&s| {
+                    AttackForensics::capture_with(&image, config, s, &golden, window, snaps)
+                });
+                (report, bundles.map(|b| b.to_json()).collect(), specs.len())
+            } else {
+                let mut specs = Vec::new();
+                let report = cell
+                    .campaign()
+                    .run_shard_with(&image, &golden, snaps, shard_index, |s, r| {
+                        if forensics && ForensicsBundle::wanted(r) {
+                            specs.push(s);
+                        }
+                    })
+                    .map_err(shard_failed)?;
+                let bundles = specs.iter().take(MAX_FORENSICS_PER_SHARD).filter_map(|&s| {
+                    ForensicsBundle::capture_with(&image, config, s, &golden, window, snaps)
+                });
+                (report, bundles.map(|b| b.to_json()).collect(), specs.len())
+            };
+            Ok::<_, String>(UnitRun {
+                tallies: Ok(Box::new(ShardTallies::from_report(&report))),
+                golden: Some((*golden).clone()),
+                profile,
+                forensics: bundles,
+                forensics_wanted: wanted as u64,
+            })
+        }));
+        let error = match result {
+            Ok(Ok(run)) => return run,
+            Ok(Err(e)) => e,
+            Err(e) => format!("shard panicked: {}", panic_message(&e)),
         };
         UnitRun {
-            tallies,
-            golden: run.golden,
-            profile: run.profile,
-            forensics: run.forensics,
-            forensics_wanted: run.forensics_wanted,
+            tallies: Err(error),
+            golden: None,
+            profile: None,
+            forensics: Vec::new(),
+            forensics_wanted: 0,
         }
     }
 
-    /// As [`UnitExecutor::run`], retrying failed attempts under `policy`
-    /// (sleeping the policy's backoff between attempts). Returns the final
-    /// outcome plus the errors of every failed attempt that preceded it.
-    pub fn run_with_retry(
-        &mut self,
-        cell: &CellSpec,
-        shard_index: u64,
-        policy: &RetryPolicy,
-    ) -> (UnitRun, Vec<String>) {
-        let mut attempt_errors = Vec::new();
-        loop {
-            let run = self.run(cell, shard_index);
-            match &run.tallies {
-                Ok(_) => return (run, attempt_errors),
-                Err(e) => {
-                    let attempts = attempt_errors.len() as u32 + 1;
-                    if !policy.allows(attempts) {
-                        return (run, attempt_errors);
-                    }
-                    attempt_errors.push(e.clone());
-                    std::thread::sleep(policy.backoff(attempts));
-                }
-            }
+    /// Runs `lease` (a unit of `cell`) and reports the outcome as the
+    /// scheduler message a worker sends back (as worker `0`, the in-process
+    /// transport's only worker; the TCP transport substitutes its own id).
+    pub fn execute(&mut self, cell: &CellSpec, lease: Lease) -> Msg {
+        let started = Instant::now();
+        let run = self.run(cell, lease.task.shard_index);
+        let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        match run.tallies {
+            Ok(tallies) => Msg::Done(Box::new(UnitDone {
+                worker: 0,
+                phase: lease.phase,
+                key: lease.key,
+                ms,
+                tallies: *tallies,
+                golden: run.golden,
+                profile: run.profile,
+                forensics: run.forensics,
+                forensics_wanted: run.forensics_wanted,
+            })),
+            Err(error) => Msg::Failed { phase: lease.phase, key: lease.key, error },
         }
     }
 }
@@ -513,6 +445,48 @@ fn prepare_golden(
     }
 }
 
+/// A lease with what an executor needs to run it.
+pub struct Job {
+    /// The phase's cells; the lease's cell index points here.
+    pub cells: Arc<Vec<CellSpec>>,
+    /// The phase's golden cache.
+    pub goldens: Arc<GoldenCache>,
+    /// The unit to run.
+    pub lease: Lease,
+}
+
+/// Spawns `threads` executor threads that run jobs from `jobs` until it
+/// closes and send each outcome to `out` — the executor pool of in-process
+/// runs and of `cfed-serve` worker processes. Each thread keeps one
+/// [`UnitExecutor`] per phase (private image cache, the phase's shared
+/// golden cache).
+pub fn spawn_executors<M: From<Msg> + Send + 'static>(
+    threads: usize,
+    forensics: bool,
+    jobs: mpsc::Receiver<Job>,
+    out: &mpsc::Sender<M>,
+) -> Vec<JoinHandle<()>> {
+    let jobs = Arc::new(Mutex::new(jobs));
+    let spawn = |_| {
+        let (jobs, out) = (Arc::clone(&jobs), out.clone());
+        std::thread::spawn(move || {
+            let mut executors: HashMap<usize, UnitExecutor> = HashMap::new();
+            loop {
+                // The guard drops before the unit runs.
+                let job = jobs.lock().expect("job queue poisoned").recv();
+                let Ok(Job { cells, goldens, lease }) = job else { break };
+                let executor = executors
+                    .entry(lease.phase)
+                    .or_insert_with(|| UnitExecutor::new(goldens, forensics));
+                if out.send(M::from(executor.execute(&cells[lease.task.cell], lease))).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    (0..threads).map(spawn).collect()
+}
+
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -529,124 +503,34 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// along in each bundle's event, so truncation is visible.
 const MAX_FORENSICS_PER_SHARD: usize = 8;
 
-/// Flight-recorder window: the recent events attached to each forensics
-/// bundle event (enough context to see the shards and retries leading up
-/// to an SDC/timeout without unbounded history).
-const FLIGHT_WINDOW: usize = 64;
+/// Leases per executor thread: one running, one queued, so no executor
+/// idles while the scheduler appends the previous result.
+const LEASES_PER_THREAD: usize = 2;
 
-struct ShardRun {
-    outcome: ShardOutcome,
-    golden: Option<Golden>,
-    profile: Option<Arc<Profile>>,
-    forensics: Vec<Json>,
-    forensics_wanted: u64,
+/// The in-process transport: one worker whose executor threads share a
+/// job queue and report back over a channel.
+struct Local {
+    jobs: mpsc::Sender<Job>,
+    cells: Arc<Vec<CellSpec>>,
+    goldens: Arc<GoldenCache>,
+    results: mpsc::Receiver<Msg>,
 }
 
-/// Trials of one shard that warranted a forensics capture — fault specs
-/// for classic cells, attack specs for attack cells. Either way the
-/// capture criterion is [`ForensicsBundle::wanted`].
-enum WantedSpecs {
-    Faults(Vec<FaultSpec>),
-    Attacks(Vec<AttackSpec>),
-}
-
-impl WantedSpecs {
-    fn len(&self) -> usize {
-        match self {
-            WantedSpecs::Faults(v) => v.len(),
-            WantedSpecs::Attacks(v) => v.len(),
-        }
+impl Transport for Local {
+    fn lease(&mut self, _worker: usize, lease: &Lease) -> bool {
+        let (cells, goldens) = (Arc::clone(&self.cells), Arc::clone(&self.goldens));
+        self.jobs.send(Job { cells, goldens, lease: lease.clone() }).is_ok()
     }
-}
 
-fn run_shard(
-    cache: &mut WorkerCache,
-    goldens: &GoldenCache,
-    cell: &CellSpec,
-    shard_index: u64,
-    forensics: bool,
-) -> ShardRun {
-    let failed = |message: String, golden: Option<Golden>| ShardRun {
-        outcome: ShardOutcome::Failed(message),
-        golden,
-        profile: None,
-        forensics: Vec::new(),
-        forensics_wanted: 0,
-    };
-    let image = match cache.image(cell) {
-        Ok(img) => img,
-        Err(e) => return failed(e, None),
-    };
-    let prepared = match goldens.get(cell, &image) {
-        Ok(p) => p,
-        Err(e) => return failed(e, None),
-    };
-    let PreparedGolden { golden, snapshots, profile } = prepared;
-    let snaps = snapshots.as_deref();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(attack) = cell.attack_campaign() {
-            let mut wanted: Vec<AttackSpec> = Vec::new();
-            let report =
-                attack.run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                    if forensics && ForensicsBundle::wanted(r) {
-                        wanted.push(spec);
-                    }
-                })?;
-            return Ok::<_, WorkloadError>((report, WantedSpecs::Attacks(wanted)));
-        }
-        let mut wanted: Vec<FaultSpec> = Vec::new();
-        let report =
-            cell.campaign().run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                if forensics && ForensicsBundle::wanted(r) {
-                    wanted.push(spec);
-                }
-            })?;
-        Ok::<_, WorkloadError>((report, WantedSpecs::Faults(wanted)))
-    }));
-    match result {
-        Ok(Ok((report, wanted))) => {
-            let bundles = match &wanted {
-                WantedSpecs::Faults(specs) => specs
-                    .iter()
-                    .take(MAX_FORENSICS_PER_SHARD)
-                    .filter_map(|&spec| {
-                        ForensicsBundle::capture_with(
-                            &image,
-                            &cell.config,
-                            spec,
-                            &golden,
-                            DEFAULT_TRACE_WINDOW,
-                            snaps,
-                        )
-                    })
-                    .map(|b| b.to_json())
-                    .collect(),
-                WantedSpecs::Attacks(specs) => specs
-                    .iter()
-                    .take(MAX_FORENSICS_PER_SHARD)
-                    .filter_map(|&spec| {
-                        AttackForensics::capture_with(
-                            &image,
-                            &cell.config,
-                            spec,
-                            &golden,
-                            DEFAULT_TRACE_WINDOW,
-                            snaps,
-                        )
-                    })
-                    .map(|b| b.to_json())
-                    .collect(),
-            };
-            ShardRun {
-                outcome: ShardOutcome::Ok(Box::new(ShardTallies::from_report(&report))),
-                golden: Some((*golden).clone()),
-                profile,
-                forensics: bundles,
-                forensics_wanted: wanted.len() as u64,
+    fn recv(&mut self, wake: Option<Instant>) -> Result<Option<Msg>, String> {
+        let wait = wake.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+        match self.results.recv_timeout(wait) {
+            Ok(msg) => Ok(Some(msg)),
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err("every executor thread exited".to_string())
             }
         }
-        Ok(Err(e)) => failed(format!("shard failed: {e}"), Some((*golden).clone())),
-        Err(e) => failed(format!("shard panicked: {}", panic_message(&e)), Some((*golden).clone())),
     }
 }
 
@@ -663,226 +547,29 @@ pub fn run_matrix(
     options: &RunnerOptions,
 ) -> Result<RunSummary, String> {
     let run_timer = Instant::now();
-    let cells = matrix.cells();
-    let all_shards = CampaignMatrix::shards(&cells);
-    let header = StoreHeader {
-        run_id: run_id.to_string(),
-        seed: matrix.seed,
-        trials: matrix.trials,
-        shard_trials: CampaignMatrix::shard_trials(),
-        digest: CampaignMatrix::digest(&cells),
-        total_shards: all_shards.len() as u64,
-    };
-    let mut store = match store_path {
-        Some(path) => CampaignStore::open(path, &header)?,
-        None => CampaignStore::in_memory(),
-    };
-
-    let mut pending: Vec<ShardTask> =
-        all_shards.iter().copied().filter(|t| !store.done.contains_key(&t.key(&cells))).collect();
-    let resumed_shards = (all_shards.len() - pending.len()) as u64;
-    if let Some(max) = options.max_shards {
-        pending.truncate(max);
-    }
-    let to_run = pending.len();
-    let executed_trials: u64 =
-        pending.iter().map(|t| cells[t.cell].campaign().shard_trials(t.shard_index)).sum();
-
-    // Cell goldens observed during this run (from workers) — saves the
-    // main thread recomputing them for report assembly.
-    let mut goldens: BTreeMap<usize, Golden> = BTreeMap::new();
+    let mut scheduler =
+        Scheduler::new(options.retry, &options.telemetry, options.quiet, options.progress);
+    let mut phase = scheduler.open_phase(run_id, 0, matrix, store_path, options.max_shards)?;
+    let to_run = phase.queued as usize;
+    let executed_trials = phase.queued_trials();
     let golden_cache = Arc::new(GoldenCache::new(options.snapshots, options.profile));
-    let mut retried_attempts = 0u64;
-
-    // The always-on flight recorder tees in front of the configured sink
-    // (or stands alone when telemetry is off), so anomaly paths can attach
-    // the recent-event window without changing what downstream sees.
-    let flight = Arc::new(match options.telemetry.sink() {
-        Some(inner) => FlightRecorder::tee(FLIGHT_WINDOW, inner),
-        None => FlightRecorder::new(FLIGHT_WINDOW),
-    });
-    let telemetry = Telemetry::to(Arc::clone(&flight) as Arc<dyn EventSink>);
 
     let threads = options.resolved_threads().min(to_run.max(1)).max(1);
     if to_run > 0 {
-        let queue = Mutex::new(pending.into_iter().collect::<std::collections::VecDeque<_>>());
-        let (tx, rx) = mpsc::channel::<ShardDone>();
-        let cells_ref = &cells;
-        let queue_ref = &queue;
-        let golden_cache_ref = &golden_cache;
-        let forensics_on = options.forensics;
-        let retry = options.retry;
-        std::thread::scope(|scope| -> Result<(), String> {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut executor =
-                        UnitExecutor::new(Arc::clone(golden_cache_ref), forensics_on);
-                    loop {
-                        let task = match queue_ref.lock().expect("queue poisoned").pop_front() {
-                            Some(t) => t,
-                            None => break,
-                        };
-                        let cell = &cells_ref[task.cell];
-                        let (run, attempt_errors) =
-                            executor.run_with_retry(cell, task.shard_index, &retry);
-                        let outcome = match run.tallies {
-                            Ok(tallies) => ShardOutcome::Ok(tallies),
-                            Err(e) => ShardOutcome::Failed(e),
-                        };
-                        let done = ShardDone {
-                            task,
-                            key: task.key(cells_ref),
-                            outcome,
-                            attempt_errors,
-                            golden: run.golden,
-                            profile: run.profile,
-                            forensics: run.forensics,
-                            forensics_wanted: run.forensics_wanted,
-                        };
-                        if tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Main thread: single store writer, checkpointing as results land.
-            let mut progress = ProgressLine::new(options.quiet);
-            let mut received = 0usize;
-            let mut failed = 0usize;
-            for done in rx {
-                received += 1;
-                let ShardDone {
-                    task,
-                    key,
-                    outcome,
-                    attempt_errors,
-                    golden,
-                    profile,
-                    forensics,
-                    forensics_wanted,
-                } = done;
-                if let (Some(g), false) = (golden, goldens.contains_key(&task.cell)) {
-                    goldens.insert(task.cell, g);
-                }
-                if let Some(p) = profile {
-                    // Idempotent: only the first shard of a cell (and only
-                    // on a run that doesn't already hold the record) writes.
-                    let cell_key = cells_ref[task.cell].key();
-                    if store.append_profile(&cell_key, &p)? {
-                        telemetry.emit_with(|| {
-                            let t = p.totals();
-                            Event::new("profile")
-                                .str("cell", &cell_key)
-                                .u64("blocks", p.num_blocks() as u64)
-                                .u64("payload_cycles", t.payload)
-                                .u64("instr_cycles", t.instr())
-                                .u64("other_cycles", t.other)
-                        });
-                    }
-                }
-                let done_attempts = attempt_errors.len() as u64 + 1;
-                // Failed attempts that were retried: visible in telemetry
-                // (one shard_failed per attempt), never in the store.
-                for (attempt, err) in attempt_errors.iter().enumerate() {
-                    retried_attempts += 1;
-                    telemetry.emit_with(|| {
-                        Event::new("shard_failed")
-                            .str("shard", &key)
-                            .str("error", err)
-                            .u64("attempt", attempt as u64 + 1)
-                            .u64("retried", 1)
-                    });
-                    if options.progress && !options.quiet {
-                        progress.clear();
-                        eprintln!(
-                            "cfed-runner: shard {key} attempt {} failed, retrying: {err}",
-                            attempt + 1
-                        );
-                    }
-                }
-                match outcome {
-                    ShardOutcome::Ok(tallies) => {
-                        if let Some(kind) = cells_ref[task.cell].attack {
-                            // Attack cells additionally report per-outcome
-                            // counters: the raw material of the detection
-                            // frontier, queryable live from the event plane.
-                            let mut sums = [0u64; 6];
-                            for s in &tallies.stats {
-                                sums[0] += s.detected_check;
-                                sums[1] += s.detected_hw;
-                                sums[2] += s.other_fault;
-                                sums[3] += s.benign;
-                                sums[4] += s.sdc;
-                                sums[5] += s.timeout;
-                            }
-                            let skipped = tallies.skipped;
-                            telemetry.emit_with(|| {
-                                Event::new("attack_outcomes")
-                                    .str("shard", &key)
-                                    .str("attack", kind.name())
-                                    .u64("detected_check", sums[0])
-                                    .u64("detected_hw", sums[1])
-                                    .u64("other_fault", sums[2])
-                                    .u64("benign", sums[3])
-                                    .u64("sdc", sums[4])
-                                    .u64("timeout", sums[5])
-                                    .u64("unplaced", skipped)
-                            });
-                        }
-                        store.append_ok(&key, *tallies)?;
-                        telemetry.emit_with(|| {
-                            Event::new("shard_done")
-                                .str("shard", &key)
-                                .u64("done", received as u64)
-                                .u64("of", to_run as u64)
-                        });
-                        if options.progress && !options.quiet {
-                            progress.clear();
-                            eprintln!("cfed-runner: [{received}/{to_run}] {key}");
-                        }
-                    }
-                    ShardOutcome::Failed(err) => {
-                        failed += 1;
-                        store.append_failed(&key, &err)?;
-                        telemetry.emit_with(|| {
-                            Event::new("shard_failed")
-                                .str("shard", &key)
-                                .str("error", &err)
-                                .u64("attempt", done_attempts)
-                        });
-                        progress.clear();
-                        eprintln!(
-                            "cfed-runner: shard {key} FAILED after {done_attempts} attempt(s): {err}"
-                        );
-                    }
-                }
-                let bundle_kind = if cells_ref[task.cell].attack.is_some() {
-                    "attack_forensics"
-                } else {
-                    "forensics"
-                };
-                for bundle in forensics {
-                    // SDC/timeout forensics carry the flight-recorder
-                    // window: the recent events leading up to the anomaly.
-                    // Emitted past the recorder (straight to the configured
-                    // sink) so windows never nest inside later windows.
-                    options.telemetry.emit_with(|| {
-                        Event::new(bundle_kind)
-                            .str("shard", &key)
-                            .u64("wanted", forensics_wanted)
-                            .json("bundle", bundle)
-                            .u64("flight_dropped", flight.dropped())
-                            .json("window", flight.recent_json())
-                    });
-                }
-                progress.update(received, failed, to_run);
-            }
-            progress.finish();
-            Ok(())
-        })?;
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (msg_tx, results) = mpsc::channel::<Msg>();
+        let _ = msg_tx.send(Msg::Capacity { worker: 0, slots: threads * LEASES_PER_THREAD });
+        let executors = spawn_executors(threads, options.forensics, job_rx, &msg_tx);
+        drop(msg_tx);
+        let cells = Arc::new(phase.cells.clone());
+        let goldens = Arc::clone(&golden_cache);
+        let mut local = Local { jobs, cells, goldens, results };
+        let run = scheduler.run_phase(&mut phase, &mut local, &AtomicBool::new(false));
+        drop(local); // closes the job queue: the executors exit
+        for handle in executors {
+            handle.join().expect("executors catch unit panics");
+        }
+        run?;
     }
 
     let wall_s = run_timer.elapsed().as_secs_f64();
@@ -895,22 +582,23 @@ pub fn run_matrix(
         snapshots_enabled: options.snapshots,
         snapshots: golden_cache.snapshot_stats(),
     };
-    store.append_meta(
+    phase.append_meta(
         "run",
         vec![
             ("run_id", Json::Str(run_id.to_string())),
             ("executed", Json::UInt(to_run as u64)),
-            ("resumed", Json::UInt(resumed_shards)),
+            ("resumed", Json::UInt(phase.resumed)),
             ("threads", Json::UInt(threads as u64)),
             ("wall_ms", Json::UInt(wall_ms)),
         ],
     )?;
+    let (telemetry, flight) = (scheduler.telemetry(), scheduler.flight());
     telemetry.emit_with(|| {
         Event::new("run_done")
             .str("run_id", run_id)
             .u64("executed", to_run as u64)
-            .u64("resumed", resumed_shards)
-            .u64("retried", retried_attempts)
+            .u64("resumed", phase.resumed)
+            .u64("retried", phase.retried)
             .u64("threads", threads as u64)
             .u64("wall_ms", wall_ms)
             .u64("flight_recorded", flight.recorded())
@@ -937,15 +625,17 @@ pub fn run_matrix(
             .u64("insts_stepped", perf.snapshots.insts_stepped)
     });
 
-    let mut cell_results = Vec::with_capacity(cells.len());
-    for (index, cell) in cells.iter().enumerate() {
-        cell_results.push(assemble_cell(index, cell, &store, goldens.get(&index)));
-    }
+    let cells = phase
+        .cells
+        .iter()
+        .enumerate()
+        .map(|(index, cell)| assemble_cell(index, cell, &phase.store, phase.goldens.get(&index)))
+        .collect();
     Ok(RunSummary {
-        cells: cell_results,
+        cells,
         executed_shards: to_run as u64,
-        resumed_shards,
-        retried_attempts,
+        resumed_shards: phase.resumed,
+        retried_attempts: phase.retried,
         perf,
     })
 }
@@ -1148,5 +838,65 @@ mod tests {
             .iter()
             .filter(|c| c.key.contains("inline:tiny"))
             .all(|c| c.complete()));
+    }
+
+    /// A unit that fails every attempt is re-queued by the scheduler until
+    /// the default policy's budget is spent: every failed attempt but the
+    /// last is reported as retried, only the last reaches the store, and
+    /// the healthy cells complete meanwhile.
+    #[test]
+    fn failing_units_are_retried_then_recorded_once() {
+        use cfed_telemetry::MemorySink;
+
+        let mut matrix = tiny_matrix(128, 3);
+        matrix.workloads.push(WorkloadSpec::inline("broken", "fn main() { this is not minic"));
+        let path = tmp("retry");
+        let sink = Arc::new(MemorySink::new());
+        let options = RunnerOptions {
+            threads: 2,
+            quiet: true,
+            telemetry: Telemetry::to(sink.clone()),
+            ..Default::default()
+        };
+        let summary = run_matrix(&matrix, "retry", Some(&path), &options).unwrap();
+
+        let attempts = u64::from(RetryPolicy::default().max_attempts);
+        let failing: Vec<String> = CampaignMatrix::shards(&matrix.cells())
+            .iter()
+            .map(|t| t.key(&matrix.cells()))
+            .filter(|k| k.contains("inline:broken"))
+            .collect();
+        assert_eq!(failing.len(), 6, "three broken cells of two shards");
+        assert_eq!(summary.retried_attempts, (attempts - 1) * failing.len() as u64);
+
+        let events = sink.events();
+        let (_, _, failed_records) = crate::store::read_store(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for key in &failing {
+            let failed: Vec<_> = events
+                .iter()
+                .filter(|e| e.kind() == "shard_failed")
+                .filter(|e| e.get("shard").and_then(Json::as_str) == Some(key.as_str()))
+                .collect();
+            assert_eq!(failed.len() as u64, attempts, "{key}: one event per attempt");
+            for (i, e) in (1..).zip(&failed) {
+                assert_eq!(e.get("attempt").and_then(Json::as_u64), Some(i), "{key}");
+                let retried = e.get("retried").and_then(Json::as_u64);
+                assert_eq!(retried, (i < attempts).then_some(1), "{key} attempt {i}");
+            }
+            assert!(failed_records.contains_key(key), "{key}");
+            let records = text
+                .lines()
+                .filter_map(|l| crate::json::parse(l).ok())
+                .filter(|r| r.get("shard").and_then(Json::as_str) == Some(key.as_str()))
+                .count();
+            assert_eq!(records, 1, "{key}: exactly one failed record in the store");
+        }
+        assert!(summary
+            .cells
+            .iter()
+            .filter(|c| c.key.contains("inline:tiny"))
+            .all(|c| c.complete()));
+        assert_eq!(summary.cells.iter().filter(|c| !c.complete()).count(), 3);
     }
 }

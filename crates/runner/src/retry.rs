@@ -1,5 +1,5 @@
-//! Bounded retry with exponential backoff — the one failure policy shared
-//! by the single-process pool and the `cfed-serve` campaign service.
+//! Bounded retry with exponential backoff — the failure policy the unit
+//! scheduler ([`crate::scheduler`]) applies in both execution modes.
 //!
 //! A *unit* (one shard of one cell) that fails — worker panic, golden-run
 //! failure, lease expiry, worker disconnect — is retried up to

@@ -482,11 +482,6 @@ impl CampaignStore {
         all.extend(fields);
         self.append_line(&obj(all).render())
     }
-
-    /// The store file path (`None` for an in-memory store).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
 }
 
 /// Reads a store file without an expected header: the report path. Returns

@@ -1,28 +1,19 @@
-//! The campaign coordinator: leases work units to connected workers,
-//! handles worker failure via lease expiry / disconnect with bounded
-//! retry, and is the single writer of the checkpointed result stores.
+//! The campaign coordinator: the TCP transport of the runner's unit
+//! scheduler ([`cfed_runner::scheduler`]).
 //!
-//! A work unit is one shard of one matrix cell — exactly the unit the
-//! JSONL store keys (`{cell key}#{shard index}`) — so the service is
-//! idempotent end to end: duplicate results are dropped by key, a resumed
-//! store skips persisted units, and the merged report is byte-identical
-//! to a single-process run for any worker count, schedule, or crash/retry
-//! history.
+//! The scheduler decides everything that reaches the store — queue,
+//! retry, duplicate filtering, appends, per-unit telemetry — and the
+//! result is byte-identical to a single-process run for any worker count,
+//! schedule, or crash/retry history. This module adds what only a network
+//! needs: the acceptor and per-connection reader threads, translation
+//! between frames and scheduler messages, lease deadlines, strikes and
+//! quarantine, the forwarded worker events, and the live view and
+//! `serve_stats` counters.
 //!
-//! ## Lease/retry state machine
-//!
-//! ```text
-//! pending ──lease──▶ leased ──result──▶ done (appended, flushed)
-//!    ▲                  │
-//!    │   fail frame / lease expiry / worker disconnect
-//!    └── attempts < max? re-queue after backoff : failed (appended)
-//! ```
-//!
-//! Every failed or expired attempt emits the same `shard_failed`
-//! telemetry event the in-process pool emits, with `retried:1` while the
-//! retry budget lasts. A worker that accumulates [`MAX_STRIKES`] expired
-//! leases is quarantined: its connection stays open (late results are
-//! still accepted) but it is never leased to again.
+//! A lease not answered before its deadline is reported to the scheduler
+//! as a failed attempt and strikes its worker. A worker that accumulates
+//! [`MAX_STRIKES`] expired leases is quarantined: its connection stays
+//! open (late results are still accepted) but it is never leased to again.
 //!
 //! ## Backpressure
 //!
@@ -33,19 +24,20 @@
 //! it, events are dropped and counted there, and the cumulative drop
 //! count rides back on every result frame into [`ServeStats`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use cfed_runner::matrix::{CampaignMatrix, CellSpec};
+use cfed_runner::matrix::CampaignMatrix;
 use cfed_runner::retry::RetryPolicy;
-use cfed_runner::store::{CampaignStore, ShardTallies, StoreHeader};
+use cfed_runner::scheduler::{Lease, Msg, Note, Scheduler, Transport, UnitDone};
+use cfed_runner::store::ShardTallies;
 use cfed_telemetry::json::{obj, Json};
-use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
+use cfed_telemetry::{Event, FlightRecorder, Profile, Telemetry};
 
 use crate::http::LiveView;
 use crate::proto::{matrix_to_json, read_frame, tag, write_frame};
@@ -55,11 +47,9 @@ use crate::stats::ServeStats;
 /// leasing to it (its connection stays open for late results).
 pub const MAX_STRIKES: u32 = 2;
 
-/// Flight-recorder window: the scheduler's telemetry is teed through a
-/// bounded ring of this many recent events, dumped (as a `flight_dump`
-/// event straight to the configured sink, bypassing the ring so windows
-/// never nest) on SIGINT drain, worker loss mid-unit, and quarantine.
-const FLIGHT_WINDOW: usize = 64;
+/// How often the transport wakes without a frame: lease deadlines, the
+/// stop flag and the live counters are checked at this granularity.
+const POLL: Duration = Duration::from_millis(25);
 
 /// One phase of a campaign: a matrix persisted to its own store file.
 #[derive(Debug, Clone)]
@@ -82,8 +72,8 @@ pub struct CoordinatorOptions {
     /// Lease deadline: a unit not answered within this window is treated
     /// as failed and re-queued under the retry policy.
     pub lease_ms: u64,
-    /// Bounded retry with backoff for failed/expired units — the same
-    /// policy type the in-process pool applies to failed shards.
+    /// Bounded retry with backoff for failed/expired units (the
+    /// scheduler's re-queue).
     pub retry: RetryPolicy,
     /// Hard cap on outstanding leases per worker (backpressure), applied
     /// on top of each worker's advertised slot count.
@@ -149,57 +139,6 @@ impl CoordinatorSummary {
     }
 }
 
-/// Shared write half of a worker connection.
-#[derive(Clone)]
-struct Writer(Arc<Mutex<TcpStream>>);
-
-impl Writer {
-    fn send(&self, v: &Json) -> Result<(), String> {
-        write_frame(&mut *self.0.lock().expect("writer poisoned"), v)
-    }
-
-    fn close(&self) {
-        let _ = self.0.lock().expect("writer poisoned").shutdown(std::net::Shutdown::Both);
-    }
-}
-
-enum CoordMsg {
-    /// A connection appeared; the writer half is registered eagerly so
-    /// the scheduler can answer its `hello`.
-    Connected { conn: usize, writer: Writer },
-    /// A frame arrived from a connection.
-    Frame { conn: usize, frame: Json },
-    /// The connection closed or its reader failed.
-    Gone { conn: usize },
-}
-
-struct WorkerConn {
-    writer: Writer,
-    name: String,
-    slots: usize,
-    /// Keys of units currently leased to this worker.
-    inflight: Vec<String>,
-    /// Expired leases; at [`MAX_STRIKES`] the worker is quarantined.
-    strikes: u32,
-    alive: bool,
-    hello: bool,
-    /// Last cumulative event-drop count reported by the worker.
-    dropped_seen: u64,
-}
-
-struct Unit {
-    cell: usize,
-    shard: u64,
-    key: String,
-    /// Not leased before this instant (retry backoff).
-    ready_at: Instant,
-}
-
-struct Lease {
-    conn: usize,
-    deadline: Instant,
-}
-
 /// A bound coordinator: listeners are open (so the address is known and
 /// workers may already connect) but no campaign runs until
 /// [`Coordinator::run`].
@@ -255,11 +194,6 @@ impl Coordinator {
         self.http_addr.as_deref()
     }
 
-    /// The live state the HTTP endpoints render.
-    pub fn live(&self) -> Arc<LiveView> {
-        Arc::clone(&self.live)
-    }
-
     /// Runs the campaign phases to completion (or until `stop` is set:
     /// leasing halts, in-flight units drain, and the stores are left
     /// checkpointed for a later resume).
@@ -280,57 +214,100 @@ impl Coordinator {
             tx.clone(),
             Arc::clone(&self.shutdown),
         );
-
-        // Always-on flight recorder: tee in front of the configured sink
-        // (or stand alone when telemetry is off) so anomaly paths can dump
-        // the recent-event window without changing what downstream sees.
-        let flight = Arc::new(match self.options.telemetry.sink() {
-            Some(inner) => FlightRecorder::tee(FLIGHT_WINDOW, inner),
-            None => FlightRecorder::new(FLIGHT_WINDOW),
-        });
-        let mut state = SchedulerState {
-            workers: HashMap::new(),
+        let options = &self.options;
+        let mut scheduler = Scheduler::new(options.retry, &options.telemetry, options.quiet, false);
+        let mut net = Net {
+            rx,
+            conns: HashMap::new(),
+            deadlines: HashMap::new(),
+            outbox: VecDeque::new(),
             run_id: run_id.to_string(),
-            options: self.options.clone(),
-            live: Arc::clone(&self.live),
+            phase: 0,
+            announce: Json::Null,
+            stats: ServeStats::default(),
             stats_total: ServeStats::default(),
-            stopped: false,
-            telemetry: Telemetry::to(Arc::clone(&flight) as Arc<dyn EventSink>),
-            flight,
+            live: Arc::clone(&self.live),
+            options: options.clone(),
+            telemetry: scheduler.telemetry().clone(),
+            flight: Arc::clone(scheduler.flight()),
         };
         let stop_flag = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
 
         let mut summaries = Vec::with_capacity(phases.len());
+        let mut stopped = false;
         for (index, plan) in phases.iter().enumerate() {
-            let summary = state.run_phase(index, plan, &rx, &stop_flag)?;
+            let mut phase =
+                scheduler.open_phase(run_id, index, &plan.matrix, Some(&plan.store), None)?;
+            self.live.begin_phase(
+                run_id,
+                &plan.label,
+                phase.header.clone(),
+                phase.store().done.clone(),
+                phase.store().failed.clone(),
+            );
+            if !options.quiet {
+                eprintln!(
+                    "cfed-serve: phase {} — {} units ({} resumed), store {}",
+                    plan.label,
+                    phase.header.total_shards,
+                    phase.resumed,
+                    plan.store.display()
+                );
+            }
+            net.begin_phase(index, plan);
+            stopped = scheduler.run_phase(&mut phase, &mut net, &stop_flag)?;
+
+            // Phase accounting: persist the service counters as a meta
+            // record (invisible to the report) and emit the serve_stats
+            // event.
+            let stats = std::mem::take(&mut net.stats);
+            phase.append_meta("serve_stats", stats.to_meta_fields())?;
+            scheduler.telemetry().emit_with(|| stats.to_event());
+            net.stats_total.absorb(&stats);
+            self.live.set_stats(net.stats_total.clone());
+            let summary = PhaseSummary {
+                label: plan.label.clone(),
+                total_units: phase.header.total_shards,
+                done_units: phase.store().done.len() as u64,
+                failed_units: phase.store().failed.len() as u64,
+                resumed_units: phase.resumed,
+            };
+            if !options.quiet {
+                eprintln!(
+                    "cfed-serve: phase {} {} — {}/{} units done ({} failed, {} retried attempt(s))",
+                    plan.label,
+                    if stopped { "checkpointed" } else { "complete" },
+                    summary.done_units,
+                    summary.total_units,
+                    summary.failed_units,
+                    stats.retried,
+                );
+            }
             summaries.push(summary);
-            if state.stopped {
+            if stopped {
                 break;
             }
         }
 
         // Campaign over: tell every worker to drain and exit, then tear
         // down the listener threads and reader sockets.
-        for worker in state.workers.values() {
-            if worker.hello && worker.alive {
-                let _ = worker.writer.send(&obj(vec![("t", Json::Str("bye".to_string()))]));
+        for conn in net.conns.values_mut() {
+            if conn.hello && conn.alive {
+                let _ =
+                    write_frame(&mut conn.writer, &obj(vec![("t", Json::Str("bye".to_string()))]));
             }
         }
         self.live.finish();
         self.shutdown.store(true, Ordering::Relaxed);
-        for worker in state.workers.values() {
-            worker.writer.close();
+        for conn in net.conns.values() {
+            let _ = conn.writer.shutdown(std::net::Shutdown::Both);
         }
         drop(tx);
         let _ = accept_handle.join();
         if let Some(handle) = self.http_handle.take() {
             let _ = handle.join();
         }
-        Ok(CoordinatorSummary {
-            phases: summaries,
-            stats: state.stats_total.clone(),
-            stopped: state.stopped,
-        })
+        Ok(CoordinatorSummary { phases: summaries, stats: net.stats_total, stopped })
     }
 }
 
@@ -353,8 +330,7 @@ fn spawn_acceptor(
                     let conn = next_conn;
                     next_conn += 1;
                     let Ok(read_half) = stream.try_clone() else { continue };
-                    let writer = Writer(Arc::new(Mutex::new(stream)));
-                    if tx.send(CoordMsg::Connected { conn, writer }).is_err() {
+                    if tx.send(CoordMsg::Connected { conn, writer: stream }).is_err() {
                         break;
                     }
                     let tx = tx.clone();
@@ -377,261 +353,130 @@ fn spawn_acceptor(
     })
 }
 
-struct SchedulerState {
-    workers: HashMap<usize, WorkerConn>,
+enum CoordMsg {
+    /// A connection appeared; its write half is registered eagerly so the
+    /// transport can answer its `hello`.
+    Connected { conn: usize, writer: TcpStream },
+    /// A frame arrived from a connection.
+    Frame { conn: usize, frame: Json },
+    /// The connection closed or its reader failed.
+    Gone { conn: usize },
+}
+
+struct Conn {
+    writer: TcpStream,
+    name: String,
+    /// Expired leases; at [`MAX_STRIKES`] the worker is quarantined.
+    strikes: u32,
+    alive: bool,
+    hello: bool,
+    /// Last cumulative event-drop count reported by the worker.
+    dropped_seen: u64,
+    /// A `profile` frame waiting for the result frame it precedes.
+    profile: Option<(String, Arc<Profile>)>,
+}
+
+/// The TCP transport: connection ids are the scheduler's worker ids.
+struct Net {
+    rx: Receiver<CoordMsg>,
+    conns: HashMap<usize, Conn>,
+    /// Outstanding leases: unit key → (connection, deadline).
+    deadlines: HashMap<String, (usize, Instant)>,
+    /// Messages produced beyond the one `recv` returns (expiries).
+    outbox: VecDeque<Msg>,
     run_id: String,
-    options: CoordinatorOptions,
-    live: Arc<LiveView>,
+    phase: usize,
+    /// The `phase` frame announced to present and future workers.
+    announce: Json,
+    /// This phase's counters, and the earlier phases' sum.
+    stats: ServeStats,
     stats_total: ServeStats,
-    stopped: bool,
-    /// Scheduler events routed through the flight-recorder tee.
+    live: Arc<LiveView>,
+    options: CoordinatorOptions,
+    /// The scheduler's flight-recorder tee (forwarded worker events).
     telemetry: Telemetry,
     flight: Arc<FlightRecorder>,
 }
 
-/// Everything one phase needs while its scheduler loop runs.
-struct PhaseRun {
-    index: usize,
-    cells: Vec<CellSpec>,
-    /// The `phase` frame announced to present and future workers.
-    announce: Json,
-    store: CampaignStore,
-    pending: VecDeque<Unit>,
-    leases: HashMap<String, Lease>,
-    attempts: HashMap<String, u32>,
-    /// Units not yet resolved (done or permanently failed) this phase.
-    remaining: u64,
-    total: u64,
-    stats: ServeStats,
-}
-
-impl SchedulerState {
-    fn run_phase(
-        &mut self,
-        index: usize,
-        plan: &PhasePlan,
-        rx: &Receiver<CoordMsg>,
-        stop: &AtomicBool,
-    ) -> Result<PhaseSummary, String> {
-        let cells = plan.matrix.cells();
-        let all_units = CampaignMatrix::shards(&cells);
-        let header = StoreHeader {
-            run_id: self.run_id.clone(),
-            seed: plan.matrix.seed,
-            trials: plan.matrix.trials,
-            shard_trials: CampaignMatrix::shard_trials(),
-            digest: CampaignMatrix::digest(&cells),
-            total_shards: all_units.len() as u64,
-        };
-        let store = CampaignStore::open(&plan.store, &header)?;
-        let pending: VecDeque<Unit> = all_units
-            .iter()
-            .filter_map(|t| {
-                let key = t.key(&cells);
-                if store.done.contains_key(&key) {
-                    return None;
-                }
-                Some(Unit { cell: t.cell, shard: t.shard_index, key, ready_at: Instant::now() })
-            })
-            .collect();
-        let resumed_units = all_units.len() as u64 - pending.len() as u64;
-        let remaining = pending.len() as u64;
-        self.live.begin_phase(
-            &self.run_id,
-            &plan.label,
-            header,
-            store.done.clone(),
-            store.failed.clone(),
-        );
-        if !self.options.quiet {
-            eprintln!(
-                "cfed-serve: phase {} — {} units ({} resumed), store {}",
-                plan.label,
-                all_units.len(),
-                resumed_units,
-                plan.store.display()
-            );
-        }
-
-        let mut phase = PhaseRun {
-            index,
-            cells,
-            announce: obj(vec![
-                ("t", Json::Str("phase".to_string())),
-                ("phase", Json::UInt(index as u64)),
-                ("label", Json::Str(plan.label.clone())),
-                ("matrix", matrix_to_json(&plan.matrix)),
-            ]),
-            store,
-            pending,
-            leases: HashMap::new(),
-            attempts: HashMap::new(),
-            remaining,
-            total: all_units.len() as u64,
-            stats: ServeStats::default(),
-        };
-
-        // A phase only ends once nothing is leased or pending, so leases
-        // never carry across phases — but clear the per-worker in-flight
-        // bookkeeping in case an expired-then-resolved unit left a stale
-        // entry eating lease capacity.
-        for worker in self.workers.values_mut() {
-            worker.inflight.clear();
-            if worker.hello && worker.alive && worker.writer.send(&phase.announce).is_err() {
-                worker.alive = false;
+impl Net {
+    /// Announces phase `index` to every joined worker.
+    fn begin_phase(&mut self, index: usize, plan: &PhasePlan) {
+        self.phase = index;
+        // A phase ends only once nothing is leased, but an expired lease
+        // answered late may have left a stale deadline behind.
+        self.deadlines.clear();
+        self.announce = obj(vec![
+            ("t", Json::Str("phase".to_string())),
+            ("phase", Json::UInt(index as u64)),
+            ("label", Json::Str(plan.label.clone())),
+            ("matrix", matrix_to_json(&plan.matrix)),
+        ]);
+        for conn in self.conns.values_mut() {
+            if conn.hello && conn.alive && write_frame(&mut conn.writer, &self.announce).is_err() {
+                conn.alive = false;
             }
-        }
-
-        while phase.remaining > 0 {
-            if stop.load(Ordering::Relaxed) && !self.stopped {
-                self.stopped = true;
-                // Straight to the configured sink (not through the ring):
-                // the window must never contain earlier windows.
-                self.options.telemetry.emit_with(|| self.flight.dump_event("sigint"));
-                if !self.options.quiet {
-                    eprintln!(
-                        "cfed-serve: stop requested — draining {} in-flight unit(s)",
-                        phase.leases.len()
-                    );
-                }
-            }
-            if self.stopped && phase.leases.is_empty() {
-                break;
-            }
-            if !self.stopped {
-                self.assign(&mut phase);
-            }
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(msg) => self.handle(msg, &mut phase)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            self.expire(&mut phase)?;
-            // Keep `/progress` and `/metrics` current mid-phase: publish
-            // run-so-far counters (prior phases + this one) and the
-            // per-worker in-flight lease counts every loop tick.
-            let mut live_stats = self.stats_total.clone();
-            live_stats.absorb(&phase.stats);
-            self.live.set_stats(live_stats);
-            self.publish_inflight();
-        }
-
-        // Phase accounting: persist the service counters as a meta record
-        // (invisible to the report) and emit the serve_stats event.
-        let stats = phase.stats.clone();
-        phase.store.append_meta("serve_stats", stats.to_meta_fields())?;
-        self.telemetry.emit_with(|| stats.to_event());
-        self.stats_total.absorb(&stats);
-        self.live.set_stats(self.stats_total.clone());
-        let done_units = phase.store.done.len() as u64;
-        let failed_units = phase.store.failed.len() as u64;
-        if !self.options.quiet {
-            eprintln!(
-                "cfed-serve: phase {} {} — {}/{} units done ({} failed, {} retried attempt(s))",
-                plan.label,
-                if self.stopped { "checkpointed" } else { "complete" },
-                done_units,
-                phase.total,
-                failed_units,
-                stats.retried,
-            );
-        }
-        Ok(PhaseSummary {
-            label: plan.label.clone(),
-            total_units: phase.total,
-            done_units,
-            failed_units,
-            resumed_units,
-        })
-    }
-
-    /// Leases ready units to live workers with spare capacity.
-    fn assign(&mut self, phase: &mut PhaseRun) {
-        let now = Instant::now();
-        let cap = self.options.max_inflight.max(1);
-        loop {
-            // Next ready unit, respecting retry backoff.
-            let Some(pos) = phase.pending.iter().position(|u| u.ready_at <= now) else {
-                return;
-            };
-            // Least-loaded live worker with a free lease slot.
-            let Some((&conn, worker)) = self
-                .workers
-                .iter_mut()
-                .filter(|(_, w)| {
-                    w.hello
-                        && w.alive
-                        && w.strikes < MAX_STRIKES
-                        && w.inflight.len() < cap.min(w.slots.max(1))
-                })
-                .min_by_key(|(_, w)| w.inflight.len())
-            else {
-                return;
-            };
-            let unit = phase.pending.remove(pos).expect("position valid");
-            let lease = obj(vec![
-                ("t", Json::Str("lease".to_string())),
-                ("phase", Json::UInt(phase.index as u64)),
-                ("cell", Json::UInt(unit.cell as u64)),
-                ("shard", Json::UInt(unit.shard)),
-                ("key", Json::Str(unit.key.clone())),
-            ]);
-            if worker.writer.send(&lease).is_err() {
-                worker.alive = false;
-                phase.pending.push_front(unit);
-                continue;
-            }
-            worker.inflight.push(unit.key.clone());
-            phase.stats.leased += 1;
-            phase.leases.insert(
-                unit.key,
-                Lease { conn, deadline: now + Duration::from_millis(self.options.lease_ms.max(1)) },
-            );
         }
     }
 
-    fn handle(&mut self, msg: CoordMsg, phase: &mut PhaseRun) -> Result<(), String> {
+    fn name(&self, conn: usize) -> String {
+        self.conns.get(&conn).map_or("?", |c| c.name.as_str()).to_string()
+    }
+
+    /// Turns a connection event into at most one scheduler message.
+    fn translate(&mut self, msg: CoordMsg) -> Option<Msg> {
         match msg {
             CoordMsg::Connected { conn, writer } => {
-                self.workers.insert(
-                    conn,
-                    WorkerConn {
-                        writer,
-                        name: format!("w{conn}"),
-                        slots: 1,
-                        inflight: Vec::new(),
-                        strikes: 0,
-                        alive: true,
-                        hello: false,
-                        dropped_seen: 0,
-                    },
-                );
-                Ok(())
+                let name = format!("w{conn}");
+                let c = Conn {
+                    writer,
+                    name,
+                    strikes: 0,
+                    alive: true,
+                    hello: false,
+                    dropped_seen: 0,
+                    profile: None,
+                };
+                self.conns.insert(conn, c);
+                None
             }
-            CoordMsg::Gone { conn } => self.worker_gone(conn, phase),
-            CoordMsg::Frame { conn, frame } => self.handle_frame(conn, &frame, phase),
+            CoordMsg::Gone { conn } => {
+                let worker = self.conns.get_mut(&conn)?;
+                worker.alive = false;
+                let name = worker.name.clone();
+                let before = self.deadlines.len();
+                self.deadlines.retain(|_, (holder, _)| *holder != conn);
+                let lost = (before - self.deadlines.len()) as u64;
+                if lost > 0 {
+                    // A worker died mid-unit (killed, crashed, or cut off):
+                    // dump the recent-event window past the recorder so
+                    // the trail survives though the worker cannot report.
+                    self.stats.expired += lost;
+                    self.options.telemetry.emit_with(|| {
+                        self.flight
+                            .dump_event("worker_lost")
+                            .str("worker", &name)
+                            .u64("lost_leases", lost)
+                    });
+                }
+                Some(Msg::Gone { worker: conn })
+            }
+            CoordMsg::Frame { conn, frame } => self.frame(conn, &frame),
         }
     }
 
-    fn handle_frame(
-        &mut self,
-        conn: usize,
-        frame: &Json,
-        phase: &mut PhaseRun,
-    ) -> Result<(), String> {
-        let Ok(kind) = tag(frame) else {
-            return Ok(()); // tolerate junk frames rather than dying on them
-        };
-        match kind {
+    fn frame(&mut self, conn: usize, frame: &Json) -> Option<Msg> {
+        let str_of = |k: &str| frame.get(k).and_then(Json::as_str).unwrap_or("").to_string();
+        // Frames without a phase never match one.
+        let phase = frame.get("phase").and_then(Json::as_u64).map_or(usize::MAX, |p| p as usize);
+        // Junk frames are tolerated rather than dying on them.
+        match tag(frame).ok()? {
             "hello" => {
-                let declared = frame.get("name").and_then(Json::as_str).unwrap_or("").to_string();
+                let declared = str_of("name");
                 let taken = !declared.is_empty()
-                    && self.workers.values().any(|w| w.hello && w.name == declared);
-                let slots =
-                    frame.get("slots").and_then(Json::as_u64).unwrap_or(1).clamp(1, 256) as usize;
-                let Some(worker) = self.workers.get_mut(&conn) else { return Ok(()) };
+                    && self.conns.values().any(|w| w.hello && w.name == declared);
+                let slots = frame.get("slots").and_then(Json::as_u64).unwrap_or(1).clamp(1, 256);
+                let worker = self.conns.get_mut(&conn)?;
                 worker.hello = true;
-                worker.slots = slots;
                 if !declared.is_empty() {
                     worker.name = if taken { format!("{declared}-{conn}") } else { declared };
                 }
@@ -640,237 +485,106 @@ impl SchedulerState {
                     ("run_id", Json::Str(self.run_id.clone())),
                     ("worker", Json::Str(worker.name.clone())),
                 ]);
-                if worker.writer.send(&welcome).is_err()
-                    || worker.writer.send(&phase.announce).is_err()
+                if write_frame(&mut worker.writer, &welcome).is_err()
+                    || write_frame(&mut worker.writer, &self.announce).is_err()
                 {
                     worker.alive = false;
                 }
-                self.publish_worker_count();
-                Ok(())
+                let slots = (slots as usize).min(self.options.max_inflight.max(1));
+                Some(Msg::Capacity { worker: conn, slots })
             }
-            "result" => self.handle_result(conn, frame, phase),
+            "result" => {
+                let key = str_of("key");
+                self.release(conn, &key);
+                let worker = self.conns.get_mut(&conn)?;
+                // Cumulative drop counter from the worker's bounded event
+                // queue.
+                let dropped = frame.get("dropped").and_then(Json::as_u64).unwrap_or(0);
+                if dropped > worker.dropped_seen {
+                    self.stats.events_dropped += dropped - worker.dropped_seen;
+                    worker.dropped_seen = dropped;
+                }
+                let profile = worker.profile.take().and_then(|(cell, p)| {
+                    key.strip_prefix(cell.as_str())?.starts_with('#').then_some(p)
+                });
+                let record = frame.get("record").ok_or("result frame missing record".to_string());
+                match record.and_then(ShardTallies::from_json) {
+                    Ok(tallies) => Some(Msg::Done(Box::new(UnitDone {
+                        worker: conn,
+                        phase,
+                        key,
+                        ms: frame.get("ms").and_then(Json::as_u64).unwrap_or(0),
+                        tallies,
+                        golden: None,
+                        profile,
+                        forensics: Vec::new(),
+                        forensics_wanted: 0,
+                    }))),
+                    // A malformed record counts as a failed attempt.
+                    Err(e) => {
+                        Some(Msg::Failed { phase, key, error: format!("malformed result: {e}") })
+                    }
+                }
+            }
             "fail" => {
-                let key = frame.get("key").and_then(Json::as_str).unwrap_or("").to_string();
-                let error = frame
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("worker reported failure")
-                    .to_string();
-                if let Some(worker) = self.workers.get_mut(&conn) {
-                    worker.inflight.retain(|k| k != &key);
-                }
-                if phase.leases.remove(&key).is_some() {
-                    self.retry_or_fail(phase, &key, &error)?;
-                }
-                Ok(())
+                let key = str_of("key");
+                self.release(conn, &key);
+                let error = frame.get("error").and_then(Json::as_str);
+                let error = error.unwrap_or("worker reported failure").to_string();
+                Some(Msg::Failed { phase, key, error })
             }
             "event" => {
-                phase.stats.events_forwarded += 1;
-                let worker = self.workers.get(&conn).map_or("?", |w| w.name.as_str()).to_string();
+                self.stats.events_forwarded += 1;
+                let worker = self.name(conn);
                 let payload = frame.get("ev").cloned().unwrap_or(Json::Null);
                 self.live.record_event(&worker, payload.clone());
                 self.telemetry.emit_with(|| {
                     Event::new("worker_event").str("worker", &worker).json("event", payload)
                 });
-                Ok(())
+                None
             }
             "profile" => {
-                // First worker to finish a unit of a cell ships the cell's
-                // execution profile; the store append is idempotent, so
-                // duplicates from other workers (profiles are deterministic
-                // functions of the cell) change nothing.
-                let cell = frame.get("cell").and_then(Json::as_str).unwrap_or("").to_string();
-                if !phase.cells.iter().any(|c| c.key() == cell) {
-                    return Ok(()); // unknown cell: stale or corrupt frame
-                }
-                let Some(payload) = frame.get("profile") else { return Ok(()) };
-                match Profile::from_json(payload) {
-                    Ok(profile) => {
-                        if phase.store.append_profile(&cell, &profile)? {
-                            self.live.record_profile(&profile.totals());
-                            self.telemetry.emit_with(|| {
-                                let t = profile.totals();
-                                Event::new("profile")
-                                    .str("cell", &cell)
-                                    .u64("blocks", profile.num_blocks() as u64)
-                                    .u64("payload_cycles", t.payload)
-                                    .u64("instr_cycles", t.instr())
-                                    .u64("other_cycles", t.other)
-                            });
-                        }
-                        Ok(())
+                // Rides on the worker's next result frame; the scheduler
+                // appends it once per cell.
+                let cell = str_of("cell");
+                match frame.get("profile").map(Profile::from_json) {
+                    Some(Ok(p)) => self.conns.get_mut(&conn)?.profile = Some((cell, Arc::new(p))),
+                    Some(Err(e)) if !self.options.quiet => {
+                        eprintln!("cfed-serve: bad profile frame for {cell}: {e}");
                     }
-                    Err(e) => {
-                        if !self.options.quiet {
-                            eprintln!("cfed-serve: bad profile frame for {cell}: {e}");
-                        }
-                        Ok(())
-                    }
+                    _ => {}
                 }
+                None
             }
             "bye" => {
-                if let Some(worker) = self.workers.get_mut(&conn) {
-                    worker.alive = false;
-                }
-                self.publish_worker_count();
-                Ok(())
+                self.conns.get_mut(&conn)?.alive = false;
+                Some(Msg::Capacity { worker: conn, slots: 0 })
             }
-            _ => Ok(()),
+            _ => None,
         }
     }
 
-    fn handle_result(
-        &mut self,
-        conn: usize,
-        frame: &Json,
-        phase: &mut PhaseRun,
-    ) -> Result<(), String> {
-        let key = frame.get("key").and_then(Json::as_str).unwrap_or("").to_string();
-        let frame_phase = frame.get("phase").and_then(Json::as_u64);
-        let ms = frame.get("ms").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(worker) = self.workers.get_mut(&conn) {
-            worker.inflight.retain(|k| k != &key);
-            // Cumulative drop counter from the worker's bounded event queue.
-            let dropped = frame.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-            if dropped > worker.dropped_seen {
-                phase.stats.events_dropped += dropped - worker.dropped_seen;
-                worker.dropped_seen = dropped;
-            }
+    /// Clears `key`'s deadline when `conn` holds the lease: a late answer
+    /// from an earlier holder leaves the current holder's deadline armed.
+    fn release(&mut self, conn: usize, key: &str) {
+        if self.deadlines.get(key).is_some_and(|&(holder, _)| holder == conn) {
+            self.deadlines.remove(key);
         }
-        if frame_phase != Some(phase.index as u64) || phase.store.done.contains_key(&key) {
-            // Late delivery from a previous phase, or a duplicate of a unit
-            // another worker already completed: idempotent drop.
-            phase.stats.duplicates += 1;
-            return Ok(());
-        }
-        // The unit must be tracked (leased, or back in the queue after an
-        // expiry) — anything else is a duplicate of an attempt we already
-        // resolved.
-        let was_leased = phase.leases.remove(&key).is_some();
-        let was_pending = {
-            let before = phase.pending.len();
-            phase.pending.retain(|u| u.key != key);
-            phase.pending.len() != before
-        };
-        if !was_leased && !was_pending {
-            phase.stats.duplicates += 1;
-            return Ok(());
-        }
-        let record = frame.get("record").ok_or("result frame missing record")?;
-        let tallies = match ShardTallies::from_json(record) {
-            Ok(t) => t,
-            Err(e) => {
-                // A malformed record counts as a failed attempt.
-                return self.retry_or_fail(phase, &key, &format!("malformed result: {e}"));
-            }
-        };
-        phase.store.append_ok(&key, tallies.clone())?;
-        phase.remaining -= 1;
-        let worker_name = self.workers.get(&conn).map_or("?", |w| w.name.as_str()).to_string();
-        phase.stats.record_unit(&worker_name, ms);
-        self.live.record_done(&key, tallies);
-        let done = phase.store.done.len() as u64;
-        let total = phase.total;
-        self.telemetry.emit_with(|| {
-            Event::new("shard_done").str("shard", &key).u64("done", done).u64("of", total)
-        });
-        Ok(())
     }
 
-    /// A unit's attempt failed (fail frame, expiry, disconnect, malformed
-    /// result): re-queue with backoff while the retry budget lasts, else
-    /// record it permanently failed.
-    fn retry_or_fail(
-        &mut self,
-        phase: &mut PhaseRun,
-        key: &str,
-        error: &str,
-    ) -> Result<(), String> {
-        let slot = phase.attempts.entry(key.to_string()).or_insert(0);
-        *slot += 1;
-        let attempts = *slot;
-        let Some((cell, shard)) = phase_unit(phase, key) else {
-            return Ok(()); // unknown key: nothing to re-queue
-        };
-        if self.options.retry.allows(attempts) {
-            phase.stats.retried += 1;
-            self.telemetry.emit_with(|| {
-                Event::new("shard_failed")
-                    .str("shard", key)
-                    .str("error", error)
-                    .u64("attempt", u64::from(attempts))
-                    .u64("retried", 1)
-            });
-            if !self.options.quiet {
-                eprintln!("cfed-serve: unit {key} attempt {attempts} failed, retrying: {error}");
-            }
-            phase.pending.push_back(Unit {
-                cell,
-                shard,
-                key: key.to_string(),
-                ready_at: Instant::now() + self.options.retry.backoff(attempts),
-            });
-        } else {
-            phase.stats.failed += 1;
-            phase.store.append_failed(key, error)?;
-            phase.remaining -= 1;
-            self.live.record_failed(key, error);
-            self.telemetry.emit_with(|| {
-                Event::new("shard_failed")
-                    .str("shard", key)
-                    .str("error", error)
-                    .u64("attempt", u64::from(attempts))
-            });
-            eprintln!("cfed-serve: unit {key} FAILED after {attempts} attempt(s): {error}");
-        }
-        Ok(())
-    }
-
-    /// Re-queues every unit leased to a disconnected worker.
-    fn worker_gone(&mut self, conn: usize, phase: &mut PhaseRun) -> Result<(), String> {
-        let Some(worker) = self.workers.get_mut(&conn) else { return Ok(()) };
-        worker.alive = false;
-        let name = worker.name.clone();
-        let lost: Vec<String> = std::mem::take(&mut worker.inflight);
-        self.publish_worker_count();
-        if !lost.is_empty() {
-            // A worker died mid-unit (killed, crashed, or cut off): dump
-            // the recent-event window past the recorder so the forensics
-            // trail survives even though the worker itself cannot report.
-            self.options.telemetry.emit_with(|| {
-                self.flight
-                    .dump_event("worker_lost")
-                    .str("worker", &name)
-                    .u64("lost_leases", lost.len() as u64)
-            });
-        }
-        for key in lost {
-            if phase.leases.remove(&key).is_some() {
-                phase.stats.expired += 1;
-                self.retry_or_fail(phase, &key, "worker disconnected mid-unit")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fails leases past their deadline (striking the worker) and
-    /// re-queues them under the retry policy.
-    fn expire(&mut self, phase: &mut PhaseRun) -> Result<(), String> {
+    /// Fails leases past their deadline, striking (and at the limit
+    /// quarantining) their workers.
+    fn expire(&mut self) {
         let now = Instant::now();
-        let expired: Vec<String> = phase
-            .leases
-            .iter()
-            .filter(|(_, l)| l.deadline <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in expired {
-            let Some(lease) = phase.leases.remove(&key) else { continue };
-            phase.stats.expired += 1;
-            if let Some(worker) = self.workers.get_mut(&lease.conn) {
-                worker.inflight.retain(|k| k != &key);
+        let (expired, pending): (HashMap<_, _>, _) =
+            self.deadlines.drain().partition(|(_, (_, deadline))| *deadline <= now);
+        self.deadlines = pending;
+        for (key, (conn, _)) in expired {
+            self.stats.expired += 1;
+            if let Some(worker) = self.conns.get_mut(&conn) {
                 worker.strikes += 1;
                 if worker.strikes == MAX_STRIKES {
-                    phase.stats.quarantined += 1;
+                    self.stats.quarantined += 1;
                     self.options.telemetry.emit_with(|| {
                         self.flight.dump_event("quarantine").str("worker", &worker.name)
                     });
@@ -880,34 +594,83 @@ impl SchedulerState {
                             worker.name, worker.strikes
                         );
                     }
+                    // Before the failure, so the unit is not re-leased to it.
+                    self.outbox.push_back(Msg::Capacity { worker: conn, slots: 0 });
                 }
             }
-            self.retry_or_fail(phase, &key, "lease expired")?;
+            let error = "lease expired".to_string();
+            self.outbox.push_back(Msg::Failed { phase: self.phase, key, error });
         }
-        Ok(())
     }
 
-    fn publish_worker_count(&self) {
-        self.live.set_workers(self.workers.values().filter(|w| w.hello && w.alive).count());
-    }
-
-    /// Mirrors per-worker outstanding-lease counts into the live view
-    /// (`/progress` and the `cfed_worker_inflight` gauge).
-    fn publish_inflight(&self) {
-        let inflight = self
-            .workers
-            .values()
-            .filter(|w| w.hello && w.alive)
-            .map(|w| (w.name.clone(), w.inflight.len() as u64))
+    /// Keeps `/progress` and `/metrics` current mid-phase: run-so-far
+    /// counters, live workers and their outstanding leases.
+    fn publish(&self) {
+        let mut stats = self.stats_total.clone();
+        stats.absorb(&self.stats);
+        self.live.set_stats(stats);
+        let inflight: BTreeMap<String, u64> = self
+            .conns
+            .iter()
+            .filter(|(_, w)| w.hello && w.alive)
+            .map(|(&conn, w)| {
+                let held = self.deadlines.values().filter(|(holder, _)| *holder == conn).count();
+                (w.name.clone(), held as u64)
+            })
             .collect();
+        self.live.set_workers(self.conns.values().filter(|w| w.hello && w.alive).count());
         self.live.set_inflight(inflight);
     }
 }
 
-/// Looks up a unit's `(cell, shard)` from its key via the phase cell list.
-fn phase_unit(phase: &PhaseRun, key: &str) -> Option<(usize, u64)> {
-    let (cell_key, shard) = key.rsplit_once('#')?;
-    let shard: u64 = shard.parse().ok()?;
-    let cell = phase.cells.iter().position(|c| c.key() == cell_key)?;
-    Some((cell, shard))
+impl Transport for Net {
+    fn lease(&mut self, worker: usize, lease: &Lease) -> bool {
+        let Some(conn) = self.conns.get_mut(&worker) else { return false };
+        let frame = obj(vec![
+            ("t", Json::Str("lease".to_string())),
+            ("phase", Json::UInt(lease.phase as u64)),
+            ("cell", Json::UInt(lease.task.cell as u64)),
+            ("shard", Json::UInt(lease.task.shard_index)),
+            ("key", Json::Str(lease.key.clone())),
+        ]);
+        if write_frame(&mut conn.writer, &frame).is_err() {
+            conn.alive = false;
+            return false;
+        }
+        self.stats.leased += 1;
+        let deadline = Instant::now() + Duration::from_millis(self.options.lease_ms.max(1));
+        self.deadlines.insert(lease.key.clone(), (worker, deadline));
+        true
+    }
+
+    fn recv(&mut self, wake: Option<Instant>) -> Result<Option<Msg>, String> {
+        if let Some(msg) = self.outbox.pop_front() {
+            return Ok(Some(msg));
+        }
+        let until = wake.map_or(POLL, |at| at.saturating_duration_since(Instant::now()).min(POLL));
+        let msg = match self.rx.recv_timeout(until) {
+            Ok(msg) => self.translate(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return Err("acceptor exited".to_string()),
+        };
+        self.expire();
+        self.publish();
+        Ok(msg.or_else(|| self.outbox.pop_front()))
+    }
+
+    fn note(&mut self, note: Note<'_>) {
+        match note {
+            Note::Done { worker, key, ms, tallies } => {
+                self.stats.record_unit(&self.name(worker), ms);
+                self.live.record_done(key, tallies.clone());
+            }
+            Note::Duplicate => self.stats.duplicates += 1,
+            Note::Retried => self.stats.retried += 1,
+            Note::Failed { key, error } => {
+                self.stats.failed += 1;
+                self.live.record_failed(key, error);
+            }
+            Note::Profile(profile) => self.live.record_profile(&profile.totals()),
+        }
+    }
 }

@@ -9,13 +9,12 @@
 //! The pieces:
 //!
 //! * [`proto`] — length-prefixed JSON frames and the matrix wire format;
-//! * [`coordinator`] — splits the campaign matrix into idempotent work
-//!   units (one shard of one cell, keyed exactly like the checkpointed
-//!   JSONL store), leases them with deadlines, retries failures/expiries
-//!   under the shared [`cfed_runner::retry::RetryPolicy`], and is the
-//!   single store writer;
-//! * [`worker`] — runs leased units on the runner pool's
-//!   [`cfed_runner::pool::UnitExecutor`] (golden-run cache + snapshot
+//! * [`coordinator`] — the TCP transport of the runner's unit scheduler
+//!   ([`cfed_runner::scheduler`], which owns the queue, retries and the
+//!   single store writer): frame translation, lease deadlines, strikes
+//!   and quarantine;
+//! * [`worker`] — runs leased units on the runner's executor pool
+//!   ([`cfed_runner::pool::spawn_executors`]: golden-run cache + snapshot
 //!   fast-forward) and streams results and telemetry back;
 //! * [`http`] — live `/report`, `/progress`, `/healthz` endpoints reusing
 //!   the offline report renderer;

@@ -287,6 +287,17 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
+    /// A frame nested past the parser's depth limit is a read error, not a
+    /// stack overflow of the reader thread.
+    #[test]
+    fn overly_nested_frame_is_an_error() {
+        let body = "[".repeat(100_000);
+        let mut buf = u32::try_from(body.len()).unwrap().to_be_bytes().to_vec();
+        buf.extend_from_slice(body.as_bytes());
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
     #[test]
     fn oversized_length_is_refused() {
         let mut buf = (u32::try_from(MAX_FRAME + 1).unwrap()).to_be_bytes().to_vec();

@@ -17,13 +17,14 @@ use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use cfed_runner::matrix::{CellSpec, ShardTask};
-use cfed_runner::pool::{GoldenCache, UnitExecutor};
+use cfed_runner::pool::{spawn_executors, GoldenCache, Job, RunnerOptions};
+use cfed_runner::scheduler::{Lease, Msg};
 use cfed_telemetry::json::{obj, Json};
-use cfed_telemetry::{ChannelSink, Event, EventSink, Profile};
+use cfed_telemetry::{ChannelSink, Event, EventSink};
 
 use crate::proto::{matrix_from_json, read_frame, tag, write_frame};
 
@@ -83,35 +84,21 @@ pub struct WorkerSummary {
 
 /// One phase as the worker sees it: the reconstructed cell list plus a
 /// golden cache shared by all executor threads.
-struct PhaseCtx {
-    cells: Vec<CellSpec>,
-    goldens: Arc<GoldenCache>,
-}
-
-struct Task {
-    phase: u64,
-    ctx: Arc<PhaseCtx>,
-    cell: usize,
-    shard: u64,
-    key: String,
-}
+type PhaseCtx = (Arc<Vec<CellSpec>>, Arc<GoldenCache>);
 
 enum WorkerMsg {
     /// A frame from the coordinator.
     Frame(Json),
     /// The coordinator connection closed or failed.
     Disconnected(String),
-    /// An executor thread finished a unit. `profile` carries the cell's
-    /// execution profile when profiling is on; the main loop forwards it
-    /// at most once per `(phase, cell)`.
-    Done {
-        phase: u64,
-        cell: usize,
-        key: String,
-        ms: u64,
-        outcome: Result<Json, String>,
-        profile: Option<Arc<Profile>>,
-    },
+    /// An executor thread finished a unit (done or failed).
+    Unit(Msg),
+}
+
+impl From<Msg> for WorkerMsg {
+    fn from(msg: Msg) -> WorkerMsg {
+        WorkerMsg::Unit(msg)
+    }
 }
 
 /// Connects to the coordinator and serves until it says `bye`, the
@@ -133,22 +120,13 @@ pub fn work(
     serve_connection(stream, options, stop)
 }
 
-// Same capping rule as `RunnerOptions::resolved_threads`: an explicit
-// request never resolves above the host's available parallelism.
-fn resolved_threads(options: &WorkerOptions) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if options.threads > 0 {
-        return options.threads.min(cores);
-    }
-    cores
-}
-
 fn serve_connection(
     stream: TcpStream,
     options: &WorkerOptions,
     stop: Option<Arc<AtomicBool>>,
 ) -> Result<WorkerSummary, String> {
-    let threads = resolved_threads(options);
+    let threads =
+        RunnerOptions { threads: options.threads, ..Default::default() }.resolved_threads();
     let stop = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let (msg_tx, msg_rx) = mpsc::channel::<WorkerMsg>();
 
@@ -176,50 +154,16 @@ fn serve_connection(
         })
     };
 
-    // Executor pool: threads pull tasks from a shared channel; each thread
-    // keeps one UnitExecutor per phase (private image cache, shared golden
-    // cache) so repeated shards of one cell hit warm state.
-    let (task_tx, task_rx) = mpsc::channel::<Task>();
-    let task_rx = Arc::new(Mutex::new(task_rx));
-    let mut executor_handles = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let task_rx = Arc::clone(&task_rx);
-        let tx = msg_tx.clone();
-        executor_handles.push(std::thread::spawn(move || {
-            let mut executors: HashMap<u64, UnitExecutor> = HashMap::new();
-            loop {
-                let task = {
-                    let rx = task_rx.lock().expect("task queue poisoned");
-                    rx.recv()
-                };
-                let Ok(task) = task else { break };
-                let executor = executors
-                    .entry(task.phase)
-                    .or_insert_with(|| UnitExecutor::new(Arc::clone(&task.ctx.goldens), false));
-                let started = Instant::now();
-                let run = executor.run(&task.ctx.cells[task.cell], task.shard);
-                let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                let outcome = run.tallies.map(|t| t.to_json(&task.key));
-                let done = WorkerMsg::Done {
-                    phase: task.phase,
-                    cell: task.cell,
-                    key: task.key,
-                    ms,
-                    outcome,
-                    profile: run.profile,
-                };
-                if tx.send(done).is_err() {
-                    break;
-                }
-            }
-        }));
-    }
+    // Executor pool: threads pull jobs from a shared channel and report
+    // into the main loop.
+    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let executor_handles = spawn_executors(threads, false, job_rx, &msg_tx);
 
     let sink = ChannelSink::new(options.event_queue);
     let mut write_half = stream;
     let mut summary = WorkerSummary::default();
-    let mut phases: HashMap<u64, Arc<PhaseCtx>> = HashMap::new();
-    let mut profiles_sent: HashSet<(u64, usize)> = HashSet::new();
+    let mut phases: HashMap<usize, PhaseCtx> = HashMap::new();
+    let mut profiles_sent: HashSet<(usize, String)> = HashSet::new();
     let mut inflight: u64 = 0;
     let mut leaving = false; // bye sent or stop requested: no new leases
 
@@ -255,60 +199,56 @@ fn serve_connection(
                 }
                 break;
             }
-            WorkerMsg::Done { phase, cell, key, ms, outcome, profile } => {
+            WorkerMsg::Unit(msg) => {
                 inflight -= 1;
-                match outcome {
-                    Ok(record) => {
+                let sent = match msg {
+                    Msg::Done(done) => {
                         summary.units_done += 1;
-                        sink.emit(&Event::new("unit_done").str("unit", &key).u64("ms", ms));
-                        // Ship the cell's profile before the result frame:
-                        // if this result completes the phase, the
-                        // coordinator must still hold the phase store open
-                        // when the profile arrives.
-                        if let Some(p) = profile {
-                            if profiles_sent.insert((phase, cell)) {
-                                let cell_key = phases
-                                    .get(&phase)
-                                    .map(|ctx| ctx.cells[cell].key())
-                                    .unwrap_or_default();
-                                let frame = obj(vec![
-                                    ("t", Json::Str("profile".to_string())),
-                                    ("phase", Json::UInt(phase)),
-                                    ("cell", Json::Str(cell_key)),
-                                    ("profile", p.to_json()),
-                                ]);
-                                if write_frame(&mut write_half, &frame).is_err() {
-                                    break;
-                                }
-                            }
-                        }
+                        let key = &done.key;
+                        sink.emit(&Event::new("unit_done").str("unit", key).u64("ms", done.ms));
+                        // Ship the cell's profile before the result frame,
+                        // which the coordinator attaches it to.
+                        let cell_key = key.rsplit_once('#').map_or("", |(cell, _)| cell);
+                        let profile = done
+                            .profile
+                            .as_ref()
+                            .filter(|_| profiles_sent.insert((done.phase, cell_key.to_string())));
+                        let profile_sent = profile.is_none_or(|p| {
+                            let frame = obj(vec![
+                                ("t", Json::Str("profile".to_string())),
+                                ("phase", Json::UInt(done.phase as u64)),
+                                ("cell", Json::Str(cell_key.to_string())),
+                                ("profile", p.to_json()),
+                            ]);
+                            write_frame(&mut write_half, &frame).is_ok()
+                        });
                         let frame = obj(vec![
                             ("t", Json::Str("result".to_string())),
-                            ("phase", Json::UInt(phase)),
-                            ("key", Json::Str(key)),
-                            ("ms", Json::UInt(ms)),
+                            ("phase", Json::UInt(done.phase as u64)),
+                            ("key", Json::Str(key.clone())),
+                            ("ms", Json::UInt(done.ms)),
                             ("dropped", Json::UInt(sink.dropped())),
-                            ("record", record),
+                            ("record", done.tallies.to_json(key)),
                         ]);
-                        if write_frame(&mut write_half, &frame).is_err() {
-                            break;
-                        }
+                        profile_sent && write_frame(&mut write_half, &frame).is_ok()
                     }
-                    Err(error) => {
+                    Msg::Failed { phase, key, error } => {
                         summary.units_failed += 1;
                         sink.emit(
                             &Event::new("unit_failed").str("unit", &key).str("error", &error),
                         );
                         let frame = obj(vec![
                             ("t", Json::Str("fail".to_string())),
-                            ("phase", Json::UInt(phase)),
+                            ("phase", Json::UInt(phase as u64)),
                             ("key", Json::Str(key)),
                             ("error", Json::Str(error)),
                         ]);
-                        if write_frame(&mut write_half, &frame).is_err() {
-                            break;
-                        }
+                        write_frame(&mut write_half, &frame).is_ok()
                     }
+                    _ => true,
+                };
+                if !sent {
+                    break;
                 }
                 if forward_events(&mut write_half, &sink).is_err() {
                     break;
@@ -330,7 +270,7 @@ fn serve_connection(
                     }
                     "phase" => match parse_phase(&frame, options.snapshots, options.profile) {
                         Ok((index, ctx)) => {
-                            phases.insert(index, Arc::new(ctx));
+                            phases.insert(index, ctx);
                         }
                         Err(e) => {
                             if !options.quiet {
@@ -340,7 +280,7 @@ fn serve_connection(
                     },
                     "lease" => {
                         let accepted = accept_lease(&frame, &phases, leaving).and_then(|task| {
-                            task_tx.send(task).map_err(|_| "executor pool gone".to_string())
+                            job_tx.send(task).map_err(|_| "executor pool gone".to_string())
                         });
                         match accepted {
                             Ok(()) => inflight += 1,
@@ -376,7 +316,7 @@ fn serve_connection(
     // Tear down: close the socket (unblocks the reader), retire the
     // executor pool, and join everything.
     let _ = write_half.shutdown(std::net::Shutdown::Both);
-    drop(task_tx);
+    drop(job_tx);
     drop(msg_rx);
     for handle in executor_handles {
         let _ = handle.join();
@@ -395,38 +335,41 @@ fn serve_connection(
 }
 
 /// Parses a `phase` frame into the worker's execution context.
-fn parse_phase(frame: &Json, snapshots: bool, profile: bool) -> Result<(u64, PhaseCtx), String> {
+fn parse_phase(frame: &Json, snapshots: bool, profile: bool) -> Result<(usize, PhaseCtx), String> {
     let index = frame.get("phase").and_then(Json::as_u64).ok_or("phase frame missing index")?;
+    let index = index as usize;
     let matrix = matrix_from_json(frame.get("matrix").ok_or("phase frame missing matrix")?)?;
     let cells = matrix.cells();
-    Ok((index, PhaseCtx { cells, goldens: Arc::new(GoldenCache::new(snapshots, profile)) }))
+    Ok((index, (Arc::new(cells), Arc::new(GoldenCache::new(snapshots, profile)))))
 }
 
 /// Validates a lease against the worker's own matrix reconstruction and
 /// produces the executor task.
 fn accept_lease(
     frame: &Json,
-    phases: &HashMap<u64, Arc<PhaseCtx>>,
+    phases: &HashMap<usize, PhaseCtx>,
     leaving: bool,
-) -> Result<Task, String> {
+) -> Result<Job, String> {
     if leaving {
         return Err("worker is draining".to_string());
     }
-    let phase = frame.get("phase").and_then(Json::as_u64).ok_or("lease missing phase")?;
+    let phase = frame.get("phase").and_then(Json::as_u64).ok_or("lease missing phase")? as usize;
     let cell = frame.get("cell").and_then(Json::as_u64).ok_or("lease missing cell")? as usize;
     let shard = frame.get("shard").and_then(Json::as_u64).ok_or("lease missing shard")?;
     let key = frame.get("key").and_then(Json::as_str).ok_or("lease missing key")?.to_string();
-    let ctx = phases.get(&phase).ok_or_else(|| format!("unknown phase {phase}"))?;
-    if cell >= ctx.cells.len() {
-        return Err(format!("cell index {cell} out of range ({} cells)", ctx.cells.len()));
+    let (cells, goldens) = phases.get(&phase).ok_or_else(|| format!("unknown phase {phase}"))?;
+    if cell >= cells.len() {
+        return Err(format!("cell index {cell} out of range ({} cells)", cells.len()));
     }
-    let expected = ShardTask { cell, shard_index: shard }.key(&ctx.cells);
+    let task = ShardTask { cell, shard_index: shard };
+    let expected = task.key(cells);
     if expected != key {
         return Err(format!(
             "lease key mismatch: coordinator sent {key:?}, worker computes {expected:?}"
         ));
     }
-    Ok(Task { phase, ctx: Arc::clone(ctx), cell, shard, key })
+    let (cells, goldens) = (Arc::clone(cells), Arc::clone(goldens));
+    Ok(Job { cells, goldens, lease: Lease { phase, task, key } })
 }
 
 /// Drains the bounded event queue into `event` frames.

@@ -290,6 +290,39 @@ fn silent_worker_is_struck_out_and_units_recover() {
     drop(silent);
 }
 
+/// A peer that sends a frame nested far past the JSON depth limit loses its
+/// connection (and its lease) instead of overflowing a reader thread's
+/// stack and aborting the coordinator; the campaign completes unchanged.
+#[test]
+fn overly_nested_frame_cannot_abort_the_coordinator() {
+    let dir = tmp_dir("deep");
+    let reference = single_process_report(&dir);
+
+    let store = dir.join("served.jsonl");
+    let (coord, addr) = quiet_coordinator(CoordinatorOptions::default());
+    let plans =
+        vec![PhasePlan { label: "coverage".to_string(), matrix: matrix(), store: store.clone() }];
+    let coord_thread = thread::spawn(move || coord.run("svc", &plans, None));
+
+    {
+        let mut hostile = TcpStream::connect(&addr).unwrap();
+        send_hello(&mut hostile, "hostile", 1);
+        recv_tagged(&mut hostile, "lease");
+        let body = "[".repeat(100_000);
+        hostile.write_all(&u32::try_from(body.len()).unwrap().to_be_bytes()).unwrap();
+        hostile.write_all(body.as_bytes()).unwrap();
+    }
+
+    let real = spawn_worker(&addr, "survivor");
+    real.join().unwrap().unwrap();
+    let summary = coord_thread.join().unwrap().unwrap();
+
+    assert!(summary.complete(), "{summary:?}");
+    assert!(summary.stats.expired >= 1, "hostile lease re-queued: {:?}", summary.stats);
+    assert_eq!(summary.stats.failed, 0);
+    assert_eq!(render_report(&store).unwrap(), reference);
+}
+
 /// Canonical byte rendering of every profile record in a store.
 fn profile_bytes(path: &std::path::Path) -> String {
     cfed_runner::read_profiles(path)

@@ -124,11 +124,19 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Parses one JSON document; the whole input must be consumed.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a bound one hostile wire frame or store line could
+/// overflow the stack; the deepest document the workspace writes (a result
+/// frame around a store record, or a flight dump whose window holds a
+/// `serve_stats` event) nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; the whole input must be consumed, and arrays
+/// and objects may nest at most [`MAX_DEPTH`] levels.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -142,10 +150,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` is how many more arrays/objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at offset {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -162,7 +174,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at offset {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -184,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -294,6 +306,19 @@ mod tests {
         for cut in 1..full.len() {
             assert!(parse(&full[..cut]).is_err(), "accepted truncation {:?}", &full[..cut]);
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Objects count too, and far deeper input fails the same way
+        // instead of overflowing the stack.
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
