@@ -6,10 +6,13 @@
 //! (overwritten return addresses, corrupted jump-table targets,
 //! mid-instruction gadget entry, cross-block edge splices past the
 //! instrumentation head, stack/data pivots, predicate bypasses) as
-//! first-class injection campaigns: each archetype strikes at a chosen
-//! dynamic branch in *translated* code, is mechanically classified into the
-//! paper's categories by the same `classify_*` machinery as the SEU model,
-//! and runs to the same [`Outcome`](crate::inject::Outcome) vocabulary — so campaign tallies,
+//! first-class injection campaigns: an attack cell is a
+//! [`Campaign`](crate::Campaign) with `attack: Some(kind)`, and each trial
+//! runs through the same [`inject`](crate::inject()) trial loop as a soft
+//! error. Each archetype strikes at a chosen dynamic branch in *translated*
+//! code, is mechanically classified into the paper's categories by the same
+//! `classify_*` machinery as the SEU model, and runs to the same
+//! [`Outcome`](crate::inject::Outcome) vocabulary — so campaign tallies,
 //! stores, merges, and the coordinator/worker service work byte-identically
 //! for attacks and soft errors alike.
 //!
@@ -20,9 +23,7 @@
 //! *past* another block's signature check, a byte-misaligned gadget inside
 //! the current block, or a non-executable data page.
 
-use crate::campaign::{CampaignReport, SHARD_TRIALS};
-use crate::inject::{build, run_trial_inner, Golden, InjectionResult, WorkloadError};
-use crate::snapshot::SnapshotSet;
+use crate::inject::{advance_to_branch, build, Advance, WorkloadError};
 use cfed_asm::Image;
 use cfed_core::{
     classify_addr_fault, classify_flag_fault, trace_tier_config, BlockLayout, BranchFault,
@@ -30,10 +31,8 @@ use cfed_core::{
 };
 use cfed_dbt::{Dbt, DbtExit, DbtStep, NativeDbt, NullInstrumenter, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
-use cfed_sim::{ExitReason, Machine, Trap};
+use cfed_sim::{Machine, Trap};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
 /// An attack archetype: *how* the adversary corrupts control flow at the
@@ -145,7 +144,7 @@ pub struct AttackSpec {
 }
 
 /// Where an attack actually went — the evidence the forensics bundles
-/// carry beyond what [`InjectionResult`] records.
+/// carry beyond what [`InjectionResult`](crate::InjectionResult) records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackProvenance {
     /// The corrupted control-transfer target (for `flip-branch`, the wrong
@@ -363,13 +362,15 @@ fn plan_attack(
 
 /// Applies a resolved plan: redirects seize the program counter (the branch
 /// never retires — a corrupted return address or jump target), flag flips
-/// execute the branch on the corrupted flags.
-fn attack_now(
+/// execute the branch on the corrupted flags. Returns the attack's
+/// category, site, whether the target landed on instrumentation and the
+/// step result of the strike, plus where the attack went.
+pub(crate) fn attack_now(
     m: &mut Machine,
     dbt: &mut Dbt,
     image: &Image,
     spec: AttackSpec,
-) -> Option<(AttackPlan, DbtStep)> {
+) -> Option<((Category, u64, bool, DbtStep), AttackProvenance)> {
     let plan = plan_attack(m, dbt, image, spec.kind, spec.param)?;
     let step = match plan.action {
         AttackAction::Redirect { target } => {
@@ -381,194 +382,7 @@ fn attack_now(
             dbt.step(m)
         }
     };
-    Some((plan, step))
-}
-
-/// Mounts one attack and runs to an outcome, replaying the attack-free
-/// prefix from scratch. Returns `Ok(None)` when the attack is unplaceable:
-/// the strike branch is beyond the program's execution, or the archetype
-/// has no candidate target there.
-///
-/// # Errors
-///
-/// [`WorkloadError`] when the attack-free prefix itself misbehaves — only
-/// possible when `golden` does not describe this `(image, config)`.
-pub fn attack(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-    golden: &Golden,
-) -> Result<Option<InjectionResult>, WorkloadError> {
-    attack_with(image, cfg, spec, golden, None)
-}
-
-/// As [`attack`], fast-forwarding through `snapshots` when provided (see
-/// [`crate::inject_with`]); the outcome is bit-identical either way.
-///
-/// # Errors
-///
-/// As [`attack`].
-pub fn attack_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-    golden: &Golden,
-    snapshots: Option<&SnapshotSet>,
-) -> Result<Option<InjectionResult>, WorkloadError> {
-    let r = run_trial_inner(image, cfg, spec.nth, golden, None, snapshots, |m, dbt, image| {
-        attack_now(m, dbt, image, spec).map(|(p, step)| (p.category, p.site, p.landing, step))
-    })?;
-    Ok(r.map(|(result, _)| result))
-}
-
-/// As [`attack_with`] with an execution tracer of `capacity` instructions
-/// attached, returning the gadget provenance alongside — the forensics
-/// path. Deterministic: re-running a plain [`attack`] trial through here
-/// reproduces the identical outcome with evidence attached.
-///
-/// # Errors
-///
-/// As [`attack`].
-pub fn attack_traced_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-    golden: &Golden,
-    capacity: usize,
-    snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer, AttackProvenance)>, WorkloadError> {
-    let mut provenance = None;
-    let r =
-        run_trial_inner(image, cfg, spec.nth, golden, Some(capacity), snapshots, |m, dbt, img| {
-            attack_now(m, dbt, img, spec).map(|(p, step)| {
-                provenance = Some(p.provenance);
-                (p.category, p.site, p.landing, step)
-            })
-        })?;
-    Ok(r.map(|(result, tracer)| {
-        (result, tracer.expect("tracer attached"), provenance.expect("attack placed"))
-    }))
-}
-
-/// A randomized attack campaign over one image + DBT configuration: the
-/// adversarial counterpart of [`crate::Campaign`], sharing its shard
-/// geometry, seed derivation and report type — which is what lets attack
-/// cells flow through stores, merges, kill/resume and the serve pipeline
-/// unchanged.
-#[derive(Debug, Clone)]
-pub struct AttackCampaign {
-    /// DBT configuration under test.
-    pub config: RunConfig,
-    /// Attack archetype this campaign mounts.
-    pub kind: AttackKind,
-    /// Number of attacks to mount.
-    pub trials: u64,
-    /// RNG seed (campaigns are deterministic given the seed).
-    pub seed: u64,
-}
-
-impl AttackCampaign {
-    /// A campaign with the given trial count and the fixed default seed.
-    pub fn new(config: RunConfig, kind: AttackKind, trials: u64) -> AttackCampaign {
-        AttackCampaign { config, kind, trials, seed: 0xCFED_2006 }
-    }
-
-    /// Number of shards ([`SHARD_TRIALS`] trials each, last possibly short).
-    pub fn num_shards(&self) -> u64 {
-        self.trials.div_ceil(SHARD_TRIALS)
-    }
-
-    /// Trials in shard `shard_index`.
-    pub fn shard_trials(&self, shard_index: u64) -> u64 {
-        let start = shard_index * SHARD_TRIALS;
-        SHARD_TRIALS.min(self.trials.saturating_sub(start))
-    }
-
-    /// Shard seed derivation — identical to [`crate::Campaign::shard_seed`],
-    /// so attack shards are bit-identical however they are scheduled.
-    pub fn shard_seed(&self, shard_index: u64) -> u64 {
-        let mut state = self.seed.wrapping_add(shard_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        rand::splitmix64(&mut state)
-    }
-
-    /// Runs one shard against a precomputed golden reference.
-    ///
-    /// Each trial strikes a uniformly random dynamic branch execution with a
-    /// uniformly random target parameter; unplaceable attacks count as
-    /// skipped, mirroring out-of-range faults.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError`] when a trial's attack-free prefix misbehaves.
-    pub fn run_shard(
-        &self,
-        image: &Image,
-        golden: &Golden,
-        shard_index: u64,
-    ) -> Result<CampaignReport, WorkloadError> {
-        self.run_shard_with(image, golden, None, shard_index, |_, _| {})
-    }
-
-    /// As [`AttackCampaign::run_shard`], fast-forwarding through `snapshots`
-    /// when provided and invoking `observer` with every placed trial.
-    /// Observers are side channels (telemetry, forensics) and must not
-    /// influence the tallies.
-    ///
-    /// # Errors
-    ///
-    /// As [`AttackCampaign::run_shard`].
-    pub fn run_shard_with(
-        &self,
-        image: &Image,
-        golden: &Golden,
-        snapshots: Option<&SnapshotSet>,
-        shard_index: u64,
-        mut observer: impl FnMut(AttackSpec, &InjectionResult),
-    ) -> Result<CampaignReport, WorkloadError> {
-        let mut rng = StdRng::seed_from_u64(self.shard_seed(shard_index));
-        let mut report = CampaignReport::new(golden.clone());
-        for _ in 0..self.shard_trials(shard_index) {
-            let nth = rng.gen_range(0..golden.branches.max(1));
-            let param = rng.gen::<u64>();
-            let spec = AttackSpec { kind: self.kind, nth, param };
-            if let Some(r) = attack_with(image, &self.config, spec, golden, snapshots)? {
-                observer(spec, &r);
-                report.record(r.category, r.outcome, r.latency_insts);
-            } else {
-                report.skipped += 1;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Runs the campaign against a caller-supplied golden reference.
-    ///
-    /// # Errors
-    ///
-    /// As [`AttackCampaign::run_shard`].
-    pub fn run_with_golden(
-        &self,
-        image: &Image,
-        golden: &Golden,
-        snapshots: Option<&SnapshotSet>,
-    ) -> Result<CampaignReport, WorkloadError> {
-        let mut report = CampaignReport::new(golden.clone());
-        for shard in 0..self.num_shards() {
-            report.merge(&self.run_shard_with(image, golden, snapshots, shard, |_, _| {})?);
-        }
-        Ok(report)
-    }
-
-    /// Runs the campaign: golden run (capturing fast-forward checkpoints),
-    /// then every shard in order.
-    ///
-    /// # Errors
-    ///
-    /// As [`AttackCampaign::run_shard`], plus golden-run failures.
-    pub fn run(&self, image: &Image) -> Result<CampaignReport, WorkloadError> {
-        let (golden, snapshots) = SnapshotSet::capture(image, &self.config)?;
-        self.run_with_golden(image, &golden, Some(&snapshots))
-    }
+    Some(((plan.category, plan.site, plan.landing, step), plan.provenance))
 }
 
 fn cat_idx(c: Category) -> usize {
@@ -667,9 +481,10 @@ impl AttackModel {
         AttackModel { config }
     }
 
-    /// Analyzes `image`'s attack surface. At each dynamic branch the target
-    /// parameter is the branch index, cycling deterministically through
-    /// each archetype's candidates.
+    /// Analyzes `image`'s attack surface, bursting from branch to branch on
+    /// the block-fused engine ([`advance_to_branch`]). At each dynamic
+    /// branch the target parameter is the branch index, cycling
+    /// deterministically through each archetype's candidates.
     ///
     /// # Errors
     ///
@@ -677,31 +492,30 @@ impl AttackModel {
     pub fn analyze(&self, image: &Image) -> Result<AttackSurface, WorkloadError> {
         let (mut m, mut dbt) = build(image, &self.config);
         let mut surface = AttackSurface::new();
+        let budget = self.config.max_insts;
         loop {
-            if m.cpu.stats().insts >= self.config.max_insts {
-                return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts });
-            }
-            if m.peek_inst().map(|i| i.is_branch()).unwrap_or(false) {
-                for kind in AttackKind::ALL {
-                    match plan_attack(&mut m, &dbt, image, kind, surface.branches) {
-                        Some(p) => surface.counts[kind.idx()][cat_idx(p.category)] += 1,
-                        None => surface.unplaceable[kind.idx()] += 1,
+            match advance_to_branch(&mut m, &mut dbt, surface.branches, budget, true, &mut 0) {
+                Advance::AtBranch => {
+                    for kind in AttackKind::ALL {
+                        match plan_attack(&mut m, &dbt, image, kind, surface.branches) {
+                            Some(p) => surface.counts[kind.idx()][cat_idx(p.category)] += 1,
+                            None => surface.unplaceable[kind.idx()] += 1,
+                        }
                     }
+                    surface.branches += 1;
                 }
-                surface.branches += 1;
-            }
-            match dbt.step(&mut m) {
-                DbtStep::Continue => {}
-                DbtStep::Halted => return Ok(surface),
-                DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
+                Advance::OutOfBudget => {
+                    return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts })
+                }
+                Advance::Halted => return Ok(surface),
+                Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
             }
         }
     }
 }
 
 /// How a pause-style engine attack ended — normalized across the fused
-/// interpreter, the native backend and the plain interpreter so runs are
-/// directly comparable.
+/// interpreter and the native backend so runs are directly comparable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttackExit {
     /// Guest halted with this exit code.
@@ -721,16 +535,6 @@ impl From<DbtExit> for AttackExit {
             DbtExit::Halted { code } => AttackExit::Halted { code },
             DbtExit::Trapped(t) => AttackExit::Trapped(t),
             DbtExit::StepLimit => AttackExit::StepLimit,
-        }
-    }
-}
-
-impl From<ExitReason> for AttackExit {
-    fn from(e: ExitReason) -> AttackExit {
-        match e {
-            ExitReason::Halted { code } => AttackExit::Halted { code },
-            ExitReason::Trapped(t) => AttackExit::Trapped(t),
-            ExitReason::StepLimit => AttackExit::StepLimit,
         }
     }
 }
@@ -819,63 +623,12 @@ pub fn pause_attack(
     }
 }
 
-/// The plain-interpreter counterpart of [`pause_attack`]: targets come from
-/// the *guest* control-flow graph (there is no translated code), so this
-/// measures the hardware-only detection floor of an uninstrumented run.
-pub fn pause_attack_interp(image: &Image, kind: AttackKind, param: u64, pause: u64) -> PauseAttack {
-    let cfg = cfed_core::cfg::Cfg::recover(image);
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let (placed, exit) = match m.run(pause) {
-        ExitReason::StepLimit => {
-            let ip = m.cpu.ip();
-            // Mirror the cache-space selection over guest blocks.
-            let blocks: Vec<TransBlock> = cfg
-                .blocks()
-                .iter()
-                .map(|b| TransBlock {
-                    guest_start: b.start,
-                    guest_len: b.end - b.start,
-                    cache_start: b.start,
-                    cache_end: b.end,
-                    body_start: b.start,
-                    body_len: b.end - b.start,
-                })
-                .collect();
-            let own = blocks
-                .iter()
-                .find(|b| b.cache_range().contains(&ip))
-                .map(|b| b.cache_start..b.cache_end);
-            let ctx = TargetCtx {
-                site: ip,
-                correct: ip,
-                fall: ip,
-                own,
-                blocks: &blocks,
-                image,
-                data_base: m.layout().data_base,
-            };
-            match select_target(kind, param, &ctx).filter(|&t| t != ip) {
-                Some(t) => {
-                    m.cpu.set_ip(t);
-                    (true, m.run(10_000_000))
-                }
-                None => (false, m.run(10_000_000)),
-            }
-        }
-        other => (false, other),
-    };
-    PauseAttack {
-        placed,
-        exit: exit.into(),
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::Outcome;
+    use crate::campaign::{Campaign, CampaignReport};
+    use crate::inject::{inject, inject_traced, Outcome};
+    use crate::snapshot::SnapshotSet;
     use cfed_core::TechniqueKind;
     use cfed_dbt::native_enabled;
     use cfed_lang::compile;
@@ -928,6 +681,44 @@ mod tests {
     }
 
     #[test]
+    fn surface_is_pinned() {
+        // Every cell of the archetype x category table, every unplaceable
+        // count and the branch total, under baseline and under EdgCF.
+        let img = image();
+        let base = AttackModel::new(RunConfig::baseline()).analyze(&img).unwrap();
+        assert_eq!(
+            base.counts,
+            [
+                [81, 0, 0, 0, 0, 0, 0],
+                [0, 193, 0, 0, 0, 0, 0],
+                [0, 0, 193, 0, 0, 0, 0],
+                [0, 0, 0, 192, 0, 0, 0],
+                [0, 0, 0, 190, 0, 0, 0],
+                [11, 0, 65, 13, 104, 0, 0],
+                [0, 0, 0, 0, 0, 193, 0],
+            ]
+        );
+        assert_eq!(base.unplaceable, [112, 0, 0, 1, 3, 0, 0]);
+        assert_eq!(base.branches, 193);
+        let edg =
+            AttackModel::new(RunConfig::technique(TechniqueKind::EdgCf)).analyze(&img).unwrap();
+        assert_eq!(
+            edg.counts,
+            [
+                [162, 0, 0, 0, 0, 0, 0],
+                [0, 431, 0, 0, 0, 0, 0],
+                [0, 0, 431, 0, 0, 0, 0],
+                [0, 0, 0, 429, 0, 0, 0],
+                [0, 0, 0, 0, 426, 0, 0],
+                [26, 22, 240, 17, 124, 0, 0],
+                [0, 0, 0, 0, 0, 431, 0],
+            ]
+        );
+        assert_eq!(edg.unplaceable, [269, 0, 0, 2, 5, 2, 0]);
+        assert_eq!(edg.branches, 431);
+    }
+
+    #[test]
     fn instrumented_splices_land_mid_block() {
         // Under a checking technique the splice target sits past the head:
         // category E. Under baseline there is no head: category D.
@@ -947,9 +738,9 @@ mod tests {
         for kind in AttackKind::ALL {
             for nth in [0u64, 9, 33] {
                 let spec = AttackSpec { kind, nth, param: nth * 17 + 3 };
-                let a = attack(&img, &cfg, spec, &golden).unwrap();
-                let b = attack(&img, &cfg, spec, &golden).unwrap();
-                let fast = attack_with(&img, &cfg, spec, &golden, Some(&snaps)).unwrap();
+                let a = inject(&img, &cfg, spec, &golden, None).unwrap();
+                let b = inject(&img, &cfg, spec, &golden, None).unwrap();
+                let fast = inject(&img, &cfg, spec, &golden, Some(&snaps)).unwrap();
                 assert_eq!(a, b, "{kind} nth={nth} not deterministic");
                 assert_eq!(a, fast, "{kind} nth={nth} fast-forward diverged");
             }
@@ -964,7 +755,7 @@ mod tests {
         let mut placed = 0;
         for nth in 0..10 {
             let spec = AttackSpec { kind: AttackKind::DataPivot, nth, param: nth };
-            if let Some(r) = attack(&img, &cfg, spec, &golden).unwrap() {
+            if let Some(r) = inject(&img, &cfg, spec, &golden, None).unwrap() {
                 assert_eq!(r.category, Category::F);
                 assert_eq!(r.outcome, Outcome::DetectedByHw, "pivot at {nth} escaped hardware");
                 placed += 1;
@@ -981,7 +772,7 @@ mod tests {
         let mut placed = 0;
         for nth in 0..10 {
             let spec = AttackSpec { kind: AttackKind::GadgetEntry, nth, param: 2 };
-            if let Some(r) = attack(&img, &cfg, spec, &golden).unwrap() {
+            if let Some(r) = inject(&img, &cfg, spec, &golden, None).unwrap() {
                 assert_eq!(r.category, Category::C);
                 assert_eq!(r.outcome, Outcome::DetectedByHw, "gadget at {nth} escaped hardware");
                 placed += 1;
@@ -993,11 +784,10 @@ mod tests {
     #[test]
     fn campaign_shard_merge_equals_serial_run() {
         let img = image();
-        let c = AttackCampaign::new(
-            RunConfig::technique(TechniqueKind::EdgCf),
-            AttackKind::RetGadget,
-            150,
-        );
+        let c = Campaign {
+            attack: Some(AttackKind::RetGadget),
+            ..Campaign::new(RunConfig::technique(TechniqueKind::EdgCf), 150)
+        };
         let serial = c.run(&img).unwrap();
         let golden = crate::inject::golden_run(&img, &c.config).unwrap();
         let mut merged = CampaignReport::new(golden.clone());
@@ -1015,7 +805,10 @@ mod tests {
     fn campaign_accounts_every_trial() {
         let img = image();
         for kind in AttackKind::ALL {
-            let c = AttackCampaign::new(RunConfig::technique(TechniqueKind::Rcf), kind, 40);
+            let c = Campaign {
+                attack: Some(kind),
+                ..Campaign::new(RunConfig::technique(TechniqueKind::Rcf), 40)
+            };
             let r = c.run(&img).unwrap();
             let total: u64 = Category::ALL.iter().map(|&cat| r.category(cat).total()).sum();
             assert_eq!(total + r.skipped, 40, "{kind}");
@@ -1028,10 +821,10 @@ mod tests {
         let cfg = RunConfig::technique(TechniqueKind::EdgCf);
         let (golden, snaps) = SnapshotSet::capture(&img, &cfg).unwrap();
         let spec = AttackSpec { kind: AttackKind::EdgeSplice, nth: 12, param: 5 };
-        let plain = attack(&img, &cfg, spec, &golden).unwrap();
-        let traced = attack_traced_with(&img, &cfg, spec, &golden, 64, Some(&snaps)).unwrap();
+        let plain = inject(&img, &cfg, spec, &golden, None).unwrap();
+        let traced = inject_traced(&img, &cfg, spec, &golden, 64, Some(&snaps)).unwrap();
         match (plain, traced) {
-            (Some(p), Some((t, _, prov))) => {
+            (Some(p), Some((t, _, Some(prov)))) => {
                 assert_eq!(p, t);
                 assert!(prov.attribution.is_some(), "splice target attributes to a block");
             }
@@ -1056,19 +849,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interp_pause_attack_runs() {
-        let img = image();
-        let mut placed = 0;
-        for kind in [AttackKind::DataPivot, AttackKind::RetGadget, AttackKind::GadgetEntry] {
-            let r = pause_attack_interp(&img, kind, 3, 500);
-            if r.placed {
-                placed += 1;
-            }
-        }
-        assert!(placed > 0, "interp attacks must place");
     }
 
     #[test]

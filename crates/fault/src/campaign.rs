@@ -1,7 +1,11 @@
-//! Fault-injection campaigns: many randomized single-bit faults, aggregated
-//! into a per-category coverage matrix.
+//! Fault-injection campaigns: many randomized single-bit faults — or
+//! attacks of one archetype — aggregated into a per-category coverage
+//! matrix.
 
-use crate::inject::{inject_with, FaultSpec, Golden, InjectionResult, Outcome, WorkloadError};
+use crate::attack::{AttackKind, AttackSpec};
+use crate::inject::{
+    inject, FaultSpec, Golden, InjectionResult, Outcome, TrialSpec, WorkloadError,
+};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{Category, RunConfig};
@@ -81,21 +85,27 @@ impl CategoryStats {
 /// whether the shards run serially here or spread over a worker pool.
 pub const SHARD_TRIALS: u64 = 64;
 
-/// A randomized injection campaign over one image + DBT configuration.
+/// A randomized injection campaign over one image + DBT configuration:
+/// soft errors, or attacks of one archetype.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// DBT configuration under test.
     pub config: RunConfig,
-    /// Number of faults to inject.
+    /// When set, every trial mounts this attack archetype instead of a
+    /// random soft error. Shard geometry, seed derivation and the report
+    /// are the same either way.
+    pub attack: Option<AttackKind>,
+    /// Number of trials to run.
     pub trials: u64,
     /// RNG seed (campaigns are deterministic given the seed).
     pub seed: u64,
 }
 
 impl Campaign {
-    /// A campaign with the given trial count and a fixed default seed.
+    /// A soft-error campaign with the given trial count and a fixed
+    /// default seed.
     pub fn new(config: RunConfig, trials: u64) -> Campaign {
-        Campaign { config, trials, seed: 0xCFED_2006 }
+        Campaign { config, attack: None, trials, seed: 0xCFED_2006 }
     }
 
     /// Number of shards this campaign splits into ([`SHARD_TRIALS`] trials
@@ -127,7 +137,9 @@ impl Campaign {
     /// Each trial picks a uniformly random dynamic branch execution and a
     /// uniformly random bit among the 32 offset bits + 6 flag bits — the
     /// same fault space as the §2 error model, but executed rather than
-    /// classified hypothetically.
+    /// classified hypothetically. Attack campaigns instead draw a uniformly
+    /// random target parameter for the archetype; unplaceable attacks count
+    /// as skipped, like out-of-range faults.
     ///
     /// # Errors
     ///
@@ -144,7 +156,7 @@ impl Campaign {
     }
 
     /// As [`Campaign::run_shard`], fast-forwarding through `snapshots`
-    /// when provided (see [`inject_with`]) and invoking `observer` with
+    /// when provided (see [`inject`]) and invoking `observer` with
     /// every placed trial's spec and result. Observers are for side
     /// channels — telemetry events, forensics capture of interesting
     /// outcomes — and must not influence the tallies; the report is
@@ -159,19 +171,24 @@ impl Campaign {
         golden: &Golden,
         snapshots: Option<&SnapshotSet>,
         shard_index: u64,
-        mut observer: impl FnMut(FaultSpec, &InjectionResult),
+        mut observer: impl FnMut(TrialSpec, &InjectionResult),
     ) -> Result<CampaignReport, WorkloadError> {
         let mut rng = StdRng::seed_from_u64(self.shard_seed(shard_index));
         let mut report = CampaignReport::new(golden.clone());
         for _ in 0..self.shard_trials(shard_index) {
             let nth = rng.gen_range(0..golden.branches.max(1));
-            let bit = rng.gen_range(0..OFFSET_BITS + Flags::BITS) as u8;
-            let spec = if (bit as u32) < OFFSET_BITS {
-                FaultSpec::AddrBit { nth, bit }
-            } else {
-                FaultSpec::FlagBit { nth, bit: bit - OFFSET_BITS as u8 }
+            let spec = match self.attack {
+                Some(kind) => TrialSpec::Attack(AttackSpec { kind, nth, param: rng.gen() }),
+                None => {
+                    let bit = rng.gen_range(0..OFFSET_BITS + Flags::BITS) as u8;
+                    TrialSpec::Fault(if (bit as u32) < OFFSET_BITS {
+                        FaultSpec::AddrBit { nth, bit }
+                    } else {
+                        FaultSpec::FlagBit { nth, bit: bit - OFFSET_BITS as u8 }
+                    })
+                }
             };
-            if let Some(r) = inject_with(image, &self.config, spec, golden, snapshots)? {
+            if let Some(r) = inject(image, &self.config, spec, golden, snapshots)? {
                 observer(spec, &r);
                 report.record(r.category, r.outcome, r.latency_insts);
             } else {
@@ -261,14 +278,14 @@ impl ExhaustiveSweep {
         for nth in 0..self.branches.min(golden.branches) {
             for bit in 0..OFFSET_BITS as u8 {
                 let spec = FaultSpec::AddrBit { nth, bit };
-                match inject_with(image, &self.config, spec, golden, snapshots)? {
+                match inject(image, &self.config, spec, golden, snapshots)? {
                     Some(r) => report.record(r.category, r.outcome, r.latency_insts),
                     None => report.skipped += 1,
                 }
             }
             for bit in 0..Flags::BITS as u8 {
                 let spec = FaultSpec::FlagBit { nth, bit };
-                match inject_with(image, &self.config, spec, golden, snapshots)? {
+                match inject(image, &self.config, spec, golden, snapshots)? {
                     Some(r) => report.record(r.category, r.outcome, r.latency_insts),
                     None => report.skipped += 1,
                 }

@@ -4,11 +4,13 @@
 //! misdetection (a fault classified as harmless that was not benign), the
 //! runner re-injects the *same* deterministic fault with an execution
 //! tracer attached and packages the evidence: the faulted instruction
-//! address, the flipped bit, the classification, and the tracer's last-N
-//! instruction window and branch history ending at the detection point.
+//! address, the flipped bit (or, for an attack, its archetype, parameter
+//! and where the seized transfer went), the classification, and the
+//! tracer's last-N instruction window and branch history ending at the
+//! detection point.
 
-use crate::attack::{attack_traced_with, AttackProvenance, AttackSpec};
-use crate::inject::{inject_traced_with, FaultSpec, Golden, InjectionResult, Outcome};
+use crate::attack::AttackProvenance;
+use crate::inject::{inject_traced, FaultSpec, Golden, InjectionResult, Outcome, TrialSpec};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{CachePart, Category, RunConfig};
@@ -20,10 +22,13 @@ pub const DEFAULT_TRACE_WINDOW: usize = 64;
 /// Evidence package for one interesting trial.
 #[derive(Debug, Clone)]
 pub struct ForensicsBundle {
-    /// The injected fault.
-    pub spec: FaultSpec,
+    /// The injected fault or mounted attack.
+    pub spec: TrialSpec,
     /// The (re-produced) result.
     pub result: InjectionResult,
+    /// For attacks, where the seized control transfer actually went and
+    /// which translated-block part it landed on.
+    pub provenance: Option<AttackProvenance>,
     /// The tracer export: `{"retired":…,"window":[…],"branches":[…]}`,
     /// oldest first, ending at the detection point.
     pub trace: Json,
@@ -33,122 +38,78 @@ impl ForensicsBundle {
     /// Whether a trial's result warrants a forensics capture: SDC, a
     /// timeout, or a misdetection (classified [`Category::NoError`] — the
     /// flipped bit supposedly could not change control flow — yet the run
-    /// was not benign).
+    /// was not benign). Faults and attacks share this notion of
+    /// "interesting".
     pub fn wanted(result: &InjectionResult) -> bool {
         matches!(result.outcome, Outcome::Sdc | Outcome::Timeout)
             || (result.category == Category::NoError && result.outcome != Outcome::Benign)
     }
 
-    /// Re-injects `spec` with a tracer of `window` instructions attached
-    /// and bundles the evidence. Injection is deterministic, so the result
-    /// matches the plain trial's. Returns `None` if the fault cannot be
-    /// placed (which a previously-placed trial never hits) or if the
-    /// fault-free prefix misbehaves (ditto — the golden run succeeded).
-    pub fn capture(
-        image: &Image,
-        cfg: &RunConfig,
-        spec: FaultSpec,
-        golden: &Golden,
-        window: usize,
-    ) -> Option<ForensicsBundle> {
-        ForensicsBundle::capture_with(image, cfg, spec, golden, window, None)
-    }
-
-    /// As [`ForensicsBundle::capture`], fast-forwarding through
-    /// `snapshots` when provided. The bundle — result *and* trace — is
-    /// bit-identical to the from-scratch capture (see
-    /// [`inject_traced_with`]).
+    /// Re-runs `spec` with a tracer of `window` instructions attached,
+    /// fast-forwarding through `snapshots` when provided, and bundles the
+    /// evidence. Trials are deterministic, so the result matches the plain
+    /// trial's, and the bundle — result *and* trace — is bit-identical to
+    /// the from-scratch capture (see [`inject_traced`]). Returns `None` if
+    /// the trial cannot be placed (which a previously-placed trial never
+    /// hits) or if the fault-free prefix misbehaves (ditto — the golden run
+    /// succeeded).
     pub fn capture_with(
         image: &Image,
         cfg: &RunConfig,
-        spec: FaultSpec,
+        spec: impl Into<TrialSpec>,
         golden: &Golden,
         window: usize,
         snapshots: Option<&SnapshotSet>,
     ) -> Option<ForensicsBundle> {
-        let (result, tracer) =
-            inject_traced_with(image, cfg, spec, golden, window, snapshots).ok()??;
-        Some(ForensicsBundle { spec, result, trace: tracer.export() })
-    }
-
-    /// Serializes the bundle for the JSONL event sink.
-    pub fn to_json(&self) -> Json {
-        let (kind, nth, bit) = match self.spec {
-            FaultSpec::AddrBit { nth, bit } => ("addr_bit", nth, bit),
-            FaultSpec::FlagBit { nth, bit } => ("flag_bit", nth, bit),
-        };
-        obj(vec![
-            ("fault", Json::Str(kind.to_string())),
-            ("nth_branch", Json::UInt(nth)),
-            ("flipped_bit", Json::UInt(bit as u64)),
-            ("site", Json::UInt(self.result.site)),
-            ("category", Json::Str(self.result.category.to_string())),
-            ("outcome", Json::Str(self.result.outcome.to_string())),
-            ("latency_insts", Json::UInt(self.result.latency_insts)),
-            ("trace", self.trace.clone()),
-        ])
-    }
-}
-
-/// Evidence package for one interesting *attack* trial: the
-/// [`ForensicsBundle`] shape plus gadget provenance — where the seized
-/// control transfer actually went, and which translated-block part it
-/// landed on.
-#[derive(Debug, Clone)]
-pub struct AttackForensics {
-    /// The mounted attack.
-    pub spec: AttackSpec,
-    /// The (re-produced) result.
-    pub result: InjectionResult,
-    /// Where the attack went.
-    pub provenance: AttackProvenance,
-    /// The tracer export, oldest first, ending at the detection point.
-    pub trace: Json,
-}
-
-impl AttackForensics {
-    /// Re-mounts `spec` with a tracer of `window` instructions attached and
-    /// bundles the evidence; deterministic, so the result matches the plain
-    /// trial's. The capture criterion is [`ForensicsBundle::wanted`] —
-    /// attacks and faults share the same notion of "interesting".
-    pub fn capture_with(
-        image: &Image,
-        cfg: &RunConfig,
-        spec: AttackSpec,
-        golden: &Golden,
-        window: usize,
-        snapshots: Option<&SnapshotSet>,
-    ) -> Option<AttackForensics> {
+        let spec = spec.into();
         let (result, tracer, provenance) =
-            attack_traced_with(image, cfg, spec, golden, window, snapshots).ok()??;
-        Some(AttackForensics { spec, result, provenance, trace: tracer.export() })
+            inject_traced(image, cfg, spec, golden, window, snapshots).ok()??;
+        Some(ForensicsBundle { spec, result, provenance, trace: tracer.export() })
     }
 
     /// Serializes the bundle for the JSONL event sink.
     pub fn to_json(&self) -> Json {
-        let part = |p: CachePart| match p {
-            CachePart::Head => "head",
-            CachePart::Payload => "payload",
-            CachePart::Tail => "tail",
+        let mut pairs = match self.spec {
+            TrialSpec::Fault(fault) => {
+                let (kind, nth, bit) = match fault {
+                    FaultSpec::AddrBit { nth, bit } => ("addr_bit", nth, bit),
+                    FaultSpec::FlagBit { nth, bit } => ("flag_bit", nth, bit),
+                };
+                vec![
+                    ("fault", Json::Str(kind.to_string())),
+                    ("nth_branch", Json::UInt(nth)),
+                    ("flipped_bit", Json::UInt(bit as u64)),
+                ]
+            }
+            TrialSpec::Attack(attack) => vec![
+                ("attack", Json::Str(attack.kind.name().to_string())),
+                ("nth_branch", Json::UInt(attack.nth)),
+                ("param", Json::UInt(attack.param)),
+            ],
         };
-        let attribution = match self.provenance.attribution {
-            Some((guest_start, p)) => obj(vec![
-                ("guest_block", Json::UInt(guest_start)),
-                ("part", Json::Str(part(p).to_string())),
-            ]),
-            None => Json::Null,
-        };
-        obj(vec![
-            ("attack", Json::Str(self.spec.kind.name().to_string())),
-            ("nth_branch", Json::UInt(self.spec.nth)),
-            ("param", Json::UInt(self.spec.param)),
-            ("site", Json::UInt(self.result.site)),
-            ("target", Json::UInt(self.provenance.target)),
-            ("attribution", attribution),
+        pairs.push(("site", Json::UInt(self.result.site)));
+        if let Some(provenance) = self.provenance {
+            let part = |p: CachePart| match p {
+                CachePart::Head => "head",
+                CachePart::Payload => "payload",
+                CachePart::Tail => "tail",
+            };
+            let attribution = match provenance.attribution {
+                Some((guest_start, p)) => obj(vec![
+                    ("guest_block", Json::UInt(guest_start)),
+                    ("part", Json::Str(part(p).to_string())),
+                ]),
+                None => Json::Null,
+            };
+            pairs.push(("target", Json::UInt(provenance.target)));
+            pairs.push(("attribution", attribution));
+        }
+        pairs.extend([
             ("category", Json::Str(self.result.category.to_string())),
             ("outcome", Json::Str(self.result.outcome.to_string())),
             ("latency_insts", Json::UInt(self.result.latency_insts)),
             ("trace", self.trace.clone()),
-        ])
+        ]);
+        obj(pairs)
     }
 }

@@ -7,7 +7,10 @@
 //! inside the code cache, then observe the outcome. Faults strike the
 //! *translated* code, so the instrumentation's own inserted branches are
 //! fault sites too — exactly the surface RCF exists to protect (§3.2).
+//! The same trial loop mounts [`crate::attack`] corruptions: a
+//! [`TrialSpec`] names either kind of trial.
 
+use crate::attack::{attack_now, AttackProvenance, AttackSpec};
 use crate::snapshot::{SnapshotBuilder, SnapshotSet};
 use cfed_asm::Image;
 use cfed_core::{
@@ -59,10 +62,35 @@ pub enum FaultSpec {
     FlagBit { nth: u64, bit: u8 },
 }
 
-impl FaultSpec {
+/// One trial: a single-bit soft error or a synthesized attack. Both strike
+/// at a dynamic branch execution in translated code and run through the
+/// same trial loop to the same [`Outcome`] vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrialSpec {
+    /// A soft error.
+    Fault(FaultSpec),
+    /// An attack.
+    Attack(AttackSpec),
+}
+
+impl From<FaultSpec> for TrialSpec {
+    fn from(spec: FaultSpec) -> TrialSpec {
+        TrialSpec::Fault(spec)
+    }
+}
+
+impl From<AttackSpec> for TrialSpec {
+    fn from(spec: AttackSpec) -> TrialSpec {
+        TrialSpec::Attack(spec)
+    }
+}
+
+impl TrialSpec {
+    /// The dynamic branch execution the trial strikes at.
     fn nth(&self) -> u64 {
         match self {
-            FaultSpec::AddrBit { nth, .. } | FaultSpec::FlagBit { nth, .. } => *nth,
+            TrialSpec::Fault(FaultSpec::AddrBit { nth, .. } | FaultSpec::FlagBit { nth, .. })
+            | TrialSpec::Attack(AttackSpec { nth, .. }) => *nth,
         }
     }
 }
@@ -291,12 +319,18 @@ pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     (m, dbt)
 }
 
-/// Injects one fault and runs to an outcome, replaying the fault-free
-/// prefix from scratch.
+/// Runs one trial — a soft error or an attack — to an outcome. Without
+/// `snapshots` the fault-free prefix replays from scratch on the
+/// single-step reference engine. With them, the nearest checkpoint
+/// at-or-below the strike branch is restored, reusing its translated code
+/// cache, and the residual prefix and the post-strike suffix run in
+/// block-fused bursts ([`advance_to_branch`]); a set captured under a
+/// different configuration, or holding no usable checkpoint, falls back to
+/// from-scratch. The outcome is bit-identical either way.
 ///
-/// Returns `Ok(None)` when `spec` names a dynamic branch beyond the
-/// program's execution (use [`golden_run`]'s branch count to stay in
-/// range).
+/// Returns `Ok(None)` when the trial is unplaceable: the strike branch is
+/// beyond the program's execution (use [`golden_run`]'s branch count to
+/// stay in range), or an attack archetype has no candidate target there.
 ///
 /// # Errors
 ///
@@ -306,39 +340,28 @@ pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
 pub fn inject(
     image: &Image,
     cfg: &RunConfig,
-    spec: FaultSpec,
-    golden: &Golden,
-) -> Result<Option<InjectionResult>, WorkloadError> {
-    inject_with(image, cfg, spec, golden, None)
-}
-
-/// As [`inject`], fast-forwarding through `snapshots` when provided: the
-/// nearest checkpoint at-or-below the target branch is restored, reusing
-/// its translated code cache, and the residual prefix and the post-fault
-/// suffix run in block-fused bursts ([`advance_to_branch`]). Falls back to
-/// from-scratch when the set was captured under a different configuration
-/// or holds no usable checkpoint. The outcome is bit-identical to the
-/// from-scratch path, which single-steps, either way.
-///
-/// # Errors
-///
-/// As [`inject`].
-pub fn inject_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: FaultSpec,
+    spec: impl Into<TrialSpec>,
     golden: &Golden,
     snapshots: Option<&SnapshotSet>,
 ) -> Result<Option<InjectionResult>, WorkloadError> {
-    Ok(inject_inner(image, cfg, spec, golden, None, snapshots)?.map(|(r, _)| r))
+    Ok(run_trial_inner(image, cfg, spec.into(), golden, None, snapshots)?.map(|(r, ..)| r))
 }
 
 /// As [`inject`], but with an execution tracer of `capacity` instructions
 /// attached, returning the result alongside the tracer at its final state
 /// — the last-N window ends at the detection point (the trapping
-/// instruction itself never commits, hence never appears). Injection is
+/// instruction itself never commits, hence never appears) — and, for
+/// attacks, where the seized control transfer went. Trials are
 /// deterministic, so re-running a plain [`inject`] trial through here
 /// reproduces the identical outcome with forensics attached.
+///
+/// The trace stays bit-identical to the from-scratch path: only
+/// checkpoints at least `capacity` branches before the strike point are
+/// used (every branch is an instruction, so at least `capacity`
+/// instructions and `capacity` branches retire between restore and strike,
+/// filling both tracer rings with exactly the entries the from-scratch run
+/// would hold), and the tracer's retired counter resumes from the
+/// checkpoint's instruction count.
 ///
 /// # Errors
 ///
@@ -346,65 +369,31 @@ pub fn inject_with(
 pub fn inject_traced(
     image: &Image,
     cfg: &RunConfig,
-    spec: FaultSpec,
-    golden: &Golden,
-    capacity: usize,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer)>, WorkloadError> {
-    inject_traced_with(image, cfg, spec, golden, capacity, None)
-}
-
-/// As [`inject_traced`] with fast-forward (see [`inject_with`]). The trace
-/// stays bit-identical to the from-scratch path: only checkpoints at least
-/// `capacity` branches before the injection point are used (every branch
-/// is an instruction, so at least `capacity` instructions and `capacity`
-/// branches retire between restore and injection, filling both tracer
-/// rings with exactly the entries the from-scratch run would hold), and
-/// the tracer's retired counter resumes from the checkpoint's instruction
-/// count.
-///
-/// # Errors
-///
-/// As [`inject`].
-pub fn inject_traced_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: FaultSpec,
+    spec: impl Into<TrialSpec>,
     golden: &Golden,
     capacity: usize,
     snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer)>, WorkloadError> {
-    Ok(inject_inner(image, cfg, spec, golden, Some(capacity), snapshots)?
-        .map(|(r, t)| (r, t.expect("tracer attached"))))
+) -> Result<Option<(InjectionResult, cfed_sim::Tracer, Option<AttackProvenance>)>, WorkloadError> {
+    Ok(run_trial_inner(image, cfg, spec.into(), golden, Some(capacity), snapshots)?
+        .map(|(r, t, p)| (r, t.expect("tracer attached"), p)))
 }
 
-fn inject_inner(
+/// A finished trial: its result, the tracer when one was attached, and
+/// where an attack went.
+type Trial = (InjectionResult, Option<cfed_sim::Tracer>, Option<AttackProvenance>);
+
+/// The one trial loop behind soft errors and attacks alike: replay (or
+/// fast-forward) the fault-free prefix to the strike branch, corrupt the
+/// machine there as `spec` says, then run to an outcome.
+fn run_trial_inner(
     image: &Image,
     cfg: &RunConfig,
-    spec: FaultSpec,
+    spec: TrialSpec,
     golden: &Golden,
     trace_capacity: Option<usize>,
     snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, Option<cfed_sim::Tracer>)>, WorkloadError> {
-    run_trial_inner(image, cfg, spec.nth(), golden, trace_capacity, snapshots, |m, dbt, image| {
-        inject_now(m, dbt, image, spec)
-    })
-}
-
-/// The shared trial loop behind both fault injection and attack synthesis:
-/// replay (or fast-forward) the fault-free prefix to the `nth` dynamic
-/// branch, let `apply` corrupt the machine there, then run to an outcome.
-/// `apply` returns the corruption's `(category, site, instrumentation
-/// landing, step result)`, or `None` when it cannot be placed at this
-/// branch.
-pub(crate) fn run_trial_inner(
-    image: &Image,
-    cfg: &RunConfig,
-    nth: u64,
-    golden: &Golden,
-    trace_capacity: Option<usize>,
-    snapshots: Option<&SnapshotSet>,
-    apply: impl FnOnce(&mut Machine, &mut Dbt, &Image) -> Option<(Category, u64, bool, DbtStep)>,
-) -> Result<Option<(InjectionResult, Option<cfed_sim::Tracer>)>, WorkloadError> {
+) -> Result<Option<Trial>, WorkloadError> {
+    let nth = spec.nth();
     // Fast-forward: restore the nearest checkpoint at-or-below the target
     // branch instead of replaying the prefix. Traced runs additionally
     // require `capacity` branches of margin before the injection point so
@@ -438,12 +427,19 @@ pub(crate) fn run_trial_inner(
     let fused = usable.is_some() && trace_capacity.is_none();
     let insts_at_start = m.cpu.stats().insts;
     let mut stepped = 0;
+    let mut provenance = None;
 
     // Phase 1: run to the injection point.
     let injected = match advance_to_branch(&mut m, &mut dbt, nth, budget, fused, &mut stepped) {
         Advance::AtBranch => {
             let insts = m.cpu.stats().insts;
-            let applied = apply(&mut m, &mut dbt, image);
+            let applied = match spec {
+                TrialSpec::Fault(f) => inject_now(&mut m, &mut dbt, image, f),
+                TrialSpec::Attack(a) => attack_now(&mut m, &mut dbt, image, a).map(|(s, p)| {
+                    provenance = Some(p);
+                    s
+                }),
+            };
             stepped += m.cpu.stats().insts - insts;
             applied
         }
@@ -514,7 +510,7 @@ pub(crate) fn run_trial_inner(
         latency_insts: pruned_latency.unwrap_or(m.cpu.stats().insts - insts_at_injection),
         instrumentation_landing,
     };
-    Ok(Some((result, m.tracer.take())))
+    Ok(Some((result, m.tracer.take(), provenance)))
 }
 
 /// Scans straight-line code from `from` for the next flag-reading branch
@@ -668,8 +664,8 @@ mod tests {
         let img = image();
         let cfg = RunConfig::technique(TechniqueKind::EdgCf);
         let g = golden_run(&img, &cfg).unwrap();
-        let r =
-            inject(&img, &cfg, FaultSpec::AddrBit { nth: g.branches + 100, bit: 3 }, &g).unwrap();
+        let r = inject(&img, &cfg, FaultSpec::AddrBit { nth: g.branches + 100, bit: 3 }, &g, None)
+            .unwrap();
         assert!(r.is_none());
     }
 
@@ -682,7 +678,7 @@ mod tests {
         // benign (single-fault model, no other corruption).
         let mut found = false;
         for nth in 0..40 {
-            let r = inject(&img, &cfg, FaultSpec::FlagBit { nth, bit: 1 }, &g).unwrap();
+            let r = inject(&img, &cfg, FaultSpec::FlagBit { nth, bit: 1 }, &g, None).unwrap();
             if let Some(r) = r {
                 if r.category == Category::NoError {
                     assert_eq!(r.outcome, Outcome::Benign, "NoError fault at {nth} not benign");
@@ -704,7 +700,9 @@ mod tests {
         let mut hw = 0;
         let mut tried = 0;
         for nth in (0..g.branches.min(60)).step_by(7) {
-            if let Some(r) = inject(&img, &cfg, FaultSpec::AddrBit { nth, bit: 30 }, &g).unwrap() {
+            if let Some(r) =
+                inject(&img, &cfg, FaultSpec::AddrBit { nth, bit: 30 }, &g, None).unwrap()
+            {
                 tried += 1;
                 if r.category == Category::F {
                     assert!(
@@ -736,12 +734,12 @@ mod tests {
         for nth in 0..60 {
             for bit in [3u8, 4, 5] {
                 let spec_b = FaultSpec::AddrBit { nth, bit };
-                if let Some(r) = inject(&img, &base_cfg, spec_b, &g_base).unwrap() {
+                if let Some(r) = inject(&img, &base_cfg, spec_b, &g_base, None).unwrap() {
                     if r.category != Category::NoError && !r.outcome.is_detected() {
                         baseline_undetected += 1;
                     }
                 }
-                if let Some(r) = inject(&img, &rcf_cfg, spec_b, &g_rcf).unwrap() {
+                if let Some(r) = inject(&img, &rcf_cfg, spec_b, &g_rcf, None).unwrap() {
                     if r.category != Category::NoError {
                         match r.outcome {
                             Outcome::DetectedByCheck => rcf_detected += 1,

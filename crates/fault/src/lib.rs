@@ -10,9 +10,9 @@
 //!   measuring per-category detection coverage of each technique;
 //! * [`mod@attack`] — adversarial control-flow corruptions (seven
 //!   archetypes, from branch flips to data-segment pivots), classified
-//!   into the same A–F taxonomy and run as first-class campaigns to
-//!   measure the security detection frontier (DESIGN.md § "Attack
-//!   model").
+//!   into the same A–F taxonomy and run through the same trial loop and
+//!   [`Campaign`] to measure the security detection frontier (DESIGN.md §
+//!   "Attack model").
 //!
 //! ## Example
 //!
@@ -38,16 +38,16 @@ pub mod inject;
 pub mod snapshot;
 
 pub use attack::{
-    attack, attack_traced_with, attack_with, pause_attack, pause_attack_interp, AttackCampaign,
-    AttackExit, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
+    pause_attack, AttackExit, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface,
+    PauseAttack,
 };
 pub use campaign::{
     Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid, SHARD_TRIALS,
 };
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
-pub use forensics::{AttackForensics, ForensicsBundle, DEFAULT_TRACE_WINDOW};
+pub use forensics::{ForensicsBundle, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    advance_to_branch, golden_run, inject, inject_traced, inject_traced_with, inject_with, Advance,
-    FaultSpec, Golden, InjectionResult, Outcome, WorkloadError,
+    advance_to_branch, golden_run, inject, inject_traced, Advance, FaultSpec, Golden,
+    InjectionResult, Outcome, TrialSpec, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

@@ -4,7 +4,7 @@
 //! nth dynamic branch — O(program length) of single-stepping and a full
 //! re-translation per trial. During the golden run this module captures
 //! periodic `(Machine, Dbt)` snapshots keyed by dynamic-branch index;
-//! [`crate::inject::inject_with`] then restores the nearest snapshot
+//! [`crate::inject::inject`] then restores the nearest snapshot
 //! at-or-below the target branch and bursts through only the residual
 //! prefix, reusing the translated code cache instead of re-translating.
 //!

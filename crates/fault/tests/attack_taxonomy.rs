@@ -7,9 +7,7 @@
 
 use cfed_core::{Category, RunConfig, TechniqueKind};
 use cfed_dbt::UpdateStyle;
-use cfed_fault::{
-    attack, attack_traced_with, attack_with, AttackKind, AttackModel, AttackSpec, SnapshotSet,
-};
+use cfed_fault::{inject, inject_traced, AttackKind, AttackModel, AttackSpec, SnapshotSet};
 use proptest::prelude::*;
 
 /// Small MiniC workloads with different branch mixes: a counted loop, a
@@ -138,15 +136,15 @@ proptest! {
         let kind = AttackKind::ALL[kind_idx];
         let spec = AttackSpec { kind, nth: nth_seed % golden.branches, param };
 
-        let scratch = attack(&image, &cfg, spec, &golden).expect("well-behaved prefix");
-        let fast = attack_with(&image, &cfg, spec, &golden, Some(&snapshots))
+        let scratch = inject(&image, &cfg, spec, &golden, None).expect("well-behaved prefix");
+        let fast = inject(&image, &cfg, spec, &golden, Some(&snapshots))
             .expect("well-behaved prefix");
         prop_assert_eq!(&scratch, &fast, "fast-forward diverged for {:?}", spec);
 
-        let traced = attack_traced_with(&image, &cfg, spec, &golden, 32, Some(&snapshots))
+        let traced = inject_traced(&image, &cfg, spec, &golden, 32, Some(&snapshots))
             .expect("well-behaved prefix");
         match (scratch, traced) {
-            (Some(r), Some((t, _, provenance))) => {
+            (Some(r), Some((t, _, Some(provenance)))) => {
                 prop_assert_eq!(&r, &t, "traced outcome diverged for {:?}", spec);
                 prop_assert!(
                     kind.expected_categories().contains(&r.category),

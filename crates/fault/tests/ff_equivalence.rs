@@ -6,9 +6,7 @@
 
 use cfed_core::{RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_fault::{
-    inject, inject_with, FaultSpec, ForensicsBundle, SnapshotSet, DEFAULT_TRACE_WINDOW,
-};
+use cfed_fault::{inject, FaultSpec, ForensicsBundle, SnapshotSet, DEFAULT_TRACE_WINDOW};
 use proptest::prelude::*;
 
 /// Small MiniC workloads with different branch mixes: a counted loop, a
@@ -60,7 +58,7 @@ const TECHNIQUES: [Option<TechniqueKind>; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// `inject_with(…, Some(snapshots))` returns a bit-identical
+    /// `inject(…, Some(snapshots))` returns a bit-identical
     /// [`cfed_fault::InjectionResult`] to the from-scratch path, and the
     /// forensics bundle (result *and* tracer export) matches byte for
     /// byte.
@@ -91,13 +89,13 @@ proptest! {
             FaultSpec::FlagBit { nth, bit: bit_seed % 6 }
         };
 
-        let scratch = inject(&image, &cfg, spec, &golden).expect("well-behaved prefix");
-        let fast = inject_with(&image, &cfg, spec, &golden, Some(&snapshots))
+        let scratch = inject(&image, &cfg, spec, &golden, None).expect("well-behaved prefix");
+        let fast = inject(&image, &cfg, spec, &golden, Some(&snapshots))
             .expect("well-behaved prefix");
         prop_assert_eq!(scratch, fast, "plain injection diverged for {:?}", spec);
 
         let from_scratch =
-            ForensicsBundle::capture(&image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW);
+            ForensicsBundle::capture_with(&image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW, None);
         let fast_forward = ForensicsBundle::capture_with(
             &image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW, Some(&snapshots),
         );

@@ -3,7 +3,7 @@
 //! non-empty trace window ending at the detection point.
 
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_fault::{golden_run, inject, FaultSpec, ForensicsBundle, Outcome};
+use cfed_fault::{golden_run, inject, AttackKind, AttackSpec, FaultSpec, ForensicsBundle, Outcome};
 use cfed_lang::compile;
 use cfed_telemetry::json::Json;
 
@@ -36,7 +36,7 @@ fn bundle_names_fault_site_bit_and_trace_window() {
     'scan: for nth in 0..g.branches.min(80) {
         for bit in [3u8, 4, 5] {
             let spec = FaultSpec::AddrBit { nth, bit };
-            if let Some(r) = inject(&img, &cfg, spec, &g).unwrap() {
+            if let Some(r) = inject(&img, &cfg, spec, &g, None).unwrap() {
                 if r.outcome == Outcome::DetectedByCheck {
                     found = Some((spec, r));
                     break 'scan;
@@ -50,7 +50,7 @@ fn bundle_names_fault_site_bit_and_trace_window() {
     // Re-injection with a window large enough to retain the whole
     // injection-to-detection stretch.
     let window = (plain.latency_insts + 16) as usize;
-    let bundle = ForensicsBundle::capture(&img, &cfg, spec, &g, window)
+    let bundle = ForensicsBundle::capture_with(&img, &cfg, spec, &g, window, None)
         .expect("previously placed fault re-injects");
 
     // Deterministic reproduction: identical result.
@@ -100,4 +100,62 @@ fn wanted_selects_bad_endings() {
     assert!(ForensicsBundle::wanted(&r(Category::NoError, Outcome::DetectedByCheck)));
     assert!(!ForensicsBundle::wanted(&r(Category::NoError, Outcome::Benign)));
     assert!(!ForensicsBundle::wanted(&r(Category::A, Outcome::DetectedByCheck)));
+}
+
+/// Window of the pinned bundles: short enough to spell out in full.
+const PINNED_WINDOW: usize = 8;
+
+/// The complete serialized bundle of one check-detected fault — key order,
+/// values and trace — as the `forensics` event carries it.
+#[test]
+fn fault_bundle_json_is_pinned() {
+    let img = image();
+    let cfg = RunConfig::technique(TechniqueKind::Rcf);
+    let g = golden_run(&img, &cfg).unwrap();
+    let spec = FaultSpec::AddrBit { nth: 11, bit: 5 };
+    let bundle =
+        ForensicsBundle::capture_with(&img, &cfg, spec, &g, PINNED_WINDOW, None).expect("places");
+    let expected = concat!(
+        r#"{"fault":"addr_bit","nth_branch":11,"flipped_bit":5,"site":5243232,"category":"E","#,
+        r#""outcome":"detected(check)","latency_insts":7,"trace":{"retired":48,"window":["#,
+        r#"{"addr":5243232,"inst":"jmp +40"},{"addr":5243280,"inst":"ld r1, [r6-8]"},"#,
+        r#"{"addr":5243288,"inst":"add r0, r1"},{"addr":5243296,"inst":"st [r6-16], r0"},"#,
+        r#"{"addr":5243304,"inst":"lea r8, [r8+63]"},{"addr":5243312,"inst":"jmp +0"},"#,
+        r#"{"addr":5243320,"inst":"lea r11, [r8-65760]"},"#,
+        r#"{"addr":5243328,"inst":"jrnz r11, -456","taken":true}],"branches":["#,
+        r#"{"addr":5243088,"inst":"jmp +8"},{"addr":5243112,"inst":"jrnz r11, -240","taken":false},"#,
+        r#"{"addr":5243192,"inst":"jne +16","taken":false},{"addr":5243208,"inst":"jmp +8"},"#,
+        r#"{"addr":5243224,"inst":"jne +8","taken":false},{"addr":5243232,"inst":"jmp +40"},"#,
+        r#"{"addr":5243312,"inst":"jmp +0"},{"addr":5243328,"inst":"jrnz r11, -456","taken":true}]}}"#,
+    );
+    assert_eq!(bundle.to_json().render(), expected);
+}
+
+/// The complete serialized bundle of one attack — provenance included —
+/// as the `attack_forensics` event carries it.
+#[test]
+fn attack_bundle_json_is_pinned() {
+    let img = image();
+    let cfg = RunConfig::technique(TechniqueKind::EdgCf);
+    let g = golden_run(&img, &cfg).unwrap();
+    let spec = AttackSpec { kind: AttackKind::EdgeSplice, nth: 12, param: 5 };
+    let bundle =
+        ForensicsBundle::capture_with(&img, &cfg, spec, &g, PINNED_WINDOW, None).expect("places");
+    let expected = concat!(
+        r#"{"attack":"edge-splice","nth_branch":12,"param":5,"site":5243216,"target":5243096,"#,
+        r#""attribution":{"guest_block":65632,"part":"payload"},"category":"E","#,
+        r#""outcome":"benign","latency_insts":1176,"trace":{"retired":1213,"window":["#,
+        r#"{"addr":5243560,"inst":"mov sp, r6"},{"addr":5243568,"inst":"pop r6"},"#,
+        r#"{"addr":5243576,"inst":"pop r13"},{"addr":5243584,"inst":"lea r8, [r8+r13+0]"},"#,
+        r#"{"addr":5243600,"inst":"lea r8, [r8-65544]"},"#,
+        r#"{"addr":5243608,"inst":"jrnz r8, -736","taken":false},"#,
+        r#"{"addr":5243616,"inst":"jrnz r8, -744","taken":false},{"addr":5243624,"inst":"halt"}],"#,
+        r#""branches":[{"addr":5243280,"inst":"jrnz r8, -408","taken":false},"#,
+        r#"{"addr":5243328,"inst":"jl +16","taken":false},{"addr":5243344,"inst":"jmp +8"},"#,
+        r#"{"addr":5243360,"inst":"jl +8","taken":false},{"addr":5243368,"inst":"jmp +144"},"#,
+        r#"{"addr":5243528,"inst":"jrnz r8, -656","taken":false},"#,
+        r#"{"addr":5243608,"inst":"jrnz r8, -736","taken":false},"#,
+        r#"{"addr":5243616,"inst":"jrnz r8, -744","taken":false}]}}"#,
+    );
+    assert_eq!(bundle.to_json().render(), expected);
 }

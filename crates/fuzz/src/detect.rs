@@ -45,7 +45,7 @@
 use cfed_asm::Image;
 use cfed_core::{Category, RunConfig, TechniqueKind};
 use cfed_dbt::UpdateStyle;
-use cfed_fault::{inject_with, FaultSpec, Outcome, SnapshotSet};
+use cfed_fault::{inject, FaultSpec, Outcome, SnapshotSet};
 
 /// The techniques whose detection guarantee the sweep enforces.
 pub const GUARANTEED: [TechniqueKind; 2] = [TechniqueKind::EdgCf, TechniqueKind::Rcf];
@@ -129,7 +129,7 @@ pub fn detection_sweep(image: &Image, branch_cap: u64, max_insts: u64) -> Detect
             out.sites = out.sites.max(sites);
             for nth in 0..sites {
                 for spec in site_specs(nth) {
-                    let res = inject_with(image, &cfg, spec, &golden, Some(&snapshots));
+                    let res = inject(image, &cfg, spec, &golden, Some(&snapshots));
                     let Ok(Some(r)) = res else { continue };
                     out.injections += 1;
                     out.tally[r.outcome.idx()] += 1;
@@ -173,7 +173,7 @@ pub fn violation_reproduces(image: &Image, violation: &SdcViolation, max_insts: 
     };
     let Ok((golden, snapshots)) = SnapshotSet::capture(image, &cfg) else { return false };
     matches!(
-        inject_with(image, &cfg, violation.spec, &golden, Some(&snapshots)),
+        inject(image, &cfg, violation.spec, &golden, Some(&snapshots)),
         Ok(Some(r)) if r.outcome == Outcome::Sdc
             && is_violation(violation.style, r.category, r.instrumentation_landing, r.latency_insts)
     )

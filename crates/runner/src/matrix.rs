@@ -11,7 +11,7 @@ use cfed_asm::Image;
 use cfed_core::RunConfig;
 use cfed_core::TechniqueKind;
 use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_fault::{AttackCampaign, AttackKind, Campaign, SHARD_TRIALS};
+use cfed_fault::{AttackKind, Campaign, SHARD_TRIALS};
 use cfed_workloads::Scale;
 
 /// Workloads used for injection campaigns (kept small — every injection is
@@ -109,21 +109,14 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// The equivalent serial campaign.
+    /// The equivalent serial campaign, attack cells included.
     pub fn campaign(&self) -> Campaign {
-        Campaign { config: self.config, trials: self.trials, seed: self.seed }
+        Campaign { config: self.config, attack: self.attack, trials: self.trials, seed: self.seed }
     }
 
-    /// The equivalent attack campaign, for attack cells. Shard counts and
-    /// seeds agree with [`CellSpec::campaign`], which is why the scheduling
-    /// and accounting code never needs to distinguish the two.
-    pub fn attack_campaign(&self) -> Option<AttackCampaign> {
-        self.attack.map(|kind| AttackCampaign {
-            config: self.config,
-            kind,
-            trials: self.trials,
-            seed: self.seed,
-        })
+    /// [`CellSpec::campaign`] for attack cells, `None` for fault cells.
+    pub fn attack_campaign(&self) -> Option<Campaign> {
+        self.attack.map(|_| self.campaign())
     }
 
     /// The golden-run cache key: workload identity + everything of the

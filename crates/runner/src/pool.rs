@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 use cfed_asm::Image;
 use cfed_core::{profile_dbt, RunConfig};
 use cfed_fault::{
-    golden_run, AttackForensics, CampaignReport, ForensicsBundle, Golden, SnapshotSet,
-    SnapshotStats, WorkloadError, DEFAULT_TRACE_WINDOW,
+    golden_run, CampaignReport, ForensicsBundle, Golden, SnapshotSet, SnapshotStats, WorkloadError,
+    DEFAULT_TRACE_WINDOW,
 };
 use cfed_telemetry::{Event, Profile, Telemetry};
 
@@ -332,44 +332,26 @@ impl UnitExecutor {
             let PreparedGolden { golden, snapshots, profile } = goldens.get(cell, &image)?;
             let (snaps, config, window) =
                 (snapshots.as_deref(), &cell.config, DEFAULT_TRACE_WINDOW);
-            let shard_failed = |e: WorkloadError| format!("shard failed: {e}");
-            // Forensics re-injects the trials that warranted a bundle (fault
-            // specs for classic cells, attack specs for attack cells) with a
+            // Forensics re-runs the trials that warranted a bundle with a
             // tracer attached.
-            let (report, bundles, wanted) = if let Some(attack) = cell.attack_campaign() {
-                let mut specs = Vec::new();
-                let report = attack
-                    .run_shard_with(&image, &golden, snaps, shard_index, |s, r| {
-                        if forensics && ForensicsBundle::wanted(r) {
-                            specs.push(s);
-                        }
-                    })
-                    .map_err(shard_failed)?;
-                let bundles = specs.iter().take(MAX_FORENSICS_PER_SHARD).filter_map(|&s| {
-                    AttackForensics::capture_with(&image, config, s, &golden, window, snaps)
-                });
-                (report, bundles.map(|b| b.to_json()).collect(), specs.len())
-            } else {
-                let mut specs = Vec::new();
-                let report = cell
-                    .campaign()
-                    .run_shard_with(&image, &golden, snaps, shard_index, |s, r| {
-                        if forensics && ForensicsBundle::wanted(r) {
-                            specs.push(s);
-                        }
-                    })
-                    .map_err(shard_failed)?;
-                let bundles = specs.iter().take(MAX_FORENSICS_PER_SHARD).filter_map(|&s| {
-                    ForensicsBundle::capture_with(&image, config, s, &golden, window, snaps)
-                });
-                (report, bundles.map(|b| b.to_json()).collect(), specs.len())
-            };
+            let mut specs = Vec::new();
+            let report = cell
+                .campaign()
+                .run_shard_with(&image, &golden, snaps, shard_index, |s, r| {
+                    if forensics && ForensicsBundle::wanted(r) {
+                        specs.push(s);
+                    }
+                })
+                .map_err(|e| format!("shard failed: {e}"))?;
+            let bundles = specs.iter().take(MAX_FORENSICS_PER_SHARD).filter_map(|&s| {
+                ForensicsBundle::capture_with(&image, config, s, &golden, window, snaps)
+            });
             Ok::<_, String>(UnitRun {
                 tallies: Ok(Box::new(ShardTallies::from_report(&report))),
                 golden: Some((*golden).clone()),
                 profile,
-                forensics: bundles,
-                forensics_wanted: wanted as u64,
+                forensics: bundles.map(|b| b.to_json()).collect(),
+                forensics_wanted: specs.len() as u64,
             })
         }));
         let error = match result {

@@ -66,7 +66,7 @@ use cfed_core::{
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_fault::CategoryStats;
 use cfed_runner::cli::Parser;
-use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
+use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec, CAMPAIGN_WORKLOADS};
 use cfed_runner::pool::{run_matrix, RunPerf, RunSummary, RunnerOptions};
 use cfed_runner::report::{render_attack_frontier, render_report};
 use cfed_runner::retry::RetryPolicy;
@@ -524,11 +524,8 @@ fn run_attacks(argv: &[String]) {
         Some(id) => id.to_string(),
         None => format!("attack-s{seed}-t{trials}"),
     };
-    let workloads: Vec<String> = args
-        .get("workloads")
-        .filter(|s| !s.is_empty())
-        .map(|s| s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect())
-        .unwrap_or_default();
+    let workloads =
+        parse_workloads(args.get("workloads").unwrap_or_default()).unwrap_or_else(|e| die(e));
     let quiet = args.has("quiet");
     let options = RunnerOptions {
         threads,
@@ -578,6 +575,22 @@ fn run_attacks(argv: &[String]) {
     }
 }
 
+/// Parses a `--workloads` list: comma-separated workload names, all six
+/// campaign workloads when empty. An unknown name is an error naming it and
+/// the valid names, so a typo fails before any store is opened.
+fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> =
+        list.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect();
+    if let Some(bad) = names.iter().find(|name| cfed_workloads::by_name(name).is_none()) {
+        let valid: Vec<&str> = cfed_workloads::ALL.iter().map(|w| w.name).collect();
+        return Err(format!("unknown workload {bad:?} (valid: {})", valid.join(", ")));
+    }
+    if names.is_empty() {
+        return Ok(CAMPAIGN_WORKLOADS.map(str::to_string).to_vec());
+    }
+    Ok(names)
+}
+
 fn run_coordinate(argv: &[String]) {
     let args = Parser::new(
         "cfed-campaign serve coordinate",
@@ -625,6 +638,9 @@ fn run_coordinate(argv: &[String]) {
         Some(id) => id.to_string(),
         None => format!("campaign-s{seed}-t{trials}"),
     };
+    // Checked before anything binds, opens a store or writes a file.
+    let workloads =
+        parse_workloads(args.get("workloads").unwrap_or_default()).unwrap_or_else(|e| die(e));
     let lease_ms = args.get_u64("lease-ms").unwrap_or_else(|e| die(e));
     let max_inflight = args.get_usize("max-inflight").unwrap_or_else(|e| die(e));
     if max_inflight == 0 {
@@ -658,11 +674,6 @@ fn run_coordinate(argv: &[String]) {
 
     let stop = install_sigint();
     let phases = if args.has("attacks") {
-        let workloads: Vec<String> = args
-            .get("workloads")
-            .filter(|s| !s.is_empty())
-            .map(|s| s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect())
-            .unwrap_or_default();
         attack_phases(&workloads, trials, seed, &out, &run_id)
     } else {
         campaign_phases(trials, seed, &out, &run_id)
@@ -1656,4 +1667,18 @@ fn render_latency(matrix: &CampaignMatrix, summary: &RunSummary) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_workloads_names_a_typo_and_defaults_to_all_six() {
+        let err = parse_workloads("164.gzip,164.gzp").unwrap_err();
+        assert!(err.contains("\"164.gzp\""), "{err}");
+        assert!(err.contains("176.gcc"), "error lists the valid names: {err}");
+        assert_eq!(parse_workloads("").unwrap(), CAMPAIGN_WORKLOADS);
+        assert_eq!(parse_workloads(" 181.mcf , 164.gzip ").unwrap(), ["181.mcf", "164.gzip"]);
+    }
 }

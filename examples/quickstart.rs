@@ -60,7 +60,7 @@ fn main() {
     for nth in (0..golden.branches).step_by((golden.branches / 40).max(1) as usize) {
         let spec = FaultSpec::AddrBit { nth, bit: 4 }; // flip ±128 bytes
         if let Some(result) =
-            inject(&image, &cfg, spec, &golden).expect("fault-free prefix succeeds")
+            inject(&image, &cfg, spec, &golden, None).expect("fault-free prefix succeeds")
         {
             if result.outcome == Outcome::DetectedByCheck {
                 detected += 1;

@@ -35,7 +35,7 @@
 
 use cfed::core::{Category, RunConfig, TechniqueKind};
 use cfed::dbt::{native_enabled, UpdateStyle};
-use cfed::fault::{attack_with, pause_attack, AttackKind, AttackSpec, Outcome};
+use cfed::fault::{inject, pause_attack, AttackKind, AttackSpec, Outcome};
 use cfed::fault::{AttackExit, SnapshotSet};
 use cfed::lang::compile;
 
@@ -101,7 +101,7 @@ fn attacks_under_guaranteed_techniques_end_detected_or_benign() {
                     let nth = i * golden.branches / SITES;
                     for param in [i, i * 31 + 7] {
                         let spec = AttackSpec { kind: archetype, nth, param };
-                        let Some(r) = attack_with(&image, &cfg, spec, &golden, Some(&snapshots))
+                        let Some(r) = inject(&image, &cfg, spec, &golden, Some(&snapshots))
                             .expect("prefix replay is attack-free")
                         else {
                             continue; // unplaceable at this strike point
