@@ -10,22 +10,18 @@
 //! | Figure 12 (per-benchmark slowdown) | [`fig12`] | `fig12_slowdown` |
 //! | Figure 14 (Jcc vs CMOVcc) | [`fig14`] | `fig14_update_style` |
 //! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` |
-//! | §3/§4 coverage claims | [`coverage`] | `coverage_matrix` |
+//!
+//! The §3/§4 coverage matrix and the §6 detection-latency table are one
+//! fault-injection study with one front end, `cfed-campaign` (in
+//! `cfed-serve`). The `perf_gate` binary writes and gates
+//! `BENCH_campaign.json`, the CI performance record.
 
-use cfed_core::{
-    geomean, run_dbt, run_dbt_telemetry, run_native, Category, RunConfig, TechniqueKind,
-};
+use cfed_core::{geomean, run_dbt, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_fault::{analyze_image, CampaignReport, CategoryStats, ErrorModelTable};
-use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
-use cfed_runner::pool::{parallel_map, run_matrix, RunSummary, RunnerOptions};
+use cfed_fault::{analyze_image, ErrorModelTable};
+use cfed_runner::pool::parallel_map;
 use cfed_telemetry::Telemetry;
 use cfed_workloads::{Scale, Suite, Workload, ALL};
-
-/// Default campaign seed of the injection harnesses (the historical
-/// [`cfed_fault::Campaign::new`] default, kept so published tallies stay
-/// reproducible).
-pub const DEFAULT_CAMPAIGN_SEED: u64 = 0xCFED_2006;
 
 fn image(w: &Workload, scale: Scale) -> cfed_asm::Image {
     w.image(scale).unwrap_or_else(|e| panic!("{} failed to compile: {e}", w.name))
@@ -346,244 +342,5 @@ pub fn render_fig15(rows: &[PolicyRow]) -> String {
         let _ = write!(out, " {:>7.3}", fig15_geomean(rows, None, p));
     }
     let _ = writeln!(out);
-    out
-}
-
-// ----------------------------------------------------------------------
-// Coverage matrix (fault injection)
-// ----------------------------------------------------------------------
-
-/// Per-technique injection results, per category.
-#[derive(Debug, Clone)]
-pub struct CoverageRow {
-    /// `None` is the uninstrumented baseline.
-    pub technique: Option<TechniqueKind>,
-    /// Outcome tallies for categories A–E plus F and NoError.
-    pub per_category: Vec<(Category, CategoryStats)>,
-}
-
-/// Workloads used for injection campaigns (kept small — every injection is
-/// a whole program run).
-pub const COVERAGE_WORKLOADS: [&str; 6] = cfed_runner::matrix::CAMPAIGN_WORKLOADS;
-
-/// The six coverage configurations: uninstrumented baseline plus the five
-/// techniques (the two CFG-dependent prior-work techniques included, via
-/// the hybrid static-CFG path).
-fn coverage_techniques() -> Vec<Option<TechniqueKind>> {
-    vec![
-        None,
-        Some(TechniqueKind::Cfcss),
-        Some(TechniqueKind::Ecca),
-        Some(TechniqueKind::Ecf),
-        Some(TechniqueKind::EdgCf),
-        Some(TechniqueKind::Rcf),
-    ]
-}
-
-/// Runs a matrix through the `cfed-runner` worker pool (ephemeral store)
-/// and hands back the per-cell reports paired with their specs, panicking
-/// with the shard errors if any cell failed — the harnesses run known-good
-/// workloads, so a failure is a bug, not data.
-fn pooled_reports(matrix: &CampaignMatrix, run_id: &str, threads: usize) -> RunSummary {
-    let options = RunnerOptions { threads, ..Default::default() };
-    let summary = run_matrix(matrix, run_id, None, &options).expect("in-memory run cannot fail");
-    for cell in &summary.cells {
-        assert!(
-            cell.report.is_some() && cell.complete(),
-            "campaign cell {} failed: {:?}",
-            cell.key,
-            cell.failures
-        );
-    }
-    summary
-}
-
-/// Runs fault-injection campaigns for the baseline and each of the five
-/// techniques under the given conditional-update style, distributing the
-/// shards over `threads` worker threads (`0` = all cores). Tallies are
-/// bit-identical for any thread count.
-pub fn coverage_with(
-    trials_per_workload: u64,
-    style: UpdateStyle,
-    seed: u64,
-    threads: usize,
-) -> Vec<CoverageRow> {
-    let matrix = CampaignMatrix {
-        workloads: COVERAGE_WORKLOADS
-            .iter()
-            .map(|name| WorkloadSpec::named(name, Scale::Test))
-            .collect(),
-        techniques: coverage_techniques(),
-        styles: vec![style],
-        policies: vec![CheckPolicy::AllBb],
-        trials: trials_per_workload,
-        seed,
-        attacks: vec![None],
-    };
-    let summary = pooled_reports(&matrix, "coverage", threads);
-    let cells = matrix.cells();
-    coverage_techniques()
-        .into_iter()
-        .map(|technique| {
-            let mut totals: Vec<(Category, CategoryStats)> =
-                Category::ALL.iter().map(|&c| (c, CategoryStats::default())).collect();
-            for (cell, result) in cells.iter().zip(&summary.cells) {
-                if cell.config.technique != technique {
-                    continue;
-                }
-                let report = result.report.as_ref().expect("checked by pooled_reports");
-                for (c, slot) in &mut totals {
-                    let s = report.category(*c);
-                    slot.detected_check += s.detected_check;
-                    slot.detected_hw += s.detected_hw;
-                    slot.other_fault += s.other_fault;
-                    slot.benign += s.benign;
-                    slot.sdc += s.sdc;
-                    slot.timeout += s.timeout;
-                }
-            }
-            CoverageRow { technique, per_category: totals }
-        })
-        .collect()
-}
-
-/// [`coverage_with`] at the default seed, using all cores.
-pub fn coverage(trials_per_workload: u64, style: UpdateStyle) -> Vec<CoverageRow> {
-    coverage_with(trials_per_workload, style, DEFAULT_CAMPAIGN_SEED, 0)
-}
-
-/// Renders the coverage matrix.
-pub fn render_coverage(rows: &[CoverageRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Coverage matrix — fault injection into translated code (per config trials/workload/technique)"
-    );
-    for row in rows {
-        let name = row.technique.map_or("baseline".to_string(), |k| k.to_string());
-        let _ = writeln!(out, "\n== {name} ==");
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
-            "Category", "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(72));
-        for (c, s) in &row.per_category {
-            if s.total() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
-                c.to_string(),
-                s.detected_check,
-                s.detected_hw,
-                s.other_fault,
-                s.benign,
-                s.sdc,
-                s.timeout,
-                100.0 * s.coverage()
-            );
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Detection latency (extension: quantifies §6's delay-to-report tradeoff)
-// ----------------------------------------------------------------------
-
-/// Mean detection latency per checking policy.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// The checking policy.
-    pub policy: CheckPolicy,
-    /// Mean instructions from injection to the check report.
-    pub mean_latency: f64,
-    /// Fraction of harmful faults detected by checks (vs hardware).
-    pub check_share: f64,
-}
-
-/// Measures mean detection latency of the EdgCF technique under each
-/// checking policy — the quantitative version of §6's qualitative
-/// "the less frequently we check, the more delay it can take to report" —
-/// with the campaigns distributed over `threads` worker threads.
-pub fn latency_by_policy_with(
-    trials_per_workload: u64,
-    seed: u64,
-    threads: usize,
-) -> Vec<LatencyRow> {
-    let matrix = CampaignMatrix {
-        workloads: COVERAGE_WORKLOADS
-            .iter()
-            .map(|name| WorkloadSpec::named(name, Scale::Test))
-            .collect(),
-        techniques: vec![Some(TechniqueKind::EdgCf)],
-        styles: vec![UpdateStyle::CMov],
-        policies: CheckPolicy::ALL.to_vec(),
-        trials: trials_per_workload,
-        seed,
-        attacks: vec![None],
-    };
-    let summary = pooled_reports(&matrix, "latency", threads);
-    let cells = matrix.cells();
-    CheckPolicy::ALL
-        .into_iter()
-        .map(|policy| {
-            let reports: Vec<&CampaignReport> = cells
-                .iter()
-                .zip(&summary.cells)
-                .filter(|(cell, _)| cell.config.policy == policy)
-                .map(|(_, r)| r.report.as_ref().expect("checked by pooled_reports"))
-                .collect();
-            latency_row(policy, &reports)
-        })
-        .collect()
-}
-
-/// Aggregates one policy's per-workload reports into a [`LatencyRow`].
-fn latency_row(policy: CheckPolicy, reports: &[&CampaignReport]) -> LatencyRow {
-    let mut lat_sum = 0.0;
-    let mut lat_n = 0u64;
-    let mut chk = 0u64;
-    let mut hw = 0u64;
-    for report in reports {
-        if let Some(l) = report.mean_detection_latency() {
-            lat_sum += l;
-            lat_n += 1;
-        }
-        let t = report.sdc_prone_total();
-        chk += t.detected_check;
-        hw += t.detected_hw + t.other_fault;
-    }
-    LatencyRow {
-        policy,
-        mean_latency: if lat_n > 0 { lat_sum / lat_n as f64 } else { f64::NAN },
-        check_share: if chk + hw > 0 { chk as f64 / (chk + hw) as f64 } else { 0.0 },
-    }
-}
-
-/// [`latency_by_policy_with`] at the default seed, using all cores.
-pub fn latency_by_policy(trials_per_workload: u64) -> Vec<LatencyRow> {
-    latency_by_policy_with(trials_per_workload, DEFAULT_CAMPAIGN_SEED, 0)
-}
-
-/// Renders the latency table.
-pub fn render_latency(rows: &[LatencyRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "Detection latency by checking policy (EdgCF, CMOVcc)");
-    let _ = writeln!(out, "{:>8} | {:>16} | {:>12}", "policy", "mean latency", "check share");
-    let _ = writeln!(out, "{}", "-".repeat(44));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>11.0} insts | {:>11.1}%",
-            r.policy.to_string(),
-            r.mean_latency,
-            100.0 * r.check_share
-        );
-    }
     out
 }

@@ -436,33 +436,6 @@ impl AttackSurface {
         }
         self.branches += other.branches;
     }
-
-    /// Renders the archetype × category table.
-    pub fn render(&self, title: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{title}");
-        let _ = write!(out, "{:>14} |", "archetype");
-        for c in Category::ALL {
-            if c == Category::NoError {
-                continue;
-            }
-            let _ = write!(out, " {:>7}", c.to_string());
-        }
-        let _ = writeln!(out, " | {:>8}", "unplaced");
-        let _ = writeln!(out, "{}", "-".repeat(14 + 3 + 8 * 6 + 3 + 8));
-        for kind in AttackKind::ALL {
-            let _ = write!(out, "{:>14} |", kind.name());
-            for c in Category::ALL {
-                if c == Category::NoError {
-                    continue;
-                }
-                let _ = write!(out, " {:>7}", self.count(kind, c));
-            }
-            let _ = writeln!(out, " | {:>8}", self.unplaceable[kind.idx()]);
-        }
-        out
-    }
 }
 
 /// The attack-surface analyzer: walks one fault-free execution under a DBT
@@ -848,16 +821,6 @@ mod tests {
                     assert_eq!(fused, native, "{kind} pause={pause}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn surface_render_lists_archetypes() {
-        let img = image();
-        let s = AttackModel::new(RunConfig::baseline()).analyze(&img).unwrap();
-        let text = s.render("attack surface");
-        for kind in AttackKind::ALL {
-            assert!(text.contains(kind.name()), "render missing {kind}");
         }
     }
 }

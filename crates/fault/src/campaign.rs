@@ -77,6 +77,17 @@ impl CategoryStats {
     }
 }
 
+impl std::ops::AddAssign for CategoryStats {
+    fn add_assign(&mut self, other: CategoryStats) {
+        self.detected_check += other.detected_check;
+        self.detected_hw += other.detected_hw;
+        self.other_fault += other.other_fault;
+        self.benign += other.benign;
+        self.sdc += other.sdc;
+        self.timeout += other.timeout;
+    }
+}
+
 /// Trials per shard: the unit of work distributed by `cfed-runner`.
 ///
 /// [`Campaign::run`] executes its trials as a sequence of shards of this
@@ -352,13 +363,8 @@ impl CampaignReport {
     /// across images or configurations is always a bug.
     pub fn merge(&mut self, other: &CampaignReport) {
         assert_eq!(self.golden, other.golden, "CampaignReport::merge across different golden runs");
-        for (into, from) in self.stats.iter_mut().zip(other.stats.iter()) {
-            into.detected_check += from.detected_check;
-            into.detected_hw += from.detected_hw;
-            into.other_fault += from.other_fault;
-            into.benign += from.benign;
-            into.sdc += from.sdc;
-            into.timeout += from.timeout;
+        for (into, &from) in self.stats.iter_mut().zip(other.stats.iter()) {
+            *into += from;
         }
         self.skipped += other.skipped;
         for (into_row, from_row) in self.lat.iter_mut().zip(other.lat.iter()) {
@@ -404,13 +410,7 @@ impl CampaignReport {
     pub fn sdc_prone_total(&self) -> CategoryStats {
         let mut out = CategoryStats::default();
         for c in Category::SDC_PRONE {
-            let s = self.category(c);
-            out.detected_check += s.detected_check;
-            out.detected_hw += s.detected_hw;
-            out.other_fault += s.other_fault;
-            out.benign += s.benign;
-            out.sdc += s.sdc;
-            out.timeout += s.timeout;
+            out += *self.category(c);
         }
         out
     }
@@ -418,38 +418,6 @@ impl CampaignReport {
     /// Mean instructions between injection and a check-based detection.
     pub fn mean_detection_latency(&self) -> Option<f64> {
         self.detection_latency_hist().mean()
-    }
-
-    /// Renders a per-category outcome table.
-    pub fn render(&self, title: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{title}");
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
-            "Category", "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(72));
-        for c in Category::ALL {
-            let s = self.category(c);
-            if s.total() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
-                c.to_string(),
-                s.detected_check,
-                s.detected_hw,
-                s.other_fault,
-                s.benign,
-                s.sdc,
-                s.timeout,
-                100.0 * s.coverage(),
-            );
-        }
-        out
     }
 }
 
@@ -536,13 +504,6 @@ mod tests {
         for c in Category::ALL {
             assert_eq!(r.category(c), r2.category(c));
         }
-    }
-
-    #[test]
-    fn render_is_nonempty() {
-        let img = image();
-        let r = Campaign::new(RunConfig::baseline(), 20).run(&img).unwrap();
-        assert!(r.render("x").contains("Category"));
     }
 
     #[test]

@@ -135,13 +135,8 @@ impl ShardTallies {
     /// reference. Lets the report path merge persisted shards without
     /// recompiling workloads.
     pub fn absorb(&mut self, other: &ShardTallies) {
-        for (into, from) in self.stats.iter_mut().zip(&other.stats) {
-            into.detected_check += from.detected_check;
-            into.detected_hw += from.detected_hw;
-            into.other_fault += from.other_fault;
-            into.benign += from.benign;
-            into.sdc += from.sdc;
-            into.timeout += from.timeout;
+        for (into, &from) in self.stats.iter_mut().zip(&other.stats) {
+            *into += from;
         }
         self.skipped += other.skipped;
         for (into_row, from_row) in self.lat.iter_mut().zip(&other.lat) {

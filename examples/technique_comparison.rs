@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example technique_comparison`
 
-use cfed::core::{run_dbt, Category, RunConfig, TechniqueKind};
+use cfed::core::{run_dbt, RunConfig, TechniqueKind};
 use cfed::dbt::{CheckPolicy, UpdateStyle};
 use cfed::fault::Campaign;
 use cfed::workloads::{by_name, Scale};
@@ -72,7 +72,10 @@ fn main() {
             s.sdc,
             100.0 * s.coverage()
         );
-        let _ = Category::ALL; // (full per-category tables: see coverage_matrix)
     }
-    println!("\n(the full 26-workload versions of these tables: cargo run --release -p cfed-bench --bin fig12_slowdown / fig14_update_style / fig15_policies / coverage_matrix)");
+    println!(
+        "\n(the full 26-workload versions of these tables: cargo run --release -p cfed-bench --bin \
+         fig12_slowdown / fig14_update_style / fig15_policies; the per-category coverage tables: \
+         cargo run --release -p cfed-serve --bin cfed-campaign)"
+    );
 }
