@@ -10,13 +10,10 @@
 //!   instrumentation emission overhead);
 //! * `run_technique` — end-to-end workload execution per technique
 //!   (host-time view of Figure 12's guest-cycle view);
-//! * `trace_tier` — tiered-translation ablation on a hot loop: tier-1
-//!   native JIT vs the profile-guided trace tier (skipped when the host
-//!   cannot run native code);
 //! * `error_model` — §2 bit-classification throughput;
 //! * `compile_minic` — MiniC front-end+codegen throughput.
 
-use cfed_core::{run_dbt, run_dbt_tiered_enabled, RunConfig, TechniqueKind};
+use cfed_core::{run_dbt, RunConfig, TechniqueKind};
 use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
 use cfed_fault::analyze_image;
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
@@ -178,55 +175,6 @@ fn bench_techniques_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_trace_tier(c: &mut Criterion) {
-    // The trace tier only pays off once the native backend is live: without
-    // it the tier falls back to fused-cache dispatch and the two rows would
-    // measure the same engine.
-    if !cfed_dbt::native_enabled() || !cfed_dbt::tier_enabled() {
-        eprintln!("trace_tier: native backend or trace tier unavailable; group skipped");
-        return;
-    }
-    let image = cfed_lang::compile(
-        "fn main() {
-             let acc = 7;
-             let outer = 0;
-             while (outer < 50) {
-                 let i = 0;
-                 while (i < 5000) {
-                     if (i % 4 == 1) { acc = acc * 2 - i; } else { acc = acc + i; }
-                     if (acc > 1000000) { acc = acc - 1000000; }
-                     i = i + 1;
-                 }
-                 outer = outer + 1;
-             }
-             out(acc);
-         }",
-    )
-    .expect("hot-loop bench source compiles");
-    let cfg = RunConfig {
-        style: UpdateStyle::CMov,
-        max_insts: u64::MAX,
-        ..RunConfig::technique(TechniqueKind::EdgCf)
-    };
-    let threshold = cfed_dbt::DEFAULT_COMPILE_THRESHOLD;
-    // Both rows retire the tier-1 instruction stream's worth of guest work;
-    // use that count as the shared per-element denominator so the trace
-    // tier's optimized (shorter) stream shows up as throughput, not as a
-    // different workload.
-    let tier1 = run_dbt_tiered_enabled(&image, &cfg, threshold, true, false);
-    let tiered = run_dbt_tiered_enabled(&image, &cfg, threshold, true, true);
-    assert_eq!(tier1.output, tiered.output, "trace tier changed guest output");
-    assert!(tiered.dbt.traces > 0, "hot loop failed to promote to the trace tier");
-    let mut g = c.benchmark_group("trace_tier");
-    g.throughput(Throughput::Elements(tier1.insts));
-    for (name, tier) in [("tier1_native", false), ("trace_tier", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(run_dbt_tiered_enabled(&image, &cfg, threshold, true, tier)))
-        });
-    }
-    g.finish();
-}
-
 fn bench_error_model(c: &mut Criterion) {
     let image = by_name("171.swim").unwrap().image(Scale::Test).unwrap();
     let mut g = c.benchmark_group("error_model");
@@ -249,7 +197,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_codec, bench_interpreter, bench_dispatch, bench_translation,
-              bench_techniques_end_to_end, bench_trace_tier, bench_error_model,
+              bench_techniques_end_to_end, bench_error_model,
               bench_compile
 }
 criterion_main!(benches);

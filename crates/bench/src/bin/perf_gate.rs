@@ -10,27 +10,23 @@
 //! * the profiler-capable dispatch with profiling off against the direct
 //!   decoded loop;
 //! * where the host supports it, the DBT's x86-64 native backend against
-//!   the decoded interpreter, and the profile-guided trace tier against
-//!   tier-1 native execution on a hot-loop workload.
+//!   the decoded interpreter.
 //!
 //! Every gated figure is a ratio of two passes in one invocation on one
 //! host, so it self-normalizes away host speed and a committed record is a
 //! portable baseline. The run exits 1 when:
 //!
 //! * the profiler-off dispatch costs ≥1% throughput;
-//! * native is below 2.00x the decoded interpreter, or the trace tier
-//!   below 1.20x tier-1 native;
-//! * with `--baseline PATH`, the snapshot, interp, native or trace speedup
-//!   is more than 25% below the committed record's.
+//! * native is below 2.00x the decoded interpreter;
+//! * with `--baseline PATH`, the snapshot, interp or native speedup is more
+//!   than 25% below the committed record's.
 //!
 //! Usage: `cargo run --release -p cfed-bench --bin perf_gate -- [OPTIONS]`
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cfed_core::{
-    run_dbt_native_enabled, run_dbt_tiered_enabled, Category, RunConfig, TechniqueKind,
-};
+use cfed_core::{run_dbt_native_enabled, Category, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_runner::cli::Parser;
 use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
@@ -59,14 +55,6 @@ const PROFILER_OFF_BUDGET_PCT: f64 = 1.0;
 /// decoded interpreter is a regression outright.
 const NATIVE_MIN_RATIO_MILLI: u64 = 2000;
 
-/// Hard floor on trace-tier-over-native-tier-1 guest throughput on the
-/// hot-loop workload, in milli-ratio units (1200 = 1.20x). Both laps run
-/// under the same native backend, so the ratio isolates exactly what the
-/// optimizing tier buys (measured ~1.4x; the floor leaves headroom for
-/// runner jitter without ever accepting a tier that does not pay for
-/// itself).
-const TRACE_MIN_RATIO_MILLI: u64 = 1200;
-
 /// Scale factor for the native laps. The @test instances retire ~10–30k
 /// guest instructions, so the JIT's fixed per-run costs (code-buffer
 /// mapping, block compilation) dominate and the measurement says nothing
@@ -74,30 +62,6 @@ const TRACE_MIN_RATIO_MILLI: u64 = 1200;
 /// million instructions and translation amortizes to noise, which is the
 /// regime the backend exists for.
 const NATIVE_BENCH_SCALE: u64 = 400;
-
-/// The trace-tier bench workload: a hot multi-block loop nest, the regime
-/// profile-guided trace formation exists for. Real campaign workloads
-/// spread time across warm-but-not-hot code and measure the tier at only
-/// ~1.0–1.1x; this loop spends its life inside a few superblocks, so the
-/// measurement (and its regression gate) tracks the quality of the trace
-/// pipeline — check hoisting, signature coalescing, dispatch elision —
-/// rather than workload mix.
-const TRACE_BENCH_SOURCE: &str = r#"
-    fn main() {
-        let outer = 0;
-        let acc = 3;
-        while (outer < 200) {
-            let i = 0;
-            while (i < 5000) {
-                if (i % 4 == 1) { acc = acc * 2 - i; } else { acc = acc + i; }
-                if (acc > 1000000) { acc = acc - 1000000; }
-                i = i + 1;
-            }
-            outer = outer + 1;
-        }
-        out(acc);
-    }
-"#;
 
 fn main() {
     let args = Parser::new(
@@ -170,7 +134,6 @@ fn main() {
 
     let (interp, decode) = bench_interp(quiet).unwrap_or_else(|e| die(e));
     let native = bench_native(quiet).unwrap_or_else(|e| die(e));
-    let trace = bench_trace(quiet).unwrap_or_else(|e| die(e));
     let prof_off = bench_profiler_off().unwrap_or_else(|e| die(e));
     if !quiet {
         eprintln!(
@@ -181,15 +144,8 @@ fn main() {
         );
     }
 
-    let measured = Measured {
-        snap: snap.perf,
-        scratch: scratch.perf,
-        interp,
-        decode,
-        prof_off,
-        native,
-        trace,
-    };
+    let measured =
+        Measured { snap: snap.perf, scratch: scratch.perf, interp, decode, prof_off, native };
     let record = record(&matrix, threads, &measured);
     std::fs::write(&out, record.render() + "\n")
         .unwrap_or_else(|e| die(format!("writing {}: {e}", out.display())));
@@ -212,7 +168,6 @@ fn main() {
     let mut verdicts = vec![
         profiler_off_gate(overhead_pct(prof_off)),
         floor_gate("native backend over the decoded interpreter", native, NATIVE_MIN_RATIO_MILLI),
-        floor_gate("trace tier over tier-1 native (hot loop)", trace, TRACE_MIN_RATIO_MILLI),
     ];
     if let Some(baseline_path) = args.get("baseline").filter(|s| !s.is_empty()) {
         let text = std::fs::read_to_string(baseline_path)
@@ -280,7 +235,7 @@ fn milli(x: f64) -> u64 {
 #[derive(Debug, Clone, Copy, Default)]
 struct Mips {
     /// The lap measured against (raw interpreter, decoded interpreter,
-    /// tier-1 native, direct decoded loop).
+    /// direct decoded loop).
     base: f64,
     /// The lap under test.
     fast: f64,
@@ -455,70 +410,6 @@ fn bench_native(quiet: bool) -> Result<Option<Mips>, String> {
     Ok(Some(Mips::new(insts, secs)))
 }
 
-/// Times the profile-guided trace tier against tier-1 native execution
-/// (the base) on [`TRACE_BENCH_SOURCE`] under EdgCF/CMOVcc (ALLBB policy)
-/// — the fully instrumented configuration, where the tier's verified check
-/// hoisting and signature-update coalescing have instructions to remove.
-/// Both laps run the native backend; they differ only in tier formation.
-/// Every tiered native lap must retire bit-identically to a tiered
-/// fused-interpreter reference, and the tier-1 lap must produce the same
-/// guest output. Returns `None` where the native backend or the tier is
-/// unavailable (`CFED_NO_NATIVE=1`, `CFED_NO_TIER=1`, non-x86-64 hosts) so
-/// the record and gates degrade gracefully. Both MIPS figures use the
-/// tier-1 lap's retired guest instruction count as numerator, so the ratio
-/// is a pure time ratio over identical guest work (the tiered run retires
-/// fewer instructions — that being the point — and crediting it with its
-/// own smaller count would understate the win).
-fn bench_trace(quiet: bool) -> Result<Option<Mips>, String> {
-    if !cfed_dbt::native_enabled() || !cfed_dbt::tier_enabled() {
-        if !quiet {
-            eprintln!("perf_gate: trace      tier unavailable on this host");
-        }
-        return Ok(None);
-    }
-    const REPS: usize = 5;
-    let image = WorkloadSpec::inline("trace-hot-loop", TRACE_BENCH_SOURCE).image()?;
-    let cfg = RunConfig {
-        style: UpdateStyle::CMov,
-        max_insts: u64::MAX,
-        ..RunConfig::technique(TechniqueKind::EdgCf)
-    };
-    let threshold = cfed_dbt::DEFAULT_COMPILE_THRESHOLD;
-    let reference = run_dbt_tiered_enabled(&image, &cfg, threshold, false, true);
-    if reference.dbt.traces == 0 {
-        return Err("trace bench workload formed no traces".to_string());
-    }
-    let mut guest_insts = 0;
-    let best = paired_laps(REPS, |side| {
-        let use_tier = side == 1;
-        let timer = Instant::now();
-        let outcome = run_dbt_tiered_enabled(&image, &cfg, threshold, true, use_tier);
-        let secs = timer.elapsed().as_secs_f64();
-        if use_tier {
-            if outcome != reference {
-                return Err("trace-tier native divergence from fused reference".to_string());
-            }
-        } else {
-            if outcome.output != reference.output {
-                return Err("tier-1 native divergence on trace bench".to_string());
-            }
-            guest_insts = outcome.insts;
-        }
-        Ok(secs)
-    })?;
-    let trace = Mips::new(guest_insts, best);
-    if !quiet {
-        eprintln!(
-            "perf_gate: trace      {:.1} MIPS vs tier-1 native {:.1} MIPS ({:.2}x, {} traces)",
-            trace.fast,
-            trace.base,
-            trace.speedup(),
-            reference.dbt.traces
-        );
-    }
-    Ok(Some(trace))
-}
-
 /// Measures what having the profiler hook in the dispatch path costs when
 /// no profiler is attached: `Machine::run` (which checks for a profiler
 /// once per run and falls through to the unprofiled fused loop) versus
@@ -588,8 +479,6 @@ struct Measured {
     /// Decoded interpreter (base) vs native backend; `None` where it
     /// cannot run.
     native: Option<Mips>,
-    /// Tier-1 native (base) vs trace tier; `None` where it cannot run.
-    trace: Option<Mips>,
 }
 
 impl Measured {
@@ -597,15 +486,14 @@ impl Measured {
         ratio(self.snap.trials_per_sec, self.scratch.trials_per_sec)
     }
 
-    /// The four baseline-gated speedups: name, record key and milli value
+    /// The three baseline-gated speedups: name, record key and milli value
     /// (`None` where the measurement did not run on this host).
-    fn gated_ratios(&self) -> [(&'static str, &'static str, Option<u64>); 4] {
+    fn gated_ratios(&self) -> [(&'static str, &'static str, Option<u64>); 3] {
         let speedup = |m: Option<Mips>| m.map(|m| milli(m.speedup()));
         [
             ("snapshot speedup", "speedup_milli", Some(milli(self.snapshot_speedup()))),
             ("interp speedup", "interp_speedup_milli", speedup(Some(self.interp))),
             ("native speedup", "native_over_decoded_milli", speedup(self.native)),
-            ("trace speedup", "trace_over_native_milli", speedup(self.trace)),
         ]
     }
 }
@@ -628,10 +516,10 @@ fn perf_record(perf: &RunPerf) -> Json {
     ])
 }
 
-/// The `cfed-bench-campaign-v2` record. The native and trace keys are
-/// present only where those measurements ran: records from hosts without
-/// the backend stay valid, and readers treat the absent keys as "not
-/// measured" rather than zero.
+/// The `cfed-bench-campaign-v2` record. The native keys are present only
+/// where that measurement ran: records from hosts without the backend stay
+/// valid, and readers treat the absent keys as "not measured" rather than
+/// zero.
 fn record(matrix: &CampaignMatrix, threads: usize, m: &Measured) -> Json {
     let cells = matrix.cells();
     // Same source and fallback as `resolved_threads`, so the recorded pair
@@ -680,10 +568,6 @@ fn record(matrix: &CampaignMatrix, threads: usize, m: &Measured) -> Json {
         fields.push(("native_mips_milli", Json::UInt(milli(n.fast))));
         fields.push(("native_over_decoded_milli", Json::UInt(milli(n.speedup()))));
     }
-    if let Some(t) = m.trace {
-        fields.push(("trace_mips_milli", Json::UInt(milli(t.fast))));
-        fields.push(("trace_over_native_milli", Json::UInt(milli(t.speedup()))));
-    }
     obj(fields)
 }
 
@@ -727,8 +611,8 @@ fn baseline_gate(name: &str, key: &str, current_milli: Option<u64>, baseline: &J
     ))
 }
 
-/// The absolute floor shared by the native and trace gates: `what`'s
-/// speedup must reach `floor_milli`. Skipped where it did not run.
+/// The native backend's absolute floor: `what`'s speedup must reach
+/// `floor_milli`. Skipped where it did not run.
 fn floor_gate(what: &str, measured: Option<Mips>, floor_milli: u64) -> Verdict {
     let floor = floor_milli as f64 / 1000.0;
     let Some(m) = measured else {
@@ -781,22 +665,21 @@ mod tests {
 
     #[test]
     fn baseline_gate_skips_a_missing_key_or_an_unmeasured_ratio() {
-        let baseline = obj(vec![("trace_over_native_milli", Json::UInt(1301))]);
-        let missing =
-            baseline_gate("native speedup", "native_over_decoded_milli", Some(1), &baseline);
+        let baseline = obj(vec![("native_over_decoded_milli", Json::UInt(4793))]);
+        let missing = baseline_gate("interp speedup", "interp_speedup_milli", Some(1), &baseline);
         assert!(matches!(missing, Verdict::Skip(_)), "{missing:?}");
-        let unmeasured = baseline_gate("trace speedup", "trace_over_native_milli", None, &baseline);
+        let unmeasured =
+            baseline_gate("native speedup", "native_over_decoded_milli", None, &baseline);
         assert!(matches!(unmeasured, Verdict::Skip(_)), "{unmeasured:?}");
     }
 
     #[test]
     fn absolute_floors_are_enforced_and_skip_when_unmeasured() {
-        for floor in [NATIVE_MIN_RATIO_MILLI, TRACE_MIN_RATIO_MILLI] {
-            assert!(pass(&floor_gate("x", speedup_of(floor), floor)));
-            assert!(matches!(floor_gate("x", speedup_of(floor - 1), floor), Verdict::Fail(_)));
-            assert!(matches!(floor_gate("x", None, floor), Verdict::Skip(_)));
-        }
-        assert_eq!((NATIVE_MIN_RATIO_MILLI, TRACE_MIN_RATIO_MILLI), (2000, 1200));
+        let floor = NATIVE_MIN_RATIO_MILLI;
+        assert!(pass(&floor_gate("x", speedup_of(floor), floor)));
+        assert!(matches!(floor_gate("x", speedup_of(floor - 1), floor), Verdict::Fail(_)));
+        assert!(matches!(floor_gate("x", None, floor), Verdict::Skip(_)));
+        assert_eq!(NATIVE_MIN_RATIO_MILLI, 2000);
     }
 
     #[test]
@@ -849,7 +732,6 @@ mod tests {
             decode: DecodeCacheStats::default(),
             prof_off: lap,
             native: Some(lap),
-            trace: Some(lap),
         };
         let ours = record(&bench_matrix(192, 3488423942), 2, &measured);
         assert_eq!(top_level_keys(&ours), top_level_keys(&committed));

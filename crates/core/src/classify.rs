@@ -49,9 +49,9 @@ struct CacheBlock {
     cache_end: u64,
     /// Guest address of the block's first instruction (its signature).
     guest_start: u64,
-    /// Extent of the 1:1-copied guest body; `None` for jump-inlined traces,
-    /// whose bodies are discontiguous.
-    body: Option<Range<u64>>,
+    /// Extent of the 1:1-copied guest body (empty for terminator-only
+    /// blocks).
+    body: Range<u64>,
 }
 
 /// Which part of a translated block a cache address falls on — the
@@ -75,12 +75,7 @@ impl CacheLayout {
         let by_start = dbt
             .blocks()
             .map(|b| {
-                // `body_len == 0` is ambiguous: a jump-inlined trace (body
-                // layout unknown) or a terminator-only block (empty body at
-                // `body_start`, known exactly). A trace always covers more
-                // than one guest instruction, so `guest_len` separates them.
-                let body = (b.body_len > 0 || b.guest_len <= cfed_isa::INST_SIZE_U64)
-                    .then(|| b.body_start..b.body_start + b.body_len);
+                let body = b.body_start..b.body_start + b.body_len;
                 (
                     b.cache_start,
                     CacheBlock { cache_end: b.cache_end, guest_start: b.guest_start, body },
@@ -92,33 +87,27 @@ impl CacheLayout {
 
     /// Whether `addr` falls on a translated block's *instrumentation* — the
     /// head check sequence or the terminator glue — rather than on a
-    /// 1:1-copied guest instruction. Conservatively `false` when the body
-    /// layout is unknown (jump-inlined traces) or `addr` is outside every
-    /// block.
+    /// 1:1-copied guest instruction. Conservatively `false` for
+    /// terminator-only blocks (empty body) and outside every block.
     pub fn is_instrumentation(&self, addr: u64) -> bool {
         let Some((_, b)) = self.by_start.range(..=addr).next_back() else { return false };
-        // Empty body ranges (terminator-only blocks) exist only for the
-        // profiler's attribution; this predicate keeps treating them as
-        // unknown, exactly like the trace case.
-        addr < b.cache_end
-            && b.body.as_ref().is_some_and(|body| !body.is_empty() && !body.contains(&addr))
+        addr < b.cache_end && !b.body.is_empty() && !b.body.contains(&addr)
     }
 
     /// Attributes a cache address to `(guest block start, part)` — the
     /// profiler's per-sample classification. `None` outside every
-    /// translated block (shared stubs, dead translations). Jump-inlined
-    /// traces, whose body layout is unknown, attribute wholly to
-    /// [`CachePart::Payload`], mirroring how [`CacheLayout::is_instrumentation`]
-    /// is conservatively `false` for them.
+    /// translated block (shared stubs, dead translations).
     pub fn attribute(&self, addr: u64) -> Option<(u64, CachePart)> {
         let (_, b) = self.by_start.range(..=addr).next_back()?;
         if addr >= b.cache_end {
             return None;
         }
-        let part = match &b.body {
-            Some(body) if addr < body.start => CachePart::Head,
-            Some(body) if addr >= body.end => CachePart::Tail,
-            _ => CachePart::Payload,
+        let part = if addr < b.body.start {
+            CachePart::Head
+        } else if addr >= b.body.end {
+            CachePart::Tail
+        } else {
+            CachePart::Payload
         };
         Some((b.guest_start, part))
     }

@@ -35,7 +35,6 @@ pub mod category;
 pub mod cfg;
 pub mod classify;
 pub mod formal;
-pub mod placement;
 pub mod profile;
 pub mod run;
 pub mod techniques;
@@ -45,14 +44,18 @@ pub use cfed_dbt::{CheckPolicy, UpdateStyle};
 pub use classify::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
 };
-pub use placement::PlacementVerifier;
 pub use profile::{profile_dbt, profile_dbt_telemetry};
 pub use run::{
-    geomean, run_dbt, run_dbt_native, run_dbt_native_enabled, run_dbt_telemetry, run_dbt_tiered,
-    run_dbt_tiered_enabled, run_dbt_with, run_dbt_with_telemetry, run_native, slowdown,
-    trace_tier_config, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
+    geomean, run_dbt, run_dbt_native, run_dbt_native_enabled, run_dbt_telemetry, run_dbt_with,
+    run_dbt_with_telemetry, run_native, slowdown, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
 };
 pub use techniques::{
     CfcssInstrumenter, EccaInstrumenter, EcfInstrumenter, EdgCfInstrumenter, RcfInstrumenter,
     TechniqueKind,
 };
+
+// Exists only so `e2ebench/` builds unchanged; there is no tier.
+#[doc(hidden)]
+pub fn run_dbt_tiered(image: &cfed_asm::Image, cfg: &RunConfig, _threshold: u32) -> RunOutcome {
+    run_dbt_native(image, cfg)
+}

@@ -168,79 +168,6 @@ pub fn run_dbt_native_enabled(image: &Image, cfg: &RunConfig, native: bool) -> R
     }
 }
 
-/// Builds the tier-2 configuration for a run: the crate's
-/// [`crate::placement::PlacementVerifier`] at the given compile threshold.
-/// `None` when the configured technique's updates cannot be modeled by the
-/// trace IR (see [`TechniqueKind::supports_trace_tier`]) — such runs stay
-/// on tier-1 even when asked for the trace tier.
-pub fn trace_tier_config(cfg: &RunConfig, compile_threshold: u32) -> Option<cfed_dbt::TierConfig> {
-    let supported = match cfg.technique {
-        None => true,
-        Some(kind) => kind.supports_trace_tier(),
-    };
-    supported.then(|| {
-        cfed_dbt::TierConfig::new(std::sync::Arc::new(crate::placement::PlacementVerifier))
-            .with_threshold(compile_threshold)
-    })
-}
-
-/// Runs `image` under the tiered DBT: tier-1 blocks carry hot counters and
-/// promote to verified optimized traces at `compile_threshold` executions.
-/// The native backend and the trace tier each honor their ambient kill
-/// switches (`CFED_NO_NATIVE`, `CFED_NO_TIER`); guest-observable behavior
-/// (exit, output) is identical across all four combinations, while cycle
-/// and instruction counts improve when traces form.
-///
-/// # Examples
-///
-/// ```
-/// use cfed_core::{run_dbt_tiered, RunConfig, TechniqueKind};
-/// use cfed_dbt::DbtExit;
-///
-/// let image = cfed_lang::compile(
-///     "fn main() { let i = 0; while (i < 999) { i = i + 1; } out(i); }",
-/// )?;
-/// let out = run_dbt_tiered(&image, &RunConfig::technique(TechniqueKind::EdgCf), 8);
-/// assert_eq!(out.exit, DbtExit::Halted { code: 0 });
-/// assert_eq!(out.output, vec![999]);
-/// # Ok::<(), cfed_lang::CompileError>(())
-/// ```
-pub fn run_dbt_tiered(image: &Image, cfg: &RunConfig, compile_threshold: u32) -> RunOutcome {
-    run_dbt_tiered_enabled(
-        image,
-        cfg,
-        compile_threshold,
-        cfed_dbt::native_enabled(),
-        cfed_dbt::tier_enabled(),
-    )
-}
-
-/// As [`run_dbt_tiered`] with explicit native and tier on/off switches, for
-/// harnesses that must not depend on ambient environment variables.
-pub fn run_dbt_tiered_enabled(
-    image: &Image,
-    cfg: &RunConfig,
-    compile_threshold: u32,
-    native: bool,
-    tier: bool,
-) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let tier_cfg = if tier { trace_tier_config(cfg, compile_threshold) } else { None };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = cfed_dbt::NativeDbt::with_options(instr, cfg.style, &mut m, native, tier_cfg);
-    let exit = dbt.run(&mut m, cfg.max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
-}
-
 /// Runs `image` directly on the interpreter (no DBT).
 pub fn run_native(image: &Image, max_insts: u64) -> RunOutcome {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());

@@ -92,13 +92,6 @@ impl Instrumenter for EdgCfInstrumenter {
     fn initial_state(&self, entry_sig: u64) -> Vec<(Reg, u64)> {
         vec![(regs::PC_PRIME, entry_sig)]
     }
-
-    fn trace_sig(&self) -> Option<cfed_dbt::ir::TraceSig> {
-        // EdgCF is exactly the additive shadow-PC model: heads subtract,
-        // edges add, checks test `PC' == 0`. The tier-2 walker can therefore
-        // re-derive (and the placement verifier re-check) its update code.
-        Some(cfed_dbt::ir::TraceSig::PcPrimeAdditive)
-    }
 }
 
 #[cfg(test)]

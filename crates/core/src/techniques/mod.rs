@@ -91,16 +91,6 @@ impl TechniqueKind {
         matches!(self, TechniqueKind::Cfcss | TechniqueKind::Ecca)
     }
 
-    /// Whether the technique's signature updates fit the tier-2 trace IR's
-    /// additive shadow-PC model (see [`cfed_dbt::ir::TraceSig`]), making it
-    /// eligible for profile-guided trace formation. Only EdgCF qualifies:
-    /// ECF carries a second run-time-adjusting register, RCF's per-block
-    /// region transitions pin code to block boundaries, and the
-    /// CFG-dependent techniques use assigned (non-address) signatures.
-    pub fn supports_trace_tier(self) -> bool {
-        matches!(self, TechniqueKind::EdgCf)
-    }
-
     /// Builds the instrumenter for this technique under a checking policy.
     ///
     /// # Panics

@@ -14,8 +14,6 @@
 
 use crate::cache::{patch_inst, CacheAsm};
 use crate::instrument::{regs, BlockView, Instrumenter, UpdateStyle};
-use crate::ir::{SideBranch, TraceOp};
-use crate::trace::{plan_trace, TierConfig, TraceCandidate};
 use cfed_isa::{Inst, INST_SIZE_U64};
 use cfed_sim::{trap_codes, Machine, Memory, Perms, Trap, PAGE_SIZE};
 use cfed_telemetry::{Event, Histogram, Telemetry, Timer};
@@ -38,16 +36,6 @@ const EVICT_RESERVE: u64 = 64 * 1024;
 /// Entries in the indirect-branch dispatcher's inline cache (direct-mapped
 /// on the guest target address).
 pub(crate) const DISPATCH_IC_SIZE: usize = 16;
-
-/// Bytes carved from the start of the cache region for tier-up counters when
-/// the engine is constructed tiered (mapped R/W, never executable; one
-/// 8-byte countdown slot per translated block).
-const TIER_COUNTER_BYTES: u64 = 4 * PAGE_SIZE;
-
-/// Instructions in the tier-up countdown prologue emitted at the head of a
-/// counter-carrying block (`mov`/`ld`/`lea`/`st`/`jrnz`/trap stub); the
-/// disarm patch jumps over exactly this many.
-const TIER_PROLOGUE_INSTS: u64 = 6;
 
 /// Result of one supervised execution step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,16 +83,6 @@ pub struct DbtStats {
     /// Indirect dispatches answered by the dispatcher's inline cache
     /// (subset of `dispatches`; these skip the block-table lookup).
     pub dispatch_ic_hits: u64,
-    /// Tier-2 traces installed (each passed the placement verifier).
-    pub traces: u64,
-    /// Tier-up attempts rejected (verifier refusal, unprofitable shape, or
-    /// cache pressure); execution stayed on tier-1.
-    pub trace_rejected: u64,
-    /// Installed traces demoted back to tier-1 by an SMC flush.
-    pub trace_demotions: u64,
-    /// Countdown prologues patched out after a failed tier-up: the block
-    /// stays tier-1 for good, at one jump of residual per-entry overhead.
-    pub trace_disarms: u64,
 }
 
 /// A translated block's metadata.
@@ -122,7 +100,7 @@ pub struct TransBlock {
     /// after the instrumentation head).
     pub body_start: u64,
     /// Bytes of 1:1-copied body (excludes the translated terminator and its
-    /// glue). Zero for jump-inlined traces, whose bodies are discontiguous.
+    /// glue).
     pub body_len: u64,
 }
 
@@ -141,10 +119,6 @@ pub(crate) enum ExitKind {
     Indirect,
     /// Translation-time fault to surface when reached.
     Abort { trap: Trap },
-    /// Tier-up request: the block's execution counter reached the compile
-    /// threshold. The runtime attempts trace formation and resumes either
-    /// in the installed trace or right after the stub.
-    TierUp { guest_start: u64 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -211,23 +185,6 @@ pub struct Dbt {
     pub(crate) dispatch_ic: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     trans_us: Histogram,
     telemetry: Telemetry,
-    /// Tier-2 state; `None` for a plain (never-tiered) engine.
-    tier: Option<TierState>,
-}
-
-/// Bookkeeping of the profile-guided second tier.
-#[derive(Clone)]
-struct TierState {
-    config: TierConfig,
-    /// The R/W counter region carved from the cache.
-    counters: Range<u64>,
-    /// Next free counter slot (reset by full evictions).
-    next_slot: u64,
-    /// Guest block start → counter slot address.
-    slot_of: HashMap<u64, u64>,
-    /// Per-trace map of emitted guest-op cache addresses back to guest
-    /// addresses (sorted by cache address; SMC recovery inside traces).
-    trace_maps: HashMap<u64, Vec<(u64, u64)>>,
 }
 
 impl Clone for Dbt {
@@ -254,7 +211,6 @@ impl Clone for Dbt {
             dispatch_ic: self.dispatch_ic,
             trans_us: self.trans_us.clone(),
             telemetry: self.telemetry.clone(),
-            tier: self.tier.clone(),
         }
     }
 }
@@ -273,47 +229,9 @@ impl Dbt {
     /// Creates a DBT for the loaded machine, maps the code-cache region, and
     /// emits the shared report-error stub.
     pub fn new(instr: Box<dyn Instrumenter>, style: UpdateStyle, m: &mut Machine) -> Dbt {
-        Self::with_tier(instr, style, m, None)
-    }
-
-    /// Like [`Dbt::new`], but with the profile-guided second tier enabled:
-    /// blocks whose technique supports trace signatures
-    /// ([`Instrumenter::trace_sig`]) count their executions, and at the
-    /// configured threshold the engine forms, verifies, and installs an
-    /// optimized trace (see [`crate::trace`]). Guest-observable behavior is
-    /// identical to a never-tiered engine; instruction/cycle costs differ.
-    pub fn new_tiered(
-        instr: Box<dyn Instrumenter>,
-        style: UpdateStyle,
-        m: &mut Machine,
-        tier: TierConfig,
-    ) -> Dbt {
-        Self::with_tier(instr, style, m, Some(tier))
-    }
-
-    fn with_tier(
-        instr: Box<dyn Instrumenter>,
-        style: UpdateStyle,
-        m: &mut Machine,
-        tier: Option<TierConfig>,
-    ) -> Dbt {
         let cache = m.layout().cache_region.clone();
-        // A tiered engine carves an R/W (never executable) counter region
-        // from the start of the cache; code emission starts after it.
-        let tier = tier.map(|config| {
-            let counters = cache.start..cache.start + TIER_COUNTER_BYTES;
-            m.mem.map(counters.clone(), Perms::R | Perms::W);
-            TierState {
-                config,
-                counters,
-                next_slot: 0,
-                slot_of: HashMap::new(),
-                trace_maps: HashMap::new(),
-            }
-        });
-        let code_start = tier.as_ref().map_or(cache.start, |t| t.counters.end);
-        m.mem.map(code_start..cache.end, Perms::R | Perms::X);
-        let mut a = CacheAsm::new(&mut m.mem, code_start);
+        m.mem.map(cache.clone(), Perms::R | Perms::X);
+        let mut a = CacheAsm::new(&mut m.mem, cache.start);
         // The `.report_error` target of every signature check.
         let err_stub = a.emit(Inst::Trap { code: trap_codes::CFE_DETECTED });
         let cursor = a.finish();
@@ -346,20 +264,14 @@ impl Dbt {
             dispatch_ic: [None; DISPATCH_IC_SIZE],
             trans_us: Histogram::new(),
             telemetry: Telemetry::off(),
-            tier,
         }
     }
 
-    /// Whether this engine was constructed with the trace tier.
-    pub fn is_tiered(&self) -> bool {
-        self.tier.is_some()
-    }
-
     /// Cache-content generation key consumed by the native backend: a full
-    /// eviction, an SMC flush, a trace install, or a prologue disarm each
-    /// rewrite cache bytes under previously compiled host code.
-    pub(crate) fn gen_key(&self) -> (u64, u64, u64, u64) {
-        (self.flush_gen, self.stats.smc_flushes, self.stats.traces, self.stats.trace_disarms)
+    /// eviction or an SMC flush each rewrite cache bytes under previously
+    /// compiled host code.
+    pub(crate) fn gen_key(&self) -> (u64, u64) {
+        (self.flush_gen, self.stats.smc_flushes)
     }
 
     /// Overrides the per-dispatch cycle charge (cost-model ablation).
@@ -403,10 +315,6 @@ impl Dbt {
                 .u64("cache_evictions", s.cache_evictions)
                 .u64("retranslations", s.retranslations)
                 .u64("dispatch_ic_hits", s.dispatch_ic_hits)
-                .u64("traces", s.traces)
-                .u64("trace_rejected", s.trace_rejected)
-                .u64("trace_demotions", s.trace_demotions)
-                .u64("trace_disarms", s.trace_disarms)
                 .json("translate_us", self.trans_us.to_json())
         });
     }
@@ -448,7 +356,7 @@ impl Dbt {
 
     /// Maps a cache address inside a translation's 1:1-copied body back to
     /// the guest instruction it mirrors. `None` for instrumentation heads,
-    /// translated terminators, exit glue and jump-inlined traces.
+    /// translated terminators and exit glue.
     fn guest_body_ip(&self, cache_ip: u64) -> Option<u64> {
         let b = self.block_containing(cache_ip)?;
         let off = cache_ip.checked_sub(b.body_start)?;
@@ -533,14 +441,12 @@ impl Dbt {
                 // the flush), then re-attach at the next guest instruction
                 // so everything downstream is retranslated from the patched
                 // bytes.
-                let resume =
-                    self.guest_body_ip(m.cpu.ip()).or_else(|| self.trace_guest_ip(m.cpu.ip()));
+                let resume = self.guest_body_ip(m.cpu.ip());
                 self.smc_flush(m, Memory::page_base(addr));
                 let Some(guest_store) = resume else {
-                    // Store came from glue or a jump-inlined trace: the old
-                    // path — it re-executes in cache against the
-                    // now-unprotected page; only *other* translations could
-                    // have been stale, and those were just flushed.
+                    // Store came from glue: it re-executes in cache against
+                    // the now-unprotected page; only *other* translations
+                    // could have been stale, and those were just flushed.
                     return DbtStep::Continue;
                 };
                 m.cpu.set_ip(guest_store);
@@ -647,24 +553,6 @@ impl Dbt {
                 }
             }
             ExitKind::Abort { trap } => DbtStep::Exit(trap),
-            ExitKind::TierUp { guest_start } => {
-                // ip addresses the tier-up trap stub inside the block head;
-                // the instrumentation head has not run yet, so the on-edge
-                // signature invariant still holds — a trace entered here
-                // starts from the same state as the tier-1 head.
-                let resume = m.cpu.ip() + INST_SIZE_U64;
-                match self.try_promote(m, guest_start) {
-                    Some(trace_entry) => m.cpu.set_ip(trace_entry),
-                    None => {
-                        // No trace: the counter has fired (and gone
-                        // negative), so the countdown is dead weight —
-                        // patch the prologue into a jump over itself.
-                        self.disarm_tier_counter(m, guest_start);
-                        m.cpu.set_ip(resume);
-                    }
-                }
-                DbtStep::Continue
-            }
         }
     }
 
@@ -736,31 +624,12 @@ impl Dbt {
         let check = self.instr.wants_check(&view);
 
         // ---- emit the translation ----
-        let tier_counter = self.alloc_tier_counter(m, guest_addr);
         let cache_start = self.cursor;
         // Collect exit descriptors created during emission; allocated after
         // emission because sites are only known then.
         let mut new_exits: Vec<(u64, ExitKind)> = Vec::new(); // (site, kind)
 
         let mut a = CacheAsm::new(&mut m.mem, cache_start);
-        if let Some(counter) = tier_counter {
-            // Tier-up countdown, ahead of the instrumentation head so the
-            // on-edge signature invariant still holds at the trap stub. All
-            // flag-free (`ld`/`st`/`lea`/`jrnz`); `AUX`/`CHK` are dead at
-            // block boundaries. The counter goes negative after firing once
-            // and never fires again.
-            a.emit(Inst::MovRI { dst: regs::AUX, imm: counter as i32 });
-            a.emit(Inst::Ld { dst: regs::CHK, base: regs::AUX, disp: 0 });
-            a.emit(Inst::Lea { dst: regs::CHK, base: regs::CHK, disp: -1 });
-            a.emit(Inst::St { base: regs::AUX, src: regs::CHK, disp: 0 });
-            let skip = a.new_label();
-            a.jrnz_to(regs::CHK, skip);
-            let site = a.here();
-            a.emit(Inst::Nop); // becomes the tier-up trap stub
-            new_exits.push((site, ExitKind::TierUp { guest_start: guest_addr }));
-            a.bind(skip);
-            debug_assert_eq!(a.here(), cache_start + TIER_PROLOGUE_INSTS * INST_SIZE_U64);
-        }
         self.instr.emit_head(&mut a, guest_addr, check, self.err_stub);
         let body_start = a.here();
         for inst in &insts {
@@ -889,7 +758,7 @@ impl Dbt {
         self.stats.blocks += 1;
         self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;
         self.blocks.insert(guest_addr, block);
-        self.protect_ranges(m, guest_addr, &[range]);
+        self.protect_range(m, guest_addr, range);
 
         self.cursor = cache_end;
         assert!(self.cursor <= self.cache_limit, "code cache exhausted");
@@ -915,202 +784,6 @@ impl Dbt {
         self.cursor = self.base_cursor;
         self.flush_gen += 1;
         self.stats.cache_evictions += 1;
-        if let Some(tier) = self.tier.as_mut() {
-            tier.slot_of.clear();
-            tier.next_slot = 0;
-            tier.trace_maps.clear();
-        }
-    }
-
-    /// Allocates (or reuses) the tier-up counter slot for a block about to
-    /// be translated and re-arms it to the compile threshold. `None` when
-    /// the engine is untiered, the technique has no trace signature model,
-    /// or the slots are exhausted.
-    fn alloc_tier_counter(&mut self, m: &mut Machine, guest_addr: u64) -> Option<u64> {
-        self.instr.trace_sig()?;
-        let tier = self.tier.as_mut()?;
-        let addr = match tier.slot_of.get(&guest_addr) {
-            Some(&addr) => addr,
-            None => {
-                let cap = (tier.counters.end - tier.counters.start) / 8;
-                if tier.next_slot >= cap {
-                    return None;
-                }
-                let addr = tier.counters.start + tier.next_slot * 8;
-                tier.next_slot += 1;
-                tier.slot_of.insert(guest_addr, addr);
-                addr
-            }
-        };
-        m.mem.install(addr, &u64::from(tier.config.compile_threshold).to_le_bytes());
-        Some(addr)
-    }
-
-    /// Attempts tier-up at `entry`: walks a trace, verifies the optimized
-    /// placement against the technique's `GEN_SIG`/`CHECK_SIG` conditions,
-    /// and installs it. Returns the trace's cache entry, or `None` (counted
-    /// in [`DbtStats::trace_rejected`] when a formed plan was refused) with
-    /// tier-1 left untouched.
-    fn try_promote(&mut self, m: &mut Machine, entry: u64) -> Option<u64> {
-        let sig = self.instr.trace_sig()?;
-        let tier = self.tier.as_ref()?;
-        if !self.blocks.contains_key(&entry) {
-            return None;
-        }
-        let cand = {
-            let mem = &m.mem;
-            let slot_of = &tier.slot_of;
-            let instr = &self.instr;
-            // Successor hotness = remaining countdown, clamped at zero for
-            // blocks that already fired. Counters live in guest memory, so
-            // fused-interpreter and native runs read identical profiles and
-            // form identical traces.
-            plan_trace(
-                mem,
-                &self.guest_code,
-                entry,
-                sig,
-                |view| instr.wants_check(view),
-                |g| {
-                    slot_of.get(&g).map(|&addr| {
-                        let bytes: [u8; 8] = mem.peek(addr, 8).try_into().expect("counter slot");
-                        i64::from_le_bytes(bytes).max(0) as u64
-                    })
-                },
-            )?
-        };
-        if tier.config.verifier.verify(&cand.plan).is_err() {
-            self.stats.trace_rejected += 1;
-            return None;
-        }
-        // Worst-case emission size: every op can cost two cache slots, plus
-        // side-exit stubs. Reject under cache pressure rather than evicting
-        // (the eviction would discard the very profile that got us here).
-        let est = (cand.plan.ops.len() as u64 * 2 + 8) * INST_SIZE_U64;
-        if self.cursor + est + EVICT_RESERVE > self.cache_limit {
-            self.stats.trace_rejected += 1;
-            return None;
-        }
-        Some(self.install_trace(m, cand))
-    }
-
-    /// Emits a verified trace plan into the cache and swaps it in for the
-    /// entry block: existing chains into the block are re-pointed at the
-    /// trace, covered guest pages are (re)protected, and the guest-op map
-    /// is recorded for SMC recovery.
-    fn install_trace(&mut self, m: &mut Machine, cand: TraceCandidate) -> u64 {
-        let timer = Timer::start();
-        let entry_guest = cand.plan.entry_sig;
-        let cache_start = self.cursor;
-        let mut new_exits: Vec<(u64, ExitKind)> = Vec::new();
-        let mut map: Vec<(u64, u64)> = Vec::new();
-        let mut stubs: Vec<(crate::cache::Label, u64, i64)> = Vec::new();
-        let mut a = CacheAsm::new(&mut m.mem, cache_start);
-        fn lea_adjust(a: &mut CacheAsm<'_>, adjust: i64) {
-            if adjust != 0 {
-                let disp = i32::try_from(adjust).expect("trace adjust fits i32");
-                a.emit(Inst::Lea { dst: regs::PC_PRIME, base: regs::PC_PRIME, disp });
-            }
-        }
-        for op in &cand.plan.ops {
-            match *op {
-                TraceOp::SigAdd { delta } => lea_adjust(&mut a, delta),
-                TraceOp::Check => {
-                    a.jrnz_abs(regs::PC_PRIME, self.err_stub);
-                }
-                TraceOp::Guest { guest_addr, inst } => {
-                    map.push((a.here(), guest_addr));
-                    a.emit(inst);
-                }
-                TraceOp::SideExit { branch, target, adjust } => {
-                    let l = a.new_label();
-                    match branch {
-                        SideBranch::Cc(cc) => a.jcc_to(cc, l),
-                        SideBranch::Rz(r) => a.jrz_to(r, l),
-                        SideBranch::Rnz(r) => a.jrnz_to(r, l),
-                    };
-                    stubs.push((l, target, adjust));
-                }
-                TraceOp::Exit { target, adjust } => {
-                    lea_adjust(&mut a, adjust);
-                    Self::emit_exit_direct(&self.blocks, &mut a, target, &mut new_exits);
-                }
-                TraceOp::Loop { adjust } => {
-                    lea_adjust(&mut a, adjust);
-                    a.jmp_abs(cache_start);
-                }
-            }
-        }
-        // Side-exit stubs after the trace body: adjust the signature for the
-        // not-followed edge, then transfer like any tier-1 direct exit.
-        for (l, target, adjust) in stubs {
-            a.bind(l);
-            lea_adjust(&mut a, adjust);
-            Self::emit_exit_direct(&self.blocks, &mut a, target, &mut new_exits);
-        }
-        let cache_end = a.finish();
-        self.register_exits(m, new_exits);
-
-        let block = TransBlock {
-            guest_start: entry_guest,
-            guest_len: cand.ranges.iter().map(|r| r.end - r.start).sum(),
-            cache_start,
-            cache_end,
-            body_start: cache_start,
-            body_len: 0, // guest body is discontiguous; SMC uses trace_maps
-        };
-        self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;
-        self.blocks.insert(entry_guest, block);
-        self.protect_ranges(m, entry_guest, &cand.ranges);
-        // Re-point every chain into the replaced tier-1 block at the trace.
-        for idx in self.patched_by_target.get(&entry_guest).cloned().unwrap_or_default() {
-            if let ExitKind::Direct { site, .. } = self.exits[idx].kind {
-                if self.exits[idx].patched {
-                    patch_inst(
-                        &mut m.mem,
-                        site,
-                        Inst::Jmp { offset: CacheAsm::rel(site, cache_start) },
-                    );
-                }
-            }
-        }
-        // The dispatcher's inline cache may enter the replaced translation.
-        self.dispatch_ic = [None; DISPATCH_IC_SIZE];
-        self.tier.as_mut().expect("tiered engine").trace_maps.insert(entry_guest, map);
-        self.stats.traces += 1;
-        self.cursor = cache_end;
-        assert!(self.cursor <= self.cache_limit, "code cache exhausted");
-        timer.observe_into(&mut self.trans_us);
-        cache_start
-    }
-
-    /// Patches the countdown prologue of `guest_start`'s tier-1 block into
-    /// a jump over itself. Called after the counter fired but no trace was
-    /// installed: the counter is negative and can never fire again, so the
-    /// remaining five prologue instructions are pure per-entry overhead.
-    /// The block stays tier-1 until a flush retranslates (and re-arms) it.
-    fn disarm_tier_counter(&mut self, m: &mut Machine, guest_start: u64) {
-        if self.tier.is_none() {
-            return;
-        }
-        let Some(b) = self.blocks.get(&guest_start) else { return };
-        let skip = b.cache_start + TIER_PROLOGUE_INSTS * INST_SIZE_U64;
-        patch_inst(
-            &mut m.mem,
-            b.cache_start,
-            Inst::Jmp { offset: CacheAsm::rel(b.cache_start, skip) },
-        );
-        self.stats.trace_disarms += 1;
-    }
-
-    /// Maps a cache address inside an installed trace back to the guest
-    /// instruction it was emitted for (SMC recovery; stores are never folded
-    /// so every faulting store has an exact entry).
-    fn trace_guest_ip(&self, cache_ip: u64) -> Option<u64> {
-        let tier = self.tier.as_ref()?;
-        let b = self.block_containing(cache_ip)?;
-        let map = tier.trace_maps.get(&b.guest_start)?;
-        map.binary_search_by_key(&cache_ip, |&(c, _)| c).ok().map(|i| map[i].1)
     }
 
     /// Materializes exit descriptors and their trap stubs after an emission.
@@ -1136,18 +809,16 @@ impl Dbt {
         }
     }
 
-    /// Registers `guest_start` under every page the ranges cover and write-
+    /// Registers `guest_start` under every page the range covers and write-
     /// protects newly covered pages (SMC detection).
-    fn protect_ranges(&mut self, m: &mut Machine, guest_start: u64, ranges: &[Range<u64>]) {
-        for range in ranges {
-            let mut page = Memory::page_base(range.start);
-            while page < range.end {
-                self.blocks_by_page.entry(page).or_default().push(guest_start);
-                if self.protected_pages.insert(page) {
-                    m.mem.protect_page(page);
-                }
-                page += PAGE_SIZE;
+    fn protect_range(&mut self, m: &mut Machine, guest_start: u64, range: Range<u64>) {
+        let mut page = Memory::page_base(range.start);
+        while page < range.end {
+            self.blocks_by_page.entry(page).or_default().push(guest_start);
+            if self.protected_pages.insert(page) {
+                m.mem.protect_page(page);
             }
+            page += PAGE_SIZE;
         }
     }
 
@@ -1177,14 +848,6 @@ impl Dbt {
         for g in guests {
             if self.blocks.remove(&g).is_none() {
                 continue;
-            }
-            // A flushed translation that was an installed trace demotes:
-            // execution falls back to tier-1 until the re-armed counter
-            // proves the patched loop hot again.
-            if let Some(tier) = self.tier.as_mut() {
-                if tier.trace_maps.remove(&g).is_some() {
-                    self.stats.trace_demotions += 1;
-                }
             }
             // Unchain every patched jump into the flushed block.
             for idx in self.patched_by_target.remove(&g).unwrap_or_default() {

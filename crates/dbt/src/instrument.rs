@@ -208,13 +208,6 @@ pub trait Instrumenter: Send + Sync {
         let _ = entry_sig;
         Vec::new()
     }
-
-    /// Signature model for trace-tier (tier-2) formation, or `None` when the
-    /// technique's updates cannot be modeled (and hence not legally coalesced
-    /// or moved) by the trace IR — the tier then stays disabled for it.
-    fn trace_sig(&self) -> Option<crate::ir::TraceSig> {
-        None
-    }
 }
 
 /// The uninstrumented baseline: no signature code at all (used to measure
@@ -239,10 +232,6 @@ impl Instrumenter for NullInstrumenter {
 
     fn wants_check(&self, _block: &BlockView) -> bool {
         false
-    }
-
-    fn trace_sig(&self) -> Option<crate::ir::TraceSig> {
-        Some(crate::ir::TraceSig::Untracked)
     }
 }
 

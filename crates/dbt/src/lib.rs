@@ -36,14 +36,20 @@ pub mod cache;
 pub mod codebuf;
 pub mod engine;
 pub mod instrument;
-pub mod ir;
 pub mod native;
-pub mod trace;
 pub mod x86;
 
 pub use cache::CacheAsm;
 pub use engine::{Dbt, DbtExit, DbtStats, DbtStep, TransBlock, DEFAULT_DISPATCH_CYCLES};
 pub use instrument::{regs, BlockView, CheckPolicy, Instrumenter, NullInstrumenter, UpdateStyle};
-pub use ir::{SideBranch, TraceOp, TracePlan, TraceSig, TraceVerifier};
 pub use native::{native_enabled, NativeDbt};
-pub use trace::{tier_enabled, TierConfig, DEFAULT_COMPILE_THRESHOLD};
+
+// Exists only so `e2ebench/` builds unchanged; nothing here has a tier.
+#[doc(hidden)]
+pub const DEFAULT_COMPILE_THRESHOLD: u32 = 64;
+
+// Exists only so `e2ebench/` builds unchanged; there is no tier to enable.
+#[doc(hidden)]
+pub fn tier_enabled() -> bool {
+    false
+}

@@ -374,7 +374,7 @@ struct Jit {
     /// Mirror of `Dbt::dispatch_ic` as of the last sync.
     ic_shadow: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     /// [`Dbt::gen_key`] snapshot; any change nukes native code.
-    gen: (u64, u64, u64, u64),
+    gen: (u64, u64),
     /// `Dbt::stats.chains` as of the last chain resync.
     chains_shadow: u64,
     /// Bumped by every nuke; guards stale patch addresses across a nuke.
@@ -451,7 +451,7 @@ impl Jit {
             uncompilable: HashSet::new(),
             chained: HashSet::new(),
             ic_shadow: [None; DISPATCH_IC_SIZE],
-            gen: (0, 0, 0, 0),
+            gen: (0, 0),
             chains_shadow: 0,
             nukes: 0,
         })
@@ -1402,7 +1402,7 @@ pub fn native_enabled() -> bool {
     platform && !disabled
 }
 
-/// A [`Dbt`] with a native x86-64 execution tier.
+/// A [`Dbt`] with a native x86-64 execution backend.
 ///
 /// Translation, chaining decisions, dispatch, SMC handling and all
 /// statistics remain the engine's; this wrapper only swaps the *execution*
@@ -1448,25 +1448,7 @@ impl NativeDbt {
         m: &mut Machine,
         native: bool,
     ) -> NativeDbt {
-        Self::with_options(instr, style, m, native, None)
-    }
-
-    /// As [`NativeDbt::with_native`], optionally constructing a tiered
-    /// engine (see [`Dbt::new_tiered`]) that promotes hot blocks to
-    /// optimized traces. Traces execute natively like any other
-    /// translation: installs bump the generation key, which nukes and
-    /// lazily recompiles host code.
-    pub fn with_options(
-        instr: Box<dyn Instrumenter>,
-        style: UpdateStyle,
-        m: &mut Machine,
-        native: bool,
-        tier: Option<crate::trace::TierConfig>,
-    ) -> NativeDbt {
-        let dbt = match tier {
-            Some(config) => Dbt::new_tiered(instr, style, m, config),
-            None => Dbt::new(instr, style, m),
-        };
+        let dbt = Dbt::new(instr, style, m);
         let mut jit = if native { Jit::new() } else { None };
         if let Some(j) = jit.as_mut() {
             j.gen = dbt.gen_key();

@@ -930,11 +930,11 @@ mod tests {
         assert_eq!(&bytes[17..22], &[0xE9, 0xEA, 0xFF, 0xFF, 0xFF]); // -22
     }
 
-    /// The trace tier's signature coalescing folds chains of `lea` adjusts
-    /// into single instructions whose displacements routinely exceed i8, and
-    /// its side exits are `jcc rel32` jumps out of the trace body. Pin the
-    /// exact encodings across displacement widths and the ModRM escape
-    /// registers (RBP/R13 force a disp byte, R12 forces a SIB byte).
+    /// Guest `lea` and stack adjusts lower to host `lea`s whose
+    /// displacements may exceed i8, and guest `jrz`/`jrnz` lower to a
+    /// register-zero test. Pin the exact encodings across displacement
+    /// widths and the ModRM escape registers (RBP/R13 force a disp byte,
+    /// R12 forces a SIB byte).
     #[test]
     fn trace_emitter_lea_folding_forms() {
         check(|a| a.lea(RAX, RAX, 0x180), &[0x48, 0x8D, 0x80, 0x80, 0x01, 0x00, 0x00]);
@@ -953,9 +953,9 @@ mod tests {
 
     #[test]
     fn trace_side_exit_jcc_rel32_forms() {
-        // Side exits always use the rel32 form (stub distance is unknown at
-        // emission time); every condition code, forward and backward, from a
-        // non-zero builder base as the trace cache uses.
+        // Jumps to absolute targets (e.g. the shared trap exit) always use
+        // the rel32 form; every condition code, forward and backward, from a
+        // non-zero builder base as the native code buffer uses.
         for cond in 0..16u8 {
             let mut a = Asm::new(0x20_0000);
             a.jcc_abs(cond, 0x20_0000 + 6 + 0x1234);

@@ -68,6 +68,26 @@ fn run_end_emits_dbt_stats_event() {
     let events = sink.of_kind("dbt_stats");
     assert_eq!(events.len(), 1);
     let ev = &events[0];
+    // The full payload, in order: a counter cannot silently drop out.
+    let Json::Obj(pairs) = ev.to_json() else { panic!("event renders as an object") };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "ev",
+            "technique",
+            "blocks",
+            "guest_insts",
+            "cache_insts",
+            "chains",
+            "dispatches",
+            "smc_flushes",
+            "cache_evictions",
+            "retranslations",
+            "dispatch_ic_hits",
+            "translate_us",
+        ]
+    );
     let stats = dbt.stats();
     assert_eq!(ev.get("blocks").and_then(Json::as_u64), Some(stats.blocks));
     assert_eq!(ev.get("cache_evictions").and_then(Json::as_u64), Some(stats.cache_evictions));

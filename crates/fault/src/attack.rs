@@ -26,8 +26,8 @@
 use crate::inject::{advance_to_branch, build, Advance, WorkloadError};
 use cfed_asm::Image;
 use cfed_core::{
-    classify_addr_fault, classify_flag_fault, trace_tier_config, BlockLayout, BranchFault,
-    CacheLayout, CachePart, Category, RunConfig,
+    classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
+    Category, RunConfig,
 };
 use cfed_dbt::{Dbt, DbtExit, DbtStep, NativeDbt, NullInstrumenter, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
@@ -549,15 +549,13 @@ pub fn pause_attack(
     param: u64,
     pause: u64,
     native: bool,
-    tier_threshold: Option<u32>,
 ) -> PauseAttack {
     let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
         Some(k) => k.instrumenter_for(image, cfg.policy),
         None => Box::new(NullInstrumenter),
     };
-    let tier = tier_threshold.and_then(|t| trace_tier_config(cfg, t));
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::with_options(instr, cfg.style, &mut m, native, tier);
+    let mut dbt = NativeDbt::with_native(instr, cfg.style, &mut m, native);
     let (placed, exit) = match dbt.run(&mut m, pause) {
         DbtExit::StepLimit => {
             let ip = m.cpu.ip();
@@ -815,9 +813,9 @@ mod tests {
                 continue;
             }
             for pause in [900u64, 2400] {
-                let fused = pause_attack(&img, &cfg, kind, 7, pause, false, None);
+                let fused = pause_attack(&img, &cfg, kind, 7, pause, false);
                 if native_enabled() {
-                    let native = pause_attack(&img, &cfg, kind, 7, pause, true, None);
+                    let native = pause_attack(&img, &cfg, kind, 7, pause, true);
                     assert_eq!(fused, native, "{kind} pause={pause}");
                 }
             }

@@ -6,21 +6,15 @@
 //! placement, and resume-from-architectural-PC semantics. This module
 //! mutates a deterministic schedule of such attacks (a pure function of
 //! the case seed) into the fuzzer's differential matrix: every scheduled
-//! attack is mounted on the block-fused engine and on the native backend —
-//! and, for trace-capable configs, on both tiered engines — and the runs
-//! must be *bit-identical* per pair: same placement decision, same exit,
-//! same output stream, same retired-instruction count.
+//! attack is mounted on the block-fused engine and on the native backend,
+//! and the two runs must be *bit-identical*: same placement decision, same
+//! exit, same output stream, same retired-instruction count.
 //!
 //! A mismatch is an engine bug by construction (the attack itself is the
 //! same on both sides), and is shrunk with the generic image shrinker
 //! against [`finding_reproduces`] — the cheap two-run predicate — then
 //! archived as a [`RegressionMode::Attack`] reproducer replayable by
 //! `cfed-fuzz replay` and the `regressions` integration test.
-//!
-//! Tiered runs are compared only against each other (tier-fused vs
-//! tier-native): trace formation legitimately changes the translated-code
-//! geometry the attack selects its target from, so a tiered run is a
-//! *different experiment* from an untiered one, not a comparable pair.
 //!
 //! [`RegressionMode::Attack`]: crate::corpus::RegressionMode::Attack
 
@@ -34,10 +28,6 @@ use rand::{Rng, SeedableRng as _, StdRng};
 /// `cfed-fuzz run --attacks`, `cfed-fuzz replay` and the regressions test
 /// so an archived reproducer replays the exact schedule that found it.
 pub const ATTACK_TRIALS: u64 = 6;
-
-/// Promotion threshold for the tiered attack pair, matching the
-/// differential oracle's [`crate::oracle::TIER_THRESHOLD`].
-const TIER_THRESHOLD: u32 = 4;
 
 /// The configurations attacks are scheduled against: the uninstrumented
 /// baseline, the paper techniques under both styles, and one prior-work
@@ -77,8 +67,6 @@ pub struct AttackFinding {
     pub param: u64,
     /// Instructions executed before the seizure.
     pub pause: u64,
-    /// Whether the diverging pair was the tiered one.
-    pub tiered: bool,
     /// Which comparison failed (`placed`, `exit`, `output`, `insts`).
     pub field: String,
     /// Human-readable detail of both sides.
@@ -89,11 +77,7 @@ impl AttackFinding {
     /// Stable pair labels for report lines, mirroring the differential
     /// oracle's `left|right` convention.
     pub fn pair(&self) -> (&'static str, &'static str) {
-        if self.tiered {
-            ("tier-fused", "tier-native")
-        } else {
-            ("fused", "native")
-        }
+        ("fused", "native")
     }
 }
 
@@ -140,8 +124,8 @@ fn diff_pause(a: &PauseAttack, b: &PauseAttack) -> Option<(String, String)> {
     None
 }
 
-/// Mounts one trial's engine pairs and returns the first mismatch.
-/// `(placed, finding)` — `placed` reflects the untiered fused run.
+/// Mounts one trial on both engines and returns their first mismatch.
+/// `(placed, finding)` — `placed` reflects the fused run.
 fn run_trial(
     image: &Image,
     technique: Option<TechniqueKind>,
@@ -153,34 +137,18 @@ fn run_trial(
 ) -> (bool, Option<AttackFinding>) {
     let cfg = trial_config(technique, style, max_insts);
     let native = cfed_dbt::native_enabled();
-    let fused = pause_attack(image, &cfg, kind, param, pause, false, None);
-    let native_run = pause_attack(image, &cfg, kind, param, pause, native, None);
-    let finding = |tiered: bool, (field, detail): (String, String)| AttackFinding {
+    let fused = pause_attack(image, &cfg, kind, param, pause, false);
+    let native_run = pause_attack(image, &cfg, kind, param, pause, native);
+    let finding = diff_pause(&fused, &native_run).map(|(field, detail)| AttackFinding {
         technique,
         style,
         kind,
         param,
         pause,
-        tiered,
         field,
         detail,
-    };
-    if let Some(d) = diff_pause(&fused, &native_run) {
-        return (fused.placed, Some(finding(false, d)));
-    }
-    // Tiered pair: only for configs the trace verifier can promote, and
-    // only when the tier's ambient kill switch is off (`pause_attack`'s
-    // tier config is caller-gated, like the differential oracle's).
-    let tier_capable = technique.is_none_or(TechniqueKind::supports_trace_tier);
-    if tier_capable && cfed_dbt::tier_enabled() {
-        let threshold = Some(TIER_THRESHOLD);
-        let tf = pause_attack(image, &cfg, kind, param, pause, false, threshold);
-        let tn = pause_attack(image, &cfg, kind, param, pause, native, threshold);
-        if let Some(d) = diff_pause(&tf, &tn) {
-            return (fused.placed, Some(finding(true, d)));
-        }
-    }
-    (fused.placed, None)
+    });
+    (fused.placed, finding)
 }
 
 /// Derives trial `t`'s attack parameters from the schedule RNG. Separate
@@ -220,22 +188,12 @@ pub fn attack_sweep(image: &Image, seed: u64, trials: u64, max_insts: u64) -> At
 }
 
 /// Re-checks whether a specific finding's engine pair still disagrees on
-/// `image` — the shrinker's predicate (2–4 runs instead of the schedule).
+/// `image` — the shrinker's predicate (2 runs instead of the schedule).
 pub fn finding_reproduces(image: &Image, finding: &AttackFinding, max_insts: u64) -> bool {
     let cfg = trial_config(finding.technique, finding.style, max_insts);
     let native = cfed_dbt::native_enabled();
-    let threshold = if finding.tiered {
-        if !cfed_dbt::tier_enabled() {
-            return false; // the tiered pair degenerated; nothing to compare
-        }
-        Some(TIER_THRESHOLD)
-    } else {
-        None
-    };
-    let left =
-        pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, false, threshold);
-    let right =
-        pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, native, threshold);
+    let left = pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, false);
+    let right = pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, native);
     diff_pause(&left, &right).is_some()
 }
 
@@ -277,7 +235,6 @@ mod tests {
             kind: AttackKind::RetGadget,
             param: 7,
             pause: 900,
-            tiered: false,
             field: "exit".into(),
             detail: String::new(),
         };

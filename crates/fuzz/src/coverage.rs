@@ -129,12 +129,6 @@ pub fn profile_classes(prog: &GeneratedProgram, max_insts: u64) -> u128 {
 pub fn fingerprint(prog: &GeneratedProgram, report: &OracleReport, max_insts: u64) -> Fingerprint {
     let mut bits = profile_classes(prog, max_insts);
     for run in &report.runs {
-        // Trace-tier runs shift where instruction budgets bite, and they
-        // degrade to plain runs under CFED_NO_TIER=1. Excluding them keeps
-        // a fixed-seed campaign byte-identical across tier on/off.
-        if run.id.engine.is_tiered() {
-            continue;
-        }
         bits |= 1u128 << exit_bit(&run.exit);
     }
     // DBT mechanism bits and magnitude buckets from the uninstrumented

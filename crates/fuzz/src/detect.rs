@@ -31,7 +31,7 @@
 //! `Halt`, where zero instructions separate the fault from program end), so
 //! no software-only signature scheme can see it. [`InjectionResult`] flags
 //! these landings; `latency_insts <= 1` is kept as a backstop for
-//! jump-inlined traces whose body layout is unknown to the classifier.
+//! terminator-only blocks, which the classifier never flags.
 //!
 //! [`InjectionResult`]: cfed_fault::InjectionResult
 //!
@@ -207,7 +207,7 @@ mod tests {
         // Inside instrumentation glue: below the model for both styles.
         assert!(!is_violation(UpdateStyle::CMov, Category::E, true, 100));
         assert!(!is_violation(UpdateStyle::Jcc, Category::D, true, 100));
-        // Terminal-Halt backstop for traces with unknown body layout.
+        // Terminal-Halt backstop for terminator-only blocks.
         assert!(!is_violation(UpdateStyle::CMov, Category::E, false, 1));
         assert!(is_violation(UpdateStyle::CMov, Category::E, false, 2));
         // NoError SDCs flowed through data, not control.

@@ -2,11 +2,9 @@
 //!
 //! Runs one image on every execution backend the stack provides — raw
 //! interpreter, fused interpreter, DBT per-step, DBT block-fused, DBT
-//! native x86-64, plus the profile-guided trace tier (fused and native) on
-//! the configs whose check placement it can verify — crossed with every
-//! control-flow-checking technique and both conditional-update styles, then
-//! diffs the runs pairwise. The first divergent pair (in a fixed,
-//! deterministic order) is the verdict.
+//! native x86-64 — crossed with every control-flow-checking technique
+//! and both conditional-update styles, then diffs the runs pairwise. The
+//! first divergent pair (in a fixed, deterministic order) is the verdict.
 //!
 //! Three comparison strengths, matching the invariants the stack pins in
 //! its own test suites:
@@ -27,18 +25,9 @@
 
 use crate::gen::{GeneratedProgram, Tier};
 use cfed_asm::Image;
-use cfed_core::{PlacementVerifier, TechniqueKind};
-use cfed_dbt::{
-    CheckPolicy, Dbt, DbtExit, DbtStats, NativeDbt, NullInstrumenter, TierConfig, UpdateStyle,
-};
+use cfed_core::TechniqueKind;
+use cfed_dbt::{CheckPolicy, Dbt, DbtExit, DbtStats, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_sim::{Cpu, ExitReason, Machine, Trap};
-use std::sync::Arc;
-
-/// Promotion threshold for the trace-tier backends: low enough that even
-/// small generated loops tier up mid-run, exercising trace formation, side
-/// exits and demotion under fuzz (the `perf`-motivated defaults would never
-/// fire inside the oracle's instruction budgets).
-pub const TIER_THRESHOLD: u32 = 4;
 
 /// Identifies one backend in the oracle matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,21 +55,6 @@ pub enum Engine {
     /// DBT with the native x86-64 backend (falls back to block-fused cache
     /// execution, bit-identically, where the backend is unavailable).
     DbtNative,
-    /// Tiered DBT (trace formation at [`TIER_THRESHOLD`]) executing through
-    /// the fused cache. Only instantiated for configs whose check placement
-    /// the trace verifier understands (uninstrumented and EdgCF); under
-    /// `CFED_NO_TIER=1` it degrades to plain block-fused execution.
-    DbtTierFused,
-    /// Tiered DBT executing through the native backend, with the same
-    /// fallbacks as [`Engine::DbtNative`] and [`Engine::DbtTierFused`].
-    DbtTierNative,
-}
-
-impl Engine {
-    /// Whether this engine runs the profile-guided trace tier.
-    pub fn is_tiered(self) -> bool {
-        matches!(self, Engine::DbtTierFused | Engine::DbtTierNative)
-    }
 }
 
 impl BackendId {
@@ -92,8 +66,6 @@ impl BackendId {
             Engine::DbtStep => "dbt-step",
             Engine::DbtFused => "dbt-fused",
             Engine::DbtNative => "dbt-native",
-            Engine::DbtTierFused => "dbt-tier-fused",
-            Engine::DbtTierNative => "dbt-tier-native",
         };
         match self.technique {
             None => engine.to_string(),
@@ -162,13 +134,6 @@ pub fn technique_matrix() -> Vec<(Option<TechniqueKind>, UpdateStyle)> {
     m
 }
 
-/// Whether a config additionally gets the two trace-tier backends: the
-/// placement verifier only understands uninstrumented and EdgCF signature
-/// shapes, so only those configs can promote.
-fn config_supports_tier(technique: Option<TechniqueKind>) -> bool {
-    technique.is_none_or(TechniqueKind::supports_trace_tier)
-}
-
 fn load(image: &Image) -> Machine {
     Machine::load(image.code(), image.data(), image.entry_offset())
 }
@@ -198,12 +163,8 @@ fn run_dbt_engine(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
         Some(kind) => kind.instrumenter_for(image, CheckPolicy::AllBb),
         None => Box::new(NullInstrumenter),
     };
-    if matches!(id.engine, Engine::DbtNative | Engine::DbtTierFused | Engine::DbtTierNative) {
-        let native = matches!(id.engine, Engine::DbtNative | Engine::DbtTierNative)
-            && cfed_dbt::native_enabled();
-        let tier = (id.engine.is_tiered() && cfed_dbt::tier_enabled())
-            .then(|| TierConfig::new(Arc::new(PlacementVerifier)).with_threshold(TIER_THRESHOLD));
-        let mut dbt = NativeDbt::with_options(instr, id.style, &mut m, native, tier);
+    if id.engine == Engine::DbtNative {
+        let mut dbt = NativeDbt::new(instr, id.style, &mut m);
         let exit = dbt.run(&mut m, max_insts);
         let stats = dbt.stats();
         return finish(id, exit, m, Some(stats));
@@ -344,26 +305,6 @@ fn diff_dispatch_pair(step: &BackendRun, fused: &BackendRun) -> Option<Divergenc
     None
 }
 
-/// Untiered vs tiered run of the *same* config: trace formation changes
-/// cost (that is its purpose) and cache-code trap addresses, so only the
-/// guest-observable contract is compared. `StepLimit` on either side makes
-/// the pair incomparable — the budget bites at different guest points once
-/// traces retire fewer instructions.
-fn diff_tier_pair(base: &BackendRun, tiered: &BackendRun) -> Option<Divergence> {
-    if matches!(base.exit, DbtExit::StepLimit) || matches!(tiered.exit, DbtExit::StepLimit) {
-        return None;
-    }
-    if !exits_compatible(&base.exit, &tiered.exit) {
-        return Some(divergence(
-            base,
-            tiered,
-            "exit",
-            format!("{:?} vs {:?}", base.exit, tiered.exit),
-        ));
-    }
-    diff_output(base, tiered)
-}
-
 fn diff_cross_engine(native: &BackendRun, dbt: &BackendRun, tier: Tier) -> Option<Divergence> {
     if matches!(native.exit, DbtExit::StepLimit) || matches!(dbt.exit, DbtExit::StepLimit) {
         return None; // budgets bite at different points; nothing comparable
@@ -438,34 +379,9 @@ pub fn run_oracle(prog: &GeneratedProgram, max_insts: u64) -> OracleReport {
                 .or_else(|| diff_dispatch_pair(&fused_dbt, &native_dbt))
                 .or_else(|| diff_cross_engine(&runs[0], &fused_dbt, prog.tier));
         }
-        let tiered = config_supports_tier(technique).then(|| {
-            let tf = run_dbt_engine(
-                image,
-                BackendId { engine: Engine::DbtTierFused, technique, style },
-                max_insts,
-            );
-            let tn = run_dbt_engine(
-                image,
-                BackendId { engine: Engine::DbtTierNative, technique, style },
-                max_insts,
-            );
-            (tf, tn)
-        });
-        if let Some((tf, tn)) = &tiered {
-            if divergence.is_none() {
-                // Tiered fused vs tiered native is a dispatch pair (exactly
-                // equal, traces included); tiered vs untiered compares the
-                // guest-observable contract only.
-                divergence = diff_dispatch_pair(tf, tn).or_else(|| diff_tier_pair(&fused_dbt, tf));
-            }
-        }
         runs.push(step);
         runs.push(fused_dbt);
         runs.push(native_dbt);
-        if let Some((tf, tn)) = tiered {
-            runs.push(tf);
-            runs.push(tn);
-        }
     }
 
     OracleReport { runs, divergence }
@@ -495,10 +411,6 @@ pub fn backend_ids() -> Vec<BackendId> {
         ids.push(BackendId { engine: Engine::DbtStep, technique, style });
         ids.push(BackendId { engine: Engine::DbtFused, technique, style });
         ids.push(BackendId { engine: Engine::DbtNative, technique, style });
-        if config_supports_tier(technique) {
-            ids.push(BackendId { engine: Engine::DbtTierFused, technique, style });
-            ids.push(BackendId { engine: Engine::DbtTierNative, technique, style });
-        }
     }
     ids
 }
@@ -508,9 +420,6 @@ fn diff_for_pair(a: &BackendRun, b: &BackendRun, tier: Tier) -> Option<Divergenc
     use Engine::*;
     match (a.id.engine, b.id.engine) {
         (InterpRaw, InterpFused) | (InterpFused, InterpRaw) => diff_exact_cpu(a, b),
-        (DbtTierFused | DbtTierNative, DbtTierFused | DbtTierNative) => diff_dispatch_pair(a, b),
-        (DbtStep | DbtFused | DbtNative, DbtTierFused | DbtTierNative) => diff_tier_pair(a, b),
-        (DbtTierFused | DbtTierNative, DbtStep | DbtFused | DbtNative) => diff_tier_pair(b, a),
         (DbtStep | DbtFused | DbtNative, DbtStep | DbtFused | DbtNative) => {
             diff_dispatch_pair(a, b)
         }
@@ -527,17 +436,14 @@ mod tests {
     #[test]
     fn matrix_covers_all_paths_and_techniques() {
         let ids = backend_ids();
-        // 2 interpreters + 3 DBT flavours per config + 2 tier flavours on
-        // the 3 trace-capable configs (baseline, EdgCF × both styles).
-        assert_eq!(ids.len(), 2 + 3 * (1 + 2 * 5) + 2 * 3);
+        // 2 interpreters + 3 DBT flavours per config.
+        assert_eq!(ids.len(), 2 + 3 * (1 + 2 * 5));
         for engine in [
             Engine::InterpRaw,
             Engine::InterpFused,
             Engine::DbtStep,
             Engine::DbtFused,
             Engine::DbtNative,
-            Engine::DbtTierFused,
-            Engine::DbtTierNative,
         ] {
             assert!(ids.iter().any(|b| b.engine == engine));
         }
@@ -569,33 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn tier_backends_promote_mid_run() {
-        if !cfed_dbt::tier_enabled() {
-            return; // CFED_NO_TIER=1: tier backends degrade by design
-        }
-        // MiniC programs are loop-heavy: at threshold 4 the tiered backends
-        // must actually form traces mid-run, or the new matrix rows would be
-        // silently inert.
-        let mut traces = 0u64;
-        for seed in [3u64, 17] {
-            let prog = generate(seed, Tier::MiniC);
-            let report = run_oracle(&prog, 2_000_000);
-            assert!(report.divergence.is_none(), "seed {seed}: {:?}", report.divergence);
-            for run in &report.runs {
-                if run.id.engine.is_tiered() {
-                    traces += run.dbt.as_ref().expect("dbt stats").traces;
-                }
-            }
-        }
-        assert!(traces >= 1, "no tiered backend promoted on loop-heavy programs");
-    }
-
-    #[test]
-    fn trace_flush_scenario_survives_the_full_matrix() {
-        // Tier-up followed by an SMC store into the traced page: the
-        // demotion/retranslation path must stay coherent across all 41
-        // backends (generated programs rarely hit this combination, so the
-        // scenario is pinned by hand).
+    fn smc_into_hot_loop_survives_the_full_matrix() {
+        // A loop runs hot (chained translations, warm inline cache), then an
+        // SMC store patches its body and it runs again: the flush and
+        // retranslation path must stay coherent across all 35 backends
+        // (generated programs rarely hit this combination, so the scenario
+        // is pinned by hand).
         use cfed_isa::{AluOp, Inst, Reg};
         let patch = Inst::AluI { op: AluOp::Add, dst: Reg::R5, imm: 2 };
         let mut asm = cfed_asm::Asm::new();
@@ -623,13 +508,9 @@ mod tests {
         let prog = GeneratedProgram { tier: Tier::Visa, seed: 0, source: None, image };
         let report = run_oracle(&prog, 2_000_000);
         assert!(report.divergence.is_none(), "{:?}", report.divergence);
-        if cfed_dbt::tier_enabled() {
-            let demoted = report.runs.iter().any(|r| {
-                r.id.engine.is_tiered()
-                    && r.dbt.as_ref().is_some_and(|s| s.traces >= 1 && s.trace_demotions >= 1)
-            });
-            assert!(demoted, "the SMC store must flush an installed trace");
-        }
+        let flushed =
+            report.runs.iter().any(|r| r.dbt.as_ref().is_some_and(|s| s.smc_flushes >= 1));
+        assert!(flushed, "the SMC store must flush the hot loop's translation");
     }
 
     #[test]

@@ -33,19 +33,3 @@ fn campaign_smoke_is_clean() {
     let report = run_fuzz(&config(2));
     assert!(report.clean(), "fixed-seed smoke campaign found a real failure:\n{}", report.text);
 }
-
-#[test]
-fn report_is_identical_across_tier_on_off() {
-    // The trace tier must be behaviour-preserving, so enabling it cannot
-    // change what a clean campaign reports: coverage fingerprints exclude
-    // the tiered runs' budget-shifted exits, and a divergence introduced by
-    // tiering would be a real engine bug. Combined with the thread-count
-    // test above this pins byte-identity across `--threads` × tier on/off.
-    let with_tier = run_fuzz(&config(2));
-    std::env::set_var("CFED_NO_TIER", "1");
-    let without_tier = run_fuzz(&config(2));
-    std::env::remove_var("CFED_NO_TIER");
-    assert_eq!(with_tier.text, without_tier.text, "trace tier leaked into the report");
-    assert_eq!(with_tier.divergences, without_tier.divergences);
-    assert_eq!(with_tier.coverage_bits, without_tier.coverage_bits);
-}

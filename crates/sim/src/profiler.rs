@@ -82,16 +82,6 @@ impl ExecProfiler {
         self.samples().map(|(_, _, c)| c).sum()
     }
 
-    /// Retirement count recorded at exactly `addr` (zero when the address
-    /// was never executed or its page was never touched). Point queries
-    /// like this are how tier-up consumers cross-check a block's observed
-    /// execution count against the engine's own hot counters.
-    pub fn hits_at(&self, addr: u64) -> u64 {
-        let pi = (addr / crate::mem::PAGE_SIZE) as usize;
-        let li = ((addr % crate::mem::PAGE_SIZE) / INST_SIZE_U64) as usize;
-        self.pages.get(pi).and_then(Option::as_ref).map_or(0, |page| page.hits[li])
-    }
-
     /// Every nonzero `(addr, hits, cycles)` sample, address-ascending.
     pub fn samples(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.pages.iter().enumerate().filter_map(|(pi, p)| p.as_ref().map(|p| (pi, p))).flat_map(
@@ -122,10 +112,6 @@ mod tests {
         let samples: Vec<_> = p.samples().collect();
         assert_eq!(samples, vec![(8, 2, 7), (PAGE_SIZE + 16, 1, 3)]);
         assert_eq!(p.attributed_cycles(), 10);
-        assert_eq!(p.hits_at(8), 2);
-        assert_eq!(p.hits_at(PAGE_SIZE + 16), 1);
-        assert_eq!(p.hits_at(64), 0, "untouched line");
-        assert_eq!(p.hits_at(50 * PAGE_SIZE), 0, "unallocated page");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Detected-or-Benign for adversarial control-flow attacks.
 //!
-//! The campaign suites (`tier_detection.rs`, `native_detection.rs`) pin the
-//! paper's guarantee against the §2 single-bit error model. This suite pins
+//! The campaign suite (`native_detection.rs`) pins the paper's guarantee against the §2 single-bit error model. This suite pins
 //! it against the `cfed-fault` attack generator: deliberate corruptions —
 //! return-address overwrites, cross-block edge splices past the signature
 //! head, mid-instruction gadget entries, jump-table slides, stack pivots —
@@ -30,8 +29,8 @@
 //! On top of the outcome guarantee, every placed attack must classify
 //! inside its archetype's pinned A–F set, and the pause-style engine
 //! attacks must be bit-identical between the fused interpreter and the
-//! native backend, with and without the trace tier (the suite degrades to
-//! interpreter-only under `CFED_NO_NATIVE=1`, like the rest of the matrix).
+//! native backend (the suite degrades to interpreter-only under
+//! `CFED_NO_NATIVE=1`, like the rest of the matrix).
 
 use cfed::core::{Category, RunConfig, TechniqueKind};
 use cfed::dbt::{native_enabled, UpdateStyle};
@@ -206,8 +205,7 @@ fn pause_attacks_are_bit_identical_across_engines() {
     // The engine-level attack path: pause mid-run, seize the program
     // counter with the archetype's target, resume. Fused interpreter and
     // native backend must agree byte-for-byte on every field — exit (trap
-    // payloads included), output, retired counts — with and without the
-    // trace tier. The Detected-or-Benign assertion is scoped like the
+    // payloads included), output, retired counts. The Detected-or-Benign assertion is scoped like the
     // campaign sweep's: RCF carries it for every seizure archetype except
     // `jump-corrupt` (a mid-body slide crosses no edge — an
     // instruction-skip *data* fault, outside the branch-error model);
@@ -234,23 +232,13 @@ fn pause_attacks_are_bit_identical_across_engines() {
             };
             for pause in [900u64, 2400, 5200] {
                 for param in [3u64, 11] {
-                    let fused = pause_attack(&image, &cfg, archetype, param, pause, false, None);
-                    let tiered =
-                        pause_attack(&image, &cfg, archetype, param, pause, false, Some(8));
+                    let fused = pause_attack(&image, &cfg, archetype, param, pause, false);
                     if native_enabled() {
-                        let native =
-                            pause_attack(&image, &cfg, archetype, param, pause, true, None);
+                        let native = pause_attack(&image, &cfg, archetype, param, pause, true);
                         assert_eq!(
                             fused, native,
                             "{kind} {archetype} pause={pause} param={param}: \
                              fused and native disagree"
-                        );
-                        let tiered_native =
-                            pause_attack(&image, &cfg, archetype, param, pause, true, Some(8));
-                        assert_eq!(
-                            tiered, tiered_native,
-                            "{kind} {archetype} pause={pause} param={param}: \
-                             tiered fused and tiered native disagree"
                         );
                     }
                     if !fused.placed {
@@ -294,7 +282,7 @@ fn uninstrumented_runs_set_the_hardware_only_floor() {
     let cfg = RunConfig { max_insts: 2_000_000, ..RunConfig::baseline() };
 
     for archetype in [AttackKind::GadgetEntry, AttackKind::DataPivot] {
-        let run = pause_attack(&image, &cfg, archetype, 2, 900, false, None);
+        let run = pause_attack(&image, &cfg, archetype, 2, 900, false);
         assert!(run.placed, "{archetype} must place at the pause point");
         assert!(run.detected(), "{archetype} must trip the hardware path");
     }
@@ -303,7 +291,7 @@ fn uninstrumented_runs_set_the_hardware_only_floor() {
     for archetype in [AttackKind::RetGadget, AttackKind::EdgeSplice] {
         for pause in [900u64, 2400] {
             for param in [3u64, 11] {
-                let run = pause_attack(&image, &cfg, archetype, param, pause, false, None);
+                let run = pause_attack(&image, &cfg, archetype, param, pause, false);
                 if run.placed && !run.detected() {
                     undetected += 1;
                 }
