@@ -44,10 +44,10 @@ pub use cfed_dbt::{CheckPolicy, UpdateStyle};
 pub use classify::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
 };
-pub use profile::{profile_dbt, profile_dbt_telemetry};
+pub use profile::{fold_profile, profile_dbt};
 pub use run::{
     geomean, run_dbt, run_dbt_native, run_dbt_native_enabled, run_dbt_telemetry, run_dbt_with,
-    run_dbt_with_telemetry, run_native, slowdown, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
+    run_native, slowdown, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
 };
 pub use techniques::{
     CfcssInstrumenter, EccaInstrumenter, EcfInstrumenter, EdgCfInstrumenter, RcfInstrumenter,

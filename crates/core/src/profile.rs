@@ -18,9 +18,9 @@
 //! per-cell profile records.
 
 use crate::classify::{CacheLayout, CachePart};
-use crate::run::{RunConfig, RunOutcome};
+use crate::run::{run_loaded, RunConfig, RunOutcome};
 use cfed_asm::Image;
-use cfed_dbt::{Dbt, NullInstrumenter};
+use cfed_dbt::Dbt;
 use cfed_sim::Machine;
 use cfed_telemetry::{BlockProfile, Profile, Telemetry};
 
@@ -29,27 +29,23 @@ use cfed_telemetry::{BlockProfile, Profile, Telemetry};
 /// attributed profile. The outcome (exit, output, cycles, instructions) is
 /// identical to the unprofiled run's.
 pub fn profile_dbt(image: &Image, cfg: &RunConfig) -> (RunOutcome, Profile) {
-    profile_dbt_telemetry(image, cfg, &Telemetry::off())
+    let instr = cfg.instrumenter(image);
+    let (outcome, profile) =
+        run_loaded(image, instr, cfg.style, cfg.max_insts, false, &Telemetry::off(), true);
+    (outcome, profile.expect("profiled run"))
 }
 
-/// As [`profile_dbt`], with a telemetry handle attached to the translator.
-pub fn profile_dbt_telemetry(
-    image: &Image,
-    cfg: &RunConfig,
-    telemetry: &Telemetry,
-) -> (RunOutcome, Profile) {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    m.enable_profiler();
-    let mut dbt = Dbt::new(instr, cfg.style, &mut m);
-    dbt.set_telemetry(telemetry.clone());
-    let exit = dbt.run(&mut m, cfg.max_insts);
-
-    let layout = CacheLayout::snapshot(&dbt, m.code_range());
-    let profiler = m.take_profiler().expect("profiler attached above");
+/// Detaches `m`'s execution profiler and folds its samples onto `dbt`'s
+/// translated-block layout: per-guest-block payload / head / tail cycles,
+/// with every cycle no translation accounts for in `other`, so the
+/// profile's total equals `m`'s cycle count.
+///
+/// # Panics
+///
+/// Panics if `m` has no profiler attached.
+pub fn fold_profile(m: &mut Machine, dbt: &Dbt) -> Profile {
+    let layout = CacheLayout::snapshot(dbt, m.code_range());
+    let profiler = m.take_profiler().expect("fold_profile needs an attached profiler");
     let mut profile = Profile::new();
     let mut attributed = 0u64;
     for (addr, hits, cycles) in profiler.samples() {
@@ -63,17 +59,8 @@ pub fn profile_dbt_telemetry(
         profile.record_block(guest_start, sample);
         attributed += cycles;
     }
-    let total = m.cpu.stats().cycles;
-    profile.record_other(total - attributed);
-
-    let outcome = RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: total,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    };
-    (outcome, profile)
+    profile.record_other(m.cpu.stats().cycles - attributed);
+    profile
 }
 
 #[cfg(test)]

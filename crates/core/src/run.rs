@@ -2,11 +2,12 @@
 //! chosen technique, policy and update style, collecting the numbers the
 //! experiments need.
 
+use crate::profile::fold_profile;
 use crate::techniques::TechniqueKind;
 use cfed_asm::Image;
-use cfed_dbt::{CheckPolicy, Dbt, DbtExit, DbtStats, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{CheckPolicy, DbtStats, Instrumenter, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_sim::{ExitReason, Machine};
-use cfed_telemetry::Telemetry;
+use cfed_telemetry::{Profile, Telemetry};
 
 /// Default instruction budget for experiment runs.
 pub const DEFAULT_MAX_INSTS: u64 = 200_000_000;
@@ -45,13 +46,23 @@ impl RunConfig {
     pub fn technique(kind: TechniqueKind) -> RunConfig {
         RunConfig { technique: Some(kind), ..RunConfig::default() }
     }
+
+    /// The instrumenter this configuration runs under: the technique's
+    /// (recovering the CFG from `image` when the technique needs it), or
+    /// the no-op baseline's.
+    pub fn instrumenter(&self, image: &Image) -> Box<dyn Instrumenter> {
+        match self.technique {
+            Some(kind) => kind.instrumenter_for(image, self.policy),
+            None => Box::new(NullInstrumenter),
+        }
+    }
 }
 
 /// What a run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// How execution ended.
-    pub exit: DbtExit,
+    pub exit: ExitReason,
     /// The observable output stream.
     pub output: Vec<u64>,
     /// Cycles consumed (cost-model time).
@@ -62,18 +73,55 @@ pub struct RunOutcome {
     pub dbt: DbtStats,
 }
 
+impl RunOutcome {
+    /// What the run that ended with `exit` on `m` produced.
+    fn collect(exit: ExitReason, m: &mut Machine, dbt: DbtStats) -> RunOutcome {
+        RunOutcome {
+            exit,
+            output: m.cpu.take_output(),
+            cycles: m.cpu.stats().cycles,
+            insts: m.cpu.stats().insts,
+            dbt,
+        }
+    }
+}
+
+/// The one DBT run: loads `image`, runs it under `instr` with `telemetry`
+/// attached — on the native backend when `native`, else on the fused
+/// interpreter — and, when `profile`, with the execution profiler attached
+/// and folded into the returned [`Profile`].
+pub(crate) fn run_loaded(
+    image: &Image,
+    instr: Box<dyn Instrumenter>,
+    style: UpdateStyle,
+    max_insts: u64,
+    native: bool,
+    telemetry: &Telemetry,
+    profile: bool,
+) -> (RunOutcome, Option<Profile>) {
+    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+    if profile {
+        m.enable_profiler();
+    }
+    let mut dbt = NativeDbt::with_native(instr, style, &mut m, native);
+    dbt.set_telemetry(telemetry.clone());
+    let exit = dbt.run(&mut m, max_insts);
+    let profile = profile.then(|| fold_profile(&mut m, dbt.dbt()));
+    (RunOutcome::collect(exit, &mut m, dbt.stats()), profile)
+}
+
 /// Runs `image` under the DBT with the given configuration.
 ///
 /// # Examples
 ///
 /// ```
 /// use cfed_core::{run_dbt, RunConfig, TechniqueKind};
-/// use cfed_dbt::DbtExit;
 /// use cfed_lang::compile;
+/// use cfed_sim::ExitReason;
 ///
 /// let image = compile("fn main() { out(6 * 7); }")?;
 /// let out = run_dbt(&image, &RunConfig::technique(TechniqueKind::EdgCf));
-/// assert_eq!(out.exit, DbtExit::Halted { code: 0 });
+/// assert_eq!(out.exit, ExitReason::Halted { code: 0 });
 /// assert_eq!(out.output, vec![42]);
 /// # Ok::<(), cfed_lang::CompileError>(())
 /// ```
@@ -86,43 +134,18 @@ pub fn run_dbt(image: &Image, cfg: &RunConfig) -> RunOutcome {
 /// the translation-time histogram) to the handle's sink. With the disabled
 /// handle this is exactly [`run_dbt`].
 pub fn run_dbt_telemetry(image: &Image, cfg: &RunConfig, telemetry: &Telemetry) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    run_dbt_with_telemetry(image, instr, cfg.style, cfg.max_insts, telemetry)
+    run_loaded(image, cfg.instrumenter(image), cfg.style, cfg.max_insts, false, telemetry, false).0
 }
 
 /// Runs `image` under the DBT with an explicit instrumenter (for custom or
 /// CFG-dependent techniques).
 pub fn run_dbt_with(
     image: &Image,
-    instr: Box<dyn cfed_dbt::Instrumenter>,
+    instr: Box<dyn Instrumenter>,
     style: UpdateStyle,
     max_insts: u64,
 ) -> RunOutcome {
-    run_dbt_with_telemetry(image, instr, style, max_insts, &Telemetry::off())
-}
-
-/// The fully-general harness: explicit instrumenter plus telemetry handle.
-pub fn run_dbt_with_telemetry(
-    image: &Image,
-    instr: Box<dyn cfed_dbt::Instrumenter>,
-    style: UpdateStyle,
-    max_insts: u64,
-    telemetry: &Telemetry,
-) -> RunOutcome {
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = Dbt::new(instr, style, &mut m);
-    dbt.set_telemetry(telemetry.clone());
-    let exit = dbt.run(&mut m, max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
+    run_loaded(image, instr, style, max_insts, false, &Telemetry::off(), false).0
 }
 
 /// Runs `image` under the DBT with the native x86-64 backend when the
@@ -152,37 +175,15 @@ pub fn run_dbt_native(image: &Image, cfg: &RunConfig) -> RunOutcome {
 /// As [`run_dbt_native`] with an explicit native on/off switch, for
 /// harnesses that must not depend on ambient environment variables.
 pub fn run_dbt_native_enabled(image: &Image, cfg: &RunConfig, native: bool) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = cfed_dbt::NativeDbt::with_native(instr, cfg.style, &mut m, native);
-    let exit = dbt.run(&mut m, cfg.max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
+    let instr = cfg.instrumenter(image);
+    run_loaded(image, instr, cfg.style, cfg.max_insts, native, &Telemetry::off(), false).0
 }
 
 /// Runs `image` directly on the interpreter (no DBT).
 pub fn run_native(image: &Image, max_insts: u64) -> RunOutcome {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let exit = match m.run(max_insts) {
-        ExitReason::Halted { code } => DbtExit::Halted { code },
-        ExitReason::Trapped(t) => DbtExit::Trapped(t),
-        ExitReason::StepLimit => DbtExit::StepLimit,
-    };
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: DbtStats::default(),
-    }
+    let exit = m.run(max_insts);
+    RunOutcome::collect(exit, &mut m, DbtStats::default())
 }
 
 /// Slowdown of `cycles` relative to a baseline.

@@ -130,11 +130,6 @@ impl CfcssInstrumenter {
         CfcssInstrumenter { policy, sigs, diffs, reseed, entry_sig }
     }
 
-    /// The signature assigned to a block (tests / diagnostics).
-    pub fn sig_of(&self, guest_start: u64) -> Option<i32> {
-        self.sigs.get(&guest_start).copied()
-    }
-
     /// Whether two blocks alias (share a signature class).
     pub fn aliases(&self, a: u64, b: u64) -> bool {
         match (self.sigs.get(&a), self.sigs.get(&b)) {

@@ -85,12 +85,6 @@ impl TechniqueKind {
         TechniqueKind::Cfcss,
     ];
 
-    /// Whether the technique needs the whole-program CFG (and therefore an
-    /// image) to build its instrumenter.
-    pub fn needs_cfg(self) -> bool {
-        matches!(self, TechniqueKind::Cfcss | TechniqueKind::Ecca)
-    }
-
     /// Builds the instrumenter for this technique under a checking policy.
     ///
     /// # Panics

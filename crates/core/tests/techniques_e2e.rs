@@ -3,8 +3,9 @@
 //! the instruction-count/cycle relationships the paper reports must hold.
 
 use cfed_core::{geomean, run_dbt, run_native, RunConfig, TechniqueKind};
-use cfed_dbt::{CheckPolicy, DbtExit, UpdateStyle};
+use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_lang::compile;
+use cfed_sim::ExitReason;
 
 const PROGRAMS: &[&str] = &[
     // Branchy, call-heavy (int-like).
@@ -56,7 +57,7 @@ fn all_techniques_transparent_under_all_policies_and_styles() {
     for (pi, src) in PROGRAMS.iter().enumerate() {
         let image = compile(src).unwrap();
         let native = run_native(&image, 100_000_000);
-        assert!(matches!(native.exit, DbtExit::Halted { .. }), "program {pi} broken natively");
+        assert!(matches!(native.exit, ExitReason::Halted { .. }), "program {pi} broken natively");
         for kind in TechniqueKind::ALL {
             for policy in CheckPolicy::ALL {
                 for style in [UpdateStyle::Jcc, UpdateStyle::CMov] {

@@ -15,7 +15,7 @@
 use crate::cache::{patch_inst, CacheAsm};
 use crate::instrument::{regs, BlockView, Instrumenter, UpdateStyle};
 use cfed_isa::{Inst, INST_SIZE_U64};
-use cfed_sim::{trap_codes, Machine, Memory, Perms, Trap, PAGE_SIZE};
+use cfed_sim::{trap_codes, ExitReason, Machine, Memory, Perms, Trap, PAGE_SIZE};
 use cfed_telemetry::{Event, Histogram, Telemetry, Timer};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -47,17 +47,6 @@ pub enum DbtStep {
     /// A program-level trap surfaced (guest fault, hardware control-flow
     /// error detection, or an instrumentation error report).
     Exit(Trap),
-}
-
-/// Result of [`Dbt::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DbtExit {
-    /// Guest halted; exit code from `r0`.
-    Halted { code: u64 },
-    /// A program-level trap surfaced.
-    Trapped(Trap),
-    /// The instruction budget ran out.
-    StepLimit,
 }
 
 /// Execution statistics for a DBT session.
@@ -132,14 +121,14 @@ pub(crate) struct ExitDesc {
 /// # Examples
 ///
 /// ```
-/// use cfed_dbt::{Dbt, DbtExit, NullInstrumenter, UpdateStyle};
+/// use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
 /// use cfed_isa::{encode_all, Inst, Reg};
-/// use cfed_sim::Machine;
+/// use cfed_sim::{ExitReason, Machine};
 ///
 /// let code = encode_all(&[Inst::MovRI { dst: Reg::R0, imm: 9 }, Inst::Halt]);
 /// let mut m = Machine::load(&code, &[], 0);
 /// let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-/// assert_eq!(dbt.run(&mut m, 1_000), DbtExit::Halted { code: 9 });
+/// assert_eq!(dbt.run(&mut m, 1_000), ExitReason::Halted { code: 9 });
 /// ```
 ///
 /// # Cloning
@@ -154,6 +143,7 @@ pub(crate) struct ExitDesc {
 /// the bookkeeping describes translations physically present in that
 /// memory, and restoring either half alone desynchronizes cursor, block
 /// table and cache bytes.
+#[derive(Clone)]
 pub struct Dbt {
     instr: Arc<dyn Instrumenter>,
     style: UpdateStyle,
@@ -166,7 +156,6 @@ pub struct Dbt {
     patched_by_target: HashMap<u64, Vec<usize>>,
     blocks_by_page: HashMap<u64, Vec<u64>>,
     protected_pages: HashSet<u64>,
-    pub(crate) dispatch_cycles: u64,
     pub(crate) stats: DbtStats,
     pub(crate) attached: bool,
     /// Usable cache end; `set_cache_limit` lowers it to force eviction.
@@ -185,34 +174,6 @@ pub struct Dbt {
     pub(crate) dispatch_ic: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     trans_us: Histogram,
     telemetry: Telemetry,
-}
-
-impl Clone for Dbt {
-    fn clone(&self) -> Dbt {
-        Dbt {
-            instr: Arc::clone(&self.instr),
-            style: self.style,
-            cache: self.cache.clone(),
-            cursor: self.cursor,
-            err_stub: self.err_stub,
-            guest_code: self.guest_code.clone(),
-            blocks: self.blocks.clone(),
-            exits: self.exits.clone(),
-            patched_by_target: self.patched_by_target.clone(),
-            blocks_by_page: self.blocks_by_page.clone(),
-            protected_pages: self.protected_pages.clone(),
-            dispatch_cycles: self.dispatch_cycles,
-            stats: self.stats,
-            attached: self.attached,
-            cache_limit: self.cache_limit,
-            base_cursor: self.base_cursor,
-            flush_gen: self.flush_gen,
-            seen_starts: self.seen_starts.clone(),
-            dispatch_ic: self.dispatch_ic,
-            trans_us: self.trans_us.clone(),
-            telemetry: self.telemetry.clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Dbt {
@@ -254,7 +215,6 @@ impl Dbt {
             patched_by_target: HashMap::new(),
             blocks_by_page: HashMap::new(),
             protected_pages: HashSet::new(),
-            dispatch_cycles: DEFAULT_DISPATCH_CYCLES,
             stats: DbtStats::default(),
             attached: false,
             cache_limit,
@@ -274,11 +234,6 @@ impl Dbt {
         (self.flush_gen, self.stats.smc_flushes)
     }
 
-    /// Overrides the per-dispatch cycle charge (cost-model ablation).
-    pub fn set_dispatch_cycles(&mut self, cycles: u64) {
-        self.dispatch_cycles = cycles;
-    }
-
     /// Lowers the usable cache end to force eviction under test-sized
     /// workloads (clamped to leave room for the shared stubs plus one
     /// translation's reserve).
@@ -291,11 +246,6 @@ impl Dbt {
     /// site, never per executed instruction.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Per-block translation times in microseconds.
-    pub fn translation_hist(&self) -> &Histogram {
-        &self.trans_us
     }
 
     /// Emits a `dbt_stats` event carrying every counter and the
@@ -317,11 +267,6 @@ impl Dbt {
                 .u64("dispatch_ic_hits", s.dispatch_ic_hits)
                 .json("translate_us", self.trans_us.to_json())
         });
-    }
-
-    /// The technique driving instrumentation.
-    pub fn technique_name(&self) -> &'static str {
-        self.instr.name()
     }
 
     /// Statistics so far.
@@ -480,25 +425,25 @@ impl Dbt {
     /// straight-line without per-instruction cache lookups, falling back to
     /// this engine only at traps (runtime exits, SMC faults). Architectural
     /// results are bit-identical to the per-step path.
-    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> DbtExit {
+    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> ExitReason {
         let start = m.cpu.stats().insts;
         let fused = m.tracer.is_none() && m.has_decode_cache();
         loop {
             let used = m.cpu.stats().insts - start;
             if used >= max_insts {
                 self.emit_stats();
-                return DbtExit::StepLimit;
+                return ExitReason::StepLimit;
             }
             let step = if fused { self.burst(m, max_insts - used, u64::MAX) } else { self.step(m) };
             match step {
                 DbtStep::Continue => {}
                 DbtStep::Halted => {
                     self.emit_stats();
-                    return DbtExit::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
+                    return ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
                 }
                 DbtStep::Exit(t) => {
                     self.emit_stats();
-                    return DbtExit::Trapped(t);
+                    return ExitReason::Trapped(t);
                 }
             }
         }
@@ -533,7 +478,7 @@ impl Dbt {
             }
             ExitKind::Indirect => {
                 let guest_target = m.cpu.reg(regs::ITARGET);
-                m.cpu.add_cycles(self.dispatch_cycles);
+                m.cpu.add_cycles(DEFAULT_DISPATCH_CYCLES);
                 self.stats.dispatches += 1;
                 let slot = (guest_target / INST_SIZE_U64) as usize % DISPATCH_IC_SIZE;
                 if let Some((tag, cached)) = self.dispatch_ic[slot] {

@@ -15,8 +15,8 @@
 //! ## Example
 //!
 //! ```
-//! use cfed_dbt::{Dbt, DbtExit, NullInstrumenter, UpdateStyle};
-//! use cfed_sim::Machine;
+//! use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
+//! use cfed_sim::{ExitReason, Machine};
 //! use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 //!
 //! // A loop: r0 = 5; while (--r0 != 0) {}; halt
@@ -28,7 +28,7 @@
 //! ]);
 //! let mut m = Machine::load(&code, &[], 0);
 //! let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-//! assert_eq!(dbt.run(&mut m, 10_000), DbtExit::Halted { code: 0 });
+//! assert_eq!(dbt.run(&mut m, 10_000), ExitReason::Halted { code: 0 });
 //! assert!(dbt.stats().blocks >= 2);
 //! ```
 
@@ -40,7 +40,7 @@ pub mod native;
 pub mod x86;
 
 pub use cache::CacheAsm;
-pub use engine::{Dbt, DbtExit, DbtStats, DbtStep, TransBlock, DEFAULT_DISPATCH_CYCLES};
+pub use engine::{Dbt, DbtStats, DbtStep, TransBlock, DEFAULT_DISPATCH_CYCLES};
 pub use instrument::{regs, BlockView, CheckPolicy, Instrumenter, NullInstrumenter, UpdateStyle};
 pub use native::{native_enabled, NativeDbt};
 

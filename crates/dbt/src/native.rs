@@ -33,14 +33,17 @@
 //! back to the shared-stub watermark — the translations it mirrored died.
 
 use crate::codebuf::CodeBuf;
-use crate::engine::{Dbt, DbtExit, DbtStep, ExitKind, TransBlock, DISPATCH_IC_SIZE};
+use crate::engine::{
+    Dbt, DbtStep, ExitKind, TransBlock, DEFAULT_DISPATCH_CYCLES, DISPATCH_IC_SIZE,
+};
 use crate::instrument::{regs, Instrumenter, UpdateStyle};
 use crate::x86::{
     self, cc, Alu, Asm, HostReg, Label, Shift, R12, R13, R14, R15, RAX, RBP, RBX, RCX, RDI, RDX,
     RSI, RSP,
 };
 use cfed_isa::{AluOp, Cond, CostModel, Flags, Inst, Reg, INST_SIZE_U64};
-use cfed_sim::{trap_codes, Cpu, Machine, Memory, Trap};
+use cfed_sim::{trap_codes, Cpu, ExitReason, Machine, Memory, Trap};
+use cfed_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -689,7 +692,6 @@ impl Jit {
             cond_tables: self.cond_tables,
             epilogue: self.epilogue,
             trap_exit: self.trap_exit,
-            dispatch_cycles: dbt.dispatch_cycles,
             range: tb.cache_range(),
             labels: HashMap::new(),
             pend_insts: 0,
@@ -802,7 +804,6 @@ struct BlockAsm<'a> {
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
-    dispatch_cycles: u64,
     range: Range<u64>,
     labels: HashMap<u64, Label>,
     pend_insts: u64,
@@ -1100,7 +1101,7 @@ impl BlockAsm<'_> {
                 self.a.jcc(cc::NE, l_miss);
                 // Hit: the interpreter's dispatch trap + service accounting.
                 self.a.inc_mem(RBP, O_D_TRAPS);
-                self.a.alu_ri(Alu::Add, R15, self.dispatch_cycles as i32);
+                self.a.alu_ri(Alu::Add, R15, DEFAULT_DISPATCH_CYCLES as i32);
                 self.a.inc_mem(RBP, O_D_DISPATCHES);
                 self.a.inc_mem(RBP, O_D_IC_HITS);
                 self.a.jmp_mem2(RBP, RCX, O_IC_VALS);
@@ -1414,9 +1415,9 @@ pub fn native_enabled() -> bool {
 /// # Examples
 ///
 /// ```
-/// use cfed_dbt::{DbtExit, NativeDbt, NullInstrumenter, UpdateStyle};
+/// use cfed_dbt::{NativeDbt, NullInstrumenter, UpdateStyle};
 /// use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
-/// use cfed_sim::Machine;
+/// use cfed_sim::{ExitReason, Machine};
 ///
 /// let code = encode_all(&[
 ///     Inst::MovRI { dst: Reg::R0, imm: 5 },
@@ -1426,7 +1427,7 @@ pub fn native_enabled() -> bool {
 /// ]);
 /// let mut m = Machine::load(&code, &[], 0);
 /// let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-/// assert_eq!(dbt.run(&mut m, 10_000), DbtExit::Halted { code: 0 });
+/// assert_eq!(dbt.run(&mut m, 10_000), ExitReason::Halted { code: 0 });
 /// ```
 pub struct NativeDbt {
     dbt: Dbt,
@@ -1466,9 +1467,10 @@ impl NativeDbt {
         &self.dbt
     }
 
-    /// Mutable access to the underlying engine (tuning knobs).
-    pub fn dbt_mut(&mut self) -> &mut Dbt {
-        &mut self.dbt
+    /// Attaches a telemetry handle to the underlying engine
+    /// ([`Dbt::set_telemetry`]).
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.dbt.set_telemetry(telemetry);
     }
 
     /// Engine statistics snapshot.
@@ -1478,7 +1480,7 @@ impl NativeDbt {
 
     /// Runs until halt, surfaced trap, or `max_insts` retired instructions,
     /// bit-identical to [`Dbt::run`] on the same machine.
-    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> DbtExit {
+    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> ExitReason {
         let NativeDbt { dbt, jit } = self;
         let Some(jit) = jit.as_mut() else {
             return dbt.run(m, max_insts);
@@ -1493,7 +1495,7 @@ impl NativeDbt {
             let used = m.cpu.stats().insts - start;
             if used >= max_insts {
                 dbt.emit_stats();
-                return DbtExit::StepLimit;
+                return ExitReason::StepLimit;
             }
             let remaining = max_insts - used;
             if remaining < NATIVE_MIN_BUDGET {
@@ -1505,7 +1507,7 @@ impl NativeDbt {
                 // Attach strictly after the budget checks, as Dbt::run does.
                 if let Err(t) = dbt.attach(m) {
                     dbt.emit_stats();
-                    return DbtExit::Trapped(t);
+                    return ExitReason::Trapped(t);
                 }
                 jit.check_gen(dbt);
             }
@@ -1529,11 +1531,11 @@ impl NativeDbt {
                     }
                     DbtStep::Halted => {
                         dbt.emit_stats();
-                        return DbtExit::Halted { code: m.cpu.reg(Reg::R0) };
+                        return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
                     }
                     DbtStep::Exit(t) => {
                         dbt.emit_stats();
-                        return DbtExit::Trapped(t);
+                        return ExitReason::Trapped(t);
                     }
                 }
             };
@@ -1545,7 +1547,7 @@ impl NativeDbt {
                     m.cpu.set_ip(jit.ctx.exit_ip);
                     m.cpu.set_halted();
                     dbt.emit_stats();
-                    return DbtExit::Halted { code: m.cpu.reg(Reg::R0) };
+                    return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
                 }
                 XK_BUDGET => {
                     m.cpu.set_ip(jit.ctx.exit_ip);
@@ -1592,11 +1594,11 @@ impl NativeDbt {
                         }
                         DbtStep::Halted => {
                             dbt.emit_stats();
-                            return DbtExit::Halted { code: m.cpu.reg(Reg::R0) };
+                            return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
                         }
                         DbtStep::Exit(t) => {
                             dbt.emit_stats();
-                            return DbtExit::Trapped(t);
+                            return ExitReason::Trapped(t);
                         }
                     }
                 }

@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
-use cfed_dbt::{Dbt, DbtExit, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
 use cfed_lang::compile;
-use cfed_sim::Machine;
+use cfed_sim::{ExitReason, Machine};
 use cfed_telemetry::{json::Json, MemorySink, Telemetry};
 
 const PROGRAM: &str = r#"
@@ -24,7 +24,7 @@ const PROGRAM: &str = r#"
     }
 "#;
 
-fn run(cache_limit: Option<u64>) -> (DbtExit, Vec<u64>, cfed_dbt::DbtStats) {
+fn run(cache_limit: Option<u64>) -> (ExitReason, Vec<u64>, cfed_dbt::DbtStats) {
     let image = compile(PROGRAM).unwrap();
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
@@ -38,7 +38,7 @@ fn run(cache_limit: Option<u64>) -> (DbtExit, Vec<u64>, cfed_dbt::DbtStats) {
 #[test]
 fn roomy_cache_never_evicts() {
     let (exit, _, stats) = run(None);
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
     assert_eq!(stats.cache_evictions, 0);
     assert_eq!(stats.retranslations, 0);
 }
@@ -63,7 +63,7 @@ fn run_end_emits_dbt_stats_event() {
     let sink = Arc::new(MemorySink::new());
     dbt.set_telemetry(Telemetry::to(sink.clone()));
     let exit = dbt.run(&mut m, 50_000_000);
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
 
     let events = sink.of_kind("dbt_stats");
     assert_eq!(events.len(), 1);

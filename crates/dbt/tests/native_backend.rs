@@ -7,13 +7,13 @@
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use cfed_dbt::{Dbt, DbtExit, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_lang::compile;
-use cfed_sim::Machine;
+use cfed_sim::{ExitReason, Machine};
 
 struct Outcome {
-    exit: DbtExit,
+    exit: ExitReason,
     output: Vec<u64>,
     insts: u64,
     cycles: u64,
@@ -238,12 +238,12 @@ fn resume_after_step_limit_identical() {
     let mut slices = 0u64;
     let exit = loop {
         match dbt.run(&mut m, 4500) {
-            DbtExit::StepLimit => slices += 1,
+            ExitReason::StepLimit => slices += 1,
             other => break other,
         }
         assert!(slices < 100_000, "diverged");
     };
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
     let whole = run_interp(image.code(), image.data(), image.entry_offset(), 20_000_000);
     assert_eq!(whole.exit, exit);
     assert_eq!(whole.output, m.cpu.take_output());
@@ -328,7 +328,7 @@ fn smc_store_into_hot_loop_retranslates() {
     let (exit, output, _, _, stats) = &fused;
     // First call sums 0..200 = 19900; patched second call adds 2 per
     // iteration = 400 — proof the retranslation picked up the new bytes.
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
     assert_eq!(*output, vec![19_900, 400]);
     assert!(stats.smc_flushes >= 1, "the patch store must flush: {stats:?}");
 

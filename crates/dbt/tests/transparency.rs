@@ -2,7 +2,7 @@
 //! (same outputs, same exit codes, same guest-visible faults) — the paper's
 //! core premise that reliability can be added to unmodified binaries.
 
-use cfed_dbt::{Dbt, DbtExit, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_lang::compile;
 use cfed_sim::{ExitReason, Machine, Trap};
@@ -14,7 +14,7 @@ fn native(code: &[u8], data: &[u8], entry: u64) -> (ExitReason, Vec<u64>, u64) {
     (exit, m.cpu.take_output(), cycles)
 }
 
-fn under_dbt(code: &[u8], data: &[u8], entry: u64) -> (DbtExit, Vec<u64>, u64, Dbt) {
+fn under_dbt(code: &[u8], data: &[u8], entry: u64) -> (ExitReason, Vec<u64>, u64, Dbt) {
     let mut m = Machine::load(code, data, entry);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
     let exit = dbt.run(&mut m, 20_000_000);
@@ -27,7 +27,7 @@ fn check_equivalent(src: &str) {
     let (nexit, nout, _) = native(image.code(), image.data(), image.entry_offset());
     let (dexit, dout, _, _) = under_dbt(image.code(), image.data(), image.entry_offset());
     match (nexit, dexit) {
-        (ExitReason::Halted { code: a }, DbtExit::Halted { code: b }) => assert_eq!(a, b),
+        (ExitReason::Halted { code: a }, ExitReason::Halted { code: b }) => assert_eq!(a, b),
         (a, b) => panic!("exit mismatch: native {a:?}, dbt {b:?}"),
     }
     assert_eq!(nout, dout, "output stream must match");
@@ -87,7 +87,7 @@ fn guest_assert_trap_surfaces() {
     let image = compile("fn main() { assert(0); }").unwrap();
     let (exit, _, _, _) = under_dbt(image.code(), image.data(), image.entry_offset());
     match exit {
-        DbtExit::Trapped(Trap::Software { code, .. }) => {
+        ExitReason::Trapped(Trap::Software { code, .. }) => {
             assert_eq!(code, cfed_sim::trap_codes::GUEST_ASSERT)
         }
         other => panic!("expected guest assert, got {other:?}"),
@@ -98,7 +98,7 @@ fn guest_assert_trap_surfaces() {
 fn div_by_zero_surfaces() {
     let image = compile("fn main() { let z = 0; out(1 / z); }").unwrap();
     let (exit, _, _, _) = under_dbt(image.code(), image.data(), image.entry_offset());
-    assert!(matches!(exit, DbtExit::Trapped(Trap::DivByZero { .. })));
+    assert!(matches!(exit, ExitReason::Trapped(Trap::DivByZero { .. })));
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn indirect_calls_via_ret() {
     )
     .unwrap();
     let (exit, out, _, dbt) = under_dbt(image.code(), image.data(), image.entry_offset());
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
     assert_eq!(out, vec![(0..50).map(|i| i * 3).sum::<u64>()]);
     assert!(dbt.stats().dispatches >= 50, "each ret goes through the dispatcher");
 }
@@ -135,7 +135,7 @@ fn blocks_translated_on_demand_only() {
     )
     .unwrap();
     let (exit, out, _, dbt) = under_dbt(image.code(), image.data(), image.entry_offset());
-    assert!(matches!(exit, DbtExit::Halted { .. }));
+    assert!(matches!(exit, ExitReason::Halted { .. }));
     assert_eq!(out, vec![10]);
     for b in dbt.blocks() {
         never += (b.guest_len == 0) as u32;
@@ -219,7 +219,7 @@ fn self_modifying_code_retranslated() {
 
     // Under DBT: identical, via the write-protection flush path.
     let (dexit, dout, _, dbt) = under_dbt(image.code(), image.data(), image.entry_offset());
-    assert!(matches!(dexit, DbtExit::Halted { .. }), "{dexit:?}");
+    assert!(matches!(dexit, ExitReason::Halted { .. }), "{dexit:?}");
     assert_eq!(dout, vec![1, 2]);
     assert!(dbt.stats().smc_flushes >= 1, "SMC must trigger a flush");
 }
@@ -231,7 +231,7 @@ fn wild_jump_to_data_detected_by_hardware() {
     let mut m = Machine::load(&code, &[], 0);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
     match dbt.run(&mut m, 1000) {
-        DbtExit::Trapped(t) => assert!(t.is_hardware_cfe_detection(), "{t:?}"),
+        ExitReason::Trapped(t) => assert!(t.is_hardware_cfe_detection(), "{t:?}"),
         other => panic!("expected trap, got {other:?}"),
     }
 }
@@ -245,7 +245,7 @@ fn misaligned_indirect_target_detected() {
     let mut m = Machine::load(&code, &[], 0);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
     match dbt.run(&mut m, 1000) {
-        DbtExit::Trapped(Trap::UnalignedFetch { addr }) => assert_eq!(addr, 0x1_0004),
+        ExitReason::Trapped(Trap::UnalignedFetch { addr }) => assert_eq!(addr, 0x1_0004),
         other => panic!("expected unaligned fetch, got {other:?}"),
     }
 }
@@ -255,7 +255,7 @@ fn step_limit_reported() {
     let code = encode_all(&[Inst::Jmp { offset: -8 }]);
     let mut m = Machine::load(&code, &[], 0);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-    assert_eq!(dbt.run(&mut m, 100), DbtExit::StepLimit);
+    assert_eq!(dbt.run(&mut m, 100), ExitReason::StepLimit);
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn cond_branch_both_arms_eventually_translated() {
     ]);
     let mut m = Machine::load(&code, &[], 0);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-    assert_eq!(dbt.run(&mut m, 10_000), DbtExit::Halted { code: 1 });
+    assert_eq!(dbt.run(&mut m, 10_000), ExitReason::Halted { code: 1 });
     assert!(dbt.lookup(0x1_0008).is_some());
     assert!(dbt.lookup(0x1_0018).is_some());
     assert!(dbt.lookup(0x1_0028).is_some());
@@ -292,7 +292,7 @@ fn guest_sees_guest_return_addresses() {
     let image = asm.assemble("start").unwrap();
     let after = image.symbol("after").unwrap();
     let (dexit, dout, _, _) = under_dbt(image.code(), image.data(), image.entry_offset());
-    assert!(matches!(dexit, DbtExit::Halted { .. }));
+    assert!(matches!(dexit, ExitReason::Halted { .. }));
     assert_eq!(dout, vec![after], "return address on stack must be the guest address");
 }
 
@@ -343,11 +343,11 @@ fn fused_run_handles_smc_and_budget() {
     for budget in [0u64, 1, 7, 100] {
         let mut fused = Machine::load(&code, &[], 0);
         let mut dbt_f = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut fused);
-        assert_eq!(dbt_f.run(&mut fused, budget), DbtExit::StepLimit);
+        assert_eq!(dbt_f.run(&mut fused, budget), ExitReason::StepLimit);
         let mut stepped = Machine::load(&code, &[], 0);
         stepped.set_decode_cache(false);
         let mut dbt_s = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut stepped);
-        assert_eq!(dbt_s.run(&mut stepped, budget), DbtExit::StepLimit);
+        assert_eq!(dbt_s.run(&mut stepped, budget), ExitReason::StepLimit);
         assert_eq!(fused.cpu.stats().insts, stepped.cpu.stats().insts, "budget {budget}");
         assert_eq!(fused.cpu.stats().cycles, stepped.cpu.stats().cycles, "budget {budget}");
     }

@@ -29,9 +29,9 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
     Category, RunConfig,
 };
-use cfed_dbt::{Dbt, DbtExit, DbtStep, NativeDbt, NullInstrumenter, TransBlock};
+use cfed_dbt::{Dbt, DbtStep, NativeDbt, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
-use cfed_sim::{Machine, Trap};
+use cfed_sim::{ExitReason, Machine};
 
 use std::ops::Range;
 
@@ -487,31 +487,6 @@ impl AttackModel {
     }
 }
 
-/// How a pause-style engine attack ended — normalized across the fused
-/// interpreter and the native backend so runs are directly comparable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttackExit {
-    /// Guest halted with this exit code.
-    Halted {
-        /// Exit code from `r0`.
-        code: u64,
-    },
-    /// A trap surfaced.
-    Trapped(Trap),
-    /// The resume budget ran out.
-    StepLimit,
-}
-
-impl From<DbtExit> for AttackExit {
-    fn from(e: DbtExit) -> AttackExit {
-        match e {
-            DbtExit::Halted { code } => AttackExit::Halted { code },
-            DbtExit::Trapped(t) => AttackExit::Trapped(t),
-            DbtExit::StepLimit => AttackExit::StepLimit,
-        }
-    }
-}
-
 /// Outcome of one pause/seize/resume engine attack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PauseAttack {
@@ -519,7 +494,7 @@ pub struct PauseAttack {
     /// `false`, the run is the unattacked continuation).
     pub placed: bool,
     /// How the run ended.
-    pub exit: AttackExit,
+    pub exit: ExitReason,
     /// Observable output stream.
     pub output: Vec<u64>,
     /// Instructions retired in total.
@@ -530,7 +505,7 @@ impl PauseAttack {
     /// Whether the attack was caught — by a signature check or by the
     /// hardware (category-F) path.
     pub fn detected(&self) -> bool {
-        matches!(&self.exit, AttackExit::Trapped(t)
+        matches!(&self.exit, ExitReason::Trapped(t)
             if t.is_cfe_report() || t.is_hardware_cfe_detection())
     }
 }
@@ -550,14 +525,10 @@ pub fn pause_attack(
     pause: u64,
     native: bool,
 ) -> PauseAttack {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(k) => k.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::with_native(instr, cfg.style, &mut m, native);
+    let mut dbt = NativeDbt::with_native(cfg.instrumenter(image), cfg.style, &mut m, native);
     let (placed, exit) = match dbt.run(&mut m, pause) {
-        DbtExit::StepLimit => {
+        ExitReason::StepLimit => {
             let ip = m.cpu.ip();
             let mut blocks: Vec<TransBlock> = dbt.dbt().blocks().copied().collect();
             blocks.sort_by_key(|b| b.cache_start);
@@ -586,12 +557,7 @@ pub fn pause_attack(
         }
         other => (false, other),
     };
-    PauseAttack {
-        placed,
-        exit: exit.into(),
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-    }
+    PauseAttack { placed, exit, output: m.cpu.take_output(), insts: m.cpu.stats().insts }
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@ use crate::attack::{attack_now, AttackProvenance, AttackSpec};
 use crate::snapshot::{SnapshotBuilder, SnapshotSet};
 use cfed_asm::Image;
 use cfed_core::{
-    classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, Category,
-    RunConfig,
+    classify_addr_fault, classify_flag_fault, fold_profile, BlockLayout, BranchFault, CacheLayout,
+    Category, RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStep, NullInstrumenter};
+use cfed_dbt::{Dbt, DbtStep};
 use cfed_isa::{Flags, INST_SIZE_U64};
 use cfed_sim::{Machine, Trap};
+use cfed_telemetry::Profile;
 
 /// The *fault-free* execution misbehaved: the workload itself is unsound
 /// under the given configuration. Distinct from an unplaceable fault
@@ -203,28 +204,39 @@ pub struct Golden {
 /// within the budget — the workload itself is unsound under this
 /// configuration.
 pub fn golden_run(image: &Image, cfg: &RunConfig) -> Result<Golden, WorkloadError> {
-    golden_inner(image, cfg, None)
+    golden_pass(image, cfg, false, false).map(|(golden, ..)| golden)
 }
 
-/// The golden run, optionally capturing fast-forward checkpoints: bursts
-/// from one capture point to the next. Capture observes the machine
-/// without perturbing it, so the returned golden is identical with or
-/// without a builder.
-pub(crate) fn golden_inner(
+/// The one fault-free pass per `(image, config)`: the golden reference,
+/// plus fast-forward checkpoints when `snapshots` (bursting from one
+/// capture point to the next) and the execution profile
+/// ([`cfed_core::profile_dbt`]'s, cycle for cycle) when `profile`.
+/// Capturing and profiling observe the machine without perturbing it, so
+/// the golden is identical whatever is collected alongside it.
+///
+/// # Errors
+///
+/// As [`golden_run`].
+pub fn golden_pass(
     image: &Image,
     cfg: &RunConfig,
-    mut snapshots: Option<&mut SnapshotBuilder>,
-) -> Result<Golden, WorkloadError> {
+    snapshots: bool,
+    profile: bool,
+) -> Result<(Golden, Option<SnapshotSet>, Option<Profile>), WorkloadError> {
     let (mut m, mut dbt) = build(image, cfg);
+    if profile {
+        m.enable_profiler();
+    }
+    let mut builder = snapshots.then(SnapshotBuilder::new);
     let mut from = 0;
     loop {
-        let target = snapshots.as_deref().map_or(u64::MAX, |b| b.next_capture(from));
+        let target = builder.as_ref().map_or(u64::MAX, |b| b.next_capture(from));
         match advance_to_branch(&mut m, &mut dbt, target, cfg.max_insts, true, &mut 0) {
             Advance::AtBranch => {
                 // About to execute dynamic branch `target`: the same instant
                 // a trial's prefix identifies as branch `target`, which is
                 // what makes a restored checkpoint equivalent to replaying.
-                let builder = snapshots.as_deref_mut().expect("only capture points stop a run");
+                let builder = builder.as_mut().expect("only capture points stop a run");
                 builder.observe_branch(target, &mut m, &dbt);
                 from = target + 1;
             }
@@ -232,12 +244,14 @@ pub(crate) fn golden_inner(
                 return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts })
             }
             Advance::Halted => {
-                return Ok(Golden {
+                let profile = profile.then(|| fold_profile(&mut m, &dbt));
+                let golden = Golden {
                     output: m.cpu.take_output(),
                     exit_code: m.cpu.reg(cfed_isa::Reg::R0),
                     insts: m.cpu.stats().insts,
                     branches: m.cpu.stats().branches,
-                })
+                };
+                return Ok((golden, builder.map(|b| b.finish(*cfg)), profile));
             }
             Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
         }
@@ -307,11 +321,7 @@ pub fn advance_to_branch(
 
 pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut dbt = Dbt::new(instr, cfg.style, &mut m);
+    let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
     // Attach eagerly: branch counting and fault placement must happen on
     // translated code, never on raw guest bytes (a fault applied to guest
     // memory would be baked into the translation permanently).

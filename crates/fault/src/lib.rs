@@ -38,8 +38,7 @@ pub mod inject;
 pub mod snapshot;
 
 pub use attack::{
-    pause_attack, AttackExit, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface,
-    PauseAttack,
+    pause_attack, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
 };
 pub use campaign::{
     Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid, SHARD_TRIALS,
@@ -47,7 +46,7 @@ pub use campaign::{
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
 pub use forensics::{ForensicsBundle, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    advance_to_branch, golden_run, inject, inject_traced, Advance, FaultSpec, Golden,
+    advance_to_branch, golden_pass, golden_run, inject, inject_traced, Advance, FaultSpec, Golden,
     InjectionResult, Outcome, TrialSpec, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

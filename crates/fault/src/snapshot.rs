@@ -23,7 +23,7 @@
 //! runs keep at most `MAX_SNAPSHOTS` snapshots at power-of-two-scaled
 //! spacing.
 
-use crate::inject::{golden_inner, Golden, WorkloadError};
+use crate::inject::{golden_pass, Golden, WorkloadError};
 use cfed_asm::Image;
 use cfed_core::RunConfig;
 use cfed_dbt::Dbt;
@@ -85,9 +85,7 @@ impl SnapshotSet {
     /// [`WorkloadError`] when the fault-free program traps or exceeds its
     /// instruction budget.
     pub fn capture(image: &Image, cfg: &RunConfig) -> Result<(Golden, SnapshotSet), WorkloadError> {
-        let mut builder = SnapshotBuilder::new();
-        let golden = golden_inner(image, cfg, Some(&mut builder))?;
-        Ok((golden, builder.finish(*cfg)))
+        golden_pass(image, cfg, true, false).map(|(g, set, _)| (g, set.expect("captured")))
     }
 
     /// Whether this set was captured under `cfg`. Fast-forwarding with a

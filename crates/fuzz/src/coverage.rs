@@ -12,9 +12,8 @@
 
 use crate::gen::GeneratedProgram;
 use crate::oracle::{Engine, OracleReport};
-use cfed_dbt::DbtExit;
 use cfed_isa::Inst;
-use cfed_sim::{Machine, Step, Trap};
+use cfed_sim::{ExitReason, Machine, Step, Trap};
 
 /// A program's behaviour bitset. Bit layout:
 ///
@@ -71,11 +70,11 @@ fn opcode_class(inst: &Inst) -> u32 {
     }
 }
 
-fn exit_bit(exit: &DbtExit) -> u32 {
+fn exit_bit(exit: &ExitReason) -> u32 {
     match exit {
-        DbtExit::Halted { .. } => 32,
-        DbtExit::StepLimit => 33,
-        DbtExit::Trapped(t) => match t {
+        ExitReason::Halted { .. } => 32,
+        ExitReason::StepLimit => 33,
+        ExitReason::Trapped(t) => match t {
             Trap::OutOfRange { .. } => 34,
             Trap::PermRead { .. } => 35,
             Trap::PermWrite { .. } => 36,

@@ -25,8 +25,8 @@
 
 use crate::gen::{GeneratedProgram, Tier};
 use cfed_asm::Image;
-use cfed_core::TechniqueKind;
-use cfed_dbt::{CheckPolicy, Dbt, DbtExit, DbtStats, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_core::{RunConfig, TechniqueKind};
+use cfed_dbt::{Dbt, DbtStats, NativeDbt, UpdateStyle};
 use cfed_sim::{Cpu, ExitReason, Machine, Trap};
 
 /// Identifies one backend in the oracle matrix.
@@ -86,7 +86,7 @@ pub struct BackendRun {
     /// Which backend.
     pub id: BackendId,
     /// How it ended.
-    pub exit: DbtExit,
+    pub exit: ExitReason,
     /// Observable output stream.
     pub output: Vec<u64>,
     /// Cost-model cycles.
@@ -138,18 +138,10 @@ fn load(image: &Image) -> Machine {
     Machine::load(image.code(), image.data(), image.entry_offset())
 }
 
-fn exit_of(reason: ExitReason) -> DbtExit {
-    match reason {
-        ExitReason::Halted { code } => DbtExit::Halted { code },
-        ExitReason::Trapped(t) => DbtExit::Trapped(t),
-        ExitReason::StepLimit => DbtExit::StepLimit,
-    }
-}
-
 fn run_interp(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
     let mut m = load(image);
     m.set_decode_cache(matches!(id.engine, Engine::InterpFused));
-    let exit = exit_of(m.run(max_insts));
+    let exit = m.run(max_insts);
     finish(id, exit, m, None)
 }
 
@@ -159,10 +151,7 @@ fn run_dbt_engine(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
     // translator attach time (the DBT fuses only when the machine fuses);
     // the native backend requires the fused cache underneath it.
     m.set_decode_cache(!matches!(id.engine, Engine::DbtStep));
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match id.technique {
-        Some(kind) => kind.instrumenter_for(image, CheckPolicy::AllBb),
-        None => Box::new(NullInstrumenter),
-    };
+    let instr = RunConfig { technique: id.technique, ..RunConfig::default() }.instrumenter(image);
     if id.engine == Engine::DbtNative {
         let mut dbt = NativeDbt::new(instr, id.style, &mut m);
         let exit = dbt.run(&mut m, max_insts);
@@ -174,7 +163,7 @@ fn run_dbt_engine(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
     finish(id, exit, m, Some(dbt.stats()))
 }
 
-fn finish(id: BackendId, exit: DbtExit, mut m: Machine, dbt: Option<DbtStats>) -> BackendRun {
+fn finish(id: BackendId, exit: ExitReason, mut m: Machine, dbt: Option<DbtStats>) -> BackendRun {
     let output = m.cpu.take_output();
     let cycles = m.cpu.stats().cycles;
     let insts = m.cpu.stats().insts;
@@ -195,11 +184,11 @@ fn finish(id: BackendId, exit: DbtExit, mut m: Machine, dbt: Option<DbtStats>) -
 /// * `StepLimit` on either side makes the pair incomparable (budgets bite
 ///   at different guest points once instrumentation changes cost), so it is
 ///   compatible with anything.
-pub fn exits_compatible(a: &DbtExit, b: &DbtExit) -> bool {
+pub fn exits_compatible(a: &ExitReason, b: &ExitReason) -> bool {
     match (a, b) {
-        (DbtExit::StepLimit, _) | (_, DbtExit::StepLimit) => true,
-        (DbtExit::Halted { code: ca }, DbtExit::Halted { code: cb }) => ca == cb,
-        (DbtExit::Trapped(ta), DbtExit::Trapped(tb)) => traps_compatible(ta, tb),
+        (ExitReason::StepLimit, _) | (_, ExitReason::StepLimit) => true,
+        (ExitReason::Halted { code: ca }, ExitReason::Halted { code: cb }) => ca == cb,
+        (ExitReason::Trapped(ta), ExitReason::Trapped(tb)) => traps_compatible(ta, tb),
         _ => false,
     }
 }
@@ -227,9 +216,9 @@ fn may_false_positive(tier: Tier, technique: Option<TechniqueKind>) -> bool {
         && matches!(technique, Some(TechniqueKind::Cfcss) | Some(TechniqueKind::Ecca))
 }
 
-fn is_cfe_detection_exit(exit: &DbtExit) -> bool {
+fn is_cfe_detection_exit(exit: &ExitReason) -> bool {
     match exit {
-        DbtExit::Trapped(t) => t.is_cfe_report() || matches!(t, Trap::DivByZero { .. }),
+        ExitReason::Trapped(t) => t.is_cfe_report() || matches!(t, Trap::DivByZero { .. }),
         _ => false,
     }
 }
@@ -306,7 +295,7 @@ fn diff_dispatch_pair(step: &BackendRun, fused: &BackendRun) -> Option<Divergenc
 }
 
 fn diff_cross_engine(native: &BackendRun, dbt: &BackendRun, tier: Tier) -> Option<Divergence> {
-    if matches!(native.exit, DbtExit::StepLimit) || matches!(dbt.exit, DbtExit::StepLimit) {
+    if matches!(native.exit, ExitReason::StepLimit) || matches!(dbt.exit, ExitReason::StepLimit) {
         return None; // budgets bite at different points; nothing comparable
     }
     if may_false_positive(tier, dbt.id.technique) && is_cfe_detection_exit(&dbt.exit) {
@@ -516,13 +505,13 @@ mod tests {
     #[test]
     fn exit_normalization() {
         use cfed_sim::Trap;
-        let a = DbtExit::Trapped(Trap::DivByZero { addr: 0x100 });
-        let b = DbtExit::Trapped(Trap::DivByZero { addr: 0x9000 });
+        let a = ExitReason::Trapped(Trap::DivByZero { addr: 0x100 });
+        let b = ExitReason::Trapped(Trap::DivByZero { addr: 0x9000 });
         assert!(exits_compatible(&a, &b));
-        let c = DbtExit::Trapped(Trap::PermRead { addr: 8 });
-        let d = DbtExit::Trapped(Trap::PermRead { addr: 16 });
+        let c = ExitReason::Trapped(Trap::PermRead { addr: 8 });
+        let d = ExitReason::Trapped(Trap::PermRead { addr: 16 });
         assert!(!exits_compatible(&c, &d));
-        assert!(exits_compatible(&DbtExit::StepLimit, &c));
-        assert!(!exits_compatible(&DbtExit::Halted { code: 0 }, &c));
+        assert!(exits_compatible(&ExitReason::StepLimit, &c));
+        assert!(!exits_compatible(&ExitReason::Halted { code: 0 }, &c));
     }
 }

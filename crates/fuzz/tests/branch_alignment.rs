@@ -13,7 +13,7 @@
 
 use cfed_asm::{Asm, Image};
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_dbt::{Dbt, DbtStep, Instrumenter, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, DbtStep, UpdateStyle};
 use cfed_fault::{advance_to_branch, golden_run, Advance};
 use cfed_fuzz::{generate, Tier};
 use cfed_isa::Reg;
@@ -36,11 +36,7 @@ const TECHNIQUES: [Option<TechniqueKind>; 6] = [
 
 fn attached(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let instr: Box<dyn Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut dbt = Dbt::new(instr, cfg.style, &mut m);
+    let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
     dbt.attach(&mut m).expect("entry point translates");
     (m, dbt)
 }

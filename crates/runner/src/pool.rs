@@ -22,9 +22,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cfed_asm::Image;
-use cfed_core::{profile_dbt, RunConfig};
+use cfed_core::RunConfig;
 use cfed_fault::{
-    golden_run, CampaignReport, ForensicsBundle, Golden, SnapshotSet, SnapshotStats, WorkloadError,
+    golden_pass, CampaignReport, ForensicsBundle, Golden, SnapshotSet, SnapshotStats,
     DEFAULT_TRACE_WINDOW,
 };
 use cfed_telemetry::{Event, Profile, Telemetry};
@@ -44,10 +44,8 @@ pub struct RunnerOptions {
     /// persisted). Used by tests to simulate a killed run; `None` runs to
     /// completion.
     pub max_shards: Option<usize>,
-    /// Print per-shard progress to stderr.
-    pub progress: bool,
-    /// Suppress all stderr progress output (per-shard lines and the live
-    /// status line; failures are still reported).
+    /// Suppress all stderr progress output (the live status line;
+    /// failures are still reported).
     pub quiet: bool,
     /// Structured-event handle. Disabled by default; when a sink is
     /// attached the pool emits `shard_done` / `shard_failed` / `run_done`
@@ -66,10 +64,9 @@ pub struct RunnerOptions {
     /// final outcome reaches the store.
     pub retry: RetryPolicy,
     /// Collect a per-cell execution profile (payload vs instrumentation
-    /// cycle attribution, [`cfed_core::profile_dbt`]) alongside each cell's
-    /// golden run and persist it as an idempotent store record. Off by
-    /// default: a profile costs one extra full run of the workload per
-    /// cell.
+    /// cycle attribution) from each cell's golden pass
+    /// ([`cfed_fault::golden_pass`]) and persist it as an idempotent store
+    /// record.
     pub profile: bool,
 }
 
@@ -78,7 +75,6 @@ impl Default for RunnerOptions {
         RunnerOptions {
             threads: 0,
             max_shards: None,
-            progress: false,
             quiet: false,
             telemetry: Telemetry::off(),
             forensics: false,
@@ -399,26 +395,13 @@ fn prepare_golden(
     profile: bool,
 ) -> Result<PreparedGolden, String> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut prepared = if snapshots {
-            SnapshotSet::capture(image, config).map(|(golden, set)| PreparedGolden {
+        golden_pass(image, config, snapshots, profile).map(|(golden, snapshots, profile)| {
+            PreparedGolden {
                 golden: Arc::new(golden),
-                snapshots: Some(Arc::new(set)),
-                profile: None,
-            })?
-        } else {
-            golden_run(image, config).map(|golden| PreparedGolden {
-                golden: Arc::new(golden),
-                snapshots: None,
-                profile: None,
-            })?
-        };
-        if profile {
-            // One extra fault-free run with the execution profiler
-            // attached; deterministic, so every worker racing on this key
-            // computes the identical profile.
-            prepared.profile = Some(Arc::new(profile_dbt(image, config).1));
-        }
-        Ok::<_, WorkloadError>(prepared)
+                snapshots: snapshots.map(Arc::new),
+                profile: profile.map(Arc::new),
+            }
+        })
     }));
     match run {
         Ok(Ok(prepared)) => Ok(prepared),
@@ -529,8 +512,7 @@ pub fn run_matrix(
     options: &RunnerOptions,
 ) -> Result<RunSummary, String> {
     let run_timer = Instant::now();
-    let mut scheduler =
-        Scheduler::new(options.retry, &options.telemetry, options.quiet, options.progress);
+    let mut scheduler = Scheduler::new(options.retry, &options.telemetry, options.quiet);
     let mut phase = scheduler.open_phase(run_id, 0, matrix, store_path, options.max_shards)?;
     let to_run = phase.queued as usize;
     let executed_trials = phase.queued_trials();

@@ -216,7 +216,6 @@ impl Phase {
 pub struct Scheduler {
     retry: RetryPolicy,
     quiet: bool,
-    progress: bool,
     /// The configured sink: flight dumps and forensics bypass the ring so
     /// windows never nest inside later windows.
     sink: Telemetry,
@@ -229,13 +228,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// A scheduler emitting to `telemetry`. `quiet` silences stderr except
-    /// final failures; `progress` adds one stderr line per appended unit.
-    pub fn new(
-        retry: RetryPolicy,
-        telemetry: &Telemetry,
-        quiet: bool,
-        progress: bool,
-    ) -> Scheduler {
+    /// final failures.
+    pub fn new(retry: RetryPolicy, telemetry: &Telemetry, quiet: bool) -> Scheduler {
         // Always on: tee in front of the configured sink (or stand alone
         // when telemetry is off), so anomaly paths can attach the recent
         // window without changing what downstream sees.
@@ -246,7 +240,6 @@ impl Scheduler {
         Scheduler {
             retry,
             quiet,
-            progress,
             sink: telemetry.clone(),
             telemetry: Telemetry::to(Arc::clone(&flight) as Arc<dyn EventSink>),
             flight,
@@ -497,10 +490,6 @@ impl Scheduler {
         self.telemetry.emit_with(|| {
             Event::new("shard_done").str("shard", &key).u64("done", stored).u64("of", total)
         });
-        if self.progress && !self.quiet {
-            phase.progress.clear();
-            eprintln!("cfed-runner: [{stored}/{total}] {key}");
-        }
         let bundle_kind = if attack.is_some() { "attack_forensics" } else { "forensics" };
         for bundle in done.forensics {
             // SDC/timeout forensics carry the flight-recorder window: the
@@ -562,8 +551,7 @@ impl Scheduler {
 
 /// The live stderr status line (`done/total | shards/s | ETA`).
 ///
-/// Shown only when stderr is a terminal — redirected runs get the plain
-/// per-unit lines behind `progress` instead — and colored only when
+/// Shown only when stderr is a terminal, and colored only when
 /// `NO_COLOR` is unset (per the no-color convention, any non-empty value
 /// disables color). The result store has its own file writer, so progress
 /// output can never interleave with store records.

@@ -362,7 +362,6 @@ fn run_campaign(argv: &[String]) {
         .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
         .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
         .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
-        .switch("progress", "print per-shard progress to stderr")
         .switch("quiet", "suppress stderr progress output")
         .switch(
             "forensics",
@@ -394,7 +393,6 @@ fn run_campaign(argv: &[String]) {
     let options = RunnerOptions {
         threads,
         max_shards: None,
-        progress: args.has("progress"),
         quiet,
         telemetry,
         forensics: args.has("forensics"),
@@ -477,7 +475,6 @@ fn run_attacks(argv: &[String]) {
     .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
     .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
     .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
-    .switch("progress", "print per-shard progress to stderr")
     .switch("quiet", "suppress stderr progress output")
     .switch(
         "forensics",
@@ -506,7 +503,6 @@ fn run_attacks(argv: &[String]) {
     let options = RunnerOptions {
         threads,
         max_shards: None,
-        progress: args.has("progress"),
         quiet,
         telemetry: telemetry_for(&args, "cfed-campaign attack"),
         forensics: args.has("forensics"),

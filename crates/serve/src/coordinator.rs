@@ -215,7 +215,7 @@ impl Coordinator {
             Arc::clone(&self.shutdown),
         );
         let options = &self.options;
-        let mut scheduler = Scheduler::new(options.retry, &options.telemetry, options.quiet, false);
+        let mut scheduler = Scheduler::new(options.retry, &options.telemetry, options.quiet);
         let mut net = Net {
             rx,
             conns: HashMap::new(),

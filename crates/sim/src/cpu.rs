@@ -10,7 +10,7 @@ use crate::mem::PAGE_SIZE;
 use crate::profiler::ExecProfiler;
 use crate::LINES_PER_PAGE;
 use crate::{Memory, Trap};
-use cfed_isa::{flags, AluOp, Cond, CostModel, Flags, Inst, Reg, INST_SIZE_U64};
+use cfed_isa::{flags, AluOp, CostModel, Flags, Inst, Reg, INST_SIZE_U64};
 
 /// Execution statistics accumulated by a [`Cpu`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,24 +133,9 @@ impl Cpu {
         self.ip = ip;
     }
 
-    /// Whether a `halt` has retired.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Clears the halted latch so execution can be resumed (supervisor use).
-    pub fn clear_halted(&mut self) {
-        self.halted = false;
-    }
-
     /// Execution statistics so far.
     pub fn stats(&self) -> ExecStats {
         self.stats
-    }
-
-    /// Resets the statistics counters to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::default();
     }
 
     /// Charges extra cycles to the running total — used by supervisors to
@@ -788,11 +773,6 @@ impl Cpu {
     }
 }
 
-/// Convenience: evaluate a `Jcc` condition under explicit flags.
-pub fn cond_taken(cc: Cond, f: Flags) -> bool {
-    cc.eval(f)
-}
-
 /// Whether `inst` can store to guest memory — the only way a retiring
 /// instruction can invalidate decoded lines, so the fused runner must
 /// revalidate its page after one of these.
@@ -811,7 +791,7 @@ pub(crate) fn inst_writes_mem(inst: &Inst) -> bool {
 mod tests {
     use super::*;
     use crate::Perms;
-    use cfed_isa::encode_all;
+    use cfed_isa::{encode_all, Cond};
 
     fn machine(insts: &[Inst]) -> (Cpu, Memory) {
         let mut mem = Memory::new(1 << 20);

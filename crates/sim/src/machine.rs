@@ -192,20 +192,41 @@ impl Machine {
         self.tracer = Some(Tracer::resumed(capacity, retired));
     }
 
-    /// Steps the CPU once, through the attached tracer if any. Supervisors
-    /// (the DBT runtime, fault harnesses) should prefer this over calling
-    /// `cpu.step` directly so tracing stays transparent.
+    /// Steps the CPU once, through the attached tracer if any, and records
+    /// the retired instruction (its address and cycle cost) into the
+    /// attached profiler if any — so a profile does not depend on whether
+    /// an instruction retired here or in a [`Machine::run_burst`]. A trap
+    /// records nothing. Supervisors (the DBT runtime, fault harnesses)
+    /// should prefer this over calling `cpu.step` directly so tracing and
+    /// profiling stay transparent.
     ///
     /// # Errors
     ///
     /// Propagates the CPU's trap without committing state.
     pub fn step_cpu(&mut self) -> Result<Step, Trap> {
+        if self.profiler.is_some() {
+            return self.step_profiled();
+        }
         match (&mut self.tracer, &mut self.icache) {
             (Some(tracer), Some(ic)) => tracer.step_decoded(&mut self.cpu, &mut self.mem, ic),
             (Some(tracer), None) => tracer.step(&mut self.cpu, &mut self.mem),
             (None, Some(ic)) => self.cpu.step_decoded(&mut self.mem, ic),
             (None, None) => self.cpu.step(&mut self.mem),
         }
+    }
+
+    /// [`Machine::step_cpu`] with a profiler attached. Kept out of line: the
+    /// unprofiled step is the hot path of every stepped trial.
+    #[cold]
+    fn step_profiled(&mut self) -> Result<Step, Trap> {
+        let mut profiler = self.profiler.take().expect("profiler attached");
+        let (ip, cycles) = (self.cpu.ip(), self.cpu.stats().cycles);
+        let step = self.step_cpu();
+        if step.is_ok() {
+            profiler.record(ip, self.cpu.stats().cycles - cycles);
+        }
+        self.profiler = Some(profiler);
+        step
     }
 
     /// Decodes (without executing) the instruction at the current `ip`,
@@ -585,6 +606,35 @@ mod tests {
         let add_addr = prof.layout().code_base + 16;
         let (_, hits, _) = p.samples().find(|&(a, _, _)| a == add_addr).expect("loop body sampled");
         assert_eq!(hits, 5);
+    }
+
+    #[test]
+    fn stepped_and_burst_profiles_agree() {
+        use cfed_isa::AluOp;
+        let code = encode_all(&[
+            Inst::MovRI { dst: Reg::R0, imm: 4 },
+            Inst::MovRI { dst: Reg::R1, imm: 0 },
+            Inst::Alu { op: AluOp::Mul, dst: Reg::R1, src: Reg::R0 },
+            Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 },
+            Inst::Jcc { cc: cfed_isa::Cond::Ne, offset: -24 },
+            Inst::Out { src: Reg::R1 },
+            Inst::Halt,
+        ]);
+        let mut burst = Machine::load(&code, &[], 0);
+        burst.enable_profiler();
+        assert_eq!(burst.run_burst(1_000, u64::MAX), Ok(Step::Halt));
+
+        let mut stepped = Machine::load(&code, &[], 0);
+        stepped.enable_profiler();
+        while stepped.step_cpu() == Ok(Step::Continue) {}
+        assert_eq!(stepped.cpu, burst.cpu);
+
+        let samples = |m: &mut Machine| -> Vec<_> {
+            m.take_profiler().expect("profiler attached").samples().collect()
+        };
+        let expected = samples(&mut burst);
+        assert!(!expected.is_empty());
+        assert_eq!(samples(&mut stepped), expected);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Workload {
         src
     }
 
-    /// The workload's kernel source without cold padding.
-    pub fn kernel_source(&self, scale: Scale) -> String {
-        (self.gen)(self.scale_factor(scale))
-    }
-
     fn scale_factor(&self, scale: Scale) -> u64 {
         match scale {
             Scale::Test => self.test_scale,

@@ -34,9 +34,10 @@
 
 use cfed::core::{Category, RunConfig, TechniqueKind};
 use cfed::dbt::{native_enabled, UpdateStyle};
+use cfed::fault::SnapshotSet;
 use cfed::fault::{inject, pause_attack, AttackKind, AttackSpec, Outcome};
-use cfed::fault::{AttackExit, SnapshotSet};
 use cfed::lang::compile;
+use cfed::sim::ExitReason;
 
 const PROGRAM: &str = r#"
     fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
@@ -253,7 +254,7 @@ fn pause_attacks_are_bit_identical_across_engines() {
                         continue;
                     }
                     match &fused.exit {
-                        AttackExit::Halted { .. } => assert_eq!(
+                        ExitReason::Halted { .. } => assert_eq!(
                             fused.output, golden.output,
                             "{kind} {archetype} pause={pause} param={param}: \
                              silent corruption escaped detection"

@@ -3,9 +3,9 @@
 //! coverage claims validated by actual fault injection.
 
 use cfed::core::{run_dbt, run_native, Category, RunConfig, TechniqueKind};
-use cfed::dbt::{CheckPolicy, DbtExit, UpdateStyle};
+use cfed::dbt::{CheckPolicy, UpdateStyle};
 use cfed::fault::{Campaign, Outcome};
-use cfed::sim::Layout;
+use cfed::sim::{ExitReason, Layout};
 use cfed::workloads::{by_name, Scale};
 
 #[test]
@@ -41,7 +41,7 @@ fn policies_trade_checking_for_speed_on_a_real_workload() {
     for policy in CheckPolicy::ALL {
         let cfg = RunConfig { technique: Some(TechniqueKind::Rcf), policy, ..RunConfig::default() };
         let out = run_dbt(&image, &cfg);
-        assert!(matches!(out.exit, DbtExit::Halted { .. }));
+        assert!(matches!(out.exit, ExitReason::Halted { .. }));
         assert!(out.cycles <= last, "{policy} should not cost more than its stricter neighbour");
         last = out.cycles;
     }

@@ -26,10 +26,10 @@
 
 use cfed::asm::Image;
 use cfed::core::{run_dbt_native_enabled, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, regs, CheckPolicy, DbtExit, NativeDbt, UpdateStyle};
+use cfed::dbt::{native_enabled, regs, CheckPolicy, NativeDbt, UpdateStyle};
 use cfed::fuzz::shrink::rebuild_image;
 use cfed::lang::compile;
-use cfed::sim::Machine;
+use cfed::sim::{ExitReason, Machine};
 
 const PROGRAM: &str = r#"
     fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
@@ -97,7 +97,7 @@ fn static_branch_faults_behave_identically_under_native() {
 /// counts, and translator counters — everything the equivalence suite pins.
 #[derive(Debug, PartialEq, Eq)]
 struct CorruptOutcome {
-    exit: DbtExit,
+    exit: ExitReason,
     output: Vec<u64>,
     insts: u64,
     cycles: u64,
@@ -119,7 +119,7 @@ fn run_corrupted(
     let instr = kind.instrumenter_for(image, CheckPolicy::AllBb);
     let mut dbt = NativeDbt::with_native(instr, style, &mut m, native);
     let exit = match dbt.run(&mut m, pause) {
-        DbtExit::StepLimit => {
+        ExitReason::StepLimit => {
             let sig = m.cpu.reg(regs::PC_PRIME);
             m.cpu.set_reg(regs::PC_PRIME, sig ^ (1u64 << bit));
             dbt.run(&mut m, 2_000_000)
@@ -143,7 +143,7 @@ fn live_signature_faults_are_detected_or_benign_under_native() {
     }
     let image = compile(PROGRAM).expect("valid program");
     let golden = run_dbt_native_enabled(&image, &RunConfig::baseline(), true);
-    let DbtExit::Halted { .. } = golden.exit else {
+    let ExitReason::Halted { .. } = golden.exit else {
         panic!("golden run must halt, got {:?}", golden.exit)
     };
 
@@ -165,8 +165,8 @@ fn live_signature_faults_are_detected_or_benign_under_native() {
                          native and fallback disagree after signature corruption"
                     );
                     match &native.exit {
-                        DbtExit::Trapped(t) if t.is_cfe_report() => detections += 1,
-                        DbtExit::Halted { .. } => assert_eq!(
+                        ExitReason::Trapped(t) if t.is_cfe_report() => detections += 1,
+                        ExitReason::Halted { .. } => assert_eq!(
                             native.output, golden.output,
                             "{kind}/{style:?} pause={pause} bit={bit}: \
                              silent data corruption escaped detection"

@@ -15,65 +15,64 @@
 
 use cfed::asm::parse_asm;
 use cfed::fuzz::{run_oracle, Engine, GeneratedProgram, Tier};
-use cfed::sim::Trap;
-use cfed_dbt::DbtExit;
+use cfed::sim::{ExitReason, Trap};
 
 /// One row: a named program and the trap (or halt) it must produce.
 struct Row {
     name: &'static str,
     asm: &'static str,
-    expect: fn(&DbtExit) -> bool,
+    expect: fn(&ExitReason) -> bool,
 }
 
 const ROWS: &[Row] = &[
     Row {
         name: "halt-clean",
         asm: "entry:\n mov r0, 7\n halt\n",
-        expect: |e| matches!(e, DbtExit::Halted { code: 7 }),
+        expect: |e| matches!(e, ExitReason::Halted { code: 7 }),
     },
     Row {
         name: "div-by-zero",
         asm: "entry:\n mov r0, 5\n mov r1, 0\n div r0, r1\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::DivByZero { .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::DivByZero { .. })),
     },
     Row {
         name: "software-guest-assert",
         asm: "entry:\n trap 0xC0DE0002\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::Software { code: 0xC0DE_0002, .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::Software { code: 0xC0DE_0002, .. })),
     },
     Row {
         name: "software-custom-code",
         asm: "entry:\n trap 0x42\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::Software { code: 0x42, .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::Software { code: 0x42, .. })),
     },
     Row {
         // Page 0 is inside the address space but mapped with no
         // permissions.
         name: "perm-read-unmapped-low",
         asm: "entry:\n mov r1, 0\n ld r0, [r1+0]\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::PermRead { addr: 0 })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::PermRead { addr: 0 })),
     },
     Row {
         name: "out-of-range-load",
         asm: "entry:\n mov r1, 0x40000000\n ld r0, [r1+0]\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::OutOfRange { addr: 0x4000_0000 })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::OutOfRange { addr: 0x4000_0000 })),
     },
     Row {
         // The data region is mapped RW without execute; an indirect jump
         // into it must hit the execute-disable bit (category-F backstop).
         name: "perm-exec-jump-to-data",
         asm: "entry:\n mov r1, 0x200000\n jmp r1\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::PermExec { addr: 0x20_0000 })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::PermExec { addr: 0x20_0000 })),
     },
     Row {
         name: "unaligned-indirect-target",
         asm: "entry:\n mov r1, &lab\n lea r1, [r1+4]\n jmp r1\nlab:\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::UnalignedFetch { .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::UnalignedFetch { .. })),
     },
     Row {
         name: "unaligned-direct-offset",
         asm: "entry:\n jmp +4\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::UnalignedFetch { .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::UnalignedFetch { .. })),
     },
     Row {
         // Jumps past the last instruction but inside the last mapped code
@@ -81,7 +80,7 @@ const ROWS: &[Row] = &[
         // page-granular) and must decode-fault, on every path.
         name: "invalid-inst-off-the-end",
         asm: "entry:\n jmp +256\n halt\n",
-        expect: |e| matches!(e, DbtExit::Trapped(Trap::InvalidInst { .. })),
+        expect: |e| matches!(e, ExitReason::Trapped(Trap::InvalidInst { .. })),
     },
     Row {
         // Store into the program's own code page (rewriting an
@@ -90,7 +89,7 @@ const ROWS: &[Row] = &[
         // the fault invisibly and still halt cleanly.
         name: "smc-store-to-own-code",
         asm: "entry:\n mov r1, &patch\n ld r2, [r1+0]\n st [r1+0], r2\npatch:\n nop\n mov r0, 3\n halt\n",
-        expect: |e| matches!(e, DbtExit::Halted { code: 3 }),
+        expect: |e| matches!(e, ExitReason::Halted { code: 3 }),
     },
 ];
 
