@@ -3,20 +3,26 @@
 //! Functions that regenerate every table and figure of the paper's
 //! evaluation, shared by the `fig*` binaries and the integration tests:
 //!
-//! | paper artifact | function | binary |
-//! |---|---|---|
-//! | Figure 2 (error-model table) | [`fig2`] | `fig2_error_model` |
-//! | Figure 3 (SDC-prone categories) | [`fig2`] (derived) | `fig2_error_model` |
-//! | Figure 12 (per-benchmark slowdown) | [`fig12`] | `fig12_slowdown` |
-//! | Figure 14 (Jcc vs CMOVcc) | [`fig14`] | `fig14_update_style` |
-//! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` |
+//! | paper artifact | function | binary | engine |
+//! |---|---|---|---|
+//! | Figure 2 (error-model table) | [`fig2`] | `fig2_error_model` | decoded interpreter, branch to branch |
+//! | Figure 3 (SDC-prone categories) | [`fig2`] (derived) | `fig2_error_model` | as Figure 2 |
+//! | Figure 12 (per-benchmark slowdown) | [`fig12`] | `fig12_slowdown` | native DBT; decoded interpreter for DBT/native |
+//! | Figure 14 (Jcc vs CMOVcc) | [`fig14`] | `fig14_update_style` | native DBT |
+//! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` | native DBT |
+//!
+//! "Native DBT" is [`cfed_core::run_dbt_native`]: the DBT's x86-64
+//! backend where [`cfed_dbt::native_enabled`] allows it, else the fused
+//! interpreter (`CFED_NO_NATIVE=1`, non-x86-64 hosts). Every figure is a
+//! ratio of cost-model cycles, which both engines count bit-identically, so
+//! the output does not depend on which one ran.
 //!
 //! The §3/§4 coverage matrix and the §6 detection-latency table are one
 //! fault-injection study with one front end, `cfed-campaign` (in
 //! `cfed-serve`). The `perf_gate` binary writes and gates
 //! `BENCH_campaign.json`, the CI performance record.
 
-use cfed_core::{geomean, run_dbt, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
+use cfed_core::{geomean, run_dbt_native, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_fault::{analyze_image, ErrorModelTable};
 use cfed_runner::pool::parallel_map;
@@ -112,7 +118,8 @@ pub fn fig12(scale: Scale) -> Vec<SlowdownRow> {
     fig12_telemetry(scale, &Telemetry::off())
 }
 
-/// As [`fig12`], with each DBT run attached to a telemetry handle: every
+/// As [`fig12`], with each DBT run (native-first, through
+/// [`run_dbt_telemetry`]) attached to a telemetry handle: every
 /// run end emits a `dbt_stats` event (translation-time histogram, block
 /// and chain counters) to the handle's sink. The disabled handle costs
 /// one untaken branch per emit site, which is what the `< 3%` telemetry
@@ -216,12 +223,12 @@ pub fn fig14_with(scale: Scale, threads: usize) -> [[f64; 3]; 2] {
     let styles = [UpdateStyle::Jcc, UpdateStyle::CMov];
     let ratios = parallel_map(ALL.len(), threads, |i| {
         let img = image(&ALL[i], scale);
-        let base = run_dbt(&img, &RunConfig::baseline()).cycles as f64;
+        let base = run_dbt_native(&img, &RunConfig::baseline()).cycles as f64;
         let mut r = [[0.0f64; 3]; 2];
         for (si, &style) in styles.iter().enumerate() {
             for (ki, &kind) in kinds.iter().enumerate() {
                 let cfg = RunConfig { technique: Some(kind), style, ..RunConfig::default() };
-                r[si][ki] = run_dbt(&img, &cfg).cycles as f64 / base;
+                r[si][ki] = run_dbt_native(&img, &cfg).cycles as f64 / base;
             }
         }
         r
@@ -285,12 +292,12 @@ pub fn fig15_with(scale: Scale, threads: usize) -> Vec<PolicyRow> {
     parallel_map(ALL.len(), threads, |i| {
         let w = &ALL[i];
         let img = image(w, scale);
-        let base = run_dbt(&img, &RunConfig::baseline()).cycles as f64;
+        let base = run_dbt_native(&img, &RunConfig::baseline()).cycles as f64;
         let mut slowdowns = [0.0; 4];
         for (pi, policy) in CheckPolicy::ALL.into_iter().enumerate() {
             let cfg =
                 RunConfig { technique: Some(TechniqueKind::Rcf), policy, ..RunConfig::default() };
-            slowdowns[pi] = run_dbt(&img, &cfg).cycles as f64 / base;
+            slowdowns[pi] = run_dbt_native(&img, &cfg).cycles as f64 / base;
         }
         PolicyRow { name: w.name, suite: w.suite, slowdowns }
     })

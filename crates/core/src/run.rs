@@ -110,7 +110,9 @@ pub(crate) fn run_loaded(
     (RunOutcome::collect(exit, &mut m, dbt.stats()), profile)
 }
 
-/// Runs `image` under the DBT with the given configuration.
+/// Runs `image` under the DBT with the given configuration, on the fused
+/// interpreter: the reference the native-first [`run_dbt_native`] is
+/// checked against.
 ///
 /// # Examples
 ///
@@ -126,15 +128,17 @@ pub(crate) fn run_loaded(
 /// # Ok::<(), cfed_lang::CompileError>(())
 /// ```
 pub fn run_dbt(image: &Image, cfg: &RunConfig) -> RunOutcome {
-    run_dbt_telemetry(image, cfg, &Telemetry::off())
+    let instr = cfg.instrumenter(image);
+    run_loaded(image, instr, cfg.style, cfg.max_insts, false, &Telemetry::off(), false).0
 }
 
-/// As [`run_dbt`], with a telemetry handle attached to the translator: the
-/// run end emits a `dbt_stats` event (block/chain/eviction counters and
-/// the translation-time histogram) to the handle's sink. With the disabled
-/// handle this is exactly [`run_dbt`].
+/// As [`run_dbt_native`], with a telemetry handle attached to the
+/// translator: the run end emits a `dbt_stats` event (block/chain/eviction
+/// counters and the translation-time histogram) to the handle's sink. With
+/// the disabled handle this is exactly [`run_dbt_native`].
 pub fn run_dbt_telemetry(image: &Image, cfg: &RunConfig, telemetry: &Telemetry) -> RunOutcome {
-    run_loaded(image, cfg.instrumenter(image), cfg.style, cfg.max_insts, false, telemetry, false).0
+    let (instr, native) = (cfg.instrumenter(image), cfed_dbt::native_enabled());
+    run_loaded(image, instr, cfg.style, cfg.max_insts, native, telemetry, false).0
 }
 
 /// Runs `image` under the DBT with an explicit instrumenter (for custom or
@@ -169,7 +173,7 @@ pub fn run_dbt_with(
 /// # Ok::<(), cfed_lang::CompileError>(())
 /// ```
 pub fn run_dbt_native(image: &Image, cfg: &RunConfig) -> RunOutcome {
-    run_dbt_native_enabled(image, cfg, cfed_dbt::native_enabled())
+    run_dbt_telemetry(image, cfg, &Telemetry::off())
 }
 
 /// As [`run_dbt_native`] with an explicit native on/off switch, for

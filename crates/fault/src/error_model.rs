@@ -150,7 +150,7 @@ impl ErrorModelTable {
 }
 
 /// Result of analyzing one image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorModelReport {
     /// The accumulated probability table.
     pub table: ErrorModelTable,
@@ -164,6 +164,11 @@ pub struct ErrorModelReport {
 
 /// Runs `image` natively, applying the single-bit error model at every
 /// dynamic direct-branch execution.
+///
+/// The run goes branch to branch: a fused burst on the decoded interpreter
+/// ([`Machine::run_to_branch`]) retires the straight-line code up to the
+/// next branch, which is then analyzed and single-stepped. The report is
+/// the same as stepping and inspecting every instruction.
 ///
 /// # Examples
 ///
@@ -185,7 +190,19 @@ pub fn analyze_image(image: &Image, max_insts: u64) -> ErrorModelReport {
     let mut branches = 0u64;
     let mut indirect = 0u64;
 
+    // Branch to branch: a fused burst retires the straight-line code up to
+    // the next branch, which is then analyzed and stepped on its own.
+    let halted = |m: &Machine| ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
     let exit = loop {
+        let used = m.cpu.stats().insts;
+        if used >= max_insts {
+            break ExitReason::StepLimit;
+        }
+        match m.run_to_branch(max_insts - used) {
+            Ok(Step::Continue) => {}
+            Ok(Step::Halt) => break halted(&m),
+            Err(t) => break ExitReason::Trapped(t),
+        }
         if m.cpu.stats().insts >= max_insts {
             break ExitReason::StepLimit;
         }
@@ -201,7 +218,7 @@ pub fn analyze_image(image: &Image, max_insts: u64) -> ErrorModelReport {
         }
         match m.step_cpu() {
             Ok(Step::Continue) => {}
-            Ok(Step::Halt) => break ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) },
+            Ok(Step::Halt) => break halted(&m),
             Err(t) => break ExitReason::Trapped(t),
         }
     };
@@ -307,7 +324,10 @@ fn analyze_branch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfed_asm::Asm;
+    use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
     use cfed_lang::compile;
+    use cfed_sim::Trap;
 
     fn report(src: &str) -> ErrorModelReport {
         analyze_image(&compile(src).unwrap(), 5_000_000)
@@ -396,9 +416,8 @@ mod tests {
     /// Reference implementation: classify and record every one of the 38
     /// bits at every dynamic branch, no memoization. The production path
     /// must produce an identical table.
-    fn naive_report(src: &str, max_insts: u64) -> ErrorModelReport {
-        let image = compile(src).unwrap();
-        let cfg = Cfg::recover(&image);
+    fn naive_report(image: &Image, max_insts: u64) -> ErrorModelReport {
+        let cfg = Cfg::recover(image);
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
         let mut table = ErrorModelTable::default();
         let mut branches = 0u64;
@@ -449,9 +468,50 @@ mod tests {
         ErrorModelReport { table, exit, branches_analyzed: branches, indirect_skipped: indirect }
     }
 
+    /// Divides by a counter until it reaches zero, so the run ends in a
+    /// trap after a few laps of a `jcc` loop.
+    fn trapping_image() -> Image {
+        let mut a = Asm::new();
+        a.label("start");
+        a.movri(Reg::R0, 4);
+        a.label("loop");
+        a.movri(Reg::R1, 100);
+        a.alu(AluOp::Div, Reg::R1, Reg::R0);
+        a.alui(AluOp::Sub, Reg::R0, 1);
+        a.jcc(Cond::Ne, "loop");
+        a.alu(AluOp::Div, Reg::R1, Reg::R0);
+        a.halt();
+        a.assemble("start").unwrap()
+    }
+
+    /// From the second lap on, each lap stores a `jcc` (taken, to its own
+    /// fall-through) over the next instruction — a `nop` the first lap
+    /// decoded and executed — so a branch appears in code that was
+    /// straight-line when the lap's burst began.
+    fn self_modifying_image() -> Image {
+        let mut a = Asm::new();
+        let planted = a.data_bytes(&encode_all(&[Inst::Jcc { cc: Cond::Ne, offset: 0 }]));
+        a.label("start");
+        a.mov_addr(Reg::R3, planted);
+        a.ld(Reg::R2, Reg::R3, 0);
+        a.mov_label(Reg::R4, "slot");
+        a.movri(Reg::R0, 3);
+        a.label("loop");
+        a.jrz(Reg::R5, "slot");
+        a.st(Reg::R4, Reg::R2, 0);
+        a.label("slot");
+        a.nop();
+        a.movri(Reg::R5, 1);
+        a.alui(AluOp::Sub, Reg::R0, 1);
+        a.jcc(Cond::Ne, "loop");
+        a.halt();
+        a.assemble("start").unwrap()
+    }
+
     #[test]
     fn memoized_table_identical_to_naive_per_bit() {
-        let src = r#"
+        let work = compile(
+            r#"
             fn work(x) { if (x % 3 == 0) { return x * 2; } return x + 1; }
             fn main() {
                 let i = 0;
@@ -459,13 +519,30 @@ mod tests {
                 while (i < 150) { acc = acc + work(i); i = i + 1; }
                 out(acc);
             }
-        "#;
-        let fast = analyze_image(&compile(src).unwrap(), 5_000_000);
-        let slow = naive_report(src, 5_000_000);
-        assert_eq!(fast.table, slow.table, "memoized table must be bit-identical");
-        assert_eq!(fast.branches_analyzed, slow.branches_analyzed);
-        assert_eq!(fast.indirect_skipped, slow.indirect_skipped);
-        assert_eq!(fast.exit, slow.exit);
+        "#,
+        )
+        .unwrap();
+        let mut cases = vec![("work", work.clone(), 5_000_000)];
+        // Consecutive budgets: most end between two branches, some on one.
+        for budget in 1_000..1_008 {
+            cases.push(("work, cut short", work.clone(), budget));
+        }
+        cases.push(("trapping", trapping_image(), 5_000_000));
+        cases.push(("self-modifying", self_modifying_image(), 5_000_000));
+        for (name, image, max_insts) in &cases {
+            let fast = analyze_image(image, *max_insts);
+            let slow = naive_report(image, *max_insts);
+            assert_eq!(fast, slow, "{name} at max_insts {max_insts}");
+        }
+        let cut = analyze_image(&work, 1_003);
+        assert_eq!(cut.exit, ExitReason::StepLimit);
+        let trapped = analyze_image(&trapping_image(), 5_000_000);
+        assert!(matches!(trapped.exit, ExitReason::Trapped(Trap::DivByZero { .. })));
+        // Three laps of `jrz` and the loop's `jcc`, plus the planted `jcc`
+        // on the last two.
+        let smc = analyze_image(&self_modifying_image(), 5_000_000);
+        assert_eq!(smc.exit, ExitReason::Halted { code: 0 });
+        assert_eq!(smc.branches_analyzed, 8);
     }
 
     #[test]

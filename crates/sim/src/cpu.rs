@@ -549,7 +549,13 @@ impl Cpu {
         // The scratch profiler is never touched: the `PROF = false`
         // instantiation contains no profiling code, so this path is the
         // exact pre-profiler loop.
-        self.run_fused_impl::<false>(mem, icache, max, max_branches, &mut ExecProfiler::new())
+        self.run_fused_impl::<false, false>(
+            mem,
+            icache,
+            max,
+            max_branches,
+            &mut ExecProfiler::new(),
+        )
     }
 
     /// As [`Cpu::run_fused`], recording every retirement's address and
@@ -569,10 +575,18 @@ impl Cpu {
         max_branches: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
-        self.run_fused_impl::<true>(mem, icache, max, max_branches, prof)
+        self.run_fused_impl::<true, false>(mem, icache, max, max_branches, prof)
     }
 
-    fn run_fused_impl<const PROF: bool>(
+    /// The fused loop behind [`Cpu::run_fused`] and
+    /// [`Cpu::run_fused_profiled`]. With `STOP`, the burst also ends
+    /// *before* executing the next branch: the line about to execute is
+    /// classified after the page-generation check, so a store that
+    /// rewrites a line ahead of `ip` into a branch stops the burst there.
+    /// A branch stopped at is neither executed, cached nor counted as a
+    /// fetch, so the CPU and the hit/miss counters are exactly those of
+    /// per-instruction stepping up to the branch.
+    pub(crate) fn run_fused_impl<const PROF: bool, const STOP: bool>(
         &mut self,
         mem: &mut Memory,
         icache: &mut DecodedCache,
@@ -635,15 +649,20 @@ impl Cpu {
                     let bytes: [u8; 8] = mem.peek(ip, 8).try_into().expect("aligned within page");
                     match Inst::decode(&bytes) {
                         Ok(inst) => {
-                            misses += 1;
                             line = icache::Line::new(inst, ip);
-                            page.lines[li & (LINES_PER_PAGE - 1)] = line;
+                            if !(STOP && line.class >= icache::C_JMP) {
+                                misses += 1;
+                                page.lines[li & (LINES_PER_PAGE - 1)] = line;
+                            }
                         }
                         Err(cause) => {
                             self.stats.traps += 1;
                             break 'outer Err(Trap::InvalidInst { addr: ip, cause });
                         }
                     }
+                }
+                if STOP && line.class >= icache::C_JMP {
+                    break 'outer Ok(Step::Continue);
                 }
                 let (_, taken, next) =
                     match self.exec_inst_impl::<true>(mem, ip, line.inst, line.target) {

@@ -275,6 +275,46 @@ impl Machine {
         }
     }
 
+    /// As [`Machine::run_burst`] with no branch budget, but stopping
+    /// *before* the next branch instead of after it: on `Ok(Step::Continue)`
+    /// either `max_steps` instructions retired or `ip` is at a branch that
+    /// has not executed nor been fetched. The CPU and the decode cache's hit
+    /// and miss counters read as if the machine had been stepped up to the
+    /// branch; a page invalidation, being lazy, may be counted one fetch
+    /// earlier. Analyzers that inspect every dynamic branch burst between
+    /// them with this and step the branch itself through
+    /// [`Machine::step_cpu`].
+    ///
+    /// # Errors
+    ///
+    /// The first trap raised, exactly as the equivalent individual steps.
+    pub fn run_to_branch(&mut self, max_steps: u64) -> Result<Step, Trap> {
+        match (&mut self.icache, &mut self.profiler) {
+            (Some(ic), Some(p)) => {
+                self.cpu.run_fused_impl::<true, true>(&mut self.mem, ic, max_steps, u64::MAX, p)
+            }
+            (Some(ic), None) => self.cpu.run_fused_impl::<false, true>(
+                &mut self.mem,
+                ic,
+                max_steps,
+                u64::MAX,
+                &mut ExecProfiler::new(),
+            ),
+            (None, _) => {
+                let insts = self.cpu.stats().insts;
+                while self.cpu.stats().insts - insts < max_steps {
+                    if self.cpu.peek_inst(&self.mem).is_ok_and(|inst| inst.is_branch()) {
+                        break;
+                    }
+                    if self.cpu.step(&mut self.mem)? == Step::Halt {
+                        return Ok(Step::Halt);
+                    }
+                }
+                Ok(Step::Continue)
+            }
+        }
+    }
+
     /// The machine's layout.
     pub fn layout(&self) -> &Layout {
         &self.layout
@@ -635,6 +675,100 @@ mod tests {
         let expected = samples(&mut burst);
         assert!(!expected.is_empty());
         assert_eq!(samples(&mut stepped), expected);
+    }
+
+    /// The reference for [`Machine::run_to_branch`]: single steps until the
+    /// budget, a halt, a trap, or an upcoming branch, peeking with the
+    /// statistics-neutral raw decoder.
+    fn step_to_branch(m: &mut Machine, max_steps: u64) -> Result<Step, Trap> {
+        let insts = m.cpu.stats().insts;
+        while m.cpu.stats().insts - insts < max_steps {
+            if m.cpu.peek_inst(&m.mem).is_ok_and(|inst| inst.is_branch()) {
+                break;
+            }
+            if m.step_cpu()? == Step::Halt {
+                return Ok(Step::Halt);
+            }
+        }
+        Ok(Step::Continue)
+    }
+
+    /// Runs `code` to the next branch once per budget in `budgets`, by
+    /// burst and by single steps, stepping each branch reached in between;
+    /// both machines must agree after every leg. Returns the burst machine
+    /// and its last result.
+    fn burst_matches_steps(code: &[u8], data: &[u8], budgets: &[u64]) -> (Machine, Step) {
+        let mut burst = Machine::load(code, data, 0);
+        let mut stepped = Machine::load(code, data, 0);
+        let mut last = Ok(Step::Continue);
+        for &budget in budgets {
+            if burst.cpu.peek_inst(&burst.mem).is_ok_and(|inst| inst.is_branch()) {
+                assert_eq!(burst.step_cpu(), stepped.step_cpu());
+            }
+            last = burst.run_to_branch(budget);
+            assert_eq!(last, step_to_branch(&mut stepped, budget), "budget {budget}");
+            assert_eq!(burst.cpu, stepped.cpu, "registers, flags, ip and stats");
+            let fetches = |m: &Machine| m.decode_cache_stats().map(|s| (s.hits, s.misses));
+            assert_eq!(fetches(&burst), fetches(&stepped), "decode-cache hits and misses");
+        }
+        (burst, last.unwrap_or_else(|t| panic!("unexpected trap {t:?}")))
+    }
+
+    #[test]
+    fn run_to_branch_stops_where_single_steps_do() {
+        use cfed_isa::{AluOp, Cond};
+        let base = Layout::default().code_base;
+
+        // A budget that runs out mid-straight-line, on the third lap of a
+        // loop (its body is then a decode-cache hit).
+        let looped = encode_all(&[
+            Inst::MovRI { dst: Reg::R0, imm: 3 },
+            Inst::MovRI { dst: Reg::R1, imm: 0 },
+            Inst::Alu { op: AluOp::Add, dst: Reg::R1, src: Reg::R0 },
+            Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 },
+            Inst::Jcc { cc: Cond::Ne, offset: -24 },
+            Inst::Halt,
+        ]);
+        let (m, step) = burst_matches_steps(&looped, &[], &[100, 100, 1]);
+        assert_eq!(step, Step::Continue);
+        assert_eq!(m.cpu.ip(), base + 24, "one instruction into the third lap");
+        assert_eq!(m.cpu.stats().branches, 2);
+        assert!(m.decode_cache_stats().unwrap().hits > 0);
+
+        // A trap before any branch.
+        let trapping = encode_all(&[
+            Inst::MovRI { dst: Reg::R0, imm: 10 },
+            Inst::Alu { op: AluOp::Div, dst: Reg::R0, src: Reg::R1 },
+            Inst::Jmp { offset: 0 },
+        ]);
+        let mut burst = Machine::load(&trapping, &[], 0);
+        let mut stepped = Machine::load(&trapping, &[], 0);
+        let trap = Trap::DivByZero { addr: base + 8 };
+        assert_eq!(burst.run_to_branch(100), Err(trap));
+        assert_eq!(step_to_branch(&mut stepped, 100), Err(trap));
+        assert_eq!(burst.cpu, stepped.cpu);
+        assert_eq!(burst.cpu.stats().traps, 1);
+        assert_eq!(burst.decode_cache_stats(), stepped.decode_cache_stats());
+
+        // A store that rewrites the next instruction, a `nop` an earlier lap
+        // decoded and executed, into a branch: the burst must drop the
+        // stale line and stop at the planted `jcc` without executing it.
+        let planted = Inst::Jcc { cc: Cond::E, offset: 8 };
+        let smc = encode_all(&[
+            Inst::MovRI { dst: Reg::R3, imm: Layout::default().data_base as i32 },
+            Inst::Ld { dst: Reg::R2, base: Reg::R3, disp: 0 },
+            Inst::MovRI { dst: Reg::R4, imm: base as i32 },
+            Inst::JRz { src: Reg::R5, offset: 8 },
+            Inst::St { base: Reg::R4, src: Reg::R2, disp: 40 },
+            Inst::Nop,
+            Inst::MovRI { dst: Reg::R5, imm: 1 },
+            Inst::Jmp { offset: -40 },
+        ]);
+        let (m, step) = burst_matches_steps(&smc, &planted.encode(), &[100; 4]);
+        assert_eq!(step, Step::Continue);
+        assert_eq!(m.cpu.ip(), base + 40, "stopped at the planted jcc");
+        assert_eq!(m.cpu.stats().branches, 3);
+        assert_eq!(m.decode_cache_stats().unwrap().invalidations, 1);
     }
 
     #[test]
