@@ -119,15 +119,6 @@ impl Image {
         self.base + idx as u64 * INST_SIZE_U64
     }
 
-    /// The instruction at an absolute address, if it lies in the image and is
-    /// instruction-aligned.
-    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
-        if addr < self.base || !(addr - self.base).is_multiple_of(INST_SIZE_U64) {
-            return None;
-        }
-        self.insts.get(((addr - self.base) / INST_SIZE_U64) as usize).copied()
-    }
-
     /// Disassembly listing with symbol annotations.
     pub fn listing(&self) -> String {
         use std::fmt::Write as _;
@@ -180,15 +171,6 @@ mod tests {
         assert_eq!(img.addr_of(1), DEFAULT_CODE_BASE + 8);
         assert_eq!(img.len(), 2);
         assert!(!img.is_empty());
-    }
-
-    #[test]
-    fn inst_at_alignment() {
-        let img = small_image();
-        assert!(img.inst_at(img.base()).is_some());
-        assert!(img.inst_at(img.base() + 4).is_none());
-        assert!(img.inst_at(img.base() - 8).is_none());
-        assert!(img.inst_at(img.base() + 800).is_none());
     }
 
     #[test]

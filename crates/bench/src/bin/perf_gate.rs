@@ -483,7 +483,7 @@ fn bench_error_model(quiet: bool) -> Result<Mips, String> {
 /// Measures what having the profiler hook in the dispatch path costs when
 /// no profiler is attached: `Machine::run` (which checks for a profiler
 /// once per run and falls through to the unprofiled fused loop) versus
-/// calling `Cpu::run_decoded` directly (the base) on the same image. Both
+/// calling `Cpu::run_fused` directly (the base) on the same image. Both
 /// laps are the same monomorphized interpreter; the gate asserts the
 /// profiler plumbing stays off the hot path. The laps must retire
 /// bit-identical runs.
@@ -514,21 +514,19 @@ fn bench_profiler_off_once() -> Result<Mips, String> {
         let best = paired_laps(REPS, |side| {
             let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
             let timer = Instant::now();
-            let exit = if side == 1 {
-                m.run(u64::MAX)
+            if side == 1 {
+                let _ = m.run(u64::MAX);
             } else {
                 let mut ic = m.icache.take().expect("decode cache attached by default");
-                m.cpu.run_decoded(&mut m.mem, &mut ic, u64::MAX)
-            };
+                let _ = m.cpu.run_fused(&mut m.mem, &mut ic, u64::MAX, u64::MAX);
+            }
             let secs = timer.elapsed().as_secs_f64();
-            let stats = m.cpu.stats();
-            if !same_as_first(
-                &mut reference,
-                (exit, m.cpu.take_output(), stats.insts, stats.cycles),
-            ) {
+            // The whole CPU (registers, halt flag, output, counters) pins
+            // the two laps to the same run.
+            if !same_as_first(&mut reference, m.cpu.clone()) {
                 return Err(format!("dispatch divergence on {}", spec.key()));
             }
-            lap_insts = stats.insts;
+            lap_insts = m.cpu.stats().insts;
             Ok(secs)
         })?;
         insts += lap_insts;

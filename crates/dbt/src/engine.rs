@@ -338,19 +338,20 @@ impl Dbt {
     }
 
     /// Executes one block-fused burst ([`Machine::run_burst`]) under DBT
-    /// supervision: at most `max_insts` instructions, ending right after
-    /// `max_branches` branches retire, with the trap that ends a burst
-    /// serviced exactly as [`Dbt::step`] services it. Architecturally
+    /// supervision: at most `max_insts` instructions, ending in front of a
+    /// branch once `stop_at` branches have retired (`u64::MAX`: never),
+    /// with the trap that ends a burst serviced exactly as [`Dbt::step`]
+    /// services it. Architecturally
     /// identical to the equivalent run of single steps (the attached
     /// tracer, if any, is not fed — traced callers must use
     /// [`Dbt::step`]).
-    pub fn burst(&mut self, m: &mut Machine, max_insts: u64, max_branches: u64) -> DbtStep {
+    pub fn burst(&mut self, m: &mut Machine, max_insts: u64, stop_at: u64) -> DbtStep {
         if !self.attached {
             if let Err(t) = self.attach(m) {
                 return DbtStep::Exit(t);
             }
         }
-        let step = m.run_burst(max_insts, max_branches);
+        let step = m.run_burst(max_insts, stop_at);
         self.supervise(m, step)
     }
 

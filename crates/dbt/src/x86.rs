@@ -159,16 +159,6 @@ pub fn jmp_rel32_bytes(site: u64, target: u64) -> [u8; 5] {
     [0xE9, d[0], d[1], d[2], d[3]]
 }
 
-/// Builds the bytes of `jmp rel8` from `site` to `target`.
-///
-/// # Panics
-///
-/// Panics if the displacement does not fit in `i8`.
-pub fn jmp_rel8_bytes(site: u64, target: u64) -> [u8; 2] {
-    let rel = rel8(site, 2, target);
-    [0xEB, rel as u8]
-}
-
 /// Builds the bytes of `jcc rel32` from `site` to `target`.
 ///
 /// # Panics
@@ -180,24 +170,9 @@ pub fn jcc_rel32_bytes(cond: u8, site: u64, target: u64) -> [u8; 6] {
     [0x0F, 0x80 | cond, d[0], d[1], d[2], d[3]]
 }
 
-/// Builds the bytes of `jcc rel8` from `site` to `target`.
-///
-/// # Panics
-///
-/// Panics if the displacement does not fit in `i8`.
-pub fn jcc_rel8_bytes(cond: u8, site: u64, target: u64) -> [u8; 2] {
-    let rel = rel8(site, 2, target);
-    [0x70 | cond, rel as u8]
-}
-
 fn rel32(site: u64, len: u64, target: u64) -> i32 {
     let rel = (target as i64) - (site as i64) - (len as i64);
     i32::try_from(rel).expect("rel32 displacement out of range")
-}
-
-fn rel8(site: u64, len: u64, target: u64) -> i8 {
-    let rel = (target as i64) - (site as i64) - (len as i64);
-    i8::try_from(rel).expect("rel8 displacement out of range")
 }
 
 /// A position-aware x86-64 instruction builder.
@@ -556,20 +531,6 @@ impl Asm {
         self.modrm_mem(0, base, disp);
     }
 
-    /// `add qword [base + disp], imm` (imm8 form when it fits).
-    pub fn add_mem_imm(&mut self, base: HostReg, disp: i32, imm: i32) {
-        self.rex(true, 0, 0, base.0);
-        if let Ok(d) = i8::try_from(imm) {
-            self.buf.push(0x83);
-            self.modrm_mem(0, base, disp);
-            self.buf.push(d as u8);
-        } else {
-            self.buf.push(0x81);
-            self.modrm_mem(0, base, disp);
-            self.buf.extend_from_slice(&imm.to_le_bytes());
-        }
-    }
-
     /// `lea dst, [base + disp]` — flag-free add.
     pub fn lea(&mut self, dst: HostReg, base: HostReg, disp: i32) {
         self.rex(true, dst.0, 0, base.0);
@@ -740,6 +701,11 @@ mod tests {
         Asm::new(0)
     }
 
+    /// Appends `n` one-byte `nop`s.
+    fn pad(a: &mut Asm, n: usize) {
+        a.buf.resize(a.buf.len() + n, 0x90);
+    }
+
     #[track_caller]
     fn check(f: impl FnOnce(&mut Asm), want: &[u8]) {
         let mut a = asm();
@@ -822,7 +788,6 @@ mod tests {
         check(|a| a.alu_ri(Alu::Sub, RSP, 8), &[0x48, 0x83, 0xEC, 0x08]);
         check(|a| a.cmp_mem_imm8(RBP, 0x90, 0), &[0x48, 0x83, 0xBD, 0x90, 0, 0, 0, 0x00]);
         check(|a| a.inc_mem(RBP, 0xA0), &[0x48, 0xFF, 0x85, 0xA0, 0, 0, 0]);
-        check(|a| a.add_mem_imm(RBP, 0x20, 12), &[0x48, 0x83, 0x45, 0x20, 12]);
         check(|a| a.neg(RAX), &[0x48, 0xF7, 0xD8]);
         check(|a| a.not(RCX), &[0x48, 0xF7, 0xD1]);
         check(|a| a.imul_rr(RAX, RCX), &[0x48, 0x0F, 0xAF, 0xC1]);
@@ -875,17 +840,27 @@ mod tests {
         check(|a| a.ret(), &[0xC3]);
     }
 
-    /// The chaining protocol rewrites exit sites with rel8/rel32 jumps;
-    /// cover every condition code in both widths, forward and backward.
+    /// Rel8 jumps go through label fixups, rel32 ones also through the
+    /// byte builders the chaining protocol uses to rewrite exit sites;
+    /// cover every condition code in both widths, forward and backward, at
+    /// the rel8 reach limits.
     #[test]
     fn jcc_and_jmp_rel8_vs_rel32_patching() {
         for cond in 0..16u8 {
-            // rel8 forward: site at 0x1000, target site+2+0x7F (max i8).
-            let b = jcc_rel8_bytes(cond, 0x1000, 0x1000 + 2 + 0x7F);
-            assert_eq!(b, [0x70 | cond, 0x7F]);
+            // rel8 forward: the label binds 0x7F bytes past the jcc (max i8).
+            let mut a = asm();
+            let fwd = a.new_label();
+            a.jcc_short(cond, fwd);
+            pad(&mut a, 0x7F);
+            a.bind(fwd);
+            assert_eq!(&a.bytes()[..2], &[0x70 | cond, 0x7F]);
             // rel8 backward: max negative reach.
-            let b = jcc_rel8_bytes(cond, 0x1000, 0x1000 + 2 - 0x80);
-            assert_eq!(b, [0x70 | cond, 0x80]);
+            let mut a = asm();
+            let back = a.new_label();
+            a.bind(back);
+            pad(&mut a, 0x7E);
+            a.jcc_short(cond, back);
+            assert_eq!(&a.bytes()[0x7E..], &[0x70 | cond, 0x80]);
             // rel32 forward and backward with multi-byte displacements.
             let b = jcc_rel32_bytes(cond, 0x4000_0000, 0x4000_0000 + 6 + 0x0102_0304);
             assert_eq!(b, [0x0F, 0x80 | cond, 0x04, 0x03, 0x02, 0x01]);
@@ -893,8 +868,16 @@ mod tests {
             let want = (-0x0102_0304i32).to_le_bytes();
             assert_eq!(&b[2..], &want);
         }
-        assert_eq!(jmp_rel8_bytes(0x2000, 0x2000 + 2 + 0x10), [0xEB, 0x10]);
-        assert_eq!(jmp_rel8_bytes(0x2000, 0x2000), [0xEB, 0xFE]); // self-loop
+        let mut a = asm();
+        let fwd = a.new_label();
+        a.jmp_short(fwd);
+        pad(&mut a, 0x10);
+        a.bind(fwd);
+        let top = a.new_label();
+        a.bind(top);
+        a.jmp_short(top); // self-loop
+        assert_eq!(&a.bytes()[..2], &[0xEB, 0x10]);
+        assert_eq!(&a.bytes()[0x12..], &[0xEB, 0xFE]);
         assert_eq!(jmp_rel32_bytes(0x1_0000, 0x2_0000), [0xE9, 0xFB, 0xFF, 0x00, 0x00]);
         let back = jmp_rel32_bytes(0x2_0000, 0x1_0000);
         assert_eq!(back[0], 0xE9);
@@ -902,9 +885,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rel8 displacement out of range")]
+    #[should_panic(expected = "rel8 fixup out of range")]
     fn rel8_overflow_panics() {
-        jmp_rel8_bytes(0x1000, 0x1000 + 2 + 0x80);
+        let mut a = asm();
+        let out = a.new_label();
+        a.jmp_short(out);
+        pad(&mut a, 0x80);
+        a.bind(out);
     }
 
     #[test]

@@ -467,7 +467,7 @@ impl AttackModel {
         let mut surface = AttackSurface::new();
         let budget = self.config.max_insts;
         loop {
-            match advance_to_branch(&mut m, &mut dbt, surface.branches, budget, true, &mut 0) {
+            match advance_to_branch(&mut m, &mut dbt, surface.branches, budget, true) {
                 Advance::AtBranch => {
                     for kind in AttackKind::ALL {
                         match plan_attack(&mut m, &dbt, image, kind, surface.branches) {

@@ -578,9 +578,11 @@ mod tests {
         let cfg = RunConfig::technique(TechniqueKind::EdgCf);
         let c = Campaign::new(cfg, 128);
         let (golden, snaps) = crate::snapshot::SnapshotSet::capture(&img, &cfg).unwrap();
+        let mut placed = 0;
         for shard in 0..c.num_shards() {
             let scratch = c.run_shard(&img, &golden, shard).unwrap();
             let fast = c.run_shard_with(&img, &golden, Some(&snaps), shard, |_, _| {}).unwrap();
+            placed += Category::ALL.iter().map(|&c| fast.category(c).total()).sum::<u64>();
             for cat in Category::ALL {
                 assert_eq!(scratch.category(cat), fast.category(cat), "shard {shard}");
             }
@@ -594,7 +596,9 @@ mod tests {
         let stats = snaps.stats();
         assert!(stats.restores > 0, "fast path must actually restore checkpoints");
         assert!(stats.branches_fast_forwarded > stats.branches_stepped);
-        assert!(stats.insts_fused > stats.insts_stepped, "trials must run mostly fused");
+        // Bursts stop in front of the strike branch, so a fast-path trial
+        // single-steps at most its faulted instruction.
+        assert!(stats.insts_stepped <= placed, "{} stepped, {placed} placed", stats.insts_stepped);
     }
 
     #[test]

@@ -166,8 +166,9 @@ pub struct ErrorModelReport {
 /// dynamic direct-branch execution.
 ///
 /// The run goes branch to branch: a fused burst on the decoded interpreter
-/// ([`Machine::run_to_branch`]) retires the straight-line code up to the
-/// next branch, which is then analyzed and single-stepped. The report is
+/// ([`Machine::run_burst`], stopping in front of the next branch) retires
+/// the straight-line code up to it, and the branch is then analyzed and
+/// single-stepped. The report is
 /// the same as stepping and inspecting every instruction.
 ///
 /// # Examples
@@ -198,7 +199,7 @@ pub fn analyze_image(image: &Image, max_insts: u64) -> ErrorModelReport {
         if used >= max_insts {
             break ExitReason::StepLimit;
         }
-        match m.run_to_branch(max_insts - used) {
+        match m.run_burst(max_insts - used, m.cpu.stats().branches) {
             Ok(Step::Continue) => {}
             Ok(Step::Halt) => break halted(&m),
             Err(t) => break ExitReason::Trapped(t),

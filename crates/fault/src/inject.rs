@@ -231,7 +231,7 @@ pub fn golden_pass(
     let mut from = 0;
     loop {
         let target = builder.as_ref().map_or(u64::MAX, |b| b.next_capture(from));
-        match advance_to_branch(&mut m, &mut dbt, target, cfg.max_insts, true, &mut 0) {
+        match advance_to_branch(&mut m, &mut dbt, target, cfg.max_insts, true) {
             Advance::AtBranch => {
                 // About to execute dynamic branch `target`: the same instant
                 // a trial's prefix identifies as branch `target`, which is
@@ -273,8 +273,7 @@ pub enum Advance {
 
 /// The one trial driver: runs until the machine is about to execute
 /// dynamic branch `target` (0-based), the run ends, or `budget` total
-/// instructions have retired. Adds the instructions it single-stepped to
-/// `stepped`.
+/// instructions have retired.
 ///
 /// Dynamic branches are indexed by [`cfed_sim::ExecStats::branches`]: in
 /// translated code every branch is a direct `jmp`/`jcc`/`jrz`/`jrnz`
@@ -282,35 +281,27 @@ pub enum Advance {
 /// exits), which cannot trap, and the DBT's trap servicing only ever
 /// re-executes non-branch guest instructions, so the retired-branch count
 /// is exactly the index of the next branch about to execute. With `fused`
-/// the driver therefore bursts on the block-fused engine ([`Dbt::burst`])
-/// until `target` branches have retired, then single-steps only the few
-/// non-branch instructions before the next branch. Without it every
-/// instruction goes through [`Dbt::step`] — the reference path, and the
-/// only one that feeds an attached tracer.
+/// the driver therefore bursts on the block-fused engine ([`Dbt::burst`]),
+/// which stops in front of the first branch met once `target` branches
+/// have retired. Without it every instruction goes through [`Dbt::step`] —
+/// the reference path, and the only one that feeds an attached tracer.
 pub fn advance_to_branch(
     m: &mut Machine,
     dbt: &mut Dbt,
     target: u64,
     budget: u64,
     fused: bool,
-    stepped: &mut u64,
 ) -> Advance {
     debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
     loop {
-        let (insts, branches) = (m.cpu.stats().insts, m.cpu.stats().branches);
+        let insts = m.cpu.stats().insts;
         if insts >= budget {
             return Advance::OutOfBudget;
         }
-        let step = if fused && branches < target {
-            dbt.burst(m, budget - insts, target - branches)
-        } else {
-            if branches >= target && m.peek_inst().is_ok_and(|i| i.is_branch()) {
-                return Advance::AtBranch;
-            }
-            let step = dbt.step(m);
-            *stepped += m.cpu.stats().insts - insts;
-            step
-        };
+        if m.cpu.stats().branches >= target && m.peek_inst().is_ok_and(|i| i.is_branch()) {
+            return Advance::AtBranch;
+        }
+        let step = if fused { dbt.burst(m, budget - insts, target) } else { dbt.step(m) };
         match step {
             DbtStep::Continue => {}
             DbtStep::Halted => return Advance::Halted,
@@ -436,11 +427,12 @@ fn run_trial_inner(
     // diffed against, and traced runs step to feed the tracer.
     let fused = usable.is_some() && trace_capacity.is_none();
     let insts_at_start = m.cpu.stats().insts;
-    let mut stepped = 0;
+    // Instructions single-stepped on the fused path: the faulted step's.
+    let mut faulted_insts = 0;
     let mut provenance = None;
 
     // Phase 1: run to the injection point.
-    let injected = match advance_to_branch(&mut m, &mut dbt, nth, budget, fused, &mut stepped) {
+    let injected = match advance_to_branch(&mut m, &mut dbt, nth, budget, fused) {
         Advance::AtBranch => {
             let insts = m.cpu.stats().insts;
             let applied = match spec {
@@ -450,7 +442,7 @@ fn run_trial_inner(
                     s
                 }),
             };
-            stepped += m.cpu.stats().insts - insts;
+            faulted_insts = m.cpu.stats().insts - insts;
             applied
         }
         // Budget exhausted or the program ended before the nth branch.
@@ -487,7 +479,7 @@ fn run_trial_inner(
             // retired-branch counters differ).
             let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
             let target = next.map_or(u64::MAX, |s| s.branch_index);
-            match advance_to_branch(&mut m, &mut dbt, target, budget, fused, &mut stepped) {
+            match advance_to_branch(&mut m, &mut dbt, target, budget, fused) {
                 Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
                     break Advance::AtBranch
                 }
@@ -510,7 +502,9 @@ fn run_trial_inner(
         Advance::Trapped(t) => (outcome_of_trap(t), None),
     };
     if let Some(s) = usable {
-        s.note_insts(m.cpu.stats().insts - insts_at_start - stepped, stepped);
+        let insts = m.cpu.stats().insts - insts_at_start;
+        let stepped = if fused { faulted_insts } else { insts };
+        s.note_insts(insts - stepped, stepped);
     }
 
     let result = InjectionResult {

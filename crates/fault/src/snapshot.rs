@@ -201,8 +201,9 @@ pub struct SnapshotStats {
     pub benign_pruned: u64,
     /// Trial instructions retired in block-fused bursts.
     pub insts_fused: u64,
-    /// Trial instructions single-stepped: the faulted instruction, the
-    /// non-branch tail before each stop, and traced runs.
+    /// Trial instructions single-stepped: the faulted instruction (at most
+    /// one per trial, since bursts stop in front of the strike branch) and
+    /// every instruction of a traced run.
     pub insts_stepped: u64,
 }
 

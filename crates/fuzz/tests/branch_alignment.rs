@@ -1,11 +1,12 @@
-//! Counter alignment for the branch-budgeted trial driver.
+//! Counter alignment for the burst trial driver.
 //!
 //! Fault injection names its site as "the nth dynamic branch about to
 //! execute"; the trial driver (`cfed_fault::advance_to_branch`) finds that
-//! instant from `ExecStats::branches`, which counts *retired* branches,
-//! bursting on the block-fused engine in between. The two counts agree
-//! only because translated code never traps on a branch and the DBT's trap
-//! servicing never retires one. These properties pin that agreement on
+//! instant from `ExecStats::branches`, which counts *retired* branches:
+//! its bursts on the block-fused engine stop in front of a branch once that
+//! count reaches the target. The two counts agree only because translated
+//! code never traps on a branch and the DBT's trap servicing never retires
+//! one. These properties pin that agreement on
 //! the fuzzer's seed-pure programs — self-modifying stores, jump tables,
 //! call/return, DBT exit stubs — against a single-stepping reference that
 //! counts branches by decoding ahead, and check that the burst driver
@@ -82,18 +83,17 @@ fn step_reference(image: &Image, cfg: &RunConfig, every: u64) -> Reference {
 
 /// Drives the same run through the burst driver, stopping at every
 /// `every`-th branch, and demands the reference's state at each stop and
-/// at the end. Returns the instructions the driver single-stepped.
-fn check_burst_driver(image: &Image, cfg: &RunConfig, every: u64) -> u64 {
+/// at the end.
+fn check_burst_driver(image: &Image, cfg: &RunConfig, every: u64) {
     let reference = step_reference(image, cfg, every);
     let (mut m, mut dbt) = attached(image, cfg);
-    let mut stepped = 0;
     for (i, cpu) in reference.at.iter().enumerate() {
         let target = i as u64 * every;
-        let stop = advance_to_branch(&mut m, &mut dbt, target, BUDGET, true, &mut stepped);
+        let stop = advance_to_branch(&mut m, &mut dbt, target, BUDGET, true);
         assert_eq!(stop, Advance::AtBranch, "target branch {}", target);
         assert_eq!(&m.cpu, cpu, "state at branch {}", target);
     }
-    let end = advance_to_branch(&mut m, &mut dbt, u64::MAX, BUDGET, true, &mut stepped);
+    let end = advance_to_branch(&mut m, &mut dbt, u64::MAX, BUDGET, true);
     assert_eq!(end, reference.end);
     assert_eq!(&m.cpu, &reference.final_cpu);
     if end == Advance::Halted {
@@ -101,7 +101,6 @@ fn check_burst_driver(image: &Image, cfg: &RunConfig, every: u64) -> u64 {
         assert_eq!(golden.branches, reference.branches);
         assert_eq!(golden.insts, reference.final_cpu.stats().insts);
     }
-    stepped
 }
 
 proptest! {

@@ -108,10 +108,6 @@ impl Flags {
     pub fn pf(self) -> bool {
         self.get(Self::PF)
     }
-    /// Adjust flag (carry out of bit 3).
-    pub fn af(self) -> bool {
-        self.get(Self::AF)
-    }
     /// Zero flag.
     pub fn zf(self) -> bool {
         self.get(Self::ZF)

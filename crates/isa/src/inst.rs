@@ -234,11 +234,6 @@ impl Inst {
         self.is_branch() | matches!(self, Inst::Halt | Inst::Trap { .. })
     }
 
-    /// Returns `true` for call instructions (direct or indirect).
-    pub fn is_call(&self) -> bool {
-        matches!(self, Inst::Call { .. } | Inst::CallR { .. })
-    }
-
     /// The encoded `rel32` offset of a direct branch, if any.
     pub fn branch_offset(&self) -> Option<i32> {
         match self {

@@ -523,18 +523,20 @@ impl Cpu {
     /// executing page's write generation, at any transfer off the page or
     /// to an unaligned target, on halt, trap or the budget.
     ///
-    /// The burst also ends right after `max_branches` branches retire
-    /// (counted as [`ExecStats::branches`] counts them), so supervisors can
-    /// stop at a chosen dynamic branch without inspecting every
-    /// instruction: the limit is checked only on the branch path, where the
-    /// branch counters are already updated.
+    /// The burst also ends *in front of* a branch once
+    /// [`ExecStats::branches`] has reached `stop_at` (`u64::MAX`: never),
+    /// so supervisors can stop just before a chosen dynamic branch without
+    /// inspecting every instruction. The line about to execute is
+    /// classified after the page-generation check, so a store that rewrites
+    /// a line ahead of `ip` into a branch stops the burst there. A branch
+    /// stopped at is neither executed, cached nor counted as a fetch.
     ///
-    /// Equivalent to calling [`Cpu::step`] up to `max` times, stopping
-    /// after the `max_branches`-th retired branch: same architectural
-    /// state, same statistics, and the same trap at the same instruction
-    /// (with `traps` advanced and nothing committed). Returns
-    /// `Ok(Step::Continue)` when either budget is exhausted, `Ok(Step::Halt)`
-    /// when a `halt` retires.
+    /// Equivalent to calling [`Cpu::step`] up to `max` times, stopping in
+    /// front of the first branch met once `stop_at` branches have retired:
+    /// same architectural state, same statistics, and the same trap at the
+    /// same instruction (with `traps` advanced and nothing committed).
+    /// Returns `Ok(Step::Continue)` when the budget is exhausted or the
+    /// burst stopped at a branch, `Ok(Step::Halt)` when a `halt` retires.
     ///
     /// # Errors
     ///
@@ -544,54 +546,26 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
-        max_branches: u64,
+        stop_at: u64,
     ) -> Result<Step, Trap> {
         // The scratch profiler is never touched: the `PROF = false`
         // instantiation contains no profiling code, so this path is the
         // exact pre-profiler loop.
-        self.run_fused_impl::<false, false>(
-            mem,
-            icache,
-            max,
-            max_branches,
-            &mut ExecProfiler::new(),
-        )
+        self.run_fused_impl::<false>(mem, icache, max, stop_at, &mut ExecProfiler::new())
     }
 
-    /// As [`Cpu::run_fused`], recording every retirement's address and
-    /// cycle cost into `prof`. Architecturally identical to the unprofiled
-    /// path (the profiler observes, never influences); the per-instruction
-    /// cost is two array adds, with the counter page resolved once per
-    /// burst entry alongside the decoded page.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cpu::run_fused`].
-    pub fn run_fused_profiled(
+    /// The fused loop behind [`Cpu::run_fused`]. With `PROF`, every
+    /// retirement's address and cycle cost is also recorded into `prof`:
+    /// architecturally identical to the unprofiled path (the profiler
+    /// observes, never influences); the per-instruction cost is two array
+    /// adds, with the counter page resolved once per burst entry alongside
+    /// the decoded page.
+    pub(crate) fn run_fused_impl<const PROF: bool>(
         &mut self,
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
-        max_branches: u64,
-        prof: &mut ExecProfiler,
-    ) -> Result<Step, Trap> {
-        self.run_fused_impl::<true, false>(mem, icache, max, max_branches, prof)
-    }
-
-    /// The fused loop behind [`Cpu::run_fused`] and
-    /// [`Cpu::run_fused_profiled`]. With `STOP`, the burst also ends
-    /// *before* executing the next branch: the line about to execute is
-    /// classified after the page-generation check, so a store that
-    /// rewrites a line ahead of `ip` into a branch stops the burst there.
-    /// A branch stopped at is neither executed, cached nor counted as a
-    /// fetch, so the CPU and the hit/miss counters are exactly those of
-    /// per-instruction stepping up to the branch.
-    pub(crate) fn run_fused_impl<const PROF: bool, const STOP: bool>(
-        &mut self,
-        mem: &mut Memory,
-        icache: &mut DecodedCache,
-        max: u64,
-        max_branches: u64,
+        stop_at: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
         // Per-class cycle costs under the *current* cost model, so cached
@@ -607,6 +581,9 @@ impl Cpu {
         let mut d_cycles: u64 = 0;
         let mut d_branches: u64 = 0;
         let mut d_taken: u64 = 0;
+        // Branches this burst may retire before it stops in front of the
+        // next one.
+        let stop = stop_at.saturating_sub(self.stats.branches);
         // The instruction pointer lives in `ip` for the whole call — the
         // execute stage returns the successor instead of storing it — and
         // is committed to `self.ip` once at the end. On a trap `ip` is the
@@ -614,7 +591,7 @@ impl Cpu {
         // `self.ip` (a trapping instruction never commits its successor).
         let mut ip = self.ip;
         let result = 'outer: loop {
-            if retired >= max || d_branches >= max_branches {
+            if retired >= max {
                 break Ok(Step::Continue);
             }
             debug_assert!(!self.halted, "stepping a halted cpu");
@@ -650,10 +627,11 @@ impl Cpu {
                     match Inst::decode(&bytes) {
                         Ok(inst) => {
                             line = icache::Line::new(inst, ip);
-                            if !(STOP && line.class >= icache::C_JMP) {
-                                misses += 1;
-                                page.lines[li & (LINES_PER_PAGE - 1)] = line;
+                            if line.class >= icache::C_JMP && d_branches >= stop {
+                                break 'outer Ok(Step::Continue);
                             }
+                            misses += 1;
+                            page.lines[li & (LINES_PER_PAGE - 1)] = line;
                         }
                         Err(cause) => {
                             self.stats.traps += 1;
@@ -661,7 +639,7 @@ impl Cpu {
                         }
                     }
                 }
-                if STOP && line.class >= icache::C_JMP {
+                if line.class >= icache::C_JMP && d_branches >= stop {
                     break 'outer Ok(Step::Continue);
                 }
                 let (_, taken, next) =
@@ -710,7 +688,6 @@ impl Cpu {
                 } else {
                     ip = next;
                     if retired >= max
-                        || d_branches >= max_branches
                         || (line.writes_mem && mem.page_gen(pi) != gen)
                         || !next.is_multiple_of(INST_SIZE_U64)
                         || next < page_base
@@ -732,21 +709,6 @@ impl Cpu {
         icache.stats.hits += retired + trapped_fetch - misses;
         icache.stats.misses += misses;
         result
-    }
-
-    /// As [`Cpu::run`], but through the decoded cache via [`Cpu::run_fused`]
-    /// — same [`ExitReason`] for the same program, state and budget.
-    pub fn run_decoded(
-        &mut self,
-        mem: &mut Memory,
-        icache: &mut DecodedCache,
-        max_steps: u64,
-    ) -> ExitReason {
-        match self.run_fused(mem, icache, max_steps, u64::MAX) {
-            Ok(Step::Halt) => ExitReason::Halted { code: self.reg(Reg::R0) },
-            Ok(Step::Continue) => ExitReason::StepLimit,
-            Err(trap) => ExitReason::Trapped(trap),
-        }
     }
 
     /// Decodes (without executing) the instruction at the current `ip`.
@@ -778,16 +740,6 @@ impl Cpu {
         match *inst {
             Inst::Jcc { cc, .. } => cc.eval(f),
             _ => self.would_take(inst),
-        }
-    }
-
-    /// The dynamic target of the branch `inst` at the current state (reads
-    /// the stack for `ret`), or `None` for non-branches.
-    pub fn branch_target(&self, inst: &Inst, mem: &Memory) -> Option<u64> {
-        match *inst {
-            Inst::JmpR { target } | Inst::CallR { target } => Some(self.reg(target)),
-            Inst::Ret => mem.read_u64(self.reg(Reg::SP)).ok(),
-            _ => inst.direct_target(self.ip),
         }
     }
 }
@@ -1008,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn would_take_and_branch_target() {
+    fn would_take_follows_flags() {
         let (mut cpu, mut mem) = machine(&[
             Inst::AluI { op: AluOp::Cmp, dst: Reg::R0, imm: 0 },
             Inst::Jcc { cc: Cond::E, offset: 16 },
@@ -1016,7 +968,6 @@ mod tests {
         cpu.step(&mut mem).unwrap();
         let inst = cpu.peek_inst(&mem).unwrap();
         assert!(cpu.would_take(&inst));
-        assert_eq!(cpu.branch_target(&inst, &mem), Some(8 + 8 + 16));
         // Flipping ZF changes the hypothetical decision.
         let flipped = cpu.flags().with_bit_flipped(Flags::ZF);
         assert!(!cpu.would_take_with_flags(&inst, flipped));

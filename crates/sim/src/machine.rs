@@ -178,16 +178,12 @@ impl Machine {
     }
 
     /// Attaches a fresh [`Tracer`] keeping the last `capacity` instructions
-    /// (replacing any previous tracer). Supervisors that step the machine
-    /// through [`Machine::step_cpu`] feed it automatically.
-    pub fn attach_tracer(&mut self, capacity: usize) {
-        self.tracer = Some(Tracer::new(capacity));
-    }
-
-    /// As [`Machine::attach_tracer`], but with the retired-instruction
-    /// counter pre-set to `retired` — for supervisors resuming execution
-    /// from a mid-run snapshot, so the tracer's counter keeps matching the
-    /// CPU's total instruction count rather than restarting from zero.
+    /// (replacing any previous tracer), with its retired-instruction counter
+    /// pre-set to `retired` — for supervisors resuming execution from a
+    /// mid-run snapshot, so the tracer's counter keeps matching the CPU's
+    /// total instruction count rather than restarting from zero (pass `0`
+    /// on a fresh machine). Supervisors that step the machine through
+    /// [`Machine::step_cpu`] feed it automatically.
     pub fn attach_tracer_resumed(&mut self, capacity: usize, retired: u64) {
         self.tracer = Some(Tracer::resumed(capacity, retired));
     }
@@ -246,8 +242,14 @@ impl Machine {
 
     /// Runs up to `max_steps` instructions through the fused decoded path
     /// (falling back to per-instruction stepping when no decode cache is
-    /// attached), stopping early right after `max_branches` branches
-    /// retire. Returns the raw supervisor-level step result instead of an
+    /// attached), stopping early in front of a branch once
+    /// [`ExecStats::branches`](crate::ExecStats::branches) has reached
+    /// `stop_at` (`u64::MAX`: never). On `Ok(Step::Continue)` either
+    /// `max_steps` instructions retired or `ip` is at a branch that has
+    /// neither executed nor been fetched. The CPU and the decode cache's hit
+    /// and miss counters read as if the machine had been stepped there; a
+    /// page invalidation, being lazy, may be counted one fetch earlier.
+    /// Returns the raw supervisor-level step result instead of an
     /// [`ExitReason`] — the DBT's dispatch loop wants the trap itself.
     /// The attached tracer, if any, is *not* fed (callers that trace must
     /// use [`Machine::step_cpu`]).
@@ -255,55 +257,18 @@ impl Machine {
     /// # Errors
     ///
     /// The first trap raised, exactly as the equivalent individual steps.
-    pub fn run_burst(&mut self, max_steps: u64, max_branches: u64) -> Result<Step, Trap> {
+    pub fn run_burst(&mut self, max_steps: u64, stop_at: u64) -> Result<Step, Trap> {
         match (&mut self.icache, &mut self.profiler) {
             (Some(ic), Some(p)) => {
-                self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, max_branches, p)
+                self.cpu.run_fused_impl::<true>(&mut self.mem, ic, max_steps, stop_at, p)
             }
-            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps, max_branches),
-            (None, _) => {
-                let (insts, branches) = (self.cpu.stats().insts, self.cpu.stats().branches);
-                while self.cpu.stats().insts - insts < max_steps
-                    && self.cpu.stats().branches - branches < max_branches
-                {
-                    if self.cpu.step(&mut self.mem)? == Step::Halt {
-                        return Ok(Step::Halt);
-                    }
-                }
-                Ok(Step::Continue)
-            }
-        }
-    }
-
-    /// As [`Machine::run_burst`] with no branch budget, but stopping
-    /// *before* the next branch instead of after it: on `Ok(Step::Continue)`
-    /// either `max_steps` instructions retired or `ip` is at a branch that
-    /// has not executed nor been fetched. The CPU and the decode cache's hit
-    /// and miss counters read as if the machine had been stepped up to the
-    /// branch; a page invalidation, being lazy, may be counted one fetch
-    /// earlier. Analyzers that inspect every dynamic branch burst between
-    /// them with this and step the branch itself through
-    /// [`Machine::step_cpu`].
-    ///
-    /// # Errors
-    ///
-    /// The first trap raised, exactly as the equivalent individual steps.
-    pub fn run_to_branch(&mut self, max_steps: u64) -> Result<Step, Trap> {
-        match (&mut self.icache, &mut self.profiler) {
-            (Some(ic), Some(p)) => {
-                self.cpu.run_fused_impl::<true, true>(&mut self.mem, ic, max_steps, u64::MAX, p)
-            }
-            (Some(ic), None) => self.cpu.run_fused_impl::<false, true>(
-                &mut self.mem,
-                ic,
-                max_steps,
-                u64::MAX,
-                &mut ExecProfiler::new(),
-            ),
+            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps, stop_at),
             (None, _) => {
                 let insts = self.cpu.stats().insts;
                 while self.cpu.stats().insts - insts < max_steps {
-                    if self.cpu.peek_inst(&self.mem).is_ok_and(|inst| inst.is_branch()) {
+                    if self.cpu.stats().branches >= stop_at
+                        && self.cpu.peek_inst(&self.mem).is_ok_and(|inst| inst.is_branch())
+                    {
                         break;
                     }
                     if self.cpu.step(&mut self.mem)? == Step::Halt {
@@ -328,16 +293,10 @@ impl Machine {
     /// Runs the CPU until halt, trap or step limit, through the decoded
     /// cache when one is attached.
     pub fn run(&mut self, max_steps: u64) -> ExitReason {
-        match (&mut self.icache, &mut self.profiler) {
-            (Some(ic), Some(p)) => {
-                match self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, u64::MAX, p) {
-                    Ok(Step::Halt) => ExitReason::Halted { code: self.cpu.reg(cfed_isa::Reg::R0) },
-                    Ok(Step::Continue) => ExitReason::StepLimit,
-                    Err(trap) => ExitReason::Trapped(trap),
-                }
-            }
-            (Some(ic), None) => self.cpu.run_decoded(&mut self.mem, ic, max_steps),
-            (None, _) => self.cpu.run(&mut self.mem, max_steps),
+        match self.run_burst(max_steps, u64::MAX) {
+            Ok(Step::Halt) => ExitReason::Halted { code: self.cpu.reg(cfed_isa::Reg::R0) },
+            Ok(Step::Continue) => ExitReason::StepLimit,
+            Err(trap) => ExitReason::Trapped(trap),
         }
     }
 }
@@ -677,13 +636,16 @@ mod tests {
         assert_eq!(samples(&mut stepped), expected);
     }
 
-    /// The reference for [`Machine::run_to_branch`]: single steps until the
-    /// budget, a halt, a trap, or an upcoming branch, peeking with the
-    /// statistics-neutral raw decoder.
-    fn step_to_branch(m: &mut Machine, max_steps: u64) -> Result<Step, Trap> {
+    /// The reference for [`Machine::run_burst`]: single steps until the
+    /// budget, a halt, a trap, or a branch about to execute once `stop_at`
+    /// branches have retired, peeking with the statistics-neutral raw
+    /// decoder.
+    fn step_to_branch(m: &mut Machine, max_steps: u64, stop_at: u64) -> Result<Step, Trap> {
         let insts = m.cpu.stats().insts;
         while m.cpu.stats().insts - insts < max_steps {
-            if m.cpu.peek_inst(&m.mem).is_ok_and(|inst| inst.is_branch()) {
+            if m.cpu.stats().branches >= stop_at
+                && m.cpu.peek_inst(&m.mem).is_ok_and(|inst| inst.is_branch())
+            {
                 break;
             }
             if m.step_cpu()? == Step::Halt {
@@ -693,21 +655,29 @@ mod tests {
         Ok(Step::Continue)
     }
 
-    /// Runs `code` to the next branch once per budget in `budgets`, by
-    /// burst and by single steps, stepping each branch reached in between;
-    /// both machines must agree after every leg. Returns the burst machine
-    /// and its last result.
-    fn burst_matches_steps(code: &[u8], data: &[u8], budgets: &[u64]) -> (Machine, Step) {
+    /// Runs `code` one leg per `(budget, k)` in `legs`, each stopping in
+    /// front of the branch `k` branches on, by burst (with and without a
+    /// decode cache) and by single steps, stepping a branch the previous
+    /// leg stopped at first; the machines must agree after every leg.
+    /// Returns the burst machine and its last result.
+    fn burst_matches_steps(code: &[u8], data: &[u8], legs: &[(u64, u64)]) -> (Machine, Step) {
         let mut burst = Machine::load(code, data, 0);
+        let mut raw = Machine::load(code, data, 0);
+        raw.set_decode_cache(false);
         let mut stepped = Machine::load(code, data, 0);
         let mut last = Ok(Step::Continue);
-        for &budget in budgets {
+        for &(budget, k) in legs {
             if burst.cpu.peek_inst(&burst.mem).is_ok_and(|inst| inst.is_branch()) {
-                assert_eq!(burst.step_cpu(), stepped.step_cpu());
+                let step = stepped.step_cpu();
+                assert_eq!(burst.step_cpu(), step);
+                assert_eq!(raw.step_cpu(), step);
             }
-            last = burst.run_to_branch(budget);
-            assert_eq!(last, step_to_branch(&mut stepped, budget), "budget {budget}");
+            let stop_at = burst.cpu.stats().branches + k;
+            last = burst.run_burst(budget, stop_at);
+            assert_eq!(last, step_to_branch(&mut stepped, budget, stop_at), "leg ({budget}, {k})");
+            assert_eq!(raw.run_burst(budget, stop_at), last, "no decode cache");
             assert_eq!(burst.cpu, stepped.cpu, "registers, flags, ip and stats");
+            assert_eq!(raw.cpu, stepped.cpu, "no decode cache");
             let fetches = |m: &Machine| m.decode_cache_stats().map(|s| (s.hits, s.misses));
             assert_eq!(fetches(&burst), fetches(&stepped), "decode-cache hits and misses");
         }
@@ -715,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn run_to_branch_stops_where_single_steps_do() {
+    fn run_burst_stops_where_single_steps_do() {
         use cfed_isa::{AluOp, Cond};
         let base = Layout::default().code_base;
 
@@ -729,11 +699,18 @@ mod tests {
             Inst::Jcc { cc: Cond::Ne, offset: -24 },
             Inst::Halt,
         ]);
-        let (m, step) = burst_matches_steps(&looped, &[], &[100, 100, 1]);
+        let (m, step) = burst_matches_steps(&looped, &[], &[(100, 0), (100, 0), (1, 0)]);
         assert_eq!(step, Step::Continue);
         assert_eq!(m.cpu.ip(), base + 24, "one instruction into the third lap");
         assert_eq!(m.cpu.stats().branches, 2);
         assert!(m.decode_cache_stats().unwrap().hits > 0);
+
+        // Two whole laps in one burst: it runs through two branches and
+        // stops in front of the third.
+        let (m, step) = burst_matches_steps(&looped, &[], &[(100, 2)]);
+        assert_eq!(step, Step::Continue);
+        assert_eq!(m.cpu.ip(), base + 32, "in front of the third lap's jcc");
+        assert_eq!(m.cpu.stats().branches, 2);
 
         // A trap before any branch.
         let trapping = encode_all(&[
@@ -744,9 +721,13 @@ mod tests {
         let mut burst = Machine::load(&trapping, &[], 0);
         let mut stepped = Machine::load(&trapping, &[], 0);
         let trap = Trap::DivByZero { addr: base + 8 };
-        assert_eq!(burst.run_to_branch(100), Err(trap));
-        assert_eq!(step_to_branch(&mut stepped, 100), Err(trap));
+        let mut raw = Machine::load(&trapping, &[], 0);
+        raw.set_decode_cache(false);
+        assert_eq!(burst.run_burst(100, 0), Err(trap));
+        assert_eq!(raw.run_burst(100, 0), Err(trap));
+        assert_eq!(step_to_branch(&mut stepped, 100, 0), Err(trap));
         assert_eq!(burst.cpu, stepped.cpu);
+        assert_eq!(raw.cpu, stepped.cpu);
         assert_eq!(burst.cpu.stats().traps, 1);
         assert_eq!(burst.decode_cache_stats(), stepped.decode_cache_stats());
 
@@ -764,7 +745,7 @@ mod tests {
             Inst::MovRI { dst: Reg::R5, imm: 1 },
             Inst::Jmp { offset: -40 },
         ]);
-        let (m, step) = burst_matches_steps(&smc, &planted.encode(), &[100; 4]);
+        let (m, step) = burst_matches_steps(&smc, &planted.encode(), &[(100, 0); 4]);
         assert_eq!(step, Step::Continue);
         assert_eq!(m.cpu.ip(), base + 40, "stopped at the planted jcc");
         assert_eq!(m.cpu.stats().branches, 3);

@@ -75,14 +75,15 @@ fn arb_word() -> impl Strategy<Value = [u8; 8]> {
     })
 }
 
-/// One external event: run up to `steps` instructions — stopping early
-/// right after `max_branches` branches retire, when set — then (maybe)
+/// One external event: run up to `steps` instructions — stopping early in
+/// front of a branch once `stop` more branches have retired, when set (`0`:
+/// in front of the next branch) — then (maybe)
 /// write `word` into the code region at `slot` — the SMC-from-outside case
 /// (DBT chain patching, fault injection) the cache must observe.
 #[derive(Debug, Clone)]
 struct Op {
     steps: u64,
-    max_branches: Option<u64>,
+    stop: Option<u64>,
     write: Option<(u64, [u8; 8])>,
 }
 
@@ -92,12 +93,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..(CODE_PAGES * PAGE_SIZE / INST_SIZE_U64), arb_word())
             .prop_map(|(slot, word)| Some((slot * INST_SIZE_U64, word))),
     ];
-    let max_branches = prop_oneof![Just(None), (0u64..6).prop_map(Some)];
-    (0u64..40, max_branches, write).prop_map(|(steps, max_branches, write)| Op {
-        steps,
-        max_branches,
-        write,
-    })
+    let stop = prop_oneof![Just(None), (0u64..6).prop_map(Some)];
+    (0u64..40, stop, write).prop_map(|(steps, stop, write)| Op { steps, stop, write })
 }
 
 fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
@@ -130,31 +127,33 @@ enum Path {
     Fused,
 }
 
+/// Everything a run down one path can show: per-segment outcomes and the
+/// CPU each segment ends in (so a burst must stop exactly where the steps
+/// do), the final CPU, dirty log and code bytes.
+type Observed = (Vec<(SegEnd, Cpu)>, Cpu, Vec<u64>, Vec<u8>);
+
 /// Runs the op sequence down one execution path and returns everything
-/// observable: per-segment outcomes, final CPU, dirty log and code bytes.
-fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<u64>, Vec<u8>) {
+/// observable.
+fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> Observed {
     let (mut cpu, mut mem) = build(words);
     let mut icache = DecodedCache::new();
     let mut log = Vec::new();
     let mut live = true;
     for op in ops {
         if live {
+            let stop_at = op.stop.map_or(u64::MAX, |n| cpu.stats().branches + n);
             let end = match path {
-                Path::Fused => match cpu.run_fused(
-                    &mut mem,
-                    &mut icache,
-                    op.steps,
-                    op.max_branches.unwrap_or(u64::MAX),
-                ) {
+                Path::Fused => match cpu.run_fused(&mut mem, &mut icache, op.steps, stop_at) {
                     Ok(Step::Continue) => SegEnd::Budget,
                     Ok(Step::Halt) => SegEnd::Halt,
                     Err(t) => SegEnd::Trap(t),
                 },
                 Path::Raw | Path::Stepped => {
                     let mut end = SegEnd::Budget;
-                    let branches = cpu.stats().branches;
                     for _ in 0..op.steps {
-                        if op.max_branches.is_some_and(|n| cpu.stats().branches - branches >= n) {
+                        if cpu.stats().branches >= stop_at
+                            && cpu.peek_inst(&mem).is_ok_and(|inst| inst.is_branch())
+                        {
                             break;
                         }
                         let step = match path {
@@ -177,7 +176,7 @@ fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<
                 }
             };
             live = end == SegEnd::Budget;
-            log.push(end);
+            log.push((end, cpu.clone()));
         }
         if let Some((addr, word)) = op.write {
             mem.install(addr, &word);
@@ -191,7 +190,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random code-page writes interleaved with execution: the decoded
-    /// stepping path and the fused burst path — branch-budgeted or not —
+    /// stepping path and the fused burst path — stopping in front of a
+    /// branch or not —
     /// are bit-identical to raw decode in results, traps, stats, dirty log
     /// and memory.
     #[test]
@@ -213,7 +213,7 @@ proptest! {
         words in prop::collection::vec(arb_word(), 1..96),
         budget in 1u64..600,
     ) {
-        let ops = [Op { steps: budget, max_branches: None, write: None }];
+        let ops = [Op { steps: budget, stop: None, write: None }];
         let raw = execute(&words, &ops, Path::Raw);
         let stepped = execute(&words, &ops, Path::Stepped);
         let fused = execute(&words, &ops, Path::Fused);
