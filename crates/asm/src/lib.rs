@@ -1,4 +1,4 @@
-//! # cfed-asm — assembler and object format for VISA
+//! # cfed-asm — assembler for VISA
 //!
 //! A two-pass, label-based assembler ([`Asm`]) producing linked program
 //! images ([`Image`]) for the `cfed-sim` guest machine. The builder API is
@@ -29,10 +29,8 @@
 
 pub mod asm;
 pub mod image;
-pub mod object;
 pub mod text;
 
 pub use asm::{Asm, AsmError};
 pub use image::{Image, DEFAULT_CODE_BASE, DEFAULT_DATA_BASE};
-pub use object::ObjectError;
 pub use text::{parse_asm, ParseAsmError};

@@ -53,12 +53,6 @@ impl Category {
         Category::F,
         Category::NoError,
     ];
-
-    /// Whether this category is detectable by memory-protection hardware
-    /// rather than software checking.
-    pub fn hardware_detectable(self) -> bool {
-        self == Category::F
-    }
 }
 
 impl fmt::Display for Category {
@@ -85,13 +79,6 @@ mod tests {
         assert!(!Category::SDC_PRONE.contains(&Category::F));
         assert!(!Category::SDC_PRONE.contains(&Category::NoError));
         assert_eq!(Category::SDC_PRONE.len(), 5);
-    }
-
-    #[test]
-    fn only_f_is_hardware_detectable() {
-        for c in Category::ALL {
-            assert_eq!(c.hardware_detectable(), c == Category::F);
-        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::x86::{
     self, cc, Alu, Asm, HostReg, Label, Shift, R12, R13, R14, R15, RAX, RBP, RBX, RCX, RDI, RDX,
     RSI, RSP,
 };
-use cfed_isa::{AluOp, Cond, CostModel, Flags, Inst, Reg, INST_SIZE_U64};
+use cfed_isa::{cost, AluOp, Cond, Flags, Inst, Reg, INST_SIZE_U64};
 use cfed_sim::{trap_codes, Cpu, ExitReason, Machine, Memory, Trap};
 use cfed_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
@@ -688,7 +688,6 @@ impl Jit {
             a: Asm::new(base),
             exits: &dbt.exits,
             compiled: &self.compiled,
-            cost: m.cpu.cost_model(),
             cond_tables: self.cond_tables,
             epilogue: self.epilogue,
             trap_exit: self.trap_exit,
@@ -800,7 +799,6 @@ struct BlockAsm<'a> {
     a: Asm,
     exits: &'a [crate::engine::ExitDesc],
     compiled: &'a HashMap<u64, u64>,
-    cost: &'a CostModel,
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
@@ -820,7 +818,7 @@ fn rslot(r: Reg) -> i32 {
 impl BlockAsm<'_> {
     fn pend(&mut self, inst: &Inst, taken: bool) {
         self.pend_insts += 1;
-        self.pend_cycles += self.cost.cost(inst, taken);
+        self.pend_cycles += cost(inst, taken);
     }
 
     fn flush(&mut self) {
@@ -1080,7 +1078,7 @@ impl BlockAsm<'_> {
                 let l_stub = self.a.new_label();
                 self.a.jmp(l_stub);
                 let thunk = self.a.here_abs();
-                let jmp_cost = self.cost.cost(&Inst::Jmp { offset: 0 }, true);
+                let jmp_cost = cost(&Inst::Jmp { offset: 0 }, true);
                 self.branch_acct(jmp_cost, true);
                 let thunk_jmp = self.a.here_abs();
                 self.a.jmp(l_stub); // patched to the target host entry
@@ -1353,7 +1351,7 @@ impl BlockAsm<'_> {
             Inst::Jmp { .. } => {
                 let target = inst.direct_target(addr).expect("jmp target");
                 self.flush();
-                self.branch_acct(self.cost.cost(&inst, true), true);
+                self.branch_acct(cost(&inst, true), true);
                 self.transfer(target);
             }
             Inst::Jcc { cc: cond, .. } => {
@@ -1362,12 +1360,8 @@ impl BlockAsm<'_> {
                 self.cond_to_cf(cond);
                 let l_taken = self.a.new_label();
                 self.a.jcc(cc::B, l_taken);
-                self.branch_acct(self.cost.cost(&inst, false), false);
-                self.outl.push(Outl::Taken {
-                    l: l_taken,
-                    cost: self.cost.cost(&inst, true),
-                    target,
-                });
+                self.branch_acct(cost(&inst, false), false);
+                self.outl.push(Outl::Taken { l: l_taken, cost: cost(&inst, true), target });
             }
             Inst::JRz { src, .. } | Inst::JRnz { src, .. } => {
                 let target = inst.direct_target(addr).expect("jr target");
@@ -1377,12 +1371,8 @@ impl BlockAsm<'_> {
                 let l_taken = self.a.new_label();
                 let host_cc = if matches!(inst, Inst::JRz { .. }) { cc::E } else { cc::NE };
                 self.a.jcc(host_cc, l_taken);
-                self.branch_acct(self.cost.cost(&inst, false), false);
-                self.outl.push(Outl::Taken {
-                    l: l_taken,
-                    cost: self.cost.cost(&inst, true),
-                    target,
-                });
+                self.branch_acct(cost(&inst, false), false);
+                self.outl.push(Outl::Taken { l: l_taken, cost: cost(&inst, true), target });
             }
             // Translator output never contains raw calls/returns (they are
             // rewritten into glue + exit sites); refuse rather than guess.

@@ -1,120 +1,74 @@
-//! Static per-instruction cycle-cost model.
+//! The static per-instruction cycle-cost model.
 //!
 //! The paper reports *slowdowns* (instrumented vs. uninstrumented execution
-//! under the same DBT) on real hardware. We replace wall-clock time with a
-//! deterministic cycle model; the absolute values are a documented assumption
-//! (DESIGN.md) but the model preserves the relationships the paper's results
-//! rest on: `cmov` costs more than a well-predicted conditional branch
-//! (Figure 14's Jcc-vs-CMOVcc gap), `div` is far more expensive than anything
-//! else (why ECCA-style div checks are "prohibitive", §3.1), memory
-//! operations cost more than register ALU ops, and floating-point-style long
-//! latency work makes instrumentation relatively cheaper (fp vs. int
-//! behaviour in Figures 12/15).
+//! under the same DBT) on one real machine. We replace wall-clock time with
+//! one deterministic cycle model, [`cost()`]; the absolute values are a
+//! documented assumption (DESIGN.md "Cycle-cost model") but the model
+//! preserves the relationships the paper's results rest on: `cmov` costs
+//! more than a well-predicted conditional branch (Figure 14's Jcc-vs-CMOVcc
+//! gap), `div` is far more expensive than anything else (why ECCA-style div
+//! checks are "prohibitive", §3.1), memory operations cost more than
+//! register ALU ops, and floating-point-style long-latency work makes
+//! instrumentation relatively cheaper (fp vs. int behaviour in Figures
+//! 12/15).
+//!
+//! Every engine charges cycles through this one function: the stepped
+//! interpreter directly, the fused interpreter through a per-class table
+//! built from it at compile time, and the native backend by baking its
+//! values into emitted code.
 
 use crate::inst::{AluOp, Inst};
 
-/// A static cycle-cost model for VISA instructions.
-///
-/// All fields are public so experiments can build ablated models; the
-/// [`Default`] values are the ones used throughout the reproduction.
+/// A taken branch (redirects fetch).
+const BRANCH_TAKEN: u64 = 2;
+/// Indirect jump/call redirect penalty, on top of the direct cost.
+const INDIRECT_PENALTY: u64 = 2;
+/// Call (push + redirect); return (pop + indirect redirect).
+const CALL: u64 = 3;
+
+/// Cycle cost of executing `inst`; `taken` reports whether a conditional
+/// branch was taken (ignored for other instructions).
 ///
 /// # Examples
 ///
 /// ```
-/// use cfed_isa::{CostModel, Inst, Reg};
+/// use cfed_isa::{cost, Inst, Reg};
 ///
-/// let m = CostModel::default();
 /// let ld = Inst::Ld { dst: Reg::R0, base: Reg::SP, disp: 0 };
-/// assert!(m.cost(&ld, false) > m.cost(&Inst::Nop, false));
+/// assert!(cost(&ld, false) > cost(&Inst::Nop, false));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostModel {
-    /// Simple ALU / mov / lea operations.
-    pub alu: u64,
-    /// Conditional move (reads flags; serializing on real cores).
-    pub cmov: u64,
-    /// Integer multiply.
-    pub mul: u64,
-    /// Integer divide.
-    pub div: u64,
-    /// Memory load.
-    pub load: u64,
-    /// Memory store.
-    pub store: u64,
-    /// Push/pop (one memory access plus pointer update).
-    pub stack: u64,
-    /// A branch that is taken (redirects fetch).
-    pub branch_taken: u64,
-    /// A branch that falls through.
-    pub branch_not_taken: u64,
-    /// Call (push + redirect).
-    pub call: u64,
-    /// Return (pop + indirect redirect).
-    pub ret: u64,
-    /// Indirect jump/call redirect penalty (added on top of `branch_taken` /
-    /// `call`).
-    pub indirect_penalty: u64,
-    /// `out` (observable output) instruction.
-    pub out: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            alu: 1,
-            cmov: 2,
-            mul: 3,
-            div: 20,
-            load: 3,
-            store: 2,
-            stack: 2,
-            branch_taken: 2,
-            branch_not_taken: 1,
-            call: 3,
-            ret: 3,
-            indirect_penalty: 2,
-            out: 1,
-        }
-    }
-}
-
-impl CostModel {
-    /// Cycle cost of executing `inst`; `taken` reports whether a conditional
-    /// branch was taken (ignored for other instructions).
-    #[inline]
-    pub fn cost(&self, inst: &Inst, taken: bool) -> u64 {
-        match inst {
-            Inst::Nop | Inst::Halt | Inst::Trap { .. } => 1,
-            Inst::Out { .. } => self.out,
-            Inst::MovRR { .. }
-            | Inst::MovRI { .. }
-            | Inst::Lea { .. }
-            | Inst::Lea2 { .. }
-            | Inst::LeaSub { .. }
-            | Inst::Neg { .. }
-            | Inst::Not { .. } => self.alu,
-            Inst::Ld { .. } | Inst::Ld8 { .. } => self.load,
-            Inst::St { .. } | Inst::St8 { .. } => self.store,
-            Inst::Push { .. } | Inst::Pop { .. } => self.stack,
-            Inst::CMov { .. } => self.cmov,
-            Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
-                AluOp::Mul => self.mul,
-                AluOp::Div => self.div,
-                _ => self.alu,
-            },
-            Inst::Jmp { .. } => self.branch_taken,
-            Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. } => {
-                if taken {
-                    self.branch_taken
-                } else {
-                    self.branch_not_taken
-                }
+#[inline]
+pub const fn cost(inst: &Inst, taken: bool) -> u64 {
+    match inst {
+        Inst::Nop | Inst::Halt | Inst::Trap { .. } | Inst::Out { .. } => 1,
+        Inst::MovRR { .. }
+        | Inst::MovRI { .. }
+        | Inst::Lea { .. }
+        | Inst::Lea2 { .. }
+        | Inst::LeaSub { .. }
+        | Inst::Neg { .. }
+        | Inst::Not { .. } => 1,
+        Inst::Ld { .. } | Inst::Ld8 { .. } => 3,
+        // Stores, push/pop (one memory access plus pointer update) and
+        // conditional moves (flag-reading, serializing on real cores).
+        Inst::St { .. } | Inst::St8 { .. } | Inst::Push { .. } | Inst::Pop { .. } => 2,
+        Inst::CMov { .. } => 2,
+        Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
+            AluOp::Mul => 3,
+            AluOp::Div => 20,
+            _ => 1,
+        },
+        Inst::Jmp { .. } => BRANCH_TAKEN,
+        Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. } => {
+            if taken {
+                BRANCH_TAKEN
+            } else {
+                1
             }
-            Inst::Call { .. } => self.call,
-            Inst::CallR { .. } => self.call + self.indirect_penalty,
-            Inst::JmpR { .. } => self.branch_taken + self.indirect_penalty,
-            Inst::Ret => self.ret,
         }
+        Inst::Call { .. } | Inst::Ret => CALL,
+        Inst::CallR { .. } => CALL + INDIRECT_PENALTY,
+        Inst::JmpR { .. } => BRANCH_TAKEN + INDIRECT_PENALTY,
     }
 }
 
@@ -125,32 +79,27 @@ mod tests {
 
     #[test]
     fn orderings_required_by_the_paper() {
-        let m = CostModel::default();
         let cmov = Inst::CMov { cc: Cond::Le, dst: Reg::R8, src: Reg::R9 };
         let jcc_nt = Inst::Jcc { cc: Cond::Le, offset: 8 };
         // CMOVcc update must be dearer than a (mostly not-taken) Jcc update.
-        assert!(m.cost(&cmov, false) > m.cost(&jcc_nt, false));
+        assert!(cost(&cmov, false) > cost(&jcc_nt, false));
         // div must dwarf everything (ECCA's check cost).
         let div = Inst::Alu { op: AluOp::Div, dst: Reg::R0, src: Reg::R1 };
-        assert!(m.cost(&div, false) >= 10 * m.cost(&cmov, false));
+        assert!(cost(&div, false) >= 10 * cost(&cmov, false));
         // lea is as cheap as xor (§5.1: "performance similar").
         let lea = Inst::Lea { dst: Reg::R8, base: Reg::R8, disp: 1 };
         let xor = Inst::Alu { op: AluOp::Xor, dst: Reg::R8, src: Reg::R8 };
-        assert_eq!(m.cost(&lea, false), m.cost(&xor, false));
+        assert_eq!(cost(&lea, false), cost(&xor, false));
     }
 
     #[test]
     fn taken_branches_cost_more() {
-        let m = CostModel::default();
         let j = Inst::Jcc { cc: Cond::E, offset: 8 };
-        assert!(m.cost(&j, true) > m.cost(&j, false));
+        assert!(cost(&j, true) > cost(&j, false));
     }
 
     #[test]
     fn indirect_penalty_applied() {
-        let m = CostModel::default();
-        assert!(
-            m.cost(&Inst::JmpR { target: Reg::R0 }, true) > m.cost(&Inst::Jmp { offset: 0 }, true)
-        );
+        assert!(cost(&Inst::JmpR { target: Reg::R0 }, true) > cost(&Inst::Jmp { offset: 0 }, true));
     }
 }

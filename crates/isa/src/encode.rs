@@ -431,26 +431,6 @@ pub fn encode_all(insts: &[Inst]) -> Vec<u8> {
     out
 }
 
-/// Decodes a flat byte buffer into instructions.
-///
-/// # Errors
-///
-/// Fails on a trailing partial instruction or any decode error, reporting the
-/// byte offset of the failure.
-pub fn decode_all(bytes: &[u8]) -> Result<Vec<Inst>, (usize, DecodeError)> {
-    if !bytes.len().is_multiple_of(INST_SIZE) {
-        return Err((bytes.len() / INST_SIZE * INST_SIZE, DecodeError::InvalidOpcode(0xFF)));
-    }
-    bytes
-        .chunks_exact(INST_SIZE)
-        .enumerate()
-        .map(|(idx, chunk)| {
-            let arr: &[u8; INST_SIZE] = chunk.try_into().expect("chunks_exact");
-            Inst::decode(arr).map_err(|e| (idx * INST_SIZE, e))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,15 +510,11 @@ mod tests {
     fn encode_decode_all() {
         let insts = sample_instructions();
         let bytes = encode_all(&insts);
-        assert_eq!(decode_all(&bytes).unwrap(), insts);
-    }
-
-    #[test]
-    fn decode_all_reports_offset() {
-        let mut bytes = encode_all(&[Inst::Nop, Inst::Halt]);
-        bytes[8] = 0xEE;
-        let err = decode_all(&bytes).unwrap_err();
-        assert_eq!(err.0, 8);
+        let back: Vec<Inst> = bytes
+            .chunks_exact(INST_SIZE)
+            .map(|c| Inst::decode_from_slice(c).unwrap().unwrap())
+            .collect();
+        assert_eq!(back, insts);
     }
 
     #[test]

@@ -296,11 +296,6 @@ impl Inst {
         matches!(self, Inst::Alu { .. } | Inst::AluI { .. } | Inst::Neg { .. } | Inst::Not { .. })
     }
 
-    /// Returns `true` if the instruction reads the condition flags.
-    pub fn reads_flags(&self) -> bool {
-        matches!(self, Inst::Jcc { .. } | Inst::CMov { .. })
-    }
-
     /// Short mnemonic (without operands) for statistics and tracing.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -384,8 +379,6 @@ mod tests {
         assert!(
             !Inst::LeaSub { dst: Reg::R0, base: Reg::R1, index: Reg::R2, disp: 0 }.writes_flags()
         );
-        assert!(Inst::CMov { cc: Cond::Le, dst: Reg::R0, src: Reg::R1 }.reads_flags());
-        assert!(!Inst::JRnz { src: Reg::R0, offset: 0 }.reads_flags());
     }
 
     #[test]

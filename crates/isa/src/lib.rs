@@ -19,7 +19,7 @@
 //!   EFLAGS side effects;
 //! * a strict binary [encoder/decoder](Inst::encode) and a
 //!   [disassembler](disassemble);
-//! * a deterministic [`CostModel`] replacing wall-clock slowdown.
+//! * one deterministic cycle-[`cost()`] function replacing wall-clock slowdown.
 //!
 //! ## Example
 //!
@@ -47,9 +47,9 @@ pub mod inst;
 pub mod reg;
 
 pub use cond::Cond;
-pub use cost::CostModel;
+pub use cost::cost;
 pub use disasm::disassemble;
-pub use encode::{decode_all, encode_all, DecodeError};
+pub use encode::{encode_all, DecodeError};
 pub use flags::Flags;
 pub use inst::{AluOp, Inst, INST_SIZE, INST_SIZE_U64, OFFSET_BITS};
 pub use reg::Reg;

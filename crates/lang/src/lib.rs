@@ -34,14 +34,11 @@
 pub mod ast;
 pub mod codegen;
 pub mod lexer;
-pub mod opt;
 pub mod parser;
-pub mod pretty;
 pub mod sema;
 
 pub use ast::Program;
 pub use codegen::CodegenError;
-pub use opt::optimize;
 pub use parser::{parse, ParseError};
 pub use sema::{check, SemaError, SemaInfo};
 
@@ -105,22 +102,6 @@ impl From<CodegenError> for CompileError {
 /// Returns the first lexical, syntactic, semantic, or layout error.
 pub fn compile(src: &str) -> Result<Image, CompileError> {
     let prog = parser::parse(src)?;
-    let info = sema::check(&prog)?;
-    Ok(codegen::generate(&prog, &info)?)
-}
-
-/// Compiles with the [`opt`] pass (constant folding, identities, dead-branch
-/// elimination) applied between semantic analysis and code generation.
-///
-/// # Errors
-///
-/// Same conditions as [`compile`].
-pub fn compile_optimized(src: &str) -> Result<Image, CompileError> {
-    let prog = parser::parse(src)?;
-    sema::check(&prog)?;
-    let prog = opt::optimize(&prog);
-    // Re-run sema on the optimized tree: slot assignment may shrink when
-    // dead branches disappear.
     let info = sema::check(&prog)?;
     Ok(codegen::generate(&prog, &info)?)
 }

@@ -10,14 +10,14 @@ use crate::mem::PAGE_SIZE;
 use crate::profiler::ExecProfiler;
 use crate::LINES_PER_PAGE;
 use crate::{Memory, Trap};
-use cfed_isa::{flags, AluOp, CostModel, Flags, Inst, Reg, INST_SIZE_U64};
+use cfed_isa::{cost, flags, AluOp, Flags, Inst, Reg, INST_SIZE_U64};
 
 /// Execution statistics accumulated by a [`Cpu`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Instructions retired.
     pub insts: u64,
-    /// Cycles accumulated under the CPU's [`CostModel`].
+    /// Cycles accumulated under the fixed cycle model, [`cost()`].
     pub cycles: u64,
     /// Control-transfer instructions retired.
     pub branches: u64,
@@ -73,7 +73,6 @@ pub struct Cpu {
     flags: Flags,
     ip: u64,
     halted: bool,
-    cost: CostModel,
     stats: ExecStats,
     output: Vec<u64>,
 }
@@ -85,19 +84,13 @@ impl Default for Cpu {
 }
 
 impl Cpu {
-    /// Creates a CPU with zeroed registers and the default cost model.
+    /// Creates a CPU with zeroed registers.
     pub fn new() -> Cpu {
-        Cpu::with_cost_model(CostModel::default())
-    }
-
-    /// Creates a CPU using a custom cycle-cost model.
-    pub fn with_cost_model(cost: CostModel) -> Cpu {
         Cpu {
             regs: [0; Reg::COUNT],
             flags: Flags::empty(),
             ip: 0,
             halted: false,
-            cost,
             stats: ExecStats::default(),
             output: Vec::new(),
         }
@@ -159,13 +152,6 @@ impl Cpu {
     /// The program's exit code (`r0` at `halt`), if halted.
     pub fn exit_code(&self) -> Option<u64> {
         self.halted.then(|| self.reg(Reg::R0))
-    }
-
-    /// The cost model this CPU charges cycles under — native code
-    /// generators bake the same per-instruction costs into emitted code
-    /// so cycle counts stay identical across engines.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Folds the statistics deltas accumulated by a burst of natively
@@ -415,7 +401,7 @@ impl Cpu {
         if !PRE {
             self.ip = new_ip;
             self.stats.insts += 1;
-            self.stats.cycles += self.cost.cost(&inst, taken);
+            self.stats.cycles += cost(&inst, taken);
             if inst.is_branch() {
                 self.stats.branches += 1;
                 let redirected = taken || !inst.is_cond_branch();
@@ -568,9 +554,6 @@ impl Cpu {
         stop_at: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
-        // Per-class cycle costs under the *current* cost model, so cached
-        // lines never embed stale costs even if the model is exotic.
-        let table = icache::cost_table(&self.cost);
         let mut retired: u64 = 0;
         let mut misses: u64 = 0;
         // One extra fetch was classified (hit or miss) but not retired:
@@ -654,12 +637,12 @@ impl Cpu {
                 // Statistics epilogue via the cached class — equivalent to
                 // the `PRE = false` epilogue inside `exec_inst_impl`
                 // (pinned by `class_table_matches_cost_model`).
-                let cost = table[line.class as usize][taken as usize];
-                d_cycles += cost;
+                let cycles = icache::COST_TABLE[line.class as usize][taken as usize];
+                d_cycles += cycles;
                 if PROF {
                     let pp = pp.as_mut().expect("PROF implies a counter page");
                     pp.hits[li & (LINES_PER_PAGE - 1)] += 1;
-                    pp.cycles[li & (LINES_PER_PAGE - 1)] += cost;
+                    pp.cycles[li & (LINES_PER_PAGE - 1)] += cycles;
                 }
                 if line.class >= icache::C_JMP {
                     d_branches += 1;

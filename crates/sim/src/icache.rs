@@ -19,18 +19,19 @@
 
 use crate::mem::{Memory, PAGE_SIZE};
 use crate::Trap;
-use cfed_isa::{AluOp, CostModel, Inst, INST_SIZE_U64};
+use cfed_isa::{cost, AluOp, Cond, Inst, Reg, INST_SIZE_U64};
 use std::fmt;
 
 /// Instruction slots per page (`PAGE_SIZE / INST_SIZE`).
 pub const LINES_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE_U64) as usize;
 
-// Cost/statistics classes. One per distinct row of [`CostModel::cost`], so a
-// decoded line can charge cycles and update branch counters with a table
-// lookup instead of re-matching the instruction every retirement. Classes
-// from [`C_JMP`] upward are exactly the control transfers ([`Inst::is_branch`]);
-// [`C_COND`] is exactly [`Inst::is_cond_branch`]. `class_table_matches_cost_model`
-// below pins the mapping to the authoritative `CostModel::cost`.
+// Cost/statistics classes. One per rule of [`cost()`] (several rules share a
+// value), so a decoded line can charge cycles and update branch counters
+// with a table lookup instead of re-matching the instruction every
+// retirement. Classes from [`C_JMP`] upward are exactly the control
+// transfers ([`Inst::is_branch`]); [`C_COND`] is exactly
+// [`Inst::is_cond_branch`]. `class_table_matches_cost_model` below pins the
+// mapping to the authoritative [`cost()`].
 pub(crate) const C_ONE: u8 = 0;
 pub(crate) const C_OUT: u8 = 1;
 pub(crate) const C_ALU: u8 = 2;
@@ -53,29 +54,34 @@ pub(crate) const N_CLASSES: usize = 16;
 /// Sentinel class marking an undecoded line slot.
 pub(crate) const CLASS_EMPTY: u8 = u8::MAX;
 
-/// Cycle cost per class, indexed `[class][taken as usize]`. Only [`C_COND`]
-/// distinguishes the two columns; every other class charges the same either
-/// way, mirroring how `CostModel::cost` ignores `taken` for them.
-pub(crate) fn cost_table(m: &CostModel) -> [[u64; 2]; N_CLASSES] {
+/// Cycle cost per class, indexed `[class][taken as usize]`, evaluated at
+/// compile time from [`cost()`] on one instruction of each class. Only
+/// [`C_COND`] distinguishes the two columns; every other class charges the
+/// same either way, as [`cost()`] ignores `taken` for them.
+pub(crate) const COST_TABLE: [[u64; 2]; N_CLASSES] = {
+    const fn row(inst: Inst) -> [u64; 2] {
+        [cost(&inst, false), cost(&inst, true)]
+    }
+    const R: Reg = Reg::R0;
     let mut t = [[0; 2]; N_CLASSES];
-    t[C_ONE as usize] = [1, 1];
-    t[C_OUT as usize] = [m.out, m.out];
-    t[C_ALU as usize] = [m.alu, m.alu];
-    t[C_MUL as usize] = [m.mul, m.mul];
-    t[C_DIV as usize] = [m.div, m.div];
-    t[C_LOAD as usize] = [m.load, m.load];
-    t[C_STORE as usize] = [m.store, m.store];
-    t[C_STACK as usize] = [m.stack, m.stack];
-    t[C_CMOV as usize] = [m.cmov, m.cmov];
-    t[C_HALT as usize] = [1, 1];
-    t[C_JMP as usize] = [m.branch_taken, m.branch_taken];
-    t[C_COND as usize] = [m.branch_not_taken, m.branch_taken];
-    t[C_CALL as usize] = [m.call, m.call];
-    t[C_CALLR as usize] = [m.call + m.indirect_penalty, m.call + m.indirect_penalty];
-    t[C_JMPR as usize] = [m.branch_taken + m.indirect_penalty, m.branch_taken + m.indirect_penalty];
-    t[C_RET as usize] = [m.ret, m.ret];
+    t[C_ONE as usize] = row(Inst::Nop);
+    t[C_OUT as usize] = row(Inst::Out { src: R });
+    t[C_ALU as usize] = row(Inst::MovRR { dst: R, src: R });
+    t[C_MUL as usize] = row(Inst::Alu { op: AluOp::Mul, dst: R, src: R });
+    t[C_DIV as usize] = row(Inst::Alu { op: AluOp::Div, dst: R, src: R });
+    t[C_LOAD as usize] = row(Inst::Ld { dst: R, base: R, disp: 0 });
+    t[C_STORE as usize] = row(Inst::St { base: R, src: R, disp: 0 });
+    t[C_STACK as usize] = row(Inst::Push { src: R });
+    t[C_CMOV as usize] = row(Inst::CMov { cc: Cond::E, dst: R, src: R });
+    t[C_HALT as usize] = row(Inst::Halt);
+    t[C_JMP as usize] = row(Inst::Jmp { offset: 0 });
+    t[C_COND as usize] = row(Inst::Jcc { cc: Cond::E, offset: 0 });
+    t[C_CALL as usize] = row(Inst::Call { offset: 0 });
+    t[C_CALLR as usize] = row(Inst::CallR { target: R });
+    t[C_JMPR as usize] = row(Inst::JmpR { target: R });
+    t[C_RET as usize] = row(Inst::Ret);
     t
-}
+};
 
 /// One decoded line: the instruction plus everything about it that is fixed
 /// per `(slot, bytes)` and would otherwise be recomputed every retirement —
@@ -242,8 +248,7 @@ impl DecodedCache {
     ///
     /// Trap-for-trap identical to `mem.fetch(addr)` followed by
     /// `Inst::decode`: alignment, then range, then execute permission, then
-    /// decode validity, with the same [`Trap`] payloads. Does not execute
-    /// anything, so it doubles as a cached `peek`.
+    /// decode validity, with the same [`Trap`] payloads.
     ///
     /// # Errors
     ///
@@ -274,6 +279,19 @@ impl DecodedCache {
         Ok(inst)
     }
 
+    /// The decoded instruction at `addr` when its line is cached in a
+    /// still-valid page and `addr` is executable; `None` otherwise. A pure
+    /// lookup: it counts no hit or miss and inserts or revalidates nothing.
+    pub(crate) fn peek(&self, mem: &Memory, addr: u64) -> Option<Inst> {
+        if !addr.is_multiple_of(INST_SIZE_U64) || !mem.perms_at(addr).can_exec() {
+            return None;
+        }
+        let pi = (addr / PAGE_SIZE) as usize;
+        let page = self.pages.get(pi)?.as_ref().filter(|p| p.gen == mem.page_gen(pi))?;
+        let line = page.lines[((addr % PAGE_SIZE) / INST_SIZE_U64) as usize];
+        (line.class != CLASS_EMPTY).then_some(line.inst)
+    }
+
     /// Number of currently valid decoded lines in the page containing
     /// `addr`: zero when the page was never executed or has been
     /// invalidated by a write (generation mismatch). Test/diagnostic
@@ -293,7 +311,7 @@ impl DecodedCache {
 mod tests {
     use super::*;
     use crate::Perms;
-    use cfed_isa::{encode_all, Reg};
+    use cfed_isa::encode_all;
 
     fn code_mem(insts: &[Inst]) -> Memory {
         let mut mem = Memory::new(1 << 16);
@@ -303,98 +321,86 @@ mod tests {
     }
 
     /// One instruction per `Inst` variant (and per `AluOp` for the ALU
-    /// forms), so class-based bookkeeping can be pinned to the
-    /// authoritative per-instruction helpers exhaustively.
-    fn representative_insts() -> Vec<Inst> {
-        use cfed_isa::{AluOp, Cond};
+    /// forms), each with the class it must decode to, so class-based
+    /// bookkeeping can be pinned to the authoritative per-instruction
+    /// helpers exhaustively.
+    fn representative_insts() -> Vec<(Inst, u8)> {
         let r = Reg::R1;
         let mut v = vec![
-            Inst::Nop,
-            Inst::Halt,
-            Inst::Trap { code: 3 },
-            Inst::Out { src: r },
-            Inst::MovRR { dst: r, src: Reg::R2 },
-            Inst::MovRI { dst: r, imm: -5 },
-            Inst::Ld { dst: r, base: Reg::SP, disp: 8 },
-            Inst::St { base: Reg::SP, src: r, disp: 8 },
-            Inst::Ld8 { dst: r, base: Reg::SP, disp: 1 },
-            Inst::St8 { base: Reg::SP, src: r, disp: 1 },
-            Inst::Push { src: r },
-            Inst::Pop { dst: r },
-            Inst::CMov { cc: Cond::E, dst: r, src: Reg::R2 },
-            Inst::Neg { dst: r },
-            Inst::Not { dst: r },
-            Inst::Lea { dst: r, base: Reg::R2, disp: 4 },
-            Inst::Lea2 { dst: r, base: Reg::R2, index: Reg::R3, disp: 4 },
-            Inst::LeaSub { dst: r, base: Reg::R2, index: Reg::R3, disp: 4 },
-            Inst::Jmp { offset: 16 },
-            Inst::Jcc { cc: Cond::Ne, offset: -16 },
-            Inst::JRz { src: r, offset: 24 },
-            Inst::JRnz { src: r, offset: 24 },
-            Inst::Call { offset: 32 },
-            Inst::CallR { target: r },
-            Inst::JmpR { target: r },
-            Inst::Ret,
+            (Inst::Nop, C_ONE),
+            (Inst::Halt, C_HALT),
+            (Inst::Trap { code: 3 }, C_ONE),
+            (Inst::Out { src: r }, C_OUT),
+            (Inst::MovRR { dst: r, src: Reg::R2 }, C_ALU),
+            (Inst::MovRI { dst: r, imm: -5 }, C_ALU),
+            (Inst::Ld { dst: r, base: Reg::SP, disp: 8 }, C_LOAD),
+            (Inst::St { base: Reg::SP, src: r, disp: 8 }, C_STORE),
+            (Inst::Ld8 { dst: r, base: Reg::SP, disp: 1 }, C_LOAD),
+            (Inst::St8 { base: Reg::SP, src: r, disp: 1 }, C_STORE),
+            (Inst::Push { src: r }, C_STACK),
+            (Inst::Pop { dst: r }, C_STACK),
+            (Inst::CMov { cc: Cond::E, dst: r, src: Reg::R2 }, C_CMOV),
+            (Inst::Neg { dst: r }, C_ALU),
+            (Inst::Not { dst: r }, C_ALU),
+            (Inst::Lea { dst: r, base: Reg::R2, disp: 4 }, C_ALU),
+            (Inst::Lea2 { dst: r, base: Reg::R2, index: Reg::R3, disp: 4 }, C_ALU),
+            (Inst::LeaSub { dst: r, base: Reg::R2, index: Reg::R3, disp: 4 }, C_ALU),
+            (Inst::Jmp { offset: 16 }, C_JMP),
+            (Inst::Jcc { cc: Cond::Ne, offset: -16 }, C_COND),
+            (Inst::JRz { src: r, offset: 24 }, C_COND),
+            (Inst::JRnz { src: r, offset: 24 }, C_COND),
+            (Inst::Call { offset: 32 }, C_CALL),
+            (Inst::CallR { target: r }, C_CALLR),
+            (Inst::JmpR { target: r }, C_JMPR),
+            (Inst::Ret, C_RET),
         ];
-        for op in [
-            AluOp::Add,
-            AluOp::Sub,
-            AluOp::And,
-            AluOp::Or,
-            AluOp::Xor,
-            AluOp::Shl,
-            AluOp::Shr,
-            AluOp::Sar,
-            AluOp::Mul,
-            AluOp::Div,
-            AluOp::Cmp,
-            AluOp::Test,
+        for (op, class) in [
+            (AluOp::Add, C_ALU),
+            (AluOp::Sub, C_ALU),
+            (AluOp::And, C_ALU),
+            (AluOp::Or, C_ALU),
+            (AluOp::Xor, C_ALU),
+            (AluOp::Shl, C_ALU),
+            (AluOp::Shr, C_ALU),
+            (AluOp::Sar, C_ALU),
+            (AluOp::Mul, C_MUL),
+            (AluOp::Div, C_DIV),
+            (AluOp::Cmp, C_ALU),
+            (AluOp::Test, C_ALU),
         ] {
-            v.push(Inst::Alu { op, dst: r, src: Reg::R2 });
-            v.push(Inst::AluI { op, dst: r, imm: 3 });
+            v.push((Inst::Alu { op, dst: r, src: Reg::R2 }, class));
+            v.push((Inst::AluI { op, dst: r, imm: 3 }, class));
         }
         v
     }
 
     #[test]
     fn class_table_matches_cost_model() {
-        // An intentionally skewed model so no two classes share a cost.
-        let model = CostModel {
-            alu: 2,
-            cmov: 3,
-            mul: 5,
-            div: 7,
-            load: 11,
-            store: 13,
-            stack: 17,
-            branch_taken: 19,
-            branch_not_taken: 23,
-            call: 29,
-            ret: 31,
-            indirect_penalty: 37,
-            out: 41,
-        };
-        let table = cost_table(&model);
-        for inst in representative_insts() {
+        // Several classes share a cost (load = mul = call = ret), so a line
+        // put in the wrong class need not show as a cost mismatch: each
+        // instruction's class is asserted explicitly, then its class row
+        // is pinned to the authoritative `cost`.
+        for (inst, class) in representative_insts() {
             let line = Line::new(inst, 0x100);
+            assert_eq!(line.class, class, "class for {inst:?}");
             if matches!(inst, Inst::Trap { .. }) {
                 continue; // never retires, class never charged
             }
             for taken in [false, true] {
                 assert_eq!(
-                    table[line.class as usize][taken as usize],
-                    model.cost(&inst, taken),
+                    COST_TABLE[class as usize][taken as usize],
+                    cost(&inst, taken),
                     "cost mismatch for {inst:?} taken={taken}"
                 );
             }
-            assert_eq!(line.class >= C_JMP, inst.is_branch(), "branch class for {inst:?}");
-            assert_eq!(line.class == C_COND, inst.is_cond_branch(), "cond class for {inst:?}");
+            assert_eq!(class >= C_JMP, inst.is_branch(), "branch class for {inst:?}");
+            assert_eq!(class == C_COND, inst.is_cond_branch(), "cond class for {inst:?}");
         }
     }
 
     #[test]
     fn line_metadata_matches_inst_helpers() {
-        for inst in representative_insts() {
+        for (inst, _) in representative_insts() {
             let addr = 0x2000;
             let line = Line::new(inst, addr);
             assert_eq!(

@@ -103,20 +103,7 @@ impl Machine {
     ///
     /// Panics if code or data do not fit their regions.
     pub fn load(code: &[u8], data: &[u8], entry_offset: u64) -> Machine {
-        Machine::load_with_layout(Layout::default(), code, data, entry_offset)
-    }
-
-    /// As [`Machine::load`] with an explicit layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if code or data do not fit their regions.
-    pub fn load_with_layout(
-        layout: Layout,
-        code: &[u8],
-        data: &[u8],
-        entry_offset: u64,
-    ) -> Machine {
+        let layout = Layout::default();
         assert!(
             layout.code_base + code.len() as u64 <= layout.data_base,
             "code overflows its region ({} bytes)",
@@ -225,17 +212,18 @@ impl Machine {
         step
     }
 
-    /// Decodes (without executing) the instruction at the current `ip`,
-    /// through the decoded cache when one is attached — warming the line
-    /// the next step will execute. Same traps and statistics-neutrality as
-    /// [`Cpu::peek_inst`].
+    /// Decodes (without executing) the instruction at the current `ip`:
+    /// from a valid decoded-cache line when one is cached, else from raw
+    /// memory. Same traps and statistics-neutrality as [`Cpu::peek_inst`]:
+    /// the decode cache counts nothing and inserts nothing.
     ///
     /// # Errors
     ///
     /// Same conditions as a fetch during [`Cpu::step`].
-    pub fn peek_inst(&mut self) -> Result<Inst, Trap> {
-        match &mut self.icache {
-            Some(ic) => ic.fetch(&self.mem, self.cpu.ip()),
+    pub fn peek_inst(&self) -> Result<Inst, Trap> {
+        let ip = self.cpu.ip();
+        match self.icache.as_ref().and_then(|ic| ic.peek(&self.mem, ip)) {
+            Some(inst) => Ok(inst),
             None => self.cpu.peek_inst(&self.mem),
         }
     }
@@ -750,6 +738,34 @@ mod tests {
         assert_eq!(m.cpu.ip(), base + 40, "stopped at the planted jcc");
         assert_eq!(m.cpu.stats().branches, 3);
         assert_eq!(m.decode_cache_stats().unwrap().invalidations, 1);
+    }
+
+    #[test]
+    fn peek_inst_leaves_decode_cache_stats_as_stepping_alone() {
+        use cfed_isa::{AluOp, Cond};
+        // `mov; halt` peeks only cold lines; the loop's second and third
+        // iterations peek lines the first one decoded.
+        let cold = encode_all(&[Inst::MovRI { dst: Reg::R0, imm: 1 }, Inst::Halt]);
+        let warm = encode_all(&[
+            Inst::MovRI { dst: Reg::R1, imm: 3 },
+            Inst::AluI { op: AluOp::Sub, dst: Reg::R1, imm: 1 },
+            Inst::Jcc { cc: Cond::Ne, offset: -16 },
+            Inst::Halt,
+        ]);
+        for code in [cold, warm] {
+            let mut stepped = Machine::load(&code, &[], 0);
+            let mut peeked = Machine::load(&code, &[], 0);
+            loop {
+                let inst = peeked.peek_inst().unwrap();
+                assert_eq!(inst, peeked.cpu.peek_inst(&peeked.mem).unwrap());
+                let step = stepped.step_cpu().unwrap();
+                assert_eq!(peeked.step_cpu().unwrap(), step);
+                assert_eq!(peeked.decode_cache_stats(), stepped.decode_cache_stats());
+                if step == Step::Halt {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

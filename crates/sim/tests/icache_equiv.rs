@@ -97,6 +97,37 @@ fn arb_op() -> impl Strategy<Value = Op> {
     (0u64..40, stop, write).prop_map(|(steps, stop, write)| Op { steps, stop, write })
 }
 
+/// A guaranteed loop: `r3 = n; body: <straight-line code>; r3 -= 1;
+/// jrnz r3, body; halt`. The body may hold forward `jcc`s that skip one
+/// instruction, so an iteration retires one or more branches. From the
+/// second iteration on every branch line is already decoded, so a burst
+/// stopped in front of one meets it on the decode cache's hit path, which
+/// random programs (that mostly halt or trap early) seldom reach.
+fn arb_loop() -> impl Strategy<Value = Vec<[u8; 8]>> {
+    // The counter (r3), the data base (r2) and the stack pointer stay out
+    // of reach of the body's writes.
+    let dst = || (0usize..4).prop_map(|i| [Reg::R0, Reg::R4, Reg::R5, Reg::R6][i]);
+    let body_inst = prop_oneof![
+        Just(Inst::Nop),
+        (dst(), -100i32..100).prop_map(|(dst, imm)| Inst::MovRI { dst, imm }),
+        (arb_alu_op(), dst(), 1i32..50).prop_map(|(op, dst, imm)| Inst::AluI { op, dst, imm }),
+        (arb_alu_op(), dst(), arb_reg()).prop_map(|(op, dst, src)| Inst::Alu { op, dst, src }),
+        arb_cond().prop_map(|cc| Inst::Jcc { cc, offset: 8 }),
+        (arb_reg(), 0i32..256).prop_map(|(src, disp)| Inst::St8 { base: Reg::R2, src, disp }),
+        (dst(), 0i32..64).prop_map(|(dst, disp)| Inst::Ld { dst, base: Reg::R2, disp: disp * 8 }),
+        arb_reg().prop_map(|src| Inst::Out { src }),
+    ];
+    (2i32..12, prop::collection::vec(body_inst, 0..8)).prop_map(|(n, body)| {
+        let back = -8 * (body.len() as i32 + 2);
+        let mut prog = vec![Inst::MovRI { dst: Reg::R3, imm: n }];
+        prog.extend(body);
+        prog.push(Inst::AluI { op: AluOp::Sub, dst: Reg::R3, imm: 1 });
+        prog.push(Inst::JRnz { src: Reg::R3, offset: back });
+        prog.push(Inst::Halt);
+        prog.iter().map(Inst::encode).collect()
+    })
+}
+
 fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
     let mut mem = Memory::new(MEM_SIZE);
     mem.map(0..DATA_BASE, Perms::RWX);
@@ -214,6 +245,27 @@ proptest! {
         budget in 1u64..600,
     ) {
         let ops = [Op { steps: budget, stop: None, write: None }];
+        let raw = execute(&words, &ops, Path::Raw);
+        let stepped = execute(&words, &ops, Path::Stepped);
+        let fused = execute(&words, &ops, Path::Fused);
+        prop_assert_eq!(&raw, &stepped);
+        prop_assert_eq!(&raw, &fused);
+    }
+
+    /// Bursts over guaranteed loops, each stopping in front of a branch a
+    /// few branches on: most stops land on branch lines decoded by an
+    /// earlier iteration, so the stop rule is exercised on the decode
+    /// cache's hit path, not only where a branch is decoded for the first
+    /// time.
+    #[test]
+    fn loop_bursts_stop_at_warm_branches_like_steps(
+        words in arb_loop(),
+        ops in prop::collection::vec((1u64..120, 0u64..4), 1..24),
+    ) {
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|(steps, stop)| Op { steps, stop: Some(stop), write: None })
+            .collect();
         let raw = execute(&words, &ops, Path::Raw);
         let stepped = execute(&words, &ops, Path::Stepped);
         let fused = execute(&words, &ops, Path::Fused);

@@ -1,8 +1,6 @@
 //! Golden-output regression tests: the workloads are the oracle of every
 //! fault-injection experiment, so their outputs must never drift silently.
-//! Also round-trips every workload source through the MiniC pretty-printer.
 
-use cfed_lang::pretty::{ast_eq, pretty};
 use cfed_sim::{ExitReason, Machine};
 use cfed_workloads::{Scale, ALL};
 
@@ -68,18 +66,5 @@ fn outputs_match_golden() {
         assert_eq!(out.len(), len, "{name}: output length changed");
         assert_eq!(out.first().copied(), Some(first), "{name}: first output changed");
         assert_eq!(out.last().copied(), Some(last), "{name}: last output changed");
-    }
-}
-
-#[test]
-fn all_workload_sources_roundtrip_through_pretty_printer() {
-    for w in &ALL {
-        let src = w.source(Scale::Test);
-        let prog =
-            cfed_lang::parse(&src).unwrap_or_else(|e| panic!("{} does not parse: {e}", w.name));
-        let canon = pretty(&prog);
-        let back = cfed_lang::parse(&canon)
-            .unwrap_or_else(|e| panic!("{} canonical text does not parse: {e}", w.name));
-        assert!(ast_eq(&prog, &back), "{}: pretty-print round trip changed the AST", w.name);
     }
 }

@@ -44,21 +44,3 @@ proptest! {
         prop_assert!(rcf.cycles >= base.cycles);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The MiniC optimizer is semantics-preserving: optimized and
-    /// unoptimized builds of a random program produce identical outputs,
-    /// and the optimized build never retires more instructions.
-    #[test]
-    fn optimizer_preserves_semantics(src in minic_source()) {
-        let plain = cfed::lang::compile(&src).expect("valid");
-        let opt = cfed::lang::compile_optimized(&src).expect("valid optimized");
-        let a = run_native(&plain, 50_000_000);
-        let b = run_native(&opt, 50_000_000);
-        prop_assert_eq!(a.exit, b.exit);
-        prop_assert_eq!(&a.output, &b.output);
-        prop_assert!(b.insts <= a.insts, "optimizer made things worse: {} vs {}", b.insts, a.insts);
-    }
-}
