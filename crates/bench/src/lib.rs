@@ -1,15 +1,17 @@
 //! # cfed-bench — experiment harnesses
 //!
 //! Functions that regenerate every table and figure of the paper's
-//! evaluation, shared by the `fig*` binaries and the integration tests:
+//! evaluation, shared by the `figures` binary and the integration tests.
+//! Every figure reads one caller-owned run table, [`FigureRuns`]: each
+//! image compiled once, each distinct DBT configuration run once.
 //!
-//! | paper artifact | function | binary | engine |
+//! | paper artifact | table method | `figures` writes | engine |
 //! |---|---|---|---|
-//! | Figure 2 (error-model table) | [`fig2`] | `fig2_error_model` | decoded interpreter, branch to branch |
-//! | Figure 3 (SDC-prone categories) | [`fig2`] (derived) | `fig2_error_model` | as Figure 2 |
-//! | Figure 12 (per-benchmark slowdown) | [`fig12`] | `fig12_slowdown` | native DBT; decoded interpreter for DBT/native |
-//! | Figure 14 (Jcc vs CMOVcc) | [`fig14`] | `fig14_update_style` | native DBT |
-//! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` | native DBT |
+//! | Figure 2 (error-model table) | [`FigureRuns::fig2`] | `fig2.txt` | decoded interpreter, branch to branch |
+//! | Figure 3 (SDC-prone categories) | [`FigureRuns::fig2`] (derived) | `fig2.txt` | as Figure 2 |
+//! | Figure 12 (per-benchmark slowdown) | [`FigureRuns::fig12`] | `fig12.txt` | native DBT; decoded interpreter for DBT/native |
+//! | Figure 14 (Jcc vs CMOVcc) | [`FigureRuns::fig14`] | `fig14.txt` | native DBT |
+//! | Figure 15 (checking policies) | [`FigureRuns::fig15`] | `fig15.txt` | native DBT |
 //!
 //! "Native DBT" is [`cfed_core::run_dbt_native`]: the DBT's x86-64
 //! backend where [`cfed_dbt::native_enabled`] allows it, else the fused
@@ -22,15 +24,212 @@
 //! `cfed-serve`). The `perf_gate` binary writes and gates
 //! `BENCH_campaign.json`, the CI performance record.
 
-use cfed_core::{geomean, run_dbt_native, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
+use cfed_core::{geomean, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_fault::{analyze_image, ErrorModelTable};
 use cfed_runner::pool::parallel_map;
 use cfed_telemetry::Telemetry;
-use cfed_workloads::{Scale, Suite, Workload, ALL};
+use cfed_workloads::{Scale, Suite, ALL};
 
-fn image(w: &Workload, scale: Scale) -> cfed_asm::Image {
-    w.image(scale).unwrap_or_else(|e| panic!("{} failed to compile: {e}", w.name))
+// ----------------------------------------------------------------------
+// The run table
+// ----------------------------------------------------------------------
+
+/// A figure [`FigureRuns`] renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    /// Figures 2 and 3: the §2 error model over both suites.
+    Fig2,
+    /// Figure 12: per-benchmark technique slowdowns.
+    Fig12,
+    /// Figure 14: Jcc vs CMOVcc signature updates.
+    Fig14,
+    /// Figure 15: RCF under the four checking policies.
+    Fig15,
+}
+
+/// The techniques of Figures 12 and 14, in column order.
+const KINDS: [TechniqueKind; 3] = [TechniqueKind::Rcf, TechniqueKind::EdgCf, TechniqueKind::Ecf];
+
+fn fig14_config(style: UpdateStyle, kind: TechniqueKind) -> RunConfig {
+    RunConfig { technique: Some(kind), style, ..RunConfig::default() }
+}
+
+fn fig15_config(policy: CheckPolicy) -> RunConfig {
+    RunConfig { technique: Some(TechniqueKind::Rcf), policy, ..RunConfig::default() }
+}
+
+impl Figure {
+    /// Every figure, in the order the `figures` binary writes them.
+    pub const ALL: [Figure; 4] = [Figure::Fig2, Figure::Fig12, Figure::Fig14, Figure::Fig15];
+
+    /// The stem of the figure's results file: `fig2`, `fig12`, ….
+    pub fn name(self) -> &'static str {
+        ["fig2", "fig12", "fig14", "fig15"][self as usize]
+    }
+
+    /// The DBT configurations the figure reads, baseline first.
+    fn configs(self) -> Vec<RunConfig> {
+        let columns = match self {
+            Figure::Fig2 => return Vec::new(),
+            Figure::Fig12 => KINDS.map(RunConfig::technique).to_vec(),
+            Figure::Fig14 => [UpdateStyle::Jcc, UpdateStyle::CMov]
+                .into_iter()
+                .flat_map(|style| KINDS.map(|kind| fig14_config(style, kind)))
+                .collect(),
+            Figure::Fig15 => CheckPolicy::ALL.map(fig15_config).to_vec(),
+        };
+        [vec![RunConfig::baseline()], columns].concat()
+    }
+}
+
+/// One workload's row of a [`FigureRuns`] table. It holds numbers only,
+/// never a machine or a run outcome, so a table costs no more memory than
+/// the figures it renders.
+#[derive(Debug, Clone)]
+pub struct WorkloadRuns {
+    /// Benchmark name.
+    pub name: &'static str,
+    /// Suite membership.
+    pub suite: Suite,
+    /// The §2 error-model table, when Figure 2 was requested.
+    pub error_model: Option<ErrorModelTable>,
+    /// Cycles of the uninstrumented interpreter run ([`run_native`]), when
+    /// Figure 12 was requested.
+    pub native_cycles: Option<u64>,
+    /// Cycles of each distinct DBT configuration the requested figures
+    /// read, in first-use order.
+    pub dbt_cycles: Vec<(RunConfig, u64)>,
+}
+
+impl WorkloadRuns {
+    fn cycles(&self, cfg: &RunConfig) -> f64 {
+        let run = self.dbt_cycles.iter().find(|(c, _)| c == cfg);
+        run.unwrap_or_else(|| panic!("{}: the table holds no run of {cfg:?}", self.name)).1 as f64
+    }
+
+    /// Cycles under `cfg` over the uninstrumented DBT's.
+    fn slowdown(&self, cfg: &RunConfig) -> f64 {
+        self.cycles(cfg) / self.cycles(&RunConfig::baseline())
+    }
+}
+
+/// The runs behind a set of figures. Each figure method panics on a table
+/// built without its figure.
+#[derive(Debug, Clone)]
+pub struct FigureRuns {
+    workloads: Vec<WorkloadRuns>,
+}
+
+impl FigureRuns {
+    /// Builds the table for `figures`, one workload per pool task over
+    /// `threads` worker threads (`0` = all cores). A task compiles its image
+    /// once, runs the error model for Figure 2 and the interpreter for
+    /// Figure 12, then each distinct DBT configuration once through
+    /// [`run_dbt_telemetry`] (each run emits `dbt_stats` to `telemetry`).
+    /// Figures are computed in workload order: byte-identical to a serial run.
+    pub fn build(
+        scale: Scale,
+        threads: usize,
+        telemetry: &Telemetry,
+        figures: &[Figure],
+    ) -> FigureRuns {
+        let mut configs: Vec<RunConfig> = Vec::new();
+        for cfg in figures.iter().flat_map(|f| f.configs()) {
+            if !configs.contains(&cfg) {
+                configs.push(cfg);
+            }
+        }
+        let wants = |f| figures.contains(&f);
+        let workloads = parallel_map(ALL.len(), threads, |i| {
+            let w = &ALL[i];
+            let img =
+                w.image(scale).unwrap_or_else(|e| panic!("{} failed to compile: {e}", w.name));
+            WorkloadRuns {
+                name: w.name,
+                suite: w.suite,
+                error_model: wants(Figure::Fig2).then(|| analyze_image(&img, 500_000_000).table),
+                native_cycles: wants(Figure::Fig12).then(|| run_native(&img, u64::MAX).cycles),
+                dbt_cycles: configs
+                    .iter()
+                    .map(|cfg| (*cfg, run_dbt_telemetry(&img, cfg, telemetry).cycles))
+                    .collect(),
+            }
+        });
+        FigureRuns { workloads }
+    }
+
+    /// One row per workload, in workload order.
+    pub fn workloads(&self) -> &[WorkloadRuns] {
+        &self.workloads
+    }
+
+    /// `figure` rendered as the results file `figures` writes for it.
+    pub fn render(&self, figure: Figure) -> String {
+        match figure {
+            Figure::Fig2 => render_fig2(&self.fig2()),
+            Figure::Fig12 => format!("{}\n", render_fig12(&self.fig12())),
+            Figure::Fig14 => format!("{}\n", render_fig14(&self.fig14())),
+            Figure::Fig15 => format!("{}\n", render_fig15(&self.fig15())),
+        }
+    }
+
+    /// Figure 2/3 data: the per-workload error-model tables merged per
+    /// suite in workload order (integer tallies throughout).
+    pub fn fig2(&self) -> Fig2 {
+        let mut fig = Fig2 { int: ErrorModelTable::default(), fp: ErrorModelTable::default() };
+        for w in &self.workloads {
+            let table = w.error_model.as_ref().expect("table built without Figure 2");
+            match w.suite {
+                Suite::Int => fig.int.merge(table),
+                Suite::Fp => fig.fp.merge(table),
+            }
+        }
+        fig
+    }
+
+    /// Figure 12 data: per-benchmark technique slowdowns (Jcc update,
+    /// ALLBB) and the DBT baseline over the interpreter.
+    pub fn fig12(&self) -> Vec<SlowdownRow> {
+        self.workloads
+            .iter()
+            .map(|w| {
+                let native = w.native_cycles.expect("table built without Figure 12");
+                let slowdown = |kind| w.slowdown(&RunConfig::technique(kind));
+                SlowdownRow {
+                    name: w.name,
+                    suite: w.suite,
+                    rcf: slowdown(TechniqueKind::Rcf),
+                    edgcf: slowdown(TechniqueKind::EdgCf),
+                    ecf: slowdown(TechniqueKind::Ecf),
+                    dbt_over_native: w.cycles(&RunConfig::baseline()) / native as f64,
+                }
+            })
+            .collect()
+    }
+
+    /// Figure 14 data: geomean slowdown for update style × technique, each
+    /// over the per-workload ratios in workload order.
+    pub fn fig14(&self) -> [[f64; 3]; 2] {
+        [UpdateStyle::Jcc, UpdateStyle::CMov].map(|style| {
+            KINDS.map(|kind| {
+                let cfg = fig14_config(style, kind);
+                geomean(&self.workloads.iter().map(|w| w.slowdown(&cfg)).collect::<Vec<_>>())
+            })
+        })
+    }
+
+    /// Figure 15 data: RCF slowdown under each checking policy.
+    pub fn fig15(&self) -> Vec<PolicyRow> {
+        self.workloads
+            .iter()
+            .map(|w| PolicyRow {
+                name: w.name,
+                suite: w.suite,
+                slowdowns: CheckPolicy::ALL.map(|policy| w.slowdown(&fig15_config(policy))),
+            })
+            .collect()
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -46,29 +245,21 @@ pub struct Fig2 {
     pub fp: ErrorModelTable,
 }
 
-/// Runs the §2 single-bit error model over both suites (Figures 2 and 3),
-/// one workload per pool task over `threads` worker threads (`0` = all
-/// cores). Per-workload tables are merged in workload order, so the result
-/// — integer tallies throughout — is bit-identical to a serial run.
+/// Runs the §2 single-bit error model over both suites (Figures 2 and 3):
+/// [`FigureRuns::fig2`] of a table built for Figure 2 alone.
 pub fn fig2_with(scale: Scale, threads: usize) -> Fig2 {
-    let tables = parallel_map(ALL.len(), threads, |i| {
-        let w = &ALL[i];
-        (w.suite, analyze_image(&image(w, scale), 500_000_000).table)
-    });
-    let mut int = ErrorModelTable::default();
-    let mut fp = ErrorModelTable::default();
-    for (suite, table) in &tables {
-        match suite {
-            Suite::Int => int.merge(table),
-            Suite::Fp => fp.merge(table),
-        }
-    }
-    Fig2 { int, fp }
+    FigureRuns::build(scale, threads, &Telemetry::off(), &[Figure::Fig2]).fig2()
 }
 
-/// [`fig2_with`] on all cores.
-pub fn fig2(scale: Scale) -> Fig2 {
-    fig2_with(scale, 0)
+/// Renders Figures 2 and 3: the SPEC-Int and SPEC-Fp tables, then the
+/// Figure 3 view.
+pub fn render_fig2(fig: &Fig2) -> String {
+    format!(
+        "{}\n{}\n{}\n",
+        fig.int.render("Figure 2 — SPEC-Int 2000 (analog suite)"),
+        fig.fp.render("Figure 2 — SPEC-Fp 2000 (analog suite)"),
+        render_fig3(fig)
+    )
 }
 
 /// Renders the Figure 3 view (probabilities over categories A–E only).
@@ -113,57 +304,17 @@ pub struct SlowdownRow {
     pub dbt_over_native: f64,
 }
 
-/// Figure 12 data: per-benchmark technique slowdowns (Jcc update, ALLBB).
-pub fn fig12(scale: Scale) -> Vec<SlowdownRow> {
-    fig12_telemetry(scale, &Telemetry::off())
-}
-
-/// As [`fig12`], with each DBT run (native-first, through
-/// [`run_dbt_telemetry`]) attached to a telemetry handle: every
-/// run end emits a `dbt_stats` event (translation-time histogram, block
-/// and chain counters) to the handle's sink. The disabled handle costs
-/// one untaken branch per emit site, which is what the `< 3%` telemetry
-/// overhead bound on this figure is measured against.
-pub fn fig12_telemetry(scale: Scale, telemetry: &Telemetry) -> Vec<SlowdownRow> {
-    fig12_telemetry_with(scale, telemetry, 0)
-}
-
-/// As [`fig12_telemetry`], one workload per pool task over `threads`
-/// worker threads. Every row is computed from that workload's runs alone
-/// and rows come back in workload order, so the figure is byte-identical
-/// to a serial run (telemetry events may interleave across workloads).
+/// Figure 12 data: [`FigureRuns::fig12`] of a table built for Figure 12
+/// alone (one compile, one interpreter run and four DBT runs per
+/// workload), with every DBT run attached to `telemetry`. The disabled
+/// handle costs one untaken branch per emit site, which is what the `< 3%`
+/// telemetry overhead bound on this figure is measured against.
 pub fn fig12_telemetry_with(
     scale: Scale,
     telemetry: &Telemetry,
     threads: usize,
 ) -> Vec<SlowdownRow> {
-    parallel_map(ALL.len(), threads, |i| {
-        let w = &ALL[i];
-        let img = image(w, scale);
-        let native = run_native(&img, u64::MAX);
-        let base = run_dbt_telemetry(&img, &RunConfig::baseline(), telemetry);
-        let cycles =
-            |kind| run_dbt_telemetry(&img, &RunConfig::technique(kind), telemetry).cycles as f64;
-        SlowdownRow {
-            name: w.name,
-            suite: w.suite,
-            rcf: cycles(TechniqueKind::Rcf) / base.cycles as f64,
-            edgcf: cycles(TechniqueKind::EdgCf) / base.cycles as f64,
-            ecf: cycles(TechniqueKind::Ecf) / base.cycles as f64,
-            dbt_over_native: base.cycles as f64 / native.cycles as f64,
-        }
-    })
-}
-
-/// Geometric means over a suite filter (`None` = all benchmarks).
-pub fn fig12_geomean(rows: &[SlowdownRow], suite: Option<Suite>) -> (f64, f64, f64) {
-    let sel: Vec<&SlowdownRow> =
-        rows.iter().filter(|r| suite.is_none_or(|s| r.suite == s)).collect();
-    (
-        geomean(&sel.iter().map(|r| r.rcf).collect::<Vec<_>>()),
-        geomean(&sel.iter().map(|r| r.edgcf).collect::<Vec<_>>()),
-        geomean(&sel.iter().map(|r| r.ecf).collect::<Vec<_>>()),
-    )
+    FigureRuns::build(scale, threads, telemetry, &[Figure::Fig12]).fig12()
 }
 
 /// Renders Figure 12 as a table.
@@ -178,76 +329,57 @@ pub fn render_fig12(rows: &[SlowdownRow]) -> String {
         "benchmark", "suite", "RCF", "EdgCF", "ECF", "DBT/native"
     );
     let _ = writeln!(out, "{}", "-".repeat(62));
-    let print_suite = |suite: Suite, out: &mut String| {
-        for r in rows.iter().filter(|r| r.suite == suite) {
-            let _ = writeln!(
-                out,
-                "{:>14} {:>6} | {:>7.3} {:>7.3} {:>7.3} | {:>10.3}",
-                r.name,
-                if suite == Suite::Int { "int" } else { "fp" },
-                r.rcf,
-                r.edgcf,
-                r.ecf,
-                r.dbt_over_native
-            );
-        }
-        let (rcf, edg, ecf) = fig12_geomean(rows, Some(suite));
-        let label = if suite == Suite::Int { "geomean-int" } else { "geomean-fp" };
-        let _ = writeln!(out, "{label:>21} | {rcf:>7.3} {edg:>7.3} {ecf:>7.3} |");
-    };
-    print_suite(Suite::Fp, &mut out);
-    print_suite(Suite::Int, &mut out);
-    let (rcf, edg, ecf) = fig12_geomean(rows, None);
-    let _ = writeln!(out, "{:>21} | {:>7.3} {:>7.3} {:>7.3} |", "geomean-all", rcf, edg, ecf);
+    let body: Vec<_> = rows
+        .iter()
+        .map(|r| {
+            let tail = format!(" | {:>10.3}", r.dbt_over_native);
+            (r.name, r.suite, vec![r.rcf, r.edgcf, r.ecf], tail)
+        })
+        .collect();
+    write_suite_rows(&mut out, &body, " |");
     let dbt: Vec<f64> = rows.iter().map(|r| r.dbt_over_native).collect();
     let _ = writeln!(out, "DBT baseline over native (geomean): {:.3}", geomean(&dbt));
     out
+}
+
+/// Writes the per-benchmark body of Figures 12 and 15: the SPEC-Fp rows,
+/// then the SPEC-Int rows, each suite closed by the geomean of every
+/// column over its rows, then the geomean over all rows. A row is
+/// `(name, suite, columns, tail)`: `tail` follows the row's columns, as
+/// `geo_tail` follows each geomean row's.
+fn write_suite_rows(out: &mut String, rows: &[(&str, Suite, Vec<f64>, String)], geo_tail: &str) {
+    use std::fmt::Write as _;
+    let width = rows.first().map_or(0, |r| r.2.len());
+    let geomeans = |out: &mut String, label: &str, suite: Option<Suite>| {
+        let _ = write!(out, "{label:>21} |");
+        for c in 0..width {
+            let column: Vec<f64> =
+                rows.iter().filter(|r| suite.is_none_or(|s| r.1 == s)).map(|r| r.2[c]).collect();
+            let _ = write!(out, " {:>7.3}", geomean(&column));
+        }
+        let _ = writeln!(out, "{geo_tail}");
+    };
+    for (suite, tag) in [(Suite::Fp, "fp"), (Suite::Int, "int")] {
+        for (name, _, columns, tail) in rows.iter().filter(|r| r.1 == suite) {
+            let _ = write!(out, "{name:>14} {tag:>6} |");
+            for v in columns {
+                let _ = write!(out, " {v:>7.3}");
+            }
+            let _ = writeln!(out, "{tail}");
+        }
+        geomeans(out, &format!("geomean-{tag}"), Some(suite));
+    }
+    geomeans(out, "geomean-all", None);
 }
 
 // ----------------------------------------------------------------------
 // Figure 14
 // ----------------------------------------------------------------------
 
-/// Figure 14 data: geomean slowdown for update style × technique.
-pub fn fig14(scale: Scale) -> [[f64; 3]; 2] {
-    fig14_with(scale, 0)
-}
-
-/// As [`fig14`], one workload per pool task over `threads` worker threads.
-/// Each task computes its workload's six style×technique ratios; the main
-/// thread then accumulates them in workload order before taking geomeans,
-/// so every float operation happens in the same sequence as a serial run
-/// and the figure is byte-identical.
+/// Figure 14 data: [`FigureRuns::fig14`] of a table built for Figure 14
+/// alone.
 pub fn fig14_with(scale: Scale, threads: usize) -> [[f64; 3]; 2] {
-    let kinds = [TechniqueKind::Rcf, TechniqueKind::EdgCf, TechniqueKind::Ecf];
-    let styles = [UpdateStyle::Jcc, UpdateStyle::CMov];
-    let ratios = parallel_map(ALL.len(), threads, |i| {
-        let img = image(&ALL[i], scale);
-        let base = run_dbt_native(&img, &RunConfig::baseline()).cycles as f64;
-        let mut r = [[0.0f64; 3]; 2];
-        for (si, &style) in styles.iter().enumerate() {
-            for (ki, &kind) in kinds.iter().enumerate() {
-                let cfg = RunConfig { technique: Some(kind), style, ..RunConfig::default() };
-                r[si][ki] = run_dbt_native(&img, &cfg).cycles as f64 / base;
-            }
-        }
-        r
-    });
-    let mut acc = [[Vec::new(), Vec::new(), Vec::new()], [Vec::new(), Vec::new(), Vec::new()]];
-    for r in &ratios {
-        for s in 0..2 {
-            for k in 0..3 {
-                acc[s][k].push(r[s][k]);
-            }
-        }
-    }
-    let mut out = [[0.0; 3]; 2];
-    for s in 0..2 {
-        for k in 0..3 {
-            out[s][k] = geomean(&acc[s][k]);
-        }
-    }
-    out
+    FigureRuns::build(scale, threads, &Telemetry::off(), &[Figure::Fig14]).fig14()
 }
 
 /// Renders the Figure 14 table.
@@ -281,36 +413,10 @@ pub struct PolicyRow {
     pub slowdowns: [f64; 4],
 }
 
-/// Figure 15 data: RCF slowdown under each checking policy.
-pub fn fig15(scale: Scale) -> Vec<PolicyRow> {
-    fig15_with(scale, 0)
-}
-
-/// As [`fig15`], one workload per pool task over `threads` worker threads;
-/// rows come back in workload order, byte-identical to a serial run.
+/// Figure 15 data: [`FigureRuns::fig15`] of a table built for Figure 15
+/// alone.
 pub fn fig15_with(scale: Scale, threads: usize) -> Vec<PolicyRow> {
-    parallel_map(ALL.len(), threads, |i| {
-        let w = &ALL[i];
-        let img = image(w, scale);
-        let base = run_dbt_native(&img, &RunConfig::baseline()).cycles as f64;
-        let mut slowdowns = [0.0; 4];
-        for (pi, policy) in CheckPolicy::ALL.into_iter().enumerate() {
-            let cfg =
-                RunConfig { technique: Some(TechniqueKind::Rcf), policy, ..RunConfig::default() };
-            slowdowns[pi] = run_dbt_native(&img, &cfg).cycles as f64 / base;
-        }
-        PolicyRow { name: w.name, suite: w.suite, slowdowns }
-    })
-}
-
-/// Geomean of a policy column over a suite filter.
-pub fn fig15_geomean(rows: &[PolicyRow], suite: Option<Suite>, policy: usize) -> f64 {
-    let vals: Vec<f64> = rows
-        .iter()
-        .filter(|r| suite.is_none_or(|s| r.suite == s))
-        .map(|r| r.slowdowns[policy])
-        .collect();
-    geomean(&vals)
+    FigureRuns::build(scale, threads, &Telemetry::off(), &[Figure::Fig15]).fig15()
 }
 
 /// Renders Figure 15 as a table.
@@ -324,30 +430,8 @@ pub fn render_fig15(rows: &[PolicyRow]) -> String {
         "benchmark", "suite", "ALLBB", "RET-BE", "RET", "END"
     );
     let _ = writeln!(out, "{}", "-".repeat(58));
-    for suite in [Suite::Fp, Suite::Int] {
-        for r in rows.iter().filter(|r| r.suite == suite) {
-            let _ = writeln!(
-                out,
-                "{:>14} {:>6} | {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-                r.name,
-                if suite == Suite::Int { "int" } else { "fp" },
-                r.slowdowns[0],
-                r.slowdowns[1],
-                r.slowdowns[2],
-                r.slowdowns[3]
-            );
-        }
-        let label = if suite == Suite::Int { "geomean-int" } else { "geomean-fp" };
-        let _ = write!(out, "{label:>21} |");
-        for p in 0..4 {
-            let _ = write!(out, " {:>7.3}", fig15_geomean(rows, Some(suite), p));
-        }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "{:>21} |", "geomean-all");
-    for p in 0..4 {
-        let _ = write!(out, " {:>7.3}", fig15_geomean(rows, None, p));
-    }
-    let _ = writeln!(out);
+    let body: Vec<_> =
+        rows.iter().map(|r| (r.name, r.suite, r.slowdowns.to_vec(), String::new())).collect();
+    write_suite_rows(&mut out, &body, "");
     out
 }

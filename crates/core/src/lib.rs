@@ -47,7 +47,7 @@ pub use classify::{
 pub use profile::{fold_profile, profile_dbt};
 pub use run::{
     geomean, run_dbt, run_dbt_native, run_dbt_native_enabled, run_dbt_telemetry, run_dbt_with,
-    run_native, slowdown, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
+    run_native, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
 };
 pub use techniques::{
     CfcssInstrumenter, EccaInstrumenter, EcfInstrumenter, EdgCfInstrumenter, RcfInstrumenter,

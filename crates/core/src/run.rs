@@ -190,11 +190,6 @@ pub fn run_native(image: &Image, max_insts: u64) -> RunOutcome {
     RunOutcome::collect(exit, &mut m, DbtStats::default())
 }
 
-/// Slowdown of `cycles` relative to a baseline.
-pub fn slowdown(instrumented_cycles: u64, baseline_cycles: u64) -> f64 {
-    instrumented_cycles as f64 / baseline_cycles as f64
-}
-
 /// Geometric mean of a slice of ratios.
 ///
 /// # Panics
@@ -226,10 +221,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn geomean_empty_panics() {
         let _ = geomean(&[]);
-    }
-
-    #[test]
-    fn slowdown_ratio() {
-        assert!((slowdown(150, 100) - 1.5).abs() < 1e-12);
     }
 }

@@ -322,14 +322,9 @@ fn telemetry_for(args: &cfed_runner::cli::Args, prefix: &str) -> Telemetry {
         );
     }
     match args.get("events").filter(|s| !s.is_empty()) {
-        Some(path) => {
-            let path = PathBuf::from(path);
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fatal(prefix, format!("creating {}: {e}", dir.display())));
-            }
-            Telemetry::to(Arc::new(JsonlSink::create(&path).unwrap_or_else(|e| fatal(prefix, e))))
-        }
+        Some(path) => Telemetry::to(Arc::new(
+            JsonlSink::create(Path::new(path)).unwrap_or_else(|e| fatal(prefix, e)),
+        )),
         None => Telemetry::off(),
     }
 }

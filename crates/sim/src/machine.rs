@@ -3,7 +3,7 @@
 
 use crate::icache::{DecodeCacheStats, DecodedCache};
 use crate::profiler::ExecProfiler;
-use crate::{Cpu, ExitReason, Memory, Perms, Step, Tracer, Trap};
+use crate::{Cpu, ExitReason, Memory, Perms, Step, TraceEntry, Tracer, Trap};
 use cfed_isa::Inst;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -175,11 +175,12 @@ impl Machine {
         self.tracer = Some(Tracer::resumed(capacity, retired));
     }
 
-    /// Steps the CPU once, through the attached tracer if any, and records
-    /// the retired instruction (its address and cycle cost) into the
-    /// attached profiler if any — so a profile does not depend on whether
-    /// an instruction retired here or in a [`Machine::run_burst`]. A trap
-    /// records nothing. Supervisors (the DBT runtime, fault harnesses)
+    /// Steps the CPU once, records the retired instruction into the
+    /// attached tracer if any, and records its address and cycle cost into
+    /// the attached profiler if any — so a profile does not depend on
+    /// whether an instruction retired here or in a [`Machine::run_burst`].
+    /// A trap records nothing. Neither observer changes what the step
+    /// computes or counts. Supervisors (the DBT runtime, fault harnesses)
     /// should prefer this over calling `cpu.step` directly so tracing and
     /// profiling stay transparent.
     ///
@@ -190,12 +191,30 @@ impl Machine {
         if self.profiler.is_some() {
             return self.step_profiled();
         }
-        match (&mut self.tracer, &mut self.icache) {
-            (Some(tracer), Some(ic)) => tracer.step_decoded(&mut self.cpu, &mut self.mem, ic),
-            (Some(tracer), None) => tracer.step(&mut self.cpu, &mut self.mem),
-            (None, Some(ic)) => self.cpu.step_decoded(&mut self.mem, ic),
-            (None, None) => self.cpu.step(&mut self.mem),
+        if self.tracer.is_some() {
+            return self.step_traced();
         }
+        match &mut self.icache {
+            Some(ic) => self.cpu.step_decoded(&mut self.mem, ic),
+            None => self.cpu.step(&mut self.mem),
+        }
+    }
+
+    /// [`Machine::step_cpu`] with a tracer attached. The entry is read through
+    /// the statistics-neutral [`Machine::peek_inst`], so tracing fetches nothing.
+    #[cold]
+    fn step_traced(&mut self) -> Result<Step, Trap> {
+        let mut tracer = self.tracer.take().expect("tracer attached");
+        let entry = self.peek_inst().map(|inst| {
+            let taken = inst.is_cond_branch().then(|| self.cpu.would_take(&inst));
+            TraceEntry { addr: self.cpu.ip(), inst, taken }
+        });
+        let step = self.step_cpu();
+        if let (Ok(_), Ok(entry)) = (&step, entry) {
+            tracer.record(entry);
+        }
+        self.tracer = Some(tracer);
+        step
     }
 
     /// [`Machine::step_cpu`] with a profiler attached. Kept out of line: the
@@ -765,6 +784,46 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tracer_leaves_stats_and_state_as_stepping_alone() {
+        use cfed_isa::{AluOp, Cond};
+        let l = Layout::default();
+        // Three laps over a line the loop's store rewrites on every lap:
+        // `mov r0, 1` at +32 becomes the planted `add r0, 5` after lap one.
+        let planted = Inst::AluI { op: AluOp::Add, dst: Reg::R0, imm: 5 };
+        let code = encode_all(&[
+            Inst::MovRI { dst: Reg::R3, imm: l.data_base as i32 },
+            Inst::Ld { dst: Reg::R2, base: Reg::R3, disp: 0 },
+            Inst::MovRI { dst: Reg::R4, imm: l.code_base as i32 },
+            Inst::MovRI { dst: Reg::R1, imm: 3 },
+            Inst::MovRI { dst: Reg::R0, imm: 1 },
+            Inst::St { base: Reg::R4, src: Reg::R2, disp: 32 },
+            Inst::AluI { op: AluOp::Sub, dst: Reg::R1, imm: 1 },
+            Inst::Jcc { cc: Cond::Ne, offset: -32 },
+            Inst::Halt,
+        ]);
+        for cached in [true, false] {
+            let mut plain = Machine::load(&code, &planted.encode(), 0);
+            let mut traced = Machine::load(&code, &planted.encode(), 0);
+            plain.set_decode_cache(cached);
+            traced.set_decode_cache(cached);
+            traced.attach_tracer_resumed(64, 0);
+            while plain.step_cpu().unwrap() == Step::Continue {}
+            while traced.step_cpu().unwrap() == Step::Continue {}
+            assert_eq!(plain.cpu.reg(Reg::R0), 11, "the planted add ran twice");
+            assert_eq!(
+                plain.decode_cache_stats().map(|s| s.invalidations > 0),
+                cached.then_some(true)
+            );
+            assert_eq!(traced.cpu.stats(), plain.cpu.stats());
+            assert_eq!(traced.decode_cache_stats(), plain.decode_cache_stats());
+            assert_eq!(traced.cpu, plain.cpu);
+            let tracer = traced.tracer.as_ref().unwrap();
+            assert_eq!(tracer.retired(), plain.cpu.stats().insts);
+            assert_eq!(tracer.branches().count(), 3);
         }
     }
 

@@ -2,8 +2,6 @@
 //! branch history, for debugging guest programs and for fault-injection
 //! forensics (what executed between injection and detection).
 
-use crate::icache::DecodedCache;
-use crate::{Cpu, Memory, Step, Trap};
 use cfed_isa::Inst;
 use cfed_telemetry::json::{obj, Json};
 use std::collections::VecDeque;
@@ -31,25 +29,21 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-/// A bounded execution tracer wrapping [`Cpu::step`].
+/// A bounded execution tracer, fed by
+/// [`Machine::step_cpu`](crate::Machine::step_cpu) once attached.
 ///
 /// # Examples
 ///
 /// ```
 /// use cfed_isa::{encode_all, Inst, Reg};
-/// use cfed_sim::{Cpu, Memory, Perms, Tracer};
+/// use cfed_sim::{Machine, Step};
 ///
 /// let code = encode_all(&[Inst::MovRI { dst: Reg::R0, imm: 1 }, Inst::Halt]);
-/// let mut mem = Memory::new(1 << 16);
-/// mem.map(0..0x1000, Perms::RX);
-/// mem.install(0, &code);
-/// let mut cpu = Cpu::new();
-/// cpu.set_ip(0);
-/// let mut tracer = Tracer::new(16);
-/// while let Ok(step) = tracer.step(&mut cpu, &mut mem) {
-///     if step == cfed_sim::Step::Halt { break; }
-/// }
-/// assert_eq!(tracer.entries().count(), 2);
+/// let mut m = Machine::load(&code, &[], 0);
+/// m.attach_tracer_resumed(16, 0);
+/// while m.step_cpu()? != Step::Halt {}
+/// assert_eq!(m.tracer.as_ref().unwrap().entries().count(), 2);
+/// # Ok::<(), cfed_sim::Trap>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracer {
@@ -90,52 +84,16 @@ impl Tracer {
         t
     }
 
-    /// Steps the CPU once, recording the retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the CPU's trap; the faulting (uncommitted) instruction is
-    /// *not* recorded, matching the architectural state.
-    pub fn step(&mut self, cpu: &mut Cpu, mem: &mut Memory) -> Result<Step, Trap> {
-        let addr = cpu.ip();
-        let inst = cpu.peek_inst(mem)?;
-        let taken = inst.is_cond_branch().then(|| cpu.would_take(&inst));
-        let step = cpu.step(mem)?;
-        let entry = TraceEntry { addr, inst, taken };
+    /// Records `entry` as retired. `Machine::step_cpu` reads the entry
+    /// through the statistics-neutral `Machine::peek_inst`, steps, and hands
+    /// it here only if the step retired, so a traced step counts exactly the
+    /// fetches an untraced one does.
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
         push_bounded(&mut self.ring, self.capacity, entry);
-        if inst.is_branch() {
+        if entry.inst.is_branch() {
             push_bounded(&mut self.branch_ring, self.capacity, entry);
         }
         self.retired += 1;
-        Ok(step)
-    }
-
-    /// As [`Tracer::step`], but fetching through a pre-decoded instruction
-    /// cache: the peek warms the line the step then executes, so a traced
-    /// instruction decodes (at most) once instead of twice. Records exactly
-    /// what [`Tracer::step`] would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the CPU's trap; the faulting (uncommitted) instruction is
-    /// *not* recorded, matching the architectural state.
-    pub fn step_decoded(
-        &mut self,
-        cpu: &mut Cpu,
-        mem: &mut Memory,
-        icache: &mut DecodedCache,
-    ) -> Result<Step, Trap> {
-        let addr = cpu.ip();
-        let inst = icache.fetch(mem, addr)?;
-        let taken = inst.is_cond_branch().then(|| cpu.would_take(&inst));
-        let step = cpu.step_decoded(mem, icache)?;
-        let entry = TraceEntry { addr, inst, taken };
-        push_bounded(&mut self.ring, self.capacity, entry);
-        if inst.is_branch() {
-            push_bounded(&mut self.branch_ring, self.capacity, entry);
-        }
-        self.retired += 1;
-        Ok(step)
     }
 
     /// The recorded tail of the instruction stream, oldest first.
@@ -199,34 +157,36 @@ fn push_bounded(ring: &mut VecDeque<TraceEntry>, cap: usize, entry: TraceEntry) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Perms;
+    use crate::{Layout, Machine, Step};
     use cfed_isa::{encode_all, AluOp, Cond, Reg};
 
-    fn setup(insts: &[Inst]) -> (Cpu, Memory) {
-        let mut mem = Memory::new(1 << 16);
-        mem.map(0..0x1000, Perms::RX);
-        mem.install(0, &encode_all(insts));
-        let mut cpu = Cpu::new();
-        cpu.set_ip(0);
-        (cpu, mem)
+    /// A machine running `insts` with a tracer of `capacity` attached.
+    fn setup(insts: &[Inst], capacity: usize) -> Machine {
+        let mut m = Machine::load(&encode_all(insts), &[], 0);
+        m.attach_tracer_resumed(capacity, 0);
+        m
     }
 
-    fn run(tracer: &mut Tracer, cpu: &mut Cpu, mem: &mut Memory) {
-        while let Ok(Step::Continue) = tracer.step(cpu, mem) {}
+    /// Steps `m` to halt or trap and returns its tracer.
+    fn run(m: &mut Machine) -> &Tracer {
+        while let Ok(Step::Continue) = m.step_cpu() {}
+        m.tracer.as_ref().unwrap()
     }
 
     #[test]
     fn records_in_order_with_taken_bits() {
-        let (mut cpu, mut mem) = setup(&[
-            Inst::MovRI { dst: Reg::R0, imm: 2 },
-            Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 }, // loop head
-            Inst::Jcc { cc: Cond::Ne, offset: -16 },
-            Inst::Halt,
-        ]);
-        let mut t = Tracer::new(64);
-        run(&mut t, &mut cpu, &mut mem);
+        let mut m = setup(
+            &[
+                Inst::MovRI { dst: Reg::R0, imm: 2 },
+                Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 }, // loop head
+                Inst::Jcc { cc: Cond::Ne, offset: -16 },
+                Inst::Halt,
+            ],
+            64,
+        );
+        let t = run(&mut m);
         let entries: Vec<_> = t.entries().collect();
-        assert_eq!(entries[0].addr, 0);
+        assert_eq!(entries[0].addr, Layout::default().code_base);
         assert_eq!(t.retired(), entries.len() as u64);
         // The jcc appears twice: taken once, then not taken.
         let branches: Vec<_> = t.branches().collect();
@@ -237,14 +197,16 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let (mut cpu, mut mem) = setup(&[
-            Inst::MovRI { dst: Reg::R0, imm: 50 },
-            Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 },
-            Inst::Jcc { cc: Cond::Ne, offset: -16 },
-            Inst::Halt,
-        ]);
-        let mut t = Tracer::new(8);
-        run(&mut t, &mut cpu, &mut mem);
+        let mut m = setup(
+            &[
+                Inst::MovRI { dst: Reg::R0, imm: 50 },
+                Inst::AluI { op: AluOp::Sub, dst: Reg::R0, imm: 1 },
+                Inst::Jcc { cc: Cond::Ne, offset: -16 },
+                Inst::Halt,
+            ],
+            8,
+        );
+        let t = run(&mut m);
         assert_eq!(t.entries().count(), 8);
         assert!(t.retired() > 8);
         // The last retained entry is the halt.
@@ -253,26 +215,28 @@ mod tests {
 
     #[test]
     fn faulting_instruction_not_recorded() {
-        let (mut cpu, mut mem) = setup(&[
-            Inst::Nop,
-            // Load from an unmapped page.
-            Inst::Ld { dst: Reg::R0, base: Reg::R1, disp: 0x2000 },
-        ]);
-        let mut t = Tracer::new(8);
-        assert!(matches!(t.step(&mut cpu, &mut mem), Ok(Step::Continue)));
-        assert!(t.step(&mut cpu, &mut mem).is_err());
+        let mut m = setup(
+            &[
+                Inst::Nop,
+                // Load from an unmapped page.
+                Inst::Ld { dst: Reg::R0, base: Reg::R1, disp: 0x2000 },
+            ],
+            8,
+        );
+        assert!(matches!(m.step_cpu(), Ok(Step::Continue)));
+        assert!(m.step_cpu().is_err());
+        let t = m.tracer.as_ref().unwrap();
         assert_eq!(t.entries().count(), 1, "the trapped load must not appear");
         assert_eq!(t.retired(), 1);
     }
 
     #[test]
     fn render_and_clear() {
-        let (mut cpu, mut mem) = setup(&[Inst::Nop, Inst::Halt]);
-        let mut t = Tracer::new(4);
-        run(&mut t, &mut cpu, &mut mem);
-        let text = t.render();
+        let mut m = setup(&[Inst::Nop, Inst::Halt], 4);
+        let text = run(&mut m).render();
         assert!(text.contains("nop"));
         assert!(text.contains("halt"));
+        let t = m.tracer.as_mut().unwrap();
         t.clear();
         assert_eq!(t.entries().count(), 0);
         assert_eq!(t.retired(), 2);
@@ -280,18 +244,20 @@ mod tests {
 
     #[test]
     fn export_matches_rings() {
-        let (mut cpu, mut mem) = setup(&[
-            Inst::MovRI { dst: Reg::R0, imm: 1 },
-            Inst::Jcc { cc: Cond::Ne, offset: 8 },
-            Inst::Halt,
-        ]);
-        let mut t = Tracer::new(8);
-        run(&mut t, &mut cpu, &mut mem);
+        let mut m = setup(
+            &[
+                Inst::MovRI { dst: Reg::R0, imm: 1 },
+                Inst::Jcc { cc: Cond::Ne, offset: 8 },
+                Inst::Halt,
+            ],
+            8,
+        );
+        let t = run(&mut m);
         let v = t.export();
         assert_eq!(v.get("retired").and_then(Json::as_u64), Some(t.retired()));
         let window = v.get("window").and_then(Json::as_arr).unwrap();
         assert_eq!(window.len(), t.entries().count());
-        assert_eq!(window[0].get("addr").and_then(Json::as_u64), Some(0));
+        assert_eq!(window[0].get("addr").and_then(Json::as_u64), Some(Layout::default().code_base));
         let branches = v.get("branches").and_then(Json::as_arr).unwrap();
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].get("taken"), Some(&Json::Bool(true)));

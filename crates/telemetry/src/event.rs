@@ -5,8 +5,8 @@
 //! workspace JSON subset. Sinks receive fully-built events; the
 //! [`Telemetry`] handle defers event *construction* behind a closure so
 //! that instrumented hot paths pay a single branch when no sink is
-//! attached — the property the `< 3%` overhead acceptance bound on
-//! `fig12_slowdown` rests on.
+//! attached — the property the `< 3%` overhead acceptance bound on the
+//! `figures` binary's Figure 12 runs rests on.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -92,14 +92,18 @@ pub struct JsonlSink {
 }
 
 impl JsonlSink {
-    /// Creates (truncating) the sink file.
+    /// Creates (truncating) the sink file, and its parent directories if
+    /// they are missing.
     ///
     /// # Errors
     ///
     /// Returns the `std::io` error message if the file cannot be created.
     pub fn create(path: &Path) -> Result<JsonlSink, String> {
-        let file = File::create(path)
-            .map_err(|e| format!("cannot create event sink {}: {e}", path.display()))?;
+        let fail = |e| format!("cannot create event sink {}: {e}", path.display());
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(fail)?;
+        }
+        let file = File::create(path).map_err(fail)?;
         Ok(JsonlSink { writer: Mutex::new(BufWriter::new(file)), emitted: AtomicU64::new(0) })
     }
 

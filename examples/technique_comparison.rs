@@ -75,7 +75,7 @@ fn main() {
     }
     println!(
         "\n(the full 26-workload versions of these tables: cargo run --release -p cfed-bench --bin \
-         fig12_slowdown / fig14_update_style / fig15_policies; the per-category coverage tables: \
-         cargo run --release -p cfed-serve --bin cfed-campaign)"
+         figures; the per-category coverage tables: cargo run --release -p cfed-serve --bin \
+         cfed-campaign)"
     );
 }
