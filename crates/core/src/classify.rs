@@ -9,8 +9,7 @@
 
 use crate::category::Category;
 use crate::cfg::Cfg;
-use cfed_dbt::Dbt;
-use std::collections::BTreeMap;
+use cfed_dbt::{Dbt, TransBlock};
 use std::ops::Range;
 
 /// Answers "which block contains this address" for a particular notion of
@@ -32,26 +31,19 @@ impl BlockLayout for Cfg {
     }
 }
 
-/// A point-in-time snapshot of a DBT's translated-block layout, used to
-/// classify faults injected into code-cache branches.
+/// A borrowed view of a DBT's translated-block layout, used to classify
+/// faults injected into code-cache branches: every lookup goes to the
+/// engine's own block table ([`Dbt::block_containing`]).
 ///
 /// The cache region counts as code (it is mapped executable, §5), so a
 /// faulty target inside the cache but outside any block (e.g. the shared
 /// error stub or an orphaned translation) classifies as E rather than F.
 #[derive(Debug, Clone)]
-pub struct CacheLayout {
-    by_start: BTreeMap<u64, CacheBlock>,
-    code: Vec<Range<u64>>,
-}
-
-#[derive(Debug, Clone)]
-struct CacheBlock {
-    cache_end: u64,
-    /// Guest address of the block's first instruction (its signature).
-    guest_start: u64,
-    /// Extent of the 1:1-copied guest body (empty for terminator-only
-    /// blocks).
-    body: Range<u64>,
+pub struct CacheLayout<'a> {
+    dbt: &'a Dbt,
+    /// The guest image's exact code range (the engine's own guest range is
+    /// page-rounded, which would change [`BlockLayout::is_code`]).
+    guest_code: Range<u64>,
 }
 
 /// Which part of a translated block a cache address falls on — the
@@ -68,21 +60,11 @@ pub enum CachePart {
     Tail,
 }
 
-impl CacheLayout {
-    /// Snapshots the translated blocks of `dbt`; `guest_code` is the guest
+impl<'a> CacheLayout<'a> {
+    /// The layout of `dbt`'s live translations; `guest_code` is the guest
     /// image's executable region.
-    pub fn snapshot(dbt: &Dbt, guest_code: Range<u64>) -> CacheLayout {
-        let by_start = dbt
-            .blocks()
-            .map(|b| {
-                let body = b.body_start..b.body_start + b.body_len;
-                (
-                    b.cache_start,
-                    CacheBlock { cache_end: b.cache_end, guest_start: b.guest_start, body },
-                )
-            })
-            .collect();
-        CacheLayout { by_start, code: vec![guest_code, dbt.cache_region()] }
+    pub fn new(dbt: &'a Dbt, guest_code: Range<u64>) -> CacheLayout<'a> {
+        CacheLayout { dbt, guest_code }
     }
 
     /// Whether `addr` falls on a translated block's *instrumentation* — the
@@ -90,37 +72,34 @@ impl CacheLayout {
     /// 1:1-copied guest instruction. Conservatively `false` for
     /// terminator-only blocks (empty body) and outside every block.
     pub fn is_instrumentation(&self, addr: u64) -> bool {
-        let Some((_, b)) = self.by_start.range(..=addr).next_back() else { return false };
-        addr < b.cache_end && !b.body.is_empty() && !b.body.contains(&addr)
+        self.dbt
+            .block_containing(addr)
+            .is_some_and(|b| b.body_len > 0 && !b.body_range().contains(&addr))
     }
 
     /// Attributes a cache address to `(guest block start, part)` — the
     /// profiler's per-sample classification. `None` outside every
     /// translated block (shared stubs, dead translations).
     pub fn attribute(&self, addr: u64) -> Option<(u64, CachePart)> {
-        let (_, b) = self.by_start.range(..=addr).next_back()?;
-        if addr >= b.cache_end {
-            return None;
-        }
-        let part = if addr < b.body.start {
+        let b = self.dbt.block_containing(addr)?;
+        let part = if addr < b.body_start {
             CachePart::Head
-        } else if addr >= b.body.end {
-            CachePart::Tail
-        } else {
+        } else if b.body_range().contains(&addr) {
             CachePart::Payload
+        } else {
+            CachePart::Tail
         };
         Some((b.guest_start, part))
     }
 }
 
-impl BlockLayout for CacheLayout {
+impl BlockLayout for CacheLayout<'_> {
     fn block_of(&self, addr: u64) -> Option<Range<u64>> {
-        let (&start, b) = self.by_start.range(..=addr).next_back()?;
-        (addr < b.cache_end).then_some(start..b.cache_end)
+        self.dbt.block_containing(addr).map(TransBlock::cache_range)
     }
 
     fn is_code(&self, addr: u64) -> bool {
-        self.code.iter().any(|r| r.contains(&addr))
+        self.guest_code.contains(&addr) || self.dbt.cache_region().contains(&addr)
     }
 }
 

@@ -44,7 +44,7 @@ pub fn profile_dbt(image: &Image, cfg: &RunConfig) -> (RunOutcome, Profile) {
 ///
 /// Panics if `m` has no profiler attached.
 pub fn fold_profile(m: &mut Machine, dbt: &Dbt) -> Profile {
-    let layout = CacheLayout::snapshot(dbt, m.code_range());
+    let layout = CacheLayout::new(dbt, m.code_range());
     let profiler = m.take_profiler().expect("fold_profile needs an attached profiler");
     let mut profile = Profile::new();
     let mut attributed = 0u64;

@@ -17,6 +17,7 @@ use crate::instrument::{regs, BlockView, Instrumenter, UpdateStyle};
 use cfed_isa::{Inst, INST_SIZE_U64};
 use cfed_sim::{trap_codes, ExitReason, Machine, Memory, Perms, Trap, PAGE_SIZE};
 use cfed_telemetry::{Event, Histogram, Telemetry, Timer};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -98,6 +99,12 @@ impl TransBlock {
     pub fn cache_range(&self) -> Range<u64> {
         self.cache_start..self.cache_end
     }
+
+    /// The cache address range of the 1:1-copied guest body (empty for
+    /// terminator-only blocks).
+    pub fn body_range(&self) -> Range<u64> {
+        self.body_start..self.body_start + self.body_len
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -134,8 +141,8 @@ pub(crate) struct ExitDesc {
 /// # Cloning
 ///
 /// `Dbt` is `Clone`: the clone duplicates all translation bookkeeping
-/// (block table, exit descriptors, chain patches, protected-page set,
-/// statistics) and shares the instrumenter, which is stateless — every
+/// (block table, exit descriptors with their chain state, the per-page
+/// block index, statistics) and shares the instrumenter, which is stateless — every
 /// [`Instrumenter`] hook takes `&self`; signature state lives in guest
 /// registers, never in the instrumenter. A clone is only meaningful paired
 /// with a `Machine` whose memory holds the matching code-cache contents
@@ -151,11 +158,17 @@ pub struct Dbt {
     cursor: u64,
     err_stub: u64,
     guest_code: Range<u64>,
-    blocks: HashMap<u64, TransBlock>,
+    /// The block table: live translations in ascending `cache_start` order.
+    /// Emission appends at the cursor, which only grows until an eviction
+    /// empties the table, and SMC flushes only remove entries, so the order
+    /// holds without sorting.
+    blocks: Vec<TransBlock>,
+    /// Guest block start → cache start of its live translation.
+    by_guest: HashMap<u64, u64>,
     pub(crate) exits: Vec<ExitDesc>,
-    patched_by_target: HashMap<u64, Vec<usize>>,
+    /// Guest page → starts of the blocks translated from it; its key set is
+    /// the set of pages this engine write-protected.
     blocks_by_page: HashMap<u64, Vec<u64>>,
-    protected_pages: HashSet<u64>,
     pub(crate) stats: DbtStats,
     pub(crate) attached: bool,
     /// Usable cache end; `set_cache_limit` lowers it to force eviction.
@@ -210,11 +223,10 @@ impl Dbt {
             cursor,
             err_stub,
             guest_code,
-            blocks: HashMap::new(),
+            blocks: Vec::new(),
+            by_guest: HashMap::new(),
             exits: Vec::new(),
-            patched_by_target: HashMap::new(),
             blocks_by_page: HashMap::new(),
-            protected_pages: HashSet::new(),
             stats: DbtStats::default(),
             attached: false,
             cache_limit,
@@ -284,19 +296,21 @@ impl Dbt {
         self.err_stub
     }
 
-    /// Translated blocks, in no particular order.
+    /// Live translated blocks, in ascending cache order.
     pub fn blocks(&self) -> impl Iterator<Item = &TransBlock> {
-        self.blocks.values()
+        self.blocks.iter()
     }
 
     /// Looks up the translation of a guest block start address.
     pub fn lookup(&self, guest_addr: u64) -> Option<&TransBlock> {
-        self.blocks.get(&guest_addr)
+        self.block_containing(*self.by_guest.get(&guest_addr)?)
     }
 
-    /// Finds the translated block whose cache range contains `addr`.
+    /// Finds the live translated block whose cache range contains `addr`
+    /// (a binary search of the block table).
     pub fn block_containing(&self, addr: u64) -> Option<&TransBlock> {
-        self.blocks.values().find(|b| b.cache_range().contains(&addr))
+        let after = self.blocks.partition_point(|b| b.cache_start <= addr);
+        self.blocks[..after].last().filter(|b| addr < b.cache_end)
     }
 
     /// Maps a cache address inside a translation's 1:1-copied body back to
@@ -378,7 +392,9 @@ impl Dbt {
                 let idx = (code - trap_codes::DBT_EXIT_BASE) as usize;
                 self.service_exit(m, idx)
             }
-            Trap::PermWrite { addr } if self.protected_pages.contains(&Memory::page_base(addr)) => {
+            Trap::PermWrite { addr }
+                if self.blocks_by_page.contains_key(&Memory::page_base(addr)) =>
+            {
                 // A store into a page backing live translations. Flushing
                 // the page is not enough when the faulting store and its
                 // victim share a translation: resuming in cache would run
@@ -471,7 +487,6 @@ impl Dbt {
                     Inst::Jmp { offset: CacheAsm::rel(site, cache_target) },
                 );
                 self.exits[idx].patched = true;
-                self.patched_by_target.entry(guest_target).or_default().push(idx);
                 self.stats.chains += 1;
                 // ip still addresses the (now patched) site; resuming
                 // executes the chain jump.
@@ -511,8 +526,8 @@ impl Dbt {
     /// [`Trap::UnalignedFetch`] for misaligned addresses,
     /// [`Trap::PermExec`] for targets outside the guest code region.
     pub fn translate(&mut self, m: &mut Machine, guest_addr: u64) -> Result<u64, Trap> {
-        if let Some(b) = self.blocks.get(&guest_addr) {
-            return Ok(b.cache_start);
+        if let Some(&cache_start) = self.by_guest.get(&guest_addr) {
+            return Ok(cache_start);
         }
         if !guest_addr.is_multiple_of(INST_SIZE_U64) {
             return Err(Trap::UnalignedFetch { addr: guest_addr });
@@ -587,7 +602,7 @@ impl Dbt {
             Some((inst @ Inst::Jmp { .. }, taddr)) => {
                 let target = inst.direct_target(taddr).expect("direct");
                 self.instr.emit_update_direct(&mut a, cur, target);
-                Self::emit_exit_direct(&self.blocks, &mut a, target, &mut new_exits);
+                Self::emit_exit_direct(&self.by_guest, &mut a, target, &mut new_exits);
             }
             Some((inst @ (Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. }), taddr)) => {
                 let taken = inst.direct_target(taddr).expect("direct");
@@ -630,9 +645,9 @@ impl Dbt {
                     Inst::JRnz { src, .. } => a.jrnz_to(src, lt),
                     _ => unreachable!(),
                 };
-                Self::emit_exit_direct(&self.blocks, &mut a, fall, &mut new_exits);
+                Self::emit_exit_direct(&self.by_guest, &mut a, fall, &mut new_exits);
                 a.bind(lt);
-                Self::emit_exit_direct(&self.blocks, &mut a, taken, &mut new_exits);
+                Self::emit_exit_direct(&self.by_guest, &mut a, taken, &mut new_exits);
             }
             Some((inst @ Inst::Call { .. }, taddr)) => {
                 let target = inst.direct_target(taddr).expect("direct");
@@ -640,7 +655,7 @@ impl Dbt {
                 a.emit(Inst::MovRI { dst: regs::GRET, imm: guest_ret as i32 });
                 a.emit(Inst::Push { src: regs::GRET });
                 self.instr.emit_update_direct(&mut a, cur, target);
-                Self::emit_exit_direct(&self.blocks, &mut a, target, &mut new_exits);
+                Self::emit_exit_direct(&self.by_guest, &mut a, target, &mut new_exits);
             }
             Some((Inst::CallR { target }, taddr)) => {
                 let guest_ret = taddr + INST_SIZE_U64;
@@ -685,7 +700,7 @@ impl Dbt {
                 None => {
                     // Block split at MAX_BLOCK_INSTS: synthetic fall-through.
                     self.instr.emit_update_direct(&mut a, cur, addr);
-                    Self::emit_exit_direct(&self.blocks, &mut a, addr, &mut new_exits);
+                    Self::emit_exit_direct(&self.by_guest, &mut a, addr, &mut new_exits);
                 }
             },
         }
@@ -703,7 +718,9 @@ impl Dbt {
         };
         self.stats.blocks += 1;
         self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;
-        self.blocks.insert(guest_addr, block);
+        debug_assert!(self.blocks.last().is_none_or(|last| last.cache_end <= cache_start));
+        self.blocks.push(block);
+        self.by_guest.insert(guest_addr, cache_start);
         self.protect_range(m, guest_addr, range);
 
         self.cursor = cache_end;
@@ -719,13 +736,12 @@ impl Dbt {
     /// old cache bytes stay in memory but become unreachable — nothing
     /// chains into them and the dispatcher only enters fresh translations.
     fn evict_all(&mut self, m: &mut Machine) {
-        for page in self.protected_pages.drain() {
+        for (page, _) in self.blocks_by_page.drain() {
             m.mem.unprotect_page(page);
         }
         self.blocks.clear();
+        self.by_guest.clear();
         self.exits.clear();
-        self.patched_by_target.clear();
-        self.blocks_by_page.clear();
         self.dispatch_ic = [None; DISPATCH_IC_SIZE];
         self.cursor = self.base_cursor;
         self.flush_gen += 1;
@@ -746,10 +762,7 @@ impl Dbt {
                 );
             }
             if patched {
-                if let ExitKind::Direct { guest_target, .. } = kind {
-                    self.patched_by_target.entry(guest_target).or_default().push(idx);
-                    self.stats.chains += 1;
-                }
+                self.stats.chains += 1;
             }
             self.exits.push(ExitDesc { kind, patched });
         }
@@ -760,9 +773,12 @@ impl Dbt {
     fn protect_range(&mut self, m: &mut Machine, guest_start: u64, range: Range<u64>) {
         let mut page = Memory::page_base(range.start);
         while page < range.end {
-            self.blocks_by_page.entry(page).or_default().push(guest_start);
-            if self.protected_pages.insert(page) {
-                m.mem.protect_page(page);
+            match self.blocks_by_page.entry(page) {
+                Entry::Occupied(mut starts) => starts.get_mut().push(guest_start),
+                Entry::Vacant(slot) => {
+                    slot.insert(vec![guest_start]);
+                    m.mem.protect_page(page);
+                }
             }
             page += PAGE_SIZE;
         }
@@ -771,14 +787,14 @@ impl Dbt {
     /// Emits the transfer to a guest target: a direct chain jump when the
     /// target is already translated, otherwise a patchable exit site.
     fn emit_exit_direct(
-        blocks: &HashMap<u64, TransBlock>,
+        by_guest: &HashMap<u64, u64>,
         a: &mut CacheAsm<'_>,
         guest_target: u64,
         new_exits: &mut Vec<(u64, ExitKind)>,
     ) {
         let site = a.here();
-        if let Some(tb) = blocks.get(&guest_target) {
-            a.jmp_abs(tb.cache_start);
+        if let Some(&cache_start) = by_guest.get(&guest_target) {
+            a.jmp_abs(cache_start);
         } else {
             a.emit(Inst::Nop); // becomes the trap stub once idx is known
         }
@@ -788,29 +804,31 @@ impl Dbt {
     /// Invalidates every translation sourced from `page` and unchains jumps
     /// into them; the guest page becomes writable again.
     fn smc_flush(&mut self, m: &mut Machine, page: u64) {
-        let Some(guests) = self.blocks_by_page.remove(&page) else {
+        let Some(starts) = self.blocks_by_page.remove(&page) else {
             return;
         };
-        for g in guests {
-            if self.blocks.remove(&g).is_none() {
-                continue;
-            }
-            // Unchain every patched jump into the flushed block.
-            for idx in self.patched_by_target.remove(&g).unwrap_or_default() {
-                if let ExitKind::Direct { site, .. } = self.exits[idx].kind {
+        // A block spanning several pages stays listed under the others
+        // after its first flush; only starts still live are flushed here.
+        let flushed: Vec<u64> =
+            starts.into_iter().filter(|g| self.by_guest.remove(g).is_some()).collect();
+        self.blocks.retain(|b| !flushed.contains(&b.guest_start));
+        // Unchain every patched jump into a flushed block (SMC flushes are
+        // rare, so scanning the exits beats indexing them by target).
+        for (idx, exit) in self.exits.iter_mut().enumerate() {
+            if let ExitKind::Direct { guest_target, site } = exit.kind {
+                if exit.patched && flushed.contains(&guest_target) {
                     patch_inst(
                         &mut m.mem,
                         site,
                         Inst::Trap { code: trap_codes::DBT_EXIT_BASE + idx as u32 },
                     );
-                    self.exits[idx].patched = false;
+                    exit.patched = false;
                 }
             }
         }
         // The dispatcher's inline cache may hold entries into the flushed
         // translations; drop it wholesale rather than tracking provenance.
         self.dispatch_ic = [None; DISPATCH_IC_SIZE];
-        self.protected_pages.remove(&page);
         m.mem.unprotect_page(page);
         self.stats.smc_flushes += 1;
     }

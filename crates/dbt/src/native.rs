@@ -348,6 +348,11 @@ struct ChainSite {
     thunk_jmp: u64,
 }
 
+/// The live block that starts exactly at cache address `cache`.
+fn block_at(dbt: &Dbt, cache: u64) -> Option<TransBlock> {
+    dbt.block_containing(cache).filter(|b| b.cache_start == cache).copied()
+}
+
 struct Jit {
     buf: CodeBuf,
     ctx: Box<NativeCtx>,
@@ -523,7 +528,7 @@ impl Jit {
             for entry in dbt.dispatch_ic {
                 if let Some((_, cache)) = entry {
                     if !self.compiled.contains_key(&cache) {
-                        if let Some(tb) = dbt.blocks().find(|b| b.cache_start == cache).copied() {
+                        if let Some(tb) = block_at(dbt, cache) {
                             self.ensure_compiled(dbt, m, &tb);
                         }
                     }
@@ -1504,7 +1509,7 @@ impl NativeDbt {
             let ip = m.cpu.ip();
             let entry = match jit.entries.get(&ip).copied() {
                 Some(e) => Some(e),
-                None => match dbt.blocks().find(|b| b.cache_start == ip).copied() {
+                None => match block_at(dbt, ip) {
                     Some(tb) => jit.ensure_compiled(dbt, m, &tb),
                     None => None,
                 },
@@ -1546,7 +1551,7 @@ impl NativeDbt {
                     let resume = jit.ctx.resume_ip;
                     let slot = jit.ctx.slot_addr;
                     m.cpu.set_ip(resume);
-                    if let Some(tb) = dbt.blocks().find(|b| b.cache_start == resume).copied() {
+                    if let Some(tb) = block_at(dbt, resume) {
                         let nukes = jit.nukes;
                         if let Some(host) = jit.ensure_compiled(dbt, m, &tb) {
                             if slot != 0 && jit.nukes == nukes {

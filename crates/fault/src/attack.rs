@@ -23,17 +23,15 @@
 //! *past* another block's signature check, a byte-misaligned gadget inside
 //! the current block, or a non-executable data page.
 
-use crate::inject::{advance_to_branch, build, Advance, WorkloadError};
+use crate::inject::{advance_to_branch, build, cache_layout, Advance, WorkloadError};
 use cfed_asm::Image;
 use cfed_core::{
-    classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
-    Category, RunConfig,
+    classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CachePart, Category,
+    RunConfig,
 };
 use cfed_dbt::{Dbt, DbtStep, NativeDbt, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
 use cfed_sim::{ExitReason, Machine};
-
-use std::ops::Range;
 
 /// An attack archetype: *how* the adversary corrupts control flow at the
 /// chosen dynamic branch. Each archetype maps onto a pinned subset of the
@@ -203,10 +201,8 @@ struct TargetCtx<'a> {
     correct: u64,
     /// Fall-through of the strike site.
     fall: u64,
-    /// Translated block containing the site, when there is one.
-    own: Option<Range<u64>>,
-    /// Every translated block, sorted by cache start (deterministic).
-    blocks: &'a [TransBlock],
+    /// The engine whose live blocks (in cache order) are the candidates.
+    dbt: &'a Dbt,
     image: &'a Image,
     /// Base of the guest's writable, non-executable data region.
     data_base: u64,
@@ -217,10 +213,12 @@ struct TargetCtx<'a> {
 /// candidate coincides with the correct target).
 fn select_target(kind: AttackKind, param: u64, ctx: &TargetCtx<'_>) -> Option<u64> {
     let pick = |c: &[u64]| (!c.is_empty()).then(|| c[(param as usize) % c.len()]);
+    // The translated block containing the site, when there is one.
+    let own = ctx.dbt.block_containing(ctx.site).map(TransBlock::cache_range);
     match kind {
         AttackKind::FlipBranch => None, // not a redirect; handled separately
         AttackKind::ReenterBlock => {
-            let own = ctx.own.clone()?;
+            let own = own?;
             (own.start != ctx.correct).then_some(own.start)
         }
         AttackKind::GadgetEntry => {
@@ -230,25 +228,23 @@ fn select_target(kind: AttackKind, param: u64, ctx: &TargetCtx<'_>) -> Option<u6
         }
         AttackKind::RetGadget => {
             let c: Vec<u64> = ctx
-                .blocks
-                .iter()
+                .dbt
+                .blocks()
                 .map(|b| b.cache_start)
                 .filter(|&s| {
-                    ctx.own.as_ref().is_none_or(|o| s != o.start)
-                        && s != ctx.correct
-                        && s != ctx.fall
+                    own.as_ref().is_none_or(|o| s != o.start) && s != ctx.correct && s != ctx.fall
                 })
                 .collect();
             pick(&c)
         }
         AttackKind::EdgeSplice => {
             let c: Vec<u64> = ctx
-                .blocks
-                .iter()
+                .dbt
+                .blocks()
                 .filter(|b| b.body_len > 0 && !guest_block_can_halt(ctx.image, b))
                 .map(|b| b.body_start)
                 .filter(|&t| {
-                    ctx.own.as_ref().is_none_or(|o| !o.contains(&t))
+                    own.as_ref().is_none_or(|o| !o.contains(&t))
                         && t != ctx.correct
                         && t != ctx.fall
                 })
@@ -264,11 +260,10 @@ fn select_target(kind: AttackKind, param: u64, ctx: &TargetCtx<'_>) -> Option<u6
             };
             // Sub-block caveat (see `guest_block_can_halt`): skip slides
             // landing mid-block in a block that can halt before a check.
-            let risky = ctx.blocks.iter().any(|b| {
-                b.cache_range().contains(&t)
-                    && t != b.cache_start
-                    && guest_block_can_halt(ctx.image, b)
-            });
+            let risky = ctx
+                .dbt
+                .block_containing(t)
+                .is_some_and(|b| t != b.cache_start && guest_block_can_halt(ctx.image, b));
             (t != ctx.correct && !risky).then_some(t)
         }
         AttackKind::DataPivot => Some(ctx.data_base + (param % 1024) * INST_SIZE_U64),
@@ -296,7 +291,7 @@ fn plan_attack(
     } else {
         fall
     };
-    let layout = CacheLayout::snapshot(dbt, image.base()..image.base() + image.code().len() as u64);
+    let layout = cache_layout(dbt, image);
 
     if kind == AttackKind::FlipBranch {
         // Find a flag corruption that flips the branch's direction; the
@@ -323,25 +318,14 @@ fn plan_attack(
         });
     }
 
-    let mut blocks: Vec<TransBlock> = dbt.blocks().copied().collect();
-    blocks.sort_by_key(|b| b.cache_start);
-    let own = layout.block_of(site);
-    let ctx = TargetCtx {
-        site,
-        correct,
-        fall,
-        own: own.clone(),
-        blocks: &blocks,
-        image,
-        data_base: m.layout().data_base,
-    };
+    let ctx = TargetCtx { site, correct, fall, dbt, image, data_base: m.layout().data_base };
     let target = select_target(kind, param, &ctx)?;
     if target == correct {
         return None;
     }
     let category = classify_addr_fault(
         &BranchFault {
-            branch_block: own.unwrap_or(site..site + INST_SIZE_U64),
+            branch_block: layout.block_of(site).unwrap_or(site..site + INST_SIZE_U64),
             fall_through: fall,
             correct_target: correct,
             faulty_target: target,
@@ -530,20 +514,13 @@ pub fn pause_attack(
     let (placed, exit) = match dbt.run(&mut m, pause) {
         ExitReason::StepLimit => {
             let ip = m.cpu.ip();
-            let mut blocks: Vec<TransBlock> = dbt.dbt().blocks().copied().collect();
-            blocks.sort_by_key(|b| b.cache_start);
-            let own = blocks
-                .iter()
-                .find(|b| b.cache_range().contains(&ip))
-                .map(|b| b.cache_start..b.cache_end);
             // At a pause there is no branch in flight: the "correct" next
             // address is simply where the run would resume.
             let ctx = TargetCtx {
                 site: ip,
                 correct: ip,
                 fall: ip,
-                own,
-                blocks: &blocks,
+                dbt: dbt.dbt(),
                 image,
                 data_base: m.layout().data_base,
             };

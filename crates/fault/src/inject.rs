@@ -310,6 +310,12 @@ pub fn advance_to_branch(
     }
 }
 
+/// The translated-block layout of `dbt`, with `image`'s exact code range as
+/// the guest code faults classify against.
+pub(crate) fn cache_layout<'a>(dbt: &'a Dbt, image: &Image) -> CacheLayout<'a> {
+    CacheLayout::new(dbt, image.base()..image.base() + image.code().len() as u64)
+}
+
 pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
@@ -400,12 +406,17 @@ fn run_trial_inner(
     // require `capacity` branches of margin before the injection point so
     // the last-N windows fill identically to the from-scratch stream.
     let usable = snapshots.filter(|s| s.matches(cfg));
+    // The set an untraced trial fast-forwards through, prunes against and
+    // counts itself into. A traced re-run (forensics) is an observer: it
+    // steps to feed the tracer, never prunes, and records nothing into the
+    // set's trial counters.
+    let fast = usable.filter(|_| trace_capacity.is_none());
     let target = match trace_capacity {
         None => Some(nth),
         Some(cap) => nth.checked_sub(cap as u64),
     };
     let restored = usable.and_then(|s| target.and_then(|t| s.nearest(t)));
-    if let Some(s) = usable {
+    if let Some(s) = fast {
         match restored {
             Some(snap) => s.note_restore(snap.branch_index, nth - snap.branch_index),
             None => s.note_miss(nth),
@@ -424,10 +435,10 @@ fn run_trial_inner(
     let budget = golden.insts * 3 + 100_000;
     // Trials on the fast path burst on the block-fused engine; from-scratch
     // trials stay on the single-step reference engine that the fast path is
-    // diffed against, and traced runs step to feed the tracer.
-    let fused = usable.is_some() && trace_capacity.is_none();
+    // diffed against.
+    let fused = fast.is_some();
     let insts_at_start = m.cpu.stats().insts;
-    // Instructions single-stepped on the fused path: the faulted step's.
+    // Instructions single-stepped on the fast path: the faulted step's.
     let mut faulted_insts = 0;
     let mut provenance = None;
 
@@ -465,11 +476,7 @@ fn run_trial_inner(
     // then provably Benign with exactly the latency the full run would
     // report, so the suffix is skipped. Traced runs never prune: the
     // tracer window must hold the genuinely executed final instructions.
-    let prune = match trace_capacity {
-        None => usable,
-        Some(_) => None,
-    };
-    let mut boundaries = prune.map_or(&[][..], |s| s.after(nth)).iter();
+    let mut boundaries = fast.map_or(&[][..], |s| s.after(nth)).iter();
     let end = match faulted_step {
         _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
         DbtStep::Halted => Advance::Halted,
@@ -490,7 +497,7 @@ fn run_trial_inner(
     };
     let (outcome, pruned_latency) = match end {
         Advance::AtBranch => {
-            prune.expect("pruning implies a snapshot set").note_pruned();
+            fast.expect("pruning implies a snapshot set").note_pruned();
             (Outcome::Benign, Some(golden.insts - insts_at_injection))
         }
         Advance::OutOfBudget => (Outcome::Timeout, None),
@@ -501,10 +508,9 @@ fn run_trial_inner(
         }
         Advance::Trapped(t) => (outcome_of_trap(t), None),
     };
-    if let Some(s) = usable {
+    if let Some(s) = fast {
         let insts = m.cpu.stats().insts - insts_at_start;
-        let stepped = if fused { faulted_insts } else { insts };
-        s.note_insts(insts - stepped, stepped);
+        s.note_insts(insts - faulted_insts, faulted_insts);
     }
 
     let result = InjectionResult {
@@ -562,7 +568,7 @@ fn inject_now(
     let site = m.cpu.ip();
     let inst = m.peek_inst().expect("branch decodes");
     debug_assert!(inst.is_branch());
-    let layout = CacheLayout::snapshot(dbt, image.base()..image.base() + image.code().len() as u64);
+    let layout = cache_layout(dbt, image);
     let taken = m.cpu.would_take(&inst);
     let fall = site + INST_SIZE_U64;
 

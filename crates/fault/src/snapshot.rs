@@ -189,8 +189,8 @@ pub struct SnapshotStats {
     /// Injections that restored a checkpoint.
     pub restores: u64,
     /// Injections that ran from scratch despite snapshots being available
-    /// (target before the first checkpoint, or a traced run needing more
-    /// margin than any checkpoint leaves).
+    /// (target before the first checkpoint). Traced forensics re-runs are
+    /// observers and count nowhere in these stats.
     pub misses: u64,
     /// Prefix branches skipped by restoring instead of stepping.
     pub branches_fast_forwarded: u64,
@@ -201,9 +201,8 @@ pub struct SnapshotStats {
     pub benign_pruned: u64,
     /// Trial instructions retired in block-fused bursts.
     pub insts_fused: u64,
-    /// Trial instructions single-stepped: the faulted instruction (at most
-    /// one per trial, since bursts stop in front of the strike branch) and
-    /// every instruction of a traced run.
+    /// Trial instructions single-stepped: the faulted instruction, so at
+    /// most one per trial, since bursts stop in front of the strike branch.
     pub insts_stepped: u64,
 }
 

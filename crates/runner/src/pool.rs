@@ -761,6 +761,41 @@ mod tests {
         }
     }
 
+    /// Forensics re-runs are observers: turning them on changes neither the
+    /// store's records nor the fast path's trial counters.
+    #[test]
+    fn forensics_leave_store_and_snapshot_counters_unchanged() {
+        use cfed_telemetry::MemorySink;
+
+        let matrix = tiny_matrix(192, 11);
+        let run = |forensics: bool| {
+            let path = tmp(&format!("forensics-{forensics}"));
+            let sink = Arc::new(MemorySink::new());
+            let options = RunnerOptions {
+                threads: 2,
+                quiet: true,
+                forensics,
+                telemetry: Telemetry::to(sink.clone()),
+                ..Default::default()
+            };
+            let summary = run_matrix(&matrix, "forensics", Some(&path), &options).unwrap();
+            assert!(summary.complete());
+            let text = std::fs::read_to_string(&path).unwrap();
+            // Only the run's own timing record may differ between runs.
+            let mut records: Vec<&str> =
+                text.lines().filter(|l| !l.contains(r#""meta":"run""#)).collect();
+            records.sort_unstable();
+            let records: Vec<String> = records.into_iter().map(str::to_string).collect();
+            (summary.perf.snapshots, records, sink.of_kind("forensics").len())
+        };
+        let (plain_stats, plain_records, no_bundles) = run(false);
+        let (traced_stats, traced_records, bundles) = run(true);
+        assert_eq!(no_bundles, 0);
+        assert!(bundles > 0, "the matrix must capture at least one forensics bundle");
+        assert_eq!(traced_stats, plain_stats);
+        assert_eq!(traced_records, plain_records);
+    }
+
     #[test]
     fn resume_skips_persisted_shards() {
         let matrix = tiny_matrix(200, 5);

@@ -45,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 use cfed_core::{Category, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_fault::CategoryStats;
-use cfed_runner::cli::Parser;
+use cfed_runner::cli::{Args, Parser};
 use cfed_runner::matrix::{CampaignMatrix, CAMPAIGN_WORKLOADS};
 use cfed_runner::pool::{run_matrix, RunSummary, RunnerOptions};
 use cfed_runner::report::{render_attack_frontier, render_report};
@@ -313,7 +313,7 @@ struct ProfTotals {
 
 /// Builds the telemetry handle for `--events PATH`, validating the
 /// `--forensics`/`--events` pairing.
-fn telemetry_for(args: &cfed_runner::cli::Args, prefix: &str) -> Telemetry {
+fn telemetry_for(args: &Args, prefix: &str) -> Telemetry {
     if args.has("forensics") && args.get("events").filter(|s| !s.is_empty()).is_none() {
         fatal(
             prefix,
@@ -329,7 +329,7 @@ fn telemetry_for(args: &cfed_runner::cli::Args, prefix: &str) -> Telemetry {
     }
 }
 
-fn retry_policy_for(args: &cfed_runner::cli::Args, prefix: &str) -> RetryPolicy {
+fn retry_policy_for(args: &Args, prefix: &str) -> RetryPolicy {
     let max_attempts = args.get_u64("retries").unwrap_or_else(|e| fatal(prefix, e));
     let backoff_ms = args.get_u64("backoff-ms").unwrap_or_else(|e| fatal(prefix, e));
     if max_attempts == 0 {
@@ -342,9 +342,47 @@ fn retry_policy_for(args: &cfed_runner::cli::Args, prefix: &str) -> RetryPolicy 
     }
 }
 
-fn run_campaign(argv: &[String]) {
-    let args = Parser::new("cfed-campaign", "full coverage + latency fault-injection study")
-        .flag("trials", "N", "500", "injections per workload per configuration")
+/// A study's defaults, shared by its single-process front end and
+/// `serve coordinate`, so default invocations of either write the same
+/// store under the same run id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Study {
+    /// `--trials` when not given.
+    trials: u64,
+    /// The default run id is `{prefix}-s{seed}-t{trials}`.
+    prefix: &'static str,
+}
+
+/// The coverage + latency study.
+const SEU_STUDY: Study = Study { trials: 500, prefix: "campaign" };
+/// The adversarial attack study.
+const ATTACK_STUDY: Study = Study { trials: 300, prefix: "attack" };
+
+impl Study {
+    /// `--trials` (this study's default when empty), `--seed` and
+    /// `--run-id` (derived from seed and trials when empty).
+    fn resolve(self, args: &Args) -> Result<(u64, u64, String), String> {
+        let trials = match args.get("trials").filter(|s| !s.is_empty()) {
+            Some(_) => args.get_u64("trials")?,
+            None => self.trials,
+        };
+        let seed = args.get_u64("seed")?;
+        let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
+            Some(id) => id.to_string(),
+            None => format!("{}-s{seed}-t{trials}", self.prefix),
+        };
+        Ok((trials, seed, run_id))
+    }
+}
+
+fn campaign_parser() -> Parser {
+    Parser::new("cfed-campaign", "full coverage + latency fault-injection study")
+        .flag(
+            "trials",
+            "N",
+            &SEU_STUDY.trials.to_string(),
+            "injections per workload per configuration",
+        )
         .flag("threads", "N", "0", "worker threads (0 = all cores)")
         .flag("seed", "SEED", "3488423942", "campaign RNG seed")
         .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
@@ -370,19 +408,17 @@ fn run_campaign(argv: &[String]) {
             "no-profile",
             "skip per-cell execution profiling (profiles feed `cfed-campaign profile`)",
         )
-        .parse_from(argv);
+}
+
+fn run_campaign(argv: &[String]) {
+    let args = campaign_parser().parse_from(argv);
     let die = |message: String| -> ! {
         eprintln!("cfed-campaign: {message}");
         std::process::exit(2);
     };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
+    let (trials, seed, run_id) = SEU_STUDY.resolve(&args).unwrap_or_else(|e| die(e));
     let threads = args.get_usize("threads").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
     let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("campaign-s{seed}-t{trials}"),
-    };
     let quiet = args.has("quiet");
     let telemetry = telemetry_for(&args, "cfed-campaign");
     let options = RunnerOptions {
@@ -446,12 +482,17 @@ fn run_campaign(argv: &[String]) {
     }
 }
 
-fn run_attacks(argv: &[String]) {
-    let args = Parser::new(
+fn attack_parser() -> Parser {
+    Parser::new(
         "cfed-campaign attack",
         "adversarial campaign: every attack archetype vs baseline + five techniques",
     )
-    .flag("trials", "N", "300", "attacks per workload per archetype per configuration")
+    .flag(
+        "trials",
+        "N",
+        &ATTACK_STUDY.trials.to_string(),
+        "attacks per workload per archetype per configuration",
+    )
     .flag("threads", "N", "0", "worker threads (0 = all cores)")
     .flag("seed", "SEED", "3488423942", "campaign RNG seed")
     .flag("out", "DIR", "results/campaigns", "directory for the JSONL result store")
@@ -479,19 +520,17 @@ fn run_attacks(argv: &[String]) {
         "no-snapshots",
         "disable fast-forward snapshots; every trial replays its attack-free prefix from scratch",
     )
-    .parse_from(argv);
+}
+
+fn run_attacks(argv: &[String]) {
+    let args = attack_parser().parse_from(argv);
     let die = |message: String| -> ! {
         eprintln!("cfed-campaign attack: {message}");
         std::process::exit(2);
     };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
+    let (trials, seed, run_id) = ATTACK_STUDY.resolve(&args).unwrap_or_else(|e| die(e));
     let threads = args.get_usize("threads").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
     let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("attack-s{seed}-t{trials}"),
-    };
     let workloads =
         parse_workloads(args.get("workloads").unwrap_or_default()).unwrap_or_else(|e| die(e));
     let quiet = args.has("quiet");
@@ -558,12 +597,17 @@ fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-fn run_coordinate(argv: &[String]) {
-    let args = Parser::new(
+fn coordinate_parser() -> Parser {
+    Parser::new(
         "cfed-campaign serve coordinate",
         "lease the campaign to worker processes over TCP (single store writer)",
     )
-    .flag("trials", "N", "500", "injections per workload per configuration")
+    .flag(
+        "trials",
+        "N",
+        "",
+        "trials per workload per configuration (default: 500, or 300 with --attacks)",
+    )
     .flag("seed", "SEED", "3488423942", "campaign RNG seed")
     .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
     .flag(
@@ -593,18 +637,26 @@ fn run_coordinate(argv: &[String]) {
     )
     .switch("attacks", "run the adversarial attack study instead of coverage + latency")
     .switch("quiet", "suppress stderr progress output")
-    .parse_from(argv);
+}
+
+/// The study `serve coordinate` distributes.
+fn coordinate_study(args: &Args) -> Study {
+    if args.has("attacks") {
+        ATTACK_STUDY
+    } else {
+        SEU_STUDY
+    }
+}
+
+fn run_coordinate(argv: &[String]) {
+    let args = coordinate_parser().parse_from(argv);
     let die = |message: String| -> ! {
         eprintln!("cfed-campaign serve coordinate: {message}");
         std::process::exit(2);
     };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
+    let study = coordinate_study(&args);
+    let (trials, seed, run_id) = study.resolve(&args).unwrap_or_else(|e| die(e));
     let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("campaign-s{seed}-t{trials}"),
-    };
     // Checked before anything binds, opens a store or writes a file.
     let workloads =
         parse_workloads(args.get("workloads").unwrap_or_default()).unwrap_or_else(|e| die(e));
@@ -640,7 +692,7 @@ fn run_coordinate(argv: &[String]) {
     }
 
     let stop = install_sigint();
-    let phases = if args.has("attacks") {
+    let phases = if study == ATTACK_STUDY {
         attack_phases(&workloads, trials, seed, &out, &run_id)
     } else {
         campaign_phases(trials, seed, &out, &run_id)
@@ -836,5 +888,32 @@ mod tests {
         assert!(err.contains("176.gcc"), "error lists the valid names: {err}");
         assert_eq!(parse_workloads("").unwrap(), CAMPAIGN_WORKLOADS);
         assert_eq!(parse_workloads(" 181.mcf , 164.gzip ").unwrap(), ["181.mcf", "164.gzip"]);
+    }
+
+    /// Default invocations of a study's single-process front end and of
+    /// `serve coordinate` resolve the same trials and run id, hence write
+    /// the same store file under the same header.
+    #[test]
+    fn serve_coordinate_defaults_follow_the_study() {
+        let parse = |parser: Parser, argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            parser.try_parse(&argv).unwrap()
+        };
+        let served = parse(coordinate_parser(), &["--attacks"]);
+        let attack = ATTACK_STUDY.resolve(&parse(attack_parser(), &[])).unwrap();
+        assert_eq!(coordinate_study(&served).resolve(&served).unwrap(), attack);
+        assert_eq!(attack, (300, 3488423942, "attack-s3488423942-t300".to_string()));
+
+        let served = parse(coordinate_parser(), &[]);
+        let seu = SEU_STUDY.resolve(&parse(campaign_parser(), &[])).unwrap();
+        assert_eq!(coordinate_study(&served).resolve(&served).unwrap(), seu);
+        assert_eq!(seu, (500, 3488423942, "campaign-s3488423942-t500".to_string()));
+
+        // Explicit values win over the study's defaults.
+        let served = parse(coordinate_parser(), &["--attacks", "--trials", "64", "--seed", "7"]);
+        let resolved = coordinate_study(&served).resolve(&served).unwrap();
+        assert_eq!(resolved, (64, 7, "attack-s7-t64".to_string()));
+        let bad = parse(coordinate_parser(), &["--trials", "x"]);
+        assert!(SEU_STUDY.resolve(&bad).unwrap_err().contains("--trials"));
     }
 }
