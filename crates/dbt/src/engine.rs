@@ -18,7 +18,7 @@ use cfed_isa::{Inst, INST_SIZE_U64};
 use cfed_sim::{trap_codes, ExitReason, Machine, Memory, Perms, Trap, PAGE_SIZE};
 use cfed_telemetry::{Event, Histogram, Telemetry, Timer};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ const MAX_BLOCK_INSTS: usize = 512;
 /// Headroom the cache keeps free for the next translation: when the cursor
 /// gets within this of the usable end, the whole cache is evicted first (a
 /// single translation is bounded well below this by [`MAX_BLOCK_INSTS`]).
-const EVICT_RESERVE: u64 = 64 * 1024;
+pub(crate) const EVICT_RESERVE: u64 = 64 * 1024;
 
 /// Entries in the indirect-branch dispatcher's inline cache (direct-mapped
 /// on the guest target address).
@@ -163,14 +163,16 @@ pub struct Dbt {
     /// empties the table, and SMC flushes only remove entries, so the order
     /// holds without sorting.
     blocks: Vec<TransBlock>,
-    /// Guest block start → cache start of its live translation.
-    by_guest: HashMap<u64, u64>,
+    /// Guest block start → cache start of its live translation. A start
+    /// whose translation an eviction or SMC flush discarded stays as `None`,
+    /// so translating it again counts as a retranslation.
+    by_guest: HashMap<u64, Option<u64>>,
     pub(crate) exits: Vec<ExitDesc>,
     /// Guest page → starts of the blocks translated from it; its key set is
     /// the set of pages this engine write-protected.
     blocks_by_page: HashMap<u64, Vec<u64>>,
     pub(crate) stats: DbtStats,
-    pub(crate) attached: bool,
+    attached: bool,
     /// Usable cache end; `set_cache_limit` lowers it to force eviction.
     cache_limit: u64,
     /// Cursor value right after the shared stubs — the reset point for a
@@ -179,8 +181,6 @@ pub struct Dbt {
     /// Bumped by every full eviction; exit indices and patch sites from an
     /// older generation are invalid.
     pub(crate) flush_gen: u64,
-    /// Guest block starts ever translated, to count retranslations.
-    seen_starts: HashSet<u64>,
     /// Direct-mapped inline cache for the indirect-branch dispatcher:
     /// `(guest target, cache entry)` pairs, cleared wholesale whenever any
     /// translation dies (full eviction or SMC flush).
@@ -232,7 +232,6 @@ impl Dbt {
             cache_limit,
             base_cursor: cursor,
             flush_gen: 0,
-            seen_starts: HashSet::new(),
             dispatch_ic: [None; DISPATCH_IC_SIZE],
             trans_us: Histogram::new(),
             telemetry: Telemetry::off(),
@@ -244,6 +243,31 @@ impl Dbt {
     /// compiled host code.
     pub(crate) fn gen_key(&self) -> (u64, u64) {
         (self.flush_gen, self.stats.smc_flushes)
+    }
+
+    /// The exit-trap codec, encoding half: exit descriptor `idx` raises the
+    /// software trap `DBT_EXIT_BASE + idx` until it is chained.
+    pub(crate) fn exit_trap(idx: usize) -> Inst {
+        Inst::Trap { code: trap_codes::DBT_EXIT_BASE + idx as u32 }
+    }
+
+    /// The exit-trap codec, decoding half: the exit descriptor a software
+    /// trap code names, or `None` for a guest trap.
+    pub(crate) fn exit_index(&self, code: u32) -> Option<usize> {
+        let idx = code.checked_sub(trap_codes::DBT_EXIT_BASE)? as usize;
+        (idx < self.exits.len()).then_some(idx)
+    }
+
+    /// The run-end rule: a halt or a surfaced trap ends the run with its
+    /// [`ExitReason`] and a `dbt_stats` event; `Continue` does not end it.
+    pub(crate) fn run_end(&self, m: &Machine, step: DbtStep) -> Option<ExitReason> {
+        let end = match step {
+            DbtStep::Continue => return None,
+            DbtStep::Halted => ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) },
+            DbtStep::Exit(t) => ExitReason::Trapped(t),
+        };
+        self.emit_stats();
+        Some(end)
     }
 
     /// Lowers the usable cache end to force eviction under test-sized
@@ -303,7 +327,7 @@ impl Dbt {
 
     /// Looks up the translation of a guest block start address.
     pub fn lookup(&self, guest_addr: u64) -> Option<&TransBlock> {
-        self.block_containing(*self.by_guest.get(&guest_addr)?)
+        self.block_containing((*self.by_guest.get(&guest_addr)?)?)
     }
 
     /// Finds the live translated block whose cache range contains `addr`
@@ -385,13 +409,10 @@ impl Dbt {
     /// surfaces to the caller.
     pub(crate) fn handle_trap(&mut self, m: &mut Machine, trap: Trap) -> DbtStep {
         match trap {
-            Trap::Software { code, .. }
-                if code >= trap_codes::DBT_EXIT_BASE
-                    && ((code - trap_codes::DBT_EXIT_BASE) as usize) < self.exits.len() =>
-            {
-                let idx = (code - trap_codes::DBT_EXIT_BASE) as usize;
-                self.service_exit(m, idx)
-            }
+            Trap::Software { code, .. } => match self.exit_index(code) {
+                Some(idx) => self.service_exit(m, idx),
+                None => DbtStep::Exit(trap),
+            },
             Trap::PermWrite { addr }
                 if self.blocks_by_page.contains_key(&Memory::page_base(addr)) =>
             {
@@ -452,16 +473,8 @@ impl Dbt {
                 return ExitReason::StepLimit;
             }
             let step = if fused { self.burst(m, max_insts - used, u64::MAX) } else { self.step(m) };
-            match step {
-                DbtStep::Continue => {}
-                DbtStep::Halted => {
-                    self.emit_stats();
-                    return ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
-                }
-                DbtStep::Exit(t) => {
-                    self.emit_stats();
-                    return ExitReason::Trapped(t);
-                }
+            if let Some(end) = self.run_end(m, step) {
+                return end;
             }
         }
     }
@@ -526,9 +539,11 @@ impl Dbt {
     /// [`Trap::UnalignedFetch`] for misaligned addresses,
     /// [`Trap::PermExec`] for targets outside the guest code region.
     pub fn translate(&mut self, m: &mut Machine, guest_addr: u64) -> Result<u64, Trap> {
-        if let Some(&cache_start) = self.by_guest.get(&guest_addr) {
-            return Ok(cache_start);
-        }
+        let seen = match self.by_guest.get(&guest_addr) {
+            Some(&Some(cache_start)) => return Ok(cache_start),
+            Some(None) => true,
+            None => false,
+        };
         if !guest_addr.is_multiple_of(INST_SIZE_U64) {
             return Err(Trap::UnalignedFetch { addr: guest_addr });
         }
@@ -538,7 +553,7 @@ impl Dbt {
         if self.cursor + EVICT_RESERVE > self.cache_limit {
             self.evict_all(m);
         }
-        if !self.seen_starts.insert(guest_addr) {
+        if seen {
             self.stats.retranslations += 1;
         }
         let timer = Timer::start();
@@ -720,7 +735,7 @@ impl Dbt {
         self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;
         debug_assert!(self.blocks.last().is_none_or(|last| last.cache_end <= cache_start));
         self.blocks.push(block);
-        self.by_guest.insert(guest_addr, cache_start);
+        self.by_guest.insert(guest_addr, Some(cache_start));
         self.protect_range(m, guest_addr, range);
 
         self.cursor = cache_end;
@@ -740,7 +755,7 @@ impl Dbt {
             m.mem.unprotect_page(page);
         }
         self.blocks.clear();
-        self.by_guest.clear();
+        self.by_guest.values_mut().for_each(|c| *c = None);
         self.exits.clear();
         self.dispatch_ic = [None; DISPATCH_IC_SIZE];
         self.cursor = self.base_cursor;
@@ -754,15 +769,10 @@ impl Dbt {
             let idx = self.exits.len();
             let patched = matches!(kind, ExitKind::Direct { .. })
                 && matches!(read_inst(&m.mem, site), Inst::Jmp { .. });
-            if !patched {
-                patch_inst(
-                    &mut m.mem,
-                    site,
-                    Inst::Trap { code: trap_codes::DBT_EXIT_BASE + idx as u32 },
-                );
-            }
             if patched {
                 self.stats.chains += 1;
+            } else {
+                patch_inst(&mut m.mem, site, Self::exit_trap(idx));
             }
             self.exits.push(ExitDesc { kind, patched });
         }
@@ -787,13 +797,13 @@ impl Dbt {
     /// Emits the transfer to a guest target: a direct chain jump when the
     /// target is already translated, otherwise a patchable exit site.
     fn emit_exit_direct(
-        by_guest: &HashMap<u64, u64>,
+        by_guest: &HashMap<u64, Option<u64>>,
         a: &mut CacheAsm<'_>,
         guest_target: u64,
         new_exits: &mut Vec<(u64, ExitKind)>,
     ) {
         let site = a.here();
-        if let Some(&cache_start) = by_guest.get(&guest_target) {
+        if let Some(&Some(cache_start)) = by_guest.get(&guest_target) {
             a.jmp_abs(cache_start);
         } else {
             a.emit(Inst::Nop); // becomes the trap stub once idx is known
@@ -809,19 +819,17 @@ impl Dbt {
         };
         // A block spanning several pages stays listed under the others
         // after its first flush; only starts still live are flushed here.
-        let flushed: Vec<u64> =
-            starts.into_iter().filter(|g| self.by_guest.remove(g).is_some()).collect();
+        let flushed: Vec<u64> = starts
+            .into_iter()
+            .filter(|g| self.by_guest.get_mut(g).is_some_and(|c| c.take().is_some()))
+            .collect();
         self.blocks.retain(|b| !flushed.contains(&b.guest_start));
         // Unchain every patched jump into a flushed block (SMC flushes are
         // rare, so scanning the exits beats indexing them by target).
         for (idx, exit) in self.exits.iter_mut().enumerate() {
             if let ExitKind::Direct { guest_target, site } = exit.kind {
                 if exit.patched && flushed.contains(&guest_target) {
-                    patch_inst(
-                        &mut m.mem,
-                        site,
-                        Inst::Trap { code: trap_codes::DBT_EXIT_BASE + idx as u32 },
-                    );
+                    patch_inst(&mut m.mem, site, Self::exit_trap(idx));
                     exit.patched = false;
                 }
             }

@@ -24,13 +24,22 @@
 //!
 //! Block exits reuse the translator's exit-site protocol: a direct exit
 //! compiles to a patchable 5-byte jump that initially raises the site's
-//! `DBT_EXIT_BASE` software trap; once [`Dbt`] services the exit and patches
-//! the cache instruction into a `Jmp`, the native slot is patched to a chain
-//! thunk (accounting + direct host jump). Indirect exits get an inline-cache
-//! dispatcher in emitted code, kept strictly in sync with the engine's
-//! `dispatch_ic` table so hit/miss counts agree with the interpreter.
-//! Any cache invalidation (full eviction or SMC flush) nukes all native code
-//! back to the shared-stub watermark — the translations it mirrored died.
+//! exit trap (the engine's exit-trap codec); once [`Dbt`] services the exit
+//! and patches the cache instruction into a `Jmp`, the native slot is
+//! patched to a chain thunk (accounting + direct host jump). Indirect exits
+//! get an inline-cache dispatcher in emitted code, kept strictly in sync
+//! with the engine's `dispatch_ic` table so hit/miss counts agree with the
+//! interpreter. Any cache invalidation (full eviction or SMC flush) nukes
+//! all native code back to the shared-stub watermark — the translations it
+//! mirrored died.
+//!
+//! The JIT keeps two tables, everything else it reads from the engine's
+//! block and exit tables: host entry code by block cache start (`None` for
+//! a block it cannot compile) and chain patch points by direct exit site.
+//! A session starts only at a block head, where the budget check runs; a
+//! CPU stopped anywhere else (mid-block after a step limit, on a chained
+//! exit, on a dispatch site) takes interpreted [`Dbt::step`]s to the next
+//! head, which the engine contract makes bit-identical.
 
 use crate::codebuf::CodeBuf;
 use crate::engine::{
@@ -42,9 +51,9 @@ use crate::x86::{
     RSI, RSP,
 };
 use cfed_isa::{cost, AluOp, Cond, Flags, Inst, Reg, INST_SIZE_U64};
-use cfed_sim::{trap_codes, Cpu, ExitReason, Machine, Memory, Trap};
+use cfed_sim::{Cpu, ExitReason, Machine, Memory, Trap};
 use cfed_telemetry::Telemetry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Below this remaining budget the tail is run by the interpreter so the
@@ -346,11 +355,8 @@ struct ChainSite {
     thunk: u64,
     /// ...this 5-byte jump, patched to the target's host entry.
     thunk_jmp: u64,
-}
-
-/// The live block that starts exactly at cache address `cache`.
-fn block_at(dbt: &Dbt, cache: u64) -> Option<TransBlock> {
-    dbt.block_containing(cache).filter(|b| b.cache_start == cache).copied()
+    /// Whether `slot` and `thunk_jmp` are patched to chain to the target.
+    chained: bool,
 }
 
 struct Jit {
@@ -368,17 +374,12 @@ struct Jit {
     cond_tables: u64,
     /// Bump-reset watermark right after the shared stubs.
     blocks_base: u64,
-    /// Cache address → host address safe to enter from the runtime loop
-    /// (block starts, IC dispatch sequences, patched chain thunks).
-    entries: HashMap<u64, u64>,
-    /// Block cache_start → host entry (with budget prologue).
-    compiled: HashMap<u64, u64>,
+    /// Block cache start → host entry (with budget prologue), `None` for a
+    /// block that failed to compile. Block heads are the only places a
+    /// session starts.
+    blocks: HashMap<u64, Option<u64>>,
     /// Direct exit sites by cache address.
     sites: HashMap<u64, ChainSite>,
-    /// Block starts that failed to compile (cleared on nuke).
-    uncompilable: HashSet<u64>,
-    /// Direct exit sites whose native slot has been chained.
-    chained: HashSet<u64>,
     /// Mirror of `Dbt::dispatch_ic` as of the last sync.
     ic_shadow: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     /// [`Dbt::gen_key`] snapshot; any change nukes native code.
@@ -453,11 +454,8 @@ impl Jit {
             trap_exit,
             cond_tables,
             blocks_base,
-            entries: HashMap::new(),
-            compiled: HashMap::new(),
+            blocks: HashMap::new(),
             sites: HashMap::new(),
-            uncompilable: HashSet::new(),
-            chained: HashSet::new(),
             ic_shadow: [None; DISPATCH_IC_SIZE],
             gen: (0, 0),
             chains_shadow: 0,
@@ -468,11 +466,8 @@ impl Jit {
     /// Discards every compiled block (cache invalidation or full buffer).
     fn nuke(&mut self) {
         self.buf.reset_to(self.blocks_base);
-        self.entries.clear();
-        self.compiled.clear();
+        self.blocks.clear();
         self.sites.clear();
-        self.uncompilable.clear();
-        self.chained.clear();
         self.ctx.ic_tags = [EMPTY_TAG; DISPATCH_IC_SIZE];
         self.ctx.ic_vals = [0; DISPATCH_IC_SIZE];
         self.ic_shadow = [None; DISPATCH_IC_SIZE];
@@ -488,30 +483,25 @@ impl Jit {
         }
     }
 
-    fn ensure_compiled(&mut self, dbt: &Dbt, m: &Machine, tb: &TransBlock) -> Option<u64> {
-        if let Some(&host) = self.compiled.get(&tb.cache_start) {
-            return Some(host);
+    /// Host entry of the live block that starts at cache address `cache`,
+    /// compiling it on first use; `None` when no block starts there or the
+    /// block cannot be compiled.
+    fn entry(&mut self, dbt: &Dbt, m: &Machine, cache: u64) -> Option<u64> {
+        if let Some(&host) = self.blocks.get(&cache) {
+            return host;
         }
-        if self.uncompilable.contains(&tb.cache_start) {
-            return None;
-        }
-        match self.compile_block(dbt, m, tb) {
-            Ok(host) => Some(host),
-            Err(CompileBail::Unsupported) => {
-                self.uncompilable.insert(tb.cache_start);
-                None
-            }
+        let tb = *dbt.block_containing(cache).filter(|b| b.cache_start == cache)?;
+        let host = match self.compile_block(dbt, m, &tb) {
             Err(CompileBail::Full) => {
                 self.nuke();
-                match self.compile_block(dbt, m, tb) {
-                    Ok(host) => Some(host),
-                    Err(_) => {
-                        self.uncompilable.insert(tb.cache_start);
-                        None
-                    }
-                }
+                self.compile_block(dbt, m, &tb).ok()
             }
+            compiled => compiled.ok(),
+        };
+        if host.is_none() {
+            self.blocks.insert(cache, None);
         }
+        host
     }
 
     /// Mirrors the engine's dispatcher inline cache into the ctx, compiling
@@ -525,14 +515,8 @@ impl Jit {
         }
         loop {
             let nukes = self.nukes;
-            for entry in dbt.dispatch_ic {
-                if let Some((_, cache)) = entry {
-                    if !self.compiled.contains_key(&cache) {
-                        if let Some(tb) = block_at(dbt, cache) {
-                            self.ensure_compiled(dbt, m, &tb);
-                        }
-                    }
-                }
+            for (_, cache) in dbt.dispatch_ic.into_iter().flatten() {
+                self.entry(dbt, m, cache);
                 if self.nukes != nukes {
                     break;
                 }
@@ -543,9 +527,9 @@ impl Jit {
         }
         for slot in 0..DISPATCH_IC_SIZE {
             let (tag, val) = match dbt.dispatch_ic[slot] {
-                Some((tag, cache)) => match self.compiled.get(&cache) {
-                    Some(&host) => (tag, host),
-                    None => (EMPTY_TAG, 0),
+                Some((tag, cache)) => match self.blocks.get(&cache) {
+                    Some(&Some(host)) => (tag, host),
+                    _ => (EMPTY_TAG, 0),
                 },
                 None => (EMPTY_TAG, 0),
             };
@@ -562,14 +546,14 @@ impl Jit {
         let ExitKind::Direct { guest_target, site } = dbt.exits[idx].kind else {
             return;
         };
-        if !dbt.exits[idx].patched || self.chained.contains(&site) {
+        if !dbt.exits[idx].patched || self.sites.get(&site).is_none_or(|cs| cs.chained) {
             return;
         }
         let Some(tb) = dbt.lookup(guest_target).copied() else {
             return;
         };
         let nukes = self.nukes;
-        let target_host = match self.ensure_compiled(dbt, m, &tb) {
+        let target_host = match self.entry(dbt, m, tb.cache_start) {
             Some(host) => Some(host),
             None => {
                 // Target block is uncompilable: chain into an enter stub so
@@ -591,15 +575,12 @@ impl Jit {
         if self.nukes != nukes {
             return; // compile overflowed and nuked; the site died with it
         }
-        let (Some(target_host), Some(cs)) = (target_host, self.sites.get(&site).copied()) else {
+        let (Some(target_host), Some(cs)) = (target_host, self.sites.get_mut(&site)) else {
             return;
         };
         self.buf.patch(cs.thunk_jmp, &x86::jmp_rel32_bytes(cs.thunk_jmp, target_host));
         self.buf.patch(cs.slot, &x86::jmp_rel32_bytes(cs.slot, cs.thunk));
-        self.chained.insert(site);
-        // For a site that is also a block head (single-instruction block),
-        // keep the block entry: it runs the budget check before the thunk.
-        self.entries.entry(site).or_insert(cs.thunk);
+        cs.chained = true;
     }
 
     /// Chains every engine-patched exit that the native code has not picked
@@ -614,6 +595,15 @@ impl Jit {
             }
         }
         self.chains_shadow = dbt.stats.chains;
+    }
+
+    /// Catches up with what the engine did outside native code (interpreted
+    /// steps, or a previous run's interpreted tail): nukes on a generation
+    /// change, chains the exits it patched and mirrors its inline cache.
+    fn sync(&mut self, dbt: &Dbt, m: &Machine) {
+        self.check_gen(dbt);
+        self.resync_chains(dbt, m);
+        self.resync_ic(dbt, m);
     }
 
     /// Runs one native session starting at host address `entry`; syncs the
@@ -691,8 +681,8 @@ impl Jit {
         let base = self.buf.cursor_addr();
         let mut b = BlockAsm {
             a: Asm::new(base),
-            exits: &dbt.exits,
-            compiled: &self.compiled,
+            dbt,
+            blocks: &self.blocks,
             cond_tables: self.cond_tables,
             epilogue: self.epilogue,
             trap_exit: self.trap_exit,
@@ -702,7 +692,6 @@ impl Jit {
             pend_cycles: 0,
             outl: Vec::new(),
             sites: Vec::new(),
-            ind_entries: Vec::new(),
         };
 
         // Intra-block branch targets become local labels.
@@ -750,18 +739,12 @@ impl Jit {
         b.emit_enter_exit(tb.cache_end, 0);
         b.drain_outlined();
 
-        let BlockAsm { a, sites, ind_entries, .. } = b;
+        let BlockAsm { a, sites, .. } = b;
         let bytes = a.finish();
         let host = self.buf.alloc(&bytes).ok_or(CompileBail::Full)?;
         debug_assert_eq!(host, base);
-        self.compiled.insert(tb.cache_start, host);
-        self.entries.insert(tb.cache_start, host);
-        for (site, chain) in sites {
-            self.sites.insert(site, chain);
-        }
-        for (site, seq) in ind_entries {
-            self.entries.insert(site, seq);
-        }
+        self.blocks.insert(tb.cache_start, Some(host));
+        self.sites.extend(sites);
         Ok(host)
     }
 }
@@ -802,8 +785,8 @@ enum Outl {
 /// to the delta registers before anything that can leave the block.
 struct BlockAsm<'a> {
     a: Asm,
-    exits: &'a [crate::engine::ExitDesc],
-    compiled: &'a HashMap<u64, u64>,
+    dbt: &'a Dbt,
+    blocks: &'a HashMap<u64, Option<u64>>,
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
@@ -813,7 +796,6 @@ struct BlockAsm<'a> {
     pend_cycles: u64,
     outl: Vec<Outl>,
     sites: Vec<(u64, ChainSite)>,
-    ind_entries: Vec<(u64, u64)>,
 }
 
 fn rslot(r: Reg) -> i32 {
@@ -966,7 +948,7 @@ impl BlockAsm<'_> {
     fn transfer(&mut self, target: u64) {
         if let Some(&l) = self.labels.get(&target) {
             self.a.jmp(l);
-        } else if let Some(&host) = self.compiled.get(&target) {
+        } else if let Some(&Some(host)) = self.blocks.get(&target) {
             self.a.jmp_abs(host);
         } else {
             let slot = self.a.here_abs();
@@ -1073,11 +1055,8 @@ impl BlockAsm<'_> {
     /// Emits the trap/exit-site form of a cache `Trap` instruction.
     fn emit_trap_site(&mut self, addr: u64, code: u32) {
         self.flush();
-        let idx = (code >= trap_codes::DBT_EXIT_BASE)
-            .then(|| (code - trap_codes::DBT_EXIT_BASE) as usize)
-            .filter(|&i| i < self.exits.len());
-        match idx.map(|i| (i, self.exits[i].kind)) {
-            Some((_, ExitKind::Direct { .. })) => {
+        match self.dbt.exit_index(code).map(|i| self.dbt.exits[i].kind) {
+            Some(ExitKind::Direct { .. }) => {
                 // Patchable slot → exit stub; chain thunk parked after it.
                 let slot = self.a.here_abs();
                 let l_stub = self.a.new_label();
@@ -1089,11 +1068,10 @@ impl BlockAsm<'_> {
                 self.a.jmp(l_stub); // patched to the target host entry
                 self.a.bind(l_stub);
                 self.emit_trap_exit(1, addr, code as u64, addr);
-                self.sites.push((addr, ChainSite { slot, thunk, thunk_jmp }));
+                self.sites.push((addr, ChainSite { slot, thunk, thunk_jmp, chained: false }));
             }
-            Some((_, ExitKind::Indirect)) => {
+            Some(ExitKind::Indirect) => {
                 // Inline-cache dispatch: tag-match on the guest target.
-                let seq = self.a.here_abs();
                 self.a.load(RAX, RBP, rslot(regs::ITARGET));
                 self.a.mov_rr(RCX, RAX);
                 self.a.shift_imm(Shift::Shr, RCX, 3);
@@ -1110,7 +1088,6 @@ impl BlockAsm<'_> {
                 self.a.jmp_mem2(RBP, RCX, O_IC_VALS);
                 self.a.bind(l_miss);
                 self.emit_trap_exit(1, addr, code as u64, addr);
-                self.ind_entries.push((addr, seq));
             }
             // Aborts and plain guest traps surface through the runtime.
             _ => self.emit_trap_exit(1, addr, code as u64, addr),
@@ -1445,10 +1422,7 @@ impl NativeDbt {
         native: bool,
     ) -> NativeDbt {
         let dbt = Dbt::new(instr, style, m);
-        let mut jit = if native { Jit::new() } else { None };
-        if let Some(j) = jit.as_mut() {
-            j.gen = dbt.gen_key();
-        }
+        let jit = if native { Jit::new() } else { None };
         NativeDbt { dbt, jit }
     }
 
@@ -1484,7 +1458,7 @@ impl NativeDbt {
             // Tracing wants per-instruction visibility; stay interpreted.
             return dbt.run(m, max_insts);
         }
-        jit.check_gen(dbt);
+        jit.sync(dbt, m);
         let start = m.cpu.stats().insts;
         loop {
             let used = m.cpu.stats().insts - start;
@@ -1498,106 +1472,71 @@ impl NativeDbt {
                 // instruction boundary Dbt::run would.
                 return dbt.run(m, remaining);
             }
-            if !dbt.attached {
-                // Attach strictly after the budget checks, as Dbt::run does.
-                if let Err(t) = dbt.attach(m) {
-                    dbt.emit_stats();
-                    return ExitReason::Trapped(t);
+            let Some(entry) = jit.entry(dbt, m, m.cpu.ip()) else {
+                // Not at a compiled block head (the guest entry before
+                // attaching, a mid-block resume, a chained exit or dispatch
+                // site, the error stub, an uncompilable block): interpret
+                // one step, bit-identical by the engine contract, and
+                // re-evaluate.
+                let step = dbt.step(m);
+                if let Some(end) = dbt.run_end(m, step) {
+                    return end;
                 }
-                jit.check_gen(dbt);
-            }
-            let ip = m.cpu.ip();
-            let entry = match jit.entries.get(&ip).copied() {
-                Some(e) => Some(e),
-                None => match block_at(dbt, ip) {
-                    Some(tb) => jit.ensure_compiled(dbt, m, &tb),
-                    None => None,
-                },
-            };
-            let Some(entry) = entry else {
-                // Not native-executable here (mid-block resume, err stub,
-                // uncompilable block): interpret one step and re-evaluate.
-                match dbt.step(m) {
-                    DbtStep::Continue => {
-                        jit.check_gen(dbt);
-                        jit.resync_chains(dbt, m);
-                        jit.resync_ic(dbt, m);
-                        continue;
-                    }
-                    DbtStep::Halted => {
-                        dbt.emit_stats();
-                        return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
-                    }
-                    DbtStep::Exit(t) => {
-                        dbt.emit_stats();
-                        return ExitReason::Trapped(t);
-                    }
-                }
+                jit.sync(dbt, m);
+                continue;
             };
             jit.enter(m, entry, remaining);
             dbt.stats.dispatches += jit.ctx.d_dispatches;
             dbt.stats.dispatch_ic_hits += jit.ctx.d_ic_hits;
-            match jit.ctx.exit_kind {
+            let step = match jit.ctx.exit_kind {
                 XK_HALT => {
                     m.cpu.set_ip(jit.ctx.exit_ip);
                     m.cpu.set_halted();
-                    dbt.emit_stats();
-                    return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
+                    DbtStep::Halted
                 }
                 XK_BUDGET => {
                     m.cpu.set_ip(jit.ctx.exit_ip);
+                    DbtStep::Continue
                 }
                 XK_ENTER => {
                     let resume = jit.ctx.resume_ip;
                     let slot = jit.ctx.slot_addr;
                     m.cpu.set_ip(resume);
-                    if let Some(tb) = block_at(dbt, resume) {
-                        let nukes = jit.nukes;
-                        if let Some(host) = jit.ensure_compiled(dbt, m, &tb) {
-                            if slot != 0 && jit.nukes == nukes {
-                                jit.buf.patch(slot, &x86::jmp_rel32_bytes(slot, host));
-                            }
+                    let nukes = jit.nukes;
+                    if let Some(host) = jit.entry(dbt, m, resume) {
+                        if slot != 0 && jit.nukes == nukes {
+                            jit.buf.patch(slot, &x86::jmp_rel32_bytes(slot, host));
                         }
                     }
+                    DbtStep::Continue
                 }
                 XK_TRAP => {
                     m.cpu.set_ip(jit.ctx.exit_ip);
                     // The interpreter counts the trap when raising it.
                     m.cpu.apply_native_delta(0, 0, 0, 0, 1);
                     let trap = decode_trap(jit.ctx.trap_disc, jit.ctx.trap_a, jit.ctx.trap_b);
-                    let direct_idx = match trap {
-                        Trap::Software { code, .. }
-                            if code >= trap_codes::DBT_EXIT_BASE
-                                && ((code - trap_codes::DBT_EXIT_BASE) as usize)
-                                    < dbt.exits.len() =>
-                        {
-                            Some((code - trap_codes::DBT_EXIT_BASE) as usize)
-                        }
+                    let exit_idx = match trap {
+                        Trap::Software { code, .. } => dbt.exit_index(code),
                         _ => None,
                     };
                     let gen_before = dbt.gen_key();
-                    match dbt.handle_trap(m, trap) {
-                        DbtStep::Continue => {
-                            jit.check_gen(dbt);
-                            if dbt.gen_key() == gen_before {
-                                if let Some(idx) = direct_idx {
-                                    jit.try_chain(dbt, m, idx);
-                                }
+                    let step = dbt.handle_trap(m, trap);
+                    if step == DbtStep::Continue {
+                        jit.check_gen(dbt);
+                        if dbt.gen_key() == gen_before {
+                            if let Some(idx) = exit_idx {
+                                jit.try_chain(dbt, m, idx);
                             }
-                            jit.chains_shadow = dbt.stats.chains;
-                            jit.resync_ic(dbt, m);
                         }
-                        DbtStep::Halted => {
-                            dbt.emit_stats();
-                            return ExitReason::Halted { code: m.cpu.reg(Reg::R0) };
-                        }
-                        DbtStep::Exit(t) => {
-                            dbt.emit_stats();
-                            return ExitReason::Trapped(t);
-                        }
+                        jit.chains_shadow = dbt.stats.chains;
+                        jit.resync_ic(dbt, m);
                     }
+                    step
                 }
                 kind => unreachable!("bad native exit kind {kind}"),
+            };
+            if let Some(end) = dbt.run_end(m, step) {
+                return end;
             }
         }
     }
@@ -1606,6 +1545,7 @@ impl NativeDbt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfed_sim::trap_codes;
 
     #[test]
     fn flags_byte_roundtrip() {
@@ -1658,6 +1598,74 @@ mod tests {
         for t in traps {
             let (d, a, b) = encode_trap(&t);
             assert_eq!(decode_trap(d, a, b), t);
+        }
+    }
+
+    /// Runs `image` to its halt on a `NativeDbt` with native execution on,
+    /// or off (plain [`Dbt::run`]), after `set_cache_limit(limit)` if given.
+    fn run_to_halt(image: &cfed_asm::Image, native: bool, limit: Option<u64>) -> (Vec<u64>, Dbt) {
+        let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+        let instr = Box::new(crate::NullInstrumenter);
+        let mut nd = NativeDbt::with_native(instr, UpdateStyle::Jcc, &mut m, native);
+        if let Some(limit) = limit {
+            nd.dbt.set_cache_limit(limit);
+        }
+        assert!(matches!(nd.run(&mut m, 1_000_000), ExitReason::Halted { .. }));
+        (m.cpu.take_output(), nd.dbt)
+    }
+
+    #[test]
+    fn retranslations_pinned_after_one_smc_flush_and_one_eviction() {
+        // SMC: `victim` is the only block on its code page, so overwriting
+        // it flushes exactly that block and the second call translates it
+        // again.
+        let mut asm = cfed_asm::Asm::new();
+        let patch = asm.data_u64(&[u64::from_le_bytes(Inst::Out { src: Reg::R1 }.encode())]);
+        asm.label("start");
+        asm.movri(Reg::R0, 1);
+        asm.movri(Reg::R1, 2);
+        asm.call("victim");
+        asm.mov_addr(Reg::R2, patch);
+        asm.ld(Reg::R3, Reg::R2, 0);
+        asm.mov_label(Reg::R4, "victim");
+        asm.st(Reg::R4, Reg::R3, 0);
+        asm.call("victim");
+        asm.halt();
+        for _ in 0..cfed_sim::PAGE_SIZE / INST_SIZE_U64 {
+            asm.nop();
+        }
+        asm.label("victim");
+        asm.out(Reg::R0);
+        asm.ret();
+        let smc = asm.assemble("start").unwrap();
+
+        // Eviction: blocks translate in the order S1 (padded call), F, S2
+        // (bare call), S3 (halt). A limit that evicts once the cursor passes
+        // F's start evicts once, before S2; S2 and F then fit below that
+        // point, so only F is translated again.
+        let mut asm = cfed_asm::Asm::new();
+        asm.label("start");
+        for _ in 0..16 {
+            asm.nop();
+        }
+        asm.call("f");
+        asm.call("f");
+        asm.halt();
+        asm.label("f");
+        asm.ret();
+        let evict = asm.assemble("start").unwrap();
+        let f = evict.symbol("f").unwrap();
+        let (_, roomy) = run_to_halt(&evict, false, None);
+        let limit = roomy.lookup(f).unwrap().cache_start + crate::engine::EVICT_RESERVE;
+
+        for native in [false, true] {
+            let (out, dbt) = run_to_halt(&smc, native, None);
+            assert_eq!(out, [1, 2], "native {native}");
+            let s = dbt.stats();
+            assert_eq!((s.smc_flushes, s.cache_evictions, s.retranslations), (1, 0, 1), "{s:?}");
+            let (_, dbt) = run_to_halt(&evict, native, Some(limit));
+            let s = dbt.stats();
+            assert_eq!((s.smc_flushes, s.cache_evictions, s.retranslations), (0, 1, 1), "{s:?}");
         }
     }
 

@@ -1,43 +1,30 @@
 //! Native-backend equivalence: `NativeDbt` must be bit-identical to the
-//! fused-interpreter `Dbt` — same exit, same output stream, same `ExecStats`
-//! (instructions, cycles, branches, taken, traps) and same `DbtStats`
-//! (blocks, chains, dispatches, IC hits, SMC flushes). These tests are the
+//! fused-interpreter `Dbt` — same exit, same final CPU (registers, flags,
+//! ip, output stream, `ExecStats`) and same `DbtStats`. These tests are the
 //! backend's detection-guarantee anchor: if the native backend drifted in any
 //! observable way, signature checks running on top of it would too.
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use cfed_dbt::{Dbt, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, DbtStats, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_lang::compile;
-use cfed_sim::{ExitReason, Machine};
+use cfed_sim::{trap_codes, Cpu, ExitReason, Machine};
 
+/// Everything a run leaves behind that the two backends must agree on.
+#[derive(Debug, PartialEq)]
 struct Outcome {
     exit: ExitReason,
-    output: Vec<u64>,
-    insts: u64,
-    cycles: u64,
-    branches: u64,
-    branches_taken: u64,
-    traps: u64,
-    stats: cfed_dbt::DbtStats,
+    /// Registers, flags, ip, output stream and `ExecStats`.
+    cpu: Cpu,
+    stats: DbtStats,
 }
 
 fn run_interp(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
     let mut m = Machine::load(code, data, entry);
     let mut dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
     let exit = dbt.run(&mut m, budget);
-    let s = m.cpu.stats();
-    Outcome {
-        exit,
-        output: m.cpu.take_output(),
-        insts: s.insts,
-        cycles: s.cycles,
-        branches: s.branches,
-        branches_taken: s.branches_taken,
-        traps: s.traps,
-        stats: dbt.stats(),
-    }
+    Outcome { exit, cpu: m.cpu.clone(), stats: dbt.stats() }
 }
 
 fn run_native(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
@@ -48,37 +35,11 @@ fn run_native(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
     // fallback path against the plain engine.
     assert_eq!(dbt.is_native(), cfed_dbt::native_enabled(), "native backend gating");
     let exit = dbt.run(&mut m, budget);
-    let s = m.cpu.stats();
-    Outcome {
-        exit,
-        output: m.cpu.take_output(),
-        insts: s.insts,
-        cycles: s.cycles,
-        branches: s.branches,
-        branches_taken: s.branches_taken,
-        traps: s.traps,
-        stats: dbt.stats(),
-    }
+    Outcome { exit, cpu: m.cpu.clone(), stats: dbt.stats() }
 }
 
 fn check_identical(code: &[u8], data: &[u8], entry: u64, budget: u64) {
-    let i = run_interp(code, data, entry, budget);
-    let n = run_native(code, data, entry, budget);
-    assert_eq!(i.exit, n.exit, "exit");
-    assert_eq!(i.output, n.output, "output stream");
-    assert_eq!(i.insts, n.insts, "retired instructions");
-    assert_eq!(i.cycles, n.cycles, "cycles");
-    assert_eq!(i.branches, n.branches, "branches");
-    assert_eq!(i.branches_taken, n.branches_taken, "branches taken");
-    assert_eq!(i.traps, n.traps, "traps");
-    assert_eq!(i.stats.blocks, n.stats.blocks, "blocks");
-    assert_eq!(i.stats.guest_insts, n.stats.guest_insts, "guest insts");
-    assert_eq!(i.stats.cache_insts, n.stats.cache_insts, "cache insts");
-    assert_eq!(i.stats.chains, n.stats.chains, "chains");
-    assert_eq!(i.stats.dispatches, n.stats.dispatches, "dispatches");
-    assert_eq!(i.stats.dispatch_ic_hits, n.stats.dispatch_ic_hits, "IC hits");
-    assert_eq!(i.stats.smc_flushes, n.stats.smc_flushes, "SMC flushes");
-    assert_eq!(i.stats.cache_evictions, n.stats.cache_evictions, "evictions");
+    assert_eq!(run_interp(code, data, entry, budget), run_native(code, data, entry, budget));
 }
 
 fn check_src(src: &str) {
@@ -209,50 +170,68 @@ fn step_limit_exactness() {
     for budget in [0u64, 1, 100, 4095, 4096, 5000, 100_000, 1_000_000] {
         let i = run_interp(image.code(), image.data(), image.entry_offset(), budget);
         let n = run_native(image.code(), image.data(), image.entry_offset(), budget);
-        assert_eq!(i.exit, n.exit, "budget {budget}");
-        assert_eq!(i.insts, n.insts, "budget {budget}");
-        assert_eq!(i.cycles, n.cycles, "budget {budget}");
-        assert_eq!(i.traps, n.traps, "budget {budget}");
+        assert_eq!(i, n, "budget {budget}");
     }
 }
 
 #[test]
 fn resume_after_step_limit_identical() {
-    // Chopping one run into many small budgets must retire the same stream:
-    // the native loop hands mid-block tails to the interpreter and re-enters
-    // native code at block heads.
+    // Chopping one run into many budgets around the native threshold (4096)
+    // must retire the same stream: each slice's interpreted tail stops
+    // mid-block, on chained direct exits and on inline-cache dispatch sites,
+    // and the next slice steps from there to a block head before native
+    // code resumes. Final CPU, output and `DbtStats` must equal one
+    // unsliced `Dbt::run`.
     let image = compile(
         r#"
         fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
+        fn mid(x) { return leaf(x) + leaf(x + 1); }
         fn main() {
             let i = 0;
             let acc = 0;
-            while (i < 2000) { acc = acc + leaf(i); i = i + 1; }
+            while (i < 2000) { acc = acc + mid(i); i = i + 1; }
             out(acc);
         }
         "#,
     )
     .unwrap();
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
-    let mut slices = 0u64;
-    let exit = loop {
-        match dbt.run(&mut m, 4500) {
-            ExitReason::StepLimit => slices += 1,
-            other => break other,
-        }
-        assert!(slices < 100_000, "diverged");
-    };
-    assert!(matches!(exit, ExitReason::Halted { .. }));
     let whole = run_interp(image.code(), image.data(), image.entry_offset(), 20_000_000);
-    assert_eq!(whole.exit, exit);
-    assert_eq!(whole.output, m.cpu.take_output());
-    assert_eq!(whole.insts, m.cpu.stats().insts);
-    assert_eq!(whole.cycles, m.cpu.stats().cycles);
-    assert_eq!(whole.traps, m.cpu.stats().traps);
-    assert_eq!(whole.stats.chains, dbt.stats().chains);
-    assert_eq!(whole.stats.dispatches, dbt.stats().dispatches);
-    assert_eq!(whole.stats.dispatch_ic_hits, dbt.stats().dispatch_ic_hits);
+    assert!(matches!(whole.exit, ExitReason::Halted { .. }));
+    let is_exit_trap = |m: &Machine, ip: u64| {
+        matches!(Inst::decode_from_slice(m.mem.peek(ip, 8)),
+            Some(Ok(Inst::Trap { code })) if code >= trap_codes::DBT_EXIT_BASE)
+    };
+    let (mut on_chained_exit, mut on_dispatch_site) = (0usize, 0usize);
+    for slice in [4095u64, 4096, 4097, 4133, 4500, 5001, 6000, 8192] {
+        let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+        let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+        let mut resumed_on_trap = Vec::new();
+        let exit = loop {
+            match dbt.run(&mut m, slice) {
+                ExitReason::StepLimit => {}
+                other => break other,
+            }
+            assert!(m.cpu.stats().insts < 20_000_000, "diverged");
+            // Where the next slice resumes: a `Jmp` in a block's exit glue
+            // is a chained direct exit.
+            let ip = m.cpu.ip();
+            let Some(block) = dbt.dbt().block_containing(ip) else { continue };
+            let glue = ip >= block.body_range().end;
+            if glue
+                && matches!(Inst::decode_from_slice(m.mem.peek(ip, 8)), Some(Ok(Inst::Jmp { .. })))
+            {
+                on_chained_exit += 1;
+            } else if is_exit_trap(&m, ip) {
+                resumed_on_trap.push(ip);
+            }
+        };
+        // A direct exit is chained the first time it is serviced, so an
+        // exit trap still in place at the end is an indirect dispatch site.
+        on_dispatch_site += resumed_on_trap.iter().filter(|&&ip| is_exit_trap(&m, ip)).count();
+        let sliced = Outcome { exit, cpu: m.cpu.clone(), stats: dbt.stats() };
+        assert_eq!(whole, sliced, "slice {slice}");
+    }
+    assert!(on_chained_exit > 0 && on_dispatch_site > 0, "{on_chained_exit} {on_dispatch_site}");
 }
 
 #[test]
@@ -278,7 +257,7 @@ fn self_modifying_code_identical() {
     asm.ret();
     let image = asm.assemble("start").unwrap();
     let n = run_native(image.code(), image.data(), image.entry_offset(), 1_000_000);
-    assert_eq!(n.output, vec![1, 2]);
+    assert_eq!(n.cpu.output(), [1, 2]);
     assert!(n.stats.smc_flushes >= 1, "SMC must trigger a flush");
     check_identical(image.code(), image.data(), image.entry_offset(), 1_000_000);
 }
@@ -340,7 +319,7 @@ fn smc_store_into_hot_loop_retranslates() {
     // Guest-observable equivalence against the reference interpreter.
     let plain = run_interp(image.code(), image.data(), image.entry_offset(), 1_000_000);
     assert_eq!(plain.exit, fused.0);
-    assert_eq!(plain.output, fused.1);
+    assert_eq!(plain.cpu.output(), fused.1);
 }
 
 #[test]
@@ -404,10 +383,7 @@ fn no_native_fallback_is_equivalent() {
     assert!(!dbt.is_native());
     let exit = dbt.run(&mut m, 1_000_000);
     let i = run_interp(image.code(), image.data(), image.entry_offset(), 1_000_000);
-    assert_eq!(exit, i.exit);
-    assert_eq!(m.cpu.take_output(), i.output);
-    assert_eq!(m.cpu.stats().insts, i.insts);
-    assert_eq!(m.cpu.stats().cycles, i.cycles);
+    assert_eq!(Outcome { exit, cpu: m.cpu.clone(), stats: dbt.stats() }, i);
 }
 
 #[test]

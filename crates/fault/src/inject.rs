@@ -139,12 +139,6 @@ impl Outcome {
             Outcome::Timeout => 5,
         }
     }
-
-    /// Whether the error was detected (by software or hardware) before
-    /// producing silent data corruption.
-    pub fn is_detected(self) -> bool {
-        matches!(self, Outcome::DetectedByCheck | Outcome::DetectedByHw | Outcome::OtherFault)
-    }
 }
 
 impl std::fmt::Display for Outcome {
@@ -745,7 +739,11 @@ mod tests {
             for bit in [3u8, 4, 5] {
                 let spec_b = FaultSpec::AddrBit { nth, bit };
                 if let Some(r) = inject(&img, &base_cfg, spec_b, &g_base, None).unwrap() {
-                    if r.category != Category::NoError && !r.outcome.is_detected() {
+                    let detected = matches!(
+                        r.outcome,
+                        Outcome::DetectedByCheck | Outcome::DetectedByHw | Outcome::OtherFault
+                    );
+                    if r.category != Category::NoError && !detected {
                         baseline_undetected += 1;
                     }
                 }

@@ -359,13 +359,16 @@ const SEU_STUDY: Study = Study { trials: 500, prefix: "campaign" };
 const ATTACK_STUDY: Study = Study { trials: 300, prefix: "attack" };
 
 impl Study {
-    /// `--trials` (this study's default when empty), `--seed` and
-    /// `--run-id` (derived from seed and trials when empty).
+    /// `--trials` (this study's default when empty; at least 1), `--seed`
+    /// and `--run-id` (derived from seed and trials when empty).
     fn resolve(self, args: &Args) -> Result<(u64, u64, String), String> {
         let trials = match args.get("trials").filter(|s| !s.is_empty()) {
             Some(_) => args.get_u64("trials")?,
             None => self.trials,
         };
+        if trials == 0 {
+            return Err("--trials must be at least 1".to_string());
+        }
         let seed = args.get_u64("seed")?;
         let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
             Some(id) => id.to_string(),
@@ -915,5 +918,20 @@ mod tests {
         assert_eq!(resolved, (64, 7, "attack-s7-t64".to_string()));
         let bad = parse(coordinate_parser(), &["--trials", "x"]);
         assert!(SEU_STUDY.resolve(&bad).unwrap_err().contains("--trials"));
+    }
+
+    /// Zero trials would open empty stores and report every cell missing;
+    /// all three front ends refuse it at resolution, before any store opens.
+    #[test]
+    fn zero_trials_is_refused_by_every_front_end() {
+        let zero = ["--trials".to_string(), "0".to_string()];
+        let refused = |study: Study, parser: Parser| {
+            let err = study.resolve(&parser.try_parse(&zero).unwrap()).unwrap_err();
+            assert_eq!(err, "--trials must be at least 1");
+        };
+        refused(SEU_STUDY, campaign_parser());
+        refused(ATTACK_STUDY, attack_parser());
+        refused(SEU_STUDY, coordinate_parser());
+        refused(ATTACK_STUDY, coordinate_parser());
     }
 }

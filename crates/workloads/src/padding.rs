@@ -17,27 +17,19 @@ use std::fmt::Write as _;
 /// Approximate instructions emitted per padding unit (one cold function).
 pub const INSTS_PER_UNIT: usize = 60;
 
-/// Generates `units` cold functions in MiniC, flavoured for `suite`
-/// (includes the shared sink global; see [`cold_fns`] for the raw pieces).
-///
-/// The functions reference a shared global but are never called from
-/// `main`; MiniC performs no dead-code elimination, so they occupy code
-/// space exactly like the cold paths of a real binary.
-pub fn cold_code(suite: Suite, units: usize) -> String {
-    if units == 0 {
-        return String::new();
-    }
-    format!("{}{}", sink_decl(), cold_fns(suite, 0, units))
-}
-
 /// The global declaration shared by all cold functions (emit exactly once).
 pub fn sink_decl() -> &'static str {
     "global __cold_sink[16];\n"
 }
 
-/// Generates cold functions numbered `start..end` without the sink
-/// declaration, so padding can be split around the hot kernel (hot code in
-/// the *middle* of the image, as in a real binary's function layout).
+/// Generates cold functions numbered `start..end`, flavoured for `suite`,
+/// without the sink declaration, so padding can be split around the hot
+/// kernel (hot code in the *middle* of the image, as in a real binary's
+/// function layout).
+///
+/// The functions reference a shared global but are never called from
+/// `main`; MiniC performs no dead-code elimination, so they occupy code
+/// space exactly like the cold paths of a real binary.
 pub fn cold_fns(suite: Suite, start: usize, end: usize) -> String {
     let mut out = String::new();
     for k in start..end {
@@ -102,22 +94,17 @@ mod tests {
     #[test]
     fn padding_compiles_with_a_trivial_main() {
         for suite in [Suite::Int, Suite::Fp] {
-            let src = format!("{}\nfn main() {{ out(1); }}", cold_code(suite, 5));
+            let src = format!("{}{}\nfn main() {{ out(1); }}", sink_decl(), cold_fns(suite, 0, 5));
             let image = cfed_lang::compile(&src).unwrap_or_else(|e| panic!("{suite} padding: {e}"));
             assert!(image.len() > 5 * 30, "padding too small: {}", image.len());
         }
     }
 
     #[test]
-    fn zero_units_is_empty() {
-        assert!(cold_code(Suite::Int, 0).is_empty());
-    }
-
-    #[test]
     fn fp_padding_denser_than_int() {
         // Fp padding should produce larger blocks (fewer branches per inst).
-        let int_src = format!("{}\nfn main() {{ }}", cold_code(Suite::Int, 8));
-        let fp_src = format!("{}\nfn main() {{ }}", cold_code(Suite::Fp, 8));
+        let int_src = format!("{}{}\nfn main() {{ }}", sink_decl(), cold_fns(Suite::Int, 0, 8));
+        let fp_src = format!("{}{}\nfn main() {{ }}", sink_decl(), cold_fns(Suite::Fp, 0, 8));
         let count_branches = |src: &str| {
             let image = cfed_lang::compile(src).unwrap();
             let total = image.len() as f64;
