@@ -2,7 +2,7 @@
 
 use crate::image::{Image, DEFAULT_CODE_BASE, DEFAULT_DATA_BASE};
 use cfed_isa::{AluOp, Cond, Inst, Reg, INST_SIZE_U64};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -35,18 +35,64 @@ impl fmt::Display for AsmError {
 
 impl Error for AsmError {}
 
+/// A code label: a handle that is bound to one position and may be
+/// referenced before it is bound.
+///
+/// [`Asm::fresh_label`] and [`Asm::named_label`] make labels; every emitter
+/// that takes a label also accepts its name (see [`IntoLabel`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Label(u32);
+
+/// A label or a label name, as taken by [`Asm::label`] and the branch
+/// emitters. A name is looked up (and created on first use) through
+/// [`Asm::named_label`].
+pub trait IntoLabel {
+    /// Resolves `self` to a label of `asm`.
+    fn into_label(self, asm: &mut Asm) -> Label;
+}
+
+impl IntoLabel for Label {
+    fn into_label(self, _: &mut Asm) -> Label {
+        self
+    }
+}
+
+impl IntoLabel for &str {
+    fn into_label(self, asm: &mut Asm) -> Label {
+        asm.named_label(self)
+    }
+}
+
+impl IntoLabel for String {
+    fn into_label(self, asm: &mut Asm) -> Label {
+        match asm.by_name.get(&self) {
+            Some(&l) => l,
+            None => asm.new_label(LabelName::Named(self)),
+        }
+    }
+}
+
+/// How a label's symbol-table name is spelled: built only by
+/// [`Asm::assemble`] (and error reports), never while emitting.
+#[derive(Debug, Clone)]
+enum LabelName {
+    Named(String),
+    /// `.{prefix}_{n}`.
+    Fresh(&'static str, u64),
+}
+
 #[derive(Debug, Clone)]
 enum Slot {
     Fixed(Inst),
     /// A direct branch whose offset is resolved at assembly time.
     Branch {
         kind: BranchKind,
-        label: String,
+        label: Label,
     },
     /// `mov dst, &label` — materialize a label's absolute address.
     MovLabel {
         dst: Reg,
-        label: String,
+        label: Label,
     },
 }
 
@@ -74,20 +120,24 @@ enum BranchKind {
 /// let mut a = Asm::new();
 /// a.label("start");
 /// a.movri(Reg::R0, 5);
-/// a.label("loop");
+/// let top = a.fresh_label("loop");
+/// a.label(top);
 /// a.alui(AluOp::Sub, Reg::R0, 1);
-/// a.jcc(Cond::Ne, "loop");
+/// a.jcc(Cond::Ne, top);
 /// a.halt();
 /// let image = a.assemble("start").unwrap();
 /// assert_eq!(image.len(), 4);
+/// assert_eq!(image.symbol(".loop_1"), Some(image.base() + 8));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Asm {
     base: u64,
     data_base: u64,
     slots: Vec<Slot>,
-    labels: BTreeMap<String, u64>, // label -> code byte offset
-    duplicate: Option<String>,
+    /// Per label: its name and, once bound, its code byte offset.
+    labels: Vec<(LabelName, Option<u64>)>,
+    by_name: HashMap<String, Label>,
+    duplicate: Option<Label>,
     data: Vec<u8>,
     fresh: u64,
 }
@@ -111,7 +161,8 @@ impl Asm {
             base,
             data_base,
             slots: Vec::new(),
-            labels: BTreeMap::new(),
+            labels: Vec::new(),
+            by_name: HashMap::new(),
             duplicate: None,
             data: Vec::new(),
             fresh: 0,
@@ -123,20 +174,51 @@ impl Asm {
         self.slots.len() as u64 * INST_SIZE_U64
     }
 
-    /// Binds `name` to the current position.
+    /// Binds `label` to the current position.
     ///
     /// Duplicate bindings are reported by [`Asm::assemble`].
-    pub fn label(&mut self, name: impl Into<String>) {
-        let name = name.into();
-        if self.labels.insert(name.clone(), self.here()).is_some() && self.duplicate.is_none() {
-            self.duplicate = Some(name);
+    pub fn label(&mut self, label: impl IntoLabel) {
+        let label = label.into_label(self);
+        let here = self.here();
+        let bound = &mut self.labels[label.0 as usize].1;
+        if bound.replace(here).is_some() && self.duplicate.is_none() {
+            self.duplicate = Some(label);
         }
     }
 
-    /// Returns a unique label with the given prefix (for generated code).
-    pub fn fresh_label(&mut self, prefix: &str) -> String {
+    /// Returns a new unique label, named `.{prefix}_{n}` in the symbol
+    /// table (for generated code).
+    pub fn fresh_label(&mut self, prefix: &'static str) -> Label {
         self.fresh += 1;
-        format!(".{prefix}_{}", self.fresh)
+        self.new_label(LabelName::Fresh(prefix, self.fresh))
+    }
+
+    /// Returns the label called `name`, creating it (unbound) on first use.
+    ///
+    /// A name spelled like a fresh label (`.{prefix}_{n}`) is a different
+    /// label; binding both is reported as a duplicate by [`Asm::assemble`].
+    pub fn named_label(&mut self, name: &str) -> Label {
+        match self.by_name.get(name) {
+            Some(&l) => l,
+            None => self.new_label(LabelName::Named(name.to_string())),
+        }
+    }
+
+    fn new_label(&mut self, name: LabelName) -> Label {
+        let label = Label(u32::try_from(self.labels.len()).expect("fewer than 2^32 labels"));
+        if let LabelName::Named(n) = &name {
+            self.by_name.insert(n.clone(), label);
+        }
+        self.labels.push((name, None));
+        label
+    }
+
+    /// The symbol-table name of `label`.
+    fn name_of(&self, label: Label) -> String {
+        match &self.labels[label.0 as usize].0 {
+            LabelName::Named(n) => n.clone(),
+            LabelName::Fresh(prefix, n) => format!(".{prefix}_{n}"),
+        }
     }
 
     /// Appends a raw instruction.
@@ -192,8 +274,9 @@ impl Asm {
     }
 
     /// `mov dst, &label` — loads a label's absolute address.
-    pub fn mov_label(&mut self, dst: Reg, label: impl Into<String>) {
-        self.slots.push(Slot::MovLabel { dst, label: label.into() });
+    pub fn mov_label(&mut self, dst: Reg, label: impl IntoLabel) {
+        let label = label.into_label(self);
+        self.slots.push(Slot::MovLabel { dst, label });
     }
 
     /// `mov dst, addr` for an absolute data address returned by the `data_*`
@@ -283,28 +366,33 @@ impl Asm {
     // ---- control flow ---------------------------------------------------
 
     /// `jmp label`.
-    pub fn jmp(&mut self, label: impl Into<String>) {
-        self.slots.push(Slot::Branch { kind: BranchKind::Jmp, label: label.into() });
+    pub fn jmp(&mut self, label: impl IntoLabel) {
+        self.branch(BranchKind::Jmp, label);
     }
 
     /// `j<cc> label`.
-    pub fn jcc(&mut self, cc: Cond, label: impl Into<String>) {
-        self.slots.push(Slot::Branch { kind: BranchKind::Jcc(cc), label: label.into() });
+    pub fn jcc(&mut self, cc: Cond, label: impl IntoLabel) {
+        self.branch(BranchKind::Jcc(cc), label);
     }
 
     /// `jrz src, label` (flag-free).
-    pub fn jrz(&mut self, src: Reg, label: impl Into<String>) {
-        self.slots.push(Slot::Branch { kind: BranchKind::JRz(src), label: label.into() });
+    pub fn jrz(&mut self, src: Reg, label: impl IntoLabel) {
+        self.branch(BranchKind::JRz(src), label);
     }
 
     /// `jrnz src, label` (flag-free).
-    pub fn jrnz(&mut self, src: Reg, label: impl Into<String>) {
-        self.slots.push(Slot::Branch { kind: BranchKind::JRnz(src), label: label.into() });
+    pub fn jrnz(&mut self, src: Reg, label: impl IntoLabel) {
+        self.branch(BranchKind::JRnz(src), label);
     }
 
     /// `call label`.
-    pub fn call(&mut self, label: impl Into<String>) {
-        self.slots.push(Slot::Branch { kind: BranchKind::Call, label: label.into() });
+    pub fn call(&mut self, label: impl IntoLabel) {
+        self.branch(BranchKind::Call, label);
+    }
+
+    fn branch(&mut self, kind: BranchKind, label: impl IntoLabel) {
+        let label = label.into_label(self);
+        self.slots.push(Slot::Branch { kind, label });
     }
 
     /// `call target` (indirect).
@@ -351,50 +439,65 @@ impl Asm {
     /// Reports duplicate or undefined labels, an undefined entry label, and
     /// displacement overflow.
     pub fn assemble(&self, entry: &str) -> Result<Image, AsmError> {
-        if let Some(dup) = &self.duplicate {
-            return Err(AsmError::DuplicateLabel(dup.clone()));
+        if let Some(dup) = self.duplicate {
+            return Err(AsmError::DuplicateLabel(self.name_of(dup)));
         }
-        let entry_offset =
-            *self.labels.get(entry).ok_or_else(|| AsmError::UndefinedEntry(entry.to_string()))?;
+        let symbols = self.symbols()?;
+        let entry_offset = symbols
+            .get(entry)
+            .map(|addr| addr - self.base)
+            .ok_or_else(|| AsmError::UndefinedEntry(entry.to_string()))?;
 
-        let lookup = |label: &str| -> Result<u64, AsmError> {
-            self.labels
-                .get(label)
-                .copied()
-                .ok_or_else(|| AsmError::UndefinedLabel(label.to_string()))
+        let lookup = |label: Label| -> Result<u64, AsmError> {
+            self.labels[label.0 as usize]
+                .1
+                .ok_or_else(|| AsmError::UndefinedLabel(self.name_of(label)))
         };
 
         let mut insts = Vec::with_capacity(self.slots.len());
         for (idx, slot) in self.slots.iter().enumerate() {
             let pc = idx as u64 * INST_SIZE_U64;
-            let inst = match slot {
-                Slot::Fixed(i) => *i,
+            let inst = match *slot {
+                Slot::Fixed(i) => i,
                 Slot::Branch { kind, label } => {
                     let target = lookup(label)?;
                     let disp = target as i64 - (pc as i64 + INST_SIZE_U64 as i64);
                     let offset = i32::try_from(disp)
-                        .map_err(|_| AsmError::OffsetOverflow { label: label.clone() })?;
+                        .map_err(|_| AsmError::OffsetOverflow { label: self.name_of(label) })?;
                     match kind {
                         BranchKind::Jmp => Inst::Jmp { offset },
-                        BranchKind::Jcc(cc) => Inst::Jcc { cc: *cc, offset },
-                        BranchKind::JRz(src) => Inst::JRz { src: *src, offset },
-                        BranchKind::JRnz(src) => Inst::JRnz { src: *src, offset },
+                        BranchKind::Jcc(cc) => Inst::Jcc { cc, offset },
+                        BranchKind::JRz(src) => Inst::JRz { src, offset },
+                        BranchKind::JRnz(src) => Inst::JRnz { src, offset },
                         BranchKind::Call => Inst::Call { offset },
                     }
                 }
                 Slot::MovLabel { dst, label } => {
                     let addr = self.base + lookup(label)?;
                     let imm = i32::try_from(addr)
-                        .map_err(|_| AsmError::OffsetOverflow { label: label.clone() })?;
-                    Inst::MovRI { dst: *dst, imm }
+                        .map_err(|_| AsmError::OffsetOverflow { label: self.name_of(label) })?;
+                    Inst::MovRI { dst, imm }
                 }
             };
             insts.push(inst);
         }
 
-        let symbols =
-            self.labels.iter().map(|(name, off)| (name.clone(), self.base + off)).collect();
         Ok(Image::new(insts, self.base, entry_offset, symbols, self.data.clone()))
+    }
+
+    /// The symbol table: every bound label's name and absolute address.
+    fn symbols(&self) -> Result<BTreeMap<String, u64>, AsmError> {
+        let mut symbols = Vec::with_capacity(self.labels.len());
+        for (i, (_, off)) in self.labels.iter().enumerate() {
+            if let Some(off) = off {
+                symbols.push((self.name_of(Label(i as u32)), self.base + off));
+            }
+        }
+        symbols.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if let Some(w) = symbols.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(AsmError::DuplicateLabel(w[0].0.clone()));
+        }
+        Ok(symbols.into_iter().collect())
     }
 }
 
@@ -481,6 +584,31 @@ mod tests {
         let l1 = a.fresh_label("loop");
         let l2 = a.fresh_label("loop");
         assert_ne!(l1, l2);
+    }
+
+    #[test]
+    fn names_resolve_to_one_label_and_fresh_names_are_spelled_on_assembly() {
+        let mut a = Asm::new();
+        let named = a.named_label("start");
+        assert_eq!(a.named_label("start"), named);
+        assert_eq!(String::from("start").into_label(&mut a), named);
+        a.label(named);
+        let fresh = a.fresh_label("loop");
+        a.label(fresh);
+        a.jmp(fresh);
+        let img = a.assemble("start").unwrap();
+        let symbols: Vec<_> = img.symbols().collect();
+        assert_eq!(symbols, [(".loop_1", DEFAULT_CODE_BASE), ("start", DEFAULT_CODE_BASE)]);
+    }
+
+    #[test]
+    fn named_label_spelled_like_a_fresh_one_is_a_duplicate() {
+        let mut a = Asm::new();
+        a.label(".loop_1");
+        let fresh = a.fresh_label("loop");
+        a.label(fresh);
+        a.halt();
+        assert_eq!(a.assemble(".loop_1").unwrap_err(), AsmError::DuplicateLabel(".loop_1".into()));
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod asm;
 pub mod image;
 pub mod text;
 
-pub use asm::{Asm, AsmError};
+pub use asm::{Asm, AsmError, IntoLabel, Label};
 pub use image::{Image, DEFAULT_CODE_BASE, DEFAULT_DATA_BASE};
 pub use text::{parse_asm, ParseAsmError};

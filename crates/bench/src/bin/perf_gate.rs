@@ -12,7 +12,10 @@
 //! * where the host supports it, the DBT's x86-64 native backend against
 //!   the decoded interpreter;
 //! * the §2 error model (`analyze_image`, which runs branch to branch)
-//!   against the decoded interpreter.
+//!   against the decoded interpreter;
+//! * the MiniC compiler on the 26 `Scale::Full` images (compiled VISA
+//!   instructions per second) against the decoded interpreter's guest
+//!   MIPS.
 //!
 //! Every gated figure is a ratio of two passes in one invocation on one
 //! host, so it self-normalizes away host speed and a committed record is a
@@ -21,6 +24,7 @@
 //! * the profiler-off dispatch costs ≥1% throughput;
 //! * native is below 2.00x the decoded interpreter;
 //! * the error model is below 0.35x the decoded interpreter;
+//! * the compiler is below 0.043x the decoded interpreter;
 //! * with `--baseline PATH`, the snapshot, interp or native speedup is more
 //!   than 25% below the committed record's.
 //!
@@ -66,6 +70,17 @@ const NATIVE_MIN_RATIO_MILLI: u64 = 2000;
 /// runs on a 2-vCPU x86-64 host, against 0.22x for decoding and stepping
 /// every instruction. The floor sits halfway.
 const ERROR_MODEL_MIN_RATIO_MILLI: u64 = 350;
+
+/// Hard floor on compiled instructions per second over the decoded
+/// interpreter's guest instructions per second, in milli-ratio units. The
+/// compile lap compiles the 26 `Scale::Full` images (3.67 M instructions)
+/// once. Over ten runs each on a 2-vCPU x86-64 host the ratio read 16–34
+/// (median 30) before the MiniC front end stopped copying names (borrowed
+/// tokens, interned identifiers, integer labels) and 52–118 (median 89)
+/// after; the spread is mostly the short decoded-interpreter laps. The
+/// floor sits halfway between the highest reading before and the lowest
+/// after.
+const COMPILE_MIN_RATIO_MILLI: u64 = 43;
 
 /// Scale factor for the native and error-model laps. The @test instances
 /// retire ~10–30k guest instructions, so the JIT's fixed per-run costs
@@ -148,6 +163,7 @@ fn main() {
     let native = bench_native(quiet).unwrap_or_else(|e| die(e));
     let error_model = bench_error_model(quiet).unwrap_or_else(|e| die(e));
     let prof_off = bench_profiler_off().unwrap_or_else(|e| die(e));
+    let compile_ips = bench_compile(quiet).unwrap_or_else(|e| die(e));
     if !quiet {
         eprintln!(
             "perf_gate: prof-off   dispatch {:.1} MIPS, direct {:.1} MIPS ({:.2}% overhead)",
@@ -165,6 +181,7 @@ fn main() {
         prof_off,
         native,
         error_model,
+        compile_ips,
     };
     let record = record(&matrix, threads, &measured);
     std::fs::write(&out, record.render() + "\n")
@@ -192,6 +209,11 @@ fn main() {
             "error model over the decoded interpreter",
             Some(error_model),
             ERROR_MODEL_MIN_RATIO_MILLI,
+        ),
+        floor_gate(
+            "compiler over the decoded interpreter",
+            Some(measured.compile()),
+            COMPILE_MIN_RATIO_MILLI,
         ),
     ];
     if let Some(baseline_path) = args.get("baseline").filter(|s| !s.is_empty()) {
@@ -480,6 +502,30 @@ fn bench_error_model(quiet: bool) -> Result<Mips, String> {
     Ok(Mips::new(insts, secs))
 }
 
+/// Compiles the 26 workloads at `Scale::Full` serially, once, and returns
+/// the compiled VISA instructions per second. The MiniC sources are
+/// generated before the timed region; each image is dropped inside it.
+fn bench_compile(quiet: bool) -> Result<f64, String> {
+    let sources: Vec<(&str, String)> =
+        cfed_workloads::ALL.iter().map(|w| (w.name, w.source(Scale::Full))).collect();
+    let mut insts = 0u64;
+    let timer = Instant::now();
+    for (name, src) in &sources {
+        let image = cfed_lang::compile(src).map_err(|e| format!("compiling {name}: {e}"))?;
+        insts += image.len() as u64;
+    }
+    let secs = timer.elapsed().as_secs_f64();
+    if !quiet {
+        eprintln!(
+            "perf_gate: compile    {} Full images, {insts} insts in {:.0} ms ({:.2} M insts/s)",
+            sources.len(),
+            secs * 1e3,
+            mips(insts, secs)
+        );
+    }
+    Ok(ratio(insts as f64, secs))
+}
+
 /// Measures what having the profiler hook in the dispatch path costs when
 /// no profiler is attached: `Machine::run` (which checks for a profiler
 /// once per run and falls through to the unprofiled fused loop) versus
@@ -549,9 +595,18 @@ struct Measured {
     native: Option<Mips>,
     /// Decoded interpreter (base) vs the error model.
     error_model: Mips,
+    /// Compiled VISA instructions per second (the compile lap).
+    compile_ips: f64,
 }
 
 impl Measured {
+    /// Decoded interpreter guest MIPS (base) vs compiled instructions per
+    /// microsecond: one compile lap against the same invocation's
+    /// interpreter.
+    fn compile(&self) -> Mips {
+        Mips { base: self.interp.fast, fast: self.compile_ips / 1e6 }
+    }
+
     fn snapshot_speedup(&self) -> f64 {
         ratio(self.snap.trials_per_sec, self.scratch.trials_per_sec)
     }
@@ -640,6 +695,8 @@ fn record(matrix: &CampaignMatrix, threads: usize, m: &Measured) -> Json {
     }
     fields.push(("error_model_mips_milli", Json::UInt(milli(m.error_model.fast))));
     fields.push(("error_model_over_decoded_milli", Json::UInt(milli(m.error_model.speedup()))));
+    fields.push(("compile_insts_per_s_milli", Json::UInt(milli(m.compile_ips))));
+    fields.push(("compile_over_decoded_milli", Json::UInt(milli(m.compile().speedup()))));
     obj(fields)
 }
 
@@ -753,6 +810,7 @@ mod tests {
         assert!(matches!(floor_gate("x", None, floor), Verdict::Skip(_)));
         assert_eq!(NATIVE_MIN_RATIO_MILLI, 2000);
         assert_eq!(ERROR_MODEL_MIN_RATIO_MILLI, 350);
+        assert_eq!(COMPILE_MIN_RATIO_MILLI, 43);
     }
 
     #[test]
@@ -806,6 +864,7 @@ mod tests {
             prof_off: lap,
             native: Some(lap),
             error_model: lap,
+            compile_ips: 1.0,
         };
         let ours = record(&bench_matrix(192, 3488423942), 2, &measured);
         assert_eq!(top_level_keys(&ours), top_level_keys(&committed));

@@ -29,7 +29,7 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CachePart, Category,
     RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStep, NativeDbt, TransBlock};
+use cfed_dbt::{Dbt, DbtStats, DbtStep, NativeDbt, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
 use cfed_sim::{ExitReason, Machine};
 
@@ -483,6 +483,10 @@ pub struct PauseAttack {
     pub output: Vec<u64>,
     /// Instructions retired in total.
     pub insts: u64,
+    /// The engine's statistics at the end of the run (translation,
+    /// chaining and dispatch counts: the native backend must match the
+    /// fused engine here too).
+    pub dbt: DbtStats,
 }
 
 impl PauseAttack {
@@ -534,7 +538,13 @@ pub fn pause_attack(
         }
         other => (false, other),
     };
-    PauseAttack { placed, exit, output: m.cpu.take_output(), insts: m.cpu.stats().insts }
+    PauseAttack {
+        placed,
+        exit,
+        output: m.cpu.take_output(),
+        insts: m.cpu.stats().insts,
+        dbt: dbt.stats(),
+    }
 }
 
 #[cfg(test)]

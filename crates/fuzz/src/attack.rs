@@ -8,7 +8,8 @@
 //! the case seed) into the fuzzer's differential matrix: every scheduled
 //! attack is mounted on the block-fused engine and on the native backend,
 //! and the two runs must be *bit-identical*: same placement decision, same
-//! exit, same output stream, same retired-instruction count.
+//! exit, same output stream, same retired-instruction count, same engine
+//! statistics.
 //!
 //! A mismatch is an engine bug by construction (the attack itself is the
 //! same on both sides), and is shrunk with the generic image shrinker
@@ -67,7 +68,8 @@ pub struct AttackFinding {
     pub param: u64,
     /// Instructions executed before the seizure.
     pub pause: u64,
-    /// Which comparison failed (`placed`, `exit`, `output`, `insts`).
+    /// Which comparison failed (`placed`, `exit`, `output`, `insts`,
+    /// `dbt`).
     pub field: String,
     /// Human-readable detail of both sides.
     pub detail: String,
@@ -120,6 +122,9 @@ fn diff_pause(a: &PauseAttack, b: &PauseAttack) -> Option<(String, String)> {
     }
     if a.insts != b.insts {
         return Some(("insts".into(), format!("{} vs {}", a.insts, b.insts)));
+    }
+    if a.dbt != b.dbt {
+        return Some(("dbt".into(), format!("{:?} vs {:?}", a.dbt, b.dbt)));
     }
     None
 }
@@ -208,6 +213,39 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9 ^ 0xA77A_C4ED_2006_0000);
         for t in 0..ATTACK_TRIALS {
             assert_eq!(format!("{:?}", schedule(&mut a, t)), format!("{:?}", schedule(&mut b, t)));
+        }
+    }
+
+    /// Pauses that end on either side of the native backend's minimum
+    /// budget (4096) leave an interpreted tail whose chains and inline
+    /// cache the resumed native run must pick up before it enters host
+    /// code; a stale copy shows in the engine statistics.
+    #[test]
+    fn engines_agree_when_resuming_around_the_native_budget() {
+        let image = cfed_lang::compile(
+            r#"
+            fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
+            fn mid(x) { return leaf(x) + leaf(x + 1); }
+            fn main() {
+                let i = 0;
+                let acc = 0;
+                while (i < 2000) { acc = acc + mid(i); i = i + 1; }
+                out(acc);
+            }
+            "#,
+        )
+        .unwrap();
+        let native = cfed_dbt::native_enabled();
+        for (t, pause) in
+            [4095u64, 4096, 4097, 4133, 4500, 5001, 6000, 8192].into_iter().enumerate()
+        {
+            let (technique, style) = CONFIGS[t % CONFIGS.len()];
+            let cfg = trial_config(technique, style, 20_000_000);
+            for kind in PAUSE_KINDS {
+                let fused = pause_attack(&image, &cfg, kind, 7, pause, false);
+                let right = pause_attack(&image, &cfg, kind, 7, pause, native);
+                assert_eq!(diff_pause(&fused, &right), None, "{kind} pause={pause}");
+            }
         }
     }
 

@@ -344,7 +344,7 @@ pub fn visa_image(seed: u64) -> Image {
             let skip = a.fresh_label("smc_skip");
             a.mov_addr(TMP_A, flag_slot);
             a.ld(TMP_B, TMP_A, 0);
-            a.jrz(TMP_B, skip.clone());
+            a.jrz(TMP_B, skip);
             a.movri(TMP_B, 0);
             a.st(TMP_A, TMP_B, 0);
             a.mov_label(TMP_A, "victim");

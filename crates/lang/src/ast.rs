@@ -22,13 +22,52 @@ impl std::fmt::Display for Pos {
     }
 }
 
-/// A complete MiniC program.
+/// An interned identifier: index into [`Program::names`].
+///
+/// The lexer interns each distinct identifier once, so later passes compare
+/// and look names up by this `Copy` id instead of by string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name(pub(crate) u32);
+
+impl Name {
+    /// The id as a table index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// An expression: index into [`Program::exprs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(pub(crate) u32);
+
+/// A complete MiniC program. Identifier text is borrowed from the source;
+/// expressions live in one arena and refer to their operands by
+/// [`ExprId`] (index the program with it: `prog[id]`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Program {
+pub struct Program<'src> {
     /// Global scalar/array declarations.
     pub globals: Vec<Global>,
     /// Function definitions.
     pub functions: Vec<Function>,
+    /// The text of every [`Name`], indexed by id.
+    pub names: Vec<&'src str>,
+    /// Every expression, operands before the expressions that use them.
+    pub exprs: Vec<Expr>,
+}
+
+impl Program<'_> {
+    /// The text of an identifier.
+    pub fn name(&self, name: Name) -> &str {
+        self.names[name.index()]
+    }
+}
+
+impl std::ops::Index<ExprId> for Program<'_> {
+    type Output = Expr;
+
+    fn index(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
 }
 
 /// A global declaration: `global g;`, `global g = 7;`,
@@ -36,7 +75,7 @@ pub struct Program {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Global {
     /// Name of the global.
-    pub name: String,
+    pub name: Name,
     /// Number of 64-bit elements (1 for scalars).
     pub len: u64,
     /// Initial values (padded with zeros to `len`).
@@ -51,9 +90,9 @@ pub struct Global {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Body block.
     pub body: Block,
     /// Source position of the definition.
@@ -71,23 +110,23 @@ pub struct Block {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
     /// `let x = expr;` — declares a local.
-    Let { name: String, value: Expr, pos: Pos },
+    Let { name: Name, value: ExprId, pos: Pos },
     /// `x = expr;` — assigns a local, parameter, or global scalar.
-    Assign { name: String, value: Expr, pos: Pos },
+    Assign { name: Name, value: ExprId, pos: Pos },
     /// `a[idx] = expr;` — stores to a global array.
-    Store { name: String, index: Expr, value: Expr, pos: Pos },
+    Store { name: Name, index: ExprId, value: ExprId, pos: Pos },
     /// `if (cond) { .. } else { .. }`.
-    If { cond: Expr, then_blk: Block, else_blk: Option<Block>, pos: Pos },
+    If { cond: ExprId, then_blk: Block, else_blk: Option<Block>, pos: Pos },
     /// `while (cond) { .. }`.
-    While { cond: Expr, body: Block, pos: Pos },
+    While { cond: ExprId, body: Block, pos: Pos },
     /// `return expr?;`
-    Return { value: Option<Expr>, pos: Pos },
+    Return { value: Option<ExprId>, pos: Pos },
     /// `out(expr);` — emits a value on the observable output stream.
-    Out { value: Expr, pos: Pos },
+    Out { value: ExprId, pos: Pos },
     /// `assert(expr);` — traps with `GUEST_ASSERT` when the value is zero.
-    Assert { value: Expr, pos: Pos },
+    Assert { value: ExprId, pos: Pos },
     /// An expression evaluated for its side effects (typically a call).
-    Expr { value: Expr, pos: Pos },
+    Expr { value: ExprId, pos: Pos },
 }
 
 /// Binary operators in MiniC.
@@ -154,21 +193,21 @@ pub enum UnOp {
     BitNot,
 }
 
-/// An expression.
+/// An expression; operands are [`ExprId`]s into [`Program::exprs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal.
     Int { value: i64, pos: Pos },
     /// Variable reference (local, parameter, or global scalar).
-    Var { name: String, pos: Pos },
+    Var { name: Name, pos: Pos },
     /// Global array element read: `a[idx]`.
-    Index { name: String, index: Box<Expr>, pos: Pos },
+    Index { name: Name, index: ExprId, pos: Pos },
     /// Direct call: `f(a, b)`.
-    Call { name: String, args: Vec<Expr>, pos: Pos },
+    Call { name: Name, args: Vec<ExprId>, pos: Pos },
     /// Binary operation.
-    Binary { op: BinOp, lhs: Box<Expr>, rhs: Box<Expr>, pos: Pos },
+    Binary { op: BinOp, lhs: ExprId, rhs: ExprId, pos: Pos },
     /// Unary operation.
-    Unary { op: UnOp, expr: Box<Expr>, pos: Pos },
+    Unary { op: UnOp, expr: ExprId, pos: Pos },
 }
 
 impl Expr {

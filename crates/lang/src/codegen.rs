@@ -17,9 +17,8 @@
 
 use crate::ast::*;
 use crate::sema::{FnInfo, SemaInfo, Slot};
-use cfed_asm::{Asm, AsmError, Image};
+use cfed_asm::{Asm, AsmError, Image, IntoLabel, Label};
 use cfed_isa::{AluOp, Cond, Reg};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -85,16 +84,22 @@ impl From<AsmError> for CodegenError {
 ///
 /// Propagates assembler errors (which indicate codegen bugs rather than user
 /// errors — sema has already validated the program).
-pub fn generate(prog: &Program, info: &SemaInfo) -> Result<Image, CodegenError> {
+pub fn generate(prog: &Program<'_>, info: &SemaInfo) -> Result<Image, CodegenError> {
     let mut asm = Asm::new();
 
     // Lay out globals in the data section.
-    let mut global_addrs = HashMap::new();
+    let mut global_addrs = vec![0; prog.names.len()];
     for g in &prog.globals {
         let mut words: Vec<u64> = g.init.iter().map(|v| *v as u64).collect();
         words.resize(g.len as usize, 0);
-        let addr = asm.data_u64(&words);
-        global_addrs.insert(g.name.clone(), addr);
+        global_addrs[g.name.index()] = asm.data_u64(&words);
+    }
+
+    // One label per function up front, so calls can refer forward.
+    let mut fn_labels = vec![None; prog.names.len()];
+    for f in &prog.functions {
+        let label = format!("fn_{}", prog.name(f.name)).into_label(&mut asm);
+        fn_labels[f.name.index()] = Some(label);
     }
 
     // Entry stub.
@@ -102,10 +107,25 @@ pub fn generate(prog: &Program, info: &SemaInfo) -> Result<Image, CodegenError> 
     asm.call("fn_main");
     asm.halt();
 
-    for f in &prog.functions {
-        let fi = &info.functions[&f.name];
-        let mut cg = FnCodegen { asm: &mut asm, fi, global_addrs: &global_addrs, cold: Vec::new() };
+    // Slot per name, set for the function being generated.
+    let mut slots = vec![None; prog.names.len()];
+    for (f, fi) in prog.functions.iter().zip(&info.functions) {
+        for &(name, slot) in &fi.slots {
+            slots[name.index()] = Some(slot);
+        }
+        let mut cg = FnCodegen {
+            asm: &mut asm,
+            prog,
+            fi,
+            slots: &slots,
+            global_addrs: &global_addrs,
+            fn_labels: &fn_labels,
+            cold: Vec::new(),
+        };
         cg.function(f)?;
+        for (name, _) in &fi.slots {
+            slots[name.index()] = None;
+        }
     }
 
     Ok(asm.assemble("__start")?)
@@ -113,15 +133,21 @@ pub fn generate(prog: &Program, info: &SemaInfo) -> Result<Image, CodegenError> 
 
 struct FnCodegen<'a> {
     asm: &'a mut Asm,
+    prog: &'a Program<'a>,
     fi: &'a FnInfo,
-    global_addrs: &'a HashMap<String, u64>,
+    /// Slot per name, set for this function's parameters and locals.
+    slots: &'a [Option<Slot>],
+    /// Data address per global name.
+    global_addrs: &'a [u64],
+    /// Entry label per function name.
+    fn_labels: &'a [Option<Label>],
     /// Deferred out-of-line blocks: (cold label, body, join label).
-    cold: Vec<(String, Block, String)>,
+    cold: Vec<(Label, &'a Block, Label)>,
 }
 
-impl FnCodegen<'_> {
-    fn function(&mut self, f: &Function) -> Result<(), CodegenError> {
-        self.asm.label(format!("fn_{}", f.name));
+impl<'a> FnCodegen<'a> {
+    fn function(&mut self, f: &'a Function) -> Result<(), CodegenError> {
+        self.asm.label(self.fn_label(f.name));
         // Prologue: save fp, establish frame, reserve locals (flag-free —
         // instrumentation correctness does not depend on it, but it mirrors
         // real prologue code).
@@ -140,10 +166,14 @@ impl FnCodegen<'_> {
         // case. Cold blocks may defer further blocks of their own.
         while let Some((l_cold, body, l_join)) = self.cold.pop() {
             self.asm.label(l_cold);
-            self.block(&body)?;
+            self.block(body)?;
             self.asm.jmp(l_join);
         }
         Ok(())
+    }
+
+    fn fn_label(&self, name: Name) -> Label {
+        self.fn_labels[name.index()].expect("sema resolved function")
     }
 
     fn epilogue(&mut self) {
@@ -159,38 +189,42 @@ impl FnCodegen<'_> {
         }
     }
 
-    fn block(&mut self, b: &Block) -> Result<(), CodegenError> {
+    fn block(&mut self, b: &'a Block) -> Result<(), CodegenError> {
         for s in &b.stmts {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn global_addr(&self, name: &str) -> u64 {
-        *self.global_addrs.get(name).expect("sema resolved global")
+    fn global_addr(&self, name: Name) -> u64 {
+        self.global_addrs[name.index()]
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), CodegenError> {
+    fn slot(&self, name: Name) -> Option<Slot> {
+        self.slots[name.index()]
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), CodegenError> {
         match s {
             Stmt::Let { name, value, .. } | Stmt::Assign { name, value, .. } => {
-                self.expr(value)?;
-                if let Some(&slot) = self.fi.slots.get(name) {
+                self.expr(*value)?;
+                if let Some(slot) = self.slot(*name) {
                     let disp = self.slot_disp(slot);
                     self.asm.st(FP, ACC, disp);
                 } else {
-                    let addr = self.global_addr(name);
+                    let addr = self.global_addr(*name);
                     self.asm.mov_addr(SCRATCH2, addr);
                     self.asm.st(SCRATCH2, ACC, 0);
                 }
                 Ok(())
             }
             Stmt::Store { name, index, value, .. } => {
-                self.expr(index)?;
+                self.expr(*index)?;
                 self.asm.push(ACC);
-                self.expr(value)?;
+                self.expr(*value)?;
                 self.asm.pop(SCRATCH);
                 self.asm.alui(AluOp::Shl, SCRATCH, 3);
-                self.asm.mov_addr(SCRATCH2, self.global_addr(name));
+                self.asm.mov_addr(SCRATCH2, self.global_addr(*name));
                 self.asm.lea2(SCRATCH2, SCRATCH2, SCRATCH, 0);
                 self.asm.st(SCRATCH2, ACC, 0);
                 Ok(())
@@ -201,9 +235,9 @@ impl FnCodegen<'_> {
                         // Balanced if/else: both arms inline.
                         let l_else = self.asm.fresh_label("else");
                         let l_end = self.asm.fresh_label("endif");
-                        self.branch_on(cond, false, l_else.clone())?;
+                        self.branch_on(*cond, false, l_else)?;
                         self.block(then_blk)?;
-                        self.asm.jmp(l_end.clone());
+                        self.asm.jmp(l_end);
                         self.asm.label(l_else);
                         self.block(e)?;
                         self.asm.label(l_end);
@@ -215,9 +249,9 @@ impl FnCodegen<'_> {
                         // layout).
                         let l_cold = self.asm.fresh_label("cold");
                         let l_join = self.asm.fresh_label("join");
-                        self.branch_on(cond, true, l_cold.clone())?;
-                        self.asm.label(l_join.clone());
-                        self.cold.push((l_cold, then_blk.clone(), l_join));
+                        self.branch_on(*cond, true, l_cold)?;
+                        self.asm.label(l_join);
+                        self.cold.push((l_cold, then_blk, l_join));
                     }
                 }
                 Ok(())
@@ -230,41 +264,42 @@ impl FnCodegen<'_> {
                 // observations on fp code.
                 let l_body = self.asm.fresh_label("body");
                 let l_end = self.asm.fresh_label("endloop");
-                self.branch_on(cond, false, l_end.clone())?;
-                self.asm.label(l_body.clone());
+                self.branch_on(*cond, false, l_end)?;
+                self.asm.label(l_body);
                 self.block(body)?;
-                self.branch_on(cond, true, l_body)?;
+                self.branch_on(*cond, true, l_body)?;
                 self.asm.label(l_end);
                 Ok(())
             }
             Stmt::Return { value, .. } => {
                 match value {
-                    Some(v) => self.expr(v)?,
+                    Some(v) => self.expr(*v)?,
                     None => self.asm.movri(ACC, 0),
                 }
                 self.epilogue();
                 Ok(())
             }
             Stmt::Out { value, .. } => {
-                self.expr(value)?;
+                self.expr(*value)?;
                 self.asm.out(ACC);
                 Ok(())
             }
             Stmt::Assert { value, .. } => {
                 let l_ok = self.asm.fresh_label("assert_ok");
-                self.branch_on(value, true, l_ok.clone())?;
+                self.branch_on(*value, true, l_ok)?;
                 self.asm.trap(GUEST_ASSERT_CODE);
                 self.asm.label(l_ok);
                 Ok(())
             }
-            Stmt::Expr { value, .. } => self.expr(value),
+            Stmt::Expr { value, .. } => self.expr(*value),
         }
     }
 
     /// Evaluates `e` into `r0`. Clobbers `r1`, `r2` and the flags; balances
     /// the stack.
-    fn expr(&mut self, e: &Expr) -> Result<(), CodegenError> {
-        match e {
+    fn expr(&mut self, id: ExprId) -> Result<(), CodegenError> {
+        let prog = self.prog;
+        match &prog[id] {
             Expr::Int { value, .. } => {
                 if let Ok(imm) = i32::try_from(*value) {
                     self.asm.movri(ACC, imm);
@@ -277,36 +312,36 @@ impl FnCodegen<'_> {
                 Ok(())
             }
             Expr::Var { name, .. } => {
-                if let Some(&slot) = self.fi.slots.get(name) {
+                if let Some(slot) = self.slot(*name) {
                     let disp = self.slot_disp(slot);
                     self.asm.ld(ACC, FP, disp);
                 } else {
-                    self.asm.mov_addr(SCRATCH2, self.global_addr(name));
+                    self.asm.mov_addr(SCRATCH2, self.global_addr(*name));
                     self.asm.ld(ACC, SCRATCH2, 0);
                 }
                 Ok(())
             }
             Expr::Index { name, index, .. } => {
-                self.expr(index)?;
+                self.expr(*index)?;
                 self.asm.alui(AluOp::Shl, ACC, 3);
-                self.asm.mov_addr(SCRATCH2, self.global_addr(name));
+                self.asm.mov_addr(SCRATCH2, self.global_addr(*name));
                 self.asm.lea2(SCRATCH2, SCRATCH2, ACC, 0);
                 self.asm.ld(ACC, SCRATCH2, 0);
                 Ok(())
             }
             Expr::Call { name, args, .. } => {
                 for a in args {
-                    self.expr(a)?;
+                    self.expr(*a)?;
                     self.asm.push(ACC);
                 }
-                self.asm.call(format!("fn_{name}"));
+                self.asm.call(self.fn_label(*name));
                 if !args.is_empty() {
                     self.asm.lea(Reg::SP, Reg::SP, 8 * args.len() as i32);
                 }
                 Ok(())
             }
             Expr::Unary { op, expr, .. } => {
-                self.expr(expr)?;
+                self.expr(*expr)?;
                 match op {
                     UnOp::Neg => self.asm.raw(cfed_isa::Inst::Neg { dst: ACC }),
                     UnOp::BitNot => self.asm.raw(cfed_isa::Inst::Not { dst: ACC }),
@@ -321,20 +356,20 @@ impl FnCodegen<'_> {
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 if op.is_logical() {
-                    return self.logical(*op, lhs, rhs);
+                    return self.logical(*op, *lhs, *rhs);
                 }
                 // Leaf right operands (literals, variables) skip the stack
                 // spill: evaluate the left side into the accumulator and
                 // combine directly — the dense `op reg, reg/imm` shapes a
                 // real compiler emits.
-                if let Some(leaf) = self.leaf(rhs) {
-                    self.expr(lhs)?;
+                if let Some(leaf) = self.leaf(*rhs) {
+                    self.expr(*lhs)?;
                     self.binary_with_leaf(*op, leaf);
                     return Ok(());
                 }
-                self.expr(lhs)?;
+                self.expr(*lhs)?;
                 self.asm.push(ACC);
-                self.expr(rhs)?;
+                self.expr(*rhs)?;
                 self.asm.pop(SCRATCH); // lhs in r1, rhs in r0
                 match op {
                     BinOp::Add => self.two_op(AluOp::Add),
@@ -374,11 +409,11 @@ impl FnCodegen<'_> {
     }
 
     /// Classifies an expression as a directly addressable operand.
-    fn leaf(&self, e: &Expr) -> Option<Leaf> {
-        match e {
-            Expr::Int { value, .. } => i32::try_from(*value).ok().map(Leaf::Imm),
-            Expr::Var { name, .. } => match self.fi.slots.get(name) {
-                Some(&slot) => Some(Leaf::Slot(self.slot_disp(slot))),
+    fn leaf(&self, id: ExprId) -> Option<Leaf> {
+        match self.prog[id] {
+            Expr::Int { value, .. } => i32::try_from(value).ok().map(Leaf::Imm),
+            Expr::Var { name, .. } => match self.slot(name) {
+                Some(slot) => Some(Leaf::Slot(self.slot_disp(slot))),
                 None => Some(Leaf::Global(self.global_addr(name))),
             },
             _ => None,
@@ -452,27 +487,27 @@ impl FnCodegen<'_> {
         }
     }
 
-    /// Emits the condition of `cond_expr` and a branch to `target` taken
+    /// Emits the condition `cond` and a branch to `target` taken
     /// when the condition's truth equals `jump_if`. Fuses leaf comparisons
     /// into a `cmp` + `jcc` pair (no 0/1 materialization).
     fn branch_on(
         &mut self,
-        cond_expr: &Expr,
+        cond: ExprId,
         jump_if: bool,
-        target: String,
+        target: Label,
     ) -> Result<(), CodegenError> {
-        if let Expr::Binary { op, lhs, rhs, .. } = cond_expr {
+        if let Expr::Binary { op, lhs, rhs, .. } = self.prog[cond] {
             if op.is_comparison() {
                 if let Some(leaf) = self.leaf(rhs) {
                     self.expr(lhs)?;
                     self.emit_compare_flags(leaf);
-                    let cc = if jump_if { cond_of(*op) } else { cond_of(*op).negated() };
+                    let cc = if jump_if { cond_of(op) } else { cond_of(op).negated() };
                     self.asm.jcc(cc, target);
                     return Ok(());
                 }
             }
         }
-        self.expr(cond_expr)?;
+        self.expr(cond)?;
         self.asm.cmpi(ACC, 0);
         self.asm.jcc(if jump_if { Cond::Ne } else { Cond::E }, target);
         Ok(())
@@ -487,14 +522,14 @@ impl FnCodegen<'_> {
     }
 
     /// Short-circuit `&&` / `||` producing 0/1.
-    fn logical(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<(), CodegenError> {
+    fn logical(&mut self, op: BinOp, lhs: ExprId, rhs: ExprId) -> Result<(), CodegenError> {
         let l_short = self.asm.fresh_label("sc");
         let l_end = self.asm.fresh_label("sc_end");
         self.expr(lhs)?;
         self.asm.cmpi(ACC, 0);
         match op {
-            BinOp::LogAnd => self.asm.jcc(Cond::E, l_short.clone()),
-            BinOp::LogOr => self.asm.jcc(Cond::Ne, l_short.clone()),
+            BinOp::LogAnd => self.asm.jcc(Cond::E, l_short),
+            BinOp::LogOr => self.asm.jcc(Cond::Ne, l_short),
             _ => unreachable!(),
         }
         self.expr(rhs)?;
@@ -502,7 +537,7 @@ impl FnCodegen<'_> {
         self.asm.movri(ACC, 0);
         self.asm.movri(SCRATCH2, 1);
         self.asm.cmov(Cond::Ne, ACC, SCRATCH2);
-        self.asm.jmp(l_end.clone());
+        self.asm.jmp(l_end);
         self.asm.label(l_short);
         self.asm.movri(ACC, if op == BinOp::LogAnd { 0 } else { 1 });
         self.asm.label(l_end);

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for MiniC with precedence-climbing expressions.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError, Tok, Token};
+use crate::lexer::{LexError, Lexer, Tok, Token};
 use std::error::Error;
 use std::fmt;
 
@@ -28,11 +28,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting the parser accepts, counted over parentheses and
+/// other bracketed sub-expressions, unary operators, binary operators on
+/// one left-leaning chain, blocks and `else if` links together. Parsing,
+/// sema and codegen recurse over this nesting (and dropping a program over
+/// its nested blocks), so the bound keeps each of them within a 2 MiB
+/// thread stack.
+pub const MAX_NESTING: u32 = 256;
+
 /// Parses MiniC source text into a [`Program`].
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered, including
+/// nesting deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -41,37 +50,61 @@ impl From<LexError> for ParseError {
 ///
 /// let prog = parse("fn main() { out(1 + 2 * 3); }")?;
 /// assert_eq!(prog.functions.len(), 1);
+/// assert_eq!(prog.name(prog.functions[0].name), "main");
 /// # Ok::<(), cfed_lang::parser::ParseError>(())
 /// ```
-pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
-    Parser { tokens, idx: 0 }.program()
+pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
+    let mut lexer = Lexer::new(src);
+    let cur = lexer.next_token();
+    let exprs = Vec::with_capacity(src.len() / 16);
+    let mut parser = Parser { lexer, cur, next: None, depth: 0, exprs };
+    let prog = parser.program();
+    // A lexical error anywhere in the source wins over the parse result.
+    let names = parser.lexer.finish()?;
+    Ok(Program { names, ..prog? })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    idx: usize,
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    cur: Token<'src>,
+    /// The token after `cur`, once looked at.
+    next: Option<Token<'src>>,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: u32,
+    /// The expression arena, moved into the [`Program`] at the end.
+    exprs: Vec<Expr>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.idx]
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Tok<'src> {
+        self.cur.tok
+    }
+
+    /// The token after the current one.
+    fn peek2(&mut self) -> Tok<'src> {
+        match self.next {
+            Some(t) => t.tok,
+            None => {
+                let t = self.lexer.next_token();
+                self.next = Some(t);
+                t.tok
+            }
+        }
     }
 
     fn pos(&self) -> Pos {
-        self.peek().pos
+        self.cur.pos
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.idx].clone();
-        if self.idx + 1 < self.tokens.len() {
-            self.idx += 1;
-        }
-        t
+    fn advance(&mut self) {
+        self.cur = match self.next.take() {
+            Some(t) => t,
+            None => self.lexer.next_token(),
+        };
     }
 
-    fn check(&mut self, tok: &Tok) -> bool {
-        if &self.peek().tok == tok {
+    fn check(&mut self, tok: Tok<'_>) -> bool {
+        if self.peek() == tok {
             self.advance();
             true
         } else {
@@ -79,11 +112,11 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<Token, ParseError> {
-        if self.peek().tok == tok {
-            Ok(self.advance())
+    fn expect(&mut self, tok: Tok<'_>) -> Result<(), ParseError> {
+        if self.check(tok) {
+            Ok(())
         } else {
-            Err(self.err(format!("expected {}, found {}", tok, self.peek().tok)))
+            Err(self.err(format!("expected {}, found {}", tok, self.peek())))
         }
     }
 
@@ -91,9 +124,23 @@ impl Parser {
         ParseError { message, pos: self.pos() }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().tok.clone() {
-            Tok::Ident(name) => {
+    /// Enters one more nesting level; [`Parser::leave`] undoes it.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
+    /// Leaves `levels` nesting levels.
+    fn leave(&mut self, levels: u32) {
+        self.depth -= levels;
+    }
+
+    fn ident(&mut self) -> Result<Name, ParseError> {
+        match self.peek() {
+            Tok::Ident(name, _) => {
                 self.advance();
                 Ok(name)
             }
@@ -103,8 +150,8 @@ impl Parser {
 
     fn int_literal(&mut self) -> Result<i64, ParseError> {
         // Allow a leading minus in constant contexts (global initializers).
-        let neg = self.check(&Tok::Minus);
-        match self.peek().tok.clone() {
+        let neg = self.check(Tok::Minus);
+        match self.peek() {
             Tok::Int(v) => {
                 self.advance();
                 Ok(if neg { v.wrapping_neg() } else { v })
@@ -113,17 +160,23 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
+    fn program(&mut self) -> Result<Program<'src>, ParseError> {
         let mut prog = Program::default();
         loop {
-            match &self.peek().tok {
+            match self.peek() {
                 Tok::Eof => break,
                 Tok::Global => prog.globals.push(self.global()?),
                 Tok::Fn => prog.functions.push(self.function()?),
                 other => return Err(self.err(format!("expected `fn` or `global`, found {other}"))),
             }
         }
+        prog.exprs = std::mem::take(&mut self.exprs);
         Ok(prog)
+    }
+
+    fn push(&mut self, e: Expr) -> ExprId {
+        self.exprs.push(e);
+        ExprId(self.exprs.len() as u32 - 1)
     }
 
     fn global(&mut self) -> Result<Global, ParseError> {
@@ -133,9 +186,9 @@ impl Parser {
         let mut is_array = false;
         let mut len = 1u64;
         let mut explicit_len = false;
-        if self.check(&Tok::LBracket) {
+        if self.check(Tok::LBracket) {
             is_array = true;
-            if !self.check(&Tok::RBracket) {
+            if !self.check(Tok::RBracket) {
                 let n = self.int_literal()?;
                 if n <= 0 {
                     return Err(self.err(format!("array length must be positive, got {n}")));
@@ -146,13 +199,13 @@ impl Parser {
             }
         }
         let mut init = Vec::new();
-        if self.check(&Tok::Assign) {
+        if self.check(Tok::Assign) {
             if is_array {
                 self.expect(Tok::LBracket)?;
-                if !self.check(&Tok::RBracket) {
+                if !self.check(Tok::RBracket) {
                     loop {
                         init.push(self.int_literal()?);
-                        if !self.check(&Tok::Comma) {
+                        if !self.check(Tok::Comma) {
                             break;
                         }
                     }
@@ -181,10 +234,10 @@ impl Parser {
         let name = self.ident()?;
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if !self.check(&Tok::RParen) {
+        if !self.check(Tok::RParen) {
             loop {
                 params.push(self.ident()?);
-                if !self.check(&Tok::Comma) {
+                if !self.check(Tok::Comma) {
                     break;
                 }
             }
@@ -196,19 +249,21 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block, ParseError> {
         self.expect(Tok::LBrace)?;
+        self.enter()?;
         let mut stmts = Vec::new();
-        while !self.check(&Tok::RBrace) {
-            if matches!(self.peek().tok, Tok::Eof) {
+        while !self.check(Tok::RBrace) {
+            if self.peek() == Tok::Eof {
                 return Err(self.err("unexpected end of input inside block".into()));
             }
             stmts.push(self.stmt()?);
         }
+        self.leave(1);
         Ok(Block { stmts })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
-        match self.peek().tok.clone() {
+        match self.peek() {
             Tok::Let => {
                 self.advance();
                 let name = self.ident()?;
@@ -223,10 +278,12 @@ impl Parser {
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
                 let then_blk = self.block()?;
-                let else_blk = if self.check(&Tok::Else) {
-                    if matches!(self.peek().tok, Tok::If) {
+                let else_blk = if self.check(Tok::Else) {
+                    if self.peek() == Tok::If {
                         // `else if` sugar: wrap in a single-statement block.
+                        self.enter()?;
                         let inner = self.stmt()?;
+                        self.leave(1);
                         Some(Block { stmts: vec![inner] })
                     } else {
                         Some(self.block()?)
@@ -246,8 +303,7 @@ impl Parser {
             }
             Tok::Return => {
                 self.advance();
-                let value =
-                    if matches!(self.peek().tok, Tok::Semi) { None } else { Some(self.expr()?) };
+                let value = if self.peek() == Tok::Semi { None } else { Some(self.expr()?) };
                 self.expect(Tok::Semi)?;
                 Ok(Stmt::Return { value, pos })
             }
@@ -267,17 +323,17 @@ impl Parser {
                 self.expect(Tok::Semi)?;
                 Ok(Stmt::Assert { value, pos })
             }
-            Tok::Ident(name) => {
+            Tok::Ident(name, _) => {
                 // Could be assignment, array store, or expression statement.
-                match self.tokens.get(self.idx + 1).map(|t| &t.tok) {
-                    Some(Tok::Assign) => {
+                match self.peek2() {
+                    Tok::Assign => {
                         self.advance();
                         self.advance();
                         let value = self.expr()?;
                         self.expect(Tok::Semi)?;
                         Ok(Stmt::Assign { name, value, pos })
                     }
-                    Some(Tok::LBracket) => {
+                    Tok::LBracket => {
                         // Look ahead: `a[e] = v;` is a store; `a[e]` in an
                         // expression statement is rare but must still parse —
                         // we try store first by scanning for `]` `=` is
@@ -286,14 +342,14 @@ impl Parser {
                         self.advance();
                         let index = self.expr()?;
                         self.expect(Tok::RBracket)?;
-                        if self.check(&Tok::Assign) {
+                        if self.check(Tok::Assign) {
                             let value = self.expr()?;
                             self.expect(Tok::Semi)?;
                             Ok(Stmt::Store { name, index, value, pos })
                         } else {
                             // Expression statement of an index read.
-                            let value = Expr::Index { name, index: Box::new(index), pos };
-                            let value = self.continue_expr(value)?;
+                            let value = self.push(Expr::Index { name, index, pos });
+                            let value = self.binary_rhs(value, 0)?;
                             self.expect(Tok::Semi)?;
                             Ok(Stmt::Expr { value, pos })
                         }
@@ -309,7 +365,7 @@ impl Parser {
                 // Anonymous block: inline as an if(1) for simplicity.
                 let blk = self.block()?;
                 Ok(Stmt::If {
-                    cond: Expr::Int { value: 1, pos },
+                    cond: self.push(Expr::Int { value: 1, pos }),
                     then_blk: blk,
                     else_blk: None,
                     pos,
@@ -319,19 +375,20 @@ impl Parser {
         }
     }
 
-    /// Continue parsing binary operators after an already-parsed primary.
-    fn continue_expr(&mut self, lhs: Expr) -> Result<Expr, ParseError> {
-        self.binary_rhs(lhs, 0)
-    }
-
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
+        self.enter()?;
         let lhs = self.unary()?;
-        self.binary_rhs(lhs, 0)
+        let e = self.binary_rhs(lhs, 0)?;
+        self.leave(1);
+        Ok(e)
     }
 
-    fn binary_rhs(&mut self, mut lhs: Expr, min_prec: u8) -> Result<Expr, ParseError> {
+    /// Each operator folded into `lhs` deepens the left-leaning tree by one
+    /// level, so it counts as one level of nesting until the chain ends.
+    fn binary_rhs(&mut self, mut lhs: ExprId, min_prec: u8) -> Result<ExprId, ParseError> {
+        let mut chain = 0;
         loop {
-            let (op, prec) = match self.peek().tok {
+            let (op, prec) = match self.peek() {
                 Tok::PipePipe => (BinOp::LogOr, 1),
                 Tok::AmpAmp => (BinOp::LogAnd, 2),
                 Tok::Pipe => (BinOp::Or, 3),
@@ -356,11 +413,13 @@ impl Parser {
                 break;
             }
             let pos = self.pos();
+            self.enter()?;
+            chain += 1;
             self.advance();
             let mut rhs = self.unary()?;
             // Left associative: bind tighter operators to the right operand.
             loop {
-                let next_prec = match self.peek().tok {
+                let next_prec = match self.peek() {
                     Tok::PipePipe => 1,
                     Tok::AmpAmp => 2,
                     Tok::Pipe => 3,
@@ -379,34 +438,33 @@ impl Parser {
                     break;
                 }
             }
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
+            lhs = self.push(Expr::Binary { op, lhs, rhs, pos });
         }
+        self.leave(chain);
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
         let pos = self.pos();
-        if self.check(&Tok::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(e), pos });
-        }
-        if self.check(&Tok::Bang) {
-            let e = self.unary()?;
-            return Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(e), pos });
-        }
-        if self.check(&Tok::Tilde) {
-            let e = self.unary()?;
-            return Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(e), pos });
-        }
-        self.primary()
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            Tok::Tilde => UnOp::BitNot,
+            _ => return self.primary(),
+        };
+        self.advance();
+        self.enter()?;
+        let e = self.unary()?;
+        self.leave(1);
+        Ok(self.push(Expr::Unary { op, expr: e, pos }))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
         let pos = self.pos();
-        match self.peek().tok.clone() {
+        match self.peek() {
             Tok::Int(value) => {
                 self.advance();
-                Ok(Expr::Int { value, pos })
+                Ok(self.push(Expr::Int { value, pos }))
             }
             Tok::LParen => {
                 self.advance();
@@ -414,26 +472,26 @@ impl Parser {
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) => {
+            Tok::Ident(name, _) => {
                 self.advance();
-                if self.check(&Tok::LParen) {
+                if self.check(Tok::LParen) {
                     let mut args = Vec::new();
-                    if !self.check(&Tok::RParen) {
+                    if !self.check(Tok::RParen) {
                         loop {
                             args.push(self.expr()?);
-                            if !self.check(&Tok::Comma) {
+                            if !self.check(Tok::Comma) {
                                 break;
                             }
                         }
                         self.expect(Tok::RParen)?;
                     }
-                    Ok(Expr::Call { name, args, pos })
-                } else if self.check(&Tok::LBracket) {
+                    Ok(self.push(Expr::Call { name, args, pos }))
+                } else if self.check(Tok::LBracket) {
                     let index = self.expr()?;
                     self.expect(Tok::RBracket)?;
-                    Ok(Expr::Index { name, index: Box::new(index), pos })
+                    Ok(self.push(Expr::Index { name, index, pos }))
                 } else {
-                    Ok(Expr::Var { name, pos })
+                    Ok(self.push(Expr::Var { name, pos }))
                 }
             }
             other => Err(self.err(format!("expected expression, found {other}"))),
@@ -445,10 +503,12 @@ impl Parser {
 mod tests {
     use super::*;
 
-    fn parse_expr(src: &str) -> Expr {
-        let prog = parse(&format!("fn main() {{ out({src}); }}")).unwrap();
+    /// Parses `out(<src>);` and hands the program and the expression to `f`.
+    fn with_expr(src: &str, f: impl FnOnce(&Program<'_>, &Expr)) {
+        let src = format!("fn main() {{ out({src}); }}");
+        let prog = parse(&src).unwrap();
         match &prog.functions[0].body.stmts[0] {
-            Stmt::Out { value, .. } => value.clone(),
+            Stmt::Out { value, .. } => f(&prog, &prog[*value]),
             other => panic!("unexpected stmt {other:?}"),
         }
     }
@@ -462,54 +522,47 @@ mod tests {
 
     #[test]
     fn precedence_mul_over_add() {
-        let e = parse_expr("1 + 2 * 3");
-        assert_eq!(op_of(&e), BinOp::Add);
-        if let Expr::Binary { rhs, .. } = e {
-            assert_eq!(op_of(&rhs), BinOp::Mul);
-        }
+        with_expr("1 + 2 * 3", |prog, e| {
+            assert_eq!(op_of(e), BinOp::Add);
+            let Expr::Binary { rhs, .. } = e else { panic!() };
+            assert_eq!(op_of(&prog[*rhs]), BinOp::Mul);
+        });
     }
 
     #[test]
     fn left_associativity() {
         // (10 - 3) - 2
-        let e = parse_expr("10 - 3 - 2");
-        if let Expr::Binary { op, lhs, rhs, .. } = e {
-            assert_eq!(op, BinOp::Sub);
-            assert_eq!(op_of(&lhs), BinOp::Sub);
-            assert!(matches!(*rhs, Expr::Int { value: 2, .. }));
-        } else {
-            panic!()
-        }
+        with_expr("10 - 3 - 2", |prog, e| {
+            let Expr::Binary { op, lhs, rhs, .. } = e else { panic!() };
+            assert_eq!(*op, BinOp::Sub);
+            assert_eq!(op_of(&prog[*lhs]), BinOp::Sub);
+            assert!(matches!(prog[*rhs], Expr::Int { value: 2, .. }));
+        });
     }
 
     #[test]
     fn comparison_below_logical() {
-        let e = parse_expr("a < b && c > d");
-        assert_eq!(op_of(&e), BinOp::LogAnd);
+        with_expr("a < b && c > d", |_, e| assert_eq!(op_of(e), BinOp::LogAnd));
     }
 
     #[test]
     fn parens_override() {
-        let e = parse_expr("(1 + 2) * 3");
-        assert_eq!(op_of(&e), BinOp::Mul);
+        with_expr("(1 + 2) * 3", |_, e| assert_eq!(op_of(e), BinOp::Mul));
     }
 
     #[test]
     fn unary_chain() {
-        let e = parse_expr("-~!x");
-        assert!(matches!(e, Expr::Unary { op: UnOp::Neg, .. }));
+        with_expr("-~!x", |_, e| assert!(matches!(e, Expr::Unary { op: UnOp::Neg, .. })));
     }
 
     #[test]
     fn calls_and_indexing() {
-        let e = parse_expr("f(1, g(2), a[i + 1])");
-        if let Expr::Call { name, args, .. } = e {
-            assert_eq!(name, "f");
+        with_expr("f(1, g(2), a[i + 1])", |prog, e| {
+            let Expr::Call { name, args, .. } = e else { panic!() };
+            assert_eq!(prog.name(*name), "f");
             assert_eq!(args.len(), 3);
-            assert!(matches!(&args[2], Expr::Index { .. }));
-        } else {
-            panic!()
-        }
+            assert!(matches!(prog[args[2]], Expr::Index { .. }));
+        });
     }
 
     #[test]

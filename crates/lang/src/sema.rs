@@ -1,7 +1,6 @@
 //! Semantic analysis: name resolution, arity checking and slot assignment.
 
 use crate::ast::*;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -38,17 +37,15 @@ pub struct FnInfo {
     pub arity: usize,
     /// Number of `let` locals.
     pub locals: usize,
-    /// Name → slot map.
-    pub slots: HashMap<String, Slot>,
+    /// Every parameter and local with its slot, in declaration order.
+    pub slots: Vec<(Name, Slot)>,
 }
 
 /// Resolution results for a whole program.
 #[derive(Debug, Clone, Default)]
 pub struct SemaInfo {
-    /// Per-function resolution info.
-    pub functions: HashMap<String, FnInfo>,
-    /// Global name → (element count, is_array).
-    pub globals: HashMap<String, (u64, bool)>,
+    /// Per-function resolution info, in [`Program::functions`] order.
+    pub functions: Vec<FnInfo>,
 }
 
 /// Checks a parsed program and computes slot assignments.
@@ -67,19 +64,23 @@ pub struct SemaInfo {
 /// # Errors
 ///
 /// The first violated rule is reported with its source position.
-pub fn check(prog: &Program) -> Result<SemaInfo, SemaError> {
-    let mut info = SemaInfo::default();
+pub fn check(prog: &Program<'_>) -> Result<SemaInfo, SemaError> {
+    // Name-indexed tables: (element count, is_array) per global, arity per
+    // function, and the slot of each name in the function being checked.
+    let mut globals: Vec<Option<(u64, bool)>> = vec![None; prog.names.len()];
+    let mut arity: Vec<Option<usize>> = vec![None; prog.names.len()];
+    let mut slots: Vec<Option<Slot>> = vec![None; prog.names.len()];
 
     for g in &prog.globals {
-        if info.globals.insert(g.name.clone(), (g.len, g.is_array)).is_some() {
+        if globals[g.name.index()].replace((g.len, g.is_array)).is_some() {
             return Err(SemaError {
-                message: format!("duplicate global `{}`", g.name),
+                message: format!("duplicate global `{}`", prog.name(g.name)),
                 pos: g.pos,
             });
         }
         if g.init.len() as u64 > g.len {
             return Err(SemaError {
-                message: format!("too many initializers for `{}`", g.name),
+                message: format!("too many initializers for `{}`", prog.name(g.name)),
                 pos: g.pos,
             });
         }
@@ -87,69 +88,96 @@ pub fn check(prog: &Program) -> Result<SemaInfo, SemaError> {
 
     // Collect function signatures first so calls can be forward references.
     for f in &prog.functions {
-        if info.functions.contains_key(&f.name) || info.globals.contains_key(&f.name) {
+        if arity[f.name.index()].is_some() || globals[f.name.index()].is_some() {
             return Err(SemaError {
-                message: format!("duplicate definition of `{}`", f.name),
+                message: format!("duplicate definition of `{}`", prog.name(f.name)),
                 pos: f.pos,
             });
         }
-        let mut fi = FnInfo { arity: f.params.len(), ..FnInfo::default() };
         for (i, p) in f.params.iter().enumerate() {
-            if fi.slots.insert(p.clone(), Slot::Param(i)).is_some() {
+            if slots[p.index()].replace(Slot::Param(i)).is_some() {
                 return Err(SemaError {
-                    message: format!("duplicate parameter `{p}` in `{}`", f.name),
+                    message: format!(
+                        "duplicate parameter `{}` in `{}`",
+                        prog.name(*p),
+                        prog.name(f.name)
+                    ),
                     pos: f.pos,
                 });
             }
         }
-        info.functions.insert(f.name.clone(), fi);
+        for p in &f.params {
+            slots[p.index()] = None;
+        }
+        arity[f.name.index()] = Some(f.params.len());
     }
 
-    match info.functions.get("main") {
+    match prog.functions.iter().find(|f| prog.name(f.name) == "main") {
         None => {
             return Err(SemaError {
                 message: "program must define `fn main()`".into(),
                 pos: Pos::default(),
             })
         }
-        Some(fi) if fi.arity != 0 => {
-            let pos = prog.functions.iter().find(|f| f.name == "main").map(|f| f.pos);
+        Some(main) if !main.params.is_empty() => {
             return Err(SemaError {
                 message: "`main` must take no parameters".into(),
-                pos: pos.unwrap_or_default(),
+                pos: main.pos,
             });
         }
         Some(_) => {}
     }
 
     // Resolve bodies.
+    let mut functions = Vec::with_capacity(prog.functions.len());
     for f in &prog.functions {
+        let declared: Vec<(Name, Slot)> =
+            f.params.iter().enumerate().map(|(i, p)| (*p, Slot::Param(i))).collect();
+        for &(name, slot) in &declared {
+            slots[name.index()] = Some(slot);
+        }
         let mut ck = Checker {
-            info: &info,
-            fname: &f.name,
-            slots: info.functions[&f.name].slots.clone(),
+            prog,
+            globals: &globals,
+            arity: &arity,
+            fname: prog.name(f.name),
+            slots: &mut slots,
+            declared,
             locals: 0,
         };
         ck.block(&f.body)?;
-        let (locals, slots) = (ck.locals, ck.slots);
-        let fi = info.functions.get_mut(&f.name).expect("collected above");
-        fi.locals = locals;
-        fi.slots = slots;
+        let (locals, declared) = (ck.locals, ck.declared);
+        for (name, _) in &declared {
+            slots[name.index()] = None;
+        }
+        functions.push(FnInfo { arity: f.params.len(), locals, slots: declared });
     }
 
-    Ok(info)
+    Ok(SemaInfo { functions })
 }
 
 struct Checker<'a> {
-    info: &'a SemaInfo,
+    prog: &'a Program<'a>,
+    globals: &'a [Option<(u64, bool)>],
+    arity: &'a [Option<usize>],
     fname: &'a str,
-    slots: HashMap<String, Slot>,
+    /// Slot per name, set for the names in `declared`.
+    slots: &'a mut [Option<Slot>],
+    declared: Vec<(Name, Slot)>,
     locals: usize,
 }
 
 impl Checker<'_> {
     fn err(&self, message: String, pos: Pos) -> SemaError {
         SemaError { message, pos }
+    }
+
+    fn is_slot(&self, name: Name) -> bool {
+        self.slots[name.index()].is_some()
+    }
+
+    fn global(&self, name: Name) -> Option<(u64, bool)> {
+        self.globals[name.index()]
     }
 
     fn block(&mut self, b: &Block) -> Result<(), SemaError> {
@@ -162,47 +190,52 @@ impl Checker<'_> {
     fn stmt(&mut self, s: &Stmt) -> Result<(), SemaError> {
         match s {
             Stmt::Let { name, value, pos } => {
-                self.expr(value)?;
-                if self.slots.contains_key(name) {
+                self.expr(*value)?;
+                let text = self.prog.name(*name);
+                if self.is_slot(*name) {
                     return Err(
-                        self.err(format!("`{name}` is already declared in `{}`", self.fname), *pos)
+                        self.err(format!("`{text}` is already declared in `{}`", self.fname), *pos)
                     );
                 }
-                if self.info.globals.contains_key(name) {
+                if self.global(*name).is_some() {
                     return Err(
-                        self.err(format!("`{name}` shadows a global of the same name"), *pos)
+                        self.err(format!("`{text}` shadows a global of the same name"), *pos)
                     );
                 }
-                self.slots.insert(name.clone(), Slot::Local(self.locals));
+                let slot = Slot::Local(self.locals);
+                self.slots[name.index()] = Some(slot);
+                self.declared.push((*name, slot));
                 self.locals += 1;
                 Ok(())
             }
             Stmt::Assign { name, value, pos } => {
-                self.expr(value)?;
-                if self.slots.contains_key(name) {
+                self.expr(*value)?;
+                if self.is_slot(*name) {
                     return Ok(());
                 }
-                match self.info.globals.get(name) {
+                let text = self.prog.name(*name);
+                match self.global(*name) {
                     Some((_, false)) => Ok(()),
                     Some((_, true)) => {
-                        Err(self.err(format!("global array `{name}` needs an index"), *pos))
+                        Err(self.err(format!("global array `{text}` needs an index"), *pos))
                     }
-                    None => Err(self.err(format!("assignment to undeclared `{name}`"), *pos)),
+                    None => Err(self.err(format!("assignment to undeclared `{text}`"), *pos)),
                 }
             }
             Stmt::Store { name, index, value, pos } => {
-                self.expr(index)?;
-                self.expr(value)?;
-                match self.info.globals.get(name) {
+                self.expr(*index)?;
+                self.expr(*value)?;
+                let text = self.prog.name(*name);
+                match self.global(*name) {
                     Some((_, true)) => Ok(()),
                     Some((_, false)) => {
-                        Err(self.err(format!("`{name}` is a scalar, not an array"), *pos))
+                        Err(self.err(format!("`{text}` is a scalar, not an array"), *pos))
                     }
-                    None => Err(self.err(format!("store to undeclared array `{name}`"), *pos)),
+                    None => Err(self.err(format!("store to undeclared array `{text}`"), *pos)),
                 }
             }
             Stmt::If { cond, then_blk, else_blk, .. } => {
-                self.expr(cond)?;
+                self.expr(*cond)?;
                 self.block(then_blk)?;
                 if let Some(e) = else_blk {
                     self.block(e)?;
@@ -210,64 +243,68 @@ impl Checker<'_> {
                 Ok(())
             }
             Stmt::While { cond, body, .. } => {
-                self.expr(cond)?;
+                self.expr(*cond)?;
                 self.block(body)
             }
             Stmt::Return { value, .. } => {
                 if let Some(v) = value {
-                    self.expr(v)?;
+                    self.expr(*v)?;
                 }
                 Ok(())
             }
             Stmt::Out { value, .. } | Stmt::Assert { value, .. } | Stmt::Expr { value, .. } => {
-                self.expr(value)
+                self.expr(*value)
             }
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(), SemaError> {
-        match e {
+    fn expr(&mut self, id: ExprId) -> Result<(), SemaError> {
+        let prog = self.prog;
+        match &prog[id] {
             Expr::Int { .. } => Ok(()),
             Expr::Var { name, pos } => {
-                if self.slots.contains_key(name) {
+                if self.is_slot(*name) {
                     return Ok(());
                 }
-                match self.info.globals.get(name) {
+                let text = self.prog.name(*name);
+                match self.global(*name) {
                     Some((_, false)) => Ok(()),
                     Some((_, true)) => {
-                        Err(self.err(format!("global array `{name}` needs an index"), *pos))
+                        Err(self.err(format!("global array `{text}` needs an index"), *pos))
                     }
-                    None => Err(self.err(format!("use of undeclared `{name}`"), *pos)),
+                    None => Err(self.err(format!("use of undeclared `{text}`"), *pos)),
                 }
             }
             Expr::Index { name, index, pos } => {
-                self.expr(index)?;
-                match self.info.globals.get(name) {
+                self.expr(*index)?;
+                let text = self.prog.name(*name);
+                match self.global(*name) {
                     Some((_, true)) => Ok(()),
                     Some((_, false)) => {
-                        Err(self.err(format!("`{name}` is a scalar, not an array"), *pos))
+                        Err(self.err(format!("`{text}` is a scalar, not an array"), *pos))
                     }
-                    None => Err(self.err(format!("use of undeclared array `{name}`"), *pos)),
+                    None => Err(self.err(format!("use of undeclared array `{text}`"), *pos)),
                 }
             }
             Expr::Call { name, args, pos } => {
                 for a in args {
-                    self.expr(a)?;
+                    self.expr(*a)?;
                 }
-                match self.info.functions.get(name) {
-                    Some(fi) if fi.arity == args.len() => Ok(()),
-                    Some(fi) => Err(self.err(
-                        format!("`{name}` expects {} argument(s), got {}", fi.arity, args.len()),
+                let text = self.prog.name(*name);
+                match self.arity[name.index()] {
+                    Some(arity) if arity == args.len() => Ok(()),
+                    Some(arity) => Err(self.err(
+                        format!("`{text}` expects {arity} argument(s), got {}", args.len()),
                         *pos,
                     )),
-                    None => Err(self.err(format!("call to undefined function `{name}`"), *pos)),
+                    None => Err(self.err(format!("call to undefined function `{text}`"), *pos)),
                 }
             }
             Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs)?;
-                self.expr(rhs)
+                self.expr(*lhs)?;
+                self.expr(*rhs)
             }
-            Expr::Unary { expr, .. } => self.expr(expr),
+            Expr::Unary { expr, .. } => self.expr(*expr),
         }
     }
 }
@@ -283,18 +320,18 @@ mod tests {
 
     #[test]
     fn valid_program_resolves() {
-        let info = sema(
+        let prog = parse(
             "global g; global a[3];
              fn add(x, y) { let s = x + y; return s; }
              fn main() { g = add(1, 2); a[0] = g; out(a[0]); }",
         )
         .unwrap();
-        let add = &info.functions["add"];
+        let info = check(&prog).unwrap();
+        let add = &info.functions[0];
         assert_eq!(add.arity, 2);
         assert_eq!(add.locals, 1);
-        assert_eq!(add.slots["x"], Slot::Param(0));
-        assert_eq!(add.slots["s"], Slot::Local(0));
-        assert_eq!(info.globals["a"], (3, true));
+        let slots: Vec<_> = add.slots.iter().map(|(n, s)| (prog.name(*n), *s)).collect();
+        assert_eq!(slots, [("x", Slot::Param(0)), ("y", Slot::Param(1)), ("s", Slot::Local(0))]);
     }
 
     #[test]

@@ -31,7 +31,8 @@ fn main() {
     let ast = parse(source).expect("parses");
     println!("parsed: {} global(s), {} function(s)", ast.globals.len(), ast.functions.len());
     let info = check(&ast).expect("semantically valid");
-    for (name, fi) in &info.functions {
+    for (f, fi) in ast.functions.iter().zip(&info.functions) {
+        let name = ast.name(f.name);
         println!("  fn {name}: {} param(s), {} local slot(s)", fi.arity, fi.locals);
     }
 
