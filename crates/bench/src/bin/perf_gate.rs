@@ -82,12 +82,14 @@ const ERROR_MODEL_MIN_RATIO_MILLI: u64 = 350;
 /// after.
 const COMPILE_MIN_RATIO_MILLI: u64 = 43;
 
-/// Scale factor for the native and error-model laps. The @test instances
-/// retire ~10–30k guest instructions, so the JIT's fixed per-run costs
-/// (code-buffer mapping, block compilation) dominate and the measurement
-/// says nothing about emitted-code throughput; at this scale each lap
-/// retires a few million instructions and translation amortizes to noise,
-/// which is the regime the backend exists for.
+/// Scale factor for the interpreter, native and error-model laps. The
+/// @test instances retire ~10–30k guest instructions, so the JIT's fixed
+/// per-run costs (code-buffer mapping, block compilation) dominate and the
+/// measurement says nothing about emitted-code throughput; at this scale
+/// each lap retires a few million instructions and translation amortizes
+/// to noise, which is the regime the backend exists for. The interpreter
+/// laps need it too: at @test they lasted 0.1–0.3 ms, and their best-of-7
+/// decoded MIPS read either ~70–100 k or ~150 k milli from run to run.
 const NATIVE_BENCH_SCALE: u64 = 400;
 
 fn main() {
@@ -347,16 +349,17 @@ fn same_as_first<T: PartialEq>(first: &mut Option<T>, observed: T) -> bool {
     }
 }
 
-/// Times the native interpreter on the bench workloads with the decode
-/// cache off (per-instruction fetch+decode, the base) and on (decode-once
-/// lines, fused bursts), checking both paths retire bit-identical runs.
+/// Times the native interpreter on the bench workloads at
+/// [`NATIVE_BENCH_SCALE`] with the decode cache off (per-instruction
+/// fetch+decode, the base) and on (decode-once lines, fused bursts),
+/// checking both paths retire bit-identical runs.
 /// Returns the throughput pair and the decode cache's counters, summed over
 /// one cached lap per workload.
 fn bench_interp(quiet: bool) -> Result<(Mips, DecodeCacheStats), String> {
-    const REPS: usize = 7;
+    const REPS: usize = 5;
     let (mut insts, mut secs) = (0u64, [0.0f64; 2]);
     let mut decode = DecodeCacheStats::default();
-    for spec in bench_workloads(Scale::Test) {
+    for spec in bench_workloads(Scale::Custom(NATIVE_BENCH_SCALE)) {
         let image = spec.image()?;
         let mut reference = None;
         let (mut lap_insts, mut lap_decode) = (0, DecodeCacheStats::default());
@@ -638,6 +641,7 @@ fn perf_record(perf: &RunPerf) -> Json {
         ("benign_pruned", Json::UInt(perf.snapshots.benign_pruned)),
         ("insts_fused", Json::UInt(perf.snapshots.insts_fused)),
         ("insts_stepped", Json::UInt(perf.snapshots.insts_stepped)),
+        ("insts_native", Json::UInt(perf.snapshots.insts_native)),
     ])
 }
 

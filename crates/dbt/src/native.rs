@@ -40,6 +40,18 @@
 //! CPU stopped anywhere else (mid-block after a step limit, on a chained
 //! exit, on a dispatch site) takes interpreted [`Dbt::step`]s to the next
 //! head, which the engine contract makes bit-identical.
+//!
+//! The burst stop rule ([`NativeDbt::burst`]: end in front of a branch once
+//! `stop_at` branches have retired) is a second check at every block head:
+//! the branch delta in `r14` plus the most branches one pass of the block
+//! can retire must stay within the session's branch limit. A block that
+//! could cross it ends the session before it runs, and the fused engine,
+//! which stops on the exact branch, finishes the burst. A jump back to the
+//! block head re-runs both checks.
+//!
+//! Each thread keeps one spare JIT: a `NativeDbt` maps its code buffer and
+//! builds the shared stubs only when the thread has none, and hands it back
+//! reset (no compiled blocks) when it is dropped.
 
 use crate::codebuf::CodeBuf;
 use crate::engine::{
@@ -47,17 +59,18 @@ use crate::engine::{
 };
 use crate::instrument::{regs, Instrumenter, UpdateStyle};
 use crate::x86::{
-    self, cc, Alu, Asm, HostReg, Label, Shift, R12, R13, R14, R15, RAX, RBP, RBX, RCX, RDI, RDX,
-    RSI, RSP,
+    self, cc, Alu, Asm, HostReg, Label, Shift, R12, R13, R14, R15, R8, RAX, RBP, RBX, RCX, RDI,
+    RDX, RSI, RSP,
 };
 use cfed_isa::{cost, AluOp, Cond, Flags, Inst, Reg, INST_SIZE_U64};
 use cfed_sim::{Cpu, ExitReason, Machine, Memory, Trap};
 use cfed_telemetry::Telemetry;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::ops::Range;
 
-/// Below this remaining budget the tail is run by the interpreter so the
-/// step limit lands on the exact instruction it would under [`Dbt::run`].
+/// Below this remaining budget the tail is run by the fused interpreter so
+/// the step limit lands on the exact instruction it would under
+/// [`Dbt::burst`].
 const NATIVE_MIN_BUDGET: u64 = 4096;
 /// Cache-instruction ceiling per compiled block; also the session budget
 /// margin (a block checks the budget only at entry, so one block body plus
@@ -75,6 +88,8 @@ const XK_HALT: u64 = 0;
 const XK_TRAP: u64 = 1;
 const XK_BUDGET: u64 = 2;
 const XK_ENTER: u64 = 3;
+/// The block at `exit_ip` could retire a branch past the burst's stop.
+const XK_STOP: u64 = 4;
 
 /// Per-session state shared between Rust and emitted code. `rbp` points at
 /// this for the whole session; all offsets below are baked into the code.
@@ -106,6 +121,9 @@ struct NativeCtx {
     /// Retired-instruction ceiling for this session (`rbx` compares against
     /// this at every block entry).
     session_limit: u64,
+    /// Retired-branch ceiling for this session: a block runs only when `r14`
+    /// plus its branches per pass stays within it (`u64::MAX`: no stop).
+    stop_limit: u64,
     /// Raw `*mut Memory`, valid only inside the trampoline call.
     mem: u64,
     /// Raw `*mut Cpu`, valid only inside the trampoline call.
@@ -146,6 +164,7 @@ const O_D_TRAPS: i32 = ctx_off!(d_traps);
 const O_D_DISPATCHES: i32 = ctx_off!(d_dispatches);
 const O_D_IC_HITS: i32 = ctx_off!(d_ic_hits);
 const O_SESSION_LIMIT: i32 = ctx_off!(session_limit);
+const O_STOP_LIMIT: i32 = ctx_off!(stop_limit);
 const O_MEM_BYTES: i32 = ctx_off!(mem_bytes);
 const O_MEM_PERMS: i32 = ctx_off!(mem_perms);
 const O_MEM_DIRTY: i32 = ctx_off!(mem_dirty);
@@ -179,6 +198,7 @@ impl NativeCtx {
             d_dispatches: 0,
             d_ic_hits: 0,
             session_limit: 0,
+            stop_limit: u64::MAX,
             mem: 0,
             cpu: 0,
             mem_bytes: 0,
@@ -216,6 +236,22 @@ fn flags_from_host(h: u8) -> Flags {
             | ((h >> 7) & 1) << 4
             | ((h >> 5) & 1) << 5,
     )
+}
+
+/// Bytes per condition in [`cond_tables`]: one per host flags byte.
+const COND_TABLE_STRIDE: usize = 256;
+
+/// The condition truth tables the emitted code reads: byte `h` of table
+/// `cc` (at `cc.encoding() * 256`) is 1 when `cc.eval(flags(h))`.
+fn cond_tables() -> Vec<u8> {
+    let mut tables = vec![0u8; Cond::ALL.len() * COND_TABLE_STRIDE];
+    for cond in Cond::ALL {
+        let base = cond.encoding() as usize * COND_TABLE_STRIDE;
+        for h in 0..COND_TABLE_STRIDE {
+            tables[base + h] = cond.eval(flags_from_host(h as u8)) as u8;
+        }
+    }
+    tables
 }
 
 /// Encodes a trap for the ctx `trap_disc`/`trap_a`/`trap_b` slots.
@@ -359,6 +395,11 @@ struct ChainSite {
     chained: bool,
 }
 
+thread_local! {
+    /// This thread's spare JIT, mapped once and reset between engines.
+    static SPARE_JIT: Cell<Option<Box<Jit>>> = const { Cell::new(None) };
+}
+
 struct Jit {
     buf: CodeBuf,
     ctx: Box<NativeCtx>,
@@ -370,7 +411,7 @@ struct Jit {
     /// Sets `exit_kind = XK_TRAP` and falls into the epilogue; every trap
     /// path (helper fault or emitted stub) jumps here.
     trap_exit: u64,
-    /// 16 × 32-byte bitmaps: bit `h` of table `cc` = `cc.eval(flags(h))`.
+    /// The [`cond_tables`] bytes.
     cond_tables: u64,
     /// Bump-reset watermark right after the shared stubs.
     blocks_base: u64,
@@ -391,20 +432,9 @@ struct Jit {
 }
 
 impl Jit {
-    fn new() -> Option<Jit> {
+    fn new() -> Option<Box<Jit>> {
         let mut buf = CodeBuf::new(CODEBUF_CAPACITY)?;
-
-        // Condition bitmaps, indexed by host flags byte.
-        let mut tables = [0u8; 16 * 32];
-        for cond in Cond::ALL {
-            let base = cond.encoding() as usize * 32;
-            for h in 0..256usize {
-                if cond.eval(flags_from_host(h as u8)) {
-                    tables[base + h / 8] |= 1 << (h % 8);
-                }
-            }
-        }
-        let cond_tables = buf.alloc(&tables)?;
+        let cond_tables = buf.alloc(&cond_tables())?;
 
         // Epilogue: spill deltas, restore host regs, return.
         let mut a = Asm::new(buf.cursor_addr());
@@ -446,7 +476,7 @@ impl Jit {
         let trampoline = buf.alloc(&a.finish())?;
 
         let blocks_base = buf.cursor_addr();
-        Some(Jit {
+        Some(Box::new(Jit {
             buf,
             ctx: Box::new(NativeCtx::new()),
             trampoline,
@@ -460,7 +490,24 @@ impl Jit {
             gen: (0, 0),
             chains_shadow: 0,
             nukes: 0,
-        })
+        }))
+    }
+
+    /// This thread's spare JIT, or a newly mapped one (`None` where the host
+    /// cannot map executable memory), in step with `dbt`: it holds no
+    /// compiled code, so nothing the engine did so far needs mirroring.
+    fn acquire(dbt: &Dbt) -> Option<Box<Jit>> {
+        let mut jit = SPARE_JIT.take().or_else(Jit::new)?;
+        jit.gen = dbt.gen_key();
+        jit.chains_shadow = dbt.stats.chains;
+        Some(jit)
+    }
+
+    /// Empties this JIT and keeps it as the thread's spare.
+    fn release(mut self: Box<Self>) {
+        self.nuke();
+        // A thread tearing down its locals just unmaps it.
+        let _ = SPARE_JIT.try_with(|spare| spare.set(Some(self)));
     }
 
     /// Discards every compiled block (cache invalidation or full buffer).
@@ -498,32 +545,33 @@ impl Jit {
             }
             compiled => compiled.ok(),
         };
-        if host.is_none() {
-            self.blocks.insert(cache, None);
+        match host {
+            // Inline-cache slots naming this block can now hit natively.
+            Some(host) if self.ic_shadow == dbt.dispatch_ic => {
+                for (slot, entry) in dbt.dispatch_ic.iter().enumerate() {
+                    if let Some((tag, _)) = entry.filter(|&(_, c)| c == cache) {
+                        self.ctx.ic_tags[slot] = tag;
+                        self.ctx.ic_vals[slot] = host;
+                    }
+                }
+            }
+            Some(_) => {}
+            None => {
+                self.blocks.insert(cache, None);
+            }
         }
         host
     }
 
-    /// Mirrors the engine's dispatcher inline cache into the ctx, compiling
-    /// cached targets so hits can jump straight to host code. Keeping the
-    /// tag sets identical is what makes native `dispatch_ic_hits` equal the
+    /// Mirrors the engine's dispatcher inline cache into the ctx for the
+    /// targets already compiled; [`Jit::entry`] fills a slot in when it
+    /// compiles its target. Native tags are thus always a subset of the
+    /// engine's, which is what makes native `dispatch_ic_hits` equal the
     /// interpreter's: a native miss that the engine would have hit routes
     /// through `service_exit`, which counts the hit there instead.
-    fn resync_ic(&mut self, dbt: &Dbt, m: &Machine) {
+    fn resync_ic(&mut self, dbt: &Dbt) {
         if self.ic_shadow == dbt.dispatch_ic {
             return;
-        }
-        loop {
-            let nukes = self.nukes;
-            for (_, cache) in dbt.dispatch_ic.into_iter().flatten() {
-                self.entry(dbt, m, cache);
-                if self.nukes != nukes {
-                    break;
-                }
-            }
-            if self.nukes == nukes {
-                break;
-            }
         }
         for slot in 0..DISPATCH_IC_SIZE {
             let (tag, val) = match dbt.dispatch_ic[slot] {
@@ -603,12 +651,14 @@ impl Jit {
     fn sync(&mut self, dbt: &Dbt, m: &Machine) {
         self.check_gen(dbt);
         self.resync_chains(dbt, m);
-        self.resync_ic(dbt, m);
+        self.resync_ic(dbt);
     }
 
-    /// Runs one native session starting at host address `entry`; syncs the
-    /// cpu in and out and folds the retired-work deltas into its stats.
-    fn enter(&mut self, m: &mut Machine, entry: u64, remaining: u64) {
+    /// Runs one native session starting at host address `entry`, retiring
+    /// about `remaining` instructions at most and no branch past
+    /// `stop_limit` more; syncs the cpu in and out and folds the
+    /// retired-work deltas into its stats.
+    fn enter(&mut self, m: &mut Machine, entry: u64, remaining: u64, stop_limit: u64) {
         let ctx = &mut *self.ctx;
         for r in Reg::all() {
             ctx.regs[r.index()] = m.cpu.reg(r);
@@ -629,6 +679,7 @@ impl Jit {
         ctx.d_dispatches = 0;
         ctx.d_ic_hits = 0;
         ctx.session_limit = remaining - SESSION_MARGIN;
+        ctx.stop_limit = stop_limit;
         ctx.mem = &mut m.mem as *mut Memory as u64;
         ctx.cpu = &mut m.cpu as *mut Cpu as u64;
         let parts = m.mem.raw_parts();
@@ -678,55 +729,74 @@ impl Jit {
             return Err(CompileBail::Unsupported);
         }
 
+        // Intra-block branch targets become local labels. Control inside a
+        // block only runs forward or back to its head, so one pass retires
+        // each branch and each chained direct exit at most once.
+        let range = tb.cache_range();
+        let mut targets = Vec::new();
+        let mut branches = 0u64;
+        for (addr, inst) in &insts {
+            match inst {
+                Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. } => {
+                    branches += 1;
+                    let t = inst.direct_target(*addr).expect("direct branch");
+                    // Misaligned in-range targets deliberately get no label:
+                    // they must surface as UnalignedFetch via the runtime.
+                    if range.contains(&t) && (t - tb.cache_start).is_multiple_of(INST_SIZE_U64) {
+                        if t <= *addr && t != tb.cache_start {
+                            return Err(CompileBail::Unsupported);
+                        }
+                        targets.push(t);
+                    }
+                }
+                Inst::Trap { code } => {
+                    let kind = dbt.exit_index(*code).map(|i| dbt.exits[i].kind);
+                    branches += matches!(kind, Some(ExitKind::Direct { .. })) as u64;
+                }
+                _ => {}
+            }
+        }
+        targets.sort_unstable();
+        targets.dedup();
+
+        // About 80 host bytes per cache instruction, outlined paths included.
         let base = self.buf.cursor_addr();
+        let mut a = Asm::with_capacity(base, insts.len() * 96 + 64);
+        let labels = targets.into_iter().map(|t| (t, a.new_label())).collect();
         let mut b = BlockAsm {
-            a: Asm::new(base),
+            a,
             dbt,
             blocks: &self.blocks,
             cond_tables: self.cond_tables,
             epilogue: self.epilogue,
             trap_exit: self.trap_exit,
-            range: tb.cache_range(),
-            labels: HashMap::new(),
+            labels,
             pend_insts: 0,
             pend_cycles: 0,
             outl: Vec::new(),
             sites: Vec::new(),
         };
 
-        // Intra-block branch targets become local labels.
-        for (addr, inst) in &insts {
-            if matches!(
-                inst,
-                Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. }
-            ) {
-                if let Some(t) = inst.direct_target(*addr) {
-                    // Misaligned in-range targets deliberately get no label:
-                    // they must surface as UnalignedFetch via the runtime.
-                    if b.range.contains(&t)
-                        && (t - tb.cache_start).is_multiple_of(INST_SIZE_U64)
-                        && !b.labels.contains_key(&t)
-                    {
-                        let l = b.a.new_label();
-                        b.labels.insert(t, l);
-                    }
-                }
-            }
-        }
-
-        // A jump back to the block head must re-check the budget, so its
-        // label binds before the prologue.
-        if let Some(&l) = b.labels.get(&tb.cache_start) {
+        // A jump back to the block head must re-check the budget and the
+        // stop, so its label binds before the prologue.
+        if let Some(l) = b.label_at(tb.cache_start) {
             b.a.bind(l);
         }
         let l_budget = b.a.new_label();
         b.a.alu_rr(Alu::Cmp, RBX, R12);
         b.a.jcc(cc::AE, l_budget);
-        b.outl.push(Outl::Budget { l: l_budget, resume: tb.cache_start });
+        b.outl.push(Outl::Exit { l: l_budget, kind: XK_BUDGET, resume: tb.cache_start });
+        if branches != 0 {
+            let l_stop = b.a.new_label();
+            b.a.lea(RAX, R14, branches as i32);
+            b.a.cmp_r_mem(RAX, RBP, O_STOP_LIMIT);
+            b.a.jcc(cc::A, l_stop);
+            b.outl.push(Outl::Exit { l: l_stop, kind: XK_STOP, resume: tb.cache_start });
+        }
 
         for (addr, inst) in &insts {
             if *addr != tb.cache_start {
-                if let Some(&l) = b.labels.get(addr) {
+                if let Some(l) = b.label_at(*addr) {
                     b.flush();
                     b.a.bind(l);
                 }
@@ -769,8 +839,9 @@ enum Outl {
     Enter { l: Label, target: u64, slot: u64 },
     /// Division-by-zero trap for the `Div` at cache address `ip`.
     Div0 { l: Label, ip: u64 },
-    /// Session budget exhausted; resume at cache address `resume`.
-    Budget { l: Label, resume: u64 },
+    /// End the session with exit `kind` (budget exhausted, or the block
+    /// could cross the stop); resume at cache address `resume`.
+    Exit { l: Label, kind: u64, resume: u64 },
     /// Memory-access slow path: the inline page check failed (straddle,
     /// out of range, or permission), so call the helper that reproduces
     /// the interpreter's full semantics. `pend_*` snapshot the accounting
@@ -790,8 +861,8 @@ struct BlockAsm<'a> {
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
-    range: Range<u64>,
-    labels: HashMap<u64, Label>,
+    /// Local labels by cache address, ascending.
+    labels: Vec<(u64, Label)>,
     pend_insts: u64,
     pend_cycles: u64,
     outl: Vec<Outl>,
@@ -803,6 +874,12 @@ fn rslot(r: Reg) -> i32 {
 }
 
 impl BlockAsm<'_> {
+    /// The local label bound at cache address `addr`, if any.
+    fn label_at(&self, addr: u64) -> Option<Label> {
+        let i = self.labels.binary_search_by_key(&addr, |&(t, _)| t).ok()?;
+        Some(self.labels[i].1)
+    }
+
     fn pend(&mut self, inst: &Inst, taken: bool) {
         self.pend_insts += 1;
         self.pend_cycles += cost(inst, taken);
@@ -873,8 +950,14 @@ impl BlockAsm<'_> {
     /// then the store itself. Page index in `rax`, address in `rcx`,
     /// value in `rdx`.
     fn emit_mem_commit_write(&mut self, wide: bool) {
-        self.a.load(RSI, RBP, O_MEM_DIRTY);
-        self.a.bts_mem_r(RSI, RAX);
+        // Dirty bit: `dirty[page / 64] |= 1 << (page % 64)`.
+        self.a.mov_rr(RSI, RAX);
+        self.a.shift_imm(Shift::Shr, RSI, 6);
+        self.a.shift_imm(Shift::Shl, RSI, 3);
+        self.a.xor_r32(RDI);
+        self.a.bts_rr(RDI, RAX);
+        self.a.load(R8, RBP, O_MEM_DIRTY);
+        self.a.or_mem2_r(R8, RSI, RDI);
         self.a.load(RSI, RBP, O_MEM_GENS);
         self.a.shift_imm(Shift::Shl, RAX, 3);
         self.a.inc_mem2(RSI, RAX, 0);
@@ -909,11 +992,12 @@ impl BlockAsm<'_> {
         });
     }
 
-    /// Leaves `cc.eval(guest flags)` in the host carry flag.
-    fn cond_to_cf(&mut self, cond: Cond) {
+    /// Sets host `NE` exactly when `cond.eval(guest flags)` holds.
+    fn cond_test(&mut self, cond: Cond) {
         self.a.load_flags_al(O_FLAGS);
-        self.a.mov_ri64(RCX, self.cond_tables + 32 * cond.encoding() as u64);
-        self.a.bt_mem_r(RCX, RAX);
+        let table = cond.encoding() as usize * COND_TABLE_STRIDE;
+        self.a.mov_ri64(RCX, self.cond_tables + table as u64);
+        self.a.cmp_mem8_imm2(RCX, RAX, 0);
     }
 
     /// Captures add/sub/cmp/neg-style flags (all six) from the host ALU op
@@ -946,7 +1030,7 @@ impl BlockAsm<'_> {
 
     /// Emits a transfer of control to cache address `target`.
     fn transfer(&mut self, target: u64) {
-        if let Some(&l) = self.labels.get(&target) {
+        if let Some(l) = self.label_at(target) {
             self.a.jmp(l);
         } else if let Some(&Some(host)) = self.blocks.get(&target) {
             self.a.jmp_abs(host);
@@ -993,10 +1077,10 @@ impl BlockAsm<'_> {
                     self.a.bind(l);
                     self.emit_trap_exit(2, ip, 0, ip);
                 }
-                Outl::Budget { l, resume } => {
+                Outl::Exit { l, kind, resume } => {
                     self.a.bind(l);
                     self.store_ctx_imm(O_EXIT_IP, resume);
-                    self.a.store_imm32(RBP, O_EXIT_KIND, XK_BUDGET as i32);
+                    self.a.store_imm32(RBP, O_EXIT_KIND, kind as i32);
                     self.a.jmp_abs(self.epilogue);
                 }
                 Outl::MemSlow { l, done, op, ip, pend_insts, pend_cycles } => {
@@ -1270,10 +1354,10 @@ impl BlockAsm<'_> {
                 self.pend(&inst, false);
             }
             Inst::CMov { cc: cond, dst, src } => {
-                self.cond_to_cf(cond);
+                self.cond_test(cond);
                 self.a.load(RAX, RBP, rslot(src));
                 self.a.load(RDX, RBP, rslot(dst));
-                self.a.cmovcc(cc::B, RDX, RAX);
+                self.a.cmovcc(cc::NE, RDX, RAX);
                 self.a.store(RBP, rslot(dst), RDX);
                 self.pend(&inst, false);
             }
@@ -1339,9 +1423,9 @@ impl BlockAsm<'_> {
             Inst::Jcc { cc: cond, .. } => {
                 let target = inst.direct_target(addr).expect("jcc target");
                 self.flush();
-                self.cond_to_cf(cond);
+                self.cond_test(cond);
                 let l_taken = self.a.new_label();
-                self.a.jcc(cc::B, l_taken);
+                self.a.jcc(cc::NE, l_taken);
                 self.branch_acct(cost(&inst, false), false);
                 self.outl.push(Outl::Taken { l: l_taken, cost: cost(&inst, true), target });
             }
@@ -1380,9 +1464,9 @@ pub fn native_enabled() -> bool {
 /// Translation, chaining decisions, dispatch, SMC handling and all
 /// statistics remain the engine's; this wrapper only swaps the *execution*
 /// of translated cache code from the fused interpreter to compiled host
-/// code. Falls back to [`Dbt::run`] wholesale when the platform lacks RWX
-/// code buffers, `CFED_NO_NATIVE` is set, or a tracer is attached — results
-/// are bit-identical either way.
+/// code. Falls back to the plain engine wholesale when the platform lacks
+/// RWX code buffers, `CFED_NO_NATIVE` is set, or a tracer is attached —
+/// results are bit-identical either way.
 ///
 /// # Examples
 ///
@@ -1403,7 +1487,7 @@ pub fn native_enabled() -> bool {
 /// ```
 pub struct NativeDbt {
     dbt: Dbt,
-    jit: Option<Jit>,
+    jit: Option<Box<Jit>>,
 }
 
 impl NativeDbt {
@@ -1421,8 +1505,19 @@ impl NativeDbt {
         m: &mut Machine,
         native: bool,
     ) -> NativeDbt {
-        let dbt = Dbt::new(instr, style, m);
-        let jit = if native { Jit::new() } else { None };
+        Self::wrap_with(Dbt::new(instr, style, m), native)
+    }
+
+    /// Wraps an engine that has already run, such as one restored from a
+    /// checkpoint together with its machine; native execution is enabled
+    /// when [`native_enabled`] allows it. No translation is redone: blocks
+    /// compile to host code on first use.
+    pub fn wrap(dbt: Dbt) -> NativeDbt {
+        Self::wrap_with(dbt, native_enabled())
+    }
+
+    fn wrap_with(dbt: Dbt, native: bool) -> NativeDbt {
+        let jit = if native { Jit::acquire(&dbt) } else { None };
         NativeDbt { dbt, jit }
     }
 
@@ -1450,27 +1545,56 @@ impl NativeDbt {
     /// Runs until halt, surfaced trap, or `max_insts` retired instructions,
     /// bit-identical to [`Dbt::run`] on the same machine.
     pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> ExitReason {
-        let NativeDbt { dbt, jit } = self;
-        let Some(jit) = jit.as_mut() else {
-            return dbt.run(m, max_insts);
-        };
-        if m.tracer.is_some() {
+        if self.jit.is_none() || m.tracer.is_some() {
             // Tracing wants per-instruction visibility; stay interpreted.
-            return dbt.run(m, max_insts);
+            return self.dbt.run(m, max_insts);
         }
+        let start = m.cpu.stats().insts;
+        loop {
+            let used = m.cpu.stats().insts - start;
+            if used >= max_insts {
+                self.dbt.emit_stats();
+                return ExitReason::StepLimit;
+            }
+            let step = self.burst(m, max_insts - used, u64::MAX);
+            if let Some(end) = self.dbt.run_end(m, step) {
+                return end;
+            }
+        }
+    }
+
+    /// [`Dbt::burst`] on native code: runs at most `max_insts`
+    /// instructions, ending in front of a branch once `stop_at` branches
+    /// have retired (`u64::MAX`: never), with the trap that ends it
+    /// serviced. Driven to the same stop, it leaves the machine, its
+    /// `ExecStats` and output, and the engine's [`DbtStats`](crate::DbtStats)
+    /// exactly as `Dbt::burst` does. A compiled block runs natively only
+    /// when it cannot retire a branch past the stop; the block that could,
+    /// and a budget tail under 4096 instructions, run on the fused
+    /// engine. Like `Dbt::burst` it may return `Continue` before either
+    /// limit, so callers loop. Without native execution, or with a tracer
+    /// attached, this is `Dbt::burst` itself.
+    pub fn burst(&mut self, m: &mut Machine, max_insts: u64, stop_at: u64) -> DbtStep {
+        let NativeDbt { dbt, jit } = self;
+        let Some(jit) = jit.as_mut().filter(|_| m.tracer.is_none()) else {
+            return dbt.burst(m, max_insts, stop_at);
+        };
         jit.sync(dbt, m);
         let start = m.cpu.stats().insts;
         loop {
             let used = m.cpu.stats().insts - start;
             if used >= max_insts {
-                dbt.emit_stats();
-                return ExitReason::StepLimit;
+                return DbtStep::Continue;
+            }
+            let branches = m.cpu.stats().branches;
+            if branches >= stop_at && m.peek_inst().is_ok_and(|inst| inst.is_branch()) {
+                return DbtStep::Continue;
             }
             let remaining = max_insts - used;
             if remaining < NATIVE_MIN_BUDGET {
-                // Interpreted tail: lands the step limit on the exact
-                // instruction boundary Dbt::run would.
-                return dbt.run(m, remaining);
+                // Fused tail: lands the step limit on the exact instruction
+                // boundary Dbt::burst would.
+                return dbt.burst(m, remaining, stop_at);
             }
             let Some(entry) = jit.entry(dbt, m, m.cpu.ip()) else {
                 // Not at a compiled block head (the guest entry before
@@ -1479,13 +1603,13 @@ impl NativeDbt {
                 // one step, bit-identical by the engine contract, and
                 // re-evaluate.
                 let step = dbt.step(m);
-                if let Some(end) = dbt.run_end(m, step) {
-                    return end;
+                if step != DbtStep::Continue {
+                    return step;
                 }
                 jit.sync(dbt, m);
                 continue;
             };
-            jit.enter(m, entry, remaining);
+            jit.enter(m, entry, remaining, stop_at.saturating_sub(branches));
             dbt.stats.dispatches += jit.ctx.d_dispatches;
             dbt.stats.dispatch_ic_hits += jit.ctx.d_ic_hits;
             let step = match jit.ctx.exit_kind {
@@ -1497,6 +1621,14 @@ impl NativeDbt {
                 XK_BUDGET => {
                     m.cpu.set_ip(jit.ctx.exit_ip);
                     DbtStep::Continue
+                }
+                XK_STOP => {
+                    // The fused engine stops on the exact branch.
+                    m.cpu.set_ip(jit.ctx.exit_ip);
+                    let used = m.cpu.stats().insts - start;
+                    let step = dbt.burst(m, max_insts - used, stop_at);
+                    jit.sync(dbt, m);
+                    step
                 }
                 XK_ENTER => {
                     let resume = jit.ctx.resume_ip;
@@ -1529,15 +1661,23 @@ impl NativeDbt {
                             }
                         }
                         jit.chains_shadow = dbt.stats.chains;
-                        jit.resync_ic(dbt, m);
+                        jit.resync_ic(dbt);
                     }
                     step
                 }
                 kind => unreachable!("bad native exit kind {kind}"),
             };
-            if let Some(end) = dbt.run_end(m, step) {
-                return end;
+            if step != DbtStep::Continue {
+                return step;
             }
+        }
+    }
+}
+
+impl Drop for NativeDbt {
+    fn drop(&mut self) {
+        if let Some(jit) = self.jit.take() {
+            jit.release();
         }
     }
 }
@@ -1559,25 +1699,18 @@ mod tests {
 
     #[test]
     fn cond_tables_match_eval() {
-        // The emitted `bt` consults a bitmap; verify it against Cond::eval
-        // for every condition and every possible flags byte.
-        let mut tables = [0u8; 16 * 32];
+        // The emitted `cmp byte [table + flags], 0` reads one byte per
+        // condition and flags byte; verify it against Cond::eval for every
+        // condition and every encoding of every guest flags value.
+        let tables = cond_tables();
+        assert_eq!(tables.len(), 16 * COND_TABLE_STRIDE);
         for cond in Cond::ALL {
-            let base = cond.encoding() as usize * 32;
-            for h in 0..256usize {
-                if cond.eval(flags_from_host(h as u8)) {
-                    tables[base + h / 8] |= 1 << (h % 8);
-                }
-            }
-        }
-        for cond in Cond::ALL {
-            let base = cond.encoding() as usize * 32;
+            let base = cond.encoding() as usize * COND_TABLE_STRIDE;
             for bits in 0..64u8 {
                 let f = Flags::from_bits(bits);
                 for noise in [0u8, 0b10, 0b1000, 0b1010] {
                     let h = (host_flags_byte(f) | noise) as usize;
-                    let bit = tables[base + h / 8] >> (h % 8) & 1;
-                    assert_eq!(bit == 1, cond.eval(f), "{cond:?} flags {bits:#08b}");
+                    assert_eq!(tables[base + h], cond.eval(f) as u8, "{cond:?} flags {bits:#08b}");
                 }
             }
         }
@@ -1611,7 +1744,7 @@ mod tests {
             nd.dbt.set_cache_limit(limit);
         }
         assert!(matches!(nd.run(&mut m, 1_000_000), ExitReason::Halted { .. }));
-        (m.cpu.take_output(), nd.dbt)
+        (m.cpu.take_output(), nd.dbt().clone())
     }
 
     #[test]

@@ -129,20 +129,22 @@ pub struct Label(usize);
 
 #[derive(Debug)]
 enum LabelState {
-    /// Unbound; holds fixups to patch at bind time.
-    Pending(Vec<Fixup>),
+    /// Unbound; heads the chain of its fixups to patch at bind time.
+    Pending(Option<usize>),
     /// Bound at a buffer offset.
     Bound(usize),
 }
 
 /// One displacement field awaiting a label bind. `at` is the offset of the
 /// displacement bytes; `end` is the offset the displacement is relative to
-/// (the end of the branch instruction).
+/// (the end of the branch instruction); `next` chains the same label's
+/// other fixups, so pending labels need no allocation of their own.
 #[derive(Debug, Clone, Copy)]
 struct Fixup {
     at: usize,
     end: usize,
     wide: bool,
+    next: Option<usize>,
 }
 
 /// Builds the little-endian bytes of `jmp rel32` from `site` to `target`
@@ -181,12 +183,18 @@ pub struct Asm {
     base: u64,
     buf: Vec<u8>,
     labels: Vec<LabelState>,
+    fixups: Vec<Fixup>,
 }
 
 impl Asm {
     /// A builder whose bytes will execute at host address `base`.
     pub fn new(base: u64) -> Asm {
-        Asm { base, buf: Vec::with_capacity(256), labels: Vec::new() }
+        Asm::with_capacity(base, 256)
+    }
+
+    /// As [`Asm::new`], with room for `bytes` bytes before the buffer grows.
+    pub fn with_capacity(base: u64, bytes: usize) -> Asm {
+        Asm { base, buf: Vec::with_capacity(bytes), labels: Vec::new(), fixups: Vec::new() }
     }
 
     /// Current offset into the buffer.
@@ -216,7 +224,7 @@ impl Asm {
 
     /// Allocates a fresh unbound label.
     pub fn new_label(&mut self) -> Label {
-        self.labels.push(LabelState::Pending(Vec::new()));
+        self.labels.push(LabelState::Pending(None));
         Label(self.labels.len() - 1)
     }
 
@@ -229,8 +237,10 @@ impl Asm {
     pub fn bind(&mut self, label: Label) {
         let here = self.buf.len();
         let state = std::mem::replace(&mut self.labels[label.0], LabelState::Bound(here));
-        let LabelState::Pending(fixups) = state else { panic!("label bound twice") };
-        for f in fixups {
+        let LabelState::Pending(mut chain) = state else { panic!("label bound twice") };
+        while let Some(i) = chain {
+            let f = self.fixups[i];
+            chain = f.next;
             let rel = here as i64 - f.end as i64;
             if f.wide {
                 let rel = i32::try_from(rel).expect("rel32 fixup out of range");
@@ -246,8 +256,9 @@ impl Asm {
         let at = self.buf.len();
         let end = at + if wide { 4 } else { 1 };
         match &mut self.labels[label.0] {
-            LabelState::Pending(fixups) => {
-                fixups.push(Fixup { at, end, wide });
+            LabelState::Pending(chain) => {
+                self.fixups.push(Fixup { at, end, wide, next: *chain });
+                *chain = Some(self.fixups.len() - 1);
                 self.buf.extend_from_slice(if wide { &[0; 4][..] } else { &[0][..] });
             }
             LabelState::Bound(target) => {
@@ -501,12 +512,20 @@ impl Asm {
         self.buf.push(imm);
     }
 
-    /// `bts qword [base], bit` — sets bit `bit` of the bit string at
-    /// `[base]` (the memory form addresses the containing qword itself).
-    pub fn bts_mem_r(&mut self, base: HostReg, bit: HostReg) {
-        self.rex(true, bit.0, 0, base.0);
+    /// `bts dst, bit` (64-bit register form: sets bit `bit mod 64`). The
+    /// memory form with a register bit offset is microcoded, so bit-string
+    /// updates compute their word's mask here and `or` it in.
+    pub fn bts_rr(&mut self, dst: HostReg, bit: HostReg) {
+        self.rex(true, bit.0, 0, dst.0);
         self.buf.extend_from_slice(&[0x0F, 0xAB]);
-        self.modrm_mem(bit.0, base, 0);
+        self.modrm_reg(bit.0, dst.0);
+    }
+
+    /// `or qword [base + index], src` (scale 1).
+    pub fn or_mem2_r(&mut self, base: HostReg, index: HostReg, src: HostReg) {
+        self.rex(true, src.0, index.0, base.0);
+        self.buf.push(0x09);
+        self.modrm_mem2(src.0, base, index, 0);
     }
 
     /// `inc qword [base + index + disp]`.
@@ -638,11 +657,13 @@ impl Asm {
         self.buf.extend_from_slice(&[0x80, 0xE4, imm]);
     }
 
-    /// `bt [table], bit` — condition lookup in a 256-bit truth table.
-    pub fn bt_mem_r(&mut self, table: HostReg, bit: HostReg) {
-        self.rex(true, bit.0, 0, table.0);
-        self.buf.extend_from_slice(&[0x0F, 0xA3]);
-        self.modrm_mem(bit.0, table, 0);
+    /// `cmp byte [base + index], imm8` — condition lookup in a 256-byte
+    /// truth table (`NE` when the entry is set).
+    pub fn cmp_mem8_imm2(&mut self, base: HostReg, index: HostReg, imm: u8) {
+        self.rex(false, 0, index.0, base.0);
+        self.buf.push(0x80);
+        self.modrm_mem2(7, base, index, 0);
+        self.buf.push(imm);
     }
 
     /// `cmovcc dst, src` (64-bit).
@@ -751,8 +772,9 @@ mod tests {
         check(|a| a.cmp_r_mem(RAX, RBP, 0x10), &[0x48, 0x3B, 0x45, 0x10]);
         // test byte [rsi + rax], imm — per-page permission probe.
         check(|a| a.test_mem8_imm2(RSI, RAX, 2), &[0xF6, 0x04, 0x06, 0x02]);
-        // bts [rsi], rax — dirty-bitmap set (memory form is bit-string).
-        check(|a| a.bts_mem_r(RSI, RAX), &[0x48, 0x0F, 0xAB, 0x06]);
+        // bts rdi, rax; or [r8 + rsi], rdi — dirty-bitmap word update.
+        check(|a| a.bts_rr(RDI, RAX), &[0x48, 0x0F, 0xAB, 0xC7]);
+        check(|a| a.or_mem2_r(R8, RSI, RDI), &[0x49, 0x09, 0x3C, 0x30]);
         // inc qword [rsi + rax (+ disp)] — page-generation bump.
         check(|a| a.inc_mem2(RSI, RAX, 0), &[0x48, 0xFF, 0x04, 0x06]);
         check(|a| a.inc_mem2(RSI, RAX, 0x180), &[0x48, 0xFF, 0x84, 0x06, 0x80, 0x01, 0x00, 0x00]);
@@ -823,8 +845,9 @@ mod tests {
         check(|a| a.store_ah_rbp(0x40), &[0x88, 0x65, 0x40]);
         check(|a| a.load_flags_al(0x80), &[0x0F, 0xB6, 0x85, 0x80, 0, 0, 0]);
         check(|a| a.movzx_ecx_cl(), &[0x0F, 0xB6, 0xC9]);
-        check(|a| a.bt_mem_r(RCX, RAX), &[0x48, 0x0F, 0xA3, 0x01]);
-        check(|a| a.cmovcc(cc::B, RDX, RAX), &[0x48, 0x0F, 0x42, 0xD0]);
+        // cmp byte [rcx + rax], 0 — condition-table lookup.
+        check(|a| a.cmp_mem8_imm2(RCX, RAX, 0), &[0x80, 0x3C, 0x01, 0x00]);
+        check(|a| a.cmovcc(cc::NE, RDX, RAX), &[0x48, 0x0F, 0x45, 0xD0]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, fold_profile, BlockLayout, BranchFault, CacheLayout,
     Category, RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStep};
+use cfed_dbt::{Dbt, DbtStep, NativeDbt};
 use cfed_isa::{Flags, INST_SIZE_U64};
 use cfed_sim::{Machine, Trap};
 use cfed_telemetry::Profile;
@@ -287,6 +287,22 @@ pub fn advance_to_branch(
     fused: bool,
 ) -> Advance {
     debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
+    if fused {
+        advance(m, target, budget, |m, left| dbt.burst(m, left, target))
+    } else {
+        advance(m, target, budget, |m, _| dbt.step(m))
+    }
+}
+
+/// The loop behind [`advance_to_branch`] for any engine: `run(m, left)`
+/// takes one step, or one burst of at most `left` instructions that stops
+/// in front of branch `target`.
+fn advance(
+    m: &mut Machine,
+    target: u64,
+    budget: u64,
+    mut run: impl FnMut(&mut Machine, u64) -> DbtStep,
+) -> Advance {
     loop {
         let insts = m.cpu.stats().insts;
         if insts >= budget {
@@ -295,11 +311,30 @@ pub fn advance_to_branch(
         if m.cpu.stats().branches >= target && m.peek_inst().is_ok_and(|i| i.is_branch()) {
             return Advance::AtBranch;
         }
-        let step = if fused { dbt.burst(m, budget - insts, target) } else { dbt.step(m) };
-        match step {
+        match run(m, budget - insts) {
             DbtStep::Continue => {}
             DbtStep::Halted => return Advance::Halted,
             DbtStep::Exit(t) => return Advance::Trapped(t),
+        }
+    }
+}
+
+/// The engine a trial's suffix runs on.
+enum Suffix {
+    /// The trial's own engine: fused bursts on the fast path, single steps
+    /// from scratch.
+    Dbt(Dbt),
+    /// Native bursts ([`NativeDbt::burst`]): a fast-path trial switches
+    /// here once it misses a checkpoint.
+    Native(NativeDbt),
+}
+
+impl Suffix {
+    /// [`advance_to_branch`] on this engine.
+    fn advance(&mut self, m: &mut Machine, target: u64, budget: u64, fused: bool) -> Advance {
+        match self {
+            Suffix::Dbt(dbt) => advance_to_branch(m, dbt, target, budget, fused),
+            Suffix::Native(nd) => advance(m, target, budget, |m, left| nd.burst(m, left, target)),
         }
     }
 }
@@ -325,9 +360,11 @@ pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
 /// single-step reference engine. With them, the nearest checkpoint
 /// at-or-below the strike branch is restored, reusing its translated code
 /// cache, and the residual prefix and the post-strike suffix run in
-/// block-fused bursts ([`advance_to_branch`]); a set captured under a
-/// different configuration, or holding no usable checkpoint, falls back to
-/// from-scratch. The outcome is bit-identical either way.
+/// block-fused bursts ([`advance_to_branch`]) — the suffix on native code
+/// ([`NativeDbt::burst`]) from the first checkpoint it does not match; a
+/// set captured under a different configuration, or holding no usable
+/// checkpoint, falls back to from-scratch. The outcome is bit-identical
+/// either way.
 ///
 /// Returns `Ok(None)` when the trial is unplaceable: the strike branch is
 /// beyond the program's execution (use [`golden_run`]'s branch count to
@@ -470,7 +507,13 @@ fn run_trial_inner(
     // then provably Benign with exactly the latency the full run would
     // report, so the suffix is skipped. Traced runs never prune: the
     // tracer window must hold the genuinely executed final instructions.
+    //
+    // A trial that reaches a checkpoint without matching it is the long
+    // tail: most never converge and run to the program's end. It finishes
+    // on native code, still stopping at every later checkpoint to compare.
     let mut boundaries = fast.map_or(&[][..], |s| s.after(nth)).iter();
+    let mut suffix = Suffix::Dbt(dbt);
+    let mut insts_at_native = None;
     let end = match faulted_step {
         _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
         DbtStep::Halted => Advance::Halted,
@@ -480,9 +523,18 @@ fn run_trial_inner(
             // retired-branch counters differ).
             let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
             let target = next.map_or(u64::MAX, |s| s.branch_index);
-            match advance_to_branch(&mut m, &mut dbt, target, budget, fused) {
+            match suffix.advance(&mut m, target, budget, fused) {
                 Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
                     break Advance::AtBranch
+                }
+                Advance::AtBranch if fused => {
+                    if let Suffix::Dbt(dbt) = suffix {
+                        let nd = NativeDbt::wrap(dbt);
+                        if nd.is_native() {
+                            insts_at_native = Some(m.cpu.stats().insts);
+                        }
+                        suffix = Suffix::Native(nd);
+                    }
                 }
                 Advance::AtBranch => {}
                 end => break end,
@@ -504,7 +556,8 @@ fn run_trial_inner(
     };
     if let Some(s) = fast {
         let insts = m.cpu.stats().insts - insts_at_start;
-        s.note_insts(insts - faulted_insts, faulted_insts);
+        let native = insts_at_native.map_or(0, |at| m.cpu.stats().insts - at);
+        s.note_insts(insts - faulted_insts - native, faulted_insts, native);
     }
 
     let result = InjectionResult {

@@ -61,6 +61,7 @@ pub struct SnapshotSet {
     pruned: Counter,
     insts_fused: Counter,
     insts_stepped: Counter,
+    insts_native: Counter,
 }
 
 impl std::fmt::Debug for SnapshotSet {
@@ -153,10 +154,11 @@ impl SnapshotSet {
     }
 
     /// Records a trial's instructions: `fused` retired in block-fused
-    /// bursts, `stepped` single-stepped.
-    pub(crate) fn note_insts(&self, fused: u64, stepped: u64) {
+    /// bursts, `stepped` single-stepped, `native` on the native engine.
+    pub(crate) fn note_insts(&self, fused: u64, stepped: u64, native: u64) {
         self.insts_fused.add(fused);
         self.insts_stepped.add(stepped);
+        self.insts_native.add(native);
     }
 
     /// A point-in-time copy of the set's shape and usage counters.
@@ -172,6 +174,7 @@ impl SnapshotSet {
             benign_pruned: self.pruned.get(),
             insts_fused: self.insts_fused.get(),
             insts_stepped: self.insts_stepped.get(),
+            insts_native: self.insts_native.get(),
         }
     }
 }
@@ -204,6 +207,10 @@ pub struct SnapshotStats {
     /// Trial instructions single-stepped: the faulted instruction, so at
     /// most one per trial, since bursts stop in front of the strike branch.
     pub insts_stepped: u64,
+    /// Trial instructions retired after the suffix switched to native code
+    /// ([`cfed_dbt::NativeDbt::burst`]); 0 where native execution is off
+    /// (`CFED_NO_NATIVE=1`, hosts other than x86-64 Linux).
+    pub insts_native: u64,
 }
 
 impl SnapshotStats {
@@ -219,6 +226,7 @@ impl SnapshotStats {
         self.benign_pruned += other.benign_pruned;
         self.insts_fused += other.insts_fused;
         self.insts_stepped += other.insts_stepped;
+        self.insts_native += other.insts_native;
     }
 }
 
@@ -294,6 +302,7 @@ impl SnapshotBuilder {
             pruned: Counter::new(),
             insts_fused: Counter::new(),
             insts_stepped: Counter::new(),
+            insts_native: Counter::new(),
         }
     }
 }
@@ -388,6 +397,7 @@ mod tests {
             benign_pruned: 2,
             insts_fused: 90,
             insts_stepped: 9,
+            insts_native: 40,
         };
         let mut b = a;
         b.absorb(&a);
@@ -398,5 +408,6 @@ mod tests {
         assert_eq!(b.benign_pruned, 4);
         assert_eq!(b.insts_fused, 180);
         assert_eq!(b.insts_stepped, 18);
+        assert_eq!(b.insts_native, 80);
     }
 }

@@ -587,6 +587,7 @@ pub fn run_matrix(
             .u64("benign_pruned", perf.snapshots.benign_pruned)
             .u64("insts_fused", perf.snapshots.insts_fused)
             .u64("insts_stepped", perf.snapshots.insts_stepped)
+            .u64("insts_native", perf.snapshots.insts_native)
     });
 
     let cells = phase

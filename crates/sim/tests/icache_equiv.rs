@@ -9,71 +9,16 @@
 //! encodings) interleaved with random code-page writes through all three
 //! paths and demand exact agreement.
 
-use cfed_isa::{AluOp, Cond, Inst, Reg, INST_SIZE_U64};
+mod programs;
+
+use cfed_isa::{Reg, INST_SIZE_U64};
 use cfed_sim::{Cpu, DecodedCache, Memory, Perms, Step, Trap, PAGE_SIZE};
+use programs::{arb_loop, arb_word};
 use proptest::prelude::*;
 
 const CODE_PAGES: u64 = 2;
 const DATA_BASE: u64 = CODE_PAGES * PAGE_SIZE;
 const MEM_SIZE: u64 = 4 * PAGE_SIZE;
-
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0usize..Reg::COUNT).prop_map(|i| Reg::all().nth(i).expect("in range"))
-}
-
-fn arb_cond() -> impl Strategy<Value = Cond> {
-    (0usize..4).prop_map(|i| [Cond::E, Cond::Ne, Cond::L, Cond::Ae][i])
-}
-
-fn arb_alu_op() -> impl Strategy<Value = AluOp> {
-    (0usize..6)
-        .prop_map(|i| [AluOp::Add, AluOp::Sub, AluOp::Xor, AluOp::Cmp, AluOp::Mul, AluOp::And][i])
-}
-
-/// A word of guest code: valid instructions (short loops, stores into the
-/// code region, ALU traffic), with an occasional arm of raw bytes that may
-/// not decode at all.
-/// Branch offsets stay aligned and small so loops actually form.
-fn arb_joff() -> impl Strategy<Value = i32> {
-    (-24i32..24).prop_map(|w| w * 8)
-}
-
-fn arb_word() -> impl Strategy<Value = [u8; 8]> {
-    let inst = prop_oneof![
-        Just(Inst::Nop),
-        Just(Inst::Halt),
-        (arb_reg(), -100i32..100).prop_map(|(dst, imm)| Inst::MovRI { dst, imm }),
-        (arb_alu_op(), arb_reg(), 1i32..50).prop_map(|(op, dst, imm)| Inst::AluI { op, dst, imm }),
-        (arb_alu_op(), arb_reg(), arb_reg()).prop_map(|(op, dst, src)| Inst::Alu { op, dst, src }),
-        (arb_cond(), arb_joff()).prop_map(|(cc, offset)| Inst::Jcc { cc, offset }),
-        (arb_reg(), arb_joff()).prop_map(|(src, offset)| Inst::JRnz { src, offset }),
-        // Stores through R1 land in the code pages (self-modifying code);
-        // through R2 in the data page.
-        (arb_reg(), 0i32..64).prop_map(|(src, disp)| Inst::St {
-            base: Reg::R1,
-            src,
-            disp: disp * 8
-        }),
-        (arb_reg(), 0i32..256).prop_map(|(src, disp)| Inst::St8 { base: Reg::R2, src, disp }),
-        (arb_reg(), 0i32..64).prop_map(|(dst, disp)| Inst::Ld {
-            dst,
-            base: Reg::R2,
-            disp: disp * 8
-        }),
-        arb_reg().prop_map(|src| Inst::Out { src }),
-        arb_reg().prop_map(|src| Inst::Push { src }),
-        arb_reg().prop_map(|dst| Inst::Pop { dst }),
-    ];
-    (inst, any::<u64>(), 0usize..8).prop_map(|(inst, raw, sel)| {
-        // One word in eight is raw bytes (usually an invalid encoding), so
-        // the InvalidInst path gets the same equivalence scrutiny.
-        if sel == 0 {
-            raw.to_le_bytes()
-        } else {
-            inst.encode()
-        }
-    })
-}
 
 /// One external event: run up to `steps` instructions — stopping early in
 /// front of a branch once `stop` more branches have retired, when set (`0`:
@@ -95,37 +40,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ];
     let stop = prop_oneof![Just(None), (0u64..6).prop_map(Some)];
     (0u64..40, stop, write).prop_map(|(steps, stop, write)| Op { steps, stop, write })
-}
-
-/// A guaranteed loop: `r3 = n; body: <straight-line code>; r3 -= 1;
-/// jrnz r3, body; halt`. The body may hold forward `jcc`s that skip one
-/// instruction, so an iteration retires one or more branches. From the
-/// second iteration on every branch line is already decoded, so a burst
-/// stopped in front of one meets it on the decode cache's hit path, which
-/// random programs (that mostly halt or trap early) seldom reach.
-fn arb_loop() -> impl Strategy<Value = Vec<[u8; 8]>> {
-    // The counter (r3), the data base (r2) and the stack pointer stay out
-    // of reach of the body's writes.
-    let dst = || (0usize..4).prop_map(|i| [Reg::R0, Reg::R4, Reg::R5, Reg::R6][i]);
-    let body_inst = prop_oneof![
-        Just(Inst::Nop),
-        (dst(), -100i32..100).prop_map(|(dst, imm)| Inst::MovRI { dst, imm }),
-        (arb_alu_op(), dst(), 1i32..50).prop_map(|(op, dst, imm)| Inst::AluI { op, dst, imm }),
-        (arb_alu_op(), dst(), arb_reg()).prop_map(|(op, dst, src)| Inst::Alu { op, dst, src }),
-        arb_cond().prop_map(|cc| Inst::Jcc { cc, offset: 8 }),
-        (arb_reg(), 0i32..256).prop_map(|(src, disp)| Inst::St8 { base: Reg::R2, src, disp }),
-        (dst(), 0i32..64).prop_map(|(dst, disp)| Inst::Ld { dst, base: Reg::R2, disp: disp * 8 }),
-        arb_reg().prop_map(|src| Inst::Out { src }),
-    ];
-    (2i32..12, prop::collection::vec(body_inst, 0..8)).prop_map(|(n, body)| {
-        let back = -8 * (body.len() as i32 + 2);
-        let mut prog = vec![Inst::MovRI { dst: Reg::R3, imm: n }];
-        prog.extend(body);
-        prog.push(Inst::AluI { op: AluOp::Sub, dst: Reg::R3, imm: 1 });
-        prog.push(Inst::JRnz { src: Reg::R3, offset: back });
-        prog.push(Inst::Halt);
-        prog.iter().map(Inst::encode).collect()
-    })
 }
 
 fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
