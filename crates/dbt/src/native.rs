@@ -733,7 +733,9 @@ impl Jit {
         // block only runs forward or back to its head, so one pass retires
         // each branch and each chained direct exit at most once.
         let range = tb.cache_range();
-        let mut targets = Vec::new();
+        let base = self.buf.cursor_addr();
+        let mut a = Asm::new(base);
+        let mut labels = HashMap::new();
         let mut branches = 0u64;
         for (addr, inst) in &insts {
             match inst {
@@ -746,7 +748,7 @@ impl Jit {
                         if t <= *addr && t != tb.cache_start {
                             return Err(CompileBail::Unsupported);
                         }
-                        targets.push(t);
+                        labels.entry(t).or_insert_with(|| a.new_label());
                     }
                 }
                 Inst::Trap { code } => {
@@ -756,13 +758,7 @@ impl Jit {
                 _ => {}
             }
         }
-        targets.sort_unstable();
-        targets.dedup();
 
-        // About 80 host bytes per cache instruction, outlined paths included.
-        let base = self.buf.cursor_addr();
-        let mut a = Asm::with_capacity(base, insts.len() * 96 + 64);
-        let labels = targets.into_iter().map(|t| (t, a.new_label())).collect();
         let mut b = BlockAsm {
             a,
             dbt,
@@ -861,8 +857,8 @@ struct BlockAsm<'a> {
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
-    /// Local labels by cache address, ascending.
-    labels: Vec<(u64, Label)>,
+    /// Local labels by cache address.
+    labels: HashMap<u64, Label>,
     pend_insts: u64,
     pend_cycles: u64,
     outl: Vec<Outl>,
@@ -876,8 +872,7 @@ fn rslot(r: Reg) -> i32 {
 impl BlockAsm<'_> {
     /// The local label bound at cache address `addr`, if any.
     fn label_at(&self, addr: u64) -> Option<Label> {
-        let i = self.labels.binary_search_by_key(&addr, |&(t, _)| t).ok()?;
-        Some(self.labels[i].1)
+        self.labels.get(&addr).copied()
     }
 
     fn pend(&mut self, inst: &Inst, taken: bool) {

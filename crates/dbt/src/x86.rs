@@ -129,22 +129,20 @@ pub struct Label(usize);
 
 #[derive(Debug)]
 enum LabelState {
-    /// Unbound; heads the chain of its fixups to patch at bind time.
-    Pending(Option<usize>),
+    /// Unbound; holds fixups to patch at bind time.
+    Pending(Vec<Fixup>),
     /// Bound at a buffer offset.
     Bound(usize),
 }
 
 /// One displacement field awaiting a label bind. `at` is the offset of the
 /// displacement bytes; `end` is the offset the displacement is relative to
-/// (the end of the branch instruction); `next` chains the same label's
-/// other fixups, so pending labels need no allocation of their own.
+/// (the end of the branch instruction).
 #[derive(Debug, Clone, Copy)]
 struct Fixup {
     at: usize,
     end: usize,
     wide: bool,
-    next: Option<usize>,
 }
 
 /// Builds the little-endian bytes of `jmp rel32` from `site` to `target`
@@ -183,18 +181,12 @@ pub struct Asm {
     base: u64,
     buf: Vec<u8>,
     labels: Vec<LabelState>,
-    fixups: Vec<Fixup>,
 }
 
 impl Asm {
     /// A builder whose bytes will execute at host address `base`.
     pub fn new(base: u64) -> Asm {
-        Asm::with_capacity(base, 256)
-    }
-
-    /// As [`Asm::new`], with room for `bytes` bytes before the buffer grows.
-    pub fn with_capacity(base: u64, bytes: usize) -> Asm {
-        Asm { base, buf: Vec::with_capacity(bytes), labels: Vec::new(), fixups: Vec::new() }
+        Asm { base, buf: Vec::with_capacity(256), labels: Vec::new() }
     }
 
     /// Current offset into the buffer.
@@ -224,7 +216,7 @@ impl Asm {
 
     /// Allocates a fresh unbound label.
     pub fn new_label(&mut self) -> Label {
-        self.labels.push(LabelState::Pending(None));
+        self.labels.push(LabelState::Pending(Vec::new()));
         Label(self.labels.len() - 1)
     }
 
@@ -237,10 +229,8 @@ impl Asm {
     pub fn bind(&mut self, label: Label) {
         let here = self.buf.len();
         let state = std::mem::replace(&mut self.labels[label.0], LabelState::Bound(here));
-        let LabelState::Pending(mut chain) = state else { panic!("label bound twice") };
-        while let Some(i) = chain {
-            let f = self.fixups[i];
-            chain = f.next;
+        let LabelState::Pending(fixups) = state else { panic!("label bound twice") };
+        for f in fixups {
             let rel = here as i64 - f.end as i64;
             if f.wide {
                 let rel = i32::try_from(rel).expect("rel32 fixup out of range");
@@ -256,9 +246,8 @@ impl Asm {
         let at = self.buf.len();
         let end = at + if wide { 4 } else { 1 };
         match &mut self.labels[label.0] {
-            LabelState::Pending(chain) => {
-                self.fixups.push(Fixup { at, end, wide, next: *chain });
-                *chain = Some(self.fixups.len() - 1);
+            LabelState::Pending(fixups) => {
+                fixups.push(Fixup { at, end, wide });
                 self.buf.extend_from_slice(if wide { &[0; 4][..] } else { &[0][..] });
             }
             LabelState::Bound(target) => {

@@ -9,7 +9,10 @@
 //! engine, as a fault-injection trial wraps the engine it restored from a
 //! checkpoint: exits chained before the wrap compile to jumps inside native
 //! code, among them a loop block's jump back to its own head, which must
-//! re-check the stop on every iteration.
+//! re-check the stop on every iteration. Loops that call a leaf pass the
+//! same calls, returns and indirect jumps on every iteration, so native
+//! code enters block heads from inline-cache hits and fills the cache
+//! between stops.
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
@@ -19,7 +22,7 @@ mod programs;
 use cfed_dbt::{Dbt, DbtStats, DbtStep, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::Reg;
 use cfed_sim::{Cpu, Machine, Trap, PAGE_SIZE};
-use programs::{arb_loop, arb_word};
+use programs::{arb_calls, arb_loop, arb_word};
 use proptest::prelude::*;
 
 /// How a segment ended.
@@ -151,10 +154,13 @@ proptest! {
     }
 
     /// Guaranteed loops: stops land on branches met again on later
-    /// iterations, inside blocks that loop back to their own head.
+    /// iterations, inside blocks that loop back to their own head. Half
+    /// the loops call a leaf directly and through a register, so stops
+    /// also land in front of calls, returns and indirect jumps, and native
+    /// code enters block heads from its inline cache.
     #[test]
     fn native_loop_bursts_stop_where_fused_bursts_do(
-        words in arb_loop(),
+        words in prop_oneof![arb_loop(), arb_calls()],
         warm in 0u64..40,
         segs in prop::collection::vec(arb_seg(), 1..16),
     ) {

@@ -13,7 +13,7 @@ mod programs;
 
 use cfed_isa::{Reg, INST_SIZE_U64};
 use cfed_sim::{Cpu, DecodedCache, Memory, Perms, Step, Trap, PAGE_SIZE};
-use programs::{arb_loop, arb_word};
+use programs::{arb_calls, arb_loop, arb_word};
 use proptest::prelude::*;
 
 const CODE_PAGES: u64 = 2;
@@ -170,10 +170,11 @@ proptest! {
     /// few branches on: most stops land on branch lines decoded by an
     /// earlier iteration, so the stop rule is exercised on the decode
     /// cache's hit path, not only where a branch is decoded for the first
-    /// time.
+    /// time. Half the loops call a leaf, so stops also land in front of
+    /// calls, returns and indirect jumps.
     #[test]
     fn loop_bursts_stop_at_warm_branches_like_steps(
-        words in arb_loop(),
+        words in prop_oneof![arb_loop(), arb_calls()],
         ops in prop::collection::vec((1u64..120, 0u64..4), 1..24),
     ) {
         let ops: Vec<Op> = ops
