@@ -307,7 +307,7 @@ impl ExhaustiveSweep {
 }
 
 /// Aggregated campaign results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignReport {
     /// Golden reference of the fault-free run.
     pub golden: Golden,

@@ -109,9 +109,9 @@ impl RunnerOptions {
 /// shared atomic counter, so scheduling is dynamic, but results are placed
 /// by index — callers observe a deterministic, order-independent `Vec`.
 ///
-/// This is the shared harness the `fig*` reproduction binaries use to fan
-/// per-workload analyses out across cores while keeping their printed
-/// figures byte-identical to a serial run.
+/// This is the shared harness the `figures` binary uses to fan per-workload
+/// runs out across cores while keeping its figures byte-identical to a
+/// serial run (the fuzzer fans its cases out the same way).
 ///
 /// # Panics
 ///

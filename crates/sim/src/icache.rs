@@ -291,20 +291,6 @@ impl DecodedCache {
         let line = page.lines[((addr % PAGE_SIZE) / INST_SIZE_U64) as usize];
         (line.class != CLASS_EMPTY).then_some(line.inst)
     }
-
-    /// Number of currently valid decoded lines in the page containing
-    /// `addr`: zero when the page was never executed or has been
-    /// invalidated by a write (generation mismatch). Test/diagnostic
-    /// helper.
-    pub fn valid_lines(&self, mem: &Memory, addr: u64) -> usize {
-        let pi = (addr / PAGE_SIZE) as usize;
-        match self.pages.get(pi).and_then(Option::as_ref) {
-            Some(page) if page.gen == mem.page_gen(pi) => {
-                page.lines.iter().filter(|l| l.class != CLASS_EMPTY).count()
-            }
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -456,17 +442,17 @@ mod tests {
         // Warm one line in each of the two pages.
         cache.fetch(&mem, 0).unwrap();
         cache.fetch(&mem, PAGE_SIZE).unwrap();
-        assert_eq!(cache.valid_lines(&mem, 0), 1);
-        assert_eq!(cache.valid_lines(&mem, PAGE_SIZE), 1);
+        assert_eq!(cache.peek(&mem, 0), Some(Inst::Nop));
+        assert_eq!(cache.peek(&mem, PAGE_SIZE), Some(Inst::Nop));
         // A write to the first (executable) page invalidates its lines and
         // only its lines.
         mem.write_u64(16, 0).unwrap();
-        assert_eq!(cache.valid_lines(&mem, 0), 0, "written page must drop");
-        assert_eq!(cache.valid_lines(&mem, PAGE_SIZE), 1, "other page must survive");
+        assert_eq!(cache.peek(&mem, 0), None, "written page must drop");
+        assert_eq!(cache.peek(&mem, PAGE_SIZE), Some(Inst::Nop), "other page must survive");
         // Re-fetch decodes the new contents and counts one invalidation.
         cache.fetch(&mem, 0).unwrap();
         assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.valid_lines(&mem, 0), 1);
+        assert_eq!(cache.peek(&mem, 0), Some(Inst::Nop));
     }
 
     #[test]
