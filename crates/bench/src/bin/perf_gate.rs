@@ -14,8 +14,9 @@
 //!   (guest MIPS each way, plus the cache's hit/miss/invalidation counters);
 //! * where the host supports it, the DBT's x86-64 native backend against
 //!   the decoded interpreter;
-//! * the §2 error model (`analyze_image`, which runs branch to branch)
-//!   against the decoded interpreter;
+//! * the §2 error model (`analyze_image`: one fused run tallying branches,
+//!   then one classification per distinct branch key) against the decoded
+//!   interpreter;
 //! * the MiniC compiler on the 26 `Scale::Full` images (compiled VISA
 //!   instructions per second) against the decoded interpreter's guest
 //!   instructions per second;
@@ -31,7 +32,7 @@
 //!
 //! * the profiler-off dispatch costs ≥1% throughput;
 //! * native is below 2.00x the decoded interpreter;
-//! * the error model is below 0.35x the decoded interpreter;
+//! * the error model is below 0.50x the decoded interpreter;
 //! * the compiler is below 0.043x the decoded interpreter;
 //! * with `--baseline PATH`, the snapshot, interp or native speedup is more
 //!   than 25% below the committed record's.
@@ -86,12 +87,15 @@ const PROFILER_OFF_PAIRS: usize = 201;
 const NATIVE_MIN_RATIO_MILLI: u64 = 2000;
 
 /// Hard floor on error-model-over-decoded-interpreter guest throughput, in
-/// milli-ratio units. The error model bursts to each branch on the decoded
-/// interpreter and single-steps only the branch: on the bench workloads
-/// (a branch every 9–12 instructions) it measured 0.44–0.62x over six
-/// runs on a 2-vCPU x86-64 host, against 0.22x for decoding and stepping
-/// every instruction. The floor sits halfway.
-const ERROR_MODEL_MIN_RATIO_MILLI: u64 = 350;
+/// milli-ratio units. The error model makes one fused run on the decoded
+/// interpreter, counting each branch execution in a hash table, and then
+/// classifies each distinct branch key once: on the bench workloads (a
+/// branch every 9–12 instructions) it measured 0.68–0.71x over five runs
+/// on a 2-vCPU x86-64 host. Bursting to each branch and single-stepping
+/// it measured 0.44–0.62x, and decoding and stepping every instruction
+/// 0.22x. The floor sits about a quarter under the lowest one-pass
+/// reading.
+const ERROR_MODEL_MIN_RATIO_MILLI: u64 = 500;
 
 /// Hard floor on compiled instructions per second over the decoded
 /// interpreter's guest instructions per second, in milli-ratio units. The
@@ -842,7 +846,7 @@ mod tests {
         assert!(matches!(floor_gate("x", ratio_of(floor - 1), floor), Verdict::Fail(_)));
         assert!(matches!(floor_gate("x", None, floor), Verdict::Skip(_)));
         assert_eq!(NATIVE_MIN_RATIO_MILLI, 2000);
-        assert_eq!(ERROR_MODEL_MIN_RATIO_MILLI, 350);
+        assert_eq!(ERROR_MODEL_MIN_RATIO_MILLI, 500);
         assert_eq!(COMPILE_MIN_RATIO_MILLI, 43);
     }
 

@@ -7,9 +7,9 @@
 //!
 //! | paper artifact | table method | `figures` writes | engine |
 //! |---|---|---|---|
-//! | Figure 2 (error-model table) | [`FigureRuns::fig2`] | `fig2.txt` | decoded interpreter, branch to branch |
+//! | Figure 2 (error-model table) | [`FigureRuns::fig2`] | `fig2.txt` | decoded interpreter, one pass tallying branches |
 //! | Figure 3 (SDC-prone categories) | [`FigureRuns::fig2`] (derived) | `fig2.txt` | as Figure 2 |
-//! | Figure 12 (per-benchmark slowdown) | [`FigureRuns::fig12`] | `fig12.txt` | native DBT; decoded interpreter for DBT/native |
+//! | Figure 12 (per-benchmark slowdown) | [`FigureRuns::fig12`] | `fig12.txt` | native DBT; Figure 2's interpreter pass for DBT/native |
 //! | Figure 14 (Jcc vs CMOVcc) | [`FigureRuns::fig14`] | `fig14.txt` | native DBT |
 //! | Figure 15 (checking policies) | [`FigureRuns::fig15`] | `fig15.txt` | native DBT |
 //!
@@ -24,10 +24,11 @@
 //! `cfed-serve`). The `perf_gate` binary writes and gates
 //! `BENCH_campaign.json`, the CI performance record.
 
-use cfed_core::{geomean, run_dbt_telemetry, run_native, RunConfig, TechniqueKind};
+use cfed_core::{geomean, run_dbt_telemetry, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_fault::{analyze_image, ErrorModelTable};
+use cfed_fault::{analyze_image, ErrorModelReport, ErrorModelTable};
 use cfed_runner::pool::parallel_map;
+use cfed_sim::ExitReason;
 use cfed_telemetry::Telemetry;
 use cfed_workloads::{Scale, Suite, ALL};
 
@@ -84,7 +85,7 @@ impl Figure {
 }
 
 /// One workload's row of a [`FigureRuns`] table. It holds numbers only,
-/// never a machine or a run outcome, so a table costs no more memory than
+/// never a machine or a run's output, so a table costs no more memory than
 /// the figures it renders.
 #[derive(Debug, Clone)]
 pub struct WorkloadRuns {
@@ -92,11 +93,10 @@ pub struct WorkloadRuns {
     pub name: &'static str,
     /// Suite membership.
     pub suite: Suite,
-    /// The §2 error-model table, when Figure 2 was requested.
-    pub error_model: Option<ErrorModelTable>,
-    /// Cycles of the uninstrumented interpreter run ([`run_native`]), when
-    /// Figure 12 was requested.
-    pub native_cycles: Option<u64>,
+    /// The one interpreter pass ([`analyze_image`]), when Figure 2 or 12
+    /// was requested: Figure 2's error-model table and, in its statistics,
+    /// Figure 12's uninstrumented cycles.
+    pub interp: Option<ErrorModelReport>,
     /// Cycles of each distinct DBT configuration the requested figures
     /// read, in first-use order.
     pub dbt_cycles: Vec<(RunConfig, u64)>,
@@ -124,10 +124,16 @@ pub struct FigureRuns {
 impl FigureRuns {
     /// Builds the table for `figures`, one workload per pool task over
     /// `threads` worker threads (`0` = all cores). A task compiles its image
-    /// once, runs the error model for Figure 2 and the interpreter for
-    /// Figure 12, then each distinct DBT configuration once through
-    /// [`run_dbt_telemetry`] (each run emits `dbt_stats` to `telemetry`).
-    /// Figures are computed in workload order: byte-identical to a serial run.
+    /// once, makes one interpreter pass for Figures 2 and 12, then runs each
+    /// distinct DBT configuration once through [`run_dbt_telemetry`] (each
+    /// run emits `dbt_stats` to `telemetry`). Figures are computed in
+    /// workload order: byte-identical to a serial run.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the workload, when an image fails to compile or a
+    /// run the table keeps does not end in a halt: a capped run would
+    /// leave a figure reading a prefix.
     pub fn build(
         scale: Scale,
         threads: usize,
@@ -145,16 +151,22 @@ impl FigureRuns {
             let w = &ALL[i];
             let img =
                 w.image(scale).unwrap_or_else(|e| panic!("{} failed to compile: {e}", w.name));
-            WorkloadRuns {
-                name: w.name,
-                suite: w.suite,
-                error_model: wants(Figure::Fig2).then(|| analyze_image(&img, 500_000_000).table),
-                native_cycles: wants(Figure::Fig12).then(|| run_native(&img, u64::MAX).cycles),
-                dbt_cycles: configs
-                    .iter()
-                    .map(|cfg| (*cfg, run_dbt_telemetry(&img, cfg, telemetry).cycles))
-                    .collect(),
-            }
+            let halted = |run: String, exit: ExitReason| {
+                let ok = matches!(exit, ExitReason::Halted { .. });
+                assert!(ok, "{}: the {run} run ended {exit:?}, not in a halt", w.name);
+            };
+            let interp = (wants(Figure::Fig2) || wants(Figure::Fig12))
+                .then(|| analyze_image(&img, 500_000_000))
+                .inspect(|r| halted("interpreter".into(), r.exit));
+            let dbt_cycles = configs
+                .iter()
+                .map(|cfg| {
+                    let run = run_dbt_telemetry(&img, cfg, telemetry);
+                    halted(format!("{cfg:?}"), run.exit);
+                    (*cfg, run.cycles)
+                })
+                .collect();
+            WorkloadRuns { name: w.name, suite: w.suite, interp, dbt_cycles }
         });
         FigureRuns { workloads }
     }
@@ -179,7 +191,7 @@ impl FigureRuns {
     pub fn fig2(&self) -> Fig2 {
         let mut fig = Fig2 { int: ErrorModelTable::default(), fp: ErrorModelTable::default() };
         for w in &self.workloads {
-            let table = w.error_model.as_ref().expect("table built without Figure 2");
+            let table = &w.interp.as_ref().expect("table built without Figure 2").table;
             match w.suite {
                 Suite::Int => fig.int.merge(table),
                 Suite::Fp => fig.fp.merge(table),
@@ -194,7 +206,7 @@ impl FigureRuns {
         self.workloads
             .iter()
             .map(|w| {
-                let native = w.native_cycles.expect("table built without Figure 12");
+                let native = w.interp.as_ref().expect("table built without Figure 12").stats.cycles;
                 let slowdown = |kind| w.slowdown(&RunConfig::technique(kind));
                 SlowdownRow {
                     name: w.name,
@@ -305,7 +317,7 @@ pub struct SlowdownRow {
 }
 
 /// Figure 12 data: [`FigureRuns::fig12`] of a table built for Figure 12
-/// alone (one compile, one interpreter run and four DBT runs per
+/// alone (one compile, one interpreter pass and four DBT runs per
 /// workload), with every DBT run attached to `telemetry`. The disabled
 /// handle costs one untaken branch per emit site, which is what the `< 3%`
 /// telemetry overhead bound on this figure is measured against.

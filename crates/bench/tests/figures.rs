@@ -37,13 +37,19 @@ fn all_figures_run_ten_distinct_configs_per_workload() {
         for (i, (cfg, _)) in w.dbt_cycles.iter().enumerate() {
             assert!(!w.dbt_cycles[..i].iter().any(|(c, _)| c == cfg), "{}: {cfg:?} twice", w.name);
         }
-        assert!(w.error_model.is_some() && w.native_cycles.is_some(), "{}", w.name);
+        assert!(w.interp.is_some(), "{}", w.name);
     }
     // A table for one figure runs only that figure's work: Figure 12 alone
-    // is one interpreter run and four DBT runs, with no error model.
+    // is one interpreter pass and four DBT runs, Figure 14 alone runs no
+    // interpreter pass.
     let fig12 = FigureRuns::build(Scale::Test, 2, &Telemetry::off(), &[Figure::Fig12]);
     for w in fig12.workloads() {
         assert_eq!(w.dbt_cycles.len(), 4, "{}", w.name);
-        assert!(w.error_model.is_none() && w.native_cycles.is_some(), "{}", w.name);
+        assert!(w.interp.is_some(), "{}", w.name);
+    }
+    let fig14 = FigureRuns::build(Scale::Test, 2, &Telemetry::off(), &[Figure::Fig14]);
+    for w in fig14.workloads() {
+        assert_eq!(w.dbt_cycles.len(), 7, "{}", w.name);
+        assert!(w.interp.is_none(), "{}", w.name);
     }
 }

@@ -14,9 +14,8 @@
 use cfed_asm::Image;
 use cfed_core::cfg::Cfg;
 use cfed_core::{classify_addr_fault, classify_flag_fault, BranchFault, Category};
-use cfed_isa::{Flags, INST_SIZE_U64, OFFSET_BITS};
-use cfed_sim::{Cpu, ExitReason, Machine, Step};
-use std::collections::HashMap;
+use cfed_isa::{Cond, Flags, Inst, INST_SIZE_U64, OFFSET_BITS};
+use cfed_sim::{ExecProfiler, ExecStats, ExitReason, Machine};
 
 /// Which half of the fault surface a bit belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,6 +155,8 @@ pub struct ErrorModelReport {
     pub table: ErrorModelTable,
     /// How the analyzed run ended.
     pub exit: ExitReason,
+    /// The analyzed run's statistics: those of a plain [`Machine::run`].
+    pub stats: ExecStats,
     /// Dynamic direct-branch executions analyzed.
     pub branches_analyzed: u64,
     /// Dynamic indirect-branch executions skipped (paper's simplification).
@@ -165,11 +166,11 @@ pub struct ErrorModelReport {
 /// Runs `image` natively, applying the single-bit error model at every
 /// dynamic direct-branch execution.
 ///
-/// The run goes branch to branch: a fused burst on the decoded interpreter
-/// ([`Machine::run_burst`], stopping in front of the next branch) retires
-/// the straight-line code up to it, and the branch is then analyzed and
-/// single-stepped. The report is
-/// the same as stepping and inspecting every instruction.
+/// The run is one plain fused run on the decoded interpreter that counts
+/// branch executions into a [`BranchTally`](cfed_sim::BranchTally), so it
+/// ends as [`Machine::run`] does. Each distinct tally key is then
+/// classified once and its rows are added as many times as it executed.
+/// The report is the same as stepping and inspecting every instruction.
 ///
 /// # Examples
 ///
@@ -186,45 +187,28 @@ pub struct ErrorModelReport {
 pub fn analyze_image(image: &Image, max_insts: u64) -> ErrorModelReport {
     let cfg = Cfg::recover(image);
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+    m.profiler = Some(Box::new(ExecProfiler::branches_only()));
+    let exit = m.run(max_insts);
+    let tally = m.take_profiler().and_then(|p| p.into_branches()).expect("tally attached");
     let mut table = ErrorModelTable::default();
-    let mut memo = SiteMemo::default();
-    let mut branches = 0u64;
-    let mut indirect = 0u64;
-
-    // Branch to branch: a fused burst retires the straight-line code up to
-    // the next branch, which is then analyzed and stepped on its own.
-    let halted = |m: &Machine| ExitReason::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
-    let exit = loop {
-        let used = m.cpu.stats().insts;
-        if used >= max_insts {
-            break ExitReason::StepLimit;
+    let (mut branches_analyzed, mut indirect_skipped) = (0, 0);
+    for ((addr, inst, k), n) in tally {
+        if inst.is_indirect_branch() {
+            indirect_skipped += n;
+            continue;
         }
-        match m.run_burst(max_insts - used, m.cpu.stats().branches) {
-            Ok(Step::Continue) => {}
-            Ok(Step::Halt) => break halted(&m),
-            Err(t) => break ExitReason::Trapped(t),
-        }
-        if m.cpu.stats().insts >= max_insts {
-            break ExitReason::StepLimit;
-        }
-        if let Ok(inst) = m.peek_inst() {
-            if inst.is_branch() {
-                if inst.is_indirect_branch() {
-                    indirect += 1;
-                } else {
-                    branches += 1;
-                    analyze_branch(&m.cpu, &inst, &cfg, &mut table, &mut memo);
-                }
-            }
-        }
-        match m.step_cpu() {
-            Ok(Step::Continue) => {}
-            Ok(Step::Halt) => break halted(&m),
-            Err(t) => break ExitReason::Trapped(t),
-        }
-    };
-
-    ErrorModelReport { table, exit, branches_analyzed: branches, indirect_skipped: indirect }
+        branches_analyzed += n;
+        // Flag bits only matter to a branch that reads the flags for its
+        // direction; address-offset bits only when it redirects control.
+        let (taken, flag_row) = match inst {
+            Inst::Jcc { cc, .. } => flag_row(cc, Flags::from_bits(k)),
+            _ => (k == 1, FLAGS_NO_ERROR_ROW),
+        };
+        let addr_row = if taken { addr_row(addr, &inst, &cfg) } else { NOT_TAKEN_ADDR_ROW };
+        table.record_bulk(taken, FaultSide::Addr, &addr_row.map(|c| c * n));
+        table.record_bulk(taken, FaultSide::Flags, &flag_row.map(|c| c * n));
+    }
+    ErrorModelReport { table, exit, stats: m.cpu.stats(), branches_analyzed, indirect_skipped }
 }
 
 /// Per-bit classification totals for one (branch execution, fault side), in
@@ -239,25 +223,8 @@ const NOT_TAKEN_ADDR_ROW: BitRow = [0, 0, 0, 0, 0, 0, OFFSET_BITS as u64];
 /// direction all classify as No&nbsp;Error.
 const FLAGS_NO_ERROR_ROW: BitRow = [0, 0, 0, 0, 0, 0, Flags::BITS as u64];
 
-/// Memoized per-site bit classifications.
-///
-/// Both halves of the fault surface are pure functions of static program
-/// facts plus a tiny dynamic key, so classification cost is O(static sites),
-/// not O(dynamic branches):
-///
-/// - address-offset faults of a *taken* branch depend only on the site (its
-///   offset and the CFG) — one row per site, computed on first taken
-///   execution;
-/// - flag faults depend only on the site and the 6-bit flags value — at most
-///   64 rows per `jcc` site, computed on first sight of each flags value.
-#[derive(Default)]
-struct SiteMemo {
-    addr_taken: HashMap<u64, BitRow>,
-    flag_rows: HashMap<(u64, u8), BitRow>,
-}
-
-fn compute_addr_row(cpu: &Cpu, inst: &cfed_isa::Inst, cfg: &Cfg) -> BitRow {
-    let addr = cpu.ip();
+/// The address-offset bits of the taken direct branch `inst` at `addr`.
+fn addr_row(addr: u64, inst: &Inst, cfg: &Cfg) -> BitRow {
     let offset = inst.branch_offset().expect("direct branch");
     let fall = addr + INST_SIZE_U64;
     let correct = inst.direct_target(addr).expect("direct");
@@ -283,52 +250,31 @@ fn compute_addr_row(cpu: &Cpu, inst: &cfed_isa::Inst, cfg: &Cfg) -> BitRow {
     row
 }
 
-fn compute_flag_row(cpu: &Cpu, inst: &cfed_isa::Inst, taken: bool) -> BitRow {
+/// Whether a `jcc` on `cc` executed under `flags` is taken, and the row of
+/// its flag bits.
+fn flag_row(cc: Cond, flags: Flags) -> (bool, BitRow) {
+    let taken = cc.eval(flags);
     let mut row = [0u64; 7];
     for bit in 0..Flags::BITS as u8 {
-        let flipped = cpu.flags().with_bit_flipped(bit);
-        let category = classify_flag_fault(cpu.would_take_with_flags(inst, flipped) != taken);
+        let category = classify_flag_fault(cc.eval(flags.with_bit_flipped(bit)) != taken);
         row[cat_idx(category)] += 1;
     }
-    row
-}
-
-fn analyze_branch(
-    cpu: &Cpu,
-    inst: &cfed_isa::Inst,
-    cfg: &Cfg,
-    table: &mut ErrorModelTable,
-    memo: &mut SiteMemo,
-) {
-    let addr = cpu.ip();
-    let taken = cpu.would_take(inst);
-
-    // Address-offset bits: only matter when the branch redirects control.
-    let addr_row: &BitRow = if !taken {
-        &NOT_TAKEN_ADDR_ROW
-    } else {
-        memo.addr_taken.entry(addr).or_insert_with(|| compute_addr_row(cpu, inst, cfg))
-    };
-    table.record_bulk(taken, FaultSide::Addr, addr_row);
-
-    // Flag bits: only `jcc` reads the flags for its direction.
-    let flag_row: &BitRow = if inst.reads_flags_for_direction() {
-        memo.flag_rows
-            .entry((addr, cpu.flags().bits()))
-            .or_insert_with(|| compute_flag_row(cpu, inst, taken))
-    } else {
-        &FLAGS_NO_ERROR_ROW
-    };
-    table.record_bulk(taken, FaultSide::Flags, flag_row);
+    (taken, row)
 }
 
 #[cfg(test)]
+#[path = "../../sim/tests/programs/mod.rs"]
+mod programs;
+
+#[cfg(test)]
 mod tests {
+    use super::programs::{arb_calls, arb_loop, arb_word};
     use super::*;
     use cfed_asm::Asm;
     use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
     use cfed_lang::compile;
-    use cfed_sim::Trap;
+    use cfed_sim::{Layout, Step, Trap};
+    use proptest::prelude::*;
 
     fn report(src: &str) -> ErrorModelReport {
         analyze_image(&compile(src).unwrap(), 5_000_000)
@@ -435,7 +381,7 @@ mod tests {
                         branches += 1;
                         let taken = m.cpu.would_take(&inst);
                         if taken {
-                            let row = compute_addr_row(&m.cpu, &inst, &cfg);
+                            let row = addr_row(m.cpu.ip(), &inst, &cfg);
                             for (c, &n) in row.iter().enumerate() {
                                 for _ in 0..n {
                                     table.record(taken, FaultSide::Addr, Category::ALL[c]);
@@ -466,7 +412,13 @@ mod tests {
                 Err(t) => break ExitReason::Trapped(t),
             }
         };
-        ErrorModelReport { table, exit, branches_analyzed: branches, indirect_skipped: indirect }
+        ErrorModelReport {
+            table,
+            exit,
+            stats: m.cpu.stats(),
+            branches_analyzed: branches,
+            indirect_skipped: indirect,
+        }
     }
 
     /// Divides by a counter until it reaches zero, so the run ends in a
@@ -509,6 +461,40 @@ mod tests {
         a.assemble("start").unwrap()
     }
 
+    /// Each lap rewrites the loop's first instruction, a `jmp` to its own
+    /// fall-through, into a `jmp` over the `nop` behind it: the same site
+    /// holds a taken branch with a different offset from the second lap on.
+    fn rewritten_offset_image() -> Image {
+        let mut a = Asm::new();
+        let rewritten = a.data_bytes(&encode_all(&[Inst::Jmp { offset: 8 }]));
+        a.label("start");
+        a.mov_addr(Reg::R3, rewritten);
+        a.ld(Reg::R2, Reg::R3, 0);
+        a.mov_label(Reg::R4, "loop");
+        a.movri(Reg::R0, 3);
+        a.label("loop");
+        a.raw(Inst::Jmp { offset: 0 });
+        a.nop();
+        a.st(Reg::R4, Reg::R2, 0);
+        a.alui(AluOp::Sub, Reg::R0, 1);
+        a.jcc(Cond::Ne, "loop");
+        a.halt();
+        a.assemble("start").unwrap()
+    }
+
+    /// A `call` whose push traps: the stack pointer is moved into the
+    /// unmapped guard page first.
+    fn trapping_call_image() -> Image {
+        let mut a = Asm::new();
+        a.label("start");
+        a.movri(Reg::SP, 0x100);
+        a.call("leaf");
+        a.halt();
+        a.label("leaf");
+        a.ret();
+        a.assemble("start").unwrap()
+    }
+
     #[test]
     fn memoized_table_identical_to_naive_per_bit() {
         let work = compile(
@@ -530,6 +516,8 @@ mod tests {
         }
         cases.push(("trapping", trapping_image(), 5_000_000));
         cases.push(("self-modifying", self_modifying_image(), 5_000_000));
+        cases.push(("rewritten offset", rewritten_offset_image(), 5_000_000));
+        cases.push(("trapping call", trapping_call_image(), 5_000_000));
         for (name, image, max_insts) in &cases {
             let fast = analyze_image(image, *max_insts);
             let slow = naive_report(image, *max_insts);
@@ -544,6 +532,98 @@ mod tests {
         let smc = analyze_image(&self_modifying_image(), 5_000_000);
         assert_eq!(smc.exit, ExitReason::Halted { code: 0 });
         assert_eq!(smc.branches_analyzed, 8);
+        let call = analyze_image(&trapping_call_image(), 5_000_000);
+        assert!(matches!(call.exit, ExitReason::Trapped(Trap::PermWrite { .. })), "{call:?}");
+        assert_eq!((call.branches_analyzed, call.table.samples()), (1, 38));
+    }
+
+    /// A random program as an image: a few lines point `r1` 0x40 bytes into
+    /// the program and `r2` at the data region, as the programs expect, and
+    /// with `stack_words`, leave room for only that many pushes, so a call
+    /// can trap. A word that does not decode becomes a `trap`; stores into
+    /// the code still plant undecodable words at run time.
+    fn program_image(words: &[[u8; 8]], stack_words: Option<u8>) -> Image {
+        let layout = Layout::default();
+        let mut a = Asm::new();
+        a.label("start");
+        a.mov_label(Reg::R1, "program");
+        a.alui(AluOp::Add, Reg::R1, 0x40);
+        a.mov_addr(Reg::R2, layout.data_base);
+        if let Some(n) = stack_words {
+            a.mov_addr(Reg::SP, layout.stack.start + 8 * u64::from(n));
+        }
+        a.label("program");
+        for w in words {
+            a.raw(Inst::decode(w).unwrap_or(Inst::Trap { code: 0 }));
+        }
+        a.assemble("start").unwrap()
+    }
+
+    /// A loop whose first line is a branch that a store rewrites, every lap,
+    /// into another branch: from the second lap on the site holds a branch
+    /// of another kind, offset or both.
+    fn arb_rewrite() -> impl Strategy<Value = Vec<[u8; 8]>> {
+        let branch = || {
+            (0usize..4, any::<bool>(), 0usize..4).prop_map(|(kind, skip, cc)| {
+                let offset = if skip { 8 } else { 0 };
+                match kind {
+                    0 => Inst::Jmp { offset },
+                    1 => Inst::Jcc { cc: [Cond::E, Cond::Ne, Cond::L, Cond::Ae][cc], offset },
+                    2 => Inst::JRz { src: Reg::R3, offset },
+                    _ => Inst::JRnz { src: Reg::R3, offset },
+                }
+            })
+        };
+        (2i32..6, branch(), branch()).prop_map(|(n, first, planted)| {
+            let word = u64::from_le_bytes(planted.encode());
+            let (hi, lo) = ((word >> 32) as u32 as i32, word as u32 as i32);
+            let prog = [
+                Inst::MovRI { dst: Reg::R3, imm: n },
+                // r4 = the planted branch's encoding.
+                Inst::MovRI { dst: Reg::R4, imm: hi },
+                Inst::AluI { op: AluOp::Shl, dst: Reg::R4, imm: 32 },
+                Inst::MovRI { dst: Reg::R7, imm: lo },
+                Inst::AluI { op: AluOp::Shl, dst: Reg::R7, imm: 32 },
+                Inst::AluI { op: AluOp::Shr, dst: Reg::R7, imm: 32 },
+                Inst::Alu { op: AluOp::Or, dst: Reg::R4, src: Reg::R7 },
+                first,
+                Inst::Nop,
+                // `r1` points one line past `first`.
+                Inst::St { base: Reg::R1, src: Reg::R4, disp: -8 },
+                Inst::AluI { op: AluOp::Sub, dst: Reg::R3, imm: 1 },
+                Inst::JRnz { src: Reg::R3, offset: -40 },
+                Inst::Halt,
+            ];
+            prog.iter().map(Inst::encode).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random programs (self-modifying stores included), loops,
+        /// loops that call a leaf and loops that rewrite a branch in place,
+        /// some on a stack too small for their calls, cut at random budgets,
+        /// the one-pass report equals the per-instruction reference, and its
+        /// run ends as a plain run does.
+        #[test]
+        fn one_pass_report_equals_naive_and_a_plain_run(
+            words in prop_oneof![
+                prop::collection::vec(arb_word(), 1..96),
+                arb_loop(),
+                arb_calls(),
+                arb_rewrite(),
+            ],
+            stack_words in prop_oneof![Just(None), (0u8..2).prop_map(Some)],
+            max_insts in prop_oneof![0u64..200, 200u64..3_000],
+        ) {
+            let image = program_image(&words, stack_words);
+            let report = analyze_image(&image, max_insts);
+            prop_assert_eq!(&report, &naive_report(&image, max_insts));
+            let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+            prop_assert_eq!(m.run(max_insts), report.exit);
+            prop_assert_eq!(m.cpu.stats(), report.stats);
+        }
     }
 
     #[test]

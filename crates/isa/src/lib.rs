@@ -43,6 +43,7 @@ pub mod cost;
 pub mod disasm;
 pub mod encode;
 pub mod flags;
+pub mod fxhash;
 pub mod inst;
 pub mod reg;
 
@@ -51,5 +52,6 @@ pub use cost::cost;
 pub use disasm::disassemble;
 pub use encode::{encode_all, DecodeError};
 pub use flags::Flags;
+pub use fxhash::FxBuildHasher;
 pub use inst::{AluOp, Inst, INST_SIZE, INST_SIZE_U64, OFFSET_BITS};
 pub use reg::Reg;

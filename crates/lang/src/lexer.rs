@@ -4,10 +4,10 @@
 //! is interned once into a [`Name`].
 
 use crate::ast::{Name, Pos};
+use cfed_isa::FxBuildHasher;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A lexical token kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,39 +144,6 @@ pub struct Lexed<'src> {
     pub names: Vec<&'src str>,
 }
 
-/// FxHash (the rustc hasher) for the identifier table. MiniC source is
-/// generated by this program (the workloads, the fuzzer), not read across
-/// a trust boundary, so SipHash's collision resistance buys nothing here;
-/// over the 26 `Scale::Full` images Fx interns ~0.035 s faster.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        for &b in chunks.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.add(u64::from(b));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
 /// Tokenizes MiniC source text.
 ///
 /// Collects a [`Lexer`]'s stream; the parser pulls tokens one at a time
@@ -228,7 +195,9 @@ pub struct Lexer<'src> {
     /// Byte index where the current line starts.
     line_start: usize,
     names: Vec<&'src str>,
-    ids: HashMap<&'src str, Name, BuildHasherDefault<FxHasher>>,
+    /// Hashed with Fx: over the 26 `Scale::Full` images it interns ~0.035 s
+    /// faster than SipHash.
+    ids: HashMap<&'src str, Name, FxBuildHasher>,
     /// The first lexical error; the stream ends there.
     error: Option<LexError>,
 }

@@ -545,7 +545,8 @@ impl Cpu {
     /// architecturally identical to the unprofiled path (the profiler
     /// observes, never influences); the per-instruction cost is two array
     /// adds, with the counter page resolved once per burst entry alongside
-    /// the decoded page.
+    /// the decoded page. A branch-only profiler instead counts each branch
+    /// line about to execute in its tally.
     pub(crate) fn run_fused_impl<const PROF: bool>(
         &mut self,
         mem: &mut Memory,
@@ -573,6 +574,8 @@ impl Cpu {
         // trapping instruction's address, exactly where the raw path leaves
         // `self.ip` (a trapping instruction never commits its successor).
         let mut ip = self.ip;
+        // Moved out for the call, so it is updated beside the counter page.
+        let mut tally = if PROF { prof.branches.take() } else { None };
         let result = 'outer: loop {
             if retired >= max {
                 break Ok(Step::Continue);
@@ -598,8 +601,9 @@ impl Cpu {
             let gen = mem.page_gen(pi);
             let page = DecodedCache::validate_page(&mut icache.pages, &mut icache.stats, pi, gen);
             // Profiling counter page, resolved once per burst like the
-            // decoded page. `None` (and dead code below) when `!PROF`.
-            let mut pp = PROF.then(|| prof.page_mut(pi));
+            // decoded page. `None` (and dead code below) when `!PROF`, and
+            // for a branch-only profiler.
+            let mut pp = (PROF && tally.is_none()).then(|| prof.page_mut(pi));
             // Fused run within the validated page. The line index is masked
             // into range so the hot loop carries no bounds checks.
             let mut li = ((ip & (PAGE_SIZE - 1)) / INST_SIZE_U64) as usize;
@@ -625,6 +629,11 @@ impl Cpu {
                 if line.class >= icache::C_JMP && d_branches >= stop {
                     break 'outer Ok(Step::Continue);
                 }
+                if PROF && line.class >= icache::C_JMP {
+                    if let Some(tally) = tally.as_mut() {
+                        crate::profiler::tally_branch(tally, self, ip, line.inst);
+                    }
+                }
                 let (_, taken, next) =
                     match self.exec_inst_impl::<true>(mem, ip, line.inst, line.target) {
                         Ok(r) => r,
@@ -639,8 +648,7 @@ impl Cpu {
                 // (pinned by `class_table_matches_cost_model`).
                 let cycles = icache::COST_TABLE[line.class as usize][taken as usize];
                 d_cycles += cycles;
-                if PROF {
-                    let pp = pp.as_mut().expect("PROF implies a counter page");
+                if let Some(pp) = pp.as_mut() {
                     pp.hits[li & (LINES_PER_PAGE - 1)] += 1;
                     pp.cycles[li & (LINES_PER_PAGE - 1)] += cycles;
                 }
@@ -682,6 +690,9 @@ impl Cpu {
                 }
             }
         };
+        if PROF {
+            prof.branches = tally;
+        }
         self.ip = ip;
         self.stats.insts += retired;
         self.stats.cycles += d_cycles;

@@ -41,6 +41,6 @@ pub use cpu::{Cpu, ExecStats, ExitReason, Step};
 pub use icache::{DecodeCacheStats, DecodedCache, LINES_PER_PAGE};
 pub use machine::{Layout, Machine, MachineSnapshot, SnapshotTracker};
 pub use mem::{Memory, Perms, RawMemParts, PAGE_SIZE};
-pub use profiler::ExecProfiler;
+pub use profiler::{BranchTally, ExecProfiler};
 pub use tracer::{TraceEntry, Tracer};
 pub use trap::{trap_codes, Trap};

@@ -179,10 +179,11 @@ impl Machine {
     /// attached tracer if any, and records its address and cycle cost into
     /// the attached profiler if any — so a profile does not depend on
     /// whether an instruction retired here or in a [`Machine::run_burst`].
-    /// A trap records nothing. Neither observer changes what the step
-    /// computes or counts. Supervisors (the DBT runtime, fault harnesses)
-    /// should prefer this over calling `cpu.step` directly so tracing and
-    /// profiling stay transparent.
+    /// A trap records nothing, except that a profiler's branch tally counts
+    /// a branch whose execution traps, as the fused loop does. Neither
+    /// observer changes what the step computes or counts. Supervisors (the
+    /// DBT runtime, fault harnesses) should prefer this over calling
+    /// `cpu.step` directly so tracing and profiling stay transparent.
     ///
     /// # Errors
     ///
@@ -223,6 +224,11 @@ impl Machine {
     fn step_profiled(&mut self) -> Result<Step, Trap> {
         let mut profiler = self.profiler.take().expect("profiler attached");
         let (ip, cycles) = (self.cpu.ip(), self.cpu.stats().cycles);
+        if let (Some(tally), Ok(inst)) = (profiler.branches.as_mut(), self.peek_inst()) {
+            if inst.is_branch() {
+                crate::profiler::tally_branch(tally, &self.cpu, ip, inst);
+            }
+        }
         let step = self.step_cpu();
         if step.is_ok() {
             profiler.record(ip, self.cpu.stats().cycles - cycles);
@@ -641,6 +647,18 @@ mod tests {
         let expected = samples(&mut burst);
         assert!(!expected.is_empty());
         assert_eq!(samples(&mut stepped), expected);
+
+        // So do branch tallies; the loop's `jcc` ran four times.
+        burst = Machine::load(&code, &[], 0);
+        burst.profiler = Some(Box::new(ExecProfiler::branches_only()));
+        assert_eq!(burst.run_burst(1_000, u64::MAX), Ok(Step::Halt));
+        stepped = Machine::load(&code, &[], 0);
+        stepped.profiler = Some(Box::new(ExecProfiler::branches_only()));
+        while stepped.step_cpu() == Ok(Step::Continue) {}
+        let tally = |m: &mut Machine| m.take_profiler().and_then(|p| p.into_branches());
+        let expected = tally(&mut burst).expect("tally attached");
+        assert_eq!(expected.values().sum::<u64>(), 4);
+        assert_eq!(tally(&mut stepped), Some(expected));
     }
 
     /// The reference for [`Machine::run_burst`]: single steps until the

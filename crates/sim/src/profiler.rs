@@ -8,14 +8,38 @@
 //! with profiling *off* is zero, because the unprofiled loop is a separate
 //! monomorphization that contains no profiling code at all.
 //!
+//! A profiler may instead carry a [`BranchTally`]: dynamic executions of
+//! each branch line, keyed by what decides its direction. The fused loop
+//! updates it on branch lines only, and only when one is attached.
+//!
 //! The profiler is execution-state only: it never influences what the CPU
 //! computes, and it counts *addresses as executed* (guest addresses under
 //! interpretation, code-cache addresses under the DBT). Mapping those raw
 //! addresses onto static blocks and instrumentation ranges is the job of
 //! higher layers that know the code layout.
 
-use crate::LINES_PER_PAGE;
-use cfed_isa::INST_SIZE_U64;
+use crate::{Cpu, LINES_PER_PAGE};
+use cfed_isa::{FxBuildHasher, Inst, INST_SIZE_U64};
+use std::collections::HashMap;
+
+/// Dynamic executions of each branch line, keyed by `(site, decoded
+/// instruction, k)`. `k` is the flags bits for a `jcc`, whether a `jrz` or
+/// `jrnz` is taken, and 1 for every other branch: so a key fixes the
+/// branch's direction and, through the instruction, its target, even where
+/// the code at the site was rewritten. A branch whose execution traps
+/// counts too.
+pub type BranchTally = HashMap<(u64, Inst, u8), u64, FxBuildHasher>;
+
+/// Counts one execution of branch `inst` at `site` in `cpu`'s state before
+/// it executes.
+#[inline]
+pub(crate) fn tally_branch(tally: &mut BranchTally, cpu: &Cpu, site: u64, inst: Inst) {
+    let k = match inst {
+        Inst::Jcc { .. } => cpu.flags().bits(),
+        _ => cpu.would_take(&inst) as u8,
+    };
+    *tally.entry((site, inst, k)).or_insert(0) += 1;
+}
 
 /// Per-page counters: one `(hits, cycles)` pair per instruction slot.
 #[derive(Clone)]
@@ -30,10 +54,13 @@ impl ProfPage {
     }
 }
 
-/// Per-address retirement/cycle tallies for one machine's execution.
+/// Per-address retirement/cycle tallies for one machine's execution, or
+/// a branch tally.
 #[derive(Clone, Default)]
 pub struct ExecProfiler {
     pages: Vec<Option<ProfPage>>,
+    /// The tally of a [`ExecProfiler::branches_only`] profiler.
+    pub(crate) branches: Option<BranchTally>,
 }
 
 impl std::fmt::Debug for ExecProfiler {
@@ -51,6 +78,17 @@ impl ExecProfiler {
         ExecProfiler::default()
     }
 
+    /// A profiler that tallies branches into an empty [`BranchTally`] and
+    /// records no per-address retirements or cycles.
+    pub fn branches_only() -> ExecProfiler {
+        ExecProfiler { pages: Vec::new(), branches: Some(BranchTally::default()) }
+    }
+
+    /// The branch tally, if this profiler keeps one.
+    pub fn into_branches(self) -> Option<BranchTally> {
+        self.branches
+    }
+
     /// The counter page for page index `pi`, allocated on first touch.
     #[inline]
     pub(crate) fn page_mut(&mut self, pi: usize) -> &mut ProfPage {
@@ -62,9 +100,12 @@ impl ExecProfiler {
 
     /// Records one retirement at `addr` costing `cycles` (slow-path entry
     /// for non-fused callers; the fused loop writes the page arrays
-    /// directly).
+    /// directly). A branch-only profiler records nothing here.
     #[inline]
     pub fn record(&mut self, addr: u64, cycles: u64) {
+        if self.branches.is_some() {
+            return;
+        }
         let pi = (addr / crate::mem::PAGE_SIZE) as usize;
         let li = ((addr % crate::mem::PAGE_SIZE) / INST_SIZE_U64) as usize;
         let page = self.page_mut(pi);

@@ -1,5 +1,6 @@
 //! Random guest programs shared by the execution-equivalence properties
-//! (`cfed-sim`'s `icache_equiv`, `cfed-dbt`'s `native_burst`): words of
+//! (`cfed-sim`'s `icache_equiv`, `cfed-dbt`'s `native_burst`) and the
+//! error model's one-pass property (`cfed-fault`'s `error_model`): words of
 //! valid and invalid encodings with short loops and self-modifying stores,
 //! guaranteed loops whose branches are met again on later iterations, and
 //! loops that call a leaf.
