@@ -24,6 +24,16 @@ fn empty_grid() -> LatencyGrid {
     std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new()))
 }
 
+/// Detection latencies over `DetectedByCheck` outcomes, merged across
+/// categories (the paper's Fig. 15 quantity).
+pub fn detection_latency(lat: &LatencyGrid) -> Histogram {
+    let mut h = Histogram::new();
+    for row in lat {
+        h.merge(&row[Outcome::DetectedByCheck.idx()]);
+    }
+    h
+}
+
 /// Outcome tallies for one branch-error category.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CategoryStats {
@@ -384,14 +394,9 @@ impl CampaignReport {
         &self.lat
     }
 
-    /// Detection latencies over `DetectedByCheck` outcomes, merged across
-    /// categories (the paper's Fig. 15 quantity).
+    /// [`detection_latency`] of this report's grid.
     pub fn detection_latency_hist(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for row in &self.lat {
-            h.merge(&row[Outcome::DetectedByCheck.idx()]);
-        }
-        h
+        detection_latency(&self.lat)
     }
 
     /// The detection-latency accumulators `(sum, count)` over

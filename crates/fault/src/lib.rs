@@ -41,7 +41,8 @@ pub use attack::{
     pause_attack, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
 };
 pub use campaign::{
-    Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid, SHARD_TRIALS,
+    detection_latency, Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid,
+    SHARD_TRIALS,
 };
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
 pub use forensics::{ForensicsBundle, DEFAULT_TRACE_WINDOW};

@@ -70,7 +70,7 @@ pub mod store;
 
 pub use cfed_telemetry::json;
 
-pub use matrix::{CampaignMatrix, CellSpec, ShardTask, WorkloadSpec};
+pub use matrix::{cell_of, CampaignMatrix, CellKey, CellSpec, ShardTask, WorkloadSpec};
 pub use pool::{
     parallel_map, run_matrix, CellResult, GoldenCache, RunSummary, RunnerOptions, UnitExecutor,
     UnitRun,

@@ -120,7 +120,8 @@ impl CellSpec {
     }
 
     /// The golden-run cache key: workload identity + everything of the
-    /// configuration that affects execution.
+    /// configuration that affects execution. It is the cell key's first
+    /// five parts (see [`CellKey`]).
     pub fn golden_key(&self) -> String {
         let t = self.config.technique.map_or("baseline".to_string(), |k| k.to_string());
         format!(
@@ -132,10 +133,11 @@ impl CellSpec {
         )
     }
 
-    /// The cell's identity in the result store. Attack cells carry an
-    /// `|atk:<archetype>` suffix; fault cells keep the historical 7-part
-    /// key, so existing stores resume unchanged. The golden key is shared
-    /// either way — golden runs are attack-independent.
+    /// The cell's identity in the result store, decoded by
+    /// [`CellKey::parse`]. Attack cells carry an `|atk:<archetype>`
+    /// suffix; fault cells keep the historical 7-part key, so existing
+    /// stores resume unchanged. The golden key is shared either way —
+    /// golden runs are attack-independent.
     pub fn key(&self) -> String {
         let base = format!("{}|s{}|t{}", self.golden_key(), self.seed, self.trials);
         match self.attack {
@@ -163,6 +165,55 @@ impl ShardTask {
     /// The shard's identity in the result store.
     pub fn key(&self, cells: &[CellSpec]) -> String {
         format!("{}#{}", cells[self.cell].key(), self.shard_index)
+    }
+}
+
+/// The cell key of a shard key — the inverse of [`ShardTask::key`]:
+/// everything before the final `#`, provided a shard index follows it.
+pub fn cell_of(shard_key: &str) -> Option<&str> {
+    let (cell, index) = shard_key.rsplit_once('#')?;
+    index.parse::<u64>().ok().map(|_| cell)
+}
+
+/// The named parts of a cell key — the inverse of [`CellSpec::key`]:
+/// `{workload}|{technique}|{style}|{policy}|{max_insts}|s{seed}|t{trials}`,
+/// plus `|atk:{archetype}` on attack cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellKey<'a> {
+    /// [`WorkloadSpec::key`].
+    pub workload: &'a str,
+    /// Technique name, `baseline` for the uninstrumented configuration.
+    pub technique: &'a str,
+    /// Update style name.
+    pub style: &'a str,
+    /// Checking policy name.
+    pub policy: &'a str,
+    /// Attack archetype (`None` for fault cells).
+    pub attack: Option<AttackKind>,
+}
+
+impl<'a> CellKey<'a> {
+    /// Splits a cell key into its parts; `None` when the key has another
+    /// shape (a shard key's `#index` suffix included) or a numeric part is
+    /// not a number.
+    pub fn parse(key: &'a str) -> Option<CellKey<'a>> {
+        let parts: Vec<&str> = key.split('|').collect();
+        let attack = match parts.len() {
+            7 => None,
+            8 => Some(AttackKind::from_name(parts[7].strip_prefix("atk:")?)?),
+            _ => return None,
+        };
+        let number = |part: &str, prefix: &str| {
+            part.strip_prefix(prefix).is_some_and(|n| n.parse::<u64>().is_ok())
+        };
+        let numbers = number(parts[4], "") && number(parts[5], "s") && number(parts[6], "t");
+        numbers.then_some(CellKey {
+            workload: parts[0],
+            technique: parts[1],
+            style: parts[2],
+            policy: parts[3],
+            attack,
+        })
     }
 }
 
@@ -329,6 +380,59 @@ mod tests {
             let campaign = cell.attack_campaign().expect("attack campaign");
             assert_eq!(campaign.num_shards(), cell.num_shards());
         }
+    }
+
+    /// Every key the matrix produces decodes back to the cell's fields, and
+    /// every shard key back to its cell key.
+    #[test]
+    fn keys_round_trip_through_the_codec() {
+        let workloads = vec![
+            WorkloadSpec::named("164.gzip", Scale::Test),
+            WorkloadSpec::inline("demo", "fn main() { out(1); }"),
+        ];
+        let mut cells =
+            CampaignMatrix::coverage(workloads.clone(), UpdateStyle::Jcc, 130, 9).cells();
+        cells.extend(CampaignMatrix::attacks(workloads, 70, 4).cells());
+        for cell in &cells {
+            let key = cell.key();
+            let parts = CellKey::parse(&key).unwrap_or_else(|| panic!("{key} does not parse"));
+            let technique = cell.config.technique.map_or("baseline".to_string(), |k| k.to_string());
+            assert_eq!(parts.workload, cell.workload.key(), "{key}");
+            assert_eq!(parts.technique, technique, "{key}");
+            assert_eq!(parts.style, cell.config.style.to_string(), "{key}");
+            assert_eq!(parts.policy, cell.config.policy.to_string(), "{key}");
+            assert_eq!(parts.attack, cell.attack, "{key}");
+            assert_eq!(cell_of(&key), None, "a cell key is no shard key");
+        }
+        for task in CampaignMatrix::shards(&cells) {
+            let key = task.key(&cells);
+            assert!(key.ends_with(&format!("#{}", task.shard_index)));
+            assert_eq!(cell_of(&key), Some(cells[task.cell].key().as_str()), "{key}");
+            assert_eq!(CellKey::parse(&key), None, "{key}: the #index is no cell key part");
+        }
+        assert_eq!(CampaignMatrix::shards(&cells).iter().map(|t| t.shard_index).max(), Some(2));
+    }
+
+    #[test]
+    fn malformed_keys_are_refused() {
+        let good = "w@test|EdgCF|CMOVcc|ALLBB|100000|s3|t64";
+        assert!(CellKey::parse(good).is_some());
+        assert!(CellKey::parse(&format!("{good}|atk:ret-gadget")).is_some());
+        for bad in [
+            "",
+            "w@test|EdgCF|CMOVcc|ALLBB|100000|s3",
+            "w@test|EdgCF|CMOVcc|ALLBB|100000|3|t64",
+            "w@test|EdgCF|CMOVcc|ALLBB|many|s3|t64",
+            "w@test|EdgCF|CMOVcc|ALLBB|100000|s3|t64|extra",
+            "w@test|EdgCF|CMOVcc|ALLBB|100000|s3|t64|atk:no-such-attack",
+            "w@test|EdgCF|CMOVcc|ALLBB|100000|s3|t64|atk:ret-gadget|x",
+        ] {
+            assert_eq!(CellKey::parse(bad), None, "{bad:?}");
+        }
+        for bad in [good, "", "#", "c#", "c#x", "c#1#y"] {
+            assert_eq!(cell_of(bad), None, "{bad:?}");
+        }
+        assert_eq!(cell_of("c#1#2"), Some("c#1"));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! to the serial [`cfed_fault::Campaign::run`] path for any thread count.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -31,9 +32,10 @@ use cfed_telemetry::{Event, Profile, Telemetry};
 
 use crate::json::Json;
 use crate::matrix::{CampaignMatrix, CellSpec};
+use crate::report::{by_cell, summarize, CellSummary};
 use crate::retry::RetryPolicy;
 use crate::scheduler::{Lease, Msg, Scheduler, Transport, UnitDone};
-use crate::store::{CampaignStore, ShardTallies};
+use crate::store::ShardTallies;
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
@@ -265,6 +267,22 @@ impl GoldenCache {
         map.entry(key).or_insert(computed).clone()
     }
 
+    /// The golden run of `cell`: the one this cache prepared, or — for a
+    /// cell no unit of this cache ran — a golden-only pass (no snapshots,
+    /// no profile) that is not cached.
+    fn golden(&self, cell: &CellSpec) -> Result<Golden, String> {
+        let cached =
+            self.prepared.lock().expect("golden cache poisoned").get(&cell.golden_key()).cloned();
+        let prepared = match cached {
+            Some(hit) => hit,
+            None => cell
+                .workload
+                .image()
+                .and_then(|img| prepare_golden(&img, &cell.config, false, false)),
+        };
+        prepared.map(|p| (*p.golden).clone())
+    }
+
     /// Aggregated stats over every successfully prepared snapshot set.
     pub fn snapshot_stats(&self) -> SnapshotStats {
         let map = self.prepared.lock().expect("golden cache poisoned");
@@ -282,8 +300,6 @@ impl GoldenCache {
 pub struct UnitRun {
     /// The shard's persisted tallies, or the failure message.
     pub tallies: Result<Box<ShardTallies>, String>,
-    /// The cell's golden run (`None` when the unit failed).
-    pub golden: Option<Golden>,
     /// The cell's execution profile, when the shared cache collects them
     /// (every unit of a cell carries the same `Arc`'d profile; the store
     /// writer persists it once per cell).
@@ -344,7 +360,6 @@ impl UnitExecutor {
             });
             Ok::<_, String>(UnitRun {
                 tallies: Ok(Box::new(ShardTallies::from_report(&report))),
-                golden: Some((*golden).clone()),
                 profile,
                 forensics: bundles.map(|b| b.to_json()).collect(),
                 forensics_wanted: specs.len() as u64,
@@ -355,13 +370,7 @@ impl UnitExecutor {
             Ok(Err(e)) => e,
             Err(e) => format!("shard panicked: {}", panic_message(&e)),
         };
-        UnitRun {
-            tallies: Err(error),
-            golden: None,
-            profile: None,
-            forensics: Vec::new(),
-            forensics_wanted: 0,
-        }
+        UnitRun { tallies: Err(error), profile: None, forensics: Vec::new(), forensics_wanted: 0 }
     }
 
     /// Runs `lease` (a unit of `cell`) and reports the outcome as the
@@ -378,7 +387,6 @@ impl UnitExecutor {
                 key: lease.key,
                 ms,
                 tallies: *tallies,
-                golden: run.golden,
                 profile: run.profile,
                 forensics: run.forensics,
                 forensics_wanted: run.forensics_wanted,
@@ -590,11 +598,13 @@ pub fn run_matrix(
             .u64("insts_native", perf.snapshots.insts_native)
     });
 
+    let summaries = summarize(&phase.store.done);
+    let failed = by_cell(&phase.store.failed);
     let cells = phase
         .cells
         .iter()
         .enumerate()
-        .map(|(index, cell)| assemble_cell(index, cell, &phase.store, phase.goldens.get(&index)))
+        .map(|(index, cell)| assemble_cell(index, cell, &summaries, &failed, &golden_cache))
         .collect();
     Ok(RunSummary {
         cells,
@@ -605,72 +615,34 @@ pub fn run_matrix(
     })
 }
 
-/// Merges a cell's persisted shard tallies into one report, in shard-index
-/// order (any order gives identical tallies; fixed order keeps it obvious).
+/// A cell's result from the store grouped by cell (`summaries` sorted by
+/// key, as [`summarize`] returns them), around the golden from the run's
+/// own cache.
 fn assemble_cell(
     index: usize,
     cell: &CellSpec,
-    store: &CampaignStore,
-    observed_golden: Option<&Golden>,
+    summaries: &[CellSummary],
+    failed: &BTreeMap<&str, Vec<(&str, &String)>>,
+    goldens: &GoldenCache,
 ) -> CellResult {
-    let total_shards = cell.num_shards();
-    let cell_key = cell.key();
-    let mut failures: Vec<String> = store
-        .failed
-        .iter()
-        .filter(|(k, _)| k.rsplit_once('#').map(|(c, _)| c) == Some(cell_key.as_str()))
-        .map(|(k, e)| format!("{k}: {e}"))
-        .collect();
-
-    let mut done: Vec<(u64, ShardTallies)> = Vec::new();
-    for shard_index in 0..total_shards {
-        let key = format!("{cell_key}#{shard_index}");
-        if let Some(t) = store.done.get(&key) {
-            done.push((shard_index, t.clone()));
+    let key = cell.key();
+    let summary =
+        summaries.binary_search_by(|s| s.key.as_str().cmp(&key)).ok().map(|i| &summaries[i]);
+    let failed = failed.get(key.as_str()).into_iter().flatten();
+    let mut failures: Vec<String> = failed.map(|(k, e)| format!("{k}: {e}")).collect();
+    let report = summary.and_then(|summary| match goldens.golden(cell) {
+        Ok(golden) => Some(summary.tallies.to_report(golden)),
+        Err(e) => {
+            failures.push(format!("{key}: {e}"));
+            None
         }
-    }
-    if done.is_empty() {
-        return CellResult {
-            cell: index,
-            key: cell_key,
-            report: None,
-            done_shards: 0,
-            total_shards,
-            failures,
-        };
-    }
-
-    // A fully-resumed cell has tallies but no golden from this run's
-    // workers; recompute it here (cheap relative to a campaign — report
-    // assembly needs only the golden, not snapshots).
-    let golden = match observed_golden.cloned() {
-        Some(g) => Some(g),
-        None => match cell
-            .workload
-            .image()
-            .and_then(|img| prepare_golden(&img, &cell.config, false, false))
-            .map(|p| (*p.golden).clone())
-        {
-            Ok(g) => Some(g),
-            Err(e) => {
-                failures.push(format!("{cell_key}: {e}"));
-                None
-            }
-        },
-    };
-    let report = golden.map(|g| {
-        let mut report = CampaignReport::new(g.clone());
-        for (_, tallies) in &done {
-            report.merge(&tallies.to_report(g.clone()));
-        }
-        report
     });
     CellResult {
         cell: index,
-        key: cell_key,
+        key,
         report,
-        done_shards: done.len() as u64,
-        total_shards,
+        done_shards: summary.map_or(0, |s| s.shards_done),
+        total_shards: cell.num_shards(),
         failures,
     }
 }

@@ -13,9 +13,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use cfed_core::{Category, TechniqueKind};
-use cfed_fault::{AttackKind, Outcome};
+use cfed_fault::{detection_latency, AttackKind, Outcome};
 use cfed_telemetry::{bucket_high, Histogram};
 
+use crate::matrix::{cell_of, CellKey};
 use crate::store::{read_store, ShardTallies, StoreHeader};
 
 /// Width of the widest histogram bar, in characters.
@@ -24,7 +25,7 @@ const BAR_WIDTH: u64 = 40;
 /// A cell's merged view over its completed shards.
 #[derive(Debug)]
 pub struct CellSummary {
-    /// The cell key (shard key minus the trailing `#<index>`).
+    /// The cell key (see [`cell_of`]).
     pub key: String,
     /// Shards merged into `tallies`.
     pub shards_done: u64,
@@ -32,34 +33,28 @@ pub struct CellSummary {
     pub tallies: ShardTallies,
 }
 
-impl CellSummary {
-    /// The merged detection-latency histogram (`DetectedByCheck` across
-    /// all categories).
-    pub fn detection_latency(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for row in self.tallies.lat.iter() {
-            h.merge(&row[Outcome::DetectedByCheck.idx()]);
-        }
-        h
+/// Groups shard-keyed records by cell key ([`cell_of`]; a key without a
+/// shard suffix is a group of its own), in key order.
+pub(crate) fn by_cell<V>(records: &BTreeMap<String, V>) -> BTreeMap<&str, Vec<(&str, &V)>> {
+    let mut cells: BTreeMap<&str, Vec<(&str, &V)>> = BTreeMap::new();
+    for (key, value) in records {
+        cells.entry(cell_of(key).unwrap_or(key)).or_default().push((key, value));
     }
+    cells
 }
 
-/// Groups a store's shard records by cell key (the part before the final
-/// `#`) and merges each group. `BTreeMap` input and output keep the order
-/// deterministic.
+/// Groups a store's shard records by cell and merges each group — the one
+/// per-cell merge behind the rendered reports and `run_matrix`'s per-cell
+/// results. `BTreeMap` input and output keep the order deterministic.
 pub fn summarize(done: &BTreeMap<String, ShardTallies>) -> Vec<CellSummary> {
-    let mut cells: BTreeMap<String, CellSummary> = BTreeMap::new();
-    for (shard_key, tallies) in done {
-        let cell_key = shard_key.rsplit_once('#').map_or(shard_key.as_str(), |(c, _)| c);
-        let entry = cells.entry(cell_key.to_string()).or_insert_with(|| CellSummary {
-            key: cell_key.to_string(),
-            shards_done: 0,
-            tallies: ShardTallies::default(),
-        });
-        entry.shards_done += 1;
-        entry.tallies.absorb(tallies);
-    }
-    cells.into_values().collect()
+    let summary = |(key, shards): (&str, Vec<(&str, &ShardTallies)>)| {
+        let mut tallies = ShardTallies::default();
+        for (_, shard) in &shards {
+            tallies.absorb(shard);
+        }
+        CellSummary { key: key.to_string(), shards_done: shards.len() as u64, tallies }
+    };
+    by_cell(done).into_iter().map(summary).collect()
 }
 
 /// Renders the report for the store at `path`.
@@ -135,7 +130,7 @@ fn render_cell(out: &mut String, cell: &CellSummary) {
         );
     }
 
-    let all = cell.detection_latency();
+    let all = detection_latency(&cell.tallies.lat);
     if all.is_empty() {
         let _ = writeln!(out, "no check-detected faults");
         return;
@@ -178,16 +173,6 @@ fn render_cell(out: &mut String, cell: &CellSummary) {
     }
 }
 
-/// Splits an attack cell's key into its archetype and technique column.
-/// Fault cells (no `|atk:` suffix) return `None` and are left to the
-/// regular report.
-fn attack_cell(key: &str) -> Option<(AttackKind, String)> {
-    let (rest, name) = key.rsplit_once("|atk:")?;
-    let kind = AttackKind::from_name(name)?;
-    let technique = rest.split('|').nth(1)?.to_string();
-    Some((kind, technique))
-}
-
 /// Renders the attack detection frontier for the store at `path`: one row
 /// per attack archetype, one column per technique, aggregated over every
 /// workload in the store. The rendering derives exclusively from shard
@@ -219,9 +204,14 @@ pub fn render_attack_parts(
     let mut grid: BTreeMap<(usize, String), Tally> = BTreeMap::new();
     let mut workloads: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for cell in cells {
-        let Some((kind, technique)) = attack_cell(&cell.key) else { continue };
-        workloads.insert(cell.key.split('|').next().unwrap_or("").to_string());
-        let slot = grid.entry((kind.idx(), technique)).or_default();
+        // Fault cells are left to the regular report.
+        let Some(CellKey { workload, technique, attack: Some(kind), .. }) =
+            CellKey::parse(&cell.key)
+        else {
+            continue;
+        };
+        workloads.insert(workload.to_string());
+        let slot = grid.entry((kind.idx(), technique.to_string())).or_default();
         for s in &cell.tallies.stats {
             slot.0 += s.detected_check;
             slot.1 += s.detected_hw;
@@ -361,7 +351,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].key, "cellA");
         assert_eq!(cells[0].shards_done, 2);
-        let lat = cells[0].detection_latency();
+        let lat = detection_latency(&cells[0].tallies.lat);
         assert_eq!(lat.count(), 2);
         assert_eq!(lat.sum(), 30);
         assert_eq!(cells[1].key, "cellB");

@@ -25,18 +25,18 @@
 //!    └── attempts < max? re-queue after backoff : failed (appended)
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::IsTerminal as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfed_fault::{CategoryStats, Golden};
+use cfed_fault::CategoryStats;
 use cfed_telemetry::json::Json;
 use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
 
-use crate::matrix::{CampaignMatrix, CellSpec, ShardTask};
+use crate::matrix::{cell_of, CampaignMatrix, CellSpec, ShardTask};
 use crate::retry::RetryPolicy;
 use crate::store::{CampaignStore, ShardTallies, StoreHeader};
 
@@ -69,9 +69,6 @@ pub struct UnitDone {
     pub ms: u64,
     /// The unit's tallies.
     pub tallies: ShardTallies,
-    /// The cell's golden run, when the worker shares it (saves report
-    /// assembly a recomputation).
-    pub golden: Option<Golden>,
     /// The cell's execution profile (profiling on); appended once per cell,
     /// even when the result itself turns out to be a duplicate.
     pub profile: Option<Arc<Profile>>,
@@ -157,8 +154,6 @@ pub struct Phase {
     pub(crate) queued: u64,
     /// Failed attempts that were re-queued.
     pub(crate) retried: u64,
-    /// Cell goldens delivered with results, by cell index.
-    pub(crate) goldens: BTreeMap<usize, Golden>,
     pending: VecDeque<Pending>,
     /// Outstanding leases: unit key → (worker, unit).
     leases: HashMap<String, (usize, ShardTask)>,
@@ -306,7 +301,6 @@ impl Scheduler {
             resumed,
             queued,
             retried: 0,
-            goldens: BTreeMap::new(),
             pending,
             leases: HashMap::new(),
             attempts: HashMap::new(),
@@ -424,15 +418,14 @@ impl Scheduler {
         phase: &mut Phase,
         transport: &mut impl Transport,
     ) -> Result<(), String> {
-        let UnitDone { worker, phase: index, key, ms, tallies, golden, profile, .. } = done;
+        let UnitDone { worker, phase: index, key, ms, tallies, profile, .. } = done;
         if index != phase.index {
             transport.note(Note::Duplicate);
             return Ok(());
         }
-        if let Some(profile) = profile {
+        if let Some((profile, cell_key)) = profile.zip(cell_of(&key)) {
             // Idempotent, and accepted even with a duplicate result: the
             // sender ships a cell's profile only once.
-            let cell_key = key.rsplit_once('#').map_or("", |(cell, _)| cell);
             if !phase.store.profiles.contains_key(cell_key)
                 && phase.cells.iter().any(|c| c.key() == cell_key)
                 && phase.store.append_profile(cell_key, &profile)?
@@ -463,9 +456,6 @@ impl Scheduler {
             transport.note(Note::Duplicate);
             return Ok(());
         };
-        if let Some(golden) = golden {
-            phase.goldens.entry(task.cell).or_insert(golden);
-        }
         let attack = phase.cells[task.cell].attack;
         if let Some(kind) = attack {
             // Per-outcome counters: the raw material of the detection

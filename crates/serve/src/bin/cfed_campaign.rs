@@ -46,7 +46,7 @@ use cfed_core::{Category, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
 use cfed_fault::CategoryStats;
 use cfed_runner::cli::{Args, Parser};
-use cfed_runner::matrix::{CampaignMatrix, CAMPAIGN_WORKLOADS};
+use cfed_runner::matrix::{CampaignMatrix, CellKey, CAMPAIGN_WORKLOADS};
 use cfed_runner::pool::{run_matrix, RunSummary, RunnerOptions};
 use cfed_runner::report::{render_attack_frontier, render_report};
 use cfed_runner::retry::RetryPolicy;
@@ -185,18 +185,6 @@ fn run_profile(argv: &[String]) {
     print!("{}", render_profiles(&profiles, top));
 }
 
-/// The labelled fields of a cell key:
-/// `{workload}|{technique}|{style}|{policy}|{max_insts}|s{seed}|t{trials}`,
-/// with an optional trailing `atk:{archetype}` part on attack cells.
-fn cell_key_parts(key: &str) -> Option<(String, String, String, String)> {
-    let parts: Vec<&str> = key.split('|').collect();
-    let plausible = parts.len() == 7 || (parts.len() == 8 && parts[7].starts_with("atk:"));
-    if !plausible {
-        return None;
-    }
-    Some((parts[0].to_string(), parts[1].to_string(), parts[2].to_string(), parts[3].to_string()))
-}
-
 fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -218,13 +206,13 @@ fn render_profiles(
     let mut out = String::new();
     // (workload, style) -> baseline total cycles; (technique, style) ->
     // per-workload totals for the overhead table.
-    let mut baseline: std::collections::BTreeMap<(String, String), u64> =
+    let mut baseline: std::collections::BTreeMap<(&str, &str), u64> =
         std::collections::BTreeMap::new();
-    let mut techs: std::collections::BTreeMap<(String, String), Vec<(String, ProfTotals)>> =
+    let mut techs: std::collections::BTreeMap<(&str, &str), Vec<(&str, ProfTotals)>> =
         std::collections::BTreeMap::new();
 
     for (key, profile) in profiles {
-        let Some((workload, technique, style, policy)) = cell_key_parts(key) else {
+        let Some(CellKey { workload, technique, style, policy, .. }) = CellKey::parse(key) else {
             let _ = writeln!(out, "== {key} == (unrecognized key shape)");
             continue;
         };
@@ -280,7 +268,7 @@ fn render_profiles(
         let mut ratios = Vec::new();
         let (mut total, mut head, mut tail) = (0u64, 0u64, 0u64);
         for (workload, t) in cells {
-            if let Some(&base) = baseline.get(&(workload.clone(), style.clone())) {
+            if let Some(&base) = baseline.get(&(*workload, *style)) {
                 if base > 0 {
                     ratios.push(t.total as f64 / base as f64);
                 }
@@ -378,15 +366,10 @@ impl Study {
     }
 }
 
-fn campaign_parser() -> Parser {
-    Parser::new("cfed-campaign", "full coverage + latency fault-injection study")
-        .flag(
-            "trials",
-            "N",
-            &SEU_STUDY.trials.to_string(),
-            "injections per workload per configuration",
-        )
-        .flag("threads", "N", "0", "worker threads (0 = all cores)")
+/// Adds the flags every study front end shares (`cfed-campaign`, `attack`
+/// and `serve coordinate`), so their defaults are declared once.
+fn study_flags(parser: Parser) -> Parser {
+    parser
         .flag("seed", "SEED", "3488423942", "campaign RNG seed")
         .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
         .flag(
@@ -396,21 +379,34 @@ fn campaign_parser() -> Parser {
             "run identifier; re-use to resume (default: derived from seed/trials)",
         )
         .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
-        .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
-        .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
-        .switch("quiet", "suppress stderr progress output")
-        .switch(
-            "forensics",
-            "re-inject SDC/timeout/misdetection trials and emit forensics events (use with --events)",
-        )
-        .switch(
-            "no-snapshots",
-            "disable fast-forward snapshots; every trial replays its fault-free prefix from scratch",
-        )
-        .switch(
-            "no-profile",
-            "skip per-cell execution profiling (profiles feed `cfed-campaign profile`)",
-        )
+        .flag("retries", "N", "3", "attempts per failed unit before recording it failed")
+        .flag("backoff-ms", "MS", "25", "base backoff between unit retry attempts")
+}
+
+fn campaign_parser() -> Parser {
+    study_flags(
+        Parser::new("cfed-campaign", "full coverage + latency fault-injection study")
+            .flag(
+                "trials",
+                "N",
+                &SEU_STUDY.trials.to_string(),
+                "injections per workload per configuration",
+            )
+            .flag("threads", "N", "0", "worker threads (0 = all cores)"),
+    )
+    .switch("quiet", "suppress stderr progress output")
+    .switch(
+        "forensics",
+        "re-inject SDC/timeout/misdetection trials and emit forensics events (use with --events)",
+    )
+    .switch(
+        "no-snapshots",
+        "disable fast-forward snapshots; every trial replays its fault-free prefix from scratch",
+    )
+    .switch(
+        "no-profile",
+        "skip per-cell execution profiling (profiles feed `cfed-campaign profile`)",
+    )
 }
 
 fn run_campaign(argv: &[String]) {
@@ -486,24 +482,18 @@ fn run_campaign(argv: &[String]) {
 }
 
 fn attack_parser() -> Parser {
-    Parser::new(
-        "cfed-campaign attack",
-        "adversarial campaign: every attack archetype vs baseline + five techniques",
-    )
-    .flag(
-        "trials",
-        "N",
-        &ATTACK_STUDY.trials.to_string(),
-        "attacks per workload per archetype per configuration",
-    )
-    .flag("threads", "N", "0", "worker threads (0 = all cores)")
-    .flag("seed", "SEED", "3488423942", "campaign RNG seed")
-    .flag("out", "DIR", "results/campaigns", "directory for the JSONL result store")
-    .flag(
-        "run-id",
-        "ID",
-        "",
-        "run identifier; re-use to resume (default: derived from seed/trials)",
+    study_flags(
+        Parser::new(
+            "cfed-campaign attack",
+            "adversarial campaign: every attack archetype vs baseline + five techniques",
+        )
+        .flag(
+            "trials",
+            "N",
+            &ATTACK_STUDY.trials.to_string(),
+            "attacks per workload per archetype per configuration",
+        )
+        .flag("threads", "N", "0", "worker threads (0 = all cores)"),
     )
     .flag(
         "workloads",
@@ -511,9 +501,6 @@ fn attack_parser() -> Parser {
         "",
         "comma-separated campaign workload names (default: all six)",
     )
-    .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
-    .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
-    .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
     .switch("quiet", "suppress stderr progress output")
     .switch(
         "forensics",
@@ -601,23 +588,17 @@ fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
 }
 
 fn coordinate_parser() -> Parser {
-    Parser::new(
-        "cfed-campaign serve coordinate",
-        "lease the campaign to worker processes over TCP (single store writer)",
-    )
-    .flag(
-        "trials",
-        "N",
-        "",
-        "trials per workload per configuration (default: 500, or 300 with --attacks)",
-    )
-    .flag("seed", "SEED", "3488423942", "campaign RNG seed")
-    .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
-    .flag(
-        "run-id",
-        "ID",
-        "",
-        "run identifier; re-use to resume (default: derived from seed/trials)",
+    study_flags(
+        Parser::new(
+            "cfed-campaign serve coordinate",
+            "lease the campaign to worker processes over TCP (single store writer)",
+        )
+        .flag(
+            "trials",
+            "N",
+            "",
+            "trials per workload per configuration (default: 500, or 300 with --attacks)",
+        ),
     )
     .flag(
         "listen",
@@ -629,9 +610,6 @@ fn coordinate_parser() -> Parser {
     .flag("addr-file", "PATH", "", "write the bound worker (and http) address to PATH")
     .flag("lease-ms", "MS", "60000", "lease deadline before a unit is re-queued")
     .flag("max-inflight", "N", "4", "outstanding lease cap per worker")
-    .flag("retries", "N", "3", "attempts per unit before recording it failed")
-    .flag("backoff-ms", "MS", "25", "base backoff between unit retry attempts")
-    .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
     .flag(
         "workloads",
         "NAMES",

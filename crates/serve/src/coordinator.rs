@@ -32,7 +32,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use cfed_runner::matrix::CampaignMatrix;
+use cfed_runner::matrix::{cell_of, CampaignMatrix};
 use cfed_runner::retry::RetryPolicy;
 use cfed_runner::scheduler::{Lease, Msg, Note, Scheduler, Transport, UnitDone};
 use cfed_runner::store::ShardTallies;
@@ -504,9 +504,10 @@ impl Net {
                     self.stats.events_dropped += dropped - worker.dropped_seen;
                     worker.dropped_seen = dropped;
                 }
-                let profile = worker.profile.take().and_then(|(cell, p)| {
-                    key.strip_prefix(cell.as_str())?.starts_with('#').then_some(p)
-                });
+                let profile = worker
+                    .profile
+                    .take()
+                    .and_then(|(cell, p)| (cell_of(&key) == Some(cell.as_str())).then_some(p));
                 let record = frame.get("record").ok_or("result frame missing record".to_string());
                 match record.and_then(ShardTallies::from_json) {
                     Ok(tallies) => Some(Msg::Done(Box::new(UnitDone {
@@ -515,7 +516,6 @@ impl Net {
                         key,
                         ms: frame.get("ms").and_then(Json::as_u64).unwrap_or(0),
                         tallies,
-                        golden: None,
                         profile,
                         forensics: Vec::new(),
                         forensics_wanted: 0,

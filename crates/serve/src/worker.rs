@@ -20,7 +20,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cfed_runner::matrix::{CellSpec, ShardTask};
+use cfed_runner::matrix::{cell_of, CellSpec, ShardTask};
 use cfed_runner::pool::{spawn_executors, GoldenCache, Job, RunnerOptions};
 use cfed_runner::scheduler::{Lease, Msg};
 use cfed_telemetry::json::{obj, Json};
@@ -208,7 +208,7 @@ fn serve_connection(
                         sink.emit(&Event::new("unit_done").str("unit", key).u64("ms", done.ms));
                         // Ship the cell's profile before the result frame,
                         // which the coordinator attaches it to.
-                        let cell_key = key.rsplit_once('#').map_or("", |(cell, _)| cell);
+                        let cell_key = cell_of(key).unwrap_or_default();
                         let profile = done
                             .profile
                             .as_ref()

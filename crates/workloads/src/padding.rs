@@ -14,9 +14,6 @@
 use crate::Suite;
 use std::fmt::Write as _;
 
-/// Approximate instructions emitted per padding unit (one cold function).
-pub const INSTS_PER_UNIT: usize = 60;
-
 /// The global declaration shared by all cold functions (emit exactly once).
 pub fn sink_decl() -> &'static str {
     "global __cold_sink[16];\n"
