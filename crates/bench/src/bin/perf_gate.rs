@@ -656,6 +656,7 @@ fn perf_record(perf: &RunPerf, p: &Paired, side: usize) -> Json {
         ("insts_fused", Json::UInt(perf.snapshots.insts_fused)),
         ("insts_stepped", Json::UInt(perf.snapshots.insts_stepped)),
         ("insts_native", Json::UInt(perf.snapshots.insts_native)),
+        ("native_compiles", Json::UInt(perf.snapshots.native_compiles)),
     ])
 }
 

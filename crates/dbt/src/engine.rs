@@ -92,6 +92,8 @@ pub struct TransBlock {
     /// Bytes of 1:1-copied body (excludes the translated terminator and its
     /// glue).
     pub body_len: u64,
+    /// The block's exit descriptors: `exits[.0...1]` of its generation.
+    pub(crate) exits: (u32, u32),
 }
 
 impl TransBlock {
@@ -243,6 +245,12 @@ impl Dbt {
     /// compiled host code.
     pub(crate) fn gen_key(&self) -> (u64, u64) {
         (self.flush_gen, self.stats.smc_flushes)
+    }
+
+    /// Where the next translation will be emitted: every live block of this
+    /// generation lies below it.
+    pub(crate) fn cursor(&self) -> u64 {
+        self.cursor
     }
 
     /// The exit-trap codec, encoding half: exit descriptor `idx` raises the
@@ -720,6 +728,7 @@ impl Dbt {
             },
         }
         let cache_end = a.finish();
+        let first_exit = self.exits.len() as u32;
         self.register_exits(m, new_exits);
 
         // Record the block and protect its guest pages (SMC detection).
@@ -730,6 +739,7 @@ impl Dbt {
             cache_end,
             body_start,
             body_len: insts.len() as u64 * INST_SIZE_U64,
+            exits: (first_exit, self.exits.len() as u32),
         };
         self.stats.blocks += 1;
         self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;

@@ -22,24 +22,27 @@
 //! write-protection that category-F coverage depends on) are enforced by
 //! exactly the same code as the interpreter.
 //!
-//! Block exits reuse the translator's exit-site protocol: a direct exit
-//! compiles to a patchable 5-byte jump that initially raises the site's
-//! exit trap (the engine's exit-trap codec); once [`Dbt`] services the exit
-//! and patches the cache instruction into a `Jmp`, the native slot is
-//! patched to a chain thunk (accounting + direct host jump). Indirect exits
-//! get an inline-cache dispatcher in emitted code, kept strictly in sync
-//! with the engine's `dispatch_ic` table so hit/miss counts agree with the
+//! Block exits reuse the translator's exit-site protocol: every direct exit,
+//! chained or not, compiles to a chain site whose patchable 5-byte slot
+//! raises the site's exit trap (the engine's exit-trap codec) while the
+//! engine's exit is unpatched and enters a chain thunk (accounting for the
+//! patched `Jmp`) once it is; the thunk's own jump ends the session at the
+//! target until it is linked to the target's host code. So a block's host
+//! code does not depend on chain state, and no block jumps into another
+//! block's code but through a chain site. Indirect exits get an
+//! inline-cache dispatcher in emitted code, kept strictly in sync with the
+//! engine's `dispatch_ic` table so hit/miss counts agree with the
 //! interpreter. Any cache invalidation (full eviction or SMC flush) nukes
 //! all native code back to the shared-stub watermark — the translations it
 //! mirrored died.
 //!
-//! The JIT keeps two tables, everything else it reads from the engine's
-//! block and exit tables: host entry code by block cache start (`None` for
-//! a block it cannot compile) and chain patch points by direct exit site.
-//! A session starts only at a block head, where the budget check runs; a
-//! CPU stopped anywhere else (mid-block after a step limit, on a chained
-//! exit, on a dispatch site) takes interpreted [`Dbt::step`]s to the next
-//! head, which the engine contract makes bit-identical.
+//! The JIT keeps host entry code by block cache start (`None` for a block
+//! it cannot compile) and its chain sites; everything else it reads from
+//! the engine's block and exit tables. A session starts only at a block
+//! head, where the budget check runs; a CPU stopped anywhere else
+//! (mid-block after a step limit, on a chained exit, on a dispatch site)
+//! takes interpreted [`Dbt::step`]s to the next head, which the engine
+//! contract makes bit-identical.
 //!
 //! The burst stop rule ([`NativeDbt::burst`]: end in front of a branch once
 //! `stop_at` branches have retired) is a second check at every block head:
@@ -49,9 +52,12 @@
 //! which stops on the exact branch, finishes the burst. A jump back to the
 //! block head re-runs both checks.
 //!
-//! Each thread keeps one spare JIT: a `NativeDbt` maps its code buffer and
-//! builds the shared stubs only when the thread has none, and hands it back
-//! reset (no compiled blocks) when it is dropped.
+//! Each thread keeps one JIT and its code: a `NativeDbt` maps a code buffer
+//! and builds the shared stubs only when the thread has none, and hands the
+//! JIT back when it is dropped. [`NativeDbt::wrap`] empties it;
+//! [`NativeDbt::rewind`] keeps, across the trials of one golden run, the
+//! host code still right for the checkpoint a trial restored
+//! (`Jit::rewind`).
 
 use crate::codebuf::CodeBuf;
 use crate::engine::{
@@ -66,7 +72,7 @@ use cfed_isa::{cost, AluOp, Cond, Flags, Inst, Reg, INST_SIZE_U64};
 use cfed_sim::{Cpu, ExitReason, Machine, Memory, Trap};
 use cfed_telemetry::Telemetry;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Below this remaining budget the tail is run by the fused interpreter so
 /// the step limit lands on the exact instruction it would under
@@ -80,6 +86,9 @@ const MAX_BLOCK_CACHE_INSTS: usize = 2048;
 const SESSION_MARGIN: u64 = MAX_BLOCK_CACHE_INSTS as u64 + 64;
 /// RWX region size; the nuke-all protocol makes a fixed size fine.
 const CODEBUF_CAPACITY: usize = 16 << 20;
+/// Host code a rewind keeps at most: beyond it (blocks woken and recompiled
+/// across many trials) the rewind nukes, which bounds each worker's buffer.
+const SOFT_CODE_LIMIT: u64 = 1 << 20;
 /// Inline-cache tag meaning "empty slot" (never a valid guest address here).
 const EMPTY_TAG: u64 = u64::MAX;
 
@@ -90,6 +99,9 @@ const XK_BUDGET: u64 = 2;
 const XK_ENTER: u64 = 3;
 /// The block at `exit_ip` could retire a branch past the burst's stop.
 const XK_STOP: u64 = 4;
+/// The chain thunk of the site at `exit_ip` retired its jump and is not
+/// linked to the target's host code.
+const XK_LINK: u64 = 5;
 
 /// Per-session state shared between Rust and emitted code. `rbp` points at
 /// this for the whole session; all offsets below are baked into the code.
@@ -108,9 +120,6 @@ struct NativeCtx {
     trap_b: u64,
     /// `XK_ENTER`: cache address the runtime should continue at.
     resume_ip: u64,
-    /// `XK_ENTER`: host address of the 5-byte jump slot to patch once the
-    /// target block is compiled (0 = nothing to patch).
-    slot_addr: u64,
     d_insts: u64,
     d_cycles: u64,
     d_branches: u64,
@@ -155,7 +164,6 @@ const O_TRAP_DISC: i32 = ctx_off!(trap_disc);
 const O_TRAP_A: i32 = ctx_off!(trap_a);
 const O_TRAP_B: i32 = ctx_off!(trap_b);
 const O_RESUME_IP: i32 = ctx_off!(resume_ip);
-const O_SLOT_ADDR: i32 = ctx_off!(slot_addr);
 const O_D_INSTS: i32 = ctx_off!(d_insts);
 const O_D_CYCLES: i32 = ctx_off!(d_cycles);
 const O_D_BRANCHES: i32 = ctx_off!(d_branches);
@@ -189,7 +197,6 @@ impl NativeCtx {
             trap_a: 0,
             trap_b: 0,
             resume_ip: 0,
-            slot_addr: 0,
             d_insts: 0,
             d_cycles: 0,
             d_branches: 0,
@@ -382,21 +389,55 @@ enum CompileBail {
     Full,
 }
 
-/// Native patch points for one direct exit site.
+/// Native patch points for one direct exit site. Every direct exit compiles
+/// to one, whether or not the engine has chained it yet, so a block's host
+/// code does not depend on chain state: `slot` jumps to `stub` (raise the
+/// exit trap) while the engine's exit is unpatched and to `thunk` once it
+/// is, and the thunk, after retiring the patched `Jmp`, jumps to `link`
+/// (end the session at the jump's target) until `thunk_jmp` is linked to
+/// the target's host entry.
 #[derive(Clone, Copy)]
 struct ChainSite {
-    /// 5-byte jump slot inside the block (initially → exit stub).
+    /// Cache address of the exit site.
+    site: u64,
+    /// The engine's exit descriptor for the site.
+    exit: usize,
+    /// 5-byte jump slot inside the block.
     slot: u64,
     /// Chain thunk: accounting for the patched cache `Jmp`, then...
     thunk: u64,
-    /// ...this 5-byte jump, patched to the target's host entry.
+    /// ...this 5-byte jump.
     thunk_jmp: u64,
-    /// Whether `slot` and `thunk_jmp` are patched to chain to the target.
+    /// Raises the site's exit trap.
+    stub: u64,
+    /// Ends the session with `XK_LINK` at the site.
+    link: u64,
+    /// Whether `slot` jumps to `thunk`.
     chained: bool,
+    /// While `thunk_jmp` enters host code: the cache word at `site` (the
+    /// engine's patched `Jmp`) and that host entry.
+    linked: Option<(u64, u64)>,
+}
+
+/// One allocation on the JIT's host-code stack: a compiled block, or a
+/// block that failed to compile, which takes no bytes.
+struct Alloc {
+    /// Buffer cursor before the allocation: truncating here frees it and
+    /// everything allocated after it.
+    at: u64,
+    /// Cache start of the block.
+    cache: u64,
+    /// Compiled from a block of the golden run (see [`Jit::rewind`]).
+    golden: bool,
+    /// Kept, but not entered, while the engine may not hold the block.
+    asleep: bool,
+    /// End of the allocation's chain sites in [`Jit::sites`].
+    sites_end: usize,
 }
 
 thread_local! {
-    /// This thread's spare JIT, mapped once and reset between engines.
+    /// This thread's spare JIT, mapped once and kept, with its code, between
+    /// engines.
     static SPARE_JIT: Cell<Option<Box<Jit>>> = const { Cell::new(None) };
 }
 
@@ -419,21 +460,41 @@ struct Jit {
     /// block that failed to compile. Block heads are the only places a
     /// session starts.
     blocks: HashMap<u64, Option<u64>>,
-    /// Direct exit sites by cache address.
-    sites: HashMap<u64, ChainSite>,
+    /// Direct exit sites in allocation order...
+    sites: Vec<ChainSite>,
+    /// ...and by cache address.
+    site_at: HashMap<u64, usize>,
+    /// The host-code stack: every allocation above `blocks_base`, in order.
+    allocs: Vec<Alloc>,
     /// Mirror of `Dbt::dispatch_ic` as of the last sync.
     ic_shadow: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     /// [`Dbt::gen_key`] snapshot; any change nukes native code.
     gen: (u64, u64),
     /// `Dbt::stats.chains` as of the last chain resync.
     chains_shadow: u64,
-    /// Bumped by every nuke; guards stale patch addresses across a nuke.
+    /// Nukes so far (tests read it to see the buffer run out).
     nukes: u64,
+    /// The golden run whose checkpoints this JIT was last rewound to.
+    lineage: Option<u64>,
+    /// Whether the machine has run exactly as the golden run since the
+    /// rewind, so every block the engine holds is the golden run's.
+    lineage_open: bool,
+    /// Otherwise, blocks starting below this cache address were translated
+    /// by the golden run (0: none, after a generation change or without
+    /// lineage).
+    watermark: u64,
+    /// Sleeping golden blocks by cache start → their allocation.
+    sleeping: HashMap<u64, usize>,
+    /// Blocks compiled since the JIT was acquired or rewound.
+    compiles: u64,
+    /// Blocks at or above the watermark entered once since the last rewind
+    /// or nuke (see [`Jit::session_entry`]).
+    seen: HashSet<u64>,
 }
 
 impl Jit {
-    fn new() -> Option<Box<Jit>> {
-        let mut buf = CodeBuf::new(CODEBUF_CAPACITY)?;
+    fn with_capacity(capacity: usize) -> Option<Box<Jit>> {
+        let mut buf = CodeBuf::new(capacity)?;
         let cond_tables = buf.alloc(&cond_tables())?;
 
         // Epilogue: spill deltas, restore host regs, return.
@@ -485,27 +546,44 @@ impl Jit {
             cond_tables,
             blocks_base,
             blocks: HashMap::new(),
-            sites: HashMap::new(),
+            sites: Vec::new(),
+            site_at: HashMap::new(),
+            allocs: Vec::new(),
             ic_shadow: [None; DISPATCH_IC_SIZE],
             gen: (0, 0),
             chains_shadow: 0,
             nukes: 0,
+            lineage: None,
+            lineage_open: false,
+            watermark: 0,
+            sleeping: HashMap::new(),
+            compiles: 0,
+            seen: HashSet::new(),
         }))
     }
 
     /// This thread's spare JIT, or a newly mapped one (`None` where the host
-    /// cannot map executable memory), in step with `dbt`: it holds no
-    /// compiled code, so nothing the engine did so far needs mirroring.
+    /// cannot map executable memory).
+    fn take_spare() -> Option<Box<Jit>> {
+        SPARE_JIT.take().or_else(|| Jit::with_capacity(CODEBUF_CAPACITY))
+    }
+
+    /// The spare JIT emptied and in step with `dbt`: it holds no compiled
+    /// code, so nothing the engine did so far needs mirroring.
     fn acquire(dbt: &Dbt) -> Option<Box<Jit>> {
-        let mut jit = SPARE_JIT.take().or_else(Jit::new)?;
+        let mut jit = Jit::take_spare()?;
+        jit.nuke();
+        jit.lineage = None;
+        jit.lineage_open = false;
+        jit.watermark = 0;
+        jit.compiles = 0;
         jit.gen = dbt.gen_key();
         jit.chains_shadow = dbt.stats.chains;
         Some(jit)
     }
 
-    /// Empties this JIT and keeps it as the thread's spare.
-    fn release(mut self: Box<Self>) {
-        self.nuke();
+    /// Keeps this JIT, code and all, as the thread's spare.
+    fn release(self: Box<Self>) {
         // A thread tearing down its locals just unmaps it.
         let _ = SPARE_JIT.try_with(|spare| spare.set(Some(self)));
     }
@@ -515,6 +593,10 @@ impl Jit {
         self.buf.reset_to(self.blocks_base);
         self.blocks.clear();
         self.sites.clear();
+        self.site_at.clear();
+        self.allocs.clear();
+        self.sleeping.clear();
+        self.seen.clear();
         self.ctx.ic_tags = [EMPTY_TAG; DISPATCH_IC_SIZE];
         self.ctx.ic_vals = [0; DISPATCH_IC_SIZE];
         self.ic_shadow = [None; DISPATCH_IC_SIZE];
@@ -527,23 +609,187 @@ impl Jit {
         if gen != self.gen {
             self.nuke();
             self.gen = gen;
+            // The engine's translations are no longer the golden run's.
+            self.watermark = 0;
         }
     }
 
+    /// Puts this JIT in step with `dbt`, restored together with `m` from a
+    /// checkpoint of the golden run `lineage` names, keeping the host code
+    /// that is still right for it.
+    ///
+    /// Between two generation changes the golden run's block table only
+    /// grows, and a block's cache bytes change only at its direct exit
+    /// sites, which compile to chain sites whatever their state. So the
+    /// host code of a block the golden run translated stays right for every
+    /// checkpoint of that generation that holds the block: the ones whose
+    /// cursor lies above it. Code compiled from a trial's own translations
+    /// is dropped: host code is a stack, and the first such allocation
+    /// truncates it and everything after. A golden block above the
+    /// checkpoint's cursor sleeps until the trial, still on the golden
+    /// run, translates it again ([`Jit::entry`]). Chain sites of the awake
+    /// blocks then follow the checkpoint's exits: a slot is chained exactly
+    /// when the engine has the exit patched, and a thunk stays linked only
+    /// while its site holds the jump it was linked on and its target
+    /// survived. The inline cache is mirrored afresh. Another lineage or
+    /// generation, or more than [`SOFT_CODE_LIMIT`] bytes of host code,
+    /// nukes.
+    fn rewind(&mut self, dbt: &Dbt, m: &Machine, lineage: u64) {
+        let live = dbt.cursor();
+        let used = self.buf.cursor_addr() - self.blocks_base;
+        if self.lineage != Some(lineage) || self.gen != dbt.gen_key() || used > SOFT_CODE_LIMIT {
+            self.nuke();
+            self.lineage = Some(lineage);
+            self.gen = dbt.gen_key();
+        } else {
+            if let Some(first) = self.allocs.iter().position(|a| !a.golden) {
+                self.truncate(first);
+            }
+            let live_end = self.buf.cursor_addr();
+            let mut first_site = 0;
+            for i in 0..self.allocs.len() {
+                let a = &mut self.allocs[i];
+                let sites = first_site..a.sites_end;
+                first_site = a.sites_end;
+                if a.asleep {
+                    continue;
+                }
+                if a.cache >= live {
+                    a.asleep = true;
+                    if let Some(Some(_)) = self.blocks.remove(&a.cache) {
+                        self.sleeping.insert(a.cache, i);
+                    }
+                    continue;
+                }
+                for j in sites {
+                    let cs = self.sites[j];
+                    let patched = dbt.exits[cs.exit].patched;
+                    if cs.chained != patched {
+                        self.set_chained(j, patched);
+                    }
+                    if let Some((word, host)) = cs.linked {
+                        if !patched || host >= live_end || cache_word(m, cs.site) != word {
+                            self.unlink(j);
+                        }
+                    }
+                }
+            }
+            self.seen.clear();
+        }
+        self.lineage_open = true;
+        self.watermark = live;
+        self.compiles = 0;
+        self.chains_shadow = dbt.stats.chains;
+        self.mirror_ic(dbt);
+    }
+
+    /// Closes the stretch in which every block the engine translates is
+    /// the golden run's (see [`NativeDbt::mark_lineage`]).
+    fn mark_lineage(&mut self, dbt: &Dbt) {
+        if self.lineage_open {
+            self.lineage_open = false;
+            self.watermark = dbt.cursor();
+        }
+    }
+
+    /// Frees allocation `first` and everything after it.
+    fn truncate(&mut self, first: usize) {
+        self.buf.reset_to(self.allocs[first].at);
+        for (i, a) in self.allocs.drain(first..).enumerate() {
+            if !a.asleep {
+                self.blocks.remove(&a.cache);
+            } else if self.sleeping.get(&a.cache) == Some(&(first + i)) {
+                self.sleeping.remove(&a.cache);
+            }
+        }
+        let sites_end = self.allocs.last().map_or(0, |a| a.sites_end);
+        for (i, cs) in self.sites.drain(sites_end..).enumerate() {
+            if self.site_at.get(&cs.site) == Some(&(sites_end + i)) {
+                self.site_at.remove(&cs.site);
+            }
+        }
+    }
+
+    /// Points chain site `i`'s slot at its thunk (`chained`) or its stub.
+    fn set_chained(&mut self, i: usize, chained: bool) {
+        let cs = &mut self.sites[i];
+        let to = if chained { cs.thunk } else { cs.stub };
+        self.buf.patch(cs.slot, &x86::jmp_rel32_bytes(cs.slot, to));
+        cs.chained = chained;
+    }
+
+    /// Points chain site `i`'s thunk back at its link exit.
+    fn unlink(&mut self, i: usize) {
+        let cs = &mut self.sites[i];
+        self.buf.patch(cs.thunk_jmp, &x86::jmp_rel32_bytes(cs.thunk_jmp, cs.link));
+        cs.linked = None;
+    }
+
+    /// Links chain site `i`'s thunk to the host entry of the jump the
+    /// engine patched at its site, if that block is compiled; returns the
+    /// jump's target.
+    fn link(&mut self, m: &Machine, i: usize) -> Option<u64> {
+        let cs = self.sites[i];
+        let word = cache_word(m, cs.site);
+        let target = Inst::decode(&word.to_le_bytes()).ok()?.direct_target(cs.site)?;
+        if let Some(&Some(host)) = self.blocks.get(&target) {
+            self.buf.patch(cs.thunk_jmp, &x86::jmp_rel32_bytes(cs.thunk_jmp, host));
+            self.sites[i].linked = Some((word, host));
+        }
+        Some(target)
+    }
+
+    /// Records an allocation at `at` for the block at `cache`.
+    fn push_alloc(&mut self, at: u64, cache: u64) {
+        let golden = self.lineage.is_some() && (self.lineage_open || cache < self.watermark);
+        let sites_end = self.sites.len();
+        self.allocs.push(Alloc { at, cache, golden, asleep: false, sites_end });
+    }
+
+    /// Wakes sleeping allocation `i` for the engine's block it was compiled
+    /// from: its chain sites are synced with the engine from scratch.
+    fn wake(&mut self, dbt: &Dbt, m: &Machine, i: usize) -> u64 {
+        let a = &mut self.allocs[i];
+        a.asleep = false;
+        let (cache, host, sites_end) = (a.cache, a.at, a.sites_end);
+        self.blocks.insert(cache, Some(host));
+        let first_site = i.checked_sub(1).map_or(0, |p| self.allocs[p].sites_end);
+        for j in first_site..sites_end {
+            self.site_at.insert(self.sites[j].site, j);
+            if self.sites[j].linked.is_some() {
+                self.unlink(j);
+            }
+            let patched = dbt.exits[self.sites[j].exit].patched;
+            self.set_chained(j, patched);
+            if patched {
+                self.link(m, j);
+            }
+        }
+        host
+    }
+
     /// Host entry of the live block that starts at cache address `cache`,
-    /// compiling it on first use; `None` when no block starts there or the
+    /// compiling it on first use or waking the sleeping code an earlier
+    /// trial compiled from it; `None` when no block starts there or the
     /// block cannot be compiled.
     fn entry(&mut self, dbt: &Dbt, m: &Machine, cache: u64) -> Option<u64> {
         if let Some(&host) = self.blocks.get(&cache) {
             return host;
         }
         let tb = *dbt.block_containing(cache).filter(|b| b.cache_start == cache)?;
-        let host = match self.compile_block(dbt, m, &tb) {
-            Err(CompileBail::Full) => {
-                self.nuke();
-                self.compile_block(dbt, m, &tb).ok()
-            }
-            compiled => compiled.ok(),
+        // Where the engine's blocks are the golden run's, a sleeping block
+        // at this address was compiled from this very block.
+        let golden = self.lineage_open || cache < self.watermark;
+        let asleep = golden.then(|| self.sleeping.remove(&cache)).flatten();
+        let host = match asleep {
+            Some(i) => Some(self.wake(dbt, m, i)),
+            None => match self.compile_block(dbt, m, &tb) {
+                Err(CompileBail::Full) => {
+                    self.nuke();
+                    self.compile_block(dbt, m, &tb).ok()
+                }
+                compiled => compiled.ok(),
+            },
         };
         match host {
             // Inline-cache slots naming this block can now hit natively.
@@ -558,9 +804,25 @@ impl Jit {
             Some(_) => {}
             None => {
                 self.blocks.insert(cache, None);
+                self.push_alloc(self.buf.cursor_addr(), cache);
             }
         }
         host
+    }
+
+    /// [`Jit::entry`] for a session start, except that on a rewound JIT a
+    /// block the trial translated after its strike compiles only when
+    /// entered a second time: most of them run once.
+    fn session_entry(&mut self, dbt: &Dbt, m: &Machine, cache: u64) -> Option<u64> {
+        if self.lineage.is_some()
+            && !self.lineage_open
+            && cache >= self.watermark
+            && !self.blocks.contains_key(&cache)
+            && self.seen.insert(cache)
+        {
+            return None;
+        }
+        self.entry(dbt, m, cache)
     }
 
     /// Mirrors the engine's dispatcher inline cache into the ctx for the
@@ -570,9 +832,13 @@ impl Jit {
     /// interpreter's: a native miss that the engine would have hit routes
     /// through `service_exit`, which counts the hit there instead.
     fn resync_ic(&mut self, dbt: &Dbt) {
-        if self.ic_shadow == dbt.dispatch_ic {
-            return;
+        if self.ic_shadow != dbt.dispatch_ic {
+            self.mirror_ic(dbt);
         }
+    }
+
+    /// [`Jit::resync_ic`] without the shortcut for an unchanged engine cache.
+    fn mirror_ic(&mut self, dbt: &Dbt) {
         for slot in 0..DISPATCH_IC_SIZE {
             let (tag, val) = match dbt.dispatch_ic[slot] {
                 Some((tag, cache)) => match self.blocks.get(&cache) {
@@ -587,62 +853,32 @@ impl Jit {
         self.ic_shadow = dbt.dispatch_ic;
     }
 
-    /// Patches the native side of exit `idx` after the engine chained it:
-    /// slot → thunk, thunk → target host entry (or an enter stub when the
-    /// target block itself is not natively compiled).
-    fn try_chain(&mut self, dbt: &Dbt, m: &Machine, idx: usize) {
-        let ExitKind::Direct { guest_target, site } = dbt.exits[idx].kind else {
-            return;
-        };
-        if !dbt.exits[idx].patched || self.sites.get(&site).is_none_or(|cs| cs.chained) {
-            return;
-        }
-        let Some(tb) = dbt.lookup(guest_target).copied() else {
-            return;
-        };
-        let nukes = self.nukes;
-        let target_host = match self.entry(dbt, m, tb.cache_start) {
-            Some(host) => Some(host),
-            None => {
-                // Target block is uncompilable: chain into an enter stub so
-                // the thunk still retires the cache `Jmp` natively and hands
-                // the target back to the runtime loop.
-                let mut a = Asm::new(self.buf.cursor_addr());
-                if tb.cache_start <= i32::MAX as u64 {
-                    a.store_imm32(RBP, O_RESUME_IP, tb.cache_start as i32);
-                } else {
-                    a.mov_ri64(RAX, tb.cache_start);
-                    a.store(RBP, O_RESUME_IP, RAX);
-                }
-                a.store_imm32(RBP, O_SLOT_ADDR, 0);
-                a.store_imm32(RBP, O_EXIT_KIND, XK_ENTER as i32);
-                a.jmp_abs(self.epilogue);
-                self.buf.alloc(&a.finish())
+    /// Chains the native slot of every compiled exit site that the engine
+    /// has chained (the engine may patch during interpreted stretches, and
+    /// a block compiles with every slot unchained), linking its thunk when
+    /// the target is compiled.
+    fn chain_patched(&mut self, dbt: &Dbt, m: &Machine) {
+        for i in 0..self.sites.len() {
+            let cs = self.sites[i];
+            if !cs.chained && dbt.exits.get(cs.exit).is_some_and(|e| e.patched) {
+                self.set_chained(i, true);
+                self.link(m, i);
             }
-        };
-        if self.nukes != nukes {
-            return; // compile overflowed and nuked; the site died with it
         }
-        let (Some(target_host), Some(cs)) = (target_host, self.sites.get_mut(&site)) else {
-            return;
-        };
-        self.buf.patch(cs.thunk_jmp, &x86::jmp_rel32_bytes(cs.thunk_jmp, target_host));
-        self.buf.patch(cs.slot, &x86::jmp_rel32_bytes(cs.slot, cs.thunk));
-        cs.chained = true;
     }
 
-    /// Chains every engine-patched exit that the native code has not picked
-    /// up yet (the engine may patch during interpreted stretches).
-    fn resync_chains(&mut self, dbt: &Dbt, m: &Machine) {
-        if self.chains_shadow == dbt.stats.chains {
+    /// Chains the native slot of exit `idx` once the engine has chained it.
+    fn chain_exit(&mut self, dbt: &Dbt, m: &Machine, idx: usize) {
+        let ExitKind::Direct { site, .. } = dbt.exits[idx].kind else {
             return;
+        };
+        let Some(&i) = self.site_at.get(&site) else {
+            return;
+        };
+        if dbt.exits[idx].patched && !self.sites[i].chained {
+            self.set_chained(i, true);
+            self.link(m, i);
         }
-        for idx in 0..dbt.exits.len() {
-            if dbt.exits[idx].patched {
-                self.try_chain(dbt, m, idx);
-            }
-        }
-        self.chains_shadow = dbt.stats.chains;
     }
 
     /// Catches up with what the engine did outside native code (interpreted
@@ -650,7 +886,10 @@ impl Jit {
     /// change, chains the exits it patched and mirrors its inline cache.
     fn sync(&mut self, dbt: &Dbt, m: &Machine) {
         self.check_gen(dbt);
-        self.resync_chains(dbt, m);
+        if self.chains_shadow != dbt.stats.chains {
+            self.chain_patched(dbt, m);
+            self.chains_shadow = dbt.stats.chains;
+        }
         self.resync_ic(dbt);
     }
 
@@ -670,7 +909,6 @@ impl Jit {
         ctx.trap_a = 0;
         ctx.trap_b = 0;
         ctx.resume_ip = 0;
-        ctx.slot_addr = 0;
         ctx.d_insts = 0;
         ctx.d_cycles = 0;
         ctx.d_branches = 0;
@@ -728,6 +966,14 @@ impl Jit {
         if insts.len() > MAX_BLOCK_CACHE_INSTS {
             return Err(CompileBail::Unsupported);
         }
+        // The block's direct exit sites, chained or not.
+        let exits: Vec<(u64, usize)> = (tb.exits.0 as usize..tb.exits.1 as usize)
+            .filter_map(|idx| match dbt.exits[idx].kind {
+                ExitKind::Direct { site, .. } => Some((site, idx)),
+                _ => None,
+            })
+            .collect();
+        let exit_at = |addr: u64| exits.iter().find(|&&(site, _)| site == addr).map(|&(_, i)| i);
 
         // Intra-block branch targets become local labels. Control inside a
         // block only runs forward or back to its head, so one pass retires
@@ -739,6 +985,7 @@ impl Jit {
         let mut branches = 0u64;
         for (addr, inst) in &insts {
             match inst {
+                Inst::Jmp { .. } if exit_at(*addr).is_some() => branches += 1,
                 Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::JRz { .. } | Inst::JRnz { .. } => {
                     branches += 1;
                     let t = inst.direct_target(*addr).expect("direct branch");
@@ -751,10 +998,7 @@ impl Jit {
                         labels.entry(t).or_insert_with(|| a.new_label());
                     }
                 }
-                Inst::Trap { code } => {
-                    let kind = dbt.exit_index(*code).map(|i| dbt.exits[i].kind);
-                    branches += matches!(kind, Some(ExitKind::Direct { .. })) as u64;
-                }
+                Inst::Trap { .. } => branches += exit_at(*addr).is_some() as u64,
                 _ => {}
             }
         }
@@ -762,7 +1006,6 @@ impl Jit {
         let mut b = BlockAsm {
             a,
             dbt,
-            blocks: &self.blocks,
             cond_tables: self.cond_tables,
             epilogue: self.epilogue,
             trap_exit: self.trap_exit,
@@ -797,12 +1040,15 @@ impl Jit {
                     b.a.bind(l);
                 }
             }
-            b.emit_inst(*addr, *inst)?;
+            match exit_at(*addr) {
+                Some(exit) => b.emit_chain_site(*addr, exit),
+                None => b.emit_inst(*addr, *inst)?,
+            }
         }
         // Defensive: translator blocks always end in a terminator; if one
         // ever does not, hand the fall-through back to the runtime.
         b.flush();
-        b.emit_enter_exit(tb.cache_end, 0);
+        b.emit_enter_exit(tb.cache_end);
         b.drain_outlined();
 
         let BlockAsm { a, sites, .. } = b;
@@ -810,9 +1056,26 @@ impl Jit {
         let host = self.buf.alloc(&bytes).ok_or(CompileBail::Full)?;
         debug_assert_eq!(host, base);
         self.blocks.insert(tb.cache_start, Some(host));
-        self.sites.extend(sites);
+        for cs in sites {
+            self.site_at.insert(cs.site, self.sites.len());
+            self.sites.push(cs);
+        }
+        let first_site = self.allocs.last().map_or(0, |a| a.sites_end);
+        self.push_alloc(host, tb.cache_start);
+        for i in first_site..self.sites.len() {
+            if dbt.exits[self.sites[i].exit].patched {
+                self.set_chained(i, true);
+                self.link(m, i);
+            }
+        }
+        self.compiles += 1;
         Ok(host)
     }
+}
+
+/// The cache word at `addr` in `m`'s memory.
+fn cache_word(m: &Machine, addr: u64) -> u64 {
+    u64::from_le_bytes(m.mem.peek(addr, 8).try_into().expect("8 bytes"))
 }
 
 /// Which memory helper an outlined slow path calls.
@@ -830,9 +1093,8 @@ enum MemOp {
 enum Outl {
     /// Conditional-branch taken arm: accounting, then transfer.
     Taken { l: Label, cost: u64, target: u64 },
-    /// Hand control to the runtime at cache address `target`; `slot` is the
-    /// 5-byte jump to patch once `target`'s block is compiled.
-    Enter { l: Label, target: u64, slot: u64 },
+    /// Hand control to the runtime at cache address `target`.
+    Enter { l: Label, target: u64 },
     /// Division-by-zero trap for the `Div` at cache address `ip`.
     Div0 { l: Label, ip: u64 },
     /// End the session with exit `kind` (budget exhausted, or the block
@@ -853,7 +1115,6 @@ enum Outl {
 struct BlockAsm<'a> {
     a: Asm,
     dbt: &'a Dbt,
-    blocks: &'a HashMap<u64, Option<u64>>,
     cond_tables: u64,
     epilogue: u64,
     trap_exit: u64,
@@ -862,7 +1123,7 @@ struct BlockAsm<'a> {
     pend_insts: u64,
     pend_cycles: u64,
     outl: Vec<Outl>,
-    sites: Vec<(u64, ChainSite)>,
+    sites: Vec<ChainSite>,
 }
 
 fn rslot(r: Reg) -> i32 {
@@ -1023,24 +1284,23 @@ impl BlockAsm<'_> {
         }
     }
 
-    /// Emits a transfer of control to cache address `target`.
+    /// Emits a transfer of control to cache address `target`: a jump
+    /// inside the block, or a hand-back to the runtime. Only direct exits
+    /// (chain sites) leave a block for another block, so host code never
+    /// jumps into another block's code but through a chain site.
     fn transfer(&mut self, target: u64) {
         if let Some(l) = self.label_at(target) {
             self.a.jmp(l);
-        } else if let Some(&Some(host)) = self.blocks.get(&target) {
-            self.a.jmp_abs(host);
         } else {
-            let slot = self.a.here_abs();
             let l = self.a.new_label();
             self.a.jmp(l);
-            self.outl.push(Outl::Enter { l, target, slot });
+            self.outl.push(Outl::Enter { l, target });
         }
     }
 
-    /// Emits an inline `XK_ENTER` exit (used for the defensive fall-through).
-    fn emit_enter_exit(&mut self, target: u64, slot: u64) {
+    /// Emits an inline `XK_ENTER` exit: the runtime continues at `target`.
+    fn emit_enter_exit(&mut self, target: u64) {
         self.store_ctx_imm(O_RESUME_IP, target);
-        self.store_ctx_imm(O_SLOT_ADDR, slot);
         self.a.store_imm32(RBP, O_EXIT_KIND, XK_ENTER as i32);
         self.a.jmp_abs(self.epilogue);
     }
@@ -1064,9 +1324,9 @@ impl BlockAsm<'_> {
                     self.branch_acct(cost, true);
                     self.transfer(target);
                 }
-                Outl::Enter { l, target, slot } => {
+                Outl::Enter { l, target } => {
                     self.a.bind(l);
-                    self.emit_enter_exit(target, slot);
+                    self.emit_enter_exit(target);
                 }
                 Outl::Div0 { l, ip } => {
                     self.a.bind(l);
@@ -1131,24 +1391,48 @@ impl BlockAsm<'_> {
         }
     }
 
-    /// Emits the trap/exit-site form of a cache `Trap` instruction.
+    /// Emits direct exit `exit`, whose site is at cache address `addr`, as
+    /// a chain site (see [`ChainSite`]), whatever its state in the engine.
+    fn emit_chain_site(&mut self, addr: u64, exit: usize) {
+        self.flush();
+        let slot = self.a.here_abs();
+        let l_stub = self.a.new_label();
+        self.a.jmp(l_stub);
+        let thunk = self.a.here_abs();
+        self.branch_acct(cost(&Inst::Jmp { offset: 0 }, true), true);
+        let thunk_jmp = self.a.here_abs();
+        let l_link = self.a.new_label();
+        self.a.jmp(l_link);
+        self.a.bind(l_stub);
+        let stub = self.a.here_abs();
+        let Inst::Trap { code } = Dbt::exit_trap(exit) else {
+            unreachable!("exit traps are traps")
+        };
+        self.emit_trap_exit(1, addr, code as u64, addr);
+        self.a.bind(l_link);
+        let link = self.a.here_abs();
+        self.store_ctx_imm(O_EXIT_IP, addr);
+        self.a.store_imm32(RBP, O_EXIT_KIND, XK_LINK as i32);
+        self.a.jmp_abs(self.epilogue);
+        let (chained, linked) = (false, None);
+        self.sites.push(ChainSite {
+            site: addr,
+            exit,
+            slot,
+            thunk,
+            thunk_jmp,
+            stub,
+            link,
+            chained,
+            linked,
+        });
+    }
+
+    /// Emits a cache `Trap` that is not a direct exit site: an indirect
+    /// exit, an abort or a guest trap.
     fn emit_trap_site(&mut self, addr: u64, code: u32) {
         self.flush();
         match self.dbt.exit_index(code).map(|i| self.dbt.exits[i].kind) {
-            Some(ExitKind::Direct { .. }) => {
-                // Patchable slot → exit stub; chain thunk parked after it.
-                let slot = self.a.here_abs();
-                let l_stub = self.a.new_label();
-                self.a.jmp(l_stub);
-                let thunk = self.a.here_abs();
-                let jmp_cost = cost(&Inst::Jmp { offset: 0 }, true);
-                self.branch_acct(jmp_cost, true);
-                let thunk_jmp = self.a.here_abs();
-                self.a.jmp(l_stub); // patched to the target host entry
-                self.a.bind(l_stub);
-                self.emit_trap_exit(1, addr, code as u64, addr);
-                self.sites.push((addr, ChainSite { slot, thunk, thunk_jmp, chained: false }));
-            }
             Some(ExitKind::Indirect) => {
                 // Inline-cache dispatch: tag-match on the guest target.
                 self.a.load(RAX, RBP, rslot(regs::ITARGET));
@@ -1511,8 +1795,25 @@ impl NativeDbt {
         Self::wrap_with(dbt, native_enabled())
     }
 
-    fn wrap_with(dbt: Dbt, native: bool) -> NativeDbt {
+    /// As [`NativeDbt::wrap`] with an explicit native on/off switch: with
+    /// it off, every burst is [`Dbt::burst`] itself.
+    pub fn wrap_with(dbt: Dbt, native: bool) -> NativeDbt {
         let jit = if native { Jit::acquire(&dbt) } else { None };
+        NativeDbt { dbt, jit }
+    }
+
+    /// Wraps `dbt`, restored together with `m` from a checkpoint of the run
+    /// `lineage` names, on this thread's JIT, keeping the host code it
+    /// compiled for earlier checkpoints of that run wherever it is still
+    /// right for this one (DESIGN "Native backend"). Every engine rewound
+    /// under one `lineage` must be a checkpoint of one deterministic run:
+    /// a `Dbt` clone and the machine captured with it, or the run's start.
+    /// Native execution is enabled when [`native_enabled`] allows it.
+    pub fn rewind(dbt: Dbt, m: &Machine, lineage: u64) -> NativeDbt {
+        let jit = native_enabled().then(Jit::take_spare).flatten().map(|mut jit| {
+            jit.rewind(&dbt, m, lineage);
+            jit
+        });
         NativeDbt { dbt, jit }
     }
 
@@ -1524,6 +1825,31 @@ impl NativeDbt {
     /// The underlying engine (stats, block table, cache region...).
     pub fn dbt(&self) -> &Dbt {
         &self.dbt
+    }
+
+    /// Declares that since [`NativeDbt::rewind`] the machine has run
+    /// exactly as the lineage's run did from that checkpoint, so every
+    /// block the engine translated since is one that run translated at the
+    /// same place, and its host code may survive later rewinds. A trial
+    /// calls this at its strike point, before it corrupts anything. No-op
+    /// for an engine that was not rewound.
+    pub fn mark_lineage(&mut self) {
+        if let Some(jit) = &mut self.jit {
+            jit.mark_lineage(&self.dbt);
+        }
+    }
+
+    /// The underlying engine, for [`Dbt::step`]s between bursts; the next
+    /// burst catches up with whatever the steps translated, chained or
+    /// flushed.
+    pub fn dbt_mut(&mut self) -> &mut Dbt {
+        &mut self.dbt
+    }
+
+    /// Blocks compiled to host code since this engine was wrapped or
+    /// rewound (0 without native execution).
+    pub fn native_compiles(&self) -> u64 {
+        self.jit.as_ref().map_or(0, |jit| jit.compiles)
     }
 
     /// Attaches a telemetry handle to the underlying engine
@@ -1591,12 +1917,13 @@ impl NativeDbt {
                 // boundary Dbt::burst would.
                 return dbt.burst(m, remaining, stop_at);
             }
-            let Some(entry) = jit.entry(dbt, m, m.cpu.ip()) else {
+            let ip = m.cpu.ip();
+            let Some(entry) = jit.session_entry(dbt, m, ip) else {
                 // Not at a compiled block head (the guest entry before
                 // attaching, a mid-block resume, a chained exit or dispatch
-                // site, the error stub, an uncompilable block): interpret
-                // one step, bit-identical by the engine contract, and
-                // re-evaluate.
+                // site, the error stub, an uncompilable or cold block): run
+                // the rest of the block on the fused engine, bit-identical
+                // by the engine contract, and re-evaluate.
                 let step = dbt.step(m);
                 if step != DbtStep::Continue {
                     return step;
@@ -1626,15 +1953,15 @@ impl NativeDbt {
                     step
                 }
                 XK_ENTER => {
-                    let resume = jit.ctx.resume_ip;
-                    let slot = jit.ctx.slot_addr;
-                    m.cpu.set_ip(resume);
-                    let nukes = jit.nukes;
-                    if let Some(host) = jit.entry(dbt, m, resume) {
-                        if slot != 0 && jit.nukes == nukes {
-                            jit.buf.patch(slot, &x86::jmp_rel32_bytes(slot, host));
-                        }
-                    }
+                    m.cpu.set_ip(jit.ctx.resume_ip);
+                    DbtStep::Continue
+                }
+                XK_LINK => {
+                    // The thunk retired the site's patched jump: continue at
+                    // its target, and link the thunk once that is compiled.
+                    let site = jit.site_at[&jit.ctx.exit_ip];
+                    let target = jit.link(m, site).expect("a chained site holds the engine's jump");
+                    m.cpu.set_ip(target);
                     DbtStep::Continue
                 }
                 XK_TRAP => {
@@ -1652,7 +1979,7 @@ impl NativeDbt {
                         jit.check_gen(dbt);
                         if dbt.gen_key() == gen_before {
                             if let Some(idx) = exit_idx {
-                                jit.try_chain(dbt, m, idx);
+                                jit.chain_exit(dbt, m, idx);
                             }
                         }
                         jit.chains_shadow = dbt.stats.chains;
@@ -1795,6 +2122,110 @@ mod tests {
             let s = dbt.stats();
             assert_eq!((s.smc_flushes, s.cache_evictions, s.retranslations), (0, 1, 1), "{s:?}");
         }
+    }
+
+    /// Bursts until the machine stands in front of a branch with `stop_at`
+    /// branches retired, the run ends, or `budget` instructions retired.
+    fn run_to(
+        m: &mut Machine,
+        stop_at: u64,
+        budget: u64,
+        mut burst: impl FnMut(&mut Machine, u64, u64) -> DbtStep,
+    ) -> DbtStep {
+        loop {
+            let insts = m.cpu.stats().insts;
+            let at_stop = m.cpu.stats().branches >= stop_at;
+            if insts >= budget || at_stop && m.peek_inst().is_ok_and(|i| i.is_branch()) {
+                return DbtStep::Continue;
+            }
+            match burst(m, budget - insts, stop_at) {
+                DbtStep::Continue => {}
+                end => return end,
+            }
+        }
+    }
+
+    #[test]
+    fn rewinds_survive_the_code_buffer_running_out() {
+        // Checkpoints of one golden run, rewound in a campaign-style loop on
+        // a JIT whose buffer holds a handful of blocks: compiles overflow it
+        // mid-trial, nuke, and the trial carries on. Every trial must end
+        // as the same trial on a fresh restore and a fresh fused engine.
+        let image = cfed_lang::compile(
+            r#"
+            fn step(x) { if (x % 2 == 0) { return x / 2; } return 3 * x + 1; }
+            fn len(x) { let n = 0; while (x > 1) { x = step(x); n = n + 1; } return n; }
+            fn main() {
+                let i = 1;
+                let t = 0;
+                while (i < 30) {
+                    let v = len(i);
+                    if (v > 10) { t = t + v; } else { if (v % 3 == 0) { t = t - 1; } else { t = t + 2; } }
+                    i = i + 1;
+                }
+                out(t);
+            }
+            "#,
+        )
+        .unwrap();
+        const BUDGET: u64 = 1_000_000;
+        let load = || Machine::load(image.code(), image.data(), image.entry_offset());
+        let mut m = load();
+        let mut dbt = Dbt::new(Box::new(crate::NullInstrumenter), UpdateStyle::Jcc, &mut m);
+        let mut tracker = cfed_sim::SnapshotTracker::new();
+        let mut checkpoints = Vec::new();
+        for k in 0..40 {
+            let end = run_to(&mut m, k * 25, BUDGET, |m, left, stop| dbt.burst(m, left, stop));
+            if end != DbtStep::Continue {
+                break;
+            }
+            checkpoints.push((tracker.capture(&mut m), dbt.clone()));
+        }
+        assert!(checkpoints.len() > 20, "{} checkpoints", checkpoints.len());
+
+        SPARE_JIT.set(Jit::with_capacity(16 << 10));
+        let lineage = u64::MAX;
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let mut nukes = 0;
+        for trial in 0..200 {
+            let (snap, dbt) = &checkpoints[next(checkpoints.len() as u64) as usize];
+            let (prefix, bit, reg, value) = (next(4), next(6) as u8, next(8), next(40));
+            let observe = |native: bool| {
+                let mut m = snap.restore();
+                let mut nd = match native {
+                    true => NativeDbt::rewind(dbt.clone(), &m, lineage),
+                    false => NativeDbt::wrap_with(dbt.clone(), false),
+                };
+                let stop_at = m.cpu.stats().branches + prefix;
+                let mut end = run_to(&mut m, stop_at, BUDGET, |m, l, s| nd.burst(m, l, s));
+                if end == DbtStep::Continue {
+                    nd.mark_lineage();
+                    m.cpu.set_flags(m.cpu.flags().with_bit_flipped(bit));
+                    m.cpu.set_reg(Reg::all().nth(reg as usize).unwrap(), value);
+                    end = run_to(&mut m, u64::MAX, BUDGET, |m, l, s| nd.burst(m, l, s));
+                }
+                let nukes = nd.jit.as_ref().map_or(0, |jit| jit.nukes);
+                let pages: Vec<_> = m
+                    .mem
+                    .dirty_pages()
+                    .into_iter()
+                    .map(|base| (base, m.mem.peek(base, cfed_sim::PAGE_SIZE as usize).to_vec()))
+                    .collect();
+                ((end, m.cpu.clone(), nd.stats(), pages), nukes)
+            };
+            let (fused, _) = observe(false);
+            let (native, after) = observe(true);
+            assert_eq!(fused, native, "trial {trial}");
+            nukes = after;
+        }
+        // One nuke for the first rewind of the lineage; the rest are the
+        // buffer running out.
+        assert!(nukes > 10, "{nukes} nukes");
+        SPARE_JIT.take();
     }
 
     #[test]

@@ -604,8 +604,9 @@ mod tests {
         // Bursts stop in front of the strike branch, so a fast-path trial
         // single-steps at most its faulted instruction.
         assert!(stats.insts_stepped <= placed, "{} stepped, {placed} placed", stats.insts_stepped);
-        // Trials that miss a checkpoint finish on native code where it runs.
+        // Trials run on native code where it runs.
         assert_eq!(stats.insts_native > 0, cfed_dbt::native_enabled(), "{stats:?}");
+        assert_eq!(stats.native_compiles > 0, cfed_dbt::native_enabled(), "{stats:?}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! *translated* code, so the instrumentation's own inserted branches are
 //! fault sites too — exactly the surface RCF exists to protect (§3.2).
 //! The same trial loop mounts [`crate::attack`] corruptions: a
-//! [`TrialSpec`] names either kind of trial.
+//! [`TrialSpec`] names either kind of trial. A trial on the fast path runs
+//! on one engine from restore to outcome: native code on its worker's JIT
+//! ([`NativeDbt::rewind`]), which keeps host code across the trials of one
+//! golden run.
 
 use crate::attack::{attack_now, AttackProvenance, AttackSpec};
 use crate::snapshot::{SnapshotBuilder, SnapshotSet};
@@ -319,23 +322,14 @@ fn advance(
     }
 }
 
-/// The engine a trial's suffix runs on.
-enum Suffix {
-    /// The trial's own engine: fused bursts on the fast path, single steps
-    /// from scratch.
-    Dbt(Dbt),
-    /// Native bursts ([`NativeDbt::burst`]): a fast-path trial switches
-    /// here once it misses a checkpoint.
-    Native(NativeDbt),
-}
-
-impl Suffix {
-    /// [`advance_to_branch`] on this engine.
-    fn advance(&mut self, m: &mut Machine, target: u64, budget: u64, fused: bool) -> Advance {
-        match self {
-            Suffix::Dbt(dbt) => advance_to_branch(m, dbt, target, budget, fused),
-            Suffix::Native(nd) => advance(m, target, budget, |m, left| nd.burst(m, left, target)),
-        }
+/// [`advance_to_branch`] on a trial's engine: bursts with `fused` (native
+/// ones where native execution runs), reference single steps without.
+fn run_to(m: &mut Machine, nd: &mut NativeDbt, target: u64, budget: u64, fused: bool) -> Advance {
+    debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
+    if fused {
+        advance(m, target, budget, |m, left| nd.burst(m, left, target))
+    } else {
+        advance(m, target, budget, |m, _| nd.dbt_mut().step(m))
     }
 }
 
@@ -359,12 +353,11 @@ pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
 /// `snapshots` the fault-free prefix replays from scratch on the
 /// single-step reference engine. With them, the nearest checkpoint
 /// at-or-below the strike branch is restored, reusing its translated code
-/// cache, and the residual prefix and the post-strike suffix run in
-/// block-fused bursts ([`advance_to_branch`]) — the suffix on native code
-/// ([`NativeDbt::burst`]) from the first checkpoint it does not match; a
-/// set captured under a different configuration, or holding no usable
-/// checkpoint, falls back to from-scratch. The outcome is bit-identical
-/// either way.
+/// cache, and the residual prefix and the post-strike suffix run in native
+/// bursts ([`NativeDbt::burst`], fused where native execution is off) on
+/// the worker's JIT, which keeps the host code compiled for earlier trials
+/// of the same golden run; a set captured under a different configuration
+/// falls back to from-scratch. The outcome is bit-identical either way.
 ///
 /// Returns `Ok(None)` when the trial is unplaceable: the strike branch is
 /// beyond the program's execution (use [`golden_run`]'s branch count to
@@ -422,7 +415,12 @@ type Trial = (InjectionResult, Option<cfed_sim::Tracer>, Option<AttackProvenance
 
 /// The one trial loop behind soft errors and attacks alike: replay (or
 /// fast-forward) the fault-free prefix to the strike branch, corrupt the
-/// machine there as `spec` says, then run to an outcome.
+/// machine there as `spec` says, then run to an outcome. A fast-path trial
+/// bursts on one [`NativeDbt`] from restore to outcome — rewound onto its
+/// worker's JIT under the snapshot set's lineage, and told at the strike
+/// that the prefix followed the golden run — and single-steps only the
+/// faulted instruction; from-scratch and traced trials single-step the
+/// reference engine throughout.
 fn run_trial_inner(
     image: &Image,
     cfg: &RunConfig,
@@ -453,7 +451,7 @@ fn run_trial_inner(
             None => s.note_miss(nth),
         }
     }
-    let (mut m, mut dbt) = match restored {
+    let (mut m, dbt) = match restored {
         Some(snap) => (snap.machine.restore(), snap.dbt.clone()),
         None => build(image, cfg),
     };
@@ -464,22 +462,26 @@ fn run_trial_inner(
         m.attach_tracer_resumed(capacity, m.cpu.stats().insts);
     }
     let budget = golden.insts * 3 + 100_000;
-    // Trials on the fast path burst on the block-fused engine; from-scratch
-    // trials stay on the single-step reference engine that the fast path is
-    // diffed against.
     let fused = fast.is_some();
+    let mut nd = match fast {
+        Some(s) => NativeDbt::rewind(dbt, &m, s.lineage()),
+        None => NativeDbt::wrap_with(dbt, false),
+    };
     let insts_at_start = m.cpu.stats().insts;
     // Instructions single-stepped on the fast path: the faulted step's.
     let mut faulted_insts = 0;
     let mut provenance = None;
 
     // Phase 1: run to the injection point.
-    let injected = match advance_to_branch(&mut m, &mut dbt, nth, budget, fused) {
+    let injected = match run_to(&mut m, &mut nd, nth, budget, fused) {
         Advance::AtBranch => {
+            // The prefix ran exactly as the golden run did.
+            nd.mark_lineage();
             let insts = m.cpu.stats().insts;
+            let dbt = nd.dbt_mut();
             let applied = match spec {
-                TrialSpec::Fault(f) => inject_now(&mut m, &mut dbt, image, f),
-                TrialSpec::Attack(a) => attack_now(&mut m, &mut dbt, image, a).map(|(s, p)| {
+                TrialSpec::Fault(f) => inject_now(&mut m, dbt, image, f),
+                TrialSpec::Attack(a) => attack_now(&mut m, dbt, image, a).map(|(s, p)| {
                     provenance = Some(p);
                     s
                 }),
@@ -507,13 +509,7 @@ fn run_trial_inner(
     // then provably Benign with exactly the latency the full run would
     // report, so the suffix is skipped. Traced runs never prune: the
     // tracer window must hold the genuinely executed final instructions.
-    //
-    // A trial that reaches a checkpoint without matching it is the long
-    // tail: most never converge and run to the program's end. It finishes
-    // on native code, still stopping at every later checkpoint to compare.
     let mut boundaries = fast.map_or(&[][..], |s| s.after(nth)).iter();
-    let mut suffix = Suffix::Dbt(dbt);
-    let mut insts_at_native = None;
     let end = match faulted_step {
         _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
         DbtStep::Halted => Advance::Halted,
@@ -523,18 +519,9 @@ fn run_trial_inner(
             // retired-branch counters differ).
             let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
             let target = next.map_or(u64::MAX, |s| s.branch_index);
-            match suffix.advance(&mut m, target, budget, fused) {
+            match run_to(&mut m, &mut nd, target, budget, fused) {
                 Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
                     break Advance::AtBranch
-                }
-                Advance::AtBranch if fused => {
-                    if let Suffix::Dbt(dbt) = suffix {
-                        let nd = NativeDbt::wrap(dbt);
-                        if nd.is_native() {
-                            insts_at_native = Some(m.cpu.stats().insts);
-                        }
-                        suffix = Suffix::Native(nd);
-                    }
                 }
                 Advance::AtBranch => {}
                 end => break end,
@@ -555,9 +542,9 @@ fn run_trial_inner(
         Advance::Trapped(t) => (outcome_of_trap(t), None),
     };
     if let Some(s) = fast {
-        let insts = m.cpu.stats().insts - insts_at_start;
-        let native = insts_at_native.map_or(0, |at| m.cpu.stats().insts - at);
-        s.note_insts(insts - faulted_insts - native, faulted_insts, native);
+        let bursts = m.cpu.stats().insts - insts_at_start - faulted_insts;
+        let (fused, native) = if nd.is_native() { (0, bursts) } else { (bursts, 0) };
+        s.note_insts(fused, faulted_insts, native, nd.native_compiles());
     }
 
     let result = InjectionResult {

@@ -29,6 +29,7 @@ use cfed_core::RunConfig;
 use cfed_dbt::Dbt;
 use cfed_sim::{Machine, MachineSnapshot, SnapshotTracker};
 use cfed_telemetry::Counter;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Branch interval between snapshots before any adaptive thinning.
 pub const INITIAL_INTERVAL: u64 = 8;
@@ -50,6 +51,9 @@ pub(crate) struct Snapshot {
 /// shared read-only across worker threads (the usage counters are atomic).
 pub struct SnapshotSet {
     config: RunConfig,
+    /// Names this set's golden run to the native JIT
+    /// ([`cfed_dbt::NativeDbt::rewind`]); unique per set in the process.
+    lineage: u64,
     /// Ascending by `branch_index`; index 0 is the first dynamic branch.
     snapshots: Vec<Snapshot>,
     interval: u64,
@@ -62,6 +66,7 @@ pub struct SnapshotSet {
     insts_fused: Counter,
     insts_stepped: Counter,
     insts_native: Counter,
+    native_compiles: Counter,
 }
 
 impl std::fmt::Debug for SnapshotSet {
@@ -116,6 +121,11 @@ impl SnapshotSet {
         self.interval
     }
 
+    /// The name of this set's golden run for [`cfed_dbt::NativeDbt::rewind`].
+    pub(crate) fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
     /// The checkpoints strictly after dynamic branch `nth`, ascending —
     /// the convergence-pruning boundaries for a fault injected at `nth`.
     pub(crate) fn after(&self, nth: u64) -> &[Snapshot] {
@@ -153,12 +163,14 @@ impl SnapshotSet {
         self.pruned.inc();
     }
 
-    /// Records a trial's instructions: `fused` retired in block-fused
-    /// bursts, `stepped` single-stepped, `native` on the native engine.
-    pub(crate) fn note_insts(&self, fused: u64, stepped: u64, native: u64) {
+    /// Records a trial's instructions (`fused` retired on the fused
+    /// engine, `stepped` single-stepped, `native` through native bursts) and
+    /// the blocks it compiled to host code.
+    pub(crate) fn note_insts(&self, fused: u64, stepped: u64, native: u64, compiles: u64) {
         self.insts_fused.add(fused);
         self.insts_stepped.add(stepped);
         self.insts_native.add(native);
+        self.native_compiles.add(compiles);
     }
 
     /// A point-in-time copy of the set's shape and usage counters.
@@ -175,6 +187,7 @@ impl SnapshotSet {
             insts_fused: self.insts_fused.get(),
             insts_stepped: self.insts_stepped.get(),
             insts_native: self.insts_native.get(),
+            native_compiles: self.native_compiles.get(),
         }
     }
 }
@@ -202,15 +215,22 @@ pub struct SnapshotStats {
     /// Trials whose post-injection state converged back onto a golden
     /// checkpoint, skipping the (provably benign) remainder of the run.
     pub benign_pruned: u64,
-    /// Trial instructions retired in block-fused bursts.
+    /// Trial instructions, all but the faulted one, retired in block-fused
+    /// bursts ([`cfed_dbt::Dbt::burst`]) where native execution is off
+    /// (`CFED_NO_NATIVE=1`, hosts other than x86-64 Linux); 0 where it runs.
     pub insts_fused: u64,
     /// Trial instructions single-stepped: the faulted instruction, so at
     /// most one per trial, since bursts stop in front of the strike branch.
     pub insts_stepped: u64,
-    /// Trial instructions retired after the suffix switched to native code
-    /// ([`cfed_dbt::NativeDbt::burst`]); 0 where native execution is off
-    /// (`CFED_NO_NATIVE=1`, hosts other than x86-64 Linux).
+    /// Trial instructions, all but the faulted one, retired through native
+    /// bursts ([`cfed_dbt::NativeDbt::burst`], with the fused tails and
+    /// steps to a block head it takes to stop on an exact branch) where
+    /// native execution runs; 0 where it is off.
     pub insts_native: u64,
+    /// Blocks the trials compiled to host code (0 where native execution is
+    /// off). Each worker's JIT keeps host code across the trials of one
+    /// golden run, so most trials compile none.
+    pub native_compiles: u64,
 }
 
 impl SnapshotStats {
@@ -227,6 +247,7 @@ impl SnapshotStats {
         self.insts_fused += other.insts_fused;
         self.insts_stepped += other.insts_stepped;
         self.insts_native += other.insts_native;
+        self.native_compiles += other.native_compiles;
     }
 }
 
@@ -290,8 +311,10 @@ impl SnapshotBuilder {
 
     pub(crate) fn finish(self, config: RunConfig) -> SnapshotSet {
         let bytes = self.snapshots.iter().map(|s| s.machine.bytes()).sum();
+        static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
         SnapshotSet {
             config,
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
             snapshots: self.snapshots,
             interval: self.interval,
             bytes,
@@ -303,6 +326,7 @@ impl SnapshotBuilder {
             insts_fused: Counter::new(),
             insts_stepped: Counter::new(),
             insts_native: Counter::new(),
+            native_compiles: Counter::new(),
         }
     }
 }
@@ -398,6 +422,7 @@ mod tests {
             insts_fused: 90,
             insts_stepped: 9,
             insts_native: 40,
+            native_compiles: 6,
         };
         let mut b = a;
         b.absorb(&a);
@@ -409,5 +434,6 @@ mod tests {
         assert_eq!(b.insts_fused, 180);
         assert_eq!(b.insts_stepped, 18);
         assert_eq!(b.insts_native, 80);
+        assert_eq!(b.native_compiles, 12);
     }
 }

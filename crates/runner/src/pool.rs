@@ -596,6 +596,7 @@ pub fn run_matrix(
             .u64("insts_fused", perf.snapshots.insts_fused)
             .u64("insts_stepped", perf.snapshots.insts_stepped)
             .u64("insts_native", perf.snapshots.insts_native)
+            .u64("native_compiles", perf.snapshots.native_compiles)
     });
 
     let summaries = summarize(&phase.store.done);
@@ -759,7 +760,11 @@ mod tests {
                 text.lines().filter(|l| !l.contains(r#""meta":"run""#)).collect();
             records.sort_unstable();
             let records: Vec<String> = records.into_iter().map(str::to_string).collect();
-            (summary.perf.snapshots, records, sink.of_kind("forensics").len())
+            // Native compiles depend on which trials each worker's JIT ran
+            // before, which thread scheduling decides; traced re-runs never
+            // run native code.
+            let stats = SnapshotStats { native_compiles: 0, ..summary.perf.snapshots };
+            (stats, records, sink.of_kind("forensics").len())
         };
         let (plain_stats, plain_records, no_bundles) = run(false);
         let (traced_stats, traced_records, bundles) = run(true);
