@@ -5,7 +5,9 @@
 use crate::profile::fold_profile;
 use crate::techniques::TechniqueKind;
 use cfed_asm::Image;
-use cfed_dbt::{CheckPolicy, DbtStats, Instrumenter, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{
+    CheckPolicy, Dbt, DbtStats, Instrumenter, NativeDbt, NullInstrumenter, UpdateStyle,
+};
 use cfed_sim::{ExitReason, Machine};
 use cfed_telemetry::{Profile, Telemetry};
 
@@ -103,7 +105,7 @@ pub(crate) fn run_loaded(
     if profile {
         m.enable_profiler();
     }
-    let mut dbt = NativeDbt::with_native(instr, style, &mut m, native);
+    let mut dbt = NativeDbt::wrap(Dbt::new(instr, style, &mut m), native);
     dbt.set_telemetry(telemetry.clone());
     let exit = dbt.run(&mut m, max_insts);
     let profile = profile.then(|| fold_profile(&mut m, dbt.dbt()));

@@ -54,16 +54,20 @@
 //!
 //! Each thread keeps one JIT and its code: a `NativeDbt` maps a code buffer
 //! and builds the shared stubs only when the thread has none, and hands the
-//! JIT back when it is dropped. [`NativeDbt::wrap`] empties it;
+//! JIT back when it is dropped. The two constructors differ in what they
+//! keep of it: [`NativeDbt::wrap`] empties it (or, with native execution
+//! off, leaves it alone and bursts on the fused engine), and
 //! [`NativeDbt::rewind`] keeps, across the trials of one golden run, the
 //! host code still right for the checkpoint a trial restored
-//! (`Jit::rewind`).
+//! (`Jit::rewind`). `cfed_fault`'s one trial driver runs on either: golden
+//! passes and from-scratch trials on `wrap(.., false)`, fast-path trials
+//! on `rewind`.
 
 use crate::codebuf::CodeBuf;
 use crate::engine::{
     Dbt, DbtStep, ExitKind, TransBlock, DEFAULT_DISPATCH_CYCLES, DISPATCH_IC_SIZE,
 };
-use crate::instrument::{regs, Instrumenter, UpdateStyle};
+use crate::instrument::regs;
 use crate::x86::{
     self, cc, Alu, Asm, HostReg, Label, Shift, R12, R13, R14, R15, R8, RAX, RBP, RBX, RCX, RDI,
     RDX, RSI, RSP,
@@ -1750,7 +1754,7 @@ pub fn native_enabled() -> bool {
 /// # Examples
 ///
 /// ```
-/// use cfed_dbt::{NativeDbt, NullInstrumenter, UpdateStyle};
+/// use cfed_dbt::{native_enabled, Dbt, NativeDbt, NullInstrumenter, UpdateStyle};
 /// use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 /// use cfed_sim::{ExitReason, Machine};
 ///
@@ -1761,7 +1765,8 @@ pub fn native_enabled() -> bool {
 ///     Inst::Halt,
 /// ]);
 /// let mut m = Machine::load(&code, &[], 0);
-/// let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+/// let dbt = Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+/// let mut dbt = NativeDbt::wrap(dbt, native_enabled());
 /// assert_eq!(dbt.run(&mut m, 10_000), ExitReason::Halted { code: 0 });
 /// ```
 pub struct NativeDbt {
@@ -1770,34 +1775,13 @@ pub struct NativeDbt {
 }
 
 impl NativeDbt {
-    /// Creates the engine; native execution is enabled when
-    /// [`native_enabled`] says the platform and environment allow it.
-    pub fn new(instr: Box<dyn Instrumenter>, style: UpdateStyle, m: &mut Machine) -> NativeDbt {
-        Self::with_native(instr, style, m, native_enabled())
-    }
-
-    /// As [`NativeDbt::new`] with an explicit native on/off switch (used by
-    /// harnesses that must not depend on ambient environment variables).
-    pub fn with_native(
-        instr: Box<dyn Instrumenter>,
-        style: UpdateStyle,
-        m: &mut Machine,
-        native: bool,
-    ) -> NativeDbt {
-        Self::wrap_with(Dbt::new(instr, style, m), native)
-    }
-
-    /// Wraps an engine that has already run, such as one restored from a
-    /// checkpoint together with its machine; native execution is enabled
-    /// when [`native_enabled`] allows it. No translation is redone: blocks
-    /// compile to host code on first use.
-    pub fn wrap(dbt: Dbt) -> NativeDbt {
-        Self::wrap_with(dbt, native_enabled())
-    }
-
-    /// As [`NativeDbt::wrap`] with an explicit native on/off switch: with
-    /// it off, every burst is [`Dbt::burst`] itself.
-    pub fn wrap_with(dbt: Dbt, native: bool) -> NativeDbt {
+    /// Wraps an engine, fresh or one that has already run (such as one
+    /// restored from a checkpoint together with its machine), on this
+    /// thread's JIT emptied of host code; no translation is redone, blocks
+    /// compile to host code on first use. With `native` off (pass
+    /// [`native_enabled`] to honour the platform and environment) every
+    /// burst is [`Dbt::burst`] itself.
+    pub fn wrap(dbt: Dbt, native: bool) -> NativeDbt {
         let jit = if native { Jit::acquire(&dbt) } else { None };
         NativeDbt { dbt, jit }
     }
@@ -2007,6 +1991,7 @@ impl Drop for NativeDbt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpdateStyle;
     use cfed_sim::trap_codes;
 
     #[test]
@@ -2061,7 +2046,7 @@ mod tests {
     fn run_to_halt(image: &cfed_asm::Image, native: bool, limit: Option<u64>) -> (Vec<u64>, Dbt) {
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
         let instr = Box::new(crate::NullInstrumenter);
-        let mut nd = NativeDbt::with_native(instr, UpdateStyle::Jcc, &mut m, native);
+        let mut nd = NativeDbt::wrap(Dbt::new(instr, UpdateStyle::Jcc, &mut m), native);
         if let Some(limit) = limit {
             nd.dbt.set_cache_limit(limit);
         }
@@ -2198,7 +2183,7 @@ mod tests {
                 let mut m = snap.restore();
                 let mut nd = match native {
                     true => NativeDbt::rewind(dbt.clone(), &m, lineage),
-                    false => NativeDbt::wrap_with(dbt.clone(), false),
+                    false => NativeDbt::wrap(dbt.clone(), false),
                 };
                 let stop_at = m.cpu.stats().branches + prefix;
                 let mut end = run_to(&mut m, stop_at, BUDGET, |m, l, s| nd.burst(m, l, s));

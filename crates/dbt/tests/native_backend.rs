@@ -6,7 +6,7 @@
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use cfed_dbt::{Dbt, DbtStats, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{native_enabled, Dbt, DbtStats, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_lang::compile;
 use cfed_sim::{trap_codes, Cpu, ExitReason, Machine};
@@ -29,7 +29,10 @@ fn run_interp(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
 
 fn run_native(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
     let mut m = Machine::load(code, data, entry);
-    let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+    let mut dbt = NativeDbt::wrap(
+        Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m),
+        native_enabled(),
+    );
     // On this platform the native backend must engage unless the environment
     // opts out; under CFED_NO_NATIVE=1 the suite still runs, pinning the
     // fallback path against the plain engine.
@@ -204,7 +207,10 @@ fn resume_after_step_limit_identical() {
     let (mut on_chained_exit, mut on_dispatch_site) = (0usize, 0usize);
     for slice in [4095u64, 4096, 4097, 4133, 4500, 5001, 6000, 8192] {
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-        let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+        let mut dbt = NativeDbt::wrap(
+            Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m),
+            native_enabled(),
+        );
         let mut resumed_on_trap = Vec::new();
         let exit = loop {
             match dbt.run(&mut m, slice) {
@@ -298,7 +304,7 @@ fn smc_store_into_hot_loop_retranslates() {
     let run = |native: bool| {
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
         let mut dbt =
-            NativeDbt::with_native(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, native);
+            NativeDbt::wrap(Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m), native);
         let exit = dbt.run(&mut m, 1_000_000);
         (exit, m.cpu.take_output(), m.cpu.stats().insts, m.cpu.stats().cycles, dbt.stats())
     };
@@ -374,12 +380,12 @@ fn cond_branch_matrix_identical() {
 
 #[test]
 fn no_native_fallback_is_equivalent() {
-    // `with_native(false)` must behave exactly like the plain engine (this
+    // `wrap(.., false)` must behave exactly like the plain engine (this
     // is the CFED_NO_NATIVE path without the environment dependency).
     let image = compile("fn main() { let i = 0; while (i < 100) { i = i + 1; } out(i); }").unwrap();
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let mut dbt =
-        NativeDbt::with_native(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, false);
+        NativeDbt::wrap(Dbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m), false);
     assert!(!dbt.is_native());
     let exit = dbt.run(&mut m, 1_000_000);
     let i = run_interp(image.code(), image.data(), image.entry_offset(), 1_000_000);

@@ -111,7 +111,7 @@ fn execute(words: &[[u8; 8]], warm: u64, segs: &[Seg], native: bool) -> Observed
     let end = drive(&mut m, warm, u64::MAX, |m, left, stop| dbt.burst(m, left, stop));
     let mut log = vec![(end.clone(), m.cpu.clone(), dbt.stats())];
     let mut engine = if native {
-        let nd = NativeDbt::wrap(dbt);
+        let nd = NativeDbt::wrap(dbt, cfed_dbt::native_enabled());
         assert_eq!(nd.is_native(), cfed_dbt::native_enabled(), "native backend gating");
         Engine::Native(nd)
     } else {

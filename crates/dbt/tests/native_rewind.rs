@@ -1,9 +1,10 @@
 //! One persistent JIT rewound through a campaign-style sequence of
 //! checkpoints: every trial restores a random checkpoint of one golden run,
 //! bursts natively along the golden path for a while, declares that path
-//! (`NativeDbt::mark_lineage`), strikes (flips a flag or overwrites a
-//! register, so the rest of the trial translates, chains and dispatches
-//! its own way, self-modifying stores included), and bursts on. After each
+//! (`NativeDbt::mark_lineage`), strikes (flips a flag, overwrites a
+//! register or seizes the program counter, so the rest of the trial
+//! translates, chains and dispatches its own way, self-modifying stores
+//! included), and bursts on. After each
 //! rewind the trial must leave every segment in the same place — same end,
 //! same CPU including `ExecStats` and output, same `DbtStats` — and the same
 //! dirty pages as the same trial on a fresh `restore()` and a fresh fused
@@ -69,6 +70,11 @@ enum Strike {
     /// jump through it lands somewhere new, and trials translate, chain
     /// and run blocks of their own that later checkpoints hold otherwise.
     Code(usize, u64),
+    /// Seize the program counter: continue `off` bytes into the `k`th live
+    /// translated block (wrapped to its length), at its head, past its
+    /// head or off the instruction grid, as the attack study's
+    /// archetypes do.
+    Seize(usize, u64),
 }
 
 fn arb_strike() -> impl Strategy<Value = Strike> {
@@ -77,6 +83,8 @@ fn arb_strike() -> impl Strategy<Value = Strike> {
         (0usize..8, prop_oneof![0u64..64, any::<u64>()]).prop_map(|(r, v)| Strike::Reg(r, v)),
         (prop_oneof![Just(5usize), Just(6usize), 0usize..8], 0u64..24)
             .prop_map(|(r, k)| Strike::Code(r, k)),
+        (any::<usize>(), prop_oneof![(0u64..6).prop_map(|i| 8 * i), 0u64..48])
+            .prop_map(|(k, off)| Strike::Seize(k, off)),
     ]
 }
 
@@ -165,11 +173,15 @@ impl Engine {
         }
     }
 
-    fn stats(&self) -> DbtStats {
+    fn dbt(&self) -> &Dbt {
         match self {
-            Engine::Fused(dbt) => dbt.stats(),
-            Engine::Native(nd) => nd.stats(),
+            Engine::Fused(dbt) => dbt,
+            Engine::Native(nd) => nd.dbt(),
         }
+    }
+
+    fn stats(&self) -> DbtStats {
+        self.dbt().stats()
     }
 }
 
@@ -199,6 +211,13 @@ fn run_trial(cp: &Checkpoint, trial: &Trial, native: Option<u64>) -> Observed {
             Strike::Code(r, k) => {
                 let at = m.layout().code_base + 8 * k;
                 m.cpu.set_reg(Reg::all().nth(r).expect("in range"), at);
+            }
+            Strike::Seize(k, off) => {
+                let blocks: Vec<_> = engine.dbt().blocks().map(|b| b.cache_range()).collect();
+                if !blocks.is_empty() {
+                    let block = &blocks[k % blocks.len()];
+                    m.cpu.set_ip(block.start + off % (block.end - block.start));
+                }
             }
         }
     }

@@ -29,9 +29,9 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CachePart, Category,
     RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStats, DbtStep, NativeDbt, TransBlock};
+use cfed_dbt::{Dbt, DbtStep, NativeDbt, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
-use cfed_sim::{ExitReason, Machine};
+use cfed_sim::Machine;
 
 /// An attack archetype: *how* the adversary corrupts control flow at the
 /// chosen dynamic branch. Each archetype maps onto a pinned subset of the
@@ -193,60 +193,50 @@ fn guest_block_can_halt(image: &Image, b: &TransBlock) -> bool {
         .any(|c| matches!(Inst::decode_from_slice(c), Some(Ok(Inst::Halt))))
 }
 
-/// The strike-point context target selection works from.
-struct TargetCtx<'a> {
-    /// Cache address control is being seized at.
-    site: u64,
-    /// Address execution would continue at if nothing were corrupted.
+/// Picks the archetype's concrete target for the branch `m` is stopped at,
+/// whose uncorrupted successor is `correct`, among `dbt`'s live blocks (in
+/// cache order). `None` means the archetype is unplaceable at this strike
+/// point (no candidate gadget, or the only candidate coincides with the
+/// correct target).
+fn select_target(
+    kind: AttackKind,
+    param: u64,
+    m: &Machine,
+    dbt: &Dbt,
+    image: &Image,
     correct: u64,
-    /// Fall-through of the strike site.
-    fall: u64,
-    /// The engine whose live blocks (in cache order) are the candidates.
-    dbt: &'a Dbt,
-    image: &'a Image,
-    /// Base of the guest's writable, non-executable data region.
-    data_base: u64,
-}
-
-/// Picks the archetype's concrete target. `None` means the archetype is
-/// unplaceable at this strike point (no candidate gadget, or the only
-/// candidate coincides with the correct target).
-fn select_target(kind: AttackKind, param: u64, ctx: &TargetCtx<'_>) -> Option<u64> {
+) -> Option<u64> {
+    let site = m.cpu.ip();
+    let fall = site + INST_SIZE_U64;
     let pick = |c: &[u64]| (!c.is_empty()).then(|| c[(param as usize) % c.len()]);
     // The translated block containing the site, when there is one.
-    let own = ctx.dbt.block_containing(ctx.site).map(TransBlock::cache_range);
+    let own = dbt.block_containing(site).map(TransBlock::cache_range);
     match kind {
         AttackKind::FlipBranch => None, // not a redirect; handled separately
         AttackKind::ReenterBlock => {
             let own = own?;
-            (own.start != ctx.correct).then_some(own.start)
+            (own.start != correct).then_some(own.start)
         }
         AttackKind::GadgetEntry => {
             // Any non-zero byte offset below the instruction size is off the
             // 8-byte instruction grid: an unintended decode point.
-            Some(ctx.site + 1 + param % (INST_SIZE_U64 - 1))
+            Some(site + 1 + param % (INST_SIZE_U64 - 1))
         }
         AttackKind::RetGadget => {
-            let c: Vec<u64> = ctx
-                .dbt
+            let c: Vec<u64> = dbt
                 .blocks()
                 .map(|b| b.cache_start)
-                .filter(|&s| {
-                    own.as_ref().is_none_or(|o| s != o.start) && s != ctx.correct && s != ctx.fall
-                })
+                .filter(|&s| own.as_ref().is_none_or(|o| s != o.start) && s != correct && s != fall)
                 .collect();
             pick(&c)
         }
         AttackKind::EdgeSplice => {
-            let c: Vec<u64> = ctx
-                .dbt
+            let c: Vec<u64> = dbt
                 .blocks()
-                .filter(|b| b.body_len > 0 && !guest_block_can_halt(ctx.image, b))
+                .filter(|b| b.body_len > 0 && !guest_block_can_halt(image, b))
                 .map(|b| b.body_start)
                 .filter(|&t| {
-                    own.as_ref().is_none_or(|o| !o.contains(&t))
-                        && t != ctx.correct
-                        && t != ctx.fall
+                    own.as_ref().is_none_or(|o| !o.contains(&t)) && t != correct && t != fall
                 })
                 .collect();
             pick(&c)
@@ -254,19 +244,18 @@ fn select_target(kind: AttackKind, param: u64, ctx: &TargetCtx<'_>) -> Option<u6
         AttackKind::JumpCorrupt => {
             let slide = (1 + param % 3) * INST_SIZE_U64;
             let t = if (param >> 2) & 1 == 0 {
-                ctx.correct.wrapping_add(slide)
+                correct.wrapping_add(slide)
             } else {
-                ctx.correct.wrapping_sub(slide)
+                correct.wrapping_sub(slide)
             };
             // Sub-block caveat (see `guest_block_can_halt`): skip slides
             // landing mid-block in a block that can halt before a check.
-            let risky = ctx
-                .dbt
+            let risky = dbt
                 .block_containing(t)
-                .is_some_and(|b| t != b.cache_start && guest_block_can_halt(ctx.image, b));
-            (t != ctx.correct && !risky).then_some(t)
+                .is_some_and(|b| t != b.cache_start && guest_block_can_halt(image, b));
+            (t != correct && !risky).then_some(t)
         }
-        AttackKind::DataPivot => Some(ctx.data_base + (param % 1024) * INST_SIZE_U64),
+        AttackKind::DataPivot => Some(m.layout().data_base + (param % 1024) * INST_SIZE_U64),
     }
 }
 
@@ -318,8 +307,7 @@ fn plan_attack(
         });
     }
 
-    let ctx = TargetCtx { site, correct, fall, dbt, image, data_base: m.layout().data_base };
-    let target = select_target(kind, param, &ctx)?;
+    let target = select_target(kind, param, m, dbt, image, correct)?;
     if target == correct {
         return None;
     }
@@ -438,8 +426,9 @@ impl AttackModel {
         AttackModel { config }
     }
 
-    /// Analyzes `image`'s attack surface, bursting from branch to branch on
-    /// the block-fused engine ([`advance_to_branch`]). At each dynamic
+    /// Analyzes `image`'s attack surface, bursting from branch to branch
+    /// ([`advance_to_branch`]) on the block-fused engine, native execution
+    /// off. At each dynamic
     /// branch the target parameter is the branch index, cycling
     /// deterministically through each archetype's candidates.
     ///
@@ -447,14 +436,15 @@ impl AttackModel {
     ///
     /// [`WorkloadError`] when the attack-free run misbehaves.
     pub fn analyze(&self, image: &Image) -> Result<AttackSurface, WorkloadError> {
-        let (mut m, mut dbt) = build(image, &self.config);
+        let (mut m, dbt) = build(image, &self.config);
+        let mut nd = NativeDbt::wrap(dbt, false);
         let mut surface = AttackSurface::new();
         let budget = self.config.max_insts;
         loop {
-            match advance_to_branch(&mut m, &mut dbt, surface.branches, budget, true) {
+            match advance_to_branch(&mut m, &mut nd, surface.branches, budget, true) {
                 Advance::AtBranch => {
                     for kind in AttackKind::ALL {
-                        match plan_attack(&mut m, &dbt, image, kind, surface.branches) {
+                        match plan_attack(&mut m, nd.dbt(), image, kind, surface.branches) {
                             Some(p) => surface.counts[kind.idx()][cat_idx(p.category)] += 1,
                             None => surface.unplaceable[kind.idx()] += 1,
                         }
@@ -471,82 +461,6 @@ impl AttackModel {
     }
 }
 
-/// Outcome of one pause/seize/resume engine attack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PauseAttack {
-    /// Whether a target was selected and the program counter seized (when
-    /// `false`, the run is the unattacked continuation).
-    pub placed: bool,
-    /// How the run ended.
-    pub exit: ExitReason,
-    /// Observable output stream.
-    pub output: Vec<u64>,
-    /// Instructions retired in total.
-    pub insts: u64,
-    /// The engine's statistics at the end of the run (translation,
-    /// chaining and dispatch counts: the native backend must match the
-    /// fused engine here too).
-    pub dbt: DbtStats,
-}
-
-impl PauseAttack {
-    /// Whether the attack was caught — by a signature check or by the
-    /// hardware (category-F) path.
-    pub fn detected(&self) -> bool {
-        matches!(&self.exit, ExitReason::Trapped(t)
-            if t.is_cfe_report() || t.is_hardware_cfe_detection())
-    }
-}
-
-/// Mounts a pause-style attack on a DBT engine: run `pause` instructions,
-/// seize the program counter with the archetype's target (selected from the
-/// live translated-code geometry), resume to an outcome. Works identically
-/// on the fused interpreter and the native backend — both resume purely
-/// from the architectural program counter — which is what the cross-engine
-/// differential tests and the fuzz oracle compare. `flip-branch` is not a
-/// program-counter seizure and is never placed here.
-pub fn pause_attack(
-    image: &Image,
-    cfg: &RunConfig,
-    kind: AttackKind,
-    param: u64,
-    pause: u64,
-    native: bool,
-) -> PauseAttack {
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::with_native(cfg.instrumenter(image), cfg.style, &mut m, native);
-    let (placed, exit) = match dbt.run(&mut m, pause) {
-        ExitReason::StepLimit => {
-            let ip = m.cpu.ip();
-            // At a pause there is no branch in flight: the "correct" next
-            // address is simply where the run would resume.
-            let ctx = TargetCtx {
-                site: ip,
-                correct: ip,
-                fall: ip,
-                dbt: dbt.dbt(),
-                image,
-                data_base: m.layout().data_base,
-            };
-            match select_target(kind, param, &ctx).filter(|&t| t != ip) {
-                Some(t) => {
-                    m.cpu.set_ip(t);
-                    (true, dbt.run(&mut m, cfg.max_insts))
-                }
-                None => (false, dbt.run(&mut m, cfg.max_insts)),
-            }
-        }
-        other => (false, other),
-    };
-    PauseAttack {
-        placed,
-        exit,
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,7 +468,6 @@ mod tests {
     use crate::inject::{inject, inject_traced, Outcome};
     use crate::snapshot::SnapshotSet;
     use cfed_core::TechniqueKind;
-    use cfed_dbt::native_enabled;
     use cfed_lang::compile;
 
     fn image() -> Image {
@@ -754,24 +667,6 @@ mod tests {
             }
             (None, None) => {}
             (p, t) => panic!("placement diverged: {:?} vs {}", p, t.is_some()),
-        }
-    }
-
-    #[test]
-    fn pause_attack_fused_and_native_agree() {
-        let img = image();
-        let cfg = RunConfig::technique(TechniqueKind::EdgCf);
-        for kind in AttackKind::ALL {
-            if kind == AttackKind::FlipBranch {
-                continue;
-            }
-            for pause in [900u64, 2400] {
-                let fused = pause_attack(&img, &cfg, kind, 7, pause, false);
-                if native_enabled() {
-                    let native = pause_attack(&img, &cfg, kind, 7, pause, true);
-                    assert_eq!(fused, native, "{kind} pause={pause}");
-                }
-            }
         }
     }
 }

@@ -220,28 +220,30 @@ pub fn golden_pass(
     snapshots: bool,
     profile: bool,
 ) -> Result<(Golden, Option<SnapshotSet>, Option<Profile>), WorkloadError> {
-    let (mut m, mut dbt) = build(image, cfg);
+    let (mut m, dbt) = build(image, cfg);
     if profile {
         m.enable_profiler();
     }
+    // Fused bursts: native code has no profiler hook.
+    let mut nd = NativeDbt::wrap(dbt, false);
     let mut builder = snapshots.then(SnapshotBuilder::new);
     let mut from = 0;
     loop {
         let target = builder.as_ref().map_or(u64::MAX, |b| b.next_capture(from));
-        match advance_to_branch(&mut m, &mut dbt, target, cfg.max_insts, true) {
+        match advance_to_branch(&mut m, &mut nd, target, cfg.max_insts, true) {
             Advance::AtBranch => {
                 // About to execute dynamic branch `target`: the same instant
                 // a trial's prefix identifies as branch `target`, which is
                 // what makes a restored checkpoint equivalent to replaying.
                 let builder = builder.as_mut().expect("only capture points stop a run");
-                builder.observe_branch(target, &mut m, &dbt);
+                builder.observe_branch(target, &mut m, nd.dbt());
                 from = target + 1;
             }
             Advance::OutOfBudget => {
                 return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts })
             }
             Advance::Halted => {
-                let profile = profile.then(|| fold_profile(&mut m, &dbt));
+                let profile = profile.then(|| fold_profile(&mut m, nd.dbt()));
                 let golden = Golden {
                     output: m.cpu.take_output(),
                     exit_code: m.cpu.reg(cfed_isa::Reg::R0),
@@ -270,7 +272,9 @@ pub enum Advance {
 
 /// The one trial driver: runs until the machine is about to execute
 /// dynamic branch `target` (0-based), the run ends, or `budget` total
-/// instructions have retired.
+/// instructions have retired. It drives every branch-indexed run: the
+/// golden capture, the attack-surface walk, and a trial's prefix and
+/// suffix.
 ///
 /// Dynamic branches are indexed by [`cfed_sim::ExecStats::branches`]: in
 /// translated code every branch is a direct `jmp`/`jcc`/`jrz`/`jrnz`
@@ -278,34 +282,19 @@ pub enum Advance {
 /// exits), which cannot trap, and the DBT's trap servicing only ever
 /// re-executes non-branch guest instructions, so the retired-branch count
 /// is exactly the index of the next branch about to execute. With `fused`
-/// the driver therefore bursts on the block-fused engine ([`Dbt::burst`]),
-/// which stops in front of the first branch met once `target` branches
-/// have retired. Without it every instruction goes through [`Dbt::step`] —
-/// the reference path, and the only one that feeds an attached tracer.
+/// the driver therefore bursts ([`NativeDbt::burst`]: native code where the
+/// engine runs it, else the block-fused [`Dbt::burst`]), stopping in front
+/// of the first branch met once `target` branches have retired. Without it
+/// every instruction goes through [`Dbt::step`] — the reference path, and
+/// the only one that feeds an attached tracer.
 pub fn advance_to_branch(
     m: &mut Machine,
-    dbt: &mut Dbt,
+    nd: &mut NativeDbt,
     target: u64,
     budget: u64,
     fused: bool,
 ) -> Advance {
     debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
-    if fused {
-        advance(m, target, budget, |m, left| dbt.burst(m, left, target))
-    } else {
-        advance(m, target, budget, |m, _| dbt.step(m))
-    }
-}
-
-/// The loop behind [`advance_to_branch`] for any engine: `run(m, left)`
-/// takes one step, or one burst of at most `left` instructions that stops
-/// in front of branch `target`.
-fn advance(
-    m: &mut Machine,
-    target: u64,
-    budget: u64,
-    mut run: impl FnMut(&mut Machine, u64) -> DbtStep,
-) -> Advance {
     loop {
         let insts = m.cpu.stats().insts;
         if insts >= budget {
@@ -314,22 +303,12 @@ fn advance(
         if m.cpu.stats().branches >= target && m.peek_inst().is_ok_and(|i| i.is_branch()) {
             return Advance::AtBranch;
         }
-        match run(m, budget - insts) {
+        let step = if fused { nd.burst(m, budget - insts, target) } else { nd.dbt_mut().step(m) };
+        match step {
             DbtStep::Continue => {}
             DbtStep::Halted => return Advance::Halted,
             DbtStep::Exit(t) => return Advance::Trapped(t),
         }
-    }
-}
-
-/// [`advance_to_branch`] on a trial's engine: bursts with `fused` (native
-/// ones where native execution runs), reference single steps without.
-fn run_to(m: &mut Machine, nd: &mut NativeDbt, target: u64, budget: u64, fused: bool) -> Advance {
-    debug_assert!(!(fused && m.tracer.is_some()), "bursts do not feed the tracer");
-    if fused {
-        advance(m, target, budget, |m, left| nd.burst(m, left, target))
-    } else {
-        advance(m, target, budget, |m, _| nd.dbt_mut().step(m))
     }
 }
 
@@ -465,7 +444,7 @@ fn run_trial_inner(
     let fused = fast.is_some();
     let mut nd = match fast {
         Some(s) => NativeDbt::rewind(dbt, &m, s.lineage()),
-        None => NativeDbt::wrap_with(dbt, false),
+        None => NativeDbt::wrap(dbt, false),
     };
     let insts_at_start = m.cpu.stats().insts;
     // Instructions single-stepped on the fast path: the faulted step's.
@@ -473,7 +452,7 @@ fn run_trial_inner(
     let mut provenance = None;
 
     // Phase 1: run to the injection point.
-    let injected = match run_to(&mut m, &mut nd, nth, budget, fused) {
+    let injected = match advance_to_branch(&mut m, &mut nd, nth, budget, fused) {
         Advance::AtBranch => {
             // The prefix ran exactly as the golden run did.
             nd.mark_lineage();
@@ -519,7 +498,7 @@ fn run_trial_inner(
             // retired-branch counters differ).
             let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
             let target = next.map_or(u64::MAX, |s| s.branch_index);
-            match run_to(&mut m, &mut nd, target, budget, fused) {
+            match advance_to_branch(&mut m, &mut nd, target, budget, fused) {
                 Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
                     break Advance::AtBranch
                 }

@@ -37,9 +37,7 @@ pub mod forensics;
 pub mod inject;
 pub mod snapshot;
 
-pub use attack::{
-    pause_attack, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
-};
+pub use attack::{AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface};
 pub use campaign::{
     detection_latency, Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid,
     SHARD_TRIALS,

@@ -346,14 +346,14 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     let (left, right) = f.pair();
                     let _ = writeln!(
                         text,
-                        "ATTACK seed={:#018x} tier={} config={}/{} kind={} pause={} \
+                        "ATTACK seed={:#018x} tier={} config={}/{} kind={} nth={} \
                          pair={left}|{right} field={} {}",
                         r.seed,
                         r.tier.name(),
                         config_label(f.technique),
                         f.style,
                         f.kind,
-                        f.pause,
+                        f.nth,
                         f.field,
                         f.detail
                     );
@@ -368,13 +368,13 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                             notes: note_lines(
                                 &r.prog,
                                 format!(
-                                    "attack {}/{} kind {} param {:#x} pause {} pair \
+                                    "attack {}/{} kind {} param {:#x} nth {} pair \
                                      {left}|{right} field {}: {} ({edits} shrink edits)",
                                     config_label(f.technique),
                                     f.style,
                                     f.kind,
                                     f.param,
-                                    f.pause,
+                                    f.nth,
                                     f.field,
                                     f.detail
                                 ),

@@ -8,8 +8,8 @@
 //! and — in detection-guarantee mode ([`detect`]) — checks that every
 //! single-bit branch-site fault under EdgCF/RCF is Detected-or-Benign.
 //! With `--attacks` it additionally mounts a deterministic adversarial
-//! attack schedule ([`attack`]) on every case and requires the fused and
-//! native engines to agree bit-for-bit under each attack.
+//! attack schedule ([`attack`]) on every case and requires each attack to
+//! end the same from scratch and on the campaign's fast path.
 //!
 //! Everything is a pure function of the campaign seed: the same seed with
 //! any `--threads` value produces byte-identical reports, which is what

@@ -26,7 +26,7 @@
 use crate::gen::{GeneratedProgram, Tier};
 use cfed_asm::Image;
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_dbt::{Dbt, DbtStats, NativeDbt, UpdateStyle};
+use cfed_dbt::{native_enabled, Dbt, DbtStats, NativeDbt, UpdateStyle};
 use cfed_sim::{Cpu, ExitReason, Machine, Trap};
 
 /// Identifies one backend in the oracle matrix.
@@ -153,7 +153,7 @@ fn run_dbt_engine(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
     m.set_decode_cache(!matches!(id.engine, Engine::DbtStep));
     let instr = RunConfig { technique: id.technique, ..RunConfig::default() }.instrumenter(image);
     if id.engine == Engine::DbtNative {
-        let mut dbt = NativeDbt::new(instr, id.style, &mut m);
+        let mut dbt = NativeDbt::wrap(Dbt::new(instr, id.style, &mut m), native_enabled());
         let exit = dbt.run(&mut m, max_insts);
         let stats = dbt.stats();
         return finish(id, exit, m, Some(stats));

@@ -3,18 +3,19 @@
 //! Fault injection names its site as "the nth dynamic branch about to
 //! execute"; the trial driver (`cfed_fault::advance_to_branch`) finds that
 //! instant from `ExecStats::branches`, which counts *retired* branches:
-//! its bursts on the block-fused engine stop in front of a branch once that
-//! count reaches the target. The two counts agree only because translated
-//! code never traps on a branch and the DBT's trap servicing never retires
-//! one. These properties pin that agreement on
-//! the fuzzer's seed-pure programs — self-modifying stores, jump tables,
-//! call/return, DBT exit stubs — against a single-stepping reference that
-//! counts branches by decoding ahead, and check that the burst driver
-//! stops in exactly the reference's state.
+//! its bursts — on native code where the engine runs it, else on the
+//! block-fused engine — stop in front of a branch once that count reaches
+//! the target. The two counts agree only because translated code never
+//! traps on a branch and the DBT's trap servicing never retires one. These
+//! properties pin that agreement on the fuzzer's seed-pure programs —
+//! self-modifying stores, jump tables, call/return, DBT exit stubs —
+//! against a single-stepping reference that counts branches by decoding
+//! ahead, and check that the burst driver stops in exactly the reference's
+//! state on both burst engines.
 
 use cfed_asm::{Asm, Image};
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_dbt::{Dbt, DbtStep, UpdateStyle};
+use cfed_dbt::{native_enabled, Dbt, DbtStep, NativeDbt, UpdateStyle};
 use cfed_fault::{advance_to_branch, golden_run, Advance};
 use cfed_fuzz::{generate, Tier};
 use cfed_isa::Reg;
@@ -81,22 +82,34 @@ fn step_reference(image: &Image, cfg: &RunConfig, every: u64) -> Reference {
     Reference { at, end, final_cpu: m.cpu.clone(), branches, smc_flushes: dbt.stats().smc_flushes }
 }
 
-/// Drives the same run through the burst driver, stopping at every
+/// Drives the same run through the burst driver on the fused engine and,
+/// where the platform runs it, on native code, stopping at every
 /// `every`-th branch, and demands the reference's state at each stop and
-/// at the end.
+/// at the end, and the same engine statistics from both burst engines.
 fn check_burst_driver(image: &Image, cfg: &RunConfig, every: u64) {
     let reference = step_reference(image, cfg, every);
-    let (mut m, mut dbt) = attached(image, cfg);
-    for (i, cpu) in reference.at.iter().enumerate() {
-        let target = i as u64 * every;
-        let stop = advance_to_branch(&mut m, &mut dbt, target, BUDGET, true);
-        assert_eq!(stop, Advance::AtBranch, "target branch {}", target);
-        assert_eq!(&m.cpu, cpu, "state at branch {}", target);
+    let mut fused_stats = None;
+    for native in [false, true] {
+        if native && !native_enabled() {
+            continue;
+        }
+        let (mut m, dbt) = attached(image, cfg);
+        let mut nd = NativeDbt::wrap(dbt, native);
+        for (i, cpu) in reference.at.iter().enumerate() {
+            let target = i as u64 * every;
+            let stop = advance_to_branch(&mut m, &mut nd, target, BUDGET, true);
+            assert_eq!(stop, Advance::AtBranch, "native {native}: target branch {target}");
+            assert_eq!(&m.cpu, cpu, "native {native}: state at branch {target}");
+        }
+        let end = advance_to_branch(&mut m, &mut nd, u64::MAX, BUDGET, true);
+        assert_eq!(end, reference.end, "native {native}");
+        assert_eq!(&m.cpu, &reference.final_cpu, "native {native}");
+        match &fused_stats {
+            None => fused_stats = Some(nd.stats()),
+            Some(fused) => assert_eq!(&nd.stats(), fused, "native and fused engine stats"),
+        }
     }
-    let end = advance_to_branch(&mut m, &mut dbt, u64::MAX, BUDGET, true);
-    assert_eq!(end, reference.end);
-    assert_eq!(&m.cpu, &reference.final_cpu);
-    if end == Advance::Halted {
+    if reference.end == Advance::Halted {
         let golden = golden_run(image, &RunConfig { max_insts: BUDGET, ..*cfg }).unwrap();
         assert_eq!(golden.branches, reference.branches);
         assert_eq!(golden.insts, reference.final_cpu.stats().insts);

@@ -27,17 +27,16 @@
 //!   a category C/E body landing — the one documented escape shape.
 //!
 //! On top of the outcome guarantee, every placed attack must classify
-//! inside its archetype's pinned A–F set, and the pause-style engine
-//! attacks must be bit-identical between the fused interpreter and the
-//! native backend (the suite degrades to interpreter-only under
-//! `CFED_NO_NATIVE=1`, like the rest of the matrix).
+//! inside its archetype's pinned A–F set, and every strike must end the
+//! same on the campaign's two paths: from scratch on the single-step
+//! reference engine, and from a checkpoint on the worker's rewound JIT
+//! (fused bursts under `CFED_NO_NATIVE=1`).
 
+use cfed::asm::Image;
 use cfed::core::{Category, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, UpdateStyle};
-use cfed::fault::SnapshotSet;
-use cfed::fault::{inject, pause_attack, AttackKind, AttackSpec, Outcome};
+use cfed::dbt::UpdateStyle;
+use cfed::fault::{inject, AttackKind, AttackSpec, Golden, InjectionResult, Outcome, SnapshotSet};
 use cfed::lang::compile;
-use cfed::sim::ExitReason;
 
 const PROGRAM: &str = r#"
     fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
@@ -84,6 +83,25 @@ fn exempt(
         || (style == UpdateStyle::Jcc && category == Category::A)
 }
 
+/// Mounts `spec` on the fast path and from scratch, demands the same result
+/// from both, and returns it (`None`: unplaceable).
+fn strike(
+    image: &Image,
+    cfg: &RunConfig,
+    golden: &Golden,
+    snapshots: &SnapshotSet,
+    spec: AttackSpec,
+) -> Option<InjectionResult> {
+    let fast = inject(image, cfg, spec, golden, Some(snapshots)).expect("prefix is attack-free");
+    let scratch = inject(image, cfg, spec, golden, None).expect("prefix is attack-free");
+    assert_eq!(fast, scratch, "{spec:?}: the fast path diverged from the reference");
+    fast
+}
+
+fn is_detected(outcome: Outcome) -> bool {
+    matches!(outcome, Outcome::DetectedByCheck | Outcome::DetectedByHw)
+}
+
 #[test]
 fn attacks_under_guaranteed_techniques_end_detected_or_benign() {
     let image = compile(PROGRAM).expect("valid program");
@@ -101,9 +119,7 @@ fn attacks_under_guaranteed_techniques_end_detected_or_benign() {
                     let nth = i * golden.branches / SITES;
                     for param in [i, i * 31 + 7] {
                         let spec = AttackSpec { kind: archetype, nth, param };
-                        let Some(r) = inject(&image, &cfg, spec, &golden, Some(&snapshots))
-                            .expect("prefix replay is attack-free")
-                        else {
+                        let Some(r) = strike(&image, &cfg, &golden, &snapshots, spec) else {
                             continue; // unplaceable at this strike point
                         };
                         placed[archetype.idx()] += 1;
@@ -202,77 +218,6 @@ fn attacks_under_guaranteed_techniques_end_detected_or_benign() {
 }
 
 #[test]
-fn pause_attacks_are_bit_identical_across_engines() {
-    // The engine-level attack path: pause mid-run, seize the program
-    // counter with the archetype's target, resume. Fused interpreter and
-    // native backend must agree byte-for-byte on every field — exit (trap
-    // payloads included), output, retired counts. The Detected-or-Benign assertion is scoped like the
-    // campaign sweep's: RCF carries it for every seizure archetype except
-    // `jump-corrupt` (a mid-body slide crosses no edge — an
-    // instruction-skip *data* fault, outside the branch-error model);
-    // EdgCF carries it for the head-targeting and hardware-trapped
-    // archetypes. Under `CFED_NO_NATIVE=1` the native comparisons degrade
-    // to self-comparison, keeping the sweep's verdict identical.
-    let image = compile(PROGRAM).expect("valid program");
-    let golden = {
-        let cfg = RunConfig { max_insts: 2_000_000, ..RunConfig::baseline() };
-        cfed::fault::golden_run(&image, &cfg).expect("golden run halts")
-    };
-
-    for kind in GUARANTEED {
-        let cfg = RunConfig { max_insts: 2_000_000, ..RunConfig::technique(kind) };
-        let mut placed = 0usize;
-        let mut detected = 0usize;
-        for archetype in AttackKind::ALL {
-            if archetype == AttackKind::FlipBranch {
-                continue; // not a program-counter seizure; no pause form
-            }
-            let guaranteed = match kind {
-                TechniqueKind::Rcf => archetype != AttackKind::JumpCorrupt,
-                _ => !body_landing(archetype),
-            };
-            for pause in [900u64, 2400, 5200] {
-                for param in [3u64, 11] {
-                    let fused = pause_attack(&image, &cfg, archetype, param, pause, false);
-                    if native_enabled() {
-                        let native = pause_attack(&image, &cfg, archetype, param, pause, true);
-                        assert_eq!(
-                            fused, native,
-                            "{kind} {archetype} pause={pause} param={param}: \
-                             fused and native disagree"
-                        );
-                    }
-                    if !fused.placed {
-                        continue;
-                    }
-                    placed += 1;
-                    if fused.detected() {
-                        detected += 1;
-                        continue;
-                    }
-                    if !guaranteed {
-                        continue;
-                    }
-                    match &fused.exit {
-                        ExitReason::Halted { .. } => assert_eq!(
-                            fused.output, golden.output,
-                            "{kind} {archetype} pause={pause} param={param}: \
-                             silent corruption escaped detection"
-                        ),
-                        other => panic!(
-                            "{kind} {archetype} pause={pause} param={param}: \
-                             unexpected exit {other:?}"
-                        ),
-                    }
-                }
-            }
-        }
-        assert!(placed >= 8, "{kind}: only {placed} pause attacks placed");
-        assert!(detected > 0, "{kind}: no pause attack was ever detected ({placed} placed)");
-    }
-}
-
-#[test]
 fn uninstrumented_runs_set_the_hardware_only_floor() {
     // Baseline (no technique) catches only what the hardware model traps:
     // misaligned gadget entries and non-executable pivots. The archetypes
@@ -281,19 +226,23 @@ fn uninstrumented_runs_set_the_hardware_only_floor() {
     // the coverage gap the frontier report quantifies.
     let image = compile(PROGRAM).expect("valid program");
     let cfg = RunConfig { max_insts: 2_000_000, ..RunConfig::baseline() };
+    let (golden, snapshots) = SnapshotSet::capture(&image, &cfg).expect("attack-free run halts");
+    let strikes = [golden.branches / 5, golden.branches / 2];
 
-    for archetype in [AttackKind::GadgetEntry, AttackKind::DataPivot] {
-        let run = pause_attack(&image, &cfg, archetype, 2, 900, false);
-        assert!(run.placed, "{archetype} must place at the pause point");
-        assert!(run.detected(), "{archetype} must trip the hardware path");
+    for kind in [AttackKind::GadgetEntry, AttackKind::DataPivot] {
+        let spec = AttackSpec { kind, nth: strikes[0], param: 2 };
+        let r = strike(&image, &cfg, &golden, &snapshots, spec);
+        let r = r.unwrap_or_else(|| panic!("{kind} must place at branch {}", strikes[0]));
+        assert!(is_detected(r.outcome), "{kind} must trip the hardware path, got {}", r.outcome);
     }
 
     let mut undetected = 0;
-    for archetype in [AttackKind::RetGadget, AttackKind::EdgeSplice] {
-        for pause in [900u64, 2400] {
+    for kind in [AttackKind::RetGadget, AttackKind::EdgeSplice] {
+        for nth in strikes {
             for param in [3u64, 11] {
-                let run = pause_attack(&image, &cfg, archetype, param, pause, false);
-                if run.placed && !run.detected() {
+                let spec = AttackSpec { kind, nth, param };
+                let r = strike(&image, &cfg, &golden, &snapshots, spec);
+                if r.is_some_and(|r| !is_detected(r.outcome)) {
                     undetected += 1;
                 }
             }

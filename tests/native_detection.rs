@@ -26,7 +26,7 @@
 
 use cfed::asm::Image;
 use cfed::core::{run_dbt_native_enabled, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, regs, CheckPolicy, NativeDbt, UpdateStyle};
+use cfed::dbt::{native_enabled, regs, CheckPolicy, Dbt, NativeDbt, UpdateStyle};
 use cfed::fuzz::shrink::rebuild_image;
 use cfed::lang::compile;
 use cfed::sim::{ExitReason, Machine};
@@ -117,7 +117,7 @@ fn run_corrupted(
 ) -> CorruptOutcome {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let instr = kind.instrumenter_for(image, CheckPolicy::AllBb);
-    let mut dbt = NativeDbt::with_native(instr, style, &mut m, native);
+    let mut dbt = NativeDbt::wrap(Dbt::new(instr, style, &mut m), native);
     let exit = match dbt.run(&mut m, pause) {
         ExitReason::StepLimit => {
             let sig = m.cpu.reg(regs::PC_PRIME);
