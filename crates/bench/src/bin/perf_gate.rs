@@ -649,6 +649,8 @@ fn perf_record(perf: &RunPerf, p: &Paired, side: usize) -> Json {
         ("snapshots_held", Json::UInt(perf.snapshots.snapshots)),
         ("snapshot_bytes", Json::UInt(perf.snapshots.bytes)),
         ("restores", Json::UInt(perf.snapshots.restores)),
+        ("full_restores", Json::UInt(perf.snapshots.full_restores)),
+        ("pages_restored", Json::UInt(perf.snapshots.pages_restored)),
         ("misses", Json::UInt(perf.snapshots.misses)),
         ("branches_fast_forwarded", Json::UInt(perf.snapshots.branches_fast_forwarded)),
         ("branches_stepped", Json::UInt(perf.snapshots.branches_stepped)),

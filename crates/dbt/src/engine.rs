@@ -151,8 +151,8 @@ pub(crate) struct ExitDesc {
 /// (e.g. a [`cfed_sim::MachineSnapshot`] captured at the same moment):
 /// the bookkeeping describes translations physically present in that
 /// memory, and restoring either half alone desynchronizes cursor, block
-/// table and cache bytes.
-#[derive(Clone)]
+/// table and cache bytes. [`Clone::clone_from`] refreshes an engine in
+/// place, reusing its tables' allocations.
 pub struct Dbt {
     instr: Arc<dyn Instrumenter>,
     style: UpdateStyle,
@@ -189,6 +189,72 @@ pub struct Dbt {
     pub(crate) dispatch_ic: [Option<(u64, u64)>; DISPATCH_IC_SIZE],
     trans_us: Histogram,
     telemetry: Telemetry,
+}
+
+impl Clone for Dbt {
+    fn clone(&self) -> Dbt {
+        Dbt {
+            instr: Arc::clone(&self.instr),
+            style: self.style,
+            cache: self.cache.clone(),
+            cursor: self.cursor,
+            err_stub: self.err_stub,
+            guest_code: self.guest_code.clone(),
+            blocks: self.blocks.clone(),
+            by_guest: self.by_guest.clone(),
+            exits: self.exits.clone(),
+            blocks_by_page: self.blocks_by_page.clone(),
+            stats: self.stats,
+            attached: self.attached,
+            cache_limit: self.cache_limit,
+            base_cursor: self.base_cursor,
+            flush_gen: self.flush_gen,
+            dispatch_ic: self.dispatch_ic,
+            trans_us: self.trans_us.clone(),
+            telemetry: self.telemetry.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Dbt) {
+        let Dbt {
+            instr,
+            style,
+            cache,
+            cursor,
+            err_stub,
+            guest_code,
+            blocks,
+            by_guest,
+            exits,
+            blocks_by_page,
+            stats,
+            attached,
+            cache_limit,
+            base_cursor,
+            flush_gen,
+            dispatch_ic,
+            trans_us,
+            telemetry,
+        } = source;
+        self.instr.clone_from(instr);
+        self.style = *style;
+        self.cache.clone_from(cache);
+        self.cursor = *cursor;
+        self.err_stub = *err_stub;
+        self.guest_code.clone_from(guest_code);
+        self.blocks.clone_from(blocks);
+        self.by_guest.clone_from(by_guest);
+        self.exits.clone_from(exits);
+        self.blocks_by_page.clone_from(blocks_by_page);
+        self.stats = *stats;
+        self.attached = *attached;
+        self.cache_limit = *cache_limit;
+        self.base_cursor = *base_cursor;
+        self.flush_gen = *flush_gen;
+        self.dispatch_ic = *dispatch_ic;
+        self.trans_us.clone_from(trans_us);
+        self.telemetry.clone_from(telemetry);
+    }
 }
 
 impl std::fmt::Debug for Dbt {

@@ -1771,7 +1771,19 @@ pub fn native_enabled() -> bool {
 /// ```
 pub struct NativeDbt {
     dbt: Dbt,
-    jit: Option<Box<Jit>>,
+    jit: JitLease,
+}
+
+/// The JIT an engine runs on, handed back as the thread's spare when the
+/// engine goes.
+struct JitLease(Option<Box<Jit>>);
+
+impl Drop for JitLease {
+    fn drop(&mut self) {
+        if let Some(jit) = self.0.take() {
+            jit.release();
+        }
+    }
 }
 
 impl NativeDbt {
@@ -1783,7 +1795,7 @@ impl NativeDbt {
     /// burst is [`Dbt::burst`] itself.
     pub fn wrap(dbt: Dbt, native: bool) -> NativeDbt {
         let jit = if native { Jit::acquire(&dbt) } else { None };
-        NativeDbt { dbt, jit }
+        NativeDbt { dbt, jit: JitLease(jit) }
     }
 
     /// Wraps `dbt`, restored together with `m` from a checkpoint of the run
@@ -1798,12 +1810,12 @@ impl NativeDbt {
             jit.rewind(&dbt, m, lineage);
             jit
         });
-        NativeDbt { dbt, jit }
+        NativeDbt { dbt, jit: JitLease(jit) }
     }
 
     /// `true` when translated blocks actually execute as host code.
     pub fn is_native(&self) -> bool {
-        self.jit.is_some()
+        self.jit.0.is_some()
     }
 
     /// The underlying engine (stats, block table, cache region...).
@@ -1818,9 +1830,15 @@ impl NativeDbt {
     /// calls this at its strike point, before it corrupts anything. No-op
     /// for an engine that was not rewound.
     pub fn mark_lineage(&mut self) {
-        if let Some(jit) = &mut self.jit {
+        if let Some(jit) = &mut self.jit.0 {
             jit.mark_lineage(&self.dbt);
         }
+    }
+
+    /// Unwraps the engine; the JIT stays this thread's, code and all, for
+    /// the next engine to rewind or wrap.
+    pub fn into_dbt(self) -> Dbt {
+        self.dbt
     }
 
     /// The underlying engine, for [`Dbt::step`]s between bursts; the next
@@ -1833,7 +1851,7 @@ impl NativeDbt {
     /// Blocks compiled to host code since this engine was wrapped or
     /// rewound (0 without native execution).
     pub fn native_compiles(&self) -> u64 {
-        self.jit.as_ref().map_or(0, |jit| jit.compiles)
+        self.jit.0.as_ref().map_or(0, |jit| jit.compiles)
     }
 
     /// Attaches a telemetry handle to the underlying engine
@@ -1850,7 +1868,7 @@ impl NativeDbt {
     /// Runs until halt, surfaced trap, or `max_insts` retired instructions,
     /// bit-identical to [`Dbt::run`] on the same machine.
     pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> ExitReason {
-        if self.jit.is_none() || m.tracer.is_some() {
+        if self.jit.0.is_none() || m.tracer.is_some() {
             // Tracing wants per-instruction visibility; stay interpreted.
             return self.dbt.run(m, max_insts);
         }
@@ -1881,7 +1899,7 @@ impl NativeDbt {
     /// attached, this is `Dbt::burst` itself.
     pub fn burst(&mut self, m: &mut Machine, max_insts: u64, stop_at: u64) -> DbtStep {
         let NativeDbt { dbt, jit } = self;
-        let Some(jit) = jit.as_mut().filter(|_| m.tracer.is_none()) else {
+        let Some(jit) = jit.0.as_mut().filter(|_| m.tracer.is_none()) else {
             return dbt.burst(m, max_insts, stop_at);
         };
         jit.sync(dbt, m);
@@ -1976,14 +1994,6 @@ impl NativeDbt {
             if step != DbtStep::Continue {
                 return step;
             }
-        }
-    }
-}
-
-impl Drop for NativeDbt {
-    fn drop(&mut self) {
-        if let Some(jit) = self.jit.take() {
-            jit.release();
         }
     }
 }
@@ -2193,7 +2203,7 @@ mod tests {
                     m.cpu.set_reg(Reg::all().nth(reg as usize).unwrap(), value);
                     end = run_to(&mut m, u64::MAX, BUDGET, |m, l, s| nd.burst(m, l, s));
                 }
-                let nukes = nd.jit.as_ref().map_or(0, |jit| jit.nukes);
+                let nukes = nd.jit.0.as_ref().map_or(0, |jit| jit.nukes);
                 let pages: Vec<_> = m
                     .mem
                     .dirty_pages()

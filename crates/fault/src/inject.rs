@@ -22,7 +22,7 @@ use cfed_core::{
 };
 use cfed_dbt::{Dbt, DbtStep, NativeDbt};
 use cfed_isa::{Flags, INST_SIZE_U64};
-use cfed_sim::{Machine, Trap};
+use cfed_sim::{Machine, MachineSnapshot, Trap};
 use cfed_telemetry::Profile;
 
 /// The *fault-free* execution misbehaved: the workload itself is unsound
@@ -390,17 +390,19 @@ pub fn inject_traced(
 
 /// A finished trial: its result, the tracer when one was attached, and
 /// where an attack went.
-type Trial = (InjectionResult, Option<cfed_sim::Tracer>, Option<AttackProvenance>);
+pub(crate) type Trial = (InjectionResult, Option<cfed_sim::Tracer>, Option<AttackProvenance>);
 
 /// The one trial loop behind soft errors and attacks alike: replay (or
 /// fast-forward) the fault-free prefix to the strike branch, corrupt the
 /// machine there as `spec` says, then run to an outcome. A fast-path trial
-/// bursts on one [`NativeDbt`] from restore to outcome — rewound onto its
-/// worker's JIT under the snapshot set's lineage, and told at the strike
-/// that the prefix followed the golden run — and single-steps only the
-/// faulted instruction; from-scratch and traced trials single-step the
-/// reference engine throughout.
-fn run_trial_inner(
+/// runs on its worker's resident machine and engine, rewound to the
+/// checkpoint ([`SnapshotSet::check_out`]), and bursts from restore to
+/// outcome on one [`NativeDbt`] — rewound onto the worker's JIT under the
+/// snapshot set's lineage, and told at the strike that the prefix followed
+/// the golden run — single-stepping only the faulted instruction;
+/// from-scratch and traced trials build or restore a machine of their own
+/// and single-step the reference engine throughout.
+pub(crate) fn run_trial_inner(
     image: &Image,
     cfg: &RunConfig,
     spec: TrialSpec,
@@ -430,110 +432,149 @@ fn run_trial_inner(
             None => s.note_miss(nth),
         }
     }
-    let (mut m, dbt) = match restored {
-        Some(snap) => (snap.machine.restore(), snap.dbt.clone()),
-        None => build(image, cfg),
-    };
-    if let Some(capacity) = trace_capacity {
-        // From scratch this is a plain fresh tracer (zero retired); from a
-        // checkpoint it resumes the count at the instructions already
-        // executed before the restore point.
-        m.attach_tracer_resumed(capacity, m.cpu.stats().insts);
-    }
-    let budget = golden.insts * 3 + 100_000;
-    let fused = fast.is_some();
-    let mut nd = match fast {
-        Some(s) => NativeDbt::rewind(dbt, &m, s.lineage()),
+    let plan = TrialPlan { image, spec, golden, fast };
+    let engine = |dbt, m: &Machine| match fast {
+        Some(s) => NativeDbt::rewind(dbt, m, s.lineage()),
         None => NativeDbt::wrap(dbt, false),
     };
-    let insts_at_start = m.cpu.stats().insts;
-    // Instructions single-stepped on the fast path: the faulted step's.
-    let mut faulted_insts = 0;
-    let mut provenance = None;
-
-    // Phase 1: run to the injection point.
-    let injected = match advance_to_branch(&mut m, &mut nd, nth, budget, fused) {
-        Advance::AtBranch => {
-            // The prefix ran exactly as the golden run did.
-            nd.mark_lineage();
-            let insts = m.cpu.stats().insts;
-            let dbt = nd.dbt_mut();
-            let applied = match spec {
-                TrialSpec::Fault(f) => inject_now(&mut m, dbt, image, f),
-                TrialSpec::Attack(a) => attack_now(&mut m, dbt, image, a).map(|(s, p)| {
-                    provenance = Some(p);
-                    s
-                }),
+    match (fast, restored) {
+        (Some(set), Some(snap)) => {
+            let (mut resident, dbt) = set.check_out(snap);
+            let mut nd = engine(dbt, &resident.machine);
+            let trial = plan.run(&mut resident.machine, &mut nd, Some(&snap.machine));
+            resident.check_in(nd.into_dbt());
+            trial
+        }
+        _ => {
+            let (mut m, dbt) = match restored {
+                Some(snap) => (snap.machine.restore(), snap.dbt.clone()),
+                None => build(image, cfg),
             };
-            faulted_insts = m.cpu.stats().insts - insts;
-            applied
-        }
-        // Budget exhausted or the program ended before the nth branch.
-        Advance::OutOfBudget | Advance::Halted => None,
-        Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
-    };
-    let Some((category, site, instrumentation_landing, faulted_step)) = injected else {
-        return Ok(None);
-    };
-    let insts_at_injection = m.cpu.stats().insts;
-
-    // Phase 2: run to an outcome (the faulted step itself may already have
-    // produced one). With snapshots available and no tracer attached, the
-    // run additionally performs convergence pruning: it bursts to each
-    // later dynamic branch for which the golden run holds a checkpoint, and
-    // if the trial's architectural state is bit-identical to that
-    // checkpoint (CPU including counters and the output stream, every
-    // written page — the code cache among them — and page permissions),
-    // the deterministic remainder *is* the golden remainder. The outcome is
-    // then provably Benign with exactly the latency the full run would
-    // report, so the suffix is skipped. Traced runs never prune: the
-    // tracer window must hold the genuinely executed final instructions.
-    let mut boundaries = fast.map_or(&[][..], |s| s.after(nth)).iter();
-    let end = match faulted_step {
-        _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
-        DbtStep::Halted => Advance::Halted,
-        DbtStep::Exit(t) => Advance::Trapped(t),
-        DbtStep::Continue => loop {
-            // Checkpoints the trial has already run past cannot match (the
-            // retired-branch counters differ).
-            let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
-            let target = next.map_or(u64::MAX, |s| s.branch_index);
-            match advance_to_branch(&mut m, &mut nd, target, budget, fused) {
-                Advance::AtBranch if next.is_some_and(|s| s.machine.matches(&m)) => {
-                    break Advance::AtBranch
-                }
-                Advance::AtBranch => {}
-                end => break end,
+            if let Some(capacity) = trace_capacity {
+                // From scratch this is a plain fresh tracer (zero retired);
+                // from a checkpoint it resumes the count at the
+                // instructions already executed before the restore point.
+                m.attach_tracer_resumed(capacity, m.cpu.stats().insts);
             }
-        },
-    };
-    let (outcome, pruned_latency) = match end {
-        Advance::AtBranch => {
-            fast.expect("pruning implies a snapshot set").note_pruned();
-            (Outcome::Benign, Some(golden.insts - insts_at_injection))
+            let mut nd = engine(dbt, &m);
+            plan.run(&mut m, &mut nd, None)
         }
-        Advance::OutOfBudget => (Outcome::Timeout, None),
-        Advance::Halted => {
-            let ok = m.cpu.output() == golden.output.as_slice()
-                && m.cpu.reg(cfed_isa::Reg::R0) == golden.exit_code;
-            (if ok { Outcome::Benign } else { Outcome::Sdc }, None)
-        }
-        Advance::Trapped(t) => (outcome_of_trap(t), None),
-    };
-    if let Some(s) = fast {
-        let bursts = m.cpu.stats().insts - insts_at_start - faulted_insts;
-        let (fused, native) = if nd.is_native() { (0, bursts) } else { (bursts, 0) };
-        s.note_insts(fused, faulted_insts, native, nd.native_compiles());
     }
+}
 
-    let result = InjectionResult {
-        outcome,
-        category,
-        site,
-        latency_insts: pruned_latency.unwrap_or(m.cpu.stats().insts - insts_at_injection),
-        instrumentation_landing,
-    };
-    Ok(Some((result, m.tracer.take(), provenance)))
+/// One trial's spec and reference, and the set a fast-path trial
+/// fast-forwards through, prunes against and counts itself into.
+pub(crate) struct TrialPlan<'a> {
+    pub(crate) image: &'a Image,
+    pub(crate) spec: TrialSpec,
+    pub(crate) golden: &'a Golden,
+    pub(crate) fast: Option<&'a SnapshotSet>,
+}
+
+impl TrialPlan<'_> {
+    /// Runs the trial on `m` and `nd`, standing where its prefix starts.
+    /// `base` is the checkpoint `m`'s dirty log starts from (`None`: the
+    /// all-zero address space), for the convergence compare.
+    pub(crate) fn run(
+        &self,
+        m: &mut Machine,
+        nd: &mut NativeDbt,
+        base: Option<&MachineSnapshot>,
+    ) -> Result<Option<Trial>, WorkloadError> {
+        let (image, golden, fast) = (self.image, self.golden, self.fast);
+        let nth = self.spec.nth();
+        let budget = golden.insts * 3 + 100_000;
+        let fused = fast.is_some();
+        let insts_at_start = m.cpu.stats().insts;
+        // Instructions single-stepped on the fast path: the faulted step's.
+        let mut faulted_insts = 0;
+        let mut provenance = None;
+
+        // Phase 1: run to the injection point.
+        let injected = match advance_to_branch(m, nd, nth, budget, fused) {
+            Advance::AtBranch => {
+                // The prefix ran exactly as the golden run did.
+                nd.mark_lineage();
+                let insts = m.cpu.stats().insts;
+                let dbt = nd.dbt_mut();
+                let applied = match self.spec {
+                    TrialSpec::Fault(f) => inject_now(m, dbt, image, f),
+                    TrialSpec::Attack(a) => attack_now(m, dbt, image, a).map(|(s, p)| {
+                        provenance = Some(p);
+                        s
+                    }),
+                };
+                faulted_insts = m.cpu.stats().insts - insts;
+                applied
+            }
+            // Budget exhausted or the program ended before the nth branch.
+            Advance::OutOfBudget | Advance::Halted => None,
+            Advance::Trapped(t) => return Err(WorkloadError::Trapped(t)),
+        };
+        let Some((category, site, instrumentation_landing, faulted_step)) = injected else {
+            return Ok(None);
+        };
+        let insts_at_injection = m.cpu.stats().insts;
+
+        // Phase 2: run to an outcome (the faulted step itself may already
+        // have produced one). With snapshots available and no tracer
+        // attached, the run additionally performs convergence pruning: it
+        // bursts to each later dynamic branch for which the golden run holds
+        // a checkpoint, and if the trial's architectural state is
+        // bit-identical to that checkpoint (CPU including counters and the
+        // output stream, every written page — the code cache among them —
+        // and page permissions), the deterministic remainder *is* the golden
+        // remainder. The outcome is then provably Benign with exactly the
+        // latency the full run would report, so the suffix is skipped.
+        // Traced runs never prune: the tracer window must hold the genuinely
+        // executed final instructions.
+        let mut boundaries = fast.map_or(&[][..], |s| s.after(nth)).iter();
+        let end = match faulted_step {
+            _ if m.cpu.stats().insts >= budget => Advance::OutOfBudget,
+            DbtStep::Halted => Advance::Halted,
+            DbtStep::Exit(t) => Advance::Trapped(t),
+            DbtStep::Continue => loop {
+                // Checkpoints the trial has already run past cannot match
+                // (the retired-branch counters differ).
+                let next = boundaries.find(|s| s.branch_index >= m.cpu.stats().branches);
+                let target = next.map_or(u64::MAX, |s| s.branch_index);
+                match advance_to_branch(m, nd, target, budget, fused) {
+                    Advance::AtBranch if next.is_some_and(|s| s.machine.matches(m, base)) => {
+                        break Advance::AtBranch
+                    }
+                    Advance::AtBranch => {}
+                    end => break end,
+                }
+            },
+        };
+        let (outcome, pruned_latency) = match end {
+            Advance::AtBranch => {
+                fast.expect("pruning implies a snapshot set").note_pruned();
+                (Outcome::Benign, Some(golden.insts - insts_at_injection))
+            }
+            Advance::OutOfBudget => (Outcome::Timeout, None),
+            Advance::Halted => {
+                let ok = m.cpu.output() == golden.output.as_slice()
+                    && m.cpu.reg(cfed_isa::Reg::R0) == golden.exit_code;
+                (if ok { Outcome::Benign } else { Outcome::Sdc }, None)
+            }
+            Advance::Trapped(t) => (outcome_of_trap(t), None),
+        };
+        if let Some(s) = fast {
+            let bursts = m.cpu.stats().insts - insts_at_start - faulted_insts;
+            let (fused, native) = if nd.is_native() { (0, bursts) } else { (bursts, 0) };
+            s.note_insts(fused, faulted_insts, native, nd.native_compiles());
+        }
+
+        let result = InjectionResult {
+            outcome,
+            category,
+            site,
+            latency_insts: pruned_latency.unwrap_or(m.cpu.stats().insts - insts_at_injection),
+            instrumentation_landing,
+        };
+        Ok(Some((result, m.tracer.take(), provenance)))
+    }
 }
 
 /// Scans straight-line code from `from` for the next flag-reading branch

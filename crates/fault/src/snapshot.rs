@@ -4,8 +4,9 @@
 //! nth dynamic branch — O(program length) of single-stepping and a full
 //! re-translation per trial. During the golden run this module captures
 //! periodic `(Machine, Dbt)` snapshots keyed by dynamic-branch index;
-//! [`crate::inject::inject`] then restores the nearest snapshot
-//! at-or-below the target branch and bursts through only the residual
+//! [`crate::inject::inject`] then rewinds its worker's resident machine
+//! and engine to the nearest snapshot at-or-below the target branch
+//! (`SnapshotSet::check_out`) and bursts through only the residual
 //! prefix, reusing the translated code cache instead of re-translating.
 //!
 //! Both halves of a snapshot are captured at the same instant and restored
@@ -29,6 +30,7 @@ use cfed_core::RunConfig;
 use cfed_dbt::Dbt;
 use cfed_sim::{Machine, MachineSnapshot, SnapshotTracker};
 use cfed_telemetry::Counter;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Branch interval between snapshots before any adaptive thinning.
@@ -59,6 +61,8 @@ pub struct SnapshotSet {
     interval: u64,
     bytes: u64,
     restores: Counter,
+    full_restores: Counter,
+    pages_restored: Counter,
     misses: Counter,
     fast_forwarded: Counter,
     stepped: Counter,
@@ -111,7 +115,8 @@ impl SnapshotSet {
         self.snapshots.is_empty()
     }
 
-    /// Approximate heap bytes retained by the machine snapshots.
+    /// Heap bytes the machine snapshots retain, each shared page counted
+    /// once.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -140,6 +145,39 @@ impl SnapshotSet {
             Err(0) => None,
             Err(i) => Some(&self.snapshots[i - 1]),
         }
+    }
+
+    /// This thread's resident machine rewound to `snap`, one of this set's
+    /// checkpoints, with the resident engine refreshed to `snap`'s in place
+    /// of a clone. The rewind rewrites only the pages the last trial wrote
+    /// and the pages `snap` does not share with the checkpoint installed
+    /// before it; after a trial of another set, or on a thread's first
+    /// trial, it fills the machine in full. Hand both back with
+    /// [`Resident::check_in`].
+    pub(crate) fn check_out(&self, snap: &Snapshot) -> (Box<Resident>, Dbt) {
+        let mut resident = RESIDENT.take().unwrap_or_else(|| {
+            // All zero, never written: the full fill installs every page.
+            Box::new(Resident { machine: Machine::load(&[], &[], 0), dbt: None, at: None })
+        });
+        let from = resident
+            .at
+            .filter(|&(lineage, _)| lineage == self.lineage)
+            .and_then(|(_, branch)| self.nearest(branch))
+            .map(|installed| &installed.machine);
+        let pages = snap.machine.rewind(&mut resident.machine, from);
+        if from.is_none() {
+            self.full_restores.inc();
+        }
+        self.pages_restored.add(pages);
+        resident.at = Some((self.lineage, snap.branch_index));
+        let dbt = match resident.dbt.take() {
+            Some(mut dbt) => {
+                dbt.clone_from(&snap.dbt);
+                dbt
+            }
+            None => snap.dbt.clone(),
+        };
+        (resident, dbt)
     }
 
     /// Records a successful restore that skipped `fast_forwarded` branches
@@ -180,6 +218,8 @@ impl SnapshotSet {
             snapshots: self.snapshots.len() as u64,
             bytes: self.bytes,
             restores: self.restores.get(),
+            full_restores: self.full_restores.get(),
+            pages_restored: self.pages_restored.get(),
             misses: self.misses.get(),
             branches_fast_forwarded: self.fast_forwarded.get(),
             branches_stepped: self.stepped.get(),
@@ -192,6 +232,31 @@ impl SnapshotSet {
     }
 }
 
+/// A worker thread's resident trial machine and engine: fast-path trials
+/// rewind them to their checkpoints ([`SnapshotSet::check_out`]) instead of
+/// building both anew and dropping them after.
+pub(crate) struct Resident {
+    pub(crate) machine: Machine,
+    /// The engine, while no trial runs on it.
+    dbt: Option<Dbt>,
+    /// The checkpoint the machine was last rewound to: its set's lineage
+    /// and its branch index.
+    at: Option<(u64, u64)>,
+}
+
+thread_local! {
+    static RESIDENT: Cell<Option<Box<Resident>>> = const { Cell::new(None) };
+}
+
+impl Resident {
+    /// Keeps the machine, in whatever state the trial left it, and the
+    /// engine as this thread's resident pair.
+    pub(crate) fn check_in(mut self: Box<Self>, dbt: Dbt) {
+        self.dbt = Some(dbt);
+        RESIDENT.set(Some(self));
+    }
+}
+
 /// Snapshot shape and usage counters, mergeable across sets for pool-wide
 /// telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -200,10 +265,20 @@ pub struct SnapshotStats {
     pub snapshot_sets: u64,
     /// Checkpoints held.
     pub snapshots: u64,
-    /// Approximate heap bytes retained.
+    /// Heap bytes the machine snapshots retain: each distinct page once
+    /// per set, however many of its checkpoints share it, plus every
+    /// checkpoint's permission table.
     pub bytes: u64,
     /// Injections that restored a checkpoint.
     pub restores: u64,
+    /// Restores that filled their worker's resident machine in full: the
+    /// first on a thread, or the first after the thread ran a trial of
+    /// another set. The rest rewrote only the pages that can differ.
+    /// Depends on which worker ran which trial.
+    pub full_restores: u64,
+    /// Pages restores wrote into resident machines, full fills included.
+    /// Depends on which worker ran which trial, and in what order.
+    pub pages_restored: u64,
     /// Injections that ran from scratch despite snapshots being available
     /// (target before the first checkpoint). Traced forensics re-runs are
     /// observers and count nowhere in these stats.
@@ -240,6 +315,8 @@ impl SnapshotStats {
         self.snapshots += other.snapshots;
         self.bytes += other.bytes;
         self.restores += other.restores;
+        self.full_restores += other.full_restores;
+        self.pages_restored += other.pages_restored;
         self.misses += other.misses;
         self.branches_fast_forwarded += other.branches_fast_forwarded;
         self.branches_stepped += other.branches_stepped;
@@ -310,7 +387,7 @@ impl SnapshotBuilder {
     }
 
     pub(crate) fn finish(self, config: RunConfig) -> SnapshotSet {
-        let bytes = self.snapshots.iter().map(|s| s.machine.bytes()).sum();
+        let bytes = MachineSnapshot::retained_bytes(self.snapshots.iter().map(|s| &s.machine));
         static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
         SnapshotSet {
             config,
@@ -319,6 +396,8 @@ impl SnapshotBuilder {
             interval: self.interval,
             bytes,
             restores: Counter::new(),
+            full_restores: Counter::new(),
+            pages_restored: Counter::new(),
             misses: Counter::new(),
             fast_forwarded: Counter::new(),
             stepped: Counter::new(),
@@ -330,6 +409,10 @@ impl SnapshotBuilder {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "resident_rewind.rs"]
+mod resident_rewind;
 
 #[cfg(test)]
 mod tests {
@@ -364,6 +447,10 @@ mod tests {
         assert!(!snaps.is_empty());
         assert!(snaps.len() <= MAX_SNAPSHOTS);
         assert!(snaps.bytes() > 0);
+        // Consecutive checkpoints share most pages, counted once.
+        let each: u64 =
+            snaps.snapshots.iter().map(|s| MachineSnapshot::retained_bytes([&s.machine])).sum();
+        assert!(snaps.bytes() < each, "{} of {each}", snaps.bytes());
         assert!(snaps.matches(&cfg));
         assert!(!snaps.matches(&RunConfig::baseline()));
     }
@@ -415,6 +502,8 @@ mod tests {
             snapshots: 3,
             bytes: 100,
             restores: 5,
+            full_restores: 2,
+            pages_restored: 30,
             misses: 1,
             branches_fast_forwarded: 40,
             branches_stepped: 7,
@@ -429,6 +518,8 @@ mod tests {
         assert_eq!(b.snapshot_sets, 2);
         assert_eq!(b.snapshots, 6);
         assert_eq!(b.bytes, 200);
+        assert_eq!(b.full_restores, 4);
+        assert_eq!(b.pages_restored, 60);
         assert_eq!(b.branches_fast_forwarded, 80);
         assert_eq!(b.benign_pruned, 4);
         assert_eq!(b.insts_fused, 180);

@@ -5,19 +5,25 @@
 //! translated-code geometry*, and runs to an outcome. A campaign runs such
 //! a trial on one of two paths, and the two must agree (the campaign's
 //! `--no-snapshots` contract): from scratch on the single-step reference
-//! engine, or on the fast path — checkpoint restore, bursts on the
-//! worker's rewound JIT (fused ones where native execution is off) and
-//! convergence pruning. This module mutates a deterministic schedule of
-//! attacks (a pure function of the case seed) into the fuzzer's
-//! differential matrix: every scheduled [`AttackSpec`] runs on both paths,
-//! and the two [`InjectionResult`]s must be equal: same placement, outcome,
-//! category, site, latency and landing kind.
+//! engine, or on the fast path — the worker's resident machine and engine
+//! rewound to a checkpoint, bursts on its rewound JIT (fused ones where
+//! native execution is off) and convergence pruning. This module mutates a
+//! deterministic schedule of attacks (a pure function of the case seed)
+//! into the fuzzer's differential matrix: every scheduled [`AttackSpec`]
+//! runs on both paths, and the two [`InjectionResult`]s must be equal: same
+//! placement, outcome, category, site, latency and landing kind. As in a
+//! campaign, a case's trials share golden runs: each of its
+//! `SETS_PER_CASE` configurations is captured once, and its trials
+//! mount in a seed-drawn order across them, so the fast path rewinds state
+//! kept from earlier trials of the same golden run and switches between
+//! runs.
 //!
 //! A mismatch is an engine bug by construction (the attack itself is the
 //! same on both sides), and is shrunk with the generic image shrinker
-//! against [`finding_reproduces`] — the cheap two-run predicate — then
-//! archived as a [`RegressionMode::Attack`] reproducer replayable by
-//! `cfed-fuzz replay` and the `regressions` integration test.
+//! against [`finding_reproduces`] — the schedule replayed up to the
+//! diverging trial — then archived as a [`RegressionMode::Attack`]
+//! reproducer replayable by `cfed-fuzz replay` and the `regressions`
+//! integration test.
 //!
 //! [`RegressionMode::Attack`]: crate::corpus::RegressionMode::Attack
 //! [`InjectionResult`]: cfed_fault::InjectionResult
@@ -25,17 +31,23 @@
 use cfed_asm::Image;
 use cfed_core::{RunConfig, TechniqueKind};
 use cfed_dbt::UpdateStyle;
-use cfed_fault::{inject, AttackKind, AttackSpec, InjectionResult, SnapshotSet, WorkloadError};
+use cfed_fault::{
+    inject, AttackKind, AttackSpec, Golden, InjectionResult, SnapshotSet, WorkloadError,
+};
 use rand::{Rng, SeedableRng as _, StdRng};
 
-/// Attack trials mounted per case (one per `CONFIGS` row) — shared by
-/// `cfed-fuzz run --attacks`, `cfed-fuzz replay` and the regressions test
-/// so an archived reproducer replays the exact schedule that found it.
-pub const ATTACK_TRIALS: u64 = 6;
+/// Attack trials mounted per case — shared by `cfed-fuzz run --attacks`,
+/// `cfed-fuzz replay` and the regressions test so an archived reproducer
+/// replays the exact schedule that found it.
+pub const ATTACK_TRIALS: u64 = 12;
+
+/// Configurations (so golden runs and snapshot sets) a case's trials
+/// share, drawn from [`CONFIGS`] by the seed.
+const SETS_PER_CASE: usize = 2;
 
 /// The configurations attacks are scheduled against: the uninstrumented
 /// baseline, the paper techniques under both styles, and one prior-work
-/// scheme for placement diversity. Trial `t` uses row `t % CONFIGS.len()`.
+/// scheme for placement diversity.
 const CONFIGS: [(Option<TechniqueKind>, UpdateStyle); 6] = [
     (None, UpdateStyle::Jcc),
     (Some(TechniqueKind::EdgCf), UpdateStyle::CMov),
@@ -52,9 +64,14 @@ const CONFIGS: [(Option<TechniqueKind>, UpdateStyle); 6] = [
 const MAX_NTH_BITS: u32 = 9;
 
 /// One disagreement between a trial's two paths: everything needed to
-/// re-run the diverging pair (the shrinker's and replayer's contract).
+/// re-run the schedule up to the diverging trial (the shrinker's and
+/// replayer's contract).
 #[derive(Debug, Clone)]
 pub struct AttackFinding {
+    /// The case seed whose schedule diverged.
+    pub seed: u64,
+    /// The diverging trial's index in that schedule.
+    pub trial: u64,
     /// Technique the attacked run was instrumented with.
     pub technique: Option<TechniqueKind>,
     /// Conditional-update style.
@@ -123,57 +140,56 @@ fn diff_trials(a: &TrialResult, b: &TrialResult) -> Option<(String, String)> {
     fields.into_iter().find(|f| f.1).map(|(field, _, detail)| (field.into(), detail))
 }
 
-/// Runs `spec` from scratch and on the fast path. `None` when the
-/// attack-free run under `cfg` does not halt.
-fn run_paths(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-) -> Option<(TrialResult, TrialResult)> {
-    let (golden, snapshots) = SnapshotSet::capture(image, cfg).ok()?;
-    let scratch = inject(image, cfg, spec, &golden, None);
-    let fast = inject(image, cfg, spec, &golden, Some(&snapshots));
-    Some((scratch, fast))
-}
-
-/// Mounts one trial on both paths and returns their first mismatch.
-/// `(placed, finding)` — `placed` reflects the from-scratch run.
-fn run_trial(
-    image: &Image,
-    technique: Option<TechniqueKind>,
-    style: UpdateStyle,
-    spec: AttackSpec,
-    max_insts: u64,
-) -> (bool, Option<AttackFinding>) {
-    let cfg = trial_config(technique, style, max_insts);
-    let Some((scratch, fast)) = run_paths(image, &cfg, spec) else { return (false, None) };
-    let finding = diff_trials(&scratch, &fast).map(|(field, detail)| AttackFinding {
-        technique,
-        style,
-        kind: spec.kind,
-        param: spec.param,
-        nth: spec.nth,
-        field,
-        detail,
-    });
-    (matches!(scratch, Ok(Some(_))), finding)
-}
-
 /// The schedule RNG of `seed`.
 fn schedule_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ 0xA77A_C4ED_2006_0000)
 }
 
-/// Derives trial `t`'s attack from the schedule RNG. Separate from
-/// [`run_trial`] so the schedule stays a pure function of the seed
-/// regardless of what each trial observes.
-fn schedule(rng: &mut StdRng, t: u64) -> (Option<TechniqueKind>, UpdateStyle, AttackSpec) {
-    let (technique, style) = CONFIGS[(t % CONFIGS.len() as u64) as usize];
+/// Draws a case's [`SETS_PER_CASE`] distinct [`CONFIGS`] rows.
+fn schedule_rows(rng: &mut StdRng) -> [usize; SETS_PER_CASE] {
+    let mut rows: [usize; CONFIGS.len()] = std::array::from_fn(|i| i);
+    for i in 0..SETS_PER_CASE {
+        rows.swap(i, rng.gen_range(i..CONFIGS.len()));
+    }
+    std::array::from_fn(|i| rows[i])
+}
+
+/// One scheduled trial: the [`CONFIGS`] row it attacks and the attack.
+fn schedule(rng: &mut StdRng, rows: &[usize; SETS_PER_CASE]) -> (usize, AttackSpec) {
+    let row = rows[rng.gen_range(0..SETS_PER_CASE)];
     let kind = AttackKind::ALL[rng.gen_range(0usize..AttackKind::ALL.len())];
     let param = rng.gen::<u64>();
     let span = 1u64 << rng.gen_range(2..MAX_NTH_BITS);
     let nth = rng.gen_range(0..span);
-    (technique, style, AttackSpec { kind, nth, param })
+    (row, AttackSpec { kind, nth, param })
+}
+
+/// Mounts trials `0..trials` of `seed`'s schedule on `image`, each from
+/// scratch and on the fast path against its configuration's one snapshot
+/// set, and hands `on_trial` its index, row, attack and the two paths'
+/// results (`None`: the configuration's attack-free run does not halt).
+/// The schedule depends only on `seed`, never on the image or on what a
+/// trial observes.
+fn mount(
+    image: &Image,
+    seed: u64,
+    trials: u64,
+    max_insts: u64,
+    mut on_trial: impl FnMut(u64, usize, AttackSpec, Option<(TrialResult, TrialResult)>),
+) {
+    let mut rng = schedule_rng(seed);
+    let rows = schedule_rows(&mut rng);
+    let mut captured: [Option<Option<(Golden, SnapshotSet)>>; CONFIGS.len()] = Default::default();
+    for t in 0..trials {
+        let (row, spec) = schedule(&mut rng, &rows);
+        let (technique, style) = CONFIGS[row];
+        let cfg = trial_config(technique, style, max_insts);
+        let capture = captured[row].get_or_insert_with(|| SnapshotSet::capture(image, &cfg).ok());
+        let paths = capture.as_ref().map(|(golden, set)| {
+            (inject(image, &cfg, spec, golden, None), inject(image, &cfg, spec, golden, Some(set)))
+        });
+        on_trial(t, row, spec, paths);
+    }
 }
 
 /// Mounts the deterministic attack schedule of `seed` on `image` and diffs
@@ -182,26 +198,37 @@ fn schedule(rng: &mut StdRng, t: u64) -> (Option<TechniqueKind>, UpdateStyle, At
 /// replays the exact schedule that exposed its finding.
 pub fn attack_sweep(image: &Image, seed: u64, trials: u64, max_insts: u64) -> AttackOutcome {
     let mut out = AttackOutcome::default();
-    let mut rng = schedule_rng(seed);
-    for t in 0..trials {
-        let (technique, style, spec) = schedule(&mut rng, t);
+    mount(image, seed, trials, max_insts, |trial, row, spec, paths| {
         out.trials += 1;
-        let (placed, finding) = run_trial(image, technique, style, spec, max_insts);
-        if placed {
-            out.placed += 1;
-        }
-        out.findings.extend(finding);
-    }
+        let Some((scratch, fast)) = paths else { return };
+        out.placed += u64::from(matches!(scratch, Ok(Some(_))));
+        let (technique, style) = CONFIGS[row];
+        out.findings.extend(diff_trials(&scratch, &fast).map(|(field, detail)| AttackFinding {
+            seed,
+            trial,
+            technique,
+            style,
+            kind: spec.kind,
+            param: spec.param,
+            nth: spec.nth,
+            field,
+            detail,
+        }));
+    });
     out
 }
 
-/// Re-checks whether a specific finding's two paths still disagree on
-/// `image` — the shrinker's predicate (one trial instead of the schedule).
+/// Re-checks whether a finding's trial still diverges on `image`, the
+/// schedule replayed up to it — the shrinker's predicate. The trials
+/// before it stay: the fast path's resident state is what they left.
 pub fn finding_reproduces(image: &Image, finding: &AttackFinding, max_insts: u64) -> bool {
-    let cfg = trial_config(finding.technique, finding.style, max_insts);
-    let spec = AttackSpec { kind: finding.kind, nth: finding.nth, param: finding.param };
-    run_paths(image, &cfg, spec)
-        .is_some_and(|(scratch, fast)| diff_trials(&scratch, &fast).is_some())
+    let mut diverged = false;
+    mount(image, finding.seed, finding.trial + 1, max_insts, |trial, _, _, paths| {
+        if let (true, Some((scratch, fast))) = (trial == finding.trial, paths) {
+            diverged = diff_trials(&scratch, &fast).is_some();
+        }
+    });
+    diverged
 }
 
 #[cfg(test)]
@@ -212,8 +239,11 @@ mod tests {
     #[test]
     fn schedule_is_a_pure_function_of_the_seed() {
         let (mut a, mut b) = (schedule_rng(9), schedule_rng(9));
-        for t in 0..ATTACK_TRIALS {
-            assert_eq!(schedule(&mut a, t), schedule(&mut b, t));
+        let rows = schedule_rows(&mut a);
+        assert_eq!(rows, schedule_rows(&mut b));
+        assert_ne!(rows[0], rows[1]);
+        for _ in 0..ATTACK_TRIALS {
+            assert_eq!(schedule(&mut a, &rows), schedule(&mut b, &rows));
         }
     }
 
@@ -225,13 +255,12 @@ mod tests {
         for case in 0..8u64 {
             let (seed, tier) = (11 + case, if case % 2 == 0 { Tier::MiniC } else { Tier::Visa });
             let image = generate(schedule_seed(seed, 0), tier).image;
-            let mut rng = schedule_rng(seed);
-            for t in 0..ATTACK_TRIALS {
-                let (technique, style, spec) = schedule(&mut rng, t);
-                let (hit, finding) = run_trial(&image, technique, style, spec, 300_000);
-                assert!(finding.is_none(), "paths disagree: {finding:?}");
-                placed[spec.kind.idx()] += u64::from(hit);
-            }
+            mount(&image, seed, ATTACK_TRIALS, 300_000, |trial, row, spec, paths| {
+                let Some((scratch, fast)) = paths else { return };
+                let finding = diff_trials(&scratch, &fast);
+                assert!(finding.is_none(), "seed {seed} trial {trial} row {row}: {finding:?}");
+                placed[spec.kind.idx()] += u64::from(matches!(scratch, Ok(Some(_))));
+            });
         }
         for kind in AttackKind::ALL {
             assert!(placed[kind.idx()] > 0, "{kind} never placed: {placed:?}");
@@ -242,6 +271,8 @@ mod tests {
     fn a_clean_pair_does_not_reproduce() {
         let prog = generate(3, Tier::MiniC);
         let finding = AttackFinding {
+            seed: 3,
+            trial: 5,
             technique: Some(TechniqueKind::EdgCf),
             style: UpdateStyle::CMov,
             kind: AttackKind::RetGadget,

@@ -452,8 +452,13 @@ mod tests {
         let one = run_fuzz(&cfg);
         let many = run_fuzz(&FuzzConfig { threads: 3, ..cfg });
         assert_eq!(one.text, many.text, "thread count leaked into the attack report");
-        assert!(one.text.contains("attacks: 6 trials/case"), "{}", one.text);
-        assert!(one.text.contains("attack: trials=24 placed="), "{}", one.text);
+        assert!(
+            one.text.contains(&format!("attacks: {ATTACK_TRIALS} trials/case")),
+            "{}",
+            one.text
+        );
+        let trials = format!("attack: trials={} placed=", 4 * ATTACK_TRIALS);
+        assert!(one.text.contains(&trials), "{}", one.text);
         assert!(one.clean(), "attack schedule found an engine disagreement:\n{}", one.text);
     }
 

@@ -589,6 +589,8 @@ pub fn run_matrix(
             .u64("snapshots_held", perf.snapshots.snapshots)
             .u64("snapshot_bytes", perf.snapshots.bytes)
             .u64("restores", perf.snapshots.restores)
+            .u64("full_restores", perf.snapshots.full_restores)
+            .u64("pages_restored", perf.snapshots.pages_restored)
             .u64("misses", perf.snapshots.misses)
             .u64("branches_fast_forwarded", perf.snapshots.branches_fast_forwarded)
             .u64("branches_stepped", perf.snapshots.branches_stepped)
@@ -760,10 +762,16 @@ mod tests {
                 text.lines().filter(|l| !l.contains(r#""meta":"run""#)).collect();
             records.sort_unstable();
             let records: Vec<String> = records.into_iter().map(str::to_string).collect();
-            // Native compiles depend on which trials each worker's JIT ran
+            // Native compiles, full restores and restored pages depend on
+            // which trials each worker's JIT and resident machine ran
             // before, which thread scheduling decides; traced re-runs never
-            // run native code.
-            let stats = SnapshotStats { native_compiles: 0, ..summary.perf.snapshots };
+            // run native code or use a resident machine.
+            let stats = SnapshotStats {
+                native_compiles: 0,
+                full_restores: 0,
+                pages_restored: 0,
+                ..summary.perf.snapshots
+            };
             (stats, records, sink.of_kind("forensics").len())
         };
         let (plain_stats, plain_records, no_bundles) = run(false);

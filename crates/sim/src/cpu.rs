@@ -67,7 +67,7 @@ pub enum ExitReason {
 /// cpu.set_ip(0);
 /// assert_eq!(cpu.run(&mut mem, 100), ExitReason::Halted { code: 7 });
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Cpu {
     regs: [u64; Reg::COUNT],
     flags: Flags,
@@ -75,6 +75,25 @@ pub struct Cpu {
     halted: bool,
     stats: ExecStats,
     output: Vec<u64>,
+}
+
+impl Clone for Cpu {
+    fn clone(&self) -> Cpu {
+        let mut cpu = Cpu::new();
+        cpu.clone_from(self);
+        cpu
+    }
+
+    /// Reuses the output stream's allocation.
+    fn clone_from(&mut self, source: &Cpu) {
+        let Cpu { regs, flags, ip, halted, stats, output } = source;
+        self.regs = *regs;
+        self.flags = *flags;
+        self.ip = *ip;
+        self.halted = *halted;
+        self.stats = *stats;
+        self.output.clone_from(output);
+    }
 }
 
 impl Default for Cpu {

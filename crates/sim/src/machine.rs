@@ -2,6 +2,7 @@
 //! layout, with a loader for raw program images.
 
 use crate::icache::{DecodeCacheStats, DecodedCache};
+use crate::mem::PAGE_SIZE;
 use crate::profiler::ExecProfiler;
 use crate::{Cpu, ExitReason, Memory, Perms, Step, TraceEntry, Tracer, Trap};
 use cfed_isa::Inst;
@@ -321,20 +322,25 @@ impl Machine {
 /// bytes plus the per-page permission table, which for the workloads in
 /// this repository is a few dozen KiB. A fresh address space is all-zero,
 /// so [`MachineSnapshot::restore`] rebuilds a bit-identical machine by
-/// re-installing just those pages. The attached [`Tracer`] (if any) is
-/// *not* captured — supervisors attach their own after restoring.
+/// re-installing just those pages, and [`MachineSnapshot::rewind`] brings
+/// a machine that already exists there by rewriting only the pages that
+/// can differ. The attached [`Tracer`] (if any) is *not* captured —
+/// supervisors attach their own after restoring.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     cpu: Cpu,
     layout: Layout,
     code_len: u64,
     mem_size: u64,
-    /// Page contents behind `Arc`: snapshots taken in sequence (see
-    /// [`SnapshotTracker`]) share the pages that did not change between
-    /// them.
+    /// Page contents behind `Arc`, ascending by base: snapshots taken in
+    /// sequence (see [`SnapshotTracker`]) share the pages that did not
+    /// change between them.
     pages: Vec<(u64, Arc<[u8]>)>,
     perms: Vec<Perms>,
 }
+
+/// A page of zeros: what a snapshot holds where it holds no page.
+const ZERO_PAGE: &[u8] = &[0u8; PAGE_SIZE as usize];
 
 impl MachineSnapshot {
     /// Captures the machine's CPU, memory contents and page permissions.
@@ -349,8 +355,10 @@ impl MachineSnapshot {
         }
     }
 
-    /// Reconstructs a machine bit-identical to the captured one (with no
-    /// tracer attached).
+    /// Builds a new machine bit-identical to the captured one (with no
+    /// tracer attached, and a fresh decode cache). Its dirty log holds
+    /// every page it installed: as a `from` or `base` it stands for the
+    /// all-zero address space (`None`).
     pub fn restore(&self) -> Machine {
         let mut mem = Memory::new(self.mem_size);
         for (base, bytes) in &self.pages {
@@ -370,44 +378,148 @@ impl MachineSnapshot {
         }
     }
 
-    /// Instructions the captured CPU had retired.
-    pub fn insts(&self) -> u64 {
-        self.cpu.stats().insts
+    /// Rewinds `m` (an address space of the captured size) in place to
+    /// the captured state and empties its dirty log, so the log then names
+    /// exactly the pages written since this snapshot. Returns the pages it
+    /// rewrote.
+    ///
+    /// With `from`, `m` must hold `from`'s state except on the pages its
+    /// dirty log names (as after a rewind to `from`, or a
+    /// [`MachineSnapshot::restore`] of it). Then only those pages and the
+    /// ones whose `Arc` differs between `from` and this snapshot are
+    /// rewritten: every other page holds the same bytes on both sides.
+    /// Without `from` (a machine of unknown history) every page ever
+    /// written is zeroed or overwritten. The CPU, permission table and
+    /// layout are copied into the existing allocations. The decode cache
+    /// stays: it revalidates each page by write generation, and every
+    /// rewritten page gets a new one.
+    pub fn rewind(&self, m: &mut Machine, from: Option<&MachineSnapshot>) -> u64 {
+        debug_assert!(m.tracer.is_none() && m.profiler.is_none(), "rewind a bare machine");
+        assert_eq!(m.mem.size(), self.mem_size, "rewind across address-space sizes");
+        let mut written = 0;
+        match from {
+            Some(from) => {
+                for base in differing_pages(&from.pages, &self.pages) {
+                    // A dirty page is rewritten below, once.
+                    if !m.mem.is_dirty(base) {
+                        m.mem.rewrite_page(base, self.page(base));
+                        written += 1;
+                    }
+                }
+                written += m.mem.rewrite_dirty(|base| self.page(base));
+            }
+            None => {
+                // A page never written is still zero.
+                for page in 0..m.mem.page_count() {
+                    let base = page as u64 * PAGE_SIZE;
+                    if m.mem.page_gen(page) > 0
+                        && m.mem.peek(base, PAGE_SIZE as usize) != self.page(base)
+                    {
+                        m.mem.rewrite_page(base, self.page(base));
+                        written += 1;
+                    }
+                }
+                for (base, bytes) in &self.pages {
+                    if m.mem.page_gen((base / PAGE_SIZE) as usize) == 0 {
+                        m.mem.rewrite_page(*base, bytes);
+                        written += 1;
+                    }
+                }
+                m.mem.clear_dirty();
+            }
+        }
+        m.mem.set_perms_table(&self.perms);
+        m.cpu.clone_from(&self.cpu);
+        m.layout.clone_from(&self.layout);
+        m.code_len = self.code_len;
+        written
+    }
+
+    /// The captured CPU.
+    pub fn cpu(&self) -> &Cpu {
+        &self.cpu
+    }
+
+    /// The captured bytes of the page at `base` (zeros where none is held).
+    fn page(&self, base: u64) -> &[u8] {
+        self.pages.binary_search_by_key(&base, |&(b, _)| b).map_or(ZERO_PAGE, |i| &self.pages[i].1)
     }
 
     /// Whether `m`'s architectural state (CPU including counters, memory
     /// contents, page permissions) is bit-identical to the captured one.
     /// Since execution is deterministic, a match means `m`'s future is
     /// exactly the captured machine's future — the basis for convergence
-    /// pruning in fault injection. Cheap when states differ: the CPU
-    /// compare rejects first, and the page walk covers only pages that
-    /// were ever written on either side (everything else is zero-zero).
-    pub fn matches(&self, m: &Machine) -> bool {
-        use crate::mem::PAGE_SIZE;
+    /// pruning in fault injection.
+    ///
+    /// `base` is the snapshot `m`'s dirty log started from (its last
+    /// [`MachineSnapshot::rewind`]); `None` when the log covers every page
+    /// written since the machine was all-zero (a loaded or restored
+    /// machine). Only the dirty pages and the pages whose `Arc` differs
+    /// between `base` and this snapshot are compared: every other page
+    /// holds `base`'s bytes on `m` and the same bytes here. Cheap when
+    /// states differ: the CPU compare rejects first.
+    pub fn matches(&self, m: &Machine, base: Option<&MachineSnapshot>) -> bool {
         if self.cpu != m.cpu || self.mem_size != m.mem.size() || self.perms != m.mem.perms_table() {
             return false;
         }
-        const ZERO: &[u8] = &[0u8; PAGE_SIZE as usize];
-        let mut bases = m.mem.dirty_pages();
-        bases.extend(self.pages.iter().map(|&(b, _)| b));
-        bases.sort_unstable();
-        bases.dedup();
-        bases.into_iter().all(|base| {
-            let captured = self
-                .pages
-                .binary_search_by_key(&base, |&(b, _)| b)
-                .map(|i| &*self.pages[i].1)
-                .unwrap_or(ZERO);
-            m.mem.peek(base, PAGE_SIZE as usize) == captured
-        })
+        let same = |page: u64| m.mem.peek(page, PAGE_SIZE as usize) == self.page(page);
+        m.mem.dirty_bases().all(same)
+            && differing_pages(base.map_or(&[], |b| &b.pages), &self.pages)
+                .filter(|&page| !m.mem.is_dirty(page))
+                .all(same)
     }
 
-    /// Approximate heap bytes this snapshot retains (page contents plus the
-    /// permission table). Pages shared with other snapshots via
-    /// [`SnapshotTracker`] are counted in full by each holder.
-    pub fn bytes(&self) -> u64 {
-        self.pages.iter().map(|(_, b)| b.len() as u64).sum::<u64>() + self.perms.len() as u64
+    /// Heap bytes a group of snapshots retains together: each distinct
+    /// page once, however many of them share it, plus every permission
+    /// table.
+    pub fn retained_bytes<'a>(snapshots: impl IntoIterator<Item = &'a MachineSnapshot>) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        let mut bytes = 0;
+        for snap in snapshots {
+            bytes += snap.perms.len() as u64;
+            for (_, page) in &snap.pages {
+                if seen.insert(Arc::as_ptr(page) as *const u8) {
+                    bytes += page.len() as u64;
+                }
+            }
+        }
+        bytes
     }
+}
+
+/// Bases of the pages that `a` and `b` (ascending by base) do not share:
+/// held by one side only, or by both behind different `Arc`s.
+fn differing_pages<'a>(
+    a: &'a [(u64, Arc<[u8]>)],
+    b: &'a [(u64, Arc<[u8]>)],
+) -> impl Iterator<Item = u64> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || loop {
+        let base = match (a.get(i), b.get(j)) {
+            (None, None) => return None,
+            (Some((x, p)), Some((y, q))) if x == y => {
+                i += 1;
+                j += 1;
+                if Arc::ptr_eq(p, q) {
+                    continue;
+                }
+                *x
+            }
+            (Some((x, _)), Some((y, _))) if x < y => {
+                i += 1;
+                *x
+            }
+            (Some((x, _)), None) => {
+                i += 1;
+                *x
+            }
+            (_, Some((y, _))) => {
+                j += 1;
+                *y
+            }
+        };
+        return Some(base);
+    })
 }
 
 /// Incremental snapshot capture over a machine's dirty-page log.
@@ -439,7 +551,6 @@ impl SnapshotTracker {
     /// bit-identical) when the tracker has seen the machine since its
     /// creation.
     pub fn capture(&mut self, m: &mut Machine) -> MachineSnapshot {
-        use crate::mem::PAGE_SIZE;
         for base in m.mem.drain_dirty() {
             self.pages.insert(base, Arc::from(m.mem.peek(base, PAGE_SIZE as usize)));
         }
@@ -547,8 +658,8 @@ mod tests {
         assert_eq!(m.step_cpu(), Ok(Step::Continue));
         assert_eq!(m.step_cpu(), Ok(Step::Continue));
         let snap = MachineSnapshot::capture(&m);
-        assert_eq!(snap.insts(), 2);
-        assert!(snap.bytes() < m.mem.size(), "snapshot must be sparse");
+        assert_eq!(snap.cpu().stats().insts, 2);
+        assert!(MachineSnapshot::retained_bytes([&snap]) < m.mem.size(), "snapshot must be sparse");
         let mut r = snap.restore();
         assert_eq!(r.cpu, m.cpu);
         assert_eq!(r.code_range(), m.code_range());
@@ -842,6 +953,42 @@ mod tests {
             let tracer = traced.tracer.as_ref().unwrap();
             assert_eq!(tracer.retired(), plain.cpu.stats().insts);
             assert_eq!(tracer.branches().count(), 3);
+        }
+    }
+
+    #[test]
+    fn rewinds_equal_restores_in_any_order() {
+        use crate::PAGE_SIZE;
+        // Pushes walk the stack down across a page boundary, so later
+        // snapshots hold pages earlier ones lack.
+        let mut insts = vec![Inst::MovRI { dst: Reg::R0, imm: 3 }];
+        insts.extend([Inst::Push { src: Reg::R0 }; 600]);
+        insts.push(Inst::Halt);
+        let mut m = Machine::load(&encode_all(&insts), &[], 0);
+        let mut tracker = SnapshotTracker::new();
+        let mut snaps = vec![tracker.capture(&mut m)];
+        for _ in 0..6 {
+            for _ in 0..100 {
+                m.step_cpu().unwrap();
+            }
+            snaps.push(tracker.capture(&mut m));
+        }
+        let state = |m: &Machine| {
+            let pages: Vec<(u64, Vec<u8>)> =
+                m.mem.nonzero_pages().map(|(b, p)| (b, p.to_vec())).collect();
+            (m.cpu.clone(), pages, m.mem.perms_table().to_vec())
+        };
+        let mut resident = snaps[0].restore();
+        let mut from = None;
+        for (i, j) in [(6, true), (2, true), (5, true), (0, false), (3, true), (3, true), (1, true)]
+        {
+            let snap = &snaps[i];
+            snap.rewind(&mut resident, from.filter(|_| j).map(|k: usize| &snaps[k]));
+            assert_eq!(state(&resident), state(&snap.restore()), "rewind to {i}");
+            assert!(resident.mem.dirty_pages().is_empty());
+            // A store after the rewind: the next rewind must undo it.
+            resident.mem.write_u64(resident.layout().stack.start + PAGE_SIZE, 7).unwrap();
+            from = Some(i);
         }
     }
 

@@ -17,9 +17,9 @@ pub const PAGE_SIZE: u64 = 4096;
 
 /// Per-thread recycling pool for address-space buffers. Allocating (and
 /// zeroing) a fresh multi-MiB `Vec` per [`Memory::new`] dominates the cost
-/// of restoring a machine snapshot, so dropped address spaces whose dirty
-/// log is still complete (never drained) scrub just their written pages
-/// and park the buffer here for the next `Memory::new` of the same size.
+/// of restoring a machine snapshot, so dropped address spaces scrub just
+/// the pages they ever wrote (write generation above zero) and park the
+/// buffer here for the next `Memory::new` of the same size.
 const BUFFER_POOL_CAP: usize = 4;
 
 thread_local! {
@@ -134,10 +134,6 @@ pub struct Memory {
     /// One bit per page, set on every byte store since the last
     /// [`Memory::drain_dirty`]. Bookkeeping only — never affects execution.
     dirty: Vec<u64>,
-    /// Whether [`Memory::drain_dirty`] has ever run: a drained dirty log no
-    /// longer covers every written page, so the buffer cannot be scrubbed
-    /// page-wise and returned to the pool on drop.
-    drained: bool,
     /// Per-page write-generation counters, bumped on every store (including
     /// loader-level [`Memory::install`]). Consumers that cache derived views
     /// of page contents — the decoded instruction cache — revalidate by
@@ -153,23 +149,21 @@ impl Drop for Memory {
         // Recycle the buffer: an all-zero address space is semantically
         // identical to a fresh allocation, and scrubbing just the written
         // pages is far cheaper than zeroing (or re-allocating) the whole
-        // space. Only possible while the dirty log is complete — once
-        // drained, written pages are unknown and the buffer is discarded.
-        if self.drained || self.bytes.is_empty() {
+        // space. A page never written (generation zero) is still zero.
+        if self.bytes.is_empty() {
             return;
         }
-        let dirty = self.dirty_pages();
-        let bytes = std::mem::take(&mut self.bytes);
+        let mut bytes = std::mem::take(&mut self.bytes);
+        let gens = std::mem::take(&mut self.page_gens);
         // `try_with`: never panic if the thread-local was already torn down.
         let _ = BUFFER_POOL.try_with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() >= BUFFER_POOL_CAP {
                 return;
             }
-            let mut bytes = bytes;
-            for base in &dirty {
-                let a = *base as usize;
-                bytes[a..a + PAGE_SIZE as usize].fill(0);
+            let page = PAGE_SIZE as usize;
+            for (i, _) in gens.iter().enumerate().filter(|(_, &gen)| gen > 0) {
+                bytes[i * page..(i + 1) * page].fill(0);
             }
             pool.push(bytes);
         });
@@ -202,7 +196,6 @@ impl Memory {
             bytes,
             page_perms: vec![Perms::NONE; pages as usize],
             dirty: vec![0; (pages as usize).div_ceil(64)],
-            drained: false,
             page_gens: vec![0; pages as usize],
         }
     }
@@ -479,35 +472,69 @@ impl Memory {
     /// store touched it — a fresh address space starts all-clean as well
     /// as all-zero). Clears the dirty set.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
-        self.drained = true;
-        let mut out = Vec::new();
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(((w * 64 + b) as u64) * PAGE_SIZE);
-                bits &= bits - 1;
-            }
-            *word = 0;
-        }
+        let out = self.dirty_pages();
+        self.clear_dirty();
         out
     }
 
     /// As [`Memory::drain_dirty`], but without clearing the dirty set —
     /// for observers that need "every page written so far" while a
-    /// supervisor keeps its own drain cadence (or none at all). Does not
-    /// disqualify the buffer from pooling.
+    /// supervisor keeps its own drain cadence (or none at all).
     pub fn dirty_pages(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (w, word) in self.dirty.iter().enumerate() {
-            let mut bits = *word;
+        self.dirty_bases().collect()
+    }
+
+    /// [`Memory::dirty_pages`] without collecting them, ascending.
+    pub(crate) fn dirty_bases(&self) -> impl Iterator<Item = u64> + '_ {
+        self.dirty.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    ((w * 64 + b) as u64) * PAGE_SIZE
+                })
+            })
+        })
+    }
+
+    /// Whether the page at `base` was written since the last drain.
+    pub(crate) fn is_dirty(&self, base: u64) -> bool {
+        let p = (base / PAGE_SIZE) as usize;
+        self.dirty[p / 64] & (1 << (p % 64)) != 0
+    }
+
+    /// Empties the dirty set, as [`Memory::drain_dirty`] does.
+    pub(crate) fn clear_dirty(&mut self) {
+        self.dirty.fill(0);
+    }
+
+    /// Overwrites the whole page at `base` with `contents`, bumping its
+    /// write generation (cached decodes of it revalidate) but leaving the
+    /// dirty set alone: the rewrite of a machine being rewound to a
+    /// snapshot, which is the state its next dirty log starts from.
+    pub(crate) fn rewrite_page(&mut self, base: u64, contents: &[u8]) {
+        debug_assert_eq!(contents.len() as u64, PAGE_SIZE);
+        self.page_gens[(base / PAGE_SIZE) as usize] += 1;
+        let a = base as usize;
+        self.bytes[a..a + PAGE_SIZE as usize].copy_from_slice(contents);
+    }
+
+    /// Rewrites every dirty page with `contents(base)`, as
+    /// [`Memory::rewrite_page`] does, and empties the dirty set. Returns
+    /// how many pages it rewrote.
+    pub(crate) fn rewrite_dirty<'c>(&mut self, contents: impl Fn(u64) -> &'c [u8]) -> u64 {
+        let mut rewritten = 0;
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(((w * 64 + b) as u64) * PAGE_SIZE);
+                let base = ((w * 64) as u64 + u64::from(bits.trailing_zeros())) * PAGE_SIZE;
+                self.rewrite_page(base, contents(base));
+                rewritten += 1;
                 bits &= bits - 1;
             }
         }
-        out
+        rewritten
     }
 
     /// The per-page permission table (one entry per page, ascending).
@@ -644,8 +671,8 @@ mod tests {
         assert_eq!(mem.nonzero_pages().count(), 0);
         assert!(mem.dirty_pages().is_empty());
 
-        // A drained memory is not recyclable: its dirty log no longer
-        // covers every written page, so its buffer must not resurface.
+        // A drained memory recycles too: its write generations still name
+        // every page it wrote, the ones written before the drain included.
         let mut mem = Memory::new(SIZE);
         mem.map(0..SIZE, Perms::RW);
         mem.write_u8(PAGE_SIZE, 9).unwrap();
